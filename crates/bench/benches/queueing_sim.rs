@@ -11,16 +11,16 @@ use recpipe_core::{Backend, Scheduler, SchedulerSettings, SweepBudget};
 use recpipe_data::{DiurnalArrivals, MmppArrivals, PoissonArrivals, TraceArrivals};
 use recpipe_hwsim::{CpuModel, PcieModel};
 use recpipe_qsim::{
-    serve_multipath, BatchModel, BatchWindow, ExpectedWait, Fifo, HedgePolicy, JoinShortestQueue,
-    LeastWorkLeft, LifecycleConfig, LifecycleEvent, LifecycleSchedule, LoadAdaptive, PathSet,
-    PipelineSpec, PowerOfTwoChoices, ReplicaGroup, ReplicaProfile, ResilienceConfig, ResourceSpec,
-    RetryBudget, RetryPolicy, RoundRobin, Router, StageSpec,
+    BatchModel, BatchWindow, ExpectedWait, HedgePolicy, JoinShortestQueue, LeastWorkLeft,
+    LifecycleConfig, LifecycleEvent, LifecycleSchedule, LoadAdaptive, PathSet, PipelineSpec,
+    PowerOfTwoChoices, ReplicaGroup, ReplicaProfile, ResilienceConfig, RetryBudget, RetryPolicy,
+    RoundRobin, Router, Scenario, StageSpec,
 };
 
 fn two_stage() -> PipelineSpec {
     PipelineSpec::new(vec![
-        ResourceSpec::new("cpu", 64),
-        ResourceSpec::new("gpu", 1),
+        ReplicaGroup::new("cpu", 64),
+        ReplicaGroup::new("gpu", 1),
     ])
     .with_stage(StageSpec::new("front", 1, 1, 0.0012))
     .unwrap()
@@ -44,8 +44,8 @@ fn bench_qsim_v2(c: &mut Criterion) {
     // bursty MMPP arrivals, and a batch-window policy (timer events,
     // priority queues, batch formation).
     let spec = PipelineSpec::new(vec![
-        ResourceSpec::new("cpu", 64),
-        ResourceSpec::new("gpu", 1),
+        ReplicaGroup::new("cpu", 64),
+        ReplicaGroup::new("gpu", 1),
     ])
     .with_stage(StageSpec::new("front", 1, 1, 0.0012).with_batch(BatchModel::new(16, 0.15)))
     .unwrap()
@@ -57,7 +57,14 @@ fn bench_qsim_v2(c: &mut Criterion) {
     let mut group = c.benchmark_group("qsim_v2");
     for &queries in &[1_000usize, 10_000] {
         group.bench_function(format!("batched_mmpp_window_{queries}q"), |b| {
-            b.iter(|| black_box(spec.serve(&arrivals, &policy, queries, 7)))
+            b.iter(|| {
+                black_box(
+                    Scenario::new(&spec, &arrivals, queries, 7)
+                        .policy(&policy)
+                        .run()
+                        .unwrap(),
+                )
+            })
         });
     }
     group.finish();
@@ -83,7 +90,14 @@ fn bench_qsim_cluster(c: &mut Criterion) {
     ];
     for (name, router) in routers {
         group.bench_function(format!("routed_10000q/{name}"), |b| {
-            b.iter(|| black_box(spec.serve_routed(&arrivals, &Fifo, router, 10_000, 7)))
+            b.iter(|| {
+                black_box(
+                    Scenario::new(&spec, &arrivals, 10_000, 7)
+                        .router(router)
+                        .run()
+                        .unwrap(),
+                )
+            })
         });
     }
 
@@ -112,7 +126,14 @@ fn bench_qsim_cluster(c: &mut Criterion) {
     ];
     for (name, router) in hetero_routers {
         group.bench_function(format!("two_gen_10000q/{name}"), |b| {
-            b.iter(|| black_box(two_gen.serve_routed(&hetero_arrivals, &Fifo, router, 10_000, 7)))
+            b.iter(|| {
+                black_box(
+                    Scenario::new(&two_gen, &hetero_arrivals, 10_000, 7)
+                        .router(router)
+                        .run()
+                        .unwrap(),
+                )
+            })
         });
     }
     group.finish();
@@ -158,7 +179,12 @@ fn bench_qsim_scale(c: &mut Criterion) {
     let mut group = c.benchmark_group("qsim_scale");
     group.bench_function("trace_replay_10M", |b| {
         b.iter(|| {
-            black_box(spec.serve_routed_sharded(&trace, &Fifo, &RoundRobin, 10_000_000, 7, 0))
+            black_box(
+                Scenario::new(&spec, &trace, 10_000_000, 7)
+                    .workers(0)
+                    .run()
+                    .unwrap(),
+            )
         })
     });
     group.finish();
@@ -183,7 +209,10 @@ fn bench_qsim_lifecycle(c: &mut Criterion) {
     group.bench_function("diurnal_failures_10000q", |b| {
         b.iter(|| {
             black_box(
-                spec.serve_lifecycle(&arrivals, &Fifo, &JoinShortestQueue, 10_000, 7, &cfg)
+                Scenario::new(&spec, &arrivals, 10_000, 7)
+                    .router(&JoinShortestQueue)
+                    .lifecycle(&cfg)
+                    .run()
                     .expect("replica 0 recovers, so the run cannot strand work"),
             )
         })
@@ -213,17 +242,11 @@ fn bench_qsim_multipath(c: &mut Criterion) {
     group.bench_function("brownout_ladder3_10000q", |b| {
         b.iter(|| {
             black_box(
-                serve_multipath(
-                    &paths,
-                    &arrivals,
-                    &Fifo,
-                    &JoinShortestQueue,
-                    &admission,
-                    10_000,
-                    7,
-                    &cfg,
-                )
-                .expect("no lifecycle schedule, so the run cannot strand work"),
+                Scenario::multipath(&paths, &admission, &arrivals, 10_000, 7)
+                    .router(&JoinShortestQueue)
+                    .lifecycle(&cfg)
+                    .run()
+                    .expect("no lifecycle schedule, so the run cannot strand work"),
             )
         })
     });
@@ -255,7 +278,10 @@ fn bench_qsim_resilience(c: &mut Criterion) {
     group.bench_function("hedged_limp_10000q", |b| {
         b.iter(|| {
             black_box(
-                spec.serve_resilient(&arrivals, &Fifo, &RoundRobin, 10_000, 7, &cfg, &resilience)
+                Scenario::new(&spec, &arrivals, 10_000, 7)
+                    .lifecycle(&cfg)
+                    .resilience(&resilience)
+                    .run()
                     .expect("degrades never strand work"),
             )
         })

@@ -26,10 +26,9 @@ use std::time::{Duration, Instant};
 
 use recpipe_data::{DiurnalArrivals, PoissonArrivals, TraceArrivals};
 use recpipe_qsim::{
-    serve_multipath, BatchModel, ExpectedWait, Fifo, HedgePolicy, JoinShortestQueue,
-    LifecycleConfig, LifecycleEvent, LifecycleSchedule, LoadAdaptive, PathSet, PipelineSpec,
-    ReplicaGroup, ReplicaProfile, ResilienceConfig, ResourceSpec, RetryBudget, RetryPolicy,
-    RoundRobin, StageSpec,
+    BatchModel, ExpectedWait, HedgePolicy, JoinShortestQueue, LifecycleConfig, LifecycleEvent,
+    LifecycleSchedule, LoadAdaptive, PathSet, PipelineSpec, ReplicaGroup, ReplicaProfile,
+    ResilienceConfig, RetryBudget, RetryPolicy, Scenario, StageSpec,
 };
 
 /// Largest tolerated machine-normalized measured/baseline ratio.
@@ -107,8 +106,8 @@ fn baseline_ns_per_iter(json: &str, name: &str) -> Option<f64> {
 fn two_stage() -> PipelineSpec {
     // Mirrors benches/queueing_sim.rs `qsim/two_stage_10000q`.
     PipelineSpec::new(vec![
-        ResourceSpec::new("cpu", 64),
-        ResourceSpec::new("gpu", 1),
+        ReplicaGroup::new("cpu", 64),
+        ReplicaGroup::new("gpu", 1),
     ])
     .with_stage(StageSpec::new("front", 1, 1, 0.0012))
     .expect("valid stage")
@@ -271,40 +270,33 @@ fn main() {
         (
             "qsim_cluster/routed_10000q/jsq",
             Box::new(move || {
-                std::hint::black_box(fleet.serve_routed(
-                    &arrivals,
-                    &Fifo,
-                    &JoinShortestQueue,
-                    10_000,
-                    7,
-                ));
+                std::hint::black_box(
+                    Scenario::new(&fleet, &arrivals, 10_000, 7)
+                        .router(&JoinShortestQueue)
+                        .run()
+                        .expect("valid scenario"),
+                );
             }),
         ),
         (
             "qsim_cluster/two_gen_10000q/expected_wait",
             Box::new(move || {
-                std::hint::black_box(two_gen.serve_routed(
-                    &two_gen_arrivals,
-                    &Fifo,
-                    &ExpectedWait,
-                    10_000,
-                    7,
-                ));
+                std::hint::black_box(
+                    Scenario::new(&two_gen, &two_gen_arrivals, 10_000, 7)
+                        .router(&ExpectedWait)
+                        .run()
+                        .expect("valid scenario"),
+                );
             }),
         ),
         (
             "qsim_lifecycle/diurnal_failures_10000q",
             Box::new(move || {
                 std::hint::black_box(
-                    lifecycle_fleet
-                        .serve_lifecycle(
-                            &lifecycle_arrivals,
-                            &Fifo,
-                            &JoinShortestQueue,
-                            10_000,
-                            7,
-                            &lifecycle_cfg,
-                        )
+                    Scenario::new(&lifecycle_fleet, &lifecycle_arrivals, 10_000, 7)
+                        .router(&JoinShortestQueue)
+                        .lifecycle(&lifecycle_cfg)
+                        .run()
                         .expect("replica 0 recovers, so the run cannot strand work"),
                 );
             }),
@@ -313,17 +305,11 @@ fn main() {
             "qsim_multipath/brownout_ladder3_10000q",
             Box::new(move || {
                 std::hint::black_box(
-                    serve_multipath(
-                        &ladder,
-                        &ladder_arrivals,
-                        &Fifo,
-                        &JoinShortestQueue,
-                        &ladder_admission,
-                        10_000,
-                        7,
-                        &ladder_cfg,
-                    )
-                    .expect("no lifecycle schedule, so the run cannot strand work"),
+                    Scenario::multipath(&ladder, &ladder_admission, &ladder_arrivals, 10_000, 7)
+                        .router(&JoinShortestQueue)
+                        .lifecycle(&ladder_cfg)
+                        .run()
+                        .expect("no lifecycle schedule, so the run cannot strand work"),
                 );
             }),
         ),
@@ -331,16 +317,10 @@ fn main() {
             "qsim_resilience/hedged_limp_10000q",
             Box::new(move || {
                 std::hint::black_box(
-                    limp_fleet
-                        .serve_resilient(
-                            &limp_arrivals,
-                            &Fifo,
-                            &RoundRobin,
-                            10_000,
-                            7,
-                            &limp_cfg,
-                            &limp_resilience,
-                        )
+                    Scenario::new(&limp_fleet, &limp_arrivals, 10_000, 7)
+                        .lifecycle(&limp_cfg)
+                        .resilience(&limp_resilience)
+                        .run()
                         .expect("degrades never strand work"),
                 );
             }),
@@ -373,7 +353,12 @@ fn main() {
         .unwrap_or_else(|| panic!("baseline for {scale_name} missing from {baseline_path}"));
     let (spec, trace) = scale_spec_and_trace();
     let start = Instant::now();
-    std::hint::black_box(spec.serve_routed_sharded(&trace, &Fifo, &RoundRobin, 10_000_000, 7, 0));
+    std::hint::black_box(
+        Scenario::new(&spec, &trace, 10_000_000, 7)
+            .workers(0)
+            .run()
+            .expect("valid scenario"),
+    );
     let measured = start.elapsed().as_nanos() as f64;
     let ratio = measured / (scale_baseline * machine_factor);
     let normalized_seconds = measured / machine_factor / 1e9;

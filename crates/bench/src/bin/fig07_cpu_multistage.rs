@@ -6,6 +6,7 @@
 
 use recpipe_bench::{criteo_single_stage, criteo_three_stage, criteo_two_stage};
 use recpipe_core::{Engine, PipelineConfig, Placement, Scheduler, SchedulerSettings, Table};
+use recpipe_data::PoissonArrivals;
 use recpipe_models::ModelKind;
 
 fn main() {
@@ -84,9 +85,12 @@ fn main() {
             if engine.max_qps() < qps {
                 row.push("saturated".into());
             } else {
-                // Latency-only table: serve() skips the (unused)
-                // quality evaluation.
-                let mut sim = engine.serve(qps, 4_000);
+                // Latency-only table: a bare scenario skips the
+                // (unused) quality evaluation.
+                let mut sim = engine
+                    .scenario(&PoissonArrivals::new(qps), 4_000)
+                    .run()
+                    .expect("valid scenario");
                 row.push(format!("{:.2} ms", sim.p99_seconds() * 1e3));
             }
         }

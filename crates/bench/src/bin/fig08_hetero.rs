@@ -8,6 +8,7 @@
 
 use recpipe_bench::{criteo_single_stage, criteo_two_stage};
 use recpipe_core::{Engine, PipelineConfig, Placement, StageConfig, Table};
+use recpipe_data::PoissonArrivals;
 use recpipe_models::ModelKind;
 
 fn commodity(pipeline: PipelineConfig, placement: Placement, seed: u64) -> Engine {
@@ -41,9 +42,12 @@ fn main() {
             if engine.max_qps() < qps {
                 row.push("saturated".into());
             } else {
-                // Latency-only table: serve() skips the (unused)
-                // quality evaluation.
-                let mut sim = engine.serve(qps, 4_000);
+                // Latency-only table: a bare scenario skips the
+                // (unused) quality evaluation.
+                let mut sim = engine
+                    .scenario(&PoissonArrivals::new(qps), 4_000)
+                    .run()
+                    .expect("valid scenario");
                 row.push(format!("{:.2} ms", sim.p99_seconds() * 1e3));
             }
         }

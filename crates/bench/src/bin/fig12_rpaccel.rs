@@ -8,6 +8,7 @@
 use recpipe_accel::Partition;
 use recpipe_bench::{criteo_single_stage, criteo_three_stage, criteo_two_stage};
 use recpipe_core::{Engine, Table};
+use recpipe_data::PoissonArrivals;
 use recpipe_qsim::SimResult;
 
 fn accel_engine(pipeline: recpipe_core::PipelineConfig, partition: Partition) -> Engine {
@@ -17,8 +18,15 @@ fn accel_engine(pipeline: recpipe_core::PipelineConfig, partition: Partition) ->
         .expect("valid accel engine")
 }
 
-/// Latency-only cell: the tables never print quality, so the raw
-/// simulation (`Engine::serve`) suffices.
+/// Latency-only run: the tables never print quality, so a bare
+/// Poisson scenario over the engine's spec suffices.
+fn serve(engine: &Engine, qps: f64) -> SimResult {
+    engine
+        .scenario(&PoissonArrivals::new(qps), 4_000)
+        .run()
+        .expect("valid scenario")
+}
+
 fn cell(mut sim: SimResult) -> String {
     if sim.saturated {
         "saturated".into()
@@ -53,17 +61,17 @@ fn main() {
     let loads = [100.0, 200.0, 400.0, 800.0, 1300.0, 2000.0];
     for &qps in &loads {
         let mut row = vec![format!("{qps:.0}")];
-        row.push(cell(baseline.serve(qps, 4_000)));
+        row.push(cell(serve(&baseline, qps)));
         for engine in &rp_engines {
-            row.push(cell(engine.serve(qps, 4_000)));
+            row.push(cell(serve(engine, qps)));
         }
         top.row(row);
     }
     println!("{top}");
 
     // Headline ratios at the anchor loads.
-    let mut base200 = baseline.serve(200.0, 4_000);
-    let mut rp200 = rp_engines[1].serve(200.0, 4_000);
+    let mut base200 = serve(&baseline, 200.0);
+    let mut rp200 = serve(&rp_engines[1], 200.0);
     println!(
         "latency gain at 200 QPS: {:.1}x (paper: ~3x)",
         base200.p99_seconds() / rp200.p99_seconds()
@@ -79,7 +87,7 @@ fn main() {
     for &qps in &loads {
         let mut row = vec![format!("{qps:.0}")];
         for engine in &partitions {
-            row.push(cell(engine.serve(qps, 4_000)));
+            row.push(cell(serve(engine, qps)));
         }
         bottom.row(row);
     }

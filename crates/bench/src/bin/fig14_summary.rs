@@ -7,7 +7,7 @@
 
 use recpipe_accel::Partition;
 use recpipe_core::{Engine, PipelineConfig, Placement, StageConfig, Table};
-use recpipe_data::DatasetKind;
+use recpipe_data::{DatasetKind, PoissonArrivals};
 use recpipe_models::ModelKind;
 
 /// Canonical 1/2/3-stage pipelines per dataset, scaled to the dataset's
@@ -93,9 +93,12 @@ fn main() {
                         row.push("saturated".into());
                         continue;
                     }
-                    // Latency-only table: serve() skips the (unused)
-                    // quality evaluation.
-                    let mut sim = engine.serve(qps, 3_000);
+                    // Latency-only table: a bare scenario skips the
+                    // (unused) quality evaluation.
+                    let mut sim = engine
+                        .scenario(&PoissonArrivals::new(qps), 3_000)
+                        .run()
+                        .expect("valid scenario");
                     if sim.saturated {
                         row.push("saturated".into());
                     } else {

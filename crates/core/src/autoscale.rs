@@ -16,33 +16,14 @@
 //!   provisions for the *predicted* demand plus headroom — paying a
 //!   little steady-state cost to have capacity warm before the peak.
 //!
-//! Both implement [`ScalingPolicy`]; [`Engine::serve_scaled`] adapts
-//! any `ScalingPolicy` into the simulator's `FleetController` and runs
-//! the closed loop end to end.
-//!
-//! [`Engine::serve_scaled`]: crate::Engine::serve_scaled
+//! Both implement [`FleetController`]; hand one to a scenario's
+//! [`autoscale`](recpipe_qsim::Scenario::autoscale) (for example on an
+//! [`Engine::scenario`](crate::Engine::scenario)) to run the closed loop
+//! end to end. The simulator clamps whatever a policy returns to the
+//! configured `[min, max]` band, so policies may speak their mind
+//! without range bookkeeping.
 
 use recpipe_qsim::{FleetController, WindowStats};
-
-/// A fleet-sizing policy consulted at every telemetry window boundary.
-///
-/// Semantically identical to
-/// [`FleetController`](recpipe_qsim::FleetController) — the split
-/// exists so policies can live in the core crate (next to engines,
-/// placements, and cost axes) without the qsim crate knowing about
-/// them; [`Engine::serve_scaled`](crate::Engine::serve_scaled) adapts
-/// across the seam. The simulator clamps whatever the policy returns to
-/// the configured `[min, max]` band, so policies may speak their mind
-/// without range bookkeeping.
-pub trait ScalingPolicy: std::fmt::Debug {
-    /// Short name for reports and example output.
-    fn name(&self) -> String;
-
-    /// The replica count the fleet should converge to, given the
-    /// closing window's telemetry and the current live (up or warming)
-    /// replica count.
-    fn desired_replicas(&mut self, window: &WindowStats, live: usize) -> usize;
-}
 
 /// Reactive utilization/queue-depth scaling: size the fleet so the
 /// closing window's busy work would have run at
@@ -54,7 +35,8 @@ pub trait ScalingPolicy: std::fmt::Debug {
 /// # Examples
 ///
 /// ```
-/// use recpipe_core::{ReactiveScaling, ScalingPolicy};
+/// use recpipe_core::ReactiveScaling;
+/// use recpipe_qsim::FleetController;
 ///
 /// let policy = ReactiveScaling::new(0.6, 4.0);
 /// assert_eq!(policy.name(), "reactive(util<=0.6,queue<=4)");
@@ -93,7 +75,7 @@ impl ReactiveScaling {
     }
 }
 
-impl ScalingPolicy for ReactiveScaling {
+impl FleetController for ReactiveScaling {
     fn name(&self) -> String {
         format!(
             "reactive(util<={},queue<={})",
@@ -127,7 +109,8 @@ impl ScalingPolicy for ReactiveScaling {
 /// # Examples
 ///
 /// ```
-/// use recpipe_core::{PredictiveScaling, ScalingPolicy};
+/// use recpipe_core::PredictiveScaling;
+/// use recpipe_qsim::FleetController;
 ///
 /// // Smooth at alpha 0.5, plan for 200 QPS per replica, 25% headroom.
 /// let policy = PredictiveScaling::new(0.5, 200.0, 1.25);
@@ -181,7 +164,7 @@ impl PredictiveScaling {
     }
 }
 
-impl ScalingPolicy for PredictiveScaling {
+impl FleetController for PredictiveScaling {
     fn name(&self) -> String {
         format!(
             "predictive(a={},qps={},hr={})",
@@ -214,26 +197,6 @@ impl ScalingPolicy for PredictiveScaling {
         } else {
             1
         })
-    }
-}
-
-/// Adapts a core [`ScalingPolicy`] into the simulator's
-/// [`FleetController`] seam — the glue
-/// [`Engine::serve_scaled`](crate::Engine::serve_scaled) uses so
-/// policies never depend on qsim internals.
-#[derive(Debug)]
-pub struct AsController<'a>(
-    /// The adapted policy.
-    pub &'a mut dyn ScalingPolicy,
-);
-
-impl FleetController for AsController<'_> {
-    fn name(&self) -> String {
-        self.0.name()
-    }
-
-    fn desired_replicas(&mut self, window: &WindowStats, live: usize) -> usize {
-        self.0.desired_replicas(window, live)
     }
 }
 
@@ -302,20 +265,6 @@ mod tests {
         // The capacity model claims one replica handles 1000 QPS, but a
         // standing queue proves otherwise — never shrink below live.
         assert_eq!(policy.desired_replicas(&window(200, 0.9, 5.0, 4), 4), 4);
-    }
-
-    #[test]
-    fn adapter_delegates_to_the_policy() {
-        let mut policy = ReactiveScaling::new(0.5, 8.0);
-        let mut controller = AsController(&mut policy);
-        assert_eq!(
-            FleetController::name(&controller),
-            "reactive(util<=0.5,queue<=8)"
-        );
-        assert_eq!(
-            FleetController::desired_replicas(&mut controller, &window(800, 1.0, 0.0, 4), 4),
-            8
-        );
     }
 
     #[test]

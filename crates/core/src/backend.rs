@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use recpipe_accel::{BaselineAccel, RpAccel};
 use recpipe_hwsim::{CpuModel, Device, GpuModel, PcieModel, StageWork};
-use recpipe_qsim::{BatchModel, PipelineSpec, ResourceSpec, StageSpec};
+use recpipe_qsim::{BatchModel, PipelineSpec, ReplicaGroup, StageSpec};
 use serde::{Deserialize, Serialize};
 
 use crate::engine::EngineError;
@@ -49,7 +49,7 @@ pub const INTERMEDIATE_BYTES_PER_ITEM: u64 = 164;
 /// ```
 /// use recpipe_core::Backend;
 /// use recpipe_hwsim::StageWork;
-/// use recpipe_qsim::ResourceSpec;
+/// use recpipe_qsim::ReplicaGroup;
 ///
 /// #[derive(Debug)]
 /// struct FixedLatency(f64);
@@ -58,8 +58,8 @@ pub const INTERMEDIATE_BYTES_PER_ITEM: u64 = 164;
 ///     fn name(&self) -> String {
 ///         "fixed".into()
 ///     }
-///     fn resources(&self) -> ResourceSpec {
-///         ResourceSpec::new("fixed", 4)
+///     fn resources(&self) -> ReplicaGroup {
+///         ReplicaGroup::new("fixed", 4)
 ///     }
 ///     fn stage_latency(&self, _work: &StageWork, _parallelism: usize) -> f64 {
 ///         self.0
@@ -72,7 +72,7 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
 
     /// The resource pool this backend contributes to the queueing
     /// simulation.
-    fn resources(&self) -> ResourceSpec;
+    fn resources(&self) -> ReplicaGroup;
 
     /// Service time in seconds of one query's stage, using
     /// `parallelism` resource units (backends that cannot split a query
@@ -119,8 +119,8 @@ impl Backend for CpuModel {
         "cpu".into()
     }
 
-    fn resources(&self) -> ResourceSpec {
-        ResourceSpec::new("cpu", self.cores)
+    fn resources(&self) -> ReplicaGroup {
+        ReplicaGroup::new("cpu", self.cores)
     }
 
     fn stage_latency(&self, work: &StageWork, parallelism: usize) -> f64 {
@@ -147,8 +147,8 @@ impl Backend for GpuModel {
         "gpu".into()
     }
 
-    fn resources(&self) -> ResourceSpec {
-        ResourceSpec::new("gpu", 1)
+    fn resources(&self) -> ReplicaGroup {
+        ReplicaGroup::new("gpu", 1)
     }
 
     fn stage_latency(&self, work: &StageWork, _parallelism: usize) -> f64 {
@@ -172,8 +172,8 @@ impl Backend for RpAccel {
         format!("rpaccel({},{})", p.frontend().len(), p.backend().len())
     }
 
-    fn resources(&self) -> ResourceSpec {
-        ResourceSpec::new("rpaccel", self.config().partition.query_lanes())
+    fn resources(&self) -> ReplicaGroup {
+        ReplicaGroup::new("rpaccel", self.config().partition.query_lanes())
     }
 
     fn stage_latency(&self, work: &StageWork, _parallelism: usize) -> f64 {
@@ -210,8 +210,8 @@ impl Backend for BaselineAccel {
         "baseline-accel".into()
     }
 
-    fn resources(&self) -> ResourceSpec {
-        ResourceSpec::new("baseline-accel", 1)
+    fn resources(&self) -> ReplicaGroup {
+        ReplicaGroup::new("baseline-accel", 1)
     }
 
     fn stage_latency(&self, work: &StageWork, _parallelism: usize) -> f64 {
@@ -265,8 +265,8 @@ fn accel_profile_spec(
     let mem_base = profile.dram_service_s.max(1e-9);
     let compute_base = profile.compute_service_s;
     PipelineSpec::new(vec![
-        ResourceSpec::new("accel-mem", 1),
-        ResourceSpec::new("accel-lanes", profile.lanes),
+        ReplicaGroup::new("accel-mem", 1),
+        ReplicaGroup::new("accel-lanes", profile.lanes),
     ])
     .with_stage(
         StageSpec::new("mem", 0, 1, mem_base).with_batch(fit_batch_model(
@@ -859,7 +859,7 @@ pub fn build_serving_spec(
         }
     }
 
-    let resources: Vec<ResourceSpec> = pool
+    let resources: Vec<ReplicaGroup> = pool
         .iter()
         .enumerate()
         .map(|(b, backend)| {

@@ -6,14 +6,15 @@
 //!   latency, throughput, and saturation together;
 //! * [`Engine::sweep`] → a [`ParetoFront`] of outcomes over the
 //!   scheduler's design space;
-//! * [`Engine::serve`] → a raw queueing-simulation run at an arbitrary
-//!   load.
+//! * [`Engine::scenario`] → a queueing-simulation
+//!   [`Scenario`](recpipe_qsim::Scenario) over the engine's serving
+//!   spec, for arbitrary traffic, scheduling, routing, and runtimes.
 
 use std::cell::OnceCell;
 use std::sync::Arc;
 
 use recpipe_accel::{BaselineAccel, Partition, RpAccel, RpAccelConfig};
-use recpipe_data::DatasetSpec;
+use recpipe_data::{DatasetSpec, PoissonArrivals};
 use recpipe_hwsim::{CpuModel, GpuModel, PcieModel};
 use recpipe_metrics::ParetoFront;
 use recpipe_qsim::{PipelineSpec, SimResult, SpecError};
@@ -313,7 +314,7 @@ impl EngineBuilder {
 
     /// Enables dynamic batching: every stage of the serving spec
     /// carries its backend's batch-scaling curve, and scheduling
-    /// policies passed to [`Engine::serve_with`] may aggregate queries
+    /// policies set on an [`Engine::scenario`] may aggregate queries
     /// per launch. Disabled by default — per-query serving reproduces
     /// the pre-batching simulator exactly.
     pub fn batching(mut self, enabled: bool) -> Self {
@@ -577,10 +578,17 @@ impl Engine {
     }
 
     /// Jointly evaluates quality and at-scale performance at an
-    /// explicit offered load.
+    /// explicit offered load (Poisson arrivals, FIFO scheduling).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `qps` is not strictly positive and finite.
     pub fn evaluate_at(&self, qps: f64) -> Outcome {
         let quality = self.quality();
-        let mut sim = self.serve(qps, self.sim_queries);
+        let mut sim = self
+            .scenario(&PoissonArrivals::new(qps), self.sim_queries)
+            .run()
+            .expect("a built engine's spec serves at least 100 queries");
         let p99_s = sim.p99_seconds();
         Outcome {
             pipeline: self.pipeline.clone(),
@@ -603,19 +611,11 @@ impl Engine {
         self.batching
     }
 
-    /// Runs the raw queueing simulation: `queries` Poisson arrivals at
-    /// `qps` offered load, FIFO-scheduled.
-    pub fn serve(&self, qps: f64, queries: usize) -> SimResult {
-        self.spec.simulate(qps, queries, self.seed)
-    }
-
-    /// Runs the batching-aware queueing simulation under an arbitrary
-    /// arrival process and scheduling policy — the serving-core seam
-    /// for traffic scenarios beyond the paper's Poisson/FIFO setup.
-    ///
-    /// Build the engine with [`EngineBuilder::batching`] for the
-    /// policies' batch formation to have hardware batches to exploit;
-    /// without it every stage is per-query and policies only reorder.
+    /// Starts a [`Scenario`](recpipe_qsim::Scenario) of `queries`
+    /// arrivals from `arrivals` over this engine's serving spec and
+    /// seed. Build the engine with [`EngineBuilder::batching`] for
+    /// batching policies to have hardware batches to form, and with
+    /// [`EngineBuilder::replicas`] for routers to have a choice.
     ///
     /// # Examples
     ///
@@ -636,95 +636,17 @@ impl Engine {
     ///
     /// // Bursty traffic served with a 2 ms batch window.
     /// let bursty = MmppArrivals::new(50.0, 400.0, 0.5, 0.1);
-    /// let result = engine.serve_with(&bursty, &BatchWindow::new(0.002), 2_000);
+    /// let window = BatchWindow::new(0.002);
+    /// let result = engine.scenario(&bursty, 2_000).policy(&window).run()?;
     /// assert_eq!(result.completed, 2_000);
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
-    pub fn serve_with(
-        &self,
-        arrivals: &dyn recpipe_data::ArrivalProcess,
-        policy: &dyn recpipe_qsim::SchedulingPolicy,
+    pub fn scenario<'a>(
+        &'a self,
+        arrivals: &'a dyn recpipe_data::ArrivalProcess,
         queries: usize,
-    ) -> SimResult {
-        self.spec.serve(arrivals, policy, queries, self.seed)
-    }
-
-    /// Runs the cluster-aware queueing simulation with an explicit
-    /// replica [`Router`](recpipe_qsim::Router) — the seam for
-    /// comparing load-balancing strategies over a replicated engine
-    /// (build it with [`EngineBuilder::replicas`]). On an unreplicated
-    /// engine every router reproduces
-    /// [`serve_with`](Self::serve_with) exactly.
-    pub fn serve_routed(
-        &self,
-        arrivals: &dyn recpipe_data::ArrivalProcess,
-        policy: &dyn recpipe_qsim::SchedulingPolicy,
-        router: &dyn recpipe_qsim::Router,
-        queries: usize,
-    ) -> SimResult {
-        self.spec
-            .serve_routed(arrivals, policy, router, queries, self.seed)
-    }
-
-    /// Runs the routed simulation sharded by pipeline stage — identical
-    /// results to [`serve_routed`](Self::serve_routed) at a fraction of
-    /// the wall clock on multi-stage specs with per-stage backends.
-    ///
-    /// `workers` follows the engine convention ([`worker_threads`]):
-    /// `None`/`Some(0)` use one thread per available core (capped at
-    /// one per stage), explicit counts are honored, and `Some(1)` runs
-    /// sequentially. Specs the per-stage decomposition cannot handle
-    /// (shared backends across stages, single-stage pipelines,
-    /// closed-loop arrivals) silently fall back to the serial loop.
-    ///
-    /// [`worker_threads`]: crate::worker_threads
-    pub fn serve_sharded(
-        &self,
-        arrivals: &(dyn recpipe_data::ArrivalProcess + Sync),
-        policy: &(dyn recpipe_qsim::SchedulingPolicy + Sync),
-        router: &(dyn recpipe_qsim::Router + Sync),
-        queries: usize,
-        workers: Option<usize>,
-    ) -> SimResult {
-        let workers = crate::worker_threads(workers);
-        self.spec
-            .serve_routed_sharded(arrivals, policy, router, queries, self.seed, workers)
-    }
-
-    /// Runs the closed-loop autoscaled simulation: a [`ScalingPolicy`]
-    /// is consulted at every telemetry window boundary and the scaled
-    /// group's fleet is resized through warm-up and drains — the
-    /// transient-behavior seam steady-state sweeps cannot reach.
-    ///
-    /// Build the engine with enough replicas on the scaled backend to
-    /// cover `cfg.max_replicas` (e.g. [`EngineBuilder::replicas`]); the
-    /// band in `cfg` then decides how much of that ceiling the policy
-    /// may actually use. Returns [`EngineError::Sim`] when the run hits
-    /// an unrecoverable availability hole (see
-    /// [`SimError`](recpipe_qsim::SimError)).
-    ///
-    /// [`ScalingPolicy`]: crate::ScalingPolicy
-    pub fn serve_scaled(
-        &self,
-        arrivals: &dyn recpipe_data::ArrivalProcess,
-        policy: &dyn recpipe_qsim::SchedulingPolicy,
-        router: &dyn recpipe_qsim::Router,
-        queries: usize,
-        cfg: &recpipe_qsim::AutoscaleConfig,
-        scaling: &mut dyn crate::ScalingPolicy,
-    ) -> Result<SimResult, EngineError> {
-        let mut controller = crate::AsController(scaling);
-        self.spec
-            .serve_autoscaled(
-                arrivals,
-                policy,
-                router,
-                queries,
-                self.seed,
-                cfg,
-                &mut controller,
-            )
-            .map_err(EngineError::from)
+    ) -> recpipe_qsim::Scenario<'a> {
+        recpipe_qsim::Scenario::new(&self.spec, arrivals, queries, self.seed)
     }
 
     /// Starts building a multi-path [`PathSet`](recpipe_qsim::PathSet)
@@ -739,14 +661,14 @@ impl Engine {
 
     /// Runs the multi-path simulation: every arriving query is offered
     /// to `admission`, which picks a path of `paths` (built with
-    /// [`Engine::paths`]) or sheds it — the per-query quality-elastic
-    /// seam brown-out serving needs. With a single-path set and
-    /// [`AlwaysPrimary`](recpipe_qsim::AlwaysPrimary) under the default
-    /// [`LifecycleConfig`](recpipe_qsim::LifecycleConfig) the run is
-    /// bit-identical to [`serve_routed`](Self::serve_routed).
+    /// [`Engine::paths`]) or sheds it. One
+    /// [`Scenario::multipath`](recpipe_qsim::Scenario::multipath)
+    /// expression at the engine's seed, kept so existing callers compile
+    /// unchanged.
     ///
     /// Returns [`EngineError::Sim`] when the run hits an unrecoverable
-    /// availability hole (see [`SimError`](recpipe_qsim::SimError)).
+    /// availability hole or the scenario is invalid (see
+    /// [`SimError`](recpipe_qsim::SimError)).
     #[allow(clippy::too_many_arguments)]
     pub fn serve_multipath(
         &self,
@@ -758,38 +680,11 @@ impl Engine {
         queries: usize,
         cfg: &recpipe_qsim::LifecycleConfig,
     ) -> Result<SimResult, EngineError> {
-        recpipe_qsim::serve_multipath(
-            paths, arrivals, policy, router, admission, queries, self.seed, cfg,
-        )
-        .map_err(EngineError::from)
-    }
-
-    /// Runs the resilience-aware simulation: lifecycle schedules on the
-    /// engine's spec (including limpware
-    /// [`Degrade`](recpipe_qsim::LifecycleAction::Degrade) events,
-    /// typically injected with a
-    /// [`FaultPlan`](recpipe_qsim::FaultPlan)) replay while `resilience`
-    /// arms per-query timeouts, retries, and hedged requests. With an
-    /// inert [`ResilienceConfig`](recpipe_qsim::ResilienceConfig) and a
-    /// default lifecycle the run is bit-identical to
-    /// [`serve_routed`](Self::serve_routed).
-    ///
-    /// Returns [`EngineError::Sim`] when the run hits an unrecoverable
-    /// availability hole (see [`SimError`](recpipe_qsim::SimError)).
-    #[allow(clippy::too_many_arguments)]
-    pub fn serve_resilient(
-        &self,
-        arrivals: &dyn recpipe_data::ArrivalProcess,
-        policy: &dyn recpipe_qsim::SchedulingPolicy,
-        router: &dyn recpipe_qsim::Router,
-        queries: usize,
-        cfg: &recpipe_qsim::LifecycleConfig,
-        resilience: &recpipe_qsim::ResilienceConfig,
-    ) -> Result<SimResult, EngineError> {
-        self.spec
-            .serve_resilient(
-                arrivals, policy, router, queries, self.seed, cfg, resilience,
-            )
+        recpipe_qsim::Scenario::multipath(paths, admission, arrivals, queries, self.seed)
+            .policy(policy)
+            .router(router)
+            .lifecycle(cfg)
+            .run()
             .map_err(EngineError::from)
     }
 
@@ -834,7 +729,7 @@ mod tests {
     use crate::StageConfig;
     use recpipe_hwsim::StageWork;
     use recpipe_models::ModelKind;
-    use recpipe_qsim::ResourceSpec;
+    use recpipe_qsim::ReplicaGroup;
 
     fn two_stage() -> PipelineConfig {
         PipelineConfig::builder()
@@ -957,8 +852,8 @@ mod tests {
             "mock".into()
         }
 
-        fn resources(&self) -> ResourceSpec {
-            ResourceSpec::new("mock", self.units)
+        fn resources(&self) -> ReplicaGroup {
+            ReplicaGroup::new("mock", self.units)
         }
 
         fn stage_latency(&self, _work: &StageWork, parallelism: usize) -> f64 {
@@ -1077,28 +972,17 @@ mod tests {
     }
 
     #[test]
-    fn serve_honors_explicit_query_count() {
+    fn scenario_prefills_the_engine_spec_and_seed() {
         let engine = Engine::commodity(two_stage())
             .quality_queries(20)
+            .seed(11)
             .build()
             .unwrap();
-        let out = engine.serve(100.0, 700);
-        assert_eq!(out.completed, 700);
-    }
-
-    #[test]
-    fn serve_with_fifo_poisson_reproduces_serve_exactly() {
-        // Without batching, the new seam is bit-identical to the legacy
-        // QPS interface on the same seed.
-        use recpipe_data::PoissonArrivals;
-        use recpipe_qsim::Fifo;
-        let engine = Engine::commodity(two_stage())
-            .quality_queries(20)
-            .build()
+        let arrivals = PoissonArrivals::new(300.0);
+        let direct = recpipe_qsim::Scenario::new(engine.spec(), &arrivals, 1_500, 11)
+            .run()
             .unwrap();
-        let legacy = engine.serve(300.0, 1_500);
-        let v2 = engine.serve_with(&PoissonArrivals::new(300.0), &Fifo, 1_500);
-        assert_eq!(legacy, v2);
+        assert_eq!(engine.scenario(&arrivals, 1_500).run().unwrap(), direct);
     }
 
     #[test]
@@ -1128,7 +1012,6 @@ mod tests {
         // per-query capacity of the RPAccel pipeline, a batch-window
         // policy over the batched spec strictly raises completed
         // throughput versus per-query FIFO serving.
-        use recpipe_data::PoissonArrivals;
         use recpipe_qsim::BatchWindow;
         let pipeline = two_stage();
         let per_query = Engine::rpaccel(pipeline.clone(), Partition::symmetric(8, 2))
@@ -1153,12 +1036,15 @@ mod tests {
         // by per-item embedding gathers, which batching cannot amortize
         // — only weight streaming and the lanes-side compute shrink.
         let overload = per_query.max_qps() * 1.5;
-        let fifo = per_query.serve(overload, 4_000);
-        let windowed = batched.serve_with(
-            &PoissonArrivals::new(overload),
-            &BatchWindow::new(0.002),
-            4_000,
-        );
+        let fifo = per_query
+            .scenario(&PoissonArrivals::new(overload), 4_000)
+            .run()
+            .unwrap();
+        let windowed = batched
+            .scenario(&PoissonArrivals::new(overload), 4_000)
+            .policy(&BatchWindow::new(0.002))
+            .run()
+            .unwrap();
         assert!(fifo.saturated);
         assert!(
             windowed.qps > fifo.qps * 1.01,
@@ -1254,20 +1140,18 @@ mod tests {
 
     #[test]
     fn heterogeneous_fleet_serves_with_speed_aware_routing() {
-        use recpipe_data::PoissonArrivals;
-        use recpipe_qsim::{ExpectedWait, Fifo};
+        use recpipe_qsim::ExpectedWait;
         let mixed = Engine::commodity(two_stage())
             .placement(Placement::cpu_only(2))
             .fleet(0, FleetSpec::mixed(&[(2, 1.0), (2, 0.5)]))
             .quality_queries(20)
             .build()
             .unwrap();
-        let out = mixed.serve_routed(
-            &PoissonArrivals::new(0.8 * mixed.max_qps()),
-            &Fifo,
-            &ExpectedWait,
-            3_000,
-        );
+        let out = mixed
+            .scenario(&PoissonArrivals::new(0.8 * mixed.max_qps()), 3_000)
+            .router(&ExpectedWait)
+            .run()
+            .unwrap();
         assert_eq!(out.completed, 3_000);
         assert!(!out.saturated);
         // The router saw the real 4-replica mixed fleet.
@@ -1276,22 +1160,24 @@ mod tests {
 
     #[test]
     fn serve_routed_on_unreplicated_engine_matches_serve_with() {
-        use recpipe_data::PoissonArrivals;
-        use recpipe_qsim::{Fifo, JoinShortestQueue};
+        use recpipe_qsim::JoinShortestQueue;
         let engine = Engine::commodity(two_stage())
             .quality_queries(20)
             .build()
             .unwrap();
         let arrivals = PoissonArrivals::new(250.0);
-        let plain = engine.serve_with(&arrivals, &Fifo, 1_500);
-        let routed = engine.serve_routed(&arrivals, &Fifo, &JoinShortestQueue, 1_500);
+        let plain = engine.scenario(&arrivals, 1_500).run().unwrap();
+        let routed = engine
+            .scenario(&arrivals, 1_500)
+            .router(&JoinShortestQueue)
+            .run()
+            .unwrap();
         assert_eq!(plain, routed);
     }
 
     #[test]
     fn replication_rescues_an_engine_past_single_pool_capacity() {
-        use recpipe_data::PoissonArrivals;
-        use recpipe_qsim::{Fifo, JoinShortestQueue};
+        use recpipe_qsim::JoinShortestQueue;
         let single = Engine::commodity(two_stage())
             .placement(Placement::gpu_only(2))
             .quality_queries(20)
@@ -1305,12 +1191,11 @@ mod tests {
             .quality_queries(20)
             .build()
             .unwrap();
-        let out = fleet.serve_routed(
-            &PoissonArrivals::new(overload),
-            &Fifo,
-            &JoinShortestQueue,
-            3_000,
-        );
+        let out = fleet
+            .scenario(&PoissonArrivals::new(overload), 3_000)
+            .router(&JoinShortestQueue)
+            .run()
+            .unwrap();
         assert!(!out.saturated);
         assert_eq!(out.completed, 3_000);
         // The router saw a real 4-replica GPU fleet.
@@ -1319,8 +1204,7 @@ mod tests {
 
     #[test]
     fn serve_scaled_resizes_the_fleet_through_the_policy_seam() {
-        use recpipe_data::PoissonArrivals;
-        use recpipe_qsim::{AutoscaleConfig, Fifo, JoinShortestQueue};
+        use recpipe_qsim::{AutoscaleConfig, JoinShortestQueue};
         let fleet = Engine::commodity(two_stage())
             .placement(Placement::cpu_only(2))
             .replicas(0, 4)
@@ -1330,14 +1214,10 @@ mod tests {
         let cfg = AutoscaleConfig::new(0, 1, 4, 0.5).with_initial_replicas(1);
         let mut policy = crate::ReactiveScaling::new(0.6, 4.0);
         let out = fleet
-            .serve_scaled(
-                &PoissonArrivals::new(0.5 * fleet.max_qps()),
-                &Fifo,
-                &JoinShortestQueue,
-                3_000,
-                &cfg,
-                &mut policy,
-            )
+            .scenario(&PoissonArrivals::new(0.5 * fleet.max_qps()), 3_000)
+            .router(&JoinShortestQueue)
+            .autoscale(&cfg, &mut policy)
+            .run()
             .unwrap();
         // The closed loop completed every query, recorded telemetry,
         // and grew the fleet past its 1-replica starting point (half

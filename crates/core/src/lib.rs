@@ -13,12 +13,16 @@
 //! * [`Engine::sweep`] → the scheduler's design-space exploration,
 //!   reduced to a [`ParetoFront`](recpipe_metrics::ParetoFront) of
 //!   outcomes;
-//! * [`Engine::serve`] → a raw at-scale queueing simulation;
-//! * [`Engine::serve_scaled`] → a closed-loop autoscaled run driven by
-//!   a [`ScalingPolicy`] ([`ReactiveScaling`] or [`PredictiveScaling`])
-//!   resizing the fleet through warm-up and drains;
-//! * [`Engine::paths`] + [`Engine::serve_multipath`] → multi-path
-//!   quality-elastic serving: a [`PathSetBuilder`] assembles degraded
+//! * [`Engine::scenario`] → an at-scale queueing
+//!   [`Scenario`](recpipe_qsim::Scenario) over the engine's serving
+//!   spec: arbitrary traffic, scheduling, routing, fault replay, and
+//!   resilience, or a closed-loop autoscaled run whose
+//!   [`FleetController`](recpipe_qsim::FleetController)
+//!   ([`ReactiveScaling`] or [`PredictiveScaling`]) resizes the fleet
+//!   through warm-up and drains;
+//! * [`Engine::paths`] +
+//!   [`Scenario::multipath`](recpipe_qsim::Scenario::multipath) →
+//!   multi-path quality-elastic serving: a [`PathSetBuilder`] assembles degraded
 //!   alternates over the same machines and an
 //!   [`AdmissionPolicy`](recpipe_qsim::AdmissionPolicy) picks a path
 //!   (or sheds) per query, with [`AdmissionSweep`] gridding policy
@@ -69,7 +73,7 @@ mod resilience;
 mod scheduler;
 mod stage;
 
-pub use autoscale::{AsController, PredictiveScaling, ReactiveScaling, ScalingPolicy};
+pub use autoscale::{PredictiveScaling, ReactiveScaling};
 pub use backend::{
     build_serving_spec, build_spec, Backend, ClusterSpec, FleetSpec, Placement, StageSite,
     INTERMEDIATE_BYTES_PER_ITEM,

@@ -9,8 +9,9 @@
 //!   engine's own pipeline, each alternate a (typically lighter)
 //!   pipeline contending for the same machines — measuring each path's
 //!   NDCG with the engine's Monte-Carlo evaluator;
-//! * [`Engine::serve_multipath`] runs the per-query admission loop
-//!   (see [`AdmissionPolicy`](recpipe_qsim::AdmissionPolicy));
+//! * [`Scenario::multipath`](recpipe_qsim::Scenario::multipath) runs
+//!   the per-query admission loop (see
+//!   [`AdmissionPolicy`](recpipe_qsim::AdmissionPolicy));
 //! * [`AdmissionSweep`] grids admission-policy knobs over one path set
 //!   and returns [`BrownoutOutcome`]s, reduced to a three-objective
 //!   front by [`Scheduler::pareto_brownout`](crate::Scheduler::pareto_brownout)
@@ -19,7 +20,7 @@
 use recpipe_data::ArrivalProcess;
 use recpipe_qsim::{
     AdmissionPolicy, AlwaysPrimary, DeadlineAware, LifecycleConfig, LoadAdaptive, PathSet,
-    PathStats, Router, SchedulingPolicy,
+    PathStats, Router, Scenario, SchedulingPolicy,
 };
 use serde::{Deserialize, Serialize};
 
@@ -53,7 +54,7 @@ struct PlannedPath {
 /// use recpipe_core::{Engine, Placement, PipelineConfig, StageConfig};
 /// use recpipe_data::PoissonArrivals;
 /// use recpipe_models::ModelKind;
-/// use recpipe_qsim::{Fifo, LifecycleConfig, LoadAdaptive, RoundRobin};
+/// use recpipe_qsim::{LoadAdaptive, Scenario};
 ///
 /// let full = PipelineConfig::builder()
 ///     .stage(StageConfig::new(ModelKind::RmSmall, 4096, 256))
@@ -72,15 +73,9 @@ struct PlannedPath {
 /// assert_eq!(paths.num_paths(), 2);
 /// assert!(paths.quality(0) > paths.quality(1));
 ///
-/// let out = engine.serve_multipath(
-///     &paths,
-///     &PoissonArrivals::new(200.0),
-///     &Fifo,
-///     &RoundRobin,
-///     &LoadAdaptive::new(0.8, 0.5),
-///     1_000,
-///     &LifecycleConfig::default(),
-/// )?;
+/// let admission = LoadAdaptive::new(0.8, 0.5);
+/// let arrivals = PoissonArrivals::new(200.0);
+/// let out = Scenario::multipath(&paths, &admission, &arrivals, 1_000, engine.seed()).run()?;
 /// assert_eq!(out.paths.len(), 2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -281,16 +276,11 @@ impl AdmissionSweep {
     ) -> Result<Vec<BrownoutOutcome>, EngineError> {
         let mut out = Vec::new();
         for admission in self.policies() {
-            let mut sim = recpipe_qsim::serve_multipath(
-                paths,
-                arrivals,
-                policy,
-                router,
-                admission.as_ref(),
-                queries,
-                seed,
-                cfg,
-            )?;
+            let mut sim = Scenario::multipath(paths, admission.as_ref(), arrivals, queries, seed)
+                .policy(policy)
+                .router(router)
+                .lifecycle(cfg)
+                .run()?;
             let lost = sim.shed + sim.dropped;
             out.push(BrownoutOutcome {
                 policy: admission.name(),
@@ -396,7 +386,7 @@ mod tests {
                 &LifecycleConfig::default(),
             )
             .unwrap();
-        let routed = engine.serve_routed(&arrivals, &Fifo, &RoundRobin, 1_500);
+        let routed = engine.scenario(&arrivals, 1_500).run().unwrap();
         multi.paths.clear();
         multi.admission_shed = 0;
         assert_eq!(multi, routed);

@@ -16,7 +16,7 @@
 use recpipe_data::ArrivalProcess;
 use recpipe_qsim::{
     FaultPlan, HedgeDelay, HedgePolicy, LifecycleConfig, ResilienceConfig, ResilienceStats,
-    RetryPolicy, Router, SchedulingPolicy, SimResult,
+    RetryPolicy, Router, Scenario, SchedulingPolicy, SimResult,
 };
 use serde::{Deserialize, Serialize};
 
@@ -138,15 +138,12 @@ impl ResilienceSweep {
         };
         let mut out = Vec::new();
         for resilience in self.configs() {
-            let mut sim = spec.serve_resilient(
-                arrivals,
-                policy,
-                router,
-                queries,
-                engine.seed(),
-                cfg,
-                &resilience,
-            )?;
+            let mut sim = Scenario::new(&spec, arrivals, queries, engine.seed())
+                .policy(policy)
+                .router(router)
+                .lifecycle(cfg)
+                .resilience(&resilience)
+                .run()?;
             out.push(summarize(describe(&resilience), &mut sim, queries));
         }
         Ok(out)

@@ -2,11 +2,11 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use recpipe_accel::{Partition, RpAccel, RpAccelConfig};
-use recpipe_data::{DatasetKind, DatasetSpec};
+use recpipe_data::{DatasetKind, DatasetSpec, PoissonArrivals};
 use recpipe_hwsim::{CpuModel, GpuModel, PcieModel};
 use recpipe_metrics::{Dominance, ParetoFront};
 use recpipe_models::ModelKind;
-use recpipe_qsim::SimResult;
+use recpipe_qsim::{Scenario, SimResult};
 use serde::{Deserialize, Serialize};
 
 use crate::backend::{build_spec, Backend, FleetSpec, Placement, StageSite};
@@ -477,13 +477,6 @@ impl Scheduler {
         out
     }
 
-    /// Compatibility alias for [`fleet_variants`](Self::fleet_variants)
-    /// (the pre-fleet name, when variants could only differ in uniform
-    /// replica counts).
-    pub fn replica_variants(&self, placement: &Placement) -> Vec<Placement> {
-        self.fleet_variants(placement)
-    }
-
     /// Explores the joint design space over an arbitrary backend pool —
     /// the generic engine behind [`explore_cpu`](Self::explore_cpu),
     /// [`explore_hetero`](Self::explore_hetero), and
@@ -694,11 +687,11 @@ impl Scheduler {
             let final_rung = budget >= full;
             let rung_queries = if final_rung { full } else { budget };
             let mut sims = parallel_map(&alive, workers, |_, &idx| {
-                candidates[idx].spec.simulate(
-                    qps,
-                    rung_queries,
-                    candidate_seed(base_seed, idx as u64),
-                )
+                let arrivals = PoissonArrivals::new(qps);
+                let seed = candidate_seed(base_seed, idx as u64);
+                Scenario::new(&candidates[idx].spec, &arrivals, rung_queries, seed)
+                    .run()
+                    .unwrap_or_else(|e| panic!("candidate {idx}: {e}"))
             });
             stats.add_rung(alive.len(), rung_queries);
             if final_rung {
@@ -1009,22 +1002,22 @@ mod tests {
     }
 
     #[test]
-    fn replica_variants_are_identity_at_default_options() {
+    fn fleet_variants_are_identity_at_default_options() {
         let s = scheduler();
         let placement = Placement::gpu_frontend(2, 2);
-        assert_eq!(s.replica_variants(&placement), vec![placement.clone()]);
+        assert_eq!(s.fleet_variants(&placement), vec![placement.clone()]);
     }
 
     #[test]
-    fn replica_variants_cross_distinct_backends() {
+    fn fleet_variants_cross_distinct_backends() {
         let mut settings = SchedulerSettings::quick();
         settings.replica_options = vec![1, 2];
         let s = Scheduler::new(settings);
         // Two distinct backends -> 2 x 2 variants; one backend -> 2.
-        assert_eq!(s.replica_variants(&Placement::gpu_frontend(2, 1)).len(), 4);
-        assert_eq!(s.replica_variants(&Placement::cpu_only(2)).len(), 2);
+        assert_eq!(s.fleet_variants(&Placement::gpu_frontend(2, 1)).len(), 4);
+        assert_eq!(s.fleet_variants(&Placement::cpu_only(2)).len(), 2);
         let costs: Vec<usize> = s
-            .replica_variants(&Placement::cpu_only(2))
+            .fleet_variants(&Placement::cpu_only(2))
             .iter()
             .map(|p| p.replica_cost())
             .collect();

@@ -24,7 +24,7 @@
 //! * [`PathProfile`] — per-path analytic signals (quality, zero-load
 //!   latency floor, capacity bounds) policies reason over.
 //! * Built-ins: [`AlwaysPrimary`] (the degenerate single-path case,
-//!   bit-identical to [`serve_routed`](crate::serve_routed)),
+//!   bit-identical to the plain routed run),
 //!   [`DeadlineAware`] (slack-based downgrade), and [`LoadAdaptive`]
 //!   (utilization-knee brown-out with hysteresis).
 //!
@@ -32,12 +32,7 @@
 //! state only inside the [`AdmissionState`] handed to it, so identical
 //! seeds replay identical admission streams.
 
-use recpipe_data::ArrivalProcess;
-
-use crate::{
-    LifecycleConfig, PipelineSpec, ResourceSpec, Router, SchedulingPolicy, SimError, SimResult,
-    SpecError, StageSpec, WindowStats,
-};
+use crate::{PipelineSpec, ReplicaGroup, SpecError, StageSpec, WindowStats};
 
 /// Largest number of paths one [`PathSet`] may hold: per-query path
 /// assignments pack into a byte with two sentinel values reserved.
@@ -56,9 +51,9 @@ pub(crate) const MAX_PATHS: usize = 254;
 /// # Examples
 ///
 /// ```
-/// use recpipe_qsim::{PathSet, ResourceSpec, StageSpec};
+/// use recpipe_qsim::{PathSet, ReplicaGroup, StageSpec};
 ///
-/// let paths = PathSet::new(vec![ResourceSpec::new("cpu", 16)])
+/// let paths = PathSet::new(vec![ReplicaGroup::new("cpu", 16)])
 ///     .with_path("full", 0.97, vec![StageSpec::new("rank-large", 0, 4, 0.008)])?
 ///     .with_path("lite", 0.91, vec![StageSpec::new("rank-small", 0, 1, 0.002)])?;
 /// assert_eq!(paths.num_paths(), 2);
@@ -79,7 +74,7 @@ pub struct PathSet {
 
 impl PathSet {
     /// Creates an empty path set over the given shared fleet.
-    pub fn new(resources: Vec<ResourceSpec>) -> Self {
+    pub fn new(resources: Vec<ReplicaGroup>) -> Self {
         Self {
             spec: PipelineSpec::new(resources),
             entry: Vec::new(),
@@ -133,9 +128,9 @@ impl PathSet {
     }
 
     /// Wraps one complete pipeline as a single-path set — the
-    /// degenerate case [`serve_multipath`](crate::serve_multipath)
-    /// replays bit-identically to [`serve_routed`](crate::serve_routed)
-    /// under [`AlwaysPrimary`].
+    /// degenerate case a [`Scenario::multipath`](crate::Scenario::multipath)
+    /// run under [`AlwaysPrimary`] replays bit-identically to the plain
+    /// routed run.
     ///
     /// # Panics
     ///
@@ -275,40 +270,6 @@ impl PathSet {
         }
         last
     }
-
-    /// Runs the multi-path simulation (see
-    /// [`serve_multipath`](crate::serve_multipath)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NoAvailableReplica`] under
-    /// [`serve_lifecycle`](crate::serve_lifecycle)'s rule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the set has no paths or `num_queries == 0`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn serve(
-        &self,
-        arrivals: &dyn ArrivalProcess,
-        policy: &dyn SchedulingPolicy,
-        router: &dyn Router,
-        admission: &dyn AdmissionPolicy,
-        num_queries: usize,
-        seed: u64,
-        cfg: &LifecycleConfig,
-    ) -> Result<SimResult, SimError> {
-        crate::serve_multipath(
-            self,
-            arrivals,
-            policy,
-            router,
-            admission,
-            num_queries,
-            seed,
-            cfg,
-        )
-    }
 }
 
 /// Analytic signals of one path, handed to admission policies: its
@@ -432,8 +393,8 @@ pub trait AdmissionPolicy {
 }
 
 /// The degenerate policy: every query takes the primary path. On a
-/// single-path set this replays [`serve_routed`](crate::serve_routed)
-/// bit-for-bit — the frozen-reference pin for the multi-path loop.
+/// single-path set this replays the plain routed run bit-for-bit — the
+/// frozen-reference pin for the multi-path loop.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AlwaysPrimary;
 
@@ -570,7 +531,7 @@ mod tests {
     use crate::{BatchModel, ReplicaGroup};
 
     fn two_paths() -> PathSet {
-        PathSet::new(vec![ResourceSpec::new("cpu", 8)])
+        PathSet::new(vec![ReplicaGroup::new("cpu", 8)])
             .with_path(
                 "full",
                 0.97,
@@ -645,11 +606,11 @@ mod tests {
 
     #[test]
     fn from_pipelines_requires_one_shared_fleet() {
-        let fleet = vec![ResourceSpec::new("cpu", 8)];
+        let fleet = vec![ReplicaGroup::new("cpu", 8)];
         let a = PipelineSpec::new(fleet.clone())
             .with_stage(StageSpec::new("s", 0, 1, 0.004))
             .unwrap();
-        let b = PipelineSpec::new(vec![ResourceSpec::new("cpu", 4)])
+        let b = PipelineSpec::new(vec![ReplicaGroup::new("cpu", 4)])
             .with_stage(StageSpec::new("s", 0, 1, 0.001))
             .unwrap();
         let err =
@@ -667,13 +628,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "path has no stages")]
     fn empty_paths_are_rejected() {
-        let _ = PathSet::new(vec![ResourceSpec::new("cpu", 8)]).with_path("x", 0.9, vec![]);
+        let _ = PathSet::new(vec![ReplicaGroup::new("cpu", 8)]).with_path("x", 0.9, vec![]);
     }
 
     #[test]
     #[should_panic(expected = "quality must be non-negative")]
     fn nan_quality_is_rejected() {
-        let _ = PathSet::new(vec![ResourceSpec::new("cpu", 8)]).with_path(
+        let _ = PathSet::new(vec![ReplicaGroup::new("cpu", 8)]).with_path(
             "x",
             f64::NAN,
             vec![StageSpec::new("s", 0, 1, 0.01)],

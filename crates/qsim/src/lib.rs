@@ -37,17 +37,21 @@
 //! * **Queries** flow through stages in order; per-query end-to-end
 //!   latency lands in a [`LatencyStats`](recpipe_metrics::LatencyStats).
 //!
-//! The legacy entry point [`simulate`] (Poisson + FIFO + per-query
-//! stages) is a thin wrapper over [`serve`] and reproduces the
+//! Every simulation is a [`Scenario`]: a pipeline (or a [`PathSet`]
+//! behind an [`AdmissionPolicy`]), arrivals, a query count and a seed,
+//! plus optional scheduling, routing, lifecycle, autoscaling,
+//! resilience, and sharding knobs — served by one
+//! [`Scenario::run`] that returns a typed [`SimError`] for invalid
+//! input. [`PipelineSpec::simulate`] (Poisson + FIFO) reproduces the
 //! pre-batching simulator bit-for-bit on the same seed.
 //!
 //! # Examples
 //!
 //! ```
-//! use recpipe_qsim::{PipelineSpec, ResourceSpec, StageSpec};
+//! use recpipe_qsim::{PipelineSpec, ReplicaGroup, StageSpec};
 //!
 //! // One 64-core CPU serving a single 10 ms stage at 500 QPS.
-//! let spec = PipelineSpec::new(vec![ResourceSpec::new("cpu", 64)])
+//! let spec = PipelineSpec::new(vec![ReplicaGroup::new("cpu", 64)])
 //!     .with_stage(StageSpec::new("rank", 0, 1, 0.010))
 //!     .expect("valid stage");
 //! let mut result = spec.simulate(500.0, 5_000, 42);
@@ -59,17 +63,19 @@
 //!
 //! ```
 //! use recpipe_data::MmppArrivals;
-//! use recpipe_qsim::{BatchModel, BatchWindow, PipelineSpec, ResourceSpec, StageSpec};
+//! use recpipe_qsim::{BatchModel, BatchWindow, PipelineSpec, ReplicaGroup, Scenario, StageSpec};
 //!
 //! // A GPU-like stage: 4 ms per query, but a batch of 8 costs far less
 //! // than 8 single launches (marginal cost 0.2).
-//! let spec = PipelineSpec::new(vec![ResourceSpec::new("gpu", 1)])
-//!     .with_stage(StageSpec::new("rank", 0, 1, 0.004).with_batch(BatchModel::new(8, 0.2)))
-//!     .expect("valid stage");
+//! let spec = PipelineSpec::new(vec![ReplicaGroup::new("gpu", 1)])
+//!     .with_stage(StageSpec::new("rank", 0, 1, 0.004).with_batch(BatchModel::new(8, 0.2)))?;
 //! let bursty = MmppArrivals::new(100.0, 800.0, 0.2, 0.05);
-//! let result = spec.serve(&bursty, &BatchWindow::new(0.002), 4_000, 7);
+//! let result = Scenario::new(&spec, &bursty, 4_000, 7)
+//!     .policy(&BatchWindow::new(0.002))
+//!     .run()?;
 //! assert_eq!(result.completed, 4_000);
 //! assert!(result.mean_batch > 1.0);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 mod admission;
@@ -79,6 +85,7 @@ mod policy;
 mod resilience;
 mod result;
 mod router;
+mod scenario;
 mod shard;
 mod sim;
 mod spec;
@@ -89,7 +96,7 @@ pub use admission::{
 };
 pub use lifecycle::{
     AutoscaleConfig, FailurePolicy, FleetController, LifecycleAction, LifecycleConfig,
-    LifecycleEvent, LifecycleSchedule, SimError, SloSpec, WindowStats,
+    LifecycleEvent, LifecycleSchedule, SloSpec, WindowStats,
 };
 pub use persist::ParseError;
 pub use policy::{BatchWindow, EarliestDeadlineFirst, Fifo, QueueEntry, Release, SchedulingPolicy};
@@ -102,11 +109,7 @@ pub use router::{
     ExpectedWait, JoinShortestQueue, LeastWorkLeft, PowerOfTwoChoices, ReplicaLoads,
     ReplicaSnapshot, RoundRobin, Router, RouterState, RoutingCtx, Sticky,
 };
-pub use shard::serve_routed_sharded;
-pub use sim::{
-    serve, serve_autoscaled, serve_lifecycle, serve_multipath, serve_resilient, serve_routed,
-    simulate,
+pub use scenario::{
+    serve_lifecycle, serve_resilient, serve_routed, serve_routed_sharded, Scenario, SimError,
 };
-pub use spec::{
-    BatchModel, PipelineSpec, ReplicaGroup, ReplicaProfile, ResourceSpec, SpecError, StageSpec,
-};
+pub use spec::{BatchModel, PipelineSpec, ReplicaGroup, ReplicaProfile, SpecError, StageSpec};

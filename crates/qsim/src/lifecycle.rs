@@ -13,8 +13,9 @@
 //!   timed simulator events;
 //! * [`FailurePolicy`] — what happens to a failed replica's queued and
 //!   in-flight queries (requeue through the router, or shed);
-//! * [`SimError`] — the typed all-replicas-down error surfaced when a
-//!   query cannot be routed and no revival is pending;
+//! * [`SimError::NoAvailableReplica`] — the typed all-replicas-down
+//!   error surfaced when a query cannot be routed and no revival is
+//!   pending;
 //! * [`WindowStats`] — per-window telemetry (p99, queue depth,
 //!   utilization, cost) driving feedback controllers;
 //! * [`FleetController`] — the closed-loop resize seam: consulted at
@@ -29,6 +30,7 @@
 //! policy for same-instant event ordering.
 //!
 //! [`ReplicaGroup`]: crate::ReplicaGroup
+//! [`SimError::NoAvailableReplica`]: crate::SimError::NoAvailableReplica
 
 /// What happens to one replica at a scheduled instant.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -257,8 +259,9 @@ pub enum FailurePolicy {
     /// replicas, preserving their original arrival times (so the lost
     /// work shows up as latency, not as lost queries). When the whole
     /// group is down they park until a provision or recovery flushes
-    /// them — or surface [`SimError::NoAvailableReplica`] when no
-    /// revival is pending.
+    /// them — or surface
+    /// [`SimError::NoAvailableReplica`](crate::SimError::NoAvailableReplica)
+    /// when no revival is pending.
     #[default]
     Requeue,
     /// Drop stranded work: queued queries and dead-group arrivals are
@@ -267,33 +270,6 @@ pub enum FailurePolicy {
     /// `completed + shed + dropped` still accounts for every query.
     Shed,
 }
-
-/// Error surfaced by a lifecycle-aware simulation run.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SimError {
-    /// A query arrived at a resource group whose replicas are all down,
-    /// the [`FailurePolicy`] asked to requeue, and no provision or
-    /// recovery is pending that could ever serve it.
-    NoAvailableReplica {
-        /// The dead resource group's index.
-        group: usize,
-        /// Simulation time of the unroutable arrival.
-        time: f64,
-    },
-}
-
-impl std::fmt::Display for SimError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SimError::NoAvailableReplica { group, time } => write!(
-                f,
-                "no available replica in resource group {group} at t={time:.3}s and no revival pending"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SimError {}
 
 /// Telemetry for one fixed-width time window of a lifecycle-aware run —
 /// the signal driving [`FleetController`]s and the per-window series
@@ -320,7 +296,7 @@ pub struct WindowStats {
     pub dropped: usize,
     /// Queries that exhausted their timeout (and any retry allowance)
     /// during the window. Always zero outside resilience-aware runs
-    /// (see [`serve_resilient`](crate::serve_resilient)).
+    /// (see [`Scenario::resilience`](crate::Scenario::resilience)).
     pub timed_out: usize,
     /// p99 latency of the window's completions in seconds (0.0 when the
     /// window completed nothing).
@@ -338,7 +314,7 @@ pub struct WindowStats {
     /// at 0.5), averaged over the window.
     pub cost: f64,
     /// Queries admitted onto each path during the window, in path order
-    /// (see [`serve_multipath`](crate::serve_multipath)). Empty outside
+    /// (see [`Scenario::multipath`](crate::Scenario::multipath)). Empty outside
     /// multi-path runs.
     pub path_admitted: Vec<usize>,
     /// Queries completing each path during the window, in path order.
@@ -487,7 +463,7 @@ pub trait FleetController {
 }
 
 /// Options for a lifecycle-aware run
-/// ([`serve_lifecycle`](crate::serve_lifecycle)): how failures treat
+/// ([`Scenario::lifecycle`](crate::Scenario::lifecycle)): how failures treat
 /// stranded work, how slowly warming replicas serve, and whether to
 /// record windowed telemetry.
 #[derive(Debug, Clone, PartialEq)]
@@ -556,7 +532,7 @@ impl LifecycleConfig {
 }
 
 /// Options for a closed-loop autoscaled run
-/// ([`serve_autoscaled`](crate::serve_autoscaled)): which resource
+/// ([`Scenario::autoscale`](crate::Scenario::autoscale)): which resource
 /// group a [`FleetController`] resizes, within what band, and on what
 /// cadence. The spec's group must hold `max_replicas` slots — the
 /// controller provisions and drains within them.
@@ -574,15 +550,14 @@ pub struct AutoscaleConfig {
     pub warmup_s: f64,
     /// Decision and telemetry window width in seconds.
     pub window_s: f64,
-    /// Lifecycle options shared with scheduled events.
-    pub lifecycle: LifecycleConfig,
 }
 
 impl AutoscaleConfig {
     /// An autoscaling band over `group` with a decision window.
     ///
-    /// Defaults: start at `min_replicas`, zero warm-up, requeue on
-    /// failure, half-speed warm-up serving.
+    /// Defaults: start at `min_replicas`, zero warm-up. Failure policy
+    /// and warm-up speed come from the scenario's
+    /// [`LifecycleConfig`].
     ///
     /// # Panics
     ///
@@ -605,7 +580,6 @@ impl AutoscaleConfig {
             initial_replicas: min_replicas,
             warmup_s: 0.0,
             window_s,
-            lifecycle: LifecycleConfig::new(),
         }
     }
 
@@ -634,12 +608,6 @@ impl AutoscaleConfig {
             "warm-up duration must be non-negative and finite"
         );
         self.warmup_s = warmup_s;
-        self
-    }
-
-    /// Replaces the shared lifecycle options.
-    pub fn with_lifecycle(mut self, lifecycle: LifecycleConfig) -> Self {
-        self.lifecycle = lifecycle;
         self
     }
 }
@@ -708,19 +676,6 @@ mod tests {
                 warmup_s: f64::INFINITY,
             },
         }]);
-    }
-
-    #[test]
-    fn sim_error_displays_group_and_time() {
-        let e = SimError::NoAvailableReplica {
-            group: 2,
-            time: 1.5,
-        };
-        let msg = e.to_string();
-        assert!(msg.contains('2') && msg.contains("1.5"));
-        // Composes with `?` into Box<dyn Error>.
-        let boxed: Box<dyn std::error::Error> = Box::new(e);
-        assert!(boxed.to_string().contains("no available replica"));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! retry storm that turns one slow replica into fleet-wide congestion
 //! collapse. This module supplies the client-side vocabulary the
 //! simulator speaks when a [`ResilienceConfig`] is attached to a run
-//! ([`serve_resilient`](crate::serve_resilient)):
+//! ([`Scenario::resilience`](crate::Scenario::resilience)):
 //!
 //! * [`ResilienceConfig`] — a per-attempt timeout, a [`RetryPolicy`]
 //!   consulted when it fires, and an optional [`HedgePolicy`];
@@ -26,8 +26,8 @@
 //!   same story.
 //!
 //! An inert config (no timeout, no hedge) arms nothing, draws no
-//! randomness, and leaves the event loop bit-identical to
-//! [`serve_routed`](crate::serve_routed) — pinned by proptest.
+//! randomness, and leaves the event loop bit-identical to the
+//! lifecycle-only run — pinned by proptest.
 
 use crate::lifecycle::{LifecycleEvent, LifecycleSchedule};
 
@@ -262,11 +262,11 @@ impl HedgePolicy {
 }
 
 /// Per-run resilience options attached by
-/// [`serve_resilient`](crate::serve_resilient): a per-attempt timeout,
-/// the [`RetryPolicy`] consulted when it fires, and an optional
+/// [`Scenario::resilience`](crate::Scenario::resilience): a per-attempt
+/// timeout, the [`RetryPolicy`] consulted when it fires, and an optional
 /// [`HedgePolicy`]. The default ([`ResilienceConfig::new`]) is inert —
 /// no timeout, no hedge — and leaves the event loop bit-identical to
-/// [`serve_routed`](crate::serve_routed).
+/// the lifecycle-only run.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ResilienceConfig {
     /// Per-attempt timeout in seconds; `None` never times out.

@@ -8,9 +8,9 @@ use crate::{ResilienceStats, WindowStats};
 /// # Examples
 ///
 /// ```
-/// use recpipe_qsim::{PipelineSpec, ResourceSpec, StageSpec};
+/// use recpipe_qsim::{PipelineSpec, ReplicaGroup, StageSpec};
 ///
-/// let spec = PipelineSpec::new(vec![ResourceSpec::new("cpu", 8)])
+/// let spec = PipelineSpec::new(vec![ReplicaGroup::new("cpu", 8)])
 ///     .with_stage(StageSpec::new("rank", 0, 1, 0.005))?;
 /// let mut result = spec.simulate(100.0, 2_000, 1);
 /// println!("p99 = {:.2} ms", result.p99_seconds() * 1e3);
@@ -55,7 +55,7 @@ pub struct SimResult {
     /// configured with a telemetry window.
     pub windows: Vec<WindowStats>,
     /// Per-path accounting of a multi-path run (see
-    /// [`serve_multipath`](crate::serve_multipath)), in path order.
+    /// [`Scenario::multipath`](crate::Scenario::multipath)), in path order.
     /// Empty on single-pipeline runs.
     pub paths: Vec<PathStats>,
     /// Queries rejected by the admission policy before entering any
@@ -63,7 +63,7 @@ pub struct SimResult {
     /// lifecycle sheds). Zero outside multi-path runs.
     pub admission_shed: usize,
     /// Query-level resilience telemetry of a
-    /// [`serve_resilient`](crate::serve_resilient) run: timeouts,
+    /// [`Scenario::resilience`](crate::Scenario::resilience) run: timeouts,
     /// retries by attempt, hedges issued/won, and wasted service
     /// seconds. `None` outside resilient runs.
     pub resilience: Option<ResilienceStats>,
@@ -142,7 +142,7 @@ impl SimResult {
     }
 
     /// Queries resolved as timed-out-final (0 outside
-    /// [`serve_resilient`](crate::serve_resilient) runs) — the fourth
+    /// resilient runs) — the fourth
     /// term of the conservation ledger `completed + shed + dropped +
     /// timed_out`.
     pub fn timed_out(&self) -> usize {

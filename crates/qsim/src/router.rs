@@ -88,7 +88,7 @@
 //! # Availability masking
 //!
 //! Under the replica lifecycle (see
-//! [`serve_lifecycle`](crate::serve_lifecycle)), routers only ever see
+//! [`Scenario::lifecycle`](crate::Scenario::lifecycle)), routers only ever see
 //! *routable* replicas — up or warming ones. When any replica of a
 //! group is draining or down, the simulator compacts the routable
 //! subset into a dense [`ReplicaLoads`] view and remaps the query's
@@ -494,8 +494,7 @@ pub trait Router: std::fmt::Debug + Send + Sync {
     /// on the per-query hot path. An override must make exactly the
     /// decision `route` would make on the equivalent snapshots
     /// (including tie-breaking and [`RouterState`] consumption), or
-    /// `serve` and `serve_routed` results diverge between the two
-    /// entry points.
+    /// runs diverge depending on which of the two the loop calls.
     fn route_indexed(
         &self,
         loads: &ReplicaLoads<'_>,

@@ -10,10 +10,11 @@
 //!
 //! # Determinism
 //!
-//! [`serve_routed_sharded`] produces the *same* [`SimResult`] as
-//! [`serve_routed`](crate::serve_routed) for any worker count,
-//! including 1 (the property tests pin this across the router × policy
-//! × replica × batching matrix). Three invariants carry the proof:
+//! A plain [`Scenario`](crate::Scenario) with a worker cap runs here
+//! and produces the *same* [`SimResult`] as the serial loop for any
+//! worker count, including 1 (the property tests pin this across the
+//! router × policy × replica × batching matrix). Three invariants
+//! carry the proof:
 //!
 //! * **Shard boundaries.** A stage's behavior depends only on the
 //!   sequence of its own arrivals. Arrivals cross a boundary in
@@ -45,16 +46,16 @@
 //! (same results, one thread): single-stage pipelines, stages sharing
 //! a resource group (one slot would need two owners), closed-loop
 //! arrivals (completions feed back to admissions, coupling tail to
-//! head), and non-positive service times. Lifecycle and autoscaled
-//! runs always take [`serve_lifecycle`](crate::serve_lifecycle) /
-//! [`serve_autoscaled`](crate::serve_autoscaled), which are serial.
+//! head), and non-positive service times. Scenarios with any optional
+//! runtime (lifecycle, autoscaling, multi-path, resilience) are always
+//! serial.
 
 use std::sync::mpsc;
 
 use recpipe_data::ArrivalProcess;
 
-use crate::sim::{serve_routed, ShardOutcome, ShardSink, ShardSource, Sim};
-use crate::{PipelineSpec, Router, SchedulingPolicy, SimResult};
+use crate::sim::{Inputs, RunTotals, ShardSink, ShardSource, Sim};
+use crate::{PipelineSpec, SimResult};
 
 /// Completion tuples per channel send: large enough to amortize the
 /// channel's synchronization, small enough to keep the stage pipeline
@@ -158,7 +159,7 @@ impl ShardSource for ChanSource {
 
 /// Whether the per-stage decomposition applies (see the module docs
 /// for why each condition is load-bearing).
-fn shardable(spec: &PipelineSpec, arrivals: &dyn ArrivalProcess) -> bool {
+pub(crate) fn shardable(spec: &PipelineSpec, arrivals: &dyn ArrivalProcess) -> bool {
     let stages = spec.stages();
     if stages.len() < 2 || arrivals.closed_loop().is_some() {
         return false;
@@ -174,39 +175,18 @@ fn shardable(spec: &PipelineSpec, arrivals: &dyn ArrivalProcess) -> bool {
     true
 }
 
-/// Runs the cluster-aware simulation sharded by pipeline stage: one
-/// shard (and, with `workers > 1`, one thread) per stage, chained by
-/// bounded hand-off channels, merged into a [`SimResult`] **identical
-/// to [`serve_routed`](crate::serve_routed)** on the same inputs (see
-/// the module docs for the determinism argument).
+/// Runs a [`shardable`] spec sharded by pipeline stage: one shard
+/// (and, with `workers > 1`, one thread) per stage, chained by bounded
+/// hand-off channels, merged into a [`SimResult`] identical to the
+/// serial loop's on the same inputs (see the module docs for the
+/// determinism argument).
 ///
 /// `workers` is a parallelism *cap*, not a shard count: `0` resolves
 /// to the machine's available parallelism, `1` runs the shards
 /// sequentially on the calling thread (buffering each boundary), and
 /// anything higher runs one thread per stage. The result never depends
 /// on `workers`.
-///
-/// Specs outside the decomposition's reach (single stage, stages
-/// sharing a resource group, closed-loop arrivals, non-positive
-/// service times) silently fall back to the serial loop.
-///
-/// # Panics
-///
-/// Panics if the pipeline has no stages or `num_queries == 0`.
-pub fn serve_routed_sharded(
-    spec: &PipelineSpec,
-    arrivals: &(dyn ArrivalProcess + Sync),
-    policy: &(dyn SchedulingPolicy + Sync),
-    router: &(dyn Router + Sync),
-    num_queries: usize,
-    seed: u64,
-    workers: usize,
-) -> SimResult {
-    assert!(!spec.stages().is_empty(), "pipeline has no stages");
-    assert!(num_queries > 0, "need at least one query");
-    if !shardable(spec, arrivals) {
-        return serve_routed(spec, arrivals, policy, router, num_queries, seed);
-    }
+pub(crate) fn run(inputs: Inputs<'_>, workers: usize) -> SimResult {
     // simlint: allow(shard-nondet) -- worker count only picks the execution strategy
     let workers = if workers == 0 {
         // simlint: allow(shard-nondet) -- sizes the thread pool only; per-shard
@@ -217,43 +197,25 @@ pub fn serve_routed_sharded(
     } else {
         workers
     };
-    let stages = spec.stages().len();
     // simlint: allow(shard-nondet) -- sequential vs threaded produce identical
     // shard outcomes; the branch only avoids thread spawn overhead at 1 worker.
     let outcomes = if workers <= 1 {
-        run_sequential(spec, arrivals, policy, router, num_queries, seed, stages)
+        run_sequential(inputs)
     } else {
-        run_threaded(spec, arrivals, policy, router, num_queries, seed, stages)
+        run_threaded(inputs)
     };
-    merge(spec, arrivals, outcomes)
+    merge(inputs.spec, inputs.arrivals, outcomes)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_sequential(
-    spec: &PipelineSpec,
-    arrivals: &dyn ArrivalProcess,
-    policy: &dyn SchedulingPolicy,
-    router: &dyn Router,
-    num_queries: usize,
-    seed: u64,
-    stages: usize,
-) -> Vec<ShardOutcome> {
+fn run_sequential(inputs: Inputs<'_>) -> Vec<RunTotals> {
+    let stages = inputs.spec.stages().len();
     let mut outcomes = Vec::with_capacity(stages);
     let mut carry: Option<Vec<Tuple>> = None;
     for stage in 0..stages {
         let last = stage + 1 == stages;
         let mut sink = VecSink::default();
         let out: Option<&mut dyn ShardSink> = if last { None } else { Some(&mut sink) };
-        let sim = Sim::new_shard(
-            spec,
-            arrivals,
-            policy,
-            router,
-            num_queries,
-            seed,
-            stage,
-            out,
-        );
+        let sim = Sim::new_shard(inputs, stage, out);
         let outcome = match carry.take() {
             None => sim.run_shard(stage, None),
             Some(buf) => {
@@ -271,16 +233,8 @@ fn run_sequential(
     outcomes
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_threaded(
-    spec: &PipelineSpec,
-    arrivals: &(dyn ArrivalProcess + Sync),
-    policy: &(dyn SchedulingPolicy + Sync),
-    router: &(dyn Router + Sync),
-    num_queries: usize,
-    seed: u64,
-    stages: usize,
-) -> Vec<ShardOutcome> {
+fn run_threaded(inputs: Inputs<'_>) -> Vec<RunTotals> {
+    let stages = inputs.spec.stages().len();
     // One bounded channel per stage boundary, wired up front.
     let mut txs = Vec::with_capacity(stages - 1);
     let mut rxs = Vec::with_capacity(stages - 1);
@@ -300,16 +254,7 @@ fn run_threaded(
             handles.push(scope.spawn(move || {
                 let mut sink = tx.map(ChanSink::new);
                 let out = sink.as_mut().map(|s| s as &mut dyn ShardSink);
-                let sim = Sim::new_shard(
-                    spec,
-                    arrivals,
-                    policy,
-                    router,
-                    num_queries,
-                    seed,
-                    stage,
-                    out,
-                );
+                let sim = Sim::new_shard(inputs, stage, out);
                 let outcome = match input_rx {
                     None => sim.run_shard(stage, None),
                     Some(rx) => {
@@ -330,16 +275,15 @@ fn run_threaded(
     })
 }
 
-/// Deterministic merge of the per-stage shard outcomes — mirrors the
-/// serial loop's `finish` arithmetic term for term.
+/// Deterministic merge of the per-stage shard outcomes into the run's
+/// totals, assembled exactly as the serial loop assembles its own.
 fn merge(
     spec: &PipelineSpec,
     arrivals: &dyn ArrivalProcess,
-    mut outcomes: Vec<ShardOutcome>,
+    mut outcomes: Vec<RunTotals>,
 ) -> SimResult {
     let arrival_span = outcomes[0].arrival_span;
     let last_time = outcomes.iter().fold(0.0f64, |m, o| m.max(o.last_time));
-    let span = last_time.max(f64::MIN_POSITIVE);
     let launches: u64 = outcomes.iter().map(|o| o.launches).sum();
     let served: u64 = outcomes.iter().map(|o| o.served).sum();
     // Each replica slot is owned by exactly one shard (distinct stage
@@ -353,59 +297,16 @@ fn merge(
         }
     }
     let tail = outcomes.pop().expect("at least one shard ran");
-
-    let resources = spec.resources();
-    let mut slot_base = Vec::with_capacity(resources.len());
-    let mut base = 0usize;
-    for r in resources {
-        slot_base.push(base);
-        base += r.replicas();
-    }
-    let utilization: Vec<f64> = resources
-        .iter()
-        .enumerate()
-        .map(|(g, r)| {
-            let base = slot_base[g];
-            let busy: f64 = busy_unit_seconds[base..base + r.replicas()].iter().sum();
-            (busy / (r.total_units() as f64 * span)).min(1.0)
-        })
-        .collect();
-    let replica_utilization: Vec<Vec<f64>> = if spec.has_replication() {
-        resources
-            .iter()
-            .enumerate()
-            .map(|(g, r)| {
-                let base = slot_base[g];
-                busy_unit_seconds[base..base + r.replicas()]
-                    .iter()
-                    .zip(r.profiles())
-                    .map(|(&busy, p)| (busy / (p.capacity as f64 * span)).min(1.0))
-                    .collect()
-            })
-            .collect()
-    } else {
-        Vec::new()
+    let totals = RunTotals {
+        busy_unit_seconds,
+        last_time,
+        launches,
+        served,
+        arrival_span,
+        ..tail
     };
-
-    // Saturation mirrors the serial test: eligibility guarantees an
-    // open loop, so the rate-overload term always applies.
-    let offered = arrivals.mean_rate();
-    let rate_overload = offered > spec.max_qps_at_full_batch();
-    let saturated = rate_overload || last_time > arrival_span * 1.5 + spec.service_floor();
-
-    let mean_batch = if launches > 0 {
-        served as f64 / launches as f64
-    } else {
-        1.0
-    };
-    SimResult::new(
-        tail.latency,
-        tail.qps,
-        tail.completed,
-        saturated,
-        utilization,
-    )
-    .with_mean_batch(mean_batch)
-    .with_replica_utilization(replica_utilization)
-    .with_lifecycle_outcome(0, 0, 0.0, Vec::new())
+    // Eligibility guarantees an open loop, so the rate-overload term
+    // always applies.
+    let rate_overload = arrivals.mean_rate() > spec.max_qps_at_full_batch();
+    totals.into_result(spec, rate_overload)
 }

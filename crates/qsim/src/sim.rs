@@ -2,14 +2,14 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::time::Duration;
 
-use recpipe_data::{ArrivalProcess, PoissonArrivals};
+use recpipe_data::ArrivalProcess;
 use recpipe_metrics::{LatencyStats, ThroughputMeter};
 
 use crate::{
-    Admission, AdmissionCtx, AdmissionPolicy, AdmissionState, AutoscaleConfig, FailurePolicy, Fifo,
+    Admission, AdmissionCtx, AdmissionPolicy, AdmissionState, AutoscaleConfig, FailurePolicy,
     FleetController, HedgeDelay, HedgePolicy, LifecycleAction, LifecycleConfig, LifecycleEvent,
     PathProfile, PathSet, PathStats, PipelineSpec, QueueEntry, Release, ReplicaLoads,
-    ResilienceConfig, ResilienceStats, RetryPolicy, RoundRobin, Router, RouterState, RoutingCtx,
+    ResilienceConfig, ResilienceStats, RetryPolicy, Router, RouterState, RoutingCtx,
     SchedulingPolicy, SimError, SimResult, StageSpec, WindowStats,
 };
 
@@ -135,6 +135,10 @@ const RES_GEN_MASK: u32 = 0x7_FFFF;
 /// (`query | gen << 32 | lane << 63`) as flows through queues and
 /// batches on resilient runs.
 const RES_Q_MASK: usize = 0xFFFF_FFFF;
+/// Most stages a resilient run's packed arrive payload can name.
+pub(crate) const MAX_RESILIENT_STAGES: usize = RES_STAGE_MASK as usize;
+/// Most attempts per query a resilient run's attempt counter holds.
+pub(crate) const MAX_ATTEMPTS: usize = u8::MAX as usize;
 
 /// A packed heap event: 24 bytes instead of the 40 a
 /// `(f64, u64, EventKind)` struct would occupy, so every sift in the
@@ -147,7 +151,7 @@ const RES_Q_MASK: usize = 0xFFFF_FFFF;
 /// from the `Sim::seq` counter that resumes past them), so ordering by
 /// `key` is ordering by `seq` — the tag bits can never influence the
 /// total order. Payloads are two `u32`s: query/batch/slot indices are
-/// bounded well below `u32::MAX` (asserted at construction), and
+/// bounded well below `u32::MAX` (validated by `Scenario::run`), and
 /// generation counters compare on their low 32 bits (a stale event
 /// would mis-match only after 2^32 same-slot generation bumps while it
 /// sat in the heap, which cannot happen before the heap itself
@@ -178,7 +182,7 @@ impl Event {
     #[inline]
     fn arrive(time: f64, seq: u64, query: usize, stage: usize) -> Self {
         // simlint: allow(packing-cast) -- stage indexes a pipeline of
-        // at most a handful of stages (< 2^12, asserted at build).
+        // at most a handful of stages (< 2^12, validated by Scenario::run).
         Self::new(time, seq, TAG_ARRIVE, query, stage as u32)
     }
 
@@ -350,263 +354,6 @@ impl BatchQueries {
             BatchQueries::Many(v) => v.len(),
         }
     }
-}
-
-/// Runs the legacy-interface simulation: Poisson arrivals at `qps`,
-/// FIFO scheduling, per-query service.
-///
-/// This is a thin wrapper over [`serve`] — kept because nearly every
-/// experiment in the repository speaks in offered QPS. Since all stages
-/// built by [`StageSpec::new`] are per-query, it reproduces the
-/// pre-batching simulator bit-for-bit on the same seed.
-///
-/// # Panics
-///
-/// Panics if the pipeline has no stages, `num_queries == 0`, or `qps` is
-/// not strictly positive.
-pub fn simulate(spec: &PipelineSpec, qps: f64, num_queries: usize, seed: u64) -> SimResult {
-    assert!(qps.is_finite() && qps > 0.0, "qps must be positive");
-    serve(spec, &PoissonArrivals::new(qps), &Fifo, num_queries, seed)
-}
-
-/// Runs the batching-aware discrete-event simulation with
-/// [`RoundRobin`] replica routing (see [`serve_routed`] for an explicit
-/// router; on single-replica pipelines the router is irrelevant).
-///
-/// Queries are injected by `arrivals` (open-loop schedules, or
-/// closed-loop client feedback) and traverse the stages in order. Each
-/// stage's waiting work queues on one replica of its resource group;
-/// `policy` decides when a batch launches (see [`SchedulingPolicy`]); a
-/// launched batch holds the stage's `units` on that replica for the
-/// batch service time given by the stage's
-/// [`BatchModel`](crate::BatchModel).
-///
-/// The first 5% of queries are discarded as warmup. The run is marked
-/// `saturated` when an open-loop offered load exceeds the pipeline's
-/// fully-batched analytic capacity, or a backlog persists at the end of
-/// the run.
-///
-/// # Panics
-///
-/// Panics if the pipeline has no stages or `num_queries == 0`.
-pub fn serve(
-    spec: &PipelineSpec,
-    arrivals: &dyn ArrivalProcess,
-    policy: &dyn SchedulingPolicy,
-    num_queries: usize,
-    seed: u64,
-) -> SimResult {
-    serve_routed(spec, arrivals, policy, &RoundRobin, num_queries, seed)
-}
-
-/// Runs the cluster-aware discrete-event simulation: `router` picks a
-/// replica per query at every stage, then `policy` schedules batches
-/// within each replica's private queue (batches never span replicas).
-///
-/// # Panics
-///
-/// Panics if the pipeline has no stages or `num_queries == 0`.
-pub fn serve_routed(
-    spec: &PipelineSpec,
-    arrivals: &dyn ArrivalProcess,
-    policy: &dyn SchedulingPolicy,
-    router: &dyn Router,
-    num_queries: usize,
-    seed: u64,
-) -> SimResult {
-    assert!(!spec.stages().is_empty(), "pipeline has no stages");
-    assert!(num_queries > 0, "need at least one query");
-    Sim::new(spec, arrivals, policy, router, num_queries, seed)
-        .run()
-        .expect("lifecycle-free simulation cannot fail")
-}
-
-/// Runs the lifecycle-aware simulation: every group's attached
-/// [`LifecycleSchedule`](crate::LifecycleSchedule) replays as timed
-/// availability events, routers see only available (up or warming)
-/// replicas, and `cfg` picks the [`FailurePolicy`] for stranded work
-/// plus an optional telemetry window. With only empty schedules and no
-/// window the run is bit-identical to [`serve_routed`].
-///
-/// # Errors
-///
-/// Returns [`SimError::NoAvailableReplica`] when a query arrives at a
-/// fully-down group under [`FailurePolicy::Requeue`] and no provision
-/// or recovery is pending.
-///
-/// # Panics
-///
-/// Panics if the pipeline has no stages or `num_queries == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn serve_lifecycle(
-    spec: &PipelineSpec,
-    arrivals: &dyn ArrivalProcess,
-    policy: &dyn SchedulingPolicy,
-    router: &dyn Router,
-    num_queries: usize,
-    seed: u64,
-    cfg: &LifecycleConfig,
-) -> Result<SimResult, SimError> {
-    assert!(!spec.stages().is_empty(), "pipeline has no stages");
-    assert!(num_queries > 0, "need at least one query");
-    let mut sim = Sim::new(spec, arrivals, policy, router, num_queries, seed);
-    sim.enable_lifecycle(cfg);
-    sim.run()
-}
-
-/// Runs the closed-loop autoscaled simulation: a [`FleetController`]
-/// sees each closing telemetry window and resizes `cfg.group`'s fleet
-/// within `[cfg.min_replicas, cfg.max_replicas]` by provisioning down
-/// replicas (through `cfg.warmup_s` of reduced-speed warm-up) and
-/// draining live ones — drains finish queued and in-flight work, so
-/// scale-down never kills live queries. Replicas `cfg.initial_replicas
-/// ..` of the group start down; scheduled lifecycle events (failure
-/// injection, maintenance drains) replay alongside the controller's
-/// actions.
-///
-/// # Errors
-///
-/// Returns [`SimError::NoAvailableReplica`] under [`serve_lifecycle`]'s
-/// rule (arrivals at the scaled group always park rather than fail —
-/// the controller may yet provision).
-///
-/// # Panics
-///
-/// Panics if the pipeline has no stages, `num_queries == 0`,
-/// `cfg.group` is out of range, or `cfg.max_replicas` exceeds the
-/// group's replica count.
-#[allow(clippy::too_many_arguments)]
-pub fn serve_autoscaled(
-    spec: &PipelineSpec,
-    arrivals: &dyn ArrivalProcess,
-    policy: &dyn SchedulingPolicy,
-    router: &dyn Router,
-    num_queries: usize,
-    seed: u64,
-    cfg: &AutoscaleConfig,
-    controller: &mut dyn FleetController,
-) -> Result<SimResult, SimError> {
-    assert!(!spec.stages().is_empty(), "pipeline has no stages");
-    assert!(num_queries > 0, "need at least one query");
-    assert!(
-        cfg.group < spec.resources().len(),
-        "autoscale group {} does not exist",
-        cfg.group
-    );
-    assert!(
-        cfg.max_replicas <= spec.resources()[cfg.group].replicas(),
-        "autoscale ceiling {} exceeds the group's {} replicas",
-        cfg.max_replicas,
-        spec.resources()[cfg.group].replicas()
-    );
-    let mut sim = Sim::new(spec, arrivals, policy, router, num_queries, seed);
-    let lifecycle = cfg.lifecycle.clone().with_window(cfg.window_s);
-    sim.enable_lifecycle(&lifecycle);
-    sim.enable_autoscale(cfg, controller);
-    sim.run()
-}
-
-/// Runs the multi-path simulation: `admission` is consulted once per
-/// arriving query — with the instantaneous load snapshot, the per-path
-/// analytic profiles, and the last closed telemetry window — and either
-/// admits the query onto one of `paths`' pipelines (all sharing one
-/// replica fleet) or sheds it. Admitted queries traverse their path's
-/// stages under the usual router/policy machinery; per-path admissions,
-/// completions, losses, and latency land in
-/// [`SimResult::paths`](crate::SimResult::paths) (and per-window in
-/// [`WindowStats::path_admitted`](crate::WindowStats::path_admitted)
-/// when telemetry is on).
-///
-/// Lifecycle schedules on the shared fleet replay as in
-/// [`serve_lifecycle`]; with the default [`LifecycleConfig`] and a
-/// single-path set under [`AlwaysPrimary`](crate::AlwaysPrimary) the
-/// run is bit-identical to [`serve_routed`] (pinned by proptest).
-/// Multi-path runs always use the serial loop — sharding's
-/// stage-independence does not hold once arrival-time decisions pick
-/// among stage chains.
-///
-/// # Errors
-///
-/// Returns [`SimError::NoAvailableReplica`] under [`serve_lifecycle`]'s
-/// rule.
-///
-/// # Panics
-///
-/// Panics if the path set has no paths or `num_queries == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn serve_multipath(
-    paths: &PathSet,
-    arrivals: &dyn ArrivalProcess,
-    policy: &dyn SchedulingPolicy,
-    router: &dyn Router,
-    admission: &dyn AdmissionPolicy,
-    num_queries: usize,
-    seed: u64,
-    cfg: &LifecycleConfig,
-) -> Result<SimResult, SimError> {
-    assert!(paths.num_paths() > 0, "path set has no paths");
-    assert!(num_queries > 0, "need at least one query");
-    let mut sim = Sim::new(paths.spec(), arrivals, policy, router, num_queries, seed);
-    sim.enable_lifecycle(cfg);
-    sim.enable_multipath(paths, admission, seed);
-    sim.run()
-}
-
-/// Runs the query-level-resilient simulation: lifecycle schedules
-/// replay as in [`serve_lifecycle`] (including gray-failure
-/// [`Degrade`](crate::LifecycleAction::Degrade) events — limping
-/// replicas keep accepting routes at a fraction of profile speed), and
-/// `resilience` arms client-side machinery around every query:
-///
-/// * a per-attempt **timeout** — a fired timeout abandons the attempt
-///   (its queued or in-flight lanes cancel lazily and count as wasted
-///   work) and consults the [`RetryPolicy`]: re-dispatch from stage 0
-///   after exponential, jittered backoff while attempts and the
-///   [`RetryBudget`](crate::RetryBudget) allow, else resolve the query
-///   timed-out-final;
-/// * an optional **hedge** — after a fixed or quantile-derived delay, a
-///   duplicate lane dispatches to a different replica of the entry
-///   group; the first lane to finish wins and the loser is cancelled
-///   lazily.
-///
-/// Per-run [`ResilienceStats`] land in
-/// [`SimResult::resilience`](crate::SimResult::resilience); timed-out
-/// queries count per-window in
-/// [`WindowStats::timed_out`](crate::WindowStats::timed_out).
-/// Conservation holds as `completed + shed + dropped + timed_out ==
-/// num_queries` on open-loop runs. With an inert config (no timeout, no
-/// hedge) the run is bit-identical to [`serve_routed`] plus the
-/// lifecycle machinery (pinned by proptest). Resilient runs always use
-/// the serial loop — lane duplication breaks sharding's
-/// stage-independence.
-///
-/// # Errors
-///
-/// Returns [`SimError::NoAvailableReplica`] under [`serve_lifecycle`]'s
-/// rule.
-///
-/// # Panics
-///
-/// Panics if the pipeline has no stages, `num_queries == 0`, the
-/// pipeline has more than 4095 stages, or the retry policy allows more
-/// than 255 attempts (packed-event layout bounds).
-#[allow(clippy::too_many_arguments)]
-pub fn serve_resilient(
-    spec: &PipelineSpec,
-    arrivals: &dyn ArrivalProcess,
-    policy: &dyn SchedulingPolicy,
-    router: &dyn Router,
-    num_queries: usize,
-    seed: u64,
-    cfg: &LifecycleConfig,
-    resilience: &ResilienceConfig,
-) -> Result<SimResult, SimError> {
-    assert!(!spec.stages().is_empty(), "pipeline has no stages");
-    assert!(num_queries > 0, "need at least one query");
-    let mut sim = Sim::new(spec, arrivals, policy, router, num_queries, seed);
-    sim.enable_lifecycle(cfg);
-    sim.enable_resilience(resilience, seed);
-    sim.run()
 }
 
 /// The simulator state. `#[repr(C)]` pins the declared field order in
@@ -889,7 +636,7 @@ const RQ_LIVE: u8 = 1;
 /// surviving lanes are carcasses.
 const RQ_DONE: u8 = 2;
 
-/// Query-level resilience runtime (see [`serve_resilient`]): per-query
+/// Query-level resilience runtime (see [`Scenario::resilience`]): per-query
 /// lane generations and attempt counts, the retry token bucket, the
 /// completed-latency reservoir behind quantile hedge delays, and the
 /// run's [`ResilienceStats`]. Boxed behind an `Option` at the
@@ -995,7 +742,7 @@ impl ResilienceRt {
     }
 }
 
-/// Multi-path runtime state (see [`serve_multipath`]): the admission
+/// Multi-path runtime state (see [`Scenario::multipath`]): the admission
 /// seam plus per-path accounting. Boxed behind an `Option` at the
 /// simulator's cold tail — single-pipeline runs never touch it.
 struct MultipathRt<'a> {
@@ -1054,10 +801,11 @@ pub(crate) trait ShardSource {
     fn next_arrival(&mut self) -> Option<(f64, usize, f64)>;
 }
 
-/// What one stage shard contributes to the merged [`SimResult`]: its
-/// group's utilization integrals plus the head's arrival span and the
-/// tail's latency/throughput/completion records.
-pub(crate) struct ShardOutcome {
+/// A run's raw totals (per-slot busy integrals, clocks, launch counts,
+/// post-warmup records). The serial loop and the sharded merge both
+/// reduce to one and assemble their [`SimResult`] through
+/// [`into_result`](Self::into_result), so the two agree by construction.
+pub(crate) struct RunTotals {
     pub(crate) busy_unit_seconds: Vec<f64>,
     pub(crate) last_time: f64,
     pub(crate) launches: u64,
@@ -1068,17 +816,65 @@ pub(crate) struct ShardOutcome {
     pub(crate) arrival_span: f64,
 }
 
+impl RunTotals {
+    /// Assembles the run's [`SimResult`] core: utilization, saturation,
+    /// and mean batch. `rate_overload` is the open-loop offered-load
+    /// test against the workload's fully-batched capacity.
+    pub(crate) fn into_result(self, spec: &PipelineSpec, rate_overload: bool) -> SimResult {
+        let span = self.last_time.max(f64::MIN_POSITIVE);
+        // Utilization per group aggregates its replicas; the per-replica
+        // breakdown is reported only for replicated pipelines, keeping
+        // single-replica results identical to the pre-cluster simulator.
+        let per_replica = spec.has_replication();
+        let mut utilization = Vec::with_capacity(spec.resources().len());
+        let mut replica_utilization = Vec::new();
+        let mut busy = self.busy_unit_seconds.as_slice();
+        for r in spec.resources() {
+            let (group, rest) = busy.split_at(r.replicas());
+            busy = rest;
+            let total: f64 = group.iter().sum();
+            utilization.push((total / (r.total_units() as f64 * span)).min(1.0));
+            if per_replica {
+                let each = group.iter().zip(r.profiles());
+                let each = each.map(|(&b, p)| (b / (p.capacity as f64 * span)).min(1.0));
+                replica_utilization.push(each.collect());
+            }
+        }
+        let saturated =
+            rate_overload || self.last_time > self.arrival_span * 1.5 + spec.service_floor();
+        let mean_batch = if self.launches > 0 {
+            self.served as f64 / self.launches as f64
+        } else {
+            1.0
+        };
+        SimResult::new(
+            self.latency,
+            self.qps,
+            self.completed,
+            saturated,
+            utilization,
+        )
+        .with_mean_batch(mean_batch)
+        .with_replica_utilization(replica_utilization)
+    }
+}
+
+/// What every run is built from: the spec served, its traffic, the
+/// scheduling and routing policies, the query count, and the seed.
+#[derive(Clone, Copy)]
+pub(crate) struct Inputs<'a> {
+    pub(crate) spec: &'a PipelineSpec,
+    pub(crate) arrivals: &'a dyn ArrivalProcess,
+    pub(crate) policy: &'a dyn SchedulingPolicy,
+    pub(crate) router: &'a dyn Router,
+    pub(crate) num_queries: usize,
+    pub(crate) seed: u64,
+}
+
 impl<'a> Sim<'a> {
-    fn new(
-        spec: &'a PipelineSpec,
-        arrivals: &'a dyn ArrivalProcess,
-        policy: &'a dyn SchedulingPolicy,
-        router: &'a dyn Router,
-        num_queries: usize,
-        seed: u64,
-    ) -> Self {
-        let mut sim = Self::new_inner(spec, arrivals, policy, router, num_queries, seed, false);
-        sim.stage_schedule(seed);
+    pub(crate) fn new(inputs: Inputs<'a>) -> Self {
+        let mut sim = Self::new_inner(inputs, false);
+        sim.stage_schedule(inputs.seed);
         sim
     }
 
@@ -1089,40 +885,31 @@ impl<'a> Sim<'a> {
     /// stage groups, so a same-group affinity prior can never exist),
     /// completion-time recording, and — for the head shard only — the
     /// arrival schedule.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new_shard(
-        spec: &'a PipelineSpec,
-        arrivals: &'a dyn ArrivalProcess,
-        policy: &'a dyn SchedulingPolicy,
-        router: &'a dyn Router,
-        num_queries: usize,
-        seed: u64,
+        inputs: Inputs<'a>,
         stage: usize,
         out: Option<&'a mut dyn ShardSink>,
     ) -> Self {
-        let mut sim = Self::new_inner(spec, arrivals, policy, router, num_queries, seed, true);
+        let mut sim = Self::new_inner(inputs, true);
         sim.shard_out = out;
         if stage == 0 {
-            sim.stage_schedule(seed);
+            sim.stage_schedule(inputs.seed);
         }
         sim
     }
 
-    fn new_inner(
-        spec: &'a PipelineSpec,
-        arrivals: &'a dyn ArrivalProcess,
-        policy: &'a dyn SchedulingPolicy,
-        router: &'a dyn Router,
-        num_queries: usize,
-        seed: u64,
-        shard: bool,
-    ) -> Self {
-        // Packed heap events store query indices in 32 bits.
-        assert!(
-            num_queries <= u32::MAX as usize,
-            "at most {} queries per run",
-            u32::MAX
-        );
+    fn new_inner(inputs: Inputs<'a>, shard: bool) -> Self {
+        let Inputs {
+            spec,
+            arrivals,
+            policy,
+            router,
+            num_queries,
+            seed,
+        } = inputs;
+        // Packed heap events store query indices in 32 bits
+        // (validated by `Scenario::run`).
+        debug_assert!(num_queries <= u32::MAX as usize);
         let resources = spec.resources();
         let mut slot_base = Vec::with_capacity(resources.len());
         let mut slot_group = Vec::new();
@@ -1154,7 +941,7 @@ impl<'a> Sim<'a> {
         let track_est = router.uses_estimates();
         let track_hist = !shard && router.uses_history() && num_stages > 1;
         // Shards keep the serial recording mode so even the raw sample
-        // *order* inside the unfolded collector matches `serve_routed`:
+        // *order* inside the unfolded collector matches the serial loop:
         // below the scale threshold the tail shard replays its
         // query-indexed finish vector, above it both loops stream into
         // the order-independent folded sinks.
@@ -1360,7 +1147,7 @@ impl<'a> Sim<'a> {
     /// processed before the lifecycle event that would have masked its
     /// replica, and two same-time lifecycle events fire in schedule
     /// order.
-    fn enable_lifecycle(&mut self, cfg: &LifecycleConfig) {
+    pub(crate) fn enable_lifecycle(&mut self, cfg: &LifecycleConfig) {
         self.failure_policy = cfg.failure_policy;
         self.warmup_speed = cfg.warmup_speed;
         let resources = self.spec.resources();
@@ -1391,8 +1178,14 @@ impl<'a> Sim<'a> {
 
     /// Arms closed-loop autoscaling: replicas `initial_replicas..` of
     /// the scaled group start down, and every closing telemetry window
-    /// consults `controller` (see [`serve_autoscaled`]).
-    fn enable_autoscale(&mut self, cfg: &AutoscaleConfig, controller: &'a mut dyn FleetController) {
+    /// consults `controller` (see [`Scenario::autoscale`]).
+    ///
+    /// [`Scenario::autoscale`]: crate::Scenario::autoscale
+    pub(crate) fn enable_autoscale(
+        &mut self,
+        cfg: &AutoscaleConfig,
+        controller: &'a mut dyn FleetController,
+    ) {
         self.scale = Some(ScaleRt {
             group: cfg.group,
             min: cfg.min_replicas,
@@ -1420,7 +1213,12 @@ impl<'a> Sim<'a> {
     /// event stream is identical to the plain routed loop.
     ///
     /// [`AlwaysPrimary`]: crate::AlwaysPrimary
-    fn enable_multipath(&mut self, paths: &PathSet, admission: &'a dyn AdmissionPolicy, seed: u64) {
+    pub(crate) fn enable_multipath(
+        &mut self,
+        paths: &PathSet,
+        admission: &'a dyn AdmissionPolicy,
+        seed: u64,
+    ) {
         debug_assert_eq!(paths.spec().stages().len(), self.stages.len());
         let n = paths.num_paths();
         let profiles = paths.profiles();
@@ -1458,17 +1256,10 @@ impl<'a> Sim<'a> {
     /// `resil_active` false, so the event stream — and therefore the
     /// whole run — is bit-identical to the plain routed loop (pinned by
     /// proptest).
-    fn enable_resilience(&mut self, cfg: &ResilienceConfig, seed: u64) {
-        assert!(
-            self.stages.len() <= RES_STAGE_MASK as usize,
-            "resilient runs support at most {} stages",
-            RES_STAGE_MASK
-        );
-        assert!(
-            cfg.retry.max_attempts <= u8::MAX as usize,
-            "at most {} attempts per query",
-            u8::MAX
-        );
+    pub(crate) fn enable_resilience(&mut self, cfg: &ResilienceConfig, seed: u64) {
+        // Packed lane payloads bound both (validated by `Scenario::run`).
+        debug_assert!(self.stages.len() <= MAX_RESILIENT_STAGES);
+        debug_assert!(cfg.retry.max_attempts <= MAX_ATTEMPTS);
         let active = !cfg.is_inert();
         let n = if active { self.num_queries } else { 0 };
         let (has_budget, bucket_cap, refill) = match cfg.retry.budget {
@@ -1523,10 +1314,10 @@ impl<'a> Sim<'a> {
             let gen = (packed >> 32) as u32 & RES_GEN_MASK;
             // simlint: allow(packing-cast) -- a single bit survives the >> 63
             let lane = (packed >> 63) as u32;
-            // simlint: allow(packing-cast) -- stage < 2^12 (pipeline depth, asserted at build)
+            // simlint: allow(packing-cast) -- stage < 2^12 (pipeline depth, validated by Scenario::run)
             stage as u32 | (gen << RES_STAGE_BITS) | (lane << 31)
         } else {
-            // simlint: allow(packing-cast) -- stage < 2^12 (pipeline depth, asserted at build)
+            // simlint: allow(packing-cast) -- stage < 2^12 (pipeline depth, validated by Scenario::run)
             stage as u32
         };
         self.heap
@@ -2764,7 +2555,7 @@ impl<'a> Sim<'a> {
             .push(Event::arrive(self.arrival_time[next], next as u64, next, 0));
     }
 
-    fn run(mut self) -> Result<SimResult, SimError> {
+    pub(crate) fn run(mut self) -> Result<SimResult, SimError> {
         while let Some(event) = self.heap.pop() {
             let now = event.time;
             if self.telemetry_active {
@@ -2927,7 +2718,7 @@ impl<'a> Sim<'a> {
         mut self,
         stage: usize,
         mut input: Option<&mut dyn ShardSource>,
-    ) -> ShardOutcome {
+    ) -> RunTotals {
         match input.as_mut() {
             None => {
                 while let Some(event) = self.heap.pop() {
@@ -2960,7 +2751,7 @@ impl<'a> Sim<'a> {
                 }
             }
         }
-        self.finish_shard()
+        self.totals()
     }
 
     /// One event of a stage shard's loop — the lifecycle-free subset of
@@ -2995,10 +2786,11 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Extracts what this shard contributes to the merged result.
-    fn finish_shard(mut self) -> ShardOutcome {
+    /// Takes the run's raw totals (a stage shard's contribution to the
+    /// merged result).
+    fn totals(&mut self) -> RunTotals {
         let (latency, qps) = self.collect_latency();
-        ShardOutcome {
+        RunTotals {
             busy_unit_seconds: std::mem::take(&mut self.busy_unit_seconds),
             last_time: self.last_time,
             launches: self.launches,
@@ -3084,70 +2876,21 @@ impl<'a> Sim<'a> {
             let end = self.integral_t;
             self.close_window(end);
         }
-        // Collect post-warmup latencies: already streamed into the
-        // completion-time sinks at scale, replayed in query order from
-        // the finish vector otherwise (identical multisets — every
-        // accessor agrees).
-        let arrival_span = self.arrival_span;
-        let (latency, qps) = self.collect_latency();
-
-        let span = self.last_time.max(f64::MIN_POSITIVE);
-        // Utilization per resource group aggregates across its replicas
-        // (identical to the per-pool number when replicas = 1); the
-        // per-replica breakdown is reported only for replicated
-        // pipelines so single-replica results stay bit-identical to the
-        // pre-cluster simulator.
-        let resources = self.spec.resources();
-        let utilization: Vec<f64> = resources
-            .iter()
-            .enumerate()
-            .map(|(g, r)| {
-                let base = self.slot_base[g];
-                let busy: f64 = self.busy_unit_seconds[base..base + r.replicas()]
-                    .iter()
-                    .sum();
-                (busy / (r.total_units() as f64 * span)).min(1.0)
-            })
-            .collect();
-        let replica_utilization: Vec<Vec<f64>> = if self.spec.has_replication() {
-            resources
-                .iter()
-                .enumerate()
-                .map(|(g, r)| {
-                    let base = self.slot_base[g];
-                    self.busy_unit_seconds[base..base + r.replicas()]
-                        .iter()
-                        .zip(&self.slot_capacity[base..base + r.replicas()])
-                        .map(|(&busy, &capacity)| (busy / (capacity as f64 * span)).min(1.0))
-                        .collect()
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-
         // Saturation: open-loop offered load beyond the fully-batched
         // analytic capacity (identical to `max_qps()` for per-query
-        // stages), or the drain time greatly exceeds the arrival span.
-        // Closed loops self-regulate, so only the backlog test applies.
+        // stages). Closed loops self-regulate, so only the backlog test
+        // applies. Multi-path runs compare the offered rate against the
+        // *best single path's* capacity (the concatenated spec's own
+        // bound sums every path's load as if each query took all of
+        // them); for a single-path set the figure is bit-equal to the
+        // spec's.
         let offered = self.arrivals.mean_rate();
-        // Multi-path runs compare the offered rate against the *best
-        // single path's* capacity (the concatenated spec's own bound
-        // sums every path's load as if each query took all of them);
-        // for a single-path set the figure is bit-equal to the spec's.
         let full_batch_qps = match self.mp.as_ref() {
             Some(mp) => mp.max_full_batch_qps,
             None => self.spec.max_qps_at_full_batch(),
         };
         let rate_overload = self.think_time_s.is_none() && offered > full_batch_qps;
-        let saturated =
-            rate_overload || self.last_time > arrival_span * 1.5 + self.spec.service_floor();
-
-        let mean_batch = if self.launches > 0 {
-            self.served as f64 / self.launches as f64
-        } else {
-            1.0
-        };
+        let core = self.totals().into_result(self.spec, rate_overload);
         let (path_stats, admission_shed) = match self.mp.take() {
             Some(mp) => {
                 let MultipathRt {
@@ -3179,9 +2922,7 @@ impl<'a> Sim<'a> {
             }
             None => (Vec::new(), 0),
         };
-        let result = SimResult::new(latency, qps, self.completed, saturated, utilization)
-            .with_mean_batch(mean_batch)
-            .with_replica_utilization(replica_utilization)
+        let result = core
             .with_lifecycle_outcome(
                 self.shed,
                 self.dropped,
@@ -3199,11 +2940,11 @@ impl<'a> Sim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BatchModel, BatchWindow, EarliestDeadlineFirst, ResourceSpec};
-    use recpipe_data::{ClosedLoopArrivals, DiurnalArrivals, MmppArrivals};
+    use crate::{BatchModel, BatchWindow, EarliestDeadlineFirst, ReplicaGroup, Scenario};
+    use recpipe_data::{ClosedLoopArrivals, DiurnalArrivals, MmppArrivals, PoissonArrivals};
 
     fn single_stage(servers: usize, service: f64) -> PipelineSpec {
-        PipelineSpec::new(vec![ResourceSpec::new("r", servers)])
+        PipelineSpec::new(vec![ReplicaGroup::new("r", servers)])
             .with_stage(StageSpec::new("s", 0, 1, service))
             .unwrap()
     }
@@ -3214,7 +2955,7 @@ mod tests {
         max_batch: usize,
         marginal: f64,
     ) -> PipelineSpec {
-        PipelineSpec::new(vec![ResourceSpec::new("r", servers)])
+        PipelineSpec::new(vec![ReplicaGroup::new("r", servers)])
             .with_stage(
                 StageSpec::new("s", 0, 1, service).with_batch(BatchModel::new(max_batch, marginal)),
             )
@@ -3288,8 +3029,8 @@ mod tests {
     #[test]
     fn multi_stage_latency_sums_floors() {
         let spec = PipelineSpec::new(vec![
-            ResourceSpec::new("gpu", 1),
-            ResourceSpec::new("cpu", 16),
+            ReplicaGroup::new("gpu", 1),
+            ReplicaGroup::new("cpu", 16),
         ])
         .with_stage(StageSpec::new("front", 0, 1, 0.001))
         .unwrap()
@@ -3304,14 +3045,14 @@ mod tests {
     fn shared_resource_contention_raises_latency() {
         // Two stages sharing one pool must be slower than the same stages
         // on dedicated pools of the same per-stage size at high load.
-        let shared = PipelineSpec::new(vec![ResourceSpec::new("cpu", 8)])
+        let shared = PipelineSpec::new(vec![ReplicaGroup::new("cpu", 8)])
             .with_stage(StageSpec::new("a", 0, 1, 0.004))
             .unwrap()
             .with_stage(StageSpec::new("b", 0, 1, 0.004))
             .unwrap();
         let dedicated = PipelineSpec::new(vec![
-            ResourceSpec::new("cpu0", 8),
-            ResourceSpec::new("cpu1", 8),
+            ReplicaGroup::new("cpu0", 8),
+            ReplicaGroup::new("cpu1", 8),
         ])
         .with_stage(StageSpec::new("a", 0, 1, 0.004))
         .unwrap()
@@ -3339,7 +3080,7 @@ mod tests {
     fn multi_unit_stages_consume_more_capacity() {
         // units=2 halves the effective parallelism → saturation at half
         // the QPS.
-        let spec = PipelineSpec::new(vec![ResourceSpec::new("cpu", 4)])
+        let spec = PipelineSpec::new(vec![ReplicaGroup::new("cpu", 4)])
             .with_stage(StageSpec::new("wide", 0, 2, 0.01))
             .unwrap();
         assert!((spec.max_qps() - 200.0).abs() < 1e-9);
@@ -3350,37 +3091,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "no stages")]
     fn empty_pipeline_panics() {
-        let spec = PipelineSpec::new(vec![ResourceSpec::new("r", 1)]);
+        let spec = PipelineSpec::new(vec![ReplicaGroup::new("r", 1)]);
         spec.simulate(10.0, 10, 0);
     }
 
     // ------------------------------------------------------------------
     // qsim v2: batching, policies, arrival processes
     // ------------------------------------------------------------------
-
-    #[test]
-    fn serve_with_fifo_poisson_matches_simulate_exactly() {
-        // The legacy interface is a wrapper; on per-query specs the two
-        // paths must agree bit-for-bit, including the saturation flag.
-        let specs = [
-            single_stage(4, 0.005),
-            PipelineSpec::new(vec![
-                ResourceSpec::new("gpu", 1),
-                ResourceSpec::new("cpu", 16),
-            ])
-            .with_stage(StageSpec::new("front", 0, 1, 0.001))
-            .unwrap()
-            .with_stage(StageSpec::new("back", 1, 2, 0.006))
-            .unwrap(),
-        ];
-        for spec in &specs {
-            for (qps, seed) in [(120.0, 3u64), (900.0, 17)] {
-                let legacy = spec.simulate(qps, 2_000, seed);
-                let v2 = spec.serve(&PoissonArrivals::new(qps), &Fifo, 2_000, seed);
-                assert_eq!(legacy, v2);
-            }
-        }
-    }
 
     #[test]
     fn mean_batch_is_one_without_batching() {
@@ -3399,8 +3116,10 @@ mod tests {
         assert!(batched.max_qps_at_full_batch() > 4.0 * per_query.max_qps());
 
         let arrivals = PoissonArrivals::new(300.0);
-        let slow = per_query.serve(&arrivals, &Fifo, 6_000, 21);
-        let fast = batched.serve(&arrivals, &Fifo, 6_000, 21);
+        let slow = Scenario::new(&per_query, &arrivals, 6_000, 21)
+            .run()
+            .unwrap();
+        let fast = Scenario::new(&batched, &arrivals, 6_000, 21).run().unwrap();
         assert!(slow.saturated);
         assert!(!fast.saturated, "batched run saturated");
         assert!(
@@ -3417,12 +3136,10 @@ mod tests {
         // A lone query waits out the window before launching.
         let spec = batched_stage(2, 0.002, 8, 0.1);
         let window = 0.004;
-        let mut out = spec.serve(
-            &PoissonArrivals::new(5.0),
-            &BatchWindow::new(window),
-            400,
-            2,
-        );
+        let mut out = Scenario::new(&spec, &PoissonArrivals::new(5.0), 400, 2)
+            .policy(&BatchWindow::new(window))
+            .run()
+            .unwrap();
         let p50 = out.latency.p50().as_secs_f64();
         assert!(
             (p50 - (window + 0.002)).abs() < 1e-3,
@@ -3435,8 +3152,9 @@ mod tests {
     fn batch_window_forms_larger_batches_than_greedy_fifo() {
         let spec = batched_stage(1, 0.004, 8, 0.2);
         let arrivals = PoissonArrivals::new(400.0);
-        let fifo = spec.serve(&arrivals, &Fifo, 4_000, 5);
-        let windowed = spec.serve(&arrivals, &BatchWindow::new(0.01), 4_000, 5);
+        let scenario = || Scenario::new(&spec, &arrivals, 4_000, 5);
+        let fifo = scenario().run().unwrap();
+        let windowed = scenario().policy(&BatchWindow::new(0.01)).run().unwrap();
         assert!(
             windowed.mean_batch > fifo.mean_batch,
             "windowed {} vs fifo {}",
@@ -3451,8 +3169,12 @@ mod tests {
         // tight one launches almost immediately.
         let spec = batched_stage(1, 0.004, 8, 0.2);
         let arrivals = PoissonArrivals::new(300.0);
-        let tight = spec.serve(&arrivals, &EarliestDeadlineFirst::new(0.002), 3_000, 5);
-        let loose = spec.serve(&arrivals, &EarliestDeadlineFirst::new(0.2), 3_000, 5);
+        let run = |policy: &dyn SchedulingPolicy| {
+            let scenario = Scenario::new(&spec, &arrivals, 3_000, 5);
+            scenario.policy(policy).run().unwrap()
+        };
+        let tight = run(&EarliestDeadlineFirst::new(0.002));
+        let loose = run(&EarliestDeadlineFirst::new(0.2));
         assert!(
             loose.mean_batch > tight.mean_batch + 0.2,
             "loose {} vs tight {}",
@@ -3467,13 +3189,13 @@ mod tests {
         // slack window never engages (max_batch = 1): EDF degenerates
         // to FIFO exactly.
         let spec = single_stage(2, 0.006);
-        let a = spec.serve(&PoissonArrivals::new(250.0), &Fifo, 2_000, 8);
-        let b = spec.serve(
-            &PoissonArrivals::new(250.0),
-            &EarliestDeadlineFirst::new(0.05),
-            2_000,
-            8,
-        );
+        let a = Scenario::new(&spec, &PoissonArrivals::new(250.0), 2_000, 8)
+            .run()
+            .unwrap();
+        let b = Scenario::new(&spec, &PoissonArrivals::new(250.0), 2_000, 8)
+            .policy(&EarliestDeadlineFirst::new(0.05))
+            .run()
+            .unwrap();
         assert_eq!(a, b);
     }
 
@@ -3483,14 +3205,18 @@ mod tests {
         // a query that already waited at stage 0 queues behind fresh
         // stage-0 arrivals at stage 1. EDF orders by system age and
         // pulls stragglers forward, trimming the tail.
-        let spec = PipelineSpec::new(vec![ResourceSpec::new("cpu", 4)])
+        let spec = PipelineSpec::new(vec![ReplicaGroup::new("cpu", 4)])
             .with_stage(StageSpec::new("a", 0, 1, 0.003))
             .unwrap()
             .with_stage(StageSpec::new("b", 0, 1, 0.003))
             .unwrap();
         let arrivals = MmppArrivals::new(200.0, 1_200.0, 0.3, 0.1);
-        let mut fifo = spec.serve(&arrivals, &Fifo, 12_000, 3);
-        let mut edf = spec.serve(&arrivals, &EarliestDeadlineFirst::new(0.02), 12_000, 3);
+        let scenario = || Scenario::new(&spec, &arrivals, 12_000, 3);
+        let mut fifo = scenario().run().unwrap();
+        let mut edf = scenario()
+            .policy(&EarliestDeadlineFirst::new(0.02))
+            .run()
+            .unwrap();
         assert_eq!(edf.completed, 12_000);
         assert!(
             edf.latency.p99() <= fifo.latency.p99(),
@@ -3507,8 +3233,8 @@ mod tests {
         let poisson = PoissonArrivals::new(500.0);
         let bursty = MmppArrivals::new(125.0, 1_625.0, 0.3, 0.1);
         assert!((bursty.mean_rate() - 500.0).abs() < 1.0);
-        let mut smooth = spec.serve(&poisson, &Fifo, 20_000, 6);
-        let mut spiky = spec.serve(&bursty, &Fifo, 20_000, 6);
+        let mut smooth = Scenario::new(&spec, &poisson, 20_000, 6).run().unwrap();
+        let mut spiky = Scenario::new(&spec, &bursty, 20_000, 6).run().unwrap();
         assert!(
             spiky.latency.p99() > smooth.latency.p99(),
             "bursty p99 {:?} vs poisson p99 {:?}",
@@ -3521,7 +3247,7 @@ mod tests {
     fn diurnal_arrivals_complete_and_stay_stable_under_capacity() {
         let spec = single_stage(8, 0.004); // capacity 2000 QPS
         let diurnal = DiurnalArrivals::new(100.0, 1_500.0, 4.0);
-        let out = spec.serve(&diurnal, &Fifo, 10_000, 9);
+        let out = Scenario::new(&spec, &diurnal, 10_000, 9).run().unwrap();
         assert_eq!(out.completed, 10_000);
         assert!(!out.saturated);
     }
@@ -3533,7 +3259,7 @@ mod tests {
         // work at the population size.
         let spec = single_stage(1, 0.01);
         let closed = ClosedLoopArrivals::new(8, 0.01); // nominal 800 QPS
-        let mut out = spec.serve(&closed, &Fifo, 3_000, 4);
+        let mut out = Scenario::new(&spec, &closed, 3_000, 4).run().unwrap();
         assert_eq!(out.completed, 3_000);
         // Worst case a query waits behind the 7 other in-flight queries.
         assert!(
@@ -3549,7 +3275,7 @@ mod tests {
         // N clients, service s, think z: X = N / (R + z), R >= s.
         let spec = single_stage(4, 0.01);
         let closed = ClosedLoopArrivals::new(4, 0.03);
-        let out = spec.serve(&closed, &Fifo, 5_000, 7);
+        let out = Scenario::new(&spec, &closed, 5_000, 7).run().unwrap();
         let expected = 4.0 / (0.01 + 0.03);
         assert!(
             (out.qps - expected).abs() / expected < 0.05,
@@ -3563,8 +3289,9 @@ mod tests {
         let spec = batched_stage(2, 0.005, 4, 0.3);
         let arrivals = MmppArrivals::new(100.0, 900.0, 0.2, 0.1);
         let policy = BatchWindow::new(0.003);
-        let a = spec.serve(&arrivals, &policy, 3_000, 11);
-        let b = spec.serve(&arrivals, &policy, 3_000, 11);
+        let scenario = || Scenario::new(&spec, &arrivals, 3_000, 11);
+        let a = scenario().policy(&policy).run().unwrap();
+        let b = scenario().policy(&policy).run().unwrap();
         assert_eq!(a, b);
     }
 
@@ -3572,7 +3299,7 @@ mod tests {
     // qsim v3: replica groups and routers
     // ------------------------------------------------------------------
 
-    use crate::{JoinShortestQueue, PowerOfTwoChoices, ReplicaGroup, RoundRobin, Router};
+    use crate::{JoinShortestQueue, PowerOfTwoChoices, RoundRobin, Router};
 
     /// Mixed job sizes on one replicated fleet — the scenario where
     /// load-aware routing matters: a replica grinding a long backend
@@ -3598,21 +3325,22 @@ mod tests {
     #[test]
     fn single_replica_serve_routed_matches_serve_for_every_router() {
         // With one replica per group, routing has no choices: every
-        // router must reproduce `serve()` bit-for-bit — the cluster
+        // router must reproduce round-robin bit-for-bit — the cluster
         // redesign is invisible until replicas appear.
         let spec = PipelineSpec::new(vec![
-            ResourceSpec::new("gpu", 1),
-            ResourceSpec::new("cpu", 16),
+            ReplicaGroup::new("gpu", 1),
+            ReplicaGroup::new("cpu", 16),
         ])
         .with_stage(StageSpec::new("front", 0, 1, 0.001))
         .unwrap()
         .with_stage(StageSpec::new("back", 1, 2, 0.006))
         .unwrap();
         let arrivals = MmppArrivals::new(100.0, 900.0, 0.3, 0.1);
-        let baseline = spec.serve(&arrivals, &Fifo, 2_000, 13);
+        let scenario = || Scenario::new(&spec, &arrivals, 2_000, 13);
+        let baseline = scenario().run().unwrap();
         let routers: [&dyn Router; 3] = [&RoundRobin, &JoinShortestQueue, &PowerOfTwoChoices];
         for router in routers {
-            let routed = spec.serve_routed(&arrivals, &Fifo, router, 2_000, 13);
+            let routed = scenario().router(router).run().unwrap();
             assert_eq!(baseline, routed, "router {}", router.name());
         }
         assert!(baseline.replica_utilization.is_empty());
@@ -3627,9 +3355,10 @@ mod tests {
         let spec = mixed_fleet(4);
         let qps = 0.9 * spec.max_qps();
         let arrivals = PoissonArrivals::new(qps);
-        let mut rr = spec.serve_routed(&arrivals, &Fifo, &RoundRobin, 15_000, 7);
-        let mut jsq = spec.serve_routed(&arrivals, &Fifo, &JoinShortestQueue, 15_000, 7);
-        let mut po2 = spec.serve_routed(&arrivals, &Fifo, &PowerOfTwoChoices, 15_000, 7);
+        let scenario = || Scenario::new(&spec, &arrivals, 15_000, 7);
+        let mut rr = scenario().run().unwrap();
+        let mut jsq = scenario().router(&JoinShortestQueue).run().unwrap();
+        let mut po2 = scenario().router(&PowerOfTwoChoices).run().unwrap();
         assert_eq!(rr.completed, 15_000);
         assert!(
             jsq.p99_seconds() < rr.p99_seconds() * 0.8,
@@ -3648,13 +3377,9 @@ mod tests {
     #[test]
     fn replicated_runs_report_per_replica_utilization() {
         let spec = mixed_fleet(4);
-        let out = spec.serve_routed(
-            &PoissonArrivals::new(0.5 * spec.max_qps()),
-            &Fifo,
-            &RoundRobin,
-            4_000,
-            3,
-        );
+        let out = Scenario::new(&spec, &PoissonArrivals::new(0.5 * spec.max_qps()), 4_000, 3)
+            .run()
+            .unwrap();
         assert_eq!(out.replica_utilization.len(), 1);
         assert_eq!(out.replica_utilization[0].len(), 4);
         // The group aggregate is the mean of its replicas (equal
@@ -3667,13 +3392,8 @@ mod tests {
         let uniform = PipelineSpec::new(vec![ReplicaGroup::replicated("worker", 1, 4)])
             .with_stage(StageSpec::new("rank", 0, 1, 0.004))
             .unwrap();
-        let balanced = uniform.serve_routed(
-            &PoissonArrivals::new(0.5 * uniform.max_qps()),
-            &Fifo,
-            &RoundRobin,
-            4_000,
-            3,
-        );
+        let arrivals = PoissonArrivals::new(0.5 * uniform.max_qps());
+        let balanced = Scenario::new(&uniform, &arrivals, 4_000, 3).run().unwrap();
         assert!(
             balanced.replica_imbalance() < 0.05,
             "imbalance {}",
@@ -3686,10 +3406,13 @@ mod tests {
         let spec = mixed_fleet(1);
         let qps = 2.0 * spec.max_qps();
         let arrivals = PoissonArrivals::new(qps);
-        let alone = spec.serve(&arrivals, &Fifo, 4_000, 9);
+        let alone = Scenario::new(&spec, &arrivals, 4_000, 9).run().unwrap();
         assert!(alone.saturated);
         let fleet = mixed_fleet(4);
-        let scaled = fleet.serve_routed(&arrivals, &Fifo, &JoinShortestQueue, 4_000, 9);
+        let scaled = Scenario::new(&fleet, &arrivals, 4_000, 9)
+            .router(&JoinShortestQueue)
+            .run()
+            .unwrap();
         assert!(!scaled.saturated);
         assert!(scaled.qps > alone.qps);
     }
@@ -3699,10 +3422,13 @@ mod tests {
         let spec = mixed_fleet(3);
         let arrivals = MmppArrivals::new(80.0, 600.0, 0.3, 0.1);
         let routers: [&dyn Router; 3] = [&RoundRobin, &JoinShortestQueue, &PowerOfTwoChoices];
+        let window = BatchWindow::new(0.002);
         for router in routers {
-            let a = spec.serve_routed(&arrivals, &BatchWindow::new(0.002), router, 2_000, 5);
-            let b = spec.serve_routed(&arrivals, &BatchWindow::new(0.002), router, 2_000, 5);
-            assert_eq!(a, b, "router {}", router.name());
+            let run = || {
+                let scenario = Scenario::new(&spec, &arrivals, 2_000, 5);
+                scenario.policy(&window).router(router).run().unwrap()
+            };
+            assert_eq!(run(), run(), "router {}", router.name());
         }
     }
 
@@ -3714,13 +3440,11 @@ mod tests {
             .with_stage(StageSpec::new("rank", 0, 1, 0.004).with_batch(BatchModel::new(8, 0.2)))
             .unwrap();
         let arrivals = PoissonArrivals::new(600.0);
-        let out = spec.serve_routed(
-            &arrivals,
-            &BatchWindow::new(0.004),
-            &JoinShortestQueue,
-            6_000,
-            2,
-        );
+        let out = Scenario::new(&spec, &arrivals, 6_000, 2)
+            .policy(&BatchWindow::new(0.004))
+            .router(&JoinShortestQueue)
+            .run()
+            .unwrap();
         assert_eq!(out.completed, 6_000);
         assert!(out.mean_batch > 1.5, "mean batch {}", out.mean_batch);
         assert!(out.mean_batch <= 8.0 + 1e-12);
@@ -3765,13 +3489,10 @@ mod tests {
         )])
         .with_stage(StageSpec::new("rank", 0, 1, 0.004))
         .unwrap();
-        let mut out = slow.serve_routed(
-            &PoissonArrivals::new(1.0),
-            &Fifo,
-            &JoinShortestQueue,
-            500,
-            2,
-        );
+        let mut out = Scenario::new(&slow, &PoissonArrivals::new(1.0), 500, 2)
+            .router(&JoinShortestQueue)
+            .run()
+            .unwrap();
         let p50 = out.latency.p50().as_secs_f64();
         assert!((p50 - 0.008).abs() < 1e-6, "p50 {p50}");
     }
@@ -3785,9 +3506,10 @@ mod tests {
         // around the slow generation's long drains and wins the tail.
         let spec = two_generation_fleet(2, 2, 0.4);
         let arrivals = PoissonArrivals::new(0.9 * spec.max_qps());
-        let mut jsq = spec.serve_routed(&arrivals, &Fifo, &JoinShortestQueue, 20_000, 7);
-        let mut lwl = spec.serve_routed(&arrivals, &Fifo, &LeastWorkLeft, 20_000, 7);
-        let mut ew = spec.serve_routed(&arrivals, &Fifo, &ExpectedWait, 20_000, 7);
+        let scenario = || Scenario::new(&spec, &arrivals, 20_000, 7);
+        let mut jsq = scenario().router(&JoinShortestQueue).run().unwrap();
+        let mut lwl = scenario().router(&LeastWorkLeft).run().unwrap();
+        let mut ew = scenario().router(&ExpectedWait).run().unwrap();
         assert_eq!(ew.completed, 20_000);
         assert!(
             ew.p99_seconds() < jsq.p99_seconds() * 0.9,
@@ -3810,8 +3532,9 @@ mod tests {
         // tails land within a modest band of each other.
         let spec = mixed_fleet(4);
         let arrivals = PoissonArrivals::new(0.9 * spec.max_qps());
-        let mut jsq = spec.serve_routed(&arrivals, &Fifo, &JoinShortestQueue, 15_000, 7);
-        let mut ew = spec.serve_routed(&arrivals, &Fifo, &ExpectedWait, 15_000, 7);
+        let scenario = || Scenario::new(&spec, &arrivals, 15_000, 7);
+        let mut jsq = scenario().router(&JoinShortestQueue).run().unwrap();
+        let mut ew = scenario().router(&ExpectedWait).run().unwrap();
         let ratio = ew.p99_seconds() / jsq.p99_seconds();
         assert!(
             (0.7..1.3).contains(&ratio),
@@ -3840,8 +3563,12 @@ mod tests {
             .flat_map(|b| std::iter::repeat_n(b as f64 * 0.040, 8))
             .collect();
         let burst = TraceArrivals::new(times);
-        let sticky = spec.serve_routed(&burst, &window, &Sticky::new(), 800, 7);
-        let jsq = spec.serve_routed(&burst, &window, &JoinShortestQueue, 800, 7);
+        let run = |router: &dyn Router| {
+            let scenario = Scenario::new(&spec, &burst, 800, 7).policy(&window);
+            scenario.router(router).run().unwrap()
+        };
+        let sticky = run(&Sticky::new());
+        let jsq = run(&JoinShortestQueue);
         assert_eq!(sticky.completed, 800);
         assert!(
             sticky.mean_batch > jsq.mean_batch + 0.3,
@@ -3856,10 +3583,13 @@ mod tests {
         let spec = two_generation_fleet(2, 2, 0.6);
         let arrivals = MmppArrivals::new(60.0, 400.0, 0.3, 0.1);
         let routers: [&dyn Router; 3] = [&ExpectedWait, &Sticky::new(), &JoinShortestQueue];
+        let window = BatchWindow::new(0.002);
         for router in routers {
-            let a = spec.serve_routed(&arrivals, &BatchWindow::new(0.002), router, 2_000, 5);
-            let b = spec.serve_routed(&arrivals, &BatchWindow::new(0.002), router, 2_000, 5);
-            assert_eq!(a, b, "router {}", router.name());
+            let run = || {
+                let scenario = Scenario::new(&spec, &arrivals, 2_000, 5);
+                scenario.policy(&window).router(router).run().unwrap()
+            };
+            assert_eq!(run(), run(), "router {}", router.name());
         }
     }
 
@@ -3873,13 +3603,10 @@ mod tests {
         )])
         .with_stage(StageSpec::new("rank", 0, 1, 0.004))
         .unwrap();
-        let out = spec.serve_routed(
-            &PoissonArrivals::new(0.6 * spec.max_qps()),
-            &Fifo,
-            &ExpectedWait,
-            5_000,
-            3,
-        );
+        let out = Scenario::new(&spec, &PoissonArrivals::new(0.6 * spec.max_qps()), 5_000, 3)
+            .router(&ExpectedWait)
+            .run()
+            .unwrap();
         assert_eq!(out.completed, 5_000);
         assert_eq!(out.replica_utilization[0].len(), 2);
         for u in &out.replica_utilization[0] {
@@ -3890,20 +3617,21 @@ mod tests {
     #[test]
     fn single_replica_serving_ignores_the_new_routers_too() {
         // ExpectedWait and Sticky on single-replica pipelines have no
-        // choices: results match `serve()` exactly, like every router.
+        // choices: results match round-robin exactly, like every router.
         let spec = PipelineSpec::new(vec![
-            ResourceSpec::new("gpu", 1),
-            ResourceSpec::new("cpu", 16),
+            ReplicaGroup::new("gpu", 1),
+            ReplicaGroup::new("cpu", 16),
         ])
         .with_stage(StageSpec::new("front", 0, 1, 0.001))
         .unwrap()
         .with_stage(StageSpec::new("back", 1, 2, 0.006))
         .unwrap();
         let arrivals = MmppArrivals::new(100.0, 900.0, 0.3, 0.1);
-        let baseline = spec.serve(&arrivals, &Fifo, 2_000, 13);
+        let scenario = || Scenario::new(&spec, &arrivals, 2_000, 13);
+        let baseline = scenario().run().unwrap();
         let routers: [&dyn Router; 2] = [&ExpectedWait, &Sticky::new()];
         for router in routers {
-            let routed = spec.serve_routed(&arrivals, &Fifo, router, 2_000, 13);
+            let routed = scenario().router(router).run().unwrap();
             assert_eq!(baseline, routed, "router {}", router.name());
         }
     }
@@ -3920,13 +3648,12 @@ mod tests {
         // less than a loose-slack EDF.
         let spec = batched_stage(1, 0.004, 8, 0.2);
         let arrivals = PoissonArrivals::new(300.0);
-        let eager = spec.serve(
-            &arrivals,
-            &EarliestDeadlineFirst::new(0.2).with_batch_slack(0.0),
-            3_000,
-            5,
-        );
-        let loose = spec.serve(&arrivals, &EarliestDeadlineFirst::new(0.2), 3_000, 5);
+        let run = |policy: &dyn SchedulingPolicy| {
+            let scenario = Scenario::new(&spec, &arrivals, 3_000, 5);
+            scenario.policy(policy).run().unwrap()
+        };
+        let eager = run(&EarliestDeadlineFirst::new(0.2).with_batch_slack(0.0));
+        let loose = run(&EarliestDeadlineFirst::new(0.2));
         assert_eq!(eager.completed, 3_000);
         assert!(
             loose.mean_batch > eager.mean_batch + 0.2,
@@ -3943,14 +3670,18 @@ mod tests {
         // everywhere and must fall back to admission order — exactly
         // FIFO. Per-query stages keep both policies work-equivalent.
         use recpipe_data::TraceArrivals;
-        let spec = PipelineSpec::new(vec![ResourceSpec::new("cpu", 2)])
+        let spec = PipelineSpec::new(vec![ReplicaGroup::new("cpu", 2)])
             .with_stage(StageSpec::new("a", 0, 1, 0.003))
             .unwrap()
             .with_stage(StageSpec::new("b", 0, 1, 0.005))
             .unwrap();
         let burst = TraceArrivals::new(vec![0.0; 64]);
-        let fifo = spec.serve(&burst, &Fifo, 64, 1);
-        let edf = spec.serve(&burst, &EarliestDeadlineFirst::new(0.05), 64, 1);
+        let scenario = || Scenario::new(&spec, &burst, 64, 1);
+        let fifo = scenario().run().unwrap();
+        let edf = scenario()
+            .policy(&EarliestDeadlineFirst::new(0.05))
+            .run()
+            .unwrap();
         assert_eq!(fifo.completed, 64);
         assert_eq!(fifo.latency, edf.latency);
         assert_eq!(fifo.qps, edf.qps);
@@ -3963,8 +3694,12 @@ mod tests {
         // issues new work when old work finishes.
         let spec = batched_stage(2, 0.004, 4, 0.3);
         let closed = ClosedLoopArrivals::new(12, 0.01);
-        let tight = spec.serve(&closed, &EarliestDeadlineFirst::new(0.005), 2_000, 4);
-        let loose = spec.serve(&closed, &EarliestDeadlineFirst::new(0.5), 2_000, 4);
+        let run = |policy: &dyn SchedulingPolicy| {
+            let scenario = Scenario::new(&spec, &closed, 2_000, 4);
+            scenario.policy(policy).run().unwrap()
+        };
+        let tight = run(&EarliestDeadlineFirst::new(0.005));
+        let loose = run(&EarliestDeadlineFirst::new(0.5));
         assert_eq!(tight.completed, 2_000);
         assert_eq!(loose.completed, 2_000);
         assert!(!tight.saturated && !loose.saturated);
@@ -3977,8 +3712,7 @@ mod tests {
             tight.mean_batch
         );
         // A run is reproducible under the completion-driven injection.
-        let again = spec.serve(&closed, &EarliestDeadlineFirst::new(0.5), 2_000, 4);
-        assert_eq!(loose, again);
+        assert_eq!(loose, run(&EarliestDeadlineFirst::new(0.5)));
     }
 
     // ------------------------------------------------------------------
@@ -3991,7 +3725,7 @@ mod tests {
     };
 
     fn replicated(replicas: usize, service: f64) -> PipelineSpec {
-        PipelineSpec::new(vec![ResourceSpec::replicated("r", 4, replicas)])
+        PipelineSpec::new(vec![ReplicaGroup::replicated("r", 4, replicas)])
             .with_stage(StageSpec::new("s", 0, 1, service))
             .unwrap()
     }
@@ -4002,9 +3736,12 @@ mod tests {
         let arrivals = MmppArrivals::new(200.0, 900.0, 0.3, 0.1);
         let routers: [&dyn Router; 3] = [&RoundRobin, &JoinShortestQueue, &Sticky::new()];
         for router in routers {
-            let plain = spec.serve_routed(&arrivals, &Fifo, router, 3_000, 11);
-            let lifecycle = spec
-                .serve_lifecycle(&arrivals, &Fifo, router, 3_000, 11, &LifecycleConfig::new())
+            let scenario = || Scenario::new(&spec, &arrivals, 3_000, 11);
+            let plain = scenario().router(router).run().unwrap();
+            let lifecycle = scenario()
+                .router(router)
+                .lifecycle(&LifecycleConfig::new())
+                .run()
                 .unwrap();
             assert_eq!(plain, lifecycle, "router {}", router.name());
         }
@@ -4019,22 +3756,15 @@ mod tests {
             0,
             LifecycleSchedule::empty().with_event(LifecycleEvent::fail_stop(0.5, 0)),
         );
-        let err = spec
-            .serve_lifecycle(
-                &PoissonArrivals::new(100.0),
-                &Fifo,
-                &RoundRobin,
-                1_000,
-                3,
-                &LifecycleConfig::new(),
-            )
+        let err = Scenario::new(&spec, &PoissonArrivals::new(100.0), 1_000, 3)
+            .lifecycle(&LifecycleConfig::new())
+            .run()
             .unwrap_err();
-        match err {
-            SimError::NoAvailableReplica { group, time } => {
-                assert_eq!(group, 0);
-                assert!(time >= 0.5);
-            }
-        }
+        let SimError::NoAvailableReplica { group, time } = err else {
+            panic!("expected an availability hole, got {err}");
+        };
+        assert_eq!(group, 0);
+        assert!(time >= 0.5);
     }
 
     #[test]
@@ -4046,15 +3776,9 @@ mod tests {
             0,
             LifecycleSchedule::empty().with_event(LifecycleEvent::fail_stop(0.5, 0)),
         );
-        let out = spec
-            .serve_lifecycle(
-                &PoissonArrivals::new(100.0),
-                &Fifo,
-                &RoundRobin,
-                1_000,
-                3,
-                &LifecycleConfig::new().with_failure_policy(FailurePolicy::Shed),
-            )
+        let out = Scenario::new(&spec, &PoissonArrivals::new(100.0), 1_000, 3)
+            .lifecycle(&LifecycleConfig::new().with_failure_policy(FailurePolicy::Shed))
+            .run()
             .unwrap();
         assert!(out.completed > 0, "nothing completed before the failure");
         assert!(out.shed > 0, "post-failure arrivals were not shed");
@@ -4069,15 +3793,9 @@ mod tests {
             .with_event(LifecycleEvent::fail_stop(0.5, 0))
             .with_event(LifecycleEvent::recover(1.0, 0));
         let spec = single_stage(2, 0.01).with_group_lifecycle(0, schedule);
-        let out = spec
-            .serve_lifecycle(
-                &PoissonArrivals::new(150.0),
-                &Fifo,
-                &RoundRobin,
-                2_000,
-                7,
-                &LifecycleConfig::new(),
-            )
+        let out = Scenario::new(&spec, &PoissonArrivals::new(150.0), 2_000, 7)
+            .lifecycle(&LifecycleConfig::new())
+            .run()
             .unwrap();
         assert_eq!(out.completed, 2_000);
         assert_eq!(out.shed, 0);
@@ -4093,15 +3811,9 @@ mod tests {
             .with_event(LifecycleEvent::fail_stop(0.2, 0))
             .with_event(LifecycleEvent::recover(0.6, 0));
         let spec = single_stage(4, 0.002).with_group_lifecycle(0, schedule);
-        let mut out = spec
-            .serve_lifecycle(
-                &PoissonArrivals::new(200.0),
-                &Fifo,
-                &RoundRobin,
-                400,
-                5,
-                &LifecycleConfig::new(),
-            )
+        let mut out = Scenario::new(&spec, &PoissonArrivals::new(200.0), 400, 5)
+            .lifecycle(&LifecycleConfig::new())
+            .run()
             .unwrap();
         assert_eq!(out.completed, 400);
         // Some query sat out most of the 0.4 s hole.
@@ -4121,15 +3833,10 @@ mod tests {
             0,
             LifecycleSchedule::empty().with_event(LifecycleEvent::drain(0.0, 1)),
         );
-        let out = spec
-            .serve_lifecycle(
-                &PoissonArrivals::new(300.0),
-                &Fifo,
-                &JoinShortestQueue,
-                2_000,
-                9,
-                &LifecycleConfig::new(),
-            )
+        let out = Scenario::new(&spec, &PoissonArrivals::new(300.0), 2_000, 9)
+            .router(&JoinShortestQueue)
+            .lifecycle(&LifecycleConfig::new())
+            .run()
             .unwrap();
         assert_eq!(out.completed, 2_000);
         assert_eq!(out.replica_utilization[0][1], 0.0);
@@ -4145,15 +3852,9 @@ mod tests {
             .with_event(LifecycleEvent::fail_stop(0.0, 0))
             .with_event(LifecycleEvent::provision(0.001, 0, 100.0));
         let spec = single_stage(4, 0.01).with_group_lifecycle(0, schedule);
-        let mut out = spec
-            .serve_lifecycle(
-                &PoissonArrivals::new(5.0),
-                &Fifo,
-                &RoundRobin,
-                200,
-                2,
-                &LifecycleConfig::new().with_warmup_speed(0.5),
-            )
+        let mut out = Scenario::new(&spec, &PoissonArrivals::new(5.0), 200, 2)
+            .lifecycle(&LifecycleConfig::new().with_warmup_speed(0.5))
+            .run()
             .unwrap();
         let p50 = out.p50_seconds();
         assert!(
@@ -4169,15 +3870,9 @@ mod tests {
         // edges chain, and the cost integral matches the per-window
         // costs.
         let spec = replicated(2, 0.004);
-        let out = spec
-            .serve_lifecycle(
-                &PoissonArrivals::new(300.0),
-                &Fifo,
-                &RoundRobin,
-                3_000,
-                4,
-                &LifecycleConfig::new().with_window(0.5),
-            )
+        let out = Scenario::new(&spec, &PoissonArrivals::new(300.0), 3_000, 4)
+            .lifecycle(&LifecycleConfig::new().with_window(0.5))
+            .run()
             .unwrap();
         assert_eq!(out.completed, 3_000);
         assert!(!out.windows.is_empty());
@@ -4219,16 +3914,10 @@ mod tests {
         // ramp.
         let spec = replicated(4, 0.004);
         let cfg = AutoscaleConfig::new(0, 1, 4, 0.2).with_initial_replicas(1);
-        let out = spec
-            .serve_autoscaled(
-                &PoissonArrivals::new(500.0),
-                &Fifo,
-                &JoinShortestQueue,
-                4_000,
-                6,
-                &cfg,
-                &mut FixedTarget(4),
-            )
+        let out = Scenario::new(&spec, &PoissonArrivals::new(500.0), 4_000, 6)
+            .router(&JoinShortestQueue)
+            .autoscale(&cfg, &mut FixedTarget(4))
+            .run()
             .unwrap();
         assert_eq!(out.completed, 4_000);
         let first = out.windows.first().expect("windows recorded");
@@ -4244,16 +3933,10 @@ mod tests {
         // completes.
         let spec = replicated(4, 0.004);
         let cfg = AutoscaleConfig::new(0, 1, 4, 0.2).with_initial_replicas(4);
-        let out = spec
-            .serve_autoscaled(
-                &PoissonArrivals::new(200.0),
-                &Fifo,
-                &JoinShortestQueue,
-                3_000,
-                8,
-                &cfg,
-                &mut FixedTarget(1),
-            )
+        let out = Scenario::new(&spec, &PoissonArrivals::new(200.0), 3_000, 8)
+            .router(&JoinShortestQueue)
+            .autoscale(&cfg, &mut FixedTarget(1))
+            .run()
             .unwrap();
         assert_eq!(out.completed, 3_000);
         assert_eq!(out.shed + out.dropped, 0);
@@ -4274,16 +3957,9 @@ mod tests {
         let cfg = AutoscaleConfig::new(0, 1, 2, 0.1)
             .with_initial_replicas(1)
             .with_warmup(0.05);
-        let out = spec
-            .serve_autoscaled(
-                &PoissonArrivals::new(300.0),
-                &Fifo,
-                &RoundRobin,
-                2_000,
-                12,
-                &cfg,
-                &mut FixedTarget(2),
-            )
+        let out = Scenario::new(&spec, &PoissonArrivals::new(300.0), 2_000, 12)
+            .autoscale(&cfg, &mut FixedTarget(2))
+            .run()
             .unwrap();
         assert_eq!(out.completed + out.shed + out.dropped, 2_000);
         assert_eq!(out.dropped, 0);

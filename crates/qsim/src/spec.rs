@@ -1,9 +1,6 @@
 use serde::{Deserialize, Serialize};
 
-use crate::{
-    simulate, AutoscaleConfig, FleetController, LifecycleConfig, LifecycleSchedule, Router,
-    SimError, SimResult,
-};
+use crate::LifecycleSchedule;
 
 /// The hardware generation of one replica: how many units it holds and
 /// how fast it serves them, relative to the group's baseline service
@@ -63,9 +60,8 @@ impl ReplicaProfile {
 /// groups), each described by a [`ReplicaProfile`] **with its own
 /// waiting queue**.
 ///
-/// A single-replica group is exactly the pre-cluster `ResourceSpec`: one
-/// pool, one queue. With more replicas the simulator routes every query
-/// to one replica per stage (see [`Router`]); batches never span
+/// A single-replica group is one pool with one queue. With more replicas the simulator routes every query
+/// to one replica per stage (see [`Router`](crate::Router)); batches never span
 /// replicas, and work queued at one replica cannot be stolen by an idle
 /// sibling — the private-queue cost that distinguishes a scale-out fleet
 /// behind a load balancer from one big shared pool. Profiles make
@@ -96,14 +92,9 @@ pub struct ReplicaGroup {
     lifecycle: LifecycleSchedule,
 }
 
-/// Compatibility alias: the pre-cluster name for a single-replica
-/// [`ReplicaGroup`]. `ResourceSpec::new(name, capacity)` still builds
-/// the one-pool resource every earlier API produced.
-pub type ResourceSpec = ReplicaGroup;
-
 impl ReplicaGroup {
     /// Creates a single-replica resource pool (the pre-cluster
-    /// `ResourceSpec`).
+    /// `ReplicaGroup`).
     ///
     /// # Panics
     ///
@@ -157,8 +148,9 @@ impl ReplicaGroup {
 
     /// Attaches a lifecycle schedule: timed provision / drain /
     /// fail-stop / recovery events replayed against this group's
-    /// replicas by [`PipelineSpec::serve_lifecycle`]. Ordinary serve
-    /// entry points ignore the schedule entirely.
+    /// replicas by a [`Scenario`](crate::Scenario) with lifecycle,
+    /// autoscaling, multi-path, or resilience set. Plain scenarios
+    /// ignore the schedule entirely.
     ///
     /// Fleet-shape transforms ([`resized`](Self::resized),
     /// [`scaled`](Self::scaled),
@@ -511,12 +503,12 @@ impl std::error::Error for SpecError {}
 /// # Examples
 ///
 /// ```
-/// use recpipe_qsim::{PipelineSpec, ResourceSpec, StageSpec};
+/// use recpipe_qsim::{PipelineSpec, ReplicaGroup, StageSpec};
 ///
 /// // Two-stage GPU→CPU pipeline.
 /// let spec = PipelineSpec::new(vec![
-///     ResourceSpec::new("gpu", 1),
-///     ResourceSpec::new("cpu", 64),
+///     ReplicaGroup::new("gpu", 1),
+///     ReplicaGroup::new("cpu", 64),
 /// ])
 /// .with_stage(StageSpec::new("frontend", 0, 1, 0.0012))?
 /// .with_stage(StageSpec::new("backend", 1, 2, 0.008))?;
@@ -526,13 +518,13 @@ impl std::error::Error for SpecError {}
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PipelineSpec {
-    resources: Vec<ResourceSpec>,
+    resources: Vec<ReplicaGroup>,
     stages: Vec<StageSpec>,
 }
 
 impl PipelineSpec {
     /// Creates a pipeline over the given resources with no stages yet.
-    pub fn new(resources: Vec<ResourceSpec>) -> Self {
+    pub fn new(resources: Vec<ReplicaGroup>) -> Self {
         Self {
             resources,
             stages: Vec::new(),
@@ -585,7 +577,7 @@ impl PipelineSpec {
     }
 
     /// The resource pools.
-    pub fn resources(&self) -> &[ResourceSpec] {
+    pub fn resources(&self) -> &[ReplicaGroup] {
         &self.resources
     }
 
@@ -646,7 +638,7 @@ impl PipelineSpec {
     }
 
     /// Whether any resource group has more than one replica (and a
-    /// [`Router`] therefore has real choices to make).
+    /// [`Router`](crate::Router) therefore has real choices to make).
     pub fn has_replication(&self) -> bool {
         self.resources.iter().any(|r| r.replicas() > 1)
     }
@@ -760,198 +752,14 @@ impl PipelineSpec {
     pub fn service_floor(&self) -> f64 {
         self.stages.iter().map(|s| s.service_time).sum()
     }
-
-    /// Runs the discrete-event simulation at `qps` offered load for
-    /// `num_queries` queries with the given seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline has no stages or `qps` is not positive.
-    pub fn simulate(&self, qps: f64, num_queries: usize, seed: u64) -> SimResult {
-        simulate(self, qps, num_queries, seed)
-    }
-
-    /// Runs the batching-aware discrete-event simulation under an
-    /// arbitrary arrival process and scheduling policy, routing across
-    /// replicas with [`RoundRobin`](crate::RoundRobin).
-    ///
-    /// With per-query stages, the [`Fifo`](crate::Fifo) policy, and
-    /// Poisson arrivals this reproduces [`simulate`](Self::simulate)
-    /// bit-for-bit on the same seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline has no stages or `num_queries == 0`.
-    pub fn serve(
-        &self,
-        arrivals: &dyn recpipe_data::ArrivalProcess,
-        policy: &dyn crate::SchedulingPolicy,
-        num_queries: usize,
-        seed: u64,
-    ) -> SimResult {
-        crate::serve(self, arrivals, policy, num_queries, seed)
-    }
-
-    /// Runs the cluster-aware simulation with an explicit [`Router`]
-    /// choosing a replica per query at every stage.
-    ///
-    /// On a pipeline whose groups are all single-replica the router has
-    /// no choices and every router produces identical results — the
-    /// output matches [`serve`](Self::serve) exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline has no stages or `num_queries == 0`.
-    pub fn serve_routed(
-        &self,
-        arrivals: &dyn recpipe_data::ArrivalProcess,
-        policy: &dyn crate::SchedulingPolicy,
-        router: &dyn Router,
-        num_queries: usize,
-        seed: u64,
-    ) -> SimResult {
-        crate::serve_routed(self, arrivals, policy, router, num_queries, seed)
-    }
-
-    /// Runs the cluster-aware simulation sharded by pipeline stage,
-    /// producing results identical to
-    /// [`serve_routed`](Self::serve_routed) for any `workers` (`0` =
-    /// one thread per stage up to the machine's parallelism, `1` =
-    /// sequential). Specs the per-stage decomposition cannot handle
-    /// fall back to the serial loop — see
-    /// [`serve_routed_sharded`](crate::serve_routed_sharded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline has no stages or `num_queries == 0`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn serve_routed_sharded(
-        &self,
-        arrivals: &(dyn recpipe_data::ArrivalProcess + Sync),
-        policy: &(dyn crate::SchedulingPolicy + Sync),
-        router: &(dyn Router + Sync),
-        num_queries: usize,
-        seed: u64,
-        workers: usize,
-    ) -> SimResult {
-        crate::serve_routed_sharded(self, arrivals, policy, router, num_queries, seed, workers)
-    }
-
-    /// Runs the lifecycle-aware simulation: every group's attached
-    /// [`LifecycleSchedule`] is replayed as timed availability events
-    /// (warm-up, drains, fail-stops, recoveries), routers see only
-    /// available replicas, and `cfg` decides what happens to stranded
-    /// work. With only empty schedules and no telemetry window the run
-    /// is bit-identical to [`serve_routed`](Self::serve_routed).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NoAvailableReplica`] when a query arrives at
-    /// a fully-down group under [`FailurePolicy::Requeue`](crate::FailurePolicy::Requeue)
-    /// with no revival pending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline has no stages or `num_queries == 0`.
-    pub fn serve_lifecycle(
-        &self,
-        arrivals: &dyn recpipe_data::ArrivalProcess,
-        policy: &dyn crate::SchedulingPolicy,
-        router: &dyn Router,
-        num_queries: usize,
-        seed: u64,
-        cfg: &LifecycleConfig,
-    ) -> Result<SimResult, SimError> {
-        crate::serve_lifecycle(self, arrivals, policy, router, num_queries, seed, cfg)
-    }
-
-    /// Runs the closed-loop autoscaled simulation: at every window
-    /// boundary `controller` sees the closing window's telemetry and
-    /// resizes the fleet of `cfg.group` within
-    /// `[cfg.min_replicas, cfg.max_replicas]` via provision and drain
-    /// lifecycle events — scale-down never kills live work. Scheduled
-    /// lifecycle events (failures, maintenance drains) replay alongside
-    /// the controller's.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NoAvailableReplica`] under the same rule as
-    /// [`serve_lifecycle`](Self::serve_lifecycle).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline has no stages, `num_queries == 0`, or
-    /// `cfg` names a group or replica band the spec does not have.
-    #[allow(clippy::too_many_arguments)]
-    pub fn serve_autoscaled(
-        &self,
-        arrivals: &dyn recpipe_data::ArrivalProcess,
-        policy: &dyn crate::SchedulingPolicy,
-        router: &dyn Router,
-        num_queries: usize,
-        seed: u64,
-        cfg: &AutoscaleConfig,
-        controller: &mut dyn FleetController,
-    ) -> Result<SimResult, SimError> {
-        crate::serve_autoscaled(
-            self,
-            arrivals,
-            policy,
-            router,
-            num_queries,
-            seed,
-            cfg,
-            controller,
-        )
-    }
-
-    /// Runs the resilience-aware simulation: lifecycle events replay as
-    /// in [`serve_lifecycle`](Self::serve_lifecycle) (now including
-    /// limpware [`Degrade`](crate::LifecycleAction::Degrade) events),
-    /// and `resilience` arms per-query timeouts, retry policies, and
-    /// hedged requests through the same event loop. With an inert
-    /// [`ResilienceConfig`](crate::ResilienceConfig) the run is
-    /// bit-identical to [`serve_lifecycle`](Self::serve_lifecycle).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NoAvailableReplica`] under the same rule as
-    /// [`serve_lifecycle`](Self::serve_lifecycle).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline has no stages, `num_queries == 0`, or the
-    /// pipeline exceeds the resilience packing limits (4096 stages).
-    #[allow(clippy::too_many_arguments)]
-    pub fn serve_resilient(
-        &self,
-        arrivals: &dyn recpipe_data::ArrivalProcess,
-        policy: &dyn crate::SchedulingPolicy,
-        router: &dyn Router,
-        num_queries: usize,
-        seed: u64,
-        cfg: &LifecycleConfig,
-        resilience: &crate::ResilienceConfig,
-    ) -> Result<SimResult, SimError> {
-        crate::serve_resilient(
-            self,
-            arrivals,
-            policy,
-            router,
-            num_queries,
-            seed,
-            cfg,
-            resilience,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn cpu() -> Vec<ResourceSpec> {
-        vec![ResourceSpec::new("cpu", 64)]
+    fn cpu() -> Vec<ReplicaGroup> {
+        vec![ReplicaGroup::new("cpu", 64)]
     }
 
     #[test]
@@ -1000,8 +808,8 @@ mod tests {
     fn max_qps_is_bottleneck_bound() {
         // 64 cores, 10 ms per query → 6400 QPS; GPU 1 unit, 2 ms → 500.
         let spec = PipelineSpec::new(vec![
-            ResourceSpec::new("cpu", 64),
-            ResourceSpec::new("gpu", 1),
+            ReplicaGroup::new("cpu", 64),
+            ReplicaGroup::new("gpu", 1),
         ])
         .with_stage(StageSpec::new("cpu-stage", 0, 1, 0.010))
         .unwrap()
@@ -1037,7 +845,7 @@ mod tests {
         // SpecError implements std::error::Error, so callers can use `?`
         // into Box<dyn Error> (and anyhow-style wrappers).
         fn build() -> Result<PipelineSpec, Box<dyn std::error::Error>> {
-            let spec = PipelineSpec::new(vec![ResourceSpec::new("cpu", 4)])
+            let spec = PipelineSpec::new(vec![ReplicaGroup::new("cpu", 4)])
                 .with_stage(StageSpec::new("s0", 9, 1, 0.01))?;
             Ok(spec)
         }

@@ -5,16 +5,16 @@
 use proptest::prelude::*;
 use recpipe_data::{ClosedLoopArrivals, MmppArrivals, PoissonArrivals};
 use recpipe_qsim::{
-    serve_multipath, AdmissionPolicy, AlwaysPrimary, AutoscaleConfig, BatchModel, BatchWindow,
-    DeadlineAware, EarliestDeadlineFirst, ExpectedWait, FailurePolicy, FaultPlan, Fifo,
-    FleetController, HedgePolicy, JoinShortestQueue, LeastWorkLeft, LifecycleConfig,
-    LifecycleEvent, LifecycleSchedule, LoadAdaptive, PathSet, PipelineSpec, PowerOfTwoChoices,
-    ReplicaGroup, ReplicaProfile, ResilienceConfig, ResourceSpec, RetryBudget, RetryPolicy,
-    RoundRobin, Router, SchedulingPolicy, StageSpec, Sticky, WindowStats,
+    serve_lifecycle, serve_resilient, serve_routed, serve_routed_sharded, AdmissionPolicy,
+    AlwaysPrimary, AutoscaleConfig, BatchModel, BatchWindow, DeadlineAware, EarliestDeadlineFirst,
+    ExpectedWait, FailurePolicy, FaultPlan, Fifo, FleetController, HedgePolicy, JoinShortestQueue,
+    LeastWorkLeft, LifecycleConfig, LifecycleEvent, LifecycleSchedule, LoadAdaptive, PathSet,
+    PipelineSpec, PowerOfTwoChoices, ReplicaGroup, ReplicaProfile, ResilienceConfig, RetryBudget,
+    RetryPolicy, RoundRobin, Router, Scenario, SchedulingPolicy, StageSpec, Sticky, WindowStats,
 };
 
 fn pipeline(servers: usize, stages: Vec<f64>) -> PipelineSpec {
-    let mut spec = PipelineSpec::new(vec![ResourceSpec::new("pool", servers)]);
+    let mut spec = PipelineSpec::new(vec![ReplicaGroup::new("pool", servers)]);
     for (i, s) in stages.into_iter().enumerate() {
         spec = spec
             .with_stage(StageSpec::new(format!("s{i}"), 0, 1, s))
@@ -24,7 +24,7 @@ fn pipeline(servers: usize, stages: Vec<f64>) -> PipelineSpec {
 }
 
 fn batched_pipeline(servers: usize, stages: Vec<f64>, max_batch: usize) -> PipelineSpec {
-    let mut spec = PipelineSpec::new(vec![ResourceSpec::new("pool", servers)]);
+    let mut spec = PipelineSpec::new(vec![ReplicaGroup::new("pool", servers)]);
     for (i, s) in stages.into_iter().enumerate() {
         spec = spec
             .with_stage(
@@ -84,7 +84,7 @@ fn replicated_pipeline(
 /// The pre-refactor simulator, frozen verbatim (modulo the removed
 /// warmup/stats code it shares with the new one): Poisson arrivals,
 /// per-query service, FIFO admission with head-of-line blocking.
-/// The equivalence property below pins `serve()` to this behavior.
+/// The equivalence property below pins plain scenarios to this behavior.
 mod reference {
     use std::cmp::Ordering;
     use std::collections::{BinaryHeap, VecDeque};
@@ -1535,8 +1535,8 @@ mod reference_pr4 {
 /// the replica-lifecycle + autoscaling subsystem landed (no slot
 /// availability states, no masked routing, no windowed telemetry, no
 /// shed/drop accounting), minus the `simulate`/`serve` convenience
-/// wrappers. The equivalence properties below pin `serve_routed` -- and
-/// `serve_lifecycle` under an empty schedule -- to this loop
+/// wrappers. The equivalence properties below pin plain scenarios -- and
+/// lifecycle scenarios over empty schedules -- to this loop
 /// bit-for-bit across the full router x policy x fleet x batching
 /// matrix.
 mod reference_pr5 {
@@ -2464,7 +2464,10 @@ proptest! {
         );
         let policy = policy_for(policy_idx);
         let arrivals = PoissonArrivals::new(150.0);
-        let out = spec.serve(&arrivals, policy.as_ref(), queries, seed);
+        let out = Scenario::new(&spec, &arrivals, queries, seed)
+            .policy(policy.as_ref())
+            .run()
+            .unwrap();
         prop_assert_eq!(out.completed, queries);
         prop_assert!(out.mean_batch >= 1.0 - 1e-12);
         prop_assert!(out.mean_batch <= max_batch as f64 + 1e-12);
@@ -2485,7 +2488,7 @@ proptest! {
         let spec = batched_pipeline(servers, vec![0.004, 0.002], max_batch);
         let policy = policy_for(policy_idx);
         let arrivals = MmppArrivals::new(100.0, 1_000.0, 0.2, 0.1);
-        let out = spec.serve(&arrivals, policy.as_ref(), 800, seed);
+        let out = Scenario::new(&spec, &arrivals, 800, seed).policy(policy.as_ref()).run().unwrap();
         prop_assert_eq!(out.completed, 800);
         for u in &out.utilization {
             prop_assert!((0.0..=1.0).contains(u), "utilization {u}");
@@ -2507,20 +2510,17 @@ proptest! {
         seed in 0u64..300,
     ) {
         // The cluster redesign's compatibility contract: on pipelines
-        // whose groups are all single-replica, `serve_routed` under ANY
+        // whose groups are all single-replica, a plain scenario under ANY
         // router is bit-identical to the frozen pre-redesign simulator
         // (the router has no choices to make and must not perturb event
         // order, RNG state, or accounting).
         let spec = pipeline(servers, vec![s1 as f64 / 1e3, s2 as f64 / 1e3]);
         let old = reference::simulate(&spec, qps, queries, seed);
         let router = router_for(router_idx);
-        let new = spec.serve_routed(
-            &PoissonArrivals::new(qps),
-            &Fifo,
-            router.as_ref(),
-            queries,
-            seed,
-        );
+        let new = Scenario::new(&spec, &PoissonArrivals::new(qps), queries, seed)
+            .router(router.as_ref())
+            .run()
+            .unwrap();
         prop_assert_eq!(old, new);
     }
 
@@ -2560,7 +2560,11 @@ proptest! {
             seed,
         );
         let optimized =
-            spec.serve_routed(&arrivals, policy.as_ref(), router.as_ref(), queries, seed);
+            Scenario::new(&spec, &arrivals, queries, seed)
+                .policy(policy.as_ref())
+                .router(router.as_ref())
+                .run()
+                .unwrap();
         prop_assert_eq!(frozen, optimized);
     }
 
@@ -2583,7 +2587,11 @@ proptest! {
         let policy = policy_for(policy_idx);
         let router = router_for(router_idx);
         let arrivals = MmppArrivals::new(100.0, 800.0, 0.2, 0.1);
-        let out = spec.serve_routed(&arrivals, policy.as_ref(), router.as_ref(), queries, seed);
+        let out = Scenario::new(&spec, &arrivals, queries, seed)
+            .policy(policy.as_ref())
+            .router(router.as_ref())
+            .run()
+            .unwrap();
         prop_assert_eq!(out.completed, queries);
         prop_assert!(out.mean_batch >= 1.0 - 1e-12);
         prop_assert!(out.mean_batch <= max_batch as f64 + 1e-12);
@@ -2610,8 +2618,8 @@ proptest! {
         let spec = replicated_pipeline(replicas, 1, vec![0.003, 0.006], 4);
         let router = router_for(router_idx);
         let arrivals = PoissonArrivals::new(150.0);
-        let a = spec.serve_routed(&arrivals, &Fifo, router.as_ref(), 500, seed);
-        let b = spec.serve_routed(&arrivals, &Fifo, router.as_ref(), 500, seed);
+        let a = Scenario::new(&spec, &arrivals, 500, seed).router(router.as_ref()).run().unwrap();
+        let b = Scenario::new(&spec, &arrivals, 500, seed).router(router.as_ref()).run().unwrap();
         prop_assert_eq!(a, b);
     }
 
@@ -2656,7 +2664,11 @@ proptest! {
             seed,
         );
         let redesigned =
-            spec.serve_routed(&arrivals, policy.as_ref(), router.as_ref(), queries, seed);
+            Scenario::new(&spec, &arrivals, queries, seed)
+                .policy(policy.as_ref())
+                .router(router.as_ref())
+                .run()
+                .unwrap();
         prop_assert_eq!(frozen, redesigned);
     }
 
@@ -2697,7 +2709,11 @@ proptest! {
         let policy = policy_for(policy_idx);
         let router = router_for_v4(router_idx);
         let arrivals = MmppArrivals::new(60.0, 500.0, 0.2, 0.1);
-        let out = spec.serve_routed(&arrivals, policy.as_ref(), router.as_ref(), queries, seed);
+        let out = Scenario::new(&spec, &arrivals, queries, seed)
+            .policy(policy.as_ref())
+            .router(router.as_ref())
+            .run()
+            .unwrap();
         prop_assert_eq!(out.completed, queries);
         prop_assert!(out.mean_batch >= 1.0 - 1e-12);
         prop_assert!(out.mean_batch <= max_batch as f64 + 1e-12);
@@ -2712,7 +2728,11 @@ proptest! {
             }
         }
         // Heterogeneous routing is reproducible like everything else.
-        let again = spec.serve_routed(&arrivals, policy.as_ref(), router.as_ref(), queries, seed);
+        let again = Scenario::new(&spec, &arrivals, queries, seed)
+            .policy(policy.as_ref())
+            .router(router.as_ref())
+            .run()
+            .unwrap();
         prop_assert_eq!(out, again);
     }
 
@@ -2750,7 +2770,7 @@ proptest! {
     ) {
         let spec = pipeline(servers, vec![0.005]);
         let arrivals = ClosedLoopArrivals::new(clients, 0.01);
-        let out = spec.serve(&arrivals, &Fifo, 400, seed);
+        let out = Scenario::new(&spec, &arrivals, 400, seed).run().unwrap();
         prop_assert_eq!(out.completed, 400);
         // At most `clients` queries are ever in flight, so the worst
         // wait is bounded by the population draining through servers.
@@ -2780,8 +2800,8 @@ proptest! {
     ) {
         // The lifecycle subsystem (slot availability states, masked
         // routing, windowed telemetry, shed/drop accounting) must be
-        // invisible when no lifecycle events exist: `serve_routed` and
-        // `serve_lifecycle` with an empty schedule both reproduce the
+        // invisible when no lifecycle events exist: plain scenarios and
+        // ones with `lifecycle` set over empty schedules both reproduce the
         // frozen PR-5 loop bit-for-bit across the full router x policy
         // x fleet x batching matrix, heterogeneous fleets included.
         let mut profiles = vec![ReplicaProfile::baseline(capacity); fast];
@@ -2801,7 +2821,11 @@ proptest! {
         let policy = policy_for(policy_idx);
         let router = router_for_v4(router_idx);
         let arrivals = MmppArrivals::new(100.0, 800.0, 0.2, 0.1);
-        let routed = spec.serve_routed(&arrivals, policy.as_ref(), router.as_ref(), queries, seed);
+        let routed = Scenario::new(&spec, &arrivals, queries, seed)
+            .policy(policy.as_ref())
+            .router(router.as_ref())
+            .run()
+            .unwrap();
         // ExpectedWait intentionally left the frozen behavior in PR-7:
         // its in-flight term now decays as service elapses instead of
         // booking the full batch cost until completion, so the frozen
@@ -2818,15 +2842,11 @@ proptest! {
             );
             prop_assert_eq!(&frozen, &routed);
         }
-        let lifecycle = spec
-            .serve_lifecycle(
-                &arrivals,
-                policy.as_ref(),
-                router.as_ref(),
-                queries,
-                seed,
-                &LifecycleConfig::new(),
-            )
+        let lifecycle = Scenario::new(&spec, &arrivals, queries, seed)
+            .policy(policy.as_ref())
+            .router(router.as_ref())
+            .lifecycle(&LifecycleConfig::new())
+            .run()
             .unwrap();
         prop_assert_eq!(&routed, &lifecycle);
     }
@@ -2878,8 +2898,11 @@ proptest! {
         } else {
             LifecycleConfig::new()
         };
-        let out = spec
-            .serve_lifecycle(&arrivals, policy.as_ref(), router.as_ref(), queries, seed, &cfg)
+        let out = Scenario::new(&spec, &arrivals, queries, seed)
+            .policy(policy.as_ref())
+            .router(router.as_ref())
+            .lifecycle(&cfg)
+            .run()
             .unwrap();
         prop_assert_eq!(out.completed + out.shed + out.dropped, queries);
         if !shed_policy {
@@ -2887,8 +2910,11 @@ proptest! {
             prop_assert_eq!(out.shed + out.dropped, 0);
         }
         // Failure replay is reproducible like everything else.
-        let again = spec
-            .serve_lifecycle(&arrivals, policy.as_ref(), router.as_ref(), queries, seed, &cfg)
+        let again = Scenario::new(&spec, &arrivals, queries, seed)
+            .policy(policy.as_ref())
+            .router(router.as_ref())
+            .lifecycle(&cfg)
+            .run()
             .unwrap();
         prop_assert_eq!(out, again);
     }
@@ -2966,24 +2992,25 @@ proptest! {
     ) {
         // The per-stage shard decomposition must be invisible: on a
         // shardable spec the sequential (workers = 1) and threaded
-        // executors both reproduce `serve_routed` bit-for-bit across
+        // executors both reproduce the serial loop bit-for-bit across
         // the router x policy x fleet x batching matrix. The worker
         // count is a wall-clock knob, never a results knob.
         let spec = two_backend_pipeline(fast, slow, speed_pct, capacity, replicas2, max_batch);
         let policy = policy_sync(policy_idx);
         let router = router_sync(router_idx);
         let arrivals = MmppArrivals::new(100.0, 800.0, 0.2, 0.1);
-        let serial =
-            spec.serve_routed(&arrivals, policy.as_ref(), router.as_ref(), queries, seed);
+        let serial = Scenario::new(&spec, &arrivals, queries, seed)
+            .policy(policy.as_ref())
+            .router(router.as_ref())
+            .run()
+            .unwrap();
         for workers in [1usize, 2, 0] {
-            let sharded = spec.serve_routed_sharded(
-                &arrivals,
-                policy.as_ref(),
-                router.as_ref(),
-                queries,
-                seed,
-                workers,
-            );
+            let sharded = Scenario::new(&spec, &arrivals, queries, seed)
+                .policy(policy.as_ref())
+                .router(router.as_ref())
+                .workers(workers)
+                .run()
+                .unwrap();
             prop_assert_eq!(&serial, &sharded, "workers = {}", workers);
         }
     }
@@ -3008,18 +3035,32 @@ proptest! {
         let (serial, sharded) = if closed {
             let arrivals = ClosedLoopArrivals::new(8, 0.01);
             (
-                spec.serve_routed(&arrivals, policy.as_ref(), router.as_ref(), queries, seed),
-                spec.serve_routed_sharded(
-                    &arrivals, policy.as_ref(), router.as_ref(), queries, seed, 0,
-                ),
+                Scenario::new(&spec, &arrivals, queries, seed)
+                    .policy(policy.as_ref())
+                    .router(router.as_ref())
+                    .run()
+                    .unwrap(),
+                Scenario::new(&spec, &arrivals, queries, seed)
+                    .policy(policy.as_ref())
+                    .router(router.as_ref())
+                    .workers(0)
+                    .run()
+                    .unwrap(),
             )
         } else {
             let arrivals = MmppArrivals::new(100.0, 800.0, 0.2, 0.1);
             (
-                spec.serve_routed(&arrivals, policy.as_ref(), router.as_ref(), queries, seed),
-                spec.serve_routed_sharded(
-                    &arrivals, policy.as_ref(), router.as_ref(), queries, seed, 0,
-                ),
+                Scenario::new(&spec, &arrivals, queries, seed)
+                    .policy(policy.as_ref())
+                    .router(router.as_ref())
+                    .run()
+                    .unwrap(),
+                Scenario::new(&spec, &arrivals, queries, seed)
+                    .policy(policy.as_ref())
+                    .router(router.as_ref())
+                    .workers(0)
+                    .run()
+                    .unwrap(),
             )
         };
         prop_assert_eq!(serial, sharded);
@@ -3051,7 +3092,10 @@ fn decay_aware_expected_wait_never_worsens_the_two_generation_tail() {
     let arrivals = PoissonArrivals::new(0.9 * spec.max_qps_at_full_batch());
     let mut frozen_worse = 0usize;
     for seed in [7u64, 11, 23, 42, 101] {
-        let mut decayed = spec.serve_routed(&arrivals, &Fifo, &ExpectedWait, 4_000, seed);
+        let mut decayed = Scenario::new(&spec, &arrivals, 4_000, seed)
+            .router(&ExpectedWait)
+            .run()
+            .unwrap();
         let mut frozen =
             reference_pr5::serve_routed(&spec, &arrivals, &Fifo, &ExpectedWait, 4_000, seed);
         assert!(
@@ -3139,19 +3183,18 @@ proptest! {
         let policy = policy_for(policy_idx);
         let router = router_for_v4(router_idx);
         let arrivals = MmppArrivals::new(100.0, 800.0, 0.2, 0.1);
-        let routed = spec.serve_routed(&arrivals, policy.as_ref(), router.as_ref(), queries, seed);
+        let routed = Scenario::new(&spec, &arrivals, queries, seed)
+            .policy(policy.as_ref())
+            .router(router.as_ref())
+            .run()
+            .unwrap();
         let paths = PathSet::single(spec, quality);
-        let mut multi = serve_multipath(
-            &paths,
-            &arrivals,
-            policy.as_ref(),
-            router.as_ref(),
-            &AlwaysPrimary,
-            queries,
-            seed,
-            &LifecycleConfig::new(),
-        )
-        .unwrap();
+        let mut multi = Scenario::multipath(&paths, &AlwaysPrimary, &arrivals, queries, seed)
+            .policy(policy.as_ref())
+            .router(router.as_ref())
+            .lifecycle(&LifecycleConfig::new())
+            .run()
+            .unwrap();
         prop_assert_eq!(multi.paths.len(), 1);
         prop_assert_eq!(multi.paths[0].admitted, queries);
         prop_assert_eq!(multi.paths[0].completed, queries);
@@ -3189,17 +3232,12 @@ proptest! {
         let policy = policy_for(policy_idx);
         let router = router_for_v4(router_idx);
         let arrivals = MmppArrivals::new(100.0, 800.0, 0.2, 0.1);
-        let out = serve_multipath(
-            &paths,
-            &arrivals,
-            policy.as_ref(),
-            router.as_ref(),
-            admission.as_ref(),
-            queries,
-            seed,
-            &LifecycleConfig::new(),
-        )
-        .unwrap();
+        let out = Scenario::multipath(&paths, admission.as_ref(), &arrivals, queries, seed)
+            .policy(policy.as_ref())
+            .router(router.as_ref())
+            .lifecycle(&LifecycleConfig::new())
+            .run()
+            .unwrap();
         let admitted: usize = out.paths.iter().map(|p| p.admitted).sum();
         let completed: usize = out.paths.iter().map(|p| p.completed).sum();
         let path_shed: usize = out.paths.iter().map(|p| p.shed).sum();
@@ -3216,17 +3254,12 @@ proptest! {
         // the best path quality.
         prop_assert!(out.quality_goodput() <= out.qps * 1.0 + 1e-9);
         // Admission decisions replay deterministically.
-        let again = serve_multipath(
-            &paths,
-            &arrivals,
-            policy.as_ref(),
-            router.as_ref(),
-            admission.as_ref(),
-            queries,
-            seed,
-            &LifecycleConfig::new(),
-        )
-        .unwrap();
+        let again = Scenario::multipath(&paths, admission.as_ref(), &arrivals, queries, seed)
+            .policy(policy.as_ref())
+            .router(router.as_ref())
+            .lifecycle(&LifecycleConfig::new())
+            .run()
+            .unwrap();
         prop_assert_eq!(out, again);
     }
 
@@ -3369,17 +3402,17 @@ proptest! {
         let policy = policy_for(policy_idx);
         let router = router_for_v4(router_idx);
         let arrivals = MmppArrivals::new(100.0, 800.0, 0.2, 0.1);
-        let routed = spec.serve_routed(&arrivals, policy.as_ref(), router.as_ref(), queries, seed);
-        let mut resilient = spec
-            .serve_resilient(
-                &arrivals,
-                policy.as_ref(),
-                router.as_ref(),
-                queries,
-                seed,
-                &LifecycleConfig::new(),
-                &ResilienceConfig::new(),
-            )
+        let routed = Scenario::new(&spec, &arrivals, queries, seed)
+            .policy(policy.as_ref())
+            .router(router.as_ref())
+            .run()
+            .unwrap();
+        let mut resilient = Scenario::new(&spec, &arrivals, queries, seed)
+            .policy(policy.as_ref())
+            .router(router.as_ref())
+            .lifecycle(&LifecycleConfig::new())
+            .resilience(&ResilienceConfig::new())
+            .run()
             .unwrap();
         let stats = resilient.resilience.take().expect("resilient runs report stats");
         prop_assert_eq!(stats.timeouts, 0);
@@ -3424,16 +3457,12 @@ proptest! {
         } else {
             FailurePolicy::Requeue
         });
-        let out = spec
-            .serve_resilient(
-                &arrivals,
-                policy.as_ref(),
-                router.as_ref(),
-                queries,
-                seed,
-                &cfg,
-                &resilience,
-            )
+        let out = Scenario::new(&spec, &arrivals, queries, seed)
+            .policy(policy.as_ref())
+            .router(router.as_ref())
+            .lifecycle(&cfg)
+            .resilience(&resilience)
+            .run()
             .unwrap();
         let stats = out.resilience.as_ref().expect("resilient runs report stats");
         prop_assert_eq!(
@@ -3450,16 +3479,12 @@ proptest! {
         prop_assert!(stats.retries_denied <= stats.timed_out);
         prop_assert!(stats.wasted_service_s >= 0.0);
         // The whole run replays deterministically from the same seed.
-        let again = spec
-            .serve_resilient(
-                &arrivals,
-                policy.as_ref(),
-                router.as_ref(),
-                queries,
-                seed,
-                &cfg,
-                &resilience,
-            )
+        let again = Scenario::new(&spec, &arrivals, queries, seed)
+            .policy(policy.as_ref())
+            .router(router.as_ref())
+            .lifecycle(&cfg)
+            .resilience(&resilience)
+            .run()
             .unwrap();
         prop_assert_eq!(out, again);
     }
@@ -3514,16 +3539,12 @@ proptest! {
         let cfg = AutoscaleConfig::new(0, 1, replicas, window_cs as f64 / 100.0)
             .with_initial_replicas(initial);
         let run = || {
-            spec.serve_autoscaled(
-                &arrivals,
-                policy.as_ref(),
-                router.as_ref(),
-                queries,
-                seed,
-                &cfg,
-                &mut PressureController { lo: 1, hi: replicas },
-            )
-            .unwrap()
+            Scenario::new(&spec, &arrivals, queries, seed)
+                .policy(policy.as_ref())
+                .router(router.as_ref())
+                .autoscale(&cfg, &mut PressureController { lo: 1, hi: replicas })
+                .run()
+                .unwrap()
         };
         let out = run();
         prop_assert_eq!(out.completed + out.shed + out.dropped, queries);
@@ -3539,4 +3560,74 @@ proptest! {
         let again = run();
         prop_assert_eq!(out, again);
     }
+}
+
+// ---------------------------------------------------------------------------
+// The pinned shorthands: each is one `Scenario` expression, so each
+// must equal that expression bit for bit on a run that exercises it.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn shorthands_equal_their_scenario_expressions() {
+    let spec = two_backend_pipeline(2, 1, 50, 2, 3, 4).with_group_lifecycle(
+        1,
+        LifecycleSchedule::empty()
+            .with_event(LifecycleEvent::fail_stop(0.5, 0))
+            .with_event(LifecycleEvent::recover(0.8, 0)),
+    );
+    let arrivals = MmppArrivals::new(100.0, 800.0, 0.2, 0.1);
+    let policy = BatchWindow::new(0.002);
+    let cfg = LifecycleConfig::new().with_window(0.25);
+    let resilience = ResilienceConfig::new()
+        .with_timeout(0.05)
+        .with_retry(RetryPolicy::new(2, 0.005, 2.0));
+    let (n, seed) = (1_500, 9);
+    let base = || {
+        Scenario::new(&spec, &arrivals, n, seed)
+            .policy(&policy)
+            .router(&JoinShortestQueue)
+    };
+
+    let routed = base().run().unwrap();
+    assert_eq!(
+        serve_routed(&spec, &arrivals, &policy, &JoinShortestQueue, n, seed),
+        routed
+    );
+    for workers in [1, 0] {
+        assert_eq!(
+            serve_routed_sharded(
+                &spec,
+                &arrivals,
+                &policy,
+                &JoinShortestQueue,
+                n,
+                seed,
+                workers
+            ),
+            routed
+        );
+    }
+    assert_eq!(
+        serve_lifecycle(&spec, &arrivals, &policy, &JoinShortestQueue, n, seed, &cfg),
+        base().lifecycle(&cfg).run()
+    );
+    assert_eq!(
+        serve_resilient(
+            &spec,
+            &arrivals,
+            &policy,
+            &JoinShortestQueue,
+            n,
+            seed,
+            &cfg,
+            &resilience
+        ),
+        base().lifecycle(&cfg).resilience(&resilience).run()
+    );
+    assert_eq!(
+        spec.simulate(300.0, n, seed),
+        Scenario::new(&spec, &PoissonArrivals::new(300.0), n, seed)
+            .run()
+            .unwrap()
+    );
 }

@@ -11,8 +11,7 @@
 
 use recpipe_data::TraceArrivals;
 use recpipe_qsim::{
-    BatchModel, ExpectedWait, Fifo, PipelineSpec, ReplicaGroup, ReplicaProfile, RoundRobin,
-    StageSpec,
+    BatchModel, ExpectedWait, PipelineSpec, ReplicaGroup, ReplicaProfile, Scenario, StageSpec,
 };
 
 /// A deterministic synthetic "recorded" trace: `n` arrivals with
@@ -60,7 +59,7 @@ fn scale_10m_query_trace_replay_completes_in_bounded_memory() {
     let trace = synthetic_trace(100_000, 42).with_rate(0.7 * spec.max_qps_at_full_batch());
     let n = 10_000_000;
     let start = std::time::Instant::now();
-    let mut out = spec.serve_routed_sharded(&trace, &Fifo, &RoundRobin, n, 7, 0);
+    let mut out = Scenario::new(&spec, &trace, n, 7).workers(0).run().unwrap();
     let elapsed = start.elapsed();
     assert_eq!(out.completed, n);
     assert!(!out.saturated, "offered load was set below capacity");
@@ -96,11 +95,21 @@ fn scale_2m_sharded_matches_serial_above_every_threshold() {
     let trace = synthetic_trace(50_000, 11).with_rate(0.7 * spec.max_qps_at_full_batch());
     let n = 2 * (1 << 20);
     for workers in [1usize, 0] {
-        let rr = spec.serve_routed_sharded(&trace, &Fifo, &RoundRobin, n, 3, workers);
-        let rr_serial = spec.serve_routed(&trace, &Fifo, &RoundRobin, n, 3);
+        let rr = Scenario::new(&spec, &trace, n, 3)
+            .workers(workers)
+            .run()
+            .unwrap();
+        let rr_serial = Scenario::new(&spec, &trace, n, 3).run().unwrap();
         assert_eq!(rr_serial, rr, "RoundRobin, workers = {workers}");
-        let ew = spec.serve_routed_sharded(&trace, &Fifo, &ExpectedWait, n, 3, workers);
-        let ew_serial = spec.serve_routed(&trace, &Fifo, &ExpectedWait, n, 3);
+        let ew = Scenario::new(&spec, &trace, n, 3)
+            .router(&ExpectedWait)
+            .workers(workers)
+            .run()
+            .unwrap();
+        let ew_serial = Scenario::new(&spec, &trace, n, 3)
+            .router(&ExpectedWait)
+            .run()
+            .unwrap();
         assert_eq!(ew_serial, ew, "ExpectedWait, workers = {workers}");
     }
 }

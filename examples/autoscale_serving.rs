@@ -31,11 +31,11 @@
 //! cargo run --release --example autoscale_serving
 //! ```
 
-use recpipe::core::{AsController, PredictiveScaling, ReactiveScaling, ScalingPolicy, Table};
+use recpipe::core::{PredictiveScaling, ReactiveScaling, Table};
 use recpipe::data::DiurnalArrivals;
 use recpipe::qsim::{
-    AutoscaleConfig, Fifo, JoinShortestQueue, LifecycleConfig, LifecycleEvent, LifecycleSchedule,
-    PipelineSpec, ReplicaGroup, SimResult, StageSpec,
+    AutoscaleConfig, FleetController, JoinShortestQueue, LifecycleConfig, LifecycleEvent,
+    LifecycleSchedule, PipelineSpec, ReplicaGroup, Scenario, SimResult, StageSpec,
 };
 
 /// p99 SLO the day is judged against.
@@ -82,22 +82,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let lifecycle = LifecycleConfig::new().with_window(WINDOW_S);
 
     // --- Static baselines: fixed fleets riding the same day ---------
-    let static_under = fleet(3).serve_lifecycle(
-        &arrivals,
-        &Fifo,
-        &JoinShortestQueue,
-        QUERIES,
-        11,
-        &lifecycle,
-    )?;
-    let static_n1 = fleet(6).serve_lifecycle(
-        &arrivals,
-        &Fifo,
-        &JoinShortestQueue,
-        QUERIES,
-        11,
-        &lifecycle,
-    )?;
+    let static_under = Scenario::new(&fleet(3), &arrivals, QUERIES, 11)
+        .router(&JoinShortestQueue)
+        .lifecycle(&lifecycle)
+        .run()?;
+    let static_n1 = Scenario::new(&fleet(6), &arrivals, QUERIES, 11)
+        .router(&JoinShortestQueue)
+        .lifecycle(&lifecycle)
+        .run()?;
 
     // --- Closed-loop strategies: an 8-replica ceiling, 2 floor ------
     let scaled = fleet(8);
@@ -105,25 +97,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_initial_replicas(3)
         .with_warmup(1.0);
     let mut reactive_policy = ReactiveScaling::new(0.6, 4.0);
-    let reactive = scaled.serve_autoscaled(
-        &arrivals,
-        &Fifo,
-        &JoinShortestQueue,
-        QUERIES,
-        11,
-        &band,
-        &mut AsController(&mut reactive_policy),
-    )?;
+    let reactive = Scenario::new(&scaled, &arrivals, QUERIES, 11)
+        .router(&JoinShortestQueue)
+        .autoscale(&band, &mut reactive_policy)
+        .run()?;
     let mut predictive_policy = PredictiveScaling::new(0.5, PER_REPLICA_QPS, 1.25);
-    let predictive = scaled.serve_autoscaled(
-        &arrivals,
-        &Fifo,
-        &JoinShortestQueue,
-        QUERIES,
-        11,
-        &band,
-        &mut AsController(&mut predictive_policy),
-    )?;
+    let predictive = Scenario::new(&scaled, &arrivals, QUERIES, 11)
+        .router(&JoinShortestQueue)
+        .autoscale(&band, &mut predictive_policy)
+        .run()?;
 
     println!(
         "Diurnal day ({} queries, trough {:.0} / peak {:.0} QPS), replica 0 fails at t=24s, \

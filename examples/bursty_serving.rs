@@ -74,7 +74,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ]);
     for arrival in &arrivals {
         for policy in &policies {
-            let mut result = engine.serve_with(arrival.as_ref(), policy.as_ref(), 20_000);
+            let mut result = engine
+                .scenario(arrival.as_ref(), 20_000)
+                .policy(policy.as_ref())
+                .run()?;
             table.row(vec![
                 arrival.name(),
                 policy.name(),

@@ -37,8 +37,9 @@ use recpipe::core::{Engine, PipelineConfig, Placement, StageConfig, Table};
 use recpipe::data::PoissonArrivals;
 use recpipe::models::ModelKind;
 use recpipe::qsim::{
-    BatchModel, BatchWindow, ExpectedWait, Fifo, JoinShortestQueue, LeastWorkLeft, PipelineSpec,
-    PowerOfTwoChoices, ReplicaGroup, ReplicaProfile, RoundRobin, Router, StageSpec, Sticky,
+    BatchModel, BatchWindow, ExpectedWait, JoinShortestQueue, LeastWorkLeft, PipelineSpec,
+    PowerOfTwoChoices, ReplicaGroup, ReplicaProfile, RoundRobin, Router, Scenario, StageSpec,
+    Sticky,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -67,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         overload,
     );
     let arrivals = PoissonArrivals::new(overload);
-    let alone = single.serve_with(&arrivals, &Fifo, 8_000);
+    let alone = single.scenario(&arrivals, 8_000).run()?;
     println!(
         "  single pool: saturated = {}, achieved {:.0} QPS\n",
         alone.saturated, alone.qps
@@ -92,7 +93,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "Router comparison: 4-replica worker fleet, mixed 2 ms/10 ms stages, rho = 0.9 ({qps:.0} QPS)"
     );
     for router in &routers {
-        let mut out = mixed.serve_routed(&hot, &Fifo, router.as_ref(), 20_000, 7);
+        let mut out = Scenario::new(&mixed, &hot, 20_000, 7)
+            .router(router.as_ref())
+            .run()?;
         table.row(vec![
             router.name(),
             format!("{:.2}", out.p50_seconds() * 1e3),
@@ -140,7 +143,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut jsq_p99 = f64::NAN;
     let mut ew_p99 = f64::NAN;
     for router in &hetero_routers {
-        let mut out = two_gen.serve_routed(&hot, &Fifo, router.as_ref(), 20_000, 7);
+        let mut out = Scenario::new(&two_gen, &hot, 20_000, 7)
+            .router(router.as_ref())
+            .run()?;
         if router.name() == "jsq" {
             jsq_p99 = out.p99_seconds();
         }
@@ -189,7 +194,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          2 ms window, rho = 0.85 ({qps:.0} QPS)"
     );
     for router in &batched_routers {
-        let mut out = batched.serve_routed(&busy, &window, router.as_ref(), 20_000, 7);
+        let mut out = Scenario::new(&batched, &busy, 20_000, 7)
+            .policy(&window)
+            .router(router.as_ref())
+            .run()?;
         table.row(vec![
             router.name(),
             format!("{:.2}", out.p50_seconds() * 1e3),

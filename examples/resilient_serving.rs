@@ -40,8 +40,8 @@
 use recpipe::core::Table;
 use recpipe::data::{PoissonArrivals, TraceArrivals};
 use recpipe::qsim::{
-    Fifo, HedgePolicy, LifecycleConfig, LifecycleEvent, LifecycleSchedule, PipelineSpec,
-    ReplicaGroup, ResilienceConfig, RetryBudget, RetryPolicy, RoundRobin, SimResult, StageSpec,
+    HedgePolicy, LifecycleConfig, LifecycleEvent, LifecycleSchedule, PipelineSpec, ReplicaGroup,
+    ResilienceConfig, RetryBudget, RetryPolicy, Scenario, SimResult, StageSpec,
 };
 
 /// Replicas in the worker fleet (100 QPS each on the 10 ms stage).
@@ -103,19 +103,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = LifecycleConfig::new();
 
     let no_hedge = ResilienceConfig::new().with_timeout(NEVER_S);
-    let mut plain =
-        spec.serve_resilient(&arrivals, &Fifo, &RoundRobin, queries, 42, &cfg, &no_hedge)?;
+    let mut plain = Scenario::new(&spec, &arrivals, queries, 42)
+        .lifecycle(&cfg)
+        .resilience(&no_hedge)
+        .run()?;
 
     let hedged_cfg = no_hedge.clone().with_hedge(HedgePolicy::after(0.050));
-    let mut hedged = spec.serve_resilient(
-        &arrivals,
-        &Fifo,
-        &RoundRobin,
-        queries,
-        42,
-        &cfg,
-        &hedged_cfg,
-    )?;
+    let mut hedged = Scenario::new(&spec, &arrivals, queries, 42)
+        .lifecycle(&cfg)
+        .resilience(&hedged_cfg)
+        .run()?;
 
     let (plain_p99, plain_p50) = (plain.p99_seconds(), plain.p50_seconds());
     let (hedged_p99, hedged_p50) = (hedged.p99_seconds(), hedged.p50_seconds());
@@ -188,13 +185,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let storm_cfg = ResilienceConfig::new()
         .with_timeout(0.050)
         .with_retry(timeout_retry.clone());
-    let storm = spec.serve_resilient(&crowd, &Fifo, &RoundRobin, queries, 17, &cfg, &storm_cfg)?;
+    let storm = Scenario::new(&spec, &crowd, queries, 17)
+        .lifecycle(&cfg)
+        .resilience(&storm_cfg)
+        .run()?;
 
     let budget_cfg = ResilienceConfig::new()
         .with_timeout(0.050)
         .with_retry(timeout_retry.with_budget(RetryBudget::new(100.0, 0.05)));
-    let budgeted =
-        spec.serve_resilient(&crowd, &Fifo, &RoundRobin, queries, 17, &cfg, &budget_cfg)?;
+    let budgeted = Scenario::new(&spec, &crowd, queries, 17)
+        .lifecycle(&cfg)
+        .resilience(&budget_cfg)
+        .run()?;
 
     println!(
         "Flash crowd: steady 250 QPS with a 1.5 s burst at 1600 QPS against a\n\

@@ -21,8 +21,10 @@
 //! [`data::ArrivalProcess`], scheduling policies (FIFO, batch-window,
 //! earliest-deadline-first) behind [`qsim::SchedulingPolicy`], and
 //! every backend supplies a real batch-scaling curve — drive them
-//! together through `Engine::serve_with`. Design-space sweeps fan out
-//! across a deterministic worker pool (`core::parallel_map`).
+//! together through one [`qsim::Scenario`], for example the one
+//! `Engine::scenario` starts over an engine's serving spec. Design-space
+//! sweeps fan out across a deterministic worker pool
+//! (`core::parallel_map`).
 //!
 //! This facade crate re-exports every subsystem:
 //!

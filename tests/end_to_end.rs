@@ -201,7 +201,11 @@ fn serving_core_matrix_end_to_end() {
     ];
     for arrival in &arrivals {
         for policy in &policies {
-            let out = engine.serve_with(arrival.as_ref(), policy.as_ref(), 3_000);
+            let out = engine
+                .scenario(arrival.as_ref(), 3_000)
+                .policy(policy.as_ref())
+                .run()
+                .unwrap();
             assert_eq!(out.completed, 3_000, "{}/{}", arrival.name(), policy.name());
             assert!(out.mean_batch >= 1.0);
             for u in &out.utilization {
@@ -218,7 +222,7 @@ fn cluster_of_replicas_end_to_end() {
     // engine, and load-aware routing beats oblivious round-robin at
     // high utilization.
     use recpipe::data::PoissonArrivals;
-    use recpipe::qsim::{Fifo, JoinShortestQueue, RoundRobin};
+    use recpipe::qsim::JoinShortestQueue;
 
     let single = Engine::commodity(two_stage(256))
         .placement(Placement::gpu_only(2))
@@ -236,8 +240,12 @@ fn cluster_of_replicas_end_to_end() {
         .unwrap();
     assert_eq!(fleet.cluster().replicas(), &[1, 4]);
     let arrivals = PoissonArrivals::new(overload);
-    let rr = fleet.serve_routed(&arrivals, &Fifo, &RoundRobin, 6_000);
-    let jsq = fleet.serve_routed(&arrivals, &Fifo, &JoinShortestQueue, 6_000);
+    let rr = fleet.scenario(&arrivals, 6_000).run().unwrap();
+    let jsq = fleet
+        .scenario(&arrivals, 6_000)
+        .router(&JoinShortestQueue)
+        .run()
+        .unwrap();
     assert!(!rr.saturated && !jsq.saturated);
     assert_eq!(rr.completed, 6_000);
     assert_eq!(jsq.completed, 6_000);
@@ -252,7 +260,7 @@ fn heterogeneous_fleet_end_to_end() {
     // capacity and cost, and serves with speed-aware routing.
     use recpipe::core::FleetSpec;
     use recpipe::data::PoissonArrivals;
-    use recpipe::qsim::{ExpectedWait, Fifo, JoinShortestQueue};
+    use recpipe::qsim::{ExpectedWait, JoinShortestQueue};
 
     let uniform = Engine::commodity(two_stage(256))
         .placement(Placement::gpu_only(2))
@@ -287,7 +295,11 @@ fn heterogeneous_fleet_end_to_end() {
         &JoinShortestQueue as &dyn recpipe::qsim::Router,
         &ExpectedWait,
     ] {
-        let out = mixed.serve_routed(&arrivals, &Fifo, router, 6_000);
+        let out = mixed
+            .scenario(&arrivals, 6_000)
+            .router(router)
+            .run()
+            .unwrap();
         assert_eq!(out.completed, 6_000);
         assert!(!out.saturated);
         assert_eq!(out.replica_utilization[1].len(), 4);
@@ -299,11 +311,10 @@ fn trace_replay_end_to_end_reproduces_recorded_poisson_traffic() {
     // An open-loop run is fully determined by its arrival schedule:
     // recording a Poisson schedule and replaying it through
     // TraceArrivals must reproduce the simulation bit-for-bit. The
-    // seed is pinned through the builder because `serve_with` passes
-    // the engine seed to the arrival process — the recording must use
-    // the same one.
+    // seed is pinned through the builder because `Engine::scenario`
+    // passes the engine seed to the arrival process — the recording
+    // must use the same one.
     use recpipe::data::{ArrivalProcess, PoissonArrivals, TraceArrivals};
-    use recpipe::qsim::Fifo;
 
     let seed = 42;
     let engine = Engine::commodity(two_stage(256))
@@ -314,8 +325,8 @@ fn trace_replay_end_to_end_reproduces_recorded_poisson_traffic() {
         .unwrap();
     let poisson = PoissonArrivals::new(300.0);
     let recorded = TraceArrivals::new(poisson.times(1_500, seed));
-    let live = engine.serve_with(&poisson, &Fifo, 1_500);
-    let replayed = engine.serve_with(&recorded, &Fifo, 1_500);
+    let live = engine.scenario(&poisson, 1_500).run().unwrap();
+    let replayed = engine.scenario(&recorded, 1_500).run().unwrap();
     assert_eq!(live.latency, replayed.latency);
     assert_eq!(live.qps, replayed.qps);
     assert_eq!(live.completed, replayed.completed);
@@ -324,13 +335,15 @@ fn trace_replay_end_to_end_reproduces_recorded_poisson_traffic() {
 #[test]
 fn closed_loop_serving_end_to_end_obeys_littles_law() {
     use recpipe::data::ClosedLoopArrivals;
-    use recpipe::qsim::Fifo;
 
     let engine = cpu_engine(two_stage(256), 300.0);
     let floor = engine.service_floor();
     let think = 0.05;
     let clients = 16;
-    let out = engine.serve_with(&ClosedLoopArrivals::new(clients, think), &Fifo, 2_000);
+    let out = engine
+        .scenario(&ClosedLoopArrivals::new(clients, think), 2_000)
+        .run()
+        .unwrap();
     assert_eq!(out.completed, 2_000);
     // X = N / (R + Z); response time is at least the service floor, so
     // throughput is bounded above — and with 64 idle cores the floor is

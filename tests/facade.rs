@@ -6,7 +6,7 @@ use recpipe::data::{DatasetSpec, PoissonProcess, QueryGenerator, Zipf};
 use recpipe::hwsim::{CpuModel, GpuModel, LruCache, StageWork, StaticCacheModel};
 use recpipe::metrics::{ndcg_at_k, LatencyStats};
 use recpipe::models::{ModelConfig, ModelKind};
-use recpipe::qsim::{PipelineSpec, ResourceSpec, StageSpec};
+use recpipe::qsim::{PipelineSpec, ReplicaGroup, Scenario, StageSpec};
 use recpipe::tensor::Matrix;
 
 #[test]
@@ -54,15 +54,13 @@ fn batched_serving_through_facade() {
     use recpipe::data::MmppArrivals;
     use recpipe::qsim::{BatchModel, BatchWindow};
 
-    let spec = PipelineSpec::new(vec![ResourceSpec::new("gpu", 1)])
+    let spec = PipelineSpec::new(vec![ReplicaGroup::new("gpu", 1)])
         .with_stage(StageSpec::new("rank", 0, 1, 0.004).with_batch(BatchModel::new(8, 0.2)))
         .unwrap();
-    let out = spec.serve(
-        &MmppArrivals::new(80.0, 600.0, 0.3, 0.1),
-        &BatchWindow::new(0.002),
-        1_000,
-        3,
-    );
+    let out = Scenario::new(&spec, &MmppArrivals::new(80.0, 600.0, 0.3, 0.1), 1_000, 3)
+        .policy(&BatchWindow::new(0.002))
+        .run()
+        .unwrap();
     assert_eq!(out.completed, 1_000);
     assert!(out.mean_batch >= 1.0);
 }
@@ -70,9 +68,7 @@ fn batched_serving_through_facade() {
 #[test]
 fn cluster_routing_through_facade() {
     use recpipe::data::PoissonArrivals;
-    use recpipe::qsim::{
-        Fifo, JoinShortestQueue, PowerOfTwoChoices, ReplicaGroup, RoundRobin, Router,
-    };
+    use recpipe::qsim::{JoinShortestQueue, PowerOfTwoChoices, ReplicaGroup, RoundRobin, Router};
 
     let spec = PipelineSpec::new(vec![ReplicaGroup::replicated("worker", 2, 3)])
         .with_stage(StageSpec::new("rank", 0, 1, 0.004))
@@ -84,7 +80,10 @@ fn cluster_routing_through_facade() {
         Box::new(PowerOfTwoChoices),
     ];
     for router in &routers {
-        let out = spec.serve_routed(&PoissonArrivals::new(400.0), &Fifo, router.as_ref(), 800, 1);
+        let out = Scenario::new(&spec, &PoissonArrivals::new(400.0), 800, 1)
+            .router(router.as_ref())
+            .run()
+            .unwrap();
         assert_eq!(out.completed, 800, "{}", router.name());
         assert_eq!(out.replica_utilization[0].len(), 3);
     }
@@ -94,9 +93,7 @@ fn cluster_routing_through_facade() {
 fn heterogeneous_fleet_through_facade() {
     use recpipe::core::FleetSpec;
     use recpipe::data::PoissonArrivals;
-    use recpipe::qsim::{
-        ExpectedWait, Fifo, ReplicaGroup, ReplicaProfile, Router, RoutingCtx, Sticky,
-    };
+    use recpipe::qsim::{ExpectedWait, ReplicaGroup, ReplicaProfile, Router, RoutingCtx, Sticky};
 
     // qsim-level: a two-generation group with speed-weighted capacity
     // and a serialized form that round-trips.
@@ -113,13 +110,10 @@ fn heterogeneous_fleet_through_facade() {
         .unwrap();
     let routers: Vec<Box<dyn Router>> = vec![Box::new(ExpectedWait), Box::new(Sticky::new())];
     for router in &routers {
-        let out = spec.serve_routed(
-            &PoissonArrivals::new(0.7 * spec.max_qps()),
-            &Fifo,
-            router.as_ref(),
-            800,
-            1,
-        );
+        let out = Scenario::new(&spec, &PoissonArrivals::new(0.7 * spec.max_qps()), 800, 1)
+            .router(router.as_ref())
+            .run()
+            .unwrap();
         assert_eq!(out.completed, 800, "{}", router.name());
     }
     assert_eq!(RoutingCtx::root(0, 0, 0).prior_on_group(), None);
@@ -186,7 +180,7 @@ fn engine_through_facade() {
 
 #[test]
 fn qsim_through_facade() {
-    let spec = PipelineSpec::new(vec![ResourceSpec::new("cpu", 4)])
+    let spec = PipelineSpec::new(vec![ReplicaGroup::new("cpu", 4)])
         .with_stage(StageSpec::new("s", 0, 1, 0.001))
         .unwrap();
     let out = spec.simulate(100.0, 500, 3);
