@@ -14,7 +14,7 @@ use std::cell::OnceCell;
 use std::sync::Arc;
 
 use recpipe_accel::{BaselineAccel, Partition, RpAccel, RpAccelConfig};
-use recpipe_data::{DatasetSpec, PoissonArrivals};
+use recpipe_data::{DatasetKind, DatasetSpec, PoissonArrivals};
 use recpipe_hwsim::{CpuModel, GpuModel, PcieModel};
 use recpipe_metrics::ParetoFront;
 use recpipe_qsim::{PipelineSpec, SimResult, SpecError};
@@ -543,12 +543,17 @@ impl Engine {
     /// The pipeline's quality, evaluated once and cached.
     pub fn quality(&self) -> QualityReport {
         *self.quality_cache.get_or_init(|| {
-            QualityEvaluator::for_dataset(self.pipeline.dataset(), 64)
-                .queries(self.quality_queries)
-                .sub_batches(self.sub_batches)
-                .seed(self.seed)
+            self.quality_evaluator(self.pipeline.dataset())
                 .evaluate(&self.pipeline)
         })
+    }
+
+    /// This engine's Monte-Carlo evaluator settings on `dataset`.
+    fn quality_evaluator(&self, dataset: DatasetKind) -> QualityEvaluator {
+        QualityEvaluator::for_dataset(dataset, 64)
+            .queries(self.quality_queries)
+            .sub_batches(self.sub_batches)
+            .seed(self.seed)
     }
 
     /// The interconnect charged on backend crossings.
@@ -556,19 +561,37 @@ impl Engine {
         &self.interconnect
     }
 
-    /// Measures an arbitrary pipeline's quality with this engine's
-    /// evaluator settings (the engine's own pipeline reuses the cached
-    /// report).
-    pub(crate) fn measure_quality(&self, pipeline: &PipelineConfig) -> f64 {
-        if *pipeline == self.pipeline {
-            return self.quality().ndcg;
+    /// Measures pipelines' qualities (NDCG, in input order) with this
+    /// engine's evaluator settings: one
+    /// [`QualityEvaluator::evaluate_all`] per distinct dataset, so the
+    /// pipelines share each Monte-Carlo pool. The engine's own pipeline
+    /// reads the cached report, or fills it.
+    pub(crate) fn measure_qualities(&self, pipelines: &[PipelineConfig]) -> Vec<f64> {
+        let mut ndcg: Vec<Option<f64>> = pipelines
+            .iter()
+            .map(|p| {
+                let cached = self.quality_cache.get().filter(|_| *p == self.pipeline);
+                cached.map(|report| report.ndcg)
+            })
+            .collect();
+        while let Some(first) = ndcg.iter().position(Option::is_none) {
+            let dataset = pipelines[first].dataset();
+            let batch: Vec<usize> = (first..pipelines.len())
+                .filter(|&i| ndcg[i].is_none() && pipelines[i].dataset() == dataset)
+                .collect();
+            let configs: Vec<PipelineConfig> =
+                batch.iter().map(|&i| pipelines[i].clone()).collect();
+            let reports = self.quality_evaluator(dataset).evaluate_all(&configs);
+            for (i, report) in batch.into_iter().zip(reports) {
+                if pipelines[i] == self.pipeline {
+                    let _ = self.quality_cache.set(report);
+                }
+                ndcg[i] = Some(report.ndcg);
+            }
         }
-        QualityEvaluator::for_dataset(pipeline.dataset(), 64)
-            .queries(self.quality_queries)
-            .sub_batches(self.sub_batches)
-            .seed(self.seed)
-            .evaluate(pipeline)
-            .ndcg
+        ndcg.into_iter()
+            .map(|q| q.expect("every pipeline's dataset was evaluated"))
+            .collect()
     }
 
     /// Jointly evaluates quality and at-scale performance at the bound
@@ -1296,9 +1319,12 @@ mod tests {
             .unwrap();
         settings.workers = Some(1);
         let serial = engine.sweep(&settings);
-        settings.workers = Some(4);
-        let parallel = engine.sweep(&settings);
         assert!(!serial.is_empty());
-        assert_eq!(serial.points(), parallel.points());
+        // Three workers split the 14 pipelines' quality batch unevenly.
+        for workers in [3, 4] {
+            settings.workers = Some(workers);
+            let parallel = engine.sweep(&settings);
+            assert_eq!(serial.points(), parallel.points(), "{workers} workers");
+        }
     }
 }

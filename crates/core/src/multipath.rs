@@ -132,9 +132,10 @@ impl<'e> PathSetBuilder<'e> {
 
     /// Builds the path set: each path's queueing spec is built exactly
     /// like the engine's own (same pool, interconnect, and batching
-    /// flag), qualities without explicit tags are measured with the
-    /// engine's evaluator settings, and the specs are merged over the
-    /// shared fleet.
+    /// flag), qualities without explicit tags are measured together
+    /// with the engine's evaluator settings (one shared-pool batch per
+    /// dataset, bit-identical to measuring each alone), and the specs
+    /// are merged over the shared fleet.
     ///
     /// # Errors
     ///
@@ -144,22 +145,35 @@ impl<'e> PathSetBuilder<'e> {
     /// counts, or chain-decomposed accelerator backends whose resources
     /// are per-pipeline).
     pub fn build(self) -> Result<PathSet, EngineError> {
-        let mut entries = Vec::with_capacity(self.paths.len());
+        let mut specs = Vec::with_capacity(self.paths.len());
         for p in &self.paths {
-            let spec = build_serving_spec(
+            specs.push(build_serving_spec(
                 self.engine.backends(),
                 self.engine.interconnect(),
                 &p.pipeline,
                 &p.placement,
                 self.engine.batching(),
-            )?;
-            let quality = match p.quality {
-                Some(q) => q,
-                None => self.engine.measure_quality(&p.pipeline),
-            };
-            let name = p.name.clone().unwrap_or_else(|| p.pipeline.describe());
-            entries.push((name, quality, spec));
+            )?);
         }
+        let untagged: Vec<PipelineConfig> = self
+            .paths
+            .iter()
+            .filter(|p| p.quality.is_none())
+            .map(|p| p.pipeline.clone())
+            .collect();
+        let mut measured = self.engine.measure_qualities(&untagged).into_iter();
+        let entries = self
+            .paths
+            .into_iter()
+            .zip(specs)
+            .map(|(p, spec)| {
+                let quality = p
+                    .quality
+                    .unwrap_or_else(|| measured.next().expect("one measurement per untagged path"));
+                let name = p.name.unwrap_or_else(|| p.pipeline.describe());
+                (name, quality, spec)
+            })
+            .collect();
         PathSet::from_pipelines(entries).map_err(EngineError::from)
     }
 }
@@ -299,8 +313,8 @@ impl AdmissionSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Scheduler, StageConfig};
-    use recpipe_data::PoissonArrivals;
+    use crate::{QualityEvaluator, Scheduler, StageConfig};
+    use recpipe_data::{DatasetKind, PoissonArrivals};
     use recpipe_models::ModelKind;
     use recpipe_qsim::{Fifo, RoundRobin};
 
@@ -340,6 +354,47 @@ mod tests {
             paths.quality(0),
             paths.quality(1)
         );
+    }
+
+    #[test]
+    fn batched_path_qualities_match_lone_evaluations() {
+        let engine = Engine::commodity(two_stage())
+            .placement(Placement::cpu_only(2))
+            .quality_queries(30)
+            .sub_batches(4)
+            .seed(5)
+            .build()
+            .unwrap();
+        let mid = PipelineConfig::single_stage(ModelKind::RmMed, 1024, 64).unwrap();
+        let lite = PipelineConfig::single_stage(ModelKind::RmSmall, 1024, 64).unwrap();
+        let movielens = PipelineConfig::builder()
+            .dataset(DatasetKind::MovieLens1M)
+            .stage(StageConfig::new(ModelKind::RmSmall, 1024, 64))
+            .build()
+            .unwrap();
+        let paths = engine
+            .paths()
+            .alternate(mid.clone(), Placement::cpu_only(1))
+            .alternate(movielens.clone(), Placement::cpu_only(1))
+            .alternate_with_quality("tagged", 0.5, mid.clone(), Placement::cpu_only(1))
+            .alternate(lite.clone(), Placement::cpu_only(1))
+            .build()
+            .unwrap();
+        let lone = |p: &PipelineConfig| {
+            QualityEvaluator::for_dataset(p.dataset(), 64)
+                .queries(30)
+                .sub_batches(4)
+                .seed(5)
+                .evaluate(p)
+                .ndcg
+                .to_bits()
+        };
+        let measured = [(0, &two_stage()), (1, &mid), (2, &movielens), (4, &lite)];
+        for (idx, pipeline) in measured {
+            assert_eq!(paths.quality(idx).to_bits(), lone(pipeline), "path {idx}");
+        }
+        assert_eq!(paths.quality(3), 0.5);
+        assert_eq!(engine.quality().ndcg.to_bits(), lone(&two_stage()));
     }
 
     #[test]

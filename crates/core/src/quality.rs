@@ -1,7 +1,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use recpipe_data::{DatasetKind, DatasetSpec, Normal, QueryGenerator};
-use recpipe_metrics::{ideal_sorted, ndcg_at_k, BinaryConfusion};
+use recpipe_metrics::{ideal_top_k, ndcg_at_k, top_k_positions, BinaryConfusion};
 use recpipe_models::{AccuracyModel, ModelKind};
 use serde::{Deserialize, Serialize};
 
@@ -144,68 +144,105 @@ impl QualityEvaluator {
         &self.spec
     }
 
-    /// Measures the pipeline's quality.
+    /// Measures the pipeline's quality: [`evaluate_all`](Self::evaluate_all)
+    /// of one pipeline.
     pub fn evaluate(&self, pipeline: &PipelineConfig) -> QualityReport {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut gen = QueryGenerator::new(&self.spec, self.seed.wrapping_add(1));
-        let noise = Normal::standard();
+        self.evaluate_all(std::slice::from_ref(pipeline))[0]
+    }
 
-        let mut scores = Vec::with_capacity(self.num_queries);
+    /// Measures every pipeline's quality in one pass over the
+    /// Monte-Carlo queries, reports in input order.
+    ///
+    /// Each query's candidate pool, its gains and its ideal top-k are
+    /// drawn once and shared by every pipeline (common random numbers),
+    /// while each pipeline scores with its own noise stream seeded as a
+    /// lone [`evaluate`](Self::evaluate) seeds it. A report therefore
+    /// does not depend on which pipelines share the batch or in what
+    /// order: `evaluate_all(ps)[i] == evaluate(&ps[i])`, bit for bit.
+    /// Pools are streamed one query at a time, so memory does not grow
+    /// with the query count.
+    pub fn evaluate_all(&self, pipelines: &[PipelineConfig]) -> Vec<QualityReport> {
+        let mut gen = QueryGenerator::new(&self.spec, self.seed.wrapping_add(1));
+        let mut rngs: Vec<StdRng> = pipelines
+            .iter()
+            .map(|_| StdRng::seed_from_u64(self.seed))
+            .collect();
+        let mut scores: Vec<Vec<f64>> = pipelines
+            .iter()
+            .map(|_| Vec::with_capacity(self.num_queries))
+            .collect();
         for _ in 0..self.num_queries {
             let query = gen.next_query();
-            let utilities = &query.utilities;
-
             // Ideal ordering over the FULL pool: unseen candidates count
             // against the pipeline.
-            let gains: Vec<f64> = utilities
+            let gains: Vec<f64> = query
+                .utilities
                 .iter()
                 .map(|&u| u.powf(self.spec.gain_exponent))
                 .collect();
-            let ideal = ideal_sorted(&gains);
-
-            // The funnel: indices into the pool survive stage by stage.
-            let first_in = (pipeline.items_in() as usize).min(utilities.len());
-            let mut survivors: Vec<usize> = (0..first_in).collect();
-
-            // Persistent per-item error component shared by every stage
-            // (see `stage_noise_correlation`).
-            let shared: Vec<f64> = (0..first_in).map(|_| noise.sample(&mut rng)).collect();
-            let rho = self.stage_noise_correlation;
-            let fresh_scale = (1.0 - rho * rho).sqrt();
-
-            let num_stages = pipeline.num_stages();
-            for (stage_idx, stage) in pipeline.stages().iter().enumerate() {
-                let sigma = self.accuracy.sigma(stage.model);
-                let scored: Vec<(usize, f64)> = survivors
-                    .iter()
-                    .map(|&idx| {
-                        let eps = rho * shared[idx] + fresh_scale * noise.sample(&mut rng);
-                        (idx, utilities[idx] + sigma * eps)
-                    })
+            let ideal = ideal_top_k(&gains, self.top_k);
+            for ((pipeline, rng), scores) in pipelines.iter().zip(&mut rngs).zip(&mut scores) {
+                let served: Vec<f64> = self
+                    .funnel(pipeline, &query.utilities, rng)
+                    .into_iter()
+                    .map(|idx| gains[idx])
                     .collect();
-                // Inter-stage filtering may stitch per-sub-batch top-k/n
-                // lists (unordered is fine; the next stage rescores), but
-                // the FINAL stage's output is the served ranking and is
-                // always globally ordered.
-                let last = stage_idx + 1 == num_stages;
-                survivors = if last {
-                    top_k_indices(&scored, stage.items_out as usize)
-                } else {
-                    select_top(&scored, stage.items_out as usize, self.sub_batches)
-                };
+                scores.push(ndcg_at_k(&served, &ideal, self.top_k));
             }
-
-            let served: Vec<f64> = survivors.iter().map(|&idx| gains[idx]).collect();
-            scores.push(ndcg_at_k(&served, &ideal, self.top_k));
         }
+        scores
+            .iter()
+            .map(|scores| {
+                let mean = scores.iter().sum::<f64>() / scores.len() as f64;
+                let var =
+                    scores.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / scores.len() as f64;
+                QualityReport {
+                    ndcg: mean,
+                    ndcg_std: var.sqrt(),
+                    queries: scores.len(),
+                }
+            })
+            .collect()
+    }
 
-        let mean = scores.iter().sum::<f64>() / scores.len() as f64;
-        let var = scores.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / scores.len() as f64;
-        QualityReport {
-            ndcg: mean,
-            ndcg_std: var.sqrt(),
-            queries: scores.len(),
+    /// Runs one query's pool through the pipeline's stages and returns
+    /// the served pool indices, best first. `rng` is the pipeline's own
+    /// scoring-noise stream.
+    fn funnel(&self, pipeline: &PipelineConfig, utilities: &[f64], rng: &mut StdRng) -> Vec<usize> {
+        let noise = Normal::standard();
+
+        // The funnel: indices into the pool survive stage by stage.
+        let first_in = (pipeline.items_in() as usize).min(utilities.len());
+        let mut survivors: Vec<usize> = (0..first_in).collect();
+
+        // Persistent per-item error component shared by every stage
+        // (see `stage_noise_correlation`).
+        let shared: Vec<f64> = (0..first_in).map(|_| noise.sample(rng)).collect();
+        let rho = self.stage_noise_correlation;
+        let fresh_scale = (1.0 - rho * rho).sqrt();
+
+        let num_stages = pipeline.num_stages();
+        for (stage_idx, stage) in pipeline.stages().iter().enumerate() {
+            let sigma = self.accuracy.sigma(stage.model);
+            let scored: Vec<(usize, f64)> = survivors
+                .iter()
+                .map(|&idx| {
+                    let eps = rho * shared[idx] + fresh_scale * noise.sample(rng);
+                    (idx, utilities[idx] + sigma * eps)
+                })
+                .collect();
+            // Inter-stage filtering may stitch per-sub-batch top-k/n
+            // lists (unordered is fine; the next stage rescores), but
+            // the FINAL stage's output is the served ranking and is
+            // always globally ordered.
+            let last = stage_idx + 1 == num_stages;
+            survivors = if last {
+                top_k_indices(&scored, stage.items_out as usize)
+            } else {
+                select_top(&scored, stage.items_out as usize, self.sub_batches)
+            };
         }
+        survivors
     }
 
     /// Measures a single model tier's pointwise CTR accuracy (the metric
@@ -251,12 +288,14 @@ fn select_top(scored: &[(usize, f64)], k: usize, sub_batches: usize) -> Vec<usiz
     out
 }
 
-/// Indices of the top `k` items by score, best first.
+/// Indices of the top `k` (at least one) items by score, best first.
+/// Equal scores keep their order in `scored`, so the result is exactly
+/// the prefix a stable descending sort yields.
 fn top_k_indices(scored: &[(usize, f64)], k: usize) -> Vec<usize> {
-    let mut sorted: Vec<(usize, f64)> = scored.to_vec();
-    sorted.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    sorted.truncate(k.max(1));
-    sorted.into_iter().map(|(idx, _)| idx).collect()
+    top_k_positions(scored, k.max(1), |&(_, score)| score)
+        .into_iter()
+        .map(|pos| scored[pos].0)
+        .collect()
 }
 
 #[cfg(test)]
@@ -398,6 +437,121 @@ mod tests {
         let a = eval().evaluate(&single(ModelKind::RmMed, 1024));
         let b = eval().evaluate(&single(ModelKind::RmMed, 1024));
         assert_eq!(a, b);
+    }
+
+    /// The pre-selection top-k (a full stable sort): the reference the
+    /// selection-based [`top_k_indices`] must match exactly.
+    fn sorted_top_k_indices(scored: &[(usize, f64)], k: usize) -> Vec<usize> {
+        let mut sorted: Vec<(usize, f64)> = scored.to_vec();
+        sorted.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        sorted.truncate(k.max(1));
+        sorted.into_iter().map(|(idx, _)| idx).collect()
+    }
+
+    /// [`select_top`]'s stitching over [`sorted_top_k_indices`].
+    fn sorted_select_top(scored: &[(usize, f64)], k: usize, sub_batches: usize) -> Vec<usize> {
+        if sub_batches <= 1 || scored.len() <= sub_batches {
+            return sorted_top_k_indices(scored, k);
+        }
+        let chunk_len = scored.len().div_ceil(sub_batches);
+        let per_chunk = (k / sub_batches).max(1);
+        let mut out = Vec::with_capacity(k);
+        for chunk in scored.chunks(chunk_len) {
+            out.extend(sorted_top_k_indices(chunk, per_chunk));
+        }
+        out.truncate(k.max(1));
+        out
+    }
+
+    #[test]
+    fn top_k_selection_matches_stable_sort_on_ties() {
+        // Few distinct scores (signed zeros included) and pool indices
+        // out of input order, so every tie is decided by input position.
+        let levels = [1.5, 0.0, -0.0, 1.5, -2.0, 0.25];
+        for len in [0usize, 1, 7, 33, 100] {
+            let scored: Vec<(usize, f64)> = (0..len)
+                .map(|pos| ((pos * 37 + 11) % 101, levels[pos * 5 % levels.len()]))
+                .collect();
+            for k in [0, 1, 2, len / 2, len.saturating_sub(1), len, len + 3] {
+                assert_eq!(
+                    top_k_indices(&scored, k),
+                    sorted_top_k_indices(&scored, k),
+                    "len {len}, k {k}"
+                );
+                for sub_batches in [1, 4, len.max(1)] {
+                    assert_eq!(
+                        select_top(&scored, k, sub_batches),
+                        sorted_select_top(&scored, k, sub_batches),
+                        "len {len}, k {k}, sub_batches {sub_batches}"
+                    );
+                }
+            }
+        }
+    }
+
+    fn bits(report: &QualityReport) -> (u64, u64, usize) {
+        (
+            report.ndcg.to_bits(),
+            report.ndcg_std.to_bits(),
+            report.queries,
+        )
+    }
+
+    #[test]
+    fn batched_reports_do_not_depend_on_the_batch() {
+        let grid = crate::Scheduler::new(crate::SchedulerSettings::quick()).enumerate_pipelines(3);
+        assert_eq!(grid.len(), 14);
+        for sub_batches in [1, 4] {
+            let e = QualityEvaluator::criteo_like(64)
+                .queries(10)
+                .sub_batches(sub_batches);
+            let alone: Vec<_> = grid.iter().map(|p| bits(&e.evaluate(p))).collect();
+            let forward: Vec<_> = e.evaluate_all(&grid).iter().map(bits).collect();
+            assert_eq!(forward, alone, "forward, sub_batches {sub_batches}");
+
+            let reversed: Vec<PipelineConfig> = grid.iter().rev().cloned().collect();
+            let mut backward: Vec<_> = e.evaluate_all(&reversed).iter().map(bits).collect();
+            backward.reverse();
+            assert_eq!(backward, alone, "reversed, sub_batches {sub_batches}");
+
+            let subset: Vec<PipelineConfig> = grid.iter().step_by(3).cloned().collect();
+            let some: Vec<_> = e.evaluate_all(&subset).iter().map(bits).collect();
+            let expected: Vec<_> = alone.iter().step_by(3).copied().collect();
+            assert_eq!(some, expected, "subset, sub_batches {sub_batches}");
+        }
+    }
+
+    #[test]
+    fn reports_keep_their_pinned_bit_patterns() {
+        // Bit patterns measured with the full-sort evaluator, before
+        // pools were shared and sorts became selections.
+        use DatasetKind::{CriteoKaggle as Criteo, MovieLens20M};
+        let large = single(ModelKind::RmLarge, 4096);
+        let funnel = two_stage(ModelKind::RmSmall, 4096, 512);
+        let cases = [
+            (Criteo, &large, 1, 0x3feda7c216d974e1, 0x3f99e30a2f6b2e6b),
+            (Criteo, &funnel, 4, 0x3feda235c3fd15c5, 0x3f9755a5e388448a),
+            (
+                MovieLens20M,
+                &funnel,
+                1,
+                0x3fee52e96baff545,
+                0x3f8b3827889dea9c,
+            ),
+        ];
+        for (dataset, pipeline, sub_batches, ndcg, std) in cases {
+            let report = QualityEvaluator::for_dataset(dataset, 64)
+                .queries(120)
+                .seed(77)
+                .sub_batches(sub_batches)
+                .evaluate(pipeline);
+            assert_eq!(
+                bits(&report),
+                (ndcg, std, 120),
+                "{dataset:?} {} at {sub_batches} sub-batches",
+                pipeline.describe()
+            );
+        }
     }
 
     #[test]

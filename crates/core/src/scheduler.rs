@@ -533,11 +533,11 @@ impl Scheduler {
     /// once) and a pipeline filter applied before any evaluation.
     ///
     /// Candidate evaluation fans across the settings' worker pool:
-    /// quality (one task per distinct pipeline) first, then the
-    /// queueing simulations (one task per pipeline x placement, each
-    /// with its own [`candidate_seed`]). Candidates keep their serial
-    /// enumeration order, so the returned points are identical for any
-    /// worker count.
+    /// quality (one contiguous chunk of the distinct pipelines per
+    /// worker) first, then the queueing simulations (one task per
+    /// pipeline x placement, each with its own [`candidate_seed`]).
+    /// Candidates keep their serial enumeration order, so the returned
+    /// points are identical for any worker count.
     #[allow(clippy::too_many_arguments)]
     fn explore_pool_cached(
         &self,
@@ -560,17 +560,24 @@ impl Scheduler {
             .filter(|p| keep(p))
             .collect();
 
-        // Phase 1: quality per distinct pipeline, in parallel, skipping
-        // pipelines the caller already evaluated (e.g. on a previous
-        // partition of a multi-pool sweep).
+        // Phase 1: quality per distinct pipeline, skipping pipelines the
+        // caller already evaluated (e.g. on a previous partition of a
+        // multi-pool sweep). Each worker takes one contiguous chunk
+        // through `evaluate_all`, which shares every Monte-Carlo pool
+        // across its chunk; reports do not depend on the chunking.
         let missing: Vec<PipelineConfig> = pipelines
             .iter()
             .filter(|p| !quality_cache.contains_key(*p))
             .cloned()
             .collect();
-        let scores = parallel_map(&missing, workers, |_, p| quality_eval.evaluate(p).ndcg);
-        for (pipeline, ndcg) in missing.into_iter().zip(scores) {
-            quality_cache.insert(pipeline, ndcg);
+        let chunks: Vec<&[PipelineConfig]> = missing
+            .chunks(missing.len().div_ceil(workers).max(1))
+            .collect();
+        let reports = parallel_map(&chunks, workers, |_, chunk| {
+            quality_eval.evaluate_all(chunk)
+        });
+        for (pipeline, report) in missing.into_iter().zip(reports.into_iter().flatten()) {
+            quality_cache.insert(pipeline, report.ndcg);
         }
 
         // Phase 2: enumerate candidates serially (cheap, deterministic

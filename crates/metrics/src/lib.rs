@@ -32,7 +32,7 @@ mod percentile;
 mod throughput;
 
 pub use accuracy::{auc, binary_error, BinaryConfusion};
-pub use ndcg::{dcg, ideal_sorted, ndcg, ndcg_at_k};
+pub use ndcg::{dcg, ideal_sorted, ideal_top_k, ndcg, ndcg_at_k, top_k_positions};
 pub use pareto::{pareto_front, Dominance, ParetoFront, ParetoPoint};
 pub use percentile::LatencyStats;
 pub use throughput::ThroughputMeter;

@@ -37,6 +37,68 @@ pub fn ideal_sorted(gains: &[f64]) -> Vec<f64> {
     sorted
 }
 
+/// The `k` largest `gains`, sorted descending: exactly the first `k`
+/// entries of [`ideal_sorted`], which is all [`ndcg_at_k`] reads of
+/// the ideal ordering, found without sorting the whole pool.
+///
+/// # Examples
+///
+/// ```
+/// use recpipe_metrics::{ideal_sorted, ideal_top_k};
+/// let gains = [1.0, 4.0, 2.0, 4.0, 3.0];
+/// assert_eq!(ideal_top_k(&gains, 3), ideal_sorted(&gains)[..3]);
+/// ```
+pub fn ideal_top_k(gains: &[f64], k: usize) -> Vec<f64> {
+    top_k_positions(gains, k, |&g| g)
+        .into_iter()
+        .map(|pos| gains[pos])
+        .collect()
+}
+
+/// Positions of the `k` highest-scoring `items` (all of them when
+/// `k >= items.len()`), best first.
+///
+/// Equal scores keep their input order, so the result is exactly the
+/// first `k` positions of a stable descending sort by `score`, ties
+/// included. It costs a linear-time selection of the `k`-th largest
+/// score plus a sort of the `k` survivors instead of a sort of every
+/// item. Scores must not be NaN.
+///
+/// # Examples
+///
+/// ```
+/// use recpipe_metrics::top_k_positions;
+/// let scores = [0.5, 0.9, 0.1, 0.9];
+/// assert_eq!(top_k_positions(&scores, 3, |&s| s), vec![1, 3, 0]);
+/// ```
+pub fn top_k_positions<T>(items: &[T], k: usize, score: impl Fn(&T) -> f64) -> Vec<usize> {
+    if k == 0 {
+        return Vec::new();
+    }
+    let descending = |a: &f64, b: &f64| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal);
+    let scores: Vec<f64> = items.iter().map(score).collect();
+    let mut top: Vec<(usize, f64)> = if k < scores.len() {
+        // Keep, in input order, every score above the k-th largest and
+        // the earliest of the scores tied with it.
+        let mut pivot = scores.clone();
+        let (above, &mut kth, _) = pivot.select_nth_unstable_by(k - 1, descending);
+        let mut ties = k - above.iter().filter(|&&s| s > kth).count();
+        let mut top = Vec::with_capacity(k);
+        for (pos, &s) in scores.iter().enumerate() {
+            if s > kth || (s == kth && ties > 0) {
+                ties -= usize::from(s == kth);
+                top.push((pos, s));
+            }
+        }
+        top
+    } else {
+        scores.into_iter().enumerate().collect()
+    };
+    // Stable, so equal scores stay in input order.
+    top.sort_by(|a, b| descending(&a.1, &b.1));
+    top.into_iter().map(|(pos, _)| pos).collect()
+}
+
 /// Normalized DCG over full lists.
 ///
 /// `ranked` holds the gains of the items in the order the system served

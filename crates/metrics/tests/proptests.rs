@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 use recpipe_metrics::{
-    auc, dcg, ideal_sorted, ndcg, ndcg_at_k, pareto_front, Dominance, LatencyStats, ParetoPoint,
+    auc, dcg, ideal_sorted, ideal_top_k, ndcg, ndcg_at_k, pareto_front, Dominance, LatencyStats,
+    ParetoPoint,
 };
 use std::time::Duration;
 
@@ -43,6 +44,28 @@ proptest! {
         let direct = ndcg_at_k(&gains, &ideal, k);
         let truncated = ndcg(&gains[..k], &ideal[..k]);
         prop_assert!((direct - truncated).abs() < 1e-12);
+    }
+
+    #[test]
+    fn ideal_top_k_gives_bit_identical_ndcg_at_k(
+        // Levels below 4 are small integers, so pools repeat gains
+        // (zero included); the rest are continuous.
+        picks in proptest::collection::vec((0usize..8, 0.0f64..10.0), 0..80),
+        ranked in proptest::collection::vec(0.0f64..10.0, 0..80),
+    ) {
+        let gains: Vec<f64> = picks
+            .iter()
+            .map(|&(level, g)| if level < 4 { level as f64 } else { g })
+            .collect();
+        let ideal = ideal_sorted(&gains);
+        for k in 0..=gains.len() + 2 {
+            let top = ideal_top_k(&gains, k);
+            prop_assert_eq!(&top[..], &ideal[..k.min(ideal.len())]);
+            prop_assert_eq!(
+                ndcg_at_k(&ranked, &top, k).to_bits(),
+                ndcg_at_k(&ranked, &ideal, k).to_bits()
+            );
+        }
     }
 
     #[test]
