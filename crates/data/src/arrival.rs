@@ -24,13 +24,15 @@ use crate::Exponential;
 
 /// A source of query arrival times for the at-scale simulator.
 ///
-/// Open-loop processes ([`PoissonArrivals`], [`MmppArrivals`],
-/// [`DiurnalArrivals`]) pre-commit a schedule of absolute arrival
-/// times via [`times`](ArrivalProcess::times). Closed-loop processes
-/// additionally return a [`ClosedLoopSpec`] from
+/// Every process is one lazy, unbounded stream of absolute arrival
+/// times ([`stream`](ArrivalProcess::stream)), nondecreasing and
+/// deterministic in its seed; [`times`](ArrivalProcess::times) is that
+/// stream's prefix. The simulator pulls one timestamp per staged
+/// arrival, so a 10M-query replay never materializes its schedule.
+/// Closed-loop processes additionally return a [`ClosedLoopSpec`] from
 /// [`closed_loop`](ArrivalProcess::closed_loop); the simulator then
-/// issues only the initial per-client arrivals from the schedule and
-/// derives every later arrival from completions.
+/// issues only the initial per-client arrivals from the stream and
+/// derives every later arrival from resolved queries.
 ///
 /// # Examples
 ///
@@ -54,29 +56,25 @@ pub trait ArrivalProcess: std::fmt::Debug + Send + Sync {
     /// `clients / think_time`.
     fn mean_rate(&self) -> f64;
 
-    /// The first `n` absolute arrival times in seconds, strictly
-    /// non-decreasing, deterministic in `seed`.
-    fn times(&self, n: usize, seed: u64) -> Vec<f64>;
+    /// The schedule as a lazy stream of absolute arrival times in
+    /// seconds, deterministic in `seed`.
+    ///
+    /// **Contract:** the stream never ends and never decreases. The
+    /// simulator stages arrivals in stream order and debug-asserts the
+    /// order; a decreasing timestamp would be served out of order.
+    fn stream(&self, seed: u64) -> Box<dyn Iterator<Item = f64> + Send + '_>;
 
-    /// Closed-loop feedback, if any: when `Some`, the simulator takes
-    /// only the first `clients` entries of [`times`](Self::times) as the
-    /// initial arrivals and schedules each client's next query a think
-    /// time after its previous query completes.
-    fn closed_loop(&self) -> Option<ClosedLoopSpec> {
-        None
+    /// The first `n` arrival times: the prefix of
+    /// [`stream`](Self::stream).
+    fn times(&self, n: usize, seed: u64) -> Vec<f64> {
+        self.stream(seed).take(n).collect()
     }
 
-    /// A lazy, unbounded stream of the schedule, or `None` when the
-    /// process has no streaming form.
-    ///
-    /// **Contract:** when `Some`, the iterator must yield *exactly* the
-    /// values `times(n, seed)` would return, in order, for every prefix
-    /// length `n` — consumers (the million-query simulator path) rely
-    /// on bit-for-bit agreement so that streaming and materialized
-    /// replays produce identical results. The default is `None`; the
-    /// simulator then falls back to materializing the schedule.
-    fn stream(&self, seed: u64) -> Option<Box<dyn Iterator<Item = f64> + Send + '_>> {
-        let _ = seed;
+    /// Closed-loop feedback, if any: when `Some`, the simulator takes
+    /// only the first `clients` entries of [`stream`](Self::stream) as
+    /// the initial arrivals and schedules each client's next query a
+    /// think time after its previous query resolves.
+    fn closed_loop(&self) -> Option<ClosedLoopSpec> {
         None
     }
 }
@@ -122,16 +120,10 @@ impl ArrivalProcess for PoissonArrivals {
         self.rate_qps
     }
 
-    fn times(&self, n: usize, seed: u64) -> Vec<f64> {
-        // Delegates to the iterator so `simulate()`'s historical
-        // schedules are reproduced bit-for-bit.
-        PoissonProcess::new(self.rate_qps, seed).take(n).collect()
-    }
-
-    fn stream(&self, seed: u64) -> Option<Box<dyn Iterator<Item = f64> + Send + '_>> {
-        // The same iterator `times` collects from, so the streaming
-        // contract holds by construction.
-        Some(Box::new(PoissonProcess::new(self.rate_qps, seed)))
+    fn stream(&self, seed: u64) -> Box<dyn Iterator<Item = f64> + Send + '_> {
+        // The iterator `simulate()` has always drawn from, so its
+        // historical schedules are reproduced bit-for-bit.
+        Box::new(PoissonProcess::new(self.rate_qps, seed))
     }
 }
 
@@ -184,30 +176,22 @@ impl ArrivalProcess for MmppArrivals {
         (self.rate_quiet * self.dwell_quiet_s + self.rate_surge * self.dwell_surge_s) / total
     }
 
-    fn times(&self, n: usize, seed: u64) -> Vec<f64> {
-        // Delegates to the stream so both forms agree bit-for-bit.
-        self.stream(seed)
-            .expect("MMPP always streams")
-            .take(n)
-            .collect()
-    }
-
-    fn stream(&self, seed: u64) -> Option<Box<dyn Iterator<Item = f64> + Send + '_>> {
+    fn stream(&self, seed: u64) -> Box<dyn Iterator<Item = f64> + Send + '_> {
         let mut rng = StdRng::seed_from_u64(seed);
         // End of the current state's dwell period.
         let state_end = Exponential::new(1.0 / self.dwell_quiet_s).sample(&mut rng);
-        Some(Box::new(MmppStream {
+        Box::new(MmppStream {
             process: *self,
             rng,
             now: 0.0,
             surge: false,
             state_end,
-        }))
+        })
     }
 }
 
-/// Streaming form of [`MmppArrivals`]: the same state machine the
-/// batch schedule uses, advanced one arrival per `next()`.
+/// Streaming form of [`MmppArrivals`]: the two-state machine advanced
+/// one arrival per `next()`.
 #[derive(Debug)]
 struct MmppStream {
     process: MmppArrivals,
@@ -301,21 +285,13 @@ impl ArrivalProcess for DiurnalArrivals {
         0.5 * (self.trough_qps + self.peak_qps)
     }
 
-    fn times(&self, n: usize, seed: u64) -> Vec<f64> {
-        // Delegates to the stream so both forms agree bit-for-bit.
-        self.stream(seed)
-            .expect("diurnal always streams")
-            .take(n)
-            .collect()
-    }
-
-    fn stream(&self, seed: u64) -> Option<Box<dyn Iterator<Item = f64> + Send + '_>> {
-        Some(Box::new(DiurnalStream {
+    fn stream(&self, seed: u64) -> Box<dyn Iterator<Item = f64> + Send + '_> {
+        Box::new(DiurnalStream {
             process: *self,
             gap: Exponential::new(self.peak_qps),
             rng: StdRng::seed_from_u64(seed),
             now: 0.0,
-        }))
+        })
     }
 }
 
@@ -384,7 +360,7 @@ impl ArrivalProcess for ClosedLoopArrivals {
         self.clients as f64 / self.think_time_s
     }
 
-    fn times(&self, n: usize, seed: u64) -> Vec<f64> {
+    fn stream(&self, seed: u64) -> Box<dyn Iterator<Item = f64> + Send + '_> {
         // Initial ramp: clients start staggered uniformly over one think
         // time so the population does not arrive as a single burst. Only
         // the first `clients` entries are meaningful; later entries
@@ -393,12 +369,10 @@ impl ArrivalProcess for ClosedLoopArrivals {
         // [i, i+1) * step, so the schedule is monotone by construction.
         let mut rng = StdRng::seed_from_u64(seed);
         let step = self.think_time_s / self.clients as f64;
-        (0..n)
-            .map(|i| {
-                let jitter: f64 = rand::Rng::gen(&mut rng);
-                (i as f64 + jitter) * step
-            })
-            .collect()
+        Box::new((0usize..).map(move |i| {
+            let jitter: f64 = rand::Rng::gen(&mut rng);
+            (i as f64 + jitter) * step
+        }))
     }
 
     fn closed_loop(&self) -> Option<ClosedLoopSpec> {
@@ -606,23 +580,33 @@ mod tests {
     #[test]
     fn streams_reproduce_times_bit_for_bit() {
         // The streaming contract: every prefix of `stream` equals
-        // `times` exactly, for every process that offers a stream.
+        // `times` exactly, for every process.
         let processes: Vec<Box<dyn ArrivalProcess>> = vec![
             Box::new(PoissonArrivals::new(700.0)),
             Box::new(MmppArrivals::new(100.0, 2_000.0, 0.5, 0.1)),
             Box::new(DiurnalArrivals::new(100.0, 900.0, 4.0)),
+            Box::new(ClosedLoopArrivals::new(16, 0.05)),
         ];
         for p in &processes {
             for seed in [0u64, 7, 42] {
-                let streamed: Vec<f64> = p.stream(seed).expect("streams").take(3_000).collect();
+                let streamed: Vec<f64> = p.stream(seed).take(3_000).collect();
                 assert_eq!(streamed, p.times(3_000, seed), "{}", p.name());
             }
         }
-    }
-
-    #[test]
-    fn closed_loop_has_no_streaming_form() {
-        assert!(ClosedLoopArrivals::new(4, 0.1).stream(0).is_none());
+        // The closed-loop stream is the jittered ramp its materialized
+        // schedule always was: offset `i` lies at `(i + U[0,1)) * step`.
+        let closed = ClosedLoopArrivals::new(16, 0.05);
+        for seed in [0u64, 7, 42] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let step = 0.05 / 16.0;
+            let ramp: Vec<f64> = (0..3_000)
+                .map(|i| {
+                    let jitter: f64 = rand::Rng::gen(&mut rng);
+                    (i as f64 + jitter) * step
+                })
+                .collect();
+            assert_eq!(closed.stream(seed).take(3_000).collect::<Vec<_>>(), ramp);
+        }
     }
 
     #[test]

@@ -130,24 +130,16 @@ impl ArrivalProcess for TraceArrivals {
         self.times.len() as f64 / (self.period() * self.scale)
     }
 
-    fn times(&self, n: usize, seed: u64) -> Vec<f64> {
-        // Delegates to the stream so both forms agree bit-for-bit.
-        self.stream(seed)
-            .expect("traces always stream")
-            .take(n)
-            .collect()
-    }
-
-    fn stream(&self, _seed: u64) -> Option<Box<dyn Iterator<Item = f64> + Send + '_>> {
+    fn stream(&self, _seed: u64) -> Box<dyn Iterator<Item = f64> + Send + '_> {
         // Lazy tiled replay: a 10M-query run walks the recorded slice
         // in place instead of materializing ~80 MB of timestamps
         // before the event loop starts.
         let len = self.times.len();
         let period = self.period();
         let scale = self.scale;
-        Some(Box::new((0..).map(move |i: usize| {
-            (self.times[i % len] + (i / len) as f64 * period) * scale
-        })))
+        Box::new(
+            (0..).map(move |i: usize| (self.times[i % len] + (i / len) as f64 * period) * scale),
+        )
     }
 }
 
@@ -232,7 +224,7 @@ mod tests {
     #[test]
     fn stream_reproduces_times_across_tiles() {
         let trace = TraceArrivals::new(vec![0.0, 0.2, 0.3, 0.9]).with_rate(40.0);
-        let streamed: Vec<f64> = trace.stream(3).expect("streams").take(5_000).collect();
+        let streamed: Vec<f64> = trace.stream(3).take(5_000).collect();
         assert_eq!(streamed, trace.times(5_000, 3));
     }
 

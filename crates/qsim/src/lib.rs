@@ -106,8 +106,8 @@ pub use resilience::{
 };
 pub use result::{PathStats, SimResult};
 pub use router::{
-    ExpectedWait, JoinShortestQueue, LeastWorkLeft, PowerOfTwoChoices, ReplicaLoads,
-    ReplicaSnapshot, RoundRobin, Router, RouterState, RoutingCtx, Sticky,
+    ExpectedWait, JoinShortestQueue, LeastWorkLeft, PowerOfTwoChoices, ReplicaLoads, RoundRobin,
+    Router, RouterState, RoutingCtx, Sticky,
 };
 pub use scenario::{
     serve_lifecycle, serve_resilient, serve_routed, serve_routed_sharded, Scenario, SimError,

@@ -265,7 +265,8 @@ pub enum FailurePolicy {
     #[default]
     Requeue,
     /// Drop stranded work: queued queries and dead-group arrivals are
-    /// counted as `shed`, killed in-flight queries as `dropped`. The
+    /// counted as `shed`, killed in-flight queries as `dropped`. Each
+    /// loss frees its closed-loop client just as a completion does. The
     /// run always completes (no typed error), and
     /// `completed + shed + dropped` still accounts for every query.
     Shed,

@@ -110,37 +110,6 @@ impl SimResult {
         self
     }
 
-    /// Attaches a lifecycle-aware run's availability outcome: shed and
-    /// dropped query counts, the fleet cost integral, and the windowed
-    /// telemetry series.
-    pub fn with_lifecycle_outcome(
-        mut self,
-        shed: usize,
-        dropped: usize,
-        cost_integral: f64,
-        windows: Vec<WindowStats>,
-    ) -> Self {
-        self.shed = shed;
-        self.dropped = dropped;
-        self.cost_integral = cost_integral;
-        self.windows = windows;
-        self
-    }
-
-    /// Attaches a multi-path run's per-path accounting and the
-    /// admission-shed count.
-    pub fn with_multipath_outcome(mut self, paths: Vec<PathStats>, admission_shed: usize) -> Self {
-        self.paths = paths;
-        self.admission_shed = admission_shed;
-        self
-    }
-
-    /// Attaches a resilient run's query-level telemetry.
-    pub fn with_resilience_outcome(mut self, resilience: ResilienceStats) -> Self {
-        self.resilience = Some(resilience);
-        self
-    }
-
     /// Queries resolved as timed-out-final (0 outside
     /// resilient runs) — the fourth
     /// term of the conservation ledger `completed + shed + dropped +
@@ -313,8 +282,9 @@ mod tests {
 
     #[test]
     fn quality_goodput_weights_qps_by_completion_mix() {
-        let r = result_with_latencies(&[10; 100], false)
-            .with_multipath_outcome(vec![path("full", 1.0, 75), path("lite", 0.8, 25)], 10);
+        let mut r = result_with_latencies(&[10; 100], false);
+        r.paths = vec![path("full", 1.0, 75), path("lite", 0.8, 25)];
+        r.admission_shed = 10;
         // Mean quality = (1.0*75 + 0.8*25) / 100 = 0.95; qps = 100.
         assert!((r.quality_goodput() - 95.0).abs() < 1e-9);
         assert_eq!(r.admission_shed, 10);
@@ -324,8 +294,9 @@ mod tests {
     fn quality_goodput_is_zero_without_paths_or_completions() {
         let plain = result_with_latencies(&[10; 4], false);
         assert_eq!(plain.quality_goodput(), 0.0);
-        let starved = result_with_latencies(&[], false)
-            .with_multipath_outcome(vec![path("full", 1.0, 0)], 50);
+        let mut starved = result_with_latencies(&[], false);
+        starved.paths = vec![path("full", 1.0, 0)];
+        starved.admission_shed = 50;
         assert_eq!(starved.quality_goodput(), 0.0);
     }
 
@@ -333,8 +304,8 @@ mod tests {
     fn quality_goodput_guards_zero_duration_runs() {
         // A degenerate run (all completions at t = 0) can report an
         // infinite or NaN qps; the quality weighting must not leak it.
-        let mut r = result_with_latencies(&[10; 4], false)
-            .with_multipath_outcome(vec![path("full", 1.0, 4)], 0);
+        let mut r = result_with_latencies(&[10; 4], false);
+        r.paths = vec![path("full", 1.0, 4)];
         r.qps = f64::INFINITY;
         assert_eq!(r.quality_goodput(), 0.0);
         r.qps = f64::NAN;
@@ -376,11 +347,11 @@ mod tests {
     fn timed_out_reads_through_the_resilience_outcome() {
         let plain = result_with_latencies(&[10; 4], false);
         assert_eq!(plain.timed_out(), 0);
-        let resilient =
-            result_with_latencies(&[10; 4], false).with_resilience_outcome(ResilienceStats {
-                timed_out: 7,
-                ..ResilienceStats::default()
-            });
+        let mut resilient = result_with_latencies(&[10; 4], false);
+        resilient.resilience = Some(ResilienceStats {
+            timed_out: 7,
+            ..ResilienceStats::default()
+        });
         assert_eq!(resilient.timed_out(), 7);
         assert_eq!(resilient.resilience.as_ref().unwrap().timed_out, 7);
     }

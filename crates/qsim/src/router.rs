@@ -74,17 +74,6 @@
 //! through the state's seeded generator, so simulations reproduce
 //! bit-for-bit across runs and worker threads.
 //!
-//! Routing sits on the simulator's hottest path (one decision per query
-//! per stage), so the trait has two entry points: the snapshot-based
-//! [`Router::route`] (the ergonomic, implement-this-first form) and the
-//! indexed [`Router::route_indexed`] fast path, which reads the
-//! simulator's incrementally-maintained per-replica counter arrays
-//! through a [`ReplicaLoads`] view without materializing a
-//! [`ReplicaSnapshot`] per replica per decision. The default
-//! `route_indexed` builds snapshots and delegates to `route`, so custom
-//! routers only implement one method; every built-in overrides it to
-//! read a couple of scalars per probe.
-//!
 //! # Availability masking
 //!
 //! Under the replica lifecycle (see
@@ -106,54 +95,13 @@
 //! [`StageSpec::service_time`]: crate::StageSpec::service_time
 //! [`StageSpec::batch_service_time`]: crate::StageSpec::batch_service_time
 
-/// Occupancy snapshot of one replica, offered to routers at decision
-/// time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReplicaSnapshot {
-    /// Queries waiting in the replica's queue.
-    pub queued: usize,
-    /// Queries currently in service on the replica.
-    pub in_flight: usize,
-    /// Resource units currently free on the replica.
-    pub free_units: usize,
-    /// Queued expected work in baseline seconds (see the module docs
-    /// for the estimator). Base-time: divide by [`speed`](Self::speed)
-    /// for wall clock.
-    pub remaining_work: f64,
-    /// The replica's service-rate multiplier
-    /// ([`ReplicaProfile::speed`](crate::ReplicaProfile::speed)).
-    pub speed: f64,
-    /// Decayed wall-clock seconds until the replica's in-flight batches
-    /// finish (already speed-scaled — never divide by `speed`). Zero
-    /// when the decay estimator is not attached.
-    pub in_flight_wait: f64,
-}
-
-impl ReplicaSnapshot {
-    /// The replica's total outstanding queries — the load metric
-    /// [`JoinShortestQueue`] and [`PowerOfTwoChoices`] compare.
-    pub fn load(&self) -> usize {
-        self.queued + self.in_flight
-    }
-
-    /// Expected wall-clock drain time of the replica's outstanding
-    /// work: `remaining_work / speed + in_flight_wait` (the
-    /// [`ExpectedWait`] signal; see the module docs for why only the
-    /// first term is speed-scaled).
-    pub fn expected_wait(&self) -> f64 {
-        self.remaining_work / self.speed + self.in_flight_wait
-    }
-}
-
-/// Borrowed per-replica occupancy arrays for one resource group — the
-/// allocation-free form of the `&[ReplicaSnapshot]` slice handed to
-/// [`Router::route`].
+/// Borrowed per-replica occupancy arrays for one resource group — what
+/// [`Router::route`] decides over.
 ///
 /// The simulator maintains `queued`/`in_flight`/`free_units` counters
 /// plus the `remaining_work`/`speed` estimator arrays incrementally on
-/// every enqueue, launch, and completion; [`Router::route_indexed`]
-/// probes them directly, so a JSQ decision over `n` replicas reads `2n`
-/// integers instead of building `n` snapshots.
+/// every enqueue, launch, and completion; routers probe them directly,
+/// so a JSQ decision over `n` replicas reads `2n` integers.
 ///
 /// The estimator arrays are optional at construction
 /// ([`with_estimates`](Self::with_estimates)) so pre-fleet callers and
@@ -287,8 +235,8 @@ impl<'a> ReplicaLoads<'a> {
         self.free_units[i]
     }
 
-    /// Replica `i`'s total outstanding queries (the
-    /// [`ReplicaSnapshot::load`] metric).
+    /// Replica `i`'s total outstanding queries — the load metric
+    /// [`JoinShortestQueue`] and [`PowerOfTwoChoices`] compare.
     pub fn load(&self, i: usize) -> usize {
         self.queued[i] + self.in_flight[i]
     }
@@ -335,19 +283,6 @@ impl<'a> ReplicaLoads<'a> {
     /// is already wall clock (module docs).
     pub fn expected_wait(&self, i: usize) -> f64 {
         self.remaining_work(i) / self.speed(i) + self.in_flight_wait(i)
-    }
-
-    /// Materializes replica `i`'s [`ReplicaSnapshot`] (the slow-path
-    /// bridge used by the default [`Router::route_indexed`]).
-    pub fn snapshot(&self, i: usize) -> ReplicaSnapshot {
-        ReplicaSnapshot {
-            queued: self.queued[i],
-            in_flight: self.in_flight[i],
-            free_units: self.free_units[i],
-            remaining_work: self.remaining_work(i),
-            speed: self.speed(i),
-            in_flight_wait: self.in_flight_wait(i),
-        }
     }
 }
 
@@ -469,46 +404,27 @@ impl RouterState {
 /// being reproducible. All randomness must come from
 /// [`RouterState::next_u64`].
 ///
-/// The returned index must be `< replicas.len()`; the simulator panics
-/// otherwise. `replicas` is never empty.
+/// The returned index must be `< loads.len()`; the simulator panics
+/// otherwise. `loads` is never empty.
 pub trait Router: std::fmt::Debug + Send + Sync {
     /// Short name for reports.
     fn name(&self) -> String;
 
-    /// Chooses a replica index for one arriving query. `ctx` carries
-    /// the query's identity and its prior stages' replica choices;
-    /// state-oblivious routers ignore it.
+    /// Chooses a replica index for one arriving query by probing the
+    /// group's per-replica [`ReplicaLoads`]. `ctx` carries the query's
+    /// identity and its prior stages' replica choices; state-oblivious
+    /// routers ignore it.
     fn route(
-        &self,
-        replicas: &[ReplicaSnapshot],
-        ctx: &RoutingCtx<'_>,
-        state: &mut RouterState,
-    ) -> usize;
-
-    /// Fast-path form of [`route`](Self::route): chooses a replica by
-    /// probing the simulator's per-replica counter arrays directly.
-    ///
-    /// The default builds a snapshot per replica and delegates to
-    /// `route`, so implementing `route` alone is always correct; the
-    /// built-in routers override this to avoid materializing snapshots
-    /// on the per-query hot path. An override must make exactly the
-    /// decision `route` would make on the equivalent snapshots
-    /// (including tie-breaking and [`RouterState`] consumption), or
-    /// runs diverge depending on which of the two the loop calls.
-    fn route_indexed(
         &self,
         loads: &ReplicaLoads<'_>,
         ctx: &RoutingCtx<'_>,
         state: &mut RouterState,
-    ) -> usize {
-        let snapshots: Vec<ReplicaSnapshot> = (0..loads.len()).map(|i| loads.snapshot(i)).collect();
-        self.route(&snapshots, ctx, state)
-    }
+    ) -> usize;
 
     /// Whether this router ever reads the expected-work estimator
-    /// signals ([`ReplicaSnapshot::remaining_work`],
-    /// [`ReplicaSnapshot::speed`], [`ReplicaSnapshot::in_flight_wait`]
-    /// and their [`ReplicaLoads`] accessors). When `false`, the
+    /// signals ([`ReplicaLoads::remaining_work`],
+    /// [`ReplicaLoads::speed`], [`ReplicaLoads::in_flight_wait`] and
+    /// [`ReplicaLoads::expected_wait`]). When `false`, the
     /// simulator skips maintaining the estimator arrays entirely on
     /// the per-event hot path and offers loads without them — results
     /// are unchanged because the router never looks.
@@ -547,15 +463,6 @@ impl Router for RoundRobin {
 
     fn route(
         &self,
-        replicas: &[ReplicaSnapshot],
-        _ctx: &RoutingCtx<'_>,
-        state: &mut RouterState,
-    ) -> usize {
-        state.cycle(replicas.len())
-    }
-
-    fn route_indexed(
-        &self,
         loads: &ReplicaLoads<'_>,
         _ctx: &RoutingCtx<'_>,
         state: &mut RouterState,
@@ -586,22 +493,6 @@ impl Router for JoinShortestQueue {
     }
 
     fn route(
-        &self,
-        replicas: &[ReplicaSnapshot],
-        _ctx: &RoutingCtx<'_>,
-        state: &mut RouterState,
-    ) -> usize {
-        let _ = state;
-        let mut best = 0;
-        for (i, r) in replicas.iter().enumerate().skip(1) {
-            if r.load() < replicas[best].load() {
-                best = i;
-            }
-        }
-        best
-    }
-
-    fn route_indexed(
         &self,
         loads: &ReplicaLoads<'_>,
         _ctx: &RoutingCtx<'_>,
@@ -644,29 +535,6 @@ impl Router for PowerOfTwoChoices {
 
     fn route(
         &self,
-        replicas: &[ReplicaSnapshot],
-        _ctx: &RoutingCtx<'_>,
-        state: &mut RouterState,
-    ) -> usize {
-        let n = replicas.len();
-        if n == 1 {
-            return 0;
-        }
-        let i = (state.next_u64() % n as u64) as usize;
-        let mut j = (state.next_u64() % (n as u64 - 1)) as usize;
-        if j >= i {
-            j += 1;
-        }
-        let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-        if replicas[hi].load() < replicas[lo].load() {
-            hi
-        } else {
-            lo
-        }
-    }
-
-    fn route_indexed(
-        &self,
         loads: &ReplicaLoads<'_>,
         _ctx: &RoutingCtx<'_>,
         state: &mut RouterState,
@@ -699,10 +567,10 @@ impl Router for PowerOfTwoChoices {
 
 /// Least-work-left routing: join the replica with the most free
 /// resource units — the one that can start new work soonest — breaking
-/// ties by fewest outstanding queries ([`ReplicaSnapshot::load`]), then
+/// ties by fewest outstanding queries ([`ReplicaLoads::load`]), then
 /// by lowest index.
 ///
-/// This is the router that uses [`ReplicaSnapshot::free_units`]: on
+/// This is the router that uses [`ReplicaLoads::free_units`]: on
 /// batched fleets, query counts mislead — a replica with eight queries
 /// riding *one* in-service batch will free all of them at once and
 /// holds no more units than a replica grinding one long query — while
@@ -732,27 +600,6 @@ impl Router for LeastWorkLeft {
     }
 
     fn route(
-        &self,
-        replicas: &[ReplicaSnapshot],
-        _ctx: &RoutingCtx<'_>,
-        state: &mut RouterState,
-    ) -> usize {
-        let _ = state;
-        let mut best = 0;
-        for (i, r) in replicas.iter().enumerate().skip(1) {
-            if Self::better(
-                replicas[best].free_units,
-                replicas[best].load(),
-                r.free_units,
-                r.load(),
-            ) {
-                best = i;
-            }
-        }
-        best
-    }
-
-    fn route_indexed(
         &self,
         loads: &ReplicaLoads<'_>,
         _ctx: &RoutingCtx<'_>,
@@ -817,27 +664,6 @@ impl Router for ExpectedWait {
 
     fn route(
         &self,
-        replicas: &[ReplicaSnapshot],
-        _ctx: &RoutingCtx<'_>,
-        state: &mut RouterState,
-    ) -> usize {
-        let _ = state;
-        let mut best = 0;
-        for (i, r) in replicas.iter().enumerate().skip(1) {
-            if Self::better(
-                replicas[best].expected_wait(),
-                replicas[best].load(),
-                r.expected_wait(),
-                r.load(),
-            ) {
-                best = i;
-            }
-        }
-        best
-    }
-
-    fn route_indexed(
-        &self,
         loads: &ReplicaLoads<'_>,
         _ctx: &RoutingCtx<'_>,
         state: &mut RouterState,
@@ -900,25 +726,13 @@ impl<R: Router> Router for Sticky<R> {
 
     fn route(
         &self,
-        replicas: &[ReplicaSnapshot],
-        ctx: &RoutingCtx<'_>,
-        state: &mut RouterState,
-    ) -> usize {
-        match ctx.prior_on_group() {
-            Some(r) if r < replicas.len() => r,
-            _ => self.fallback.route(replicas, ctx, state),
-        }
-    }
-
-    fn route_indexed(
-        &self,
         loads: &ReplicaLoads<'_>,
         ctx: &RoutingCtx<'_>,
         state: &mut RouterState,
     ) -> usize {
         match ctx.prior_on_group() {
             Some(r) if r < loads.len() => r,
-            _ => self.fallback.route_indexed(loads, ctx, state),
+            _ => self.fallback.route(loads, ctx, state),
         }
     }
 
@@ -939,14 +753,154 @@ mod tests {
         RoutingCtx::root(0, 0, 0)
     }
 
-    fn snap(queued: usize, in_flight: usize) -> ReplicaSnapshot {
-        ReplicaSnapshot {
+    /// One replica's occupancy as a plain record: the input of both the
+    /// [`ReplicaLoads`] the one `route` reads and the reference
+    /// decisions below.
+    #[derive(Debug, Clone, Copy)]
+    struct Snap {
+        queued: usize,
+        in_flight: usize,
+        free_units: usize,
+        remaining_work: f64,
+        speed: f64,
+    }
+
+    impl Snap {
+        fn load(&self) -> usize {
+            self.queued + self.in_flight
+        }
+
+        fn expected_wait(&self) -> f64 {
+            self.remaining_work / self.speed
+        }
+    }
+
+    /// A group's replicas as owned columns, viewed through
+    /// [`ReplicaLoads`] with the estimator columns attached.
+    struct Columns {
+        queued: Vec<usize>,
+        in_flight: Vec<usize>,
+        free_units: Vec<usize>,
+        work: Vec<f64>,
+        speed: Vec<f64>,
+    }
+
+    impl Columns {
+        fn of(replicas: &[Snap]) -> Self {
+            Self {
+                queued: replicas.iter().map(|r| r.queued).collect(),
+                in_flight: replicas.iter().map(|r| r.in_flight).collect(),
+                free_units: replicas.iter().map(|r| r.free_units).collect(),
+                work: replicas.iter().map(|r| r.remaining_work).collect(),
+                speed: replicas.iter().map(|r| r.speed).collect(),
+            }
+        }
+
+        fn loads(&self) -> ReplicaLoads<'_> {
+            ReplicaLoads::new(&self.queued, &self.in_flight, &self.free_units)
+                .with_estimates(&self.work, &self.speed)
+        }
+    }
+
+    /// Routes over `replicas` through the one [`Router::route`].
+    fn route(
+        router: &dyn Router,
+        replicas: &[Snap],
+        ctx: &RoutingCtx<'_>,
+        state: &mut RouterState,
+    ) -> usize {
+        router.route(&Columns::of(replicas).loads(), ctx, state)
+    }
+
+    /// The built-ins, in the order [`reference_route`] indexes them.
+    fn builtins() -> [&'static dyn Router; 6] {
+        [
+            &RoundRobin,
+            &JoinShortestQueue,
+            &PowerOfTwoChoices,
+            &LeastWorkLeft,
+            &ExpectedWait,
+            &Sticky {
+                fallback: JoinShortestQueue,
+            },
+        ]
+    }
+
+    /// Built-in `which`'s decision written independently over
+    /// per-replica records — the reference its `route` over
+    /// [`ReplicaLoads`] is checked against, tie-breaks and
+    /// [`RouterState`] draws included.
+    fn reference_route(
+        which: usize,
+        replicas: &[Snap],
+        ctx: &RoutingCtx<'_>,
+        state: &mut RouterState,
+    ) -> usize {
+        let mut best = 0;
+        match which {
+            0 => return state.cycle(replicas.len()),
+            1 => {
+                for (i, r) in replicas.iter().enumerate().skip(1) {
+                    if r.load() < replicas[best].load() {
+                        best = i;
+                    }
+                }
+            }
+            2 => {
+                let n = replicas.len();
+                if n == 1 {
+                    return 0;
+                }
+                let i = (state.next_u64() % n as u64) as usize;
+                let mut j = (state.next_u64() % (n as u64 - 1)) as usize;
+                if j >= i {
+                    j += 1;
+                }
+                let (lo, hi) = if i < j { (i, j) } else { (j, i) };
+                best = if replicas[hi].load() < replicas[lo].load() {
+                    hi
+                } else {
+                    lo
+                };
+            }
+            3 => {
+                for (i, r) in replicas.iter().enumerate().skip(1) {
+                    let b = &replicas[best];
+                    if LeastWorkLeft::better(b.free_units, b.load(), r.free_units, r.load()) {
+                        best = i;
+                    }
+                }
+            }
+            4 => {
+                for (i, r) in replicas.iter().enumerate().skip(1) {
+                    let b = &replicas[best];
+                    if ExpectedWait::better(
+                        b.expected_wait(),
+                        b.load(),
+                        r.expected_wait(),
+                        r.load(),
+                    ) {
+                        best = i;
+                    }
+                }
+            }
+            _ => {
+                return match ctx.prior_on_group() {
+                    Some(r) if r < replicas.len() => r,
+                    _ => reference_route(1, replicas, ctx, state),
+                }
+            }
+        }
+        best
+    }
+
+    fn snap(queued: usize, in_flight: usize) -> Snap {
+        Snap {
             queued,
             in_flight,
             free_units: 0,
             remaining_work: 0.0,
             speed: 1.0,
-            in_flight_wait: 0.0,
         }
     }
 
@@ -955,7 +909,7 @@ mod tests {
         let replicas = vec![snap(9, 9); 3];
         let mut state = RouterState::new(0);
         let picks: Vec<usize> = (0..7)
-            .map(|_| RoundRobin.route(&replicas, &ctx(), &mut state))
+            .map(|_| route(&RoundRobin, &replicas, &ctx(), &mut state))
             .collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2, 0]);
     }
@@ -964,10 +918,10 @@ mod tests {
     fn jsq_picks_least_loaded_with_stable_ties() {
         let mut state = RouterState::new(0);
         let replicas = vec![snap(3, 1), snap(0, 2), snap(1, 0)];
-        assert_eq!(JoinShortestQueue.route(&replicas, &ctx(), &mut state), 2);
+        assert_eq!(route(&JoinShortestQueue, &replicas, &ctx(), &mut state), 2);
         // Ties break toward the lowest index.
         let tied = vec![snap(1, 1), snap(2, 0), snap(0, 2)];
-        assert_eq!(JoinShortestQueue.route(&tied, &ctx(), &mut state), 0);
+        assert_eq!(route(&JoinShortestQueue, &tied, &ctx(), &mut state), 0);
     }
 
     #[test]
@@ -978,7 +932,7 @@ mod tests {
         let replicas = vec![snap(5, 1), snap(0, 0), snap(5, 1), snap(5, 1)];
         let mut hit_empty = 0;
         for _ in 0..200 {
-            let pick = PowerOfTwoChoices.route(&replicas, &ctx(), &mut state);
+            let pick = route(&PowerOfTwoChoices, &replicas, &ctx(), &mut state);
             assert!(pick < replicas.len());
             if pick == 1 {
                 hit_empty += 1;
@@ -994,7 +948,7 @@ mod tests {
     fn po2_on_single_replica_is_identity() {
         let mut state = RouterState::new(7);
         assert_eq!(
-            PowerOfTwoChoices.route(&[snap(4, 4)], &ctx(), &mut state),
+            route(&PowerOfTwoChoices, &[snap(4, 4)], &ctx(), &mut state),
             0
         );
     }
@@ -1010,29 +964,22 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_load_sums_queued_and_in_flight() {
-        assert_eq!(snap(3, 2).load(), 5);
+    fn load_sums_queued_and_in_flight() {
+        assert_eq!(ReplicaLoads::new(&[3], &[2], &[0]).load(0), 5);
     }
 
-    fn snap_free(queued: usize, in_flight: usize, free_units: usize) -> ReplicaSnapshot {
-        ReplicaSnapshot {
-            queued,
-            in_flight,
+    fn snap_free(queued: usize, in_flight: usize, free_units: usize) -> Snap {
+        Snap {
             free_units,
-            remaining_work: 0.0,
-            speed: 1.0,
-            in_flight_wait: 0.0,
+            ..snap(queued, in_flight)
         }
     }
 
-    fn snap_wait(queued: usize, in_flight: usize, work: f64, speed: f64) -> ReplicaSnapshot {
-        ReplicaSnapshot {
-            queued,
-            in_flight,
-            free_units: 0,
+    fn snap_wait(queued: usize, in_flight: usize, work: f64, speed: f64) -> Snap {
+        Snap {
             remaining_work: work,
             speed,
-            in_flight_wait: 0.0,
+            ..snap(queued, in_flight)
         }
     }
 
@@ -1041,13 +988,13 @@ mod tests {
         let mut state = RouterState::new(0);
         // Most free units wins even against a shorter queue.
         let replicas = vec![snap_free(0, 1, 0), snap_free(3, 2, 2), snap_free(1, 1, 1)];
-        assert_eq!(LeastWorkLeft.route(&replicas, &ctx(), &mut state), 1);
+        assert_eq!(route(&LeastWorkLeft, &replicas, &ctx(), &mut state), 1);
         // Equal free units: fewest outstanding queries breaks the tie.
         let tied_units = vec![snap_free(4, 0, 1), snap_free(1, 1, 1), snap_free(0, 3, 1)];
-        assert_eq!(LeastWorkLeft.route(&tied_units, &ctx(), &mut state), 1);
+        assert_eq!(route(&LeastWorkLeft, &tied_units, &ctx(), &mut state), 1);
         // Full ties resolve to the lowest index.
         let all_tied = vec![snap_free(1, 1, 1); 3];
-        assert_eq!(LeastWorkLeft.route(&all_tied, &ctx(), &mut state), 0);
+        assert_eq!(route(&LeastWorkLeft, &all_tied, &ctx(), &mut state), 0);
     }
 
     #[test]
@@ -1060,18 +1007,18 @@ mod tests {
             snap_wait(2, 1, 0.030, 0.5),
             snap_wait(2, 1, 0.030, 1.5),
         ];
-        assert_eq!(ExpectedWait.route(&same_work, &ctx(), &mut state), 2);
+        assert_eq!(route(&ExpectedWait, &same_work, &ctx(), &mut state), 2);
         // A shorter queue on a slow replica loses to a longer queue on
         // a fast one — the signal JSQ cannot see.
         let mixed = vec![snap_wait(2, 0, 0.020, 0.5), snap_wait(3, 0, 0.030, 1.0)];
-        assert_eq!(ExpectedWait.route(&mixed, &ctx(), &mut state), 1);
+        assert_eq!(route(&ExpectedWait, &mixed, &ctx(), &mut state), 1);
         // Exact wait ties break by fewest outstanding, then index.
         let tied = vec![
             snap_wait(3, 0, 0.010, 1.0),
             snap_wait(1, 0, 0.010, 1.0),
             snap_wait(1, 0, 0.010, 1.0),
         ];
-        assert_eq!(ExpectedWait.route(&tied, &ctx(), &mut state), 1);
+        assert_eq!(route(&ExpectedWait, &tied, &ctx(), &mut state), 1);
     }
 
     #[test]
@@ -1086,8 +1033,8 @@ mod tests {
         let mut a = RouterState::new(1);
         let mut b = RouterState::new(1);
         assert_eq!(
-            ExpectedWait.route_indexed(&loads, &ctx(), &mut a),
-            JoinShortestQueue.route_indexed(&loads, &ctx(), &mut b),
+            ExpectedWait.route(&loads, &ctx(), &mut a),
+            JoinShortestQueue.route(&loads, &ctx(), &mut b),
         );
     }
 
@@ -1102,10 +1049,10 @@ mod tests {
         let ctx = RoutingCtx::new(7, 2, 0, &prior, &groups);
         // Affinity overrides load: replica 1 is empty but 2 holds the
         // query's state.
-        assert_eq!(Sticky::new().route(&replicas, &ctx, &mut state), 2);
+        assert_eq!(route(&Sticky::new(), &replicas, &ctx, &mut state), 2);
         // A different group (1) only has the stage-1 record: replica 0.
         let ctx_g1 = RoutingCtx::new(7, 2, 1, &prior, &groups);
-        assert_eq!(Sticky::new().route(&replicas, &ctx_g1, &mut state), 0);
+        assert_eq!(route(&Sticky::new(), &replicas, &ctx_g1, &mut state), 0);
     }
 
     #[test]
@@ -1114,11 +1061,11 @@ mod tests {
         let replicas = vec![snap(9, 9), snap(0, 0)];
         // No prior stages: the JSQ fallback picks the empty replica.
         let first = RoutingCtx::root(3, 0, 0);
-        assert_eq!(Sticky::new().route(&replicas, &first, &mut state), 1);
+        assert_eq!(route(&Sticky::new(), &replicas, &first, &mut state), 1);
         // An explicit fallback router is honored too.
         let rr = Sticky::with_fallback(RoundRobin);
-        assert_eq!(rr.route(&replicas, &first, &mut state), 0);
-        assert_eq!(rr.route(&replicas, &first, &mut state), 1);
+        assert_eq!(route(&rr, &replicas, &first, &mut state), 0);
+        assert_eq!(route(&rr, &replicas, &first, &mut state), 1);
     }
 
     #[test]
@@ -1137,74 +1084,35 @@ mod tests {
 
     #[test]
     fn indexed_routing_matches_snapshot_routing_for_every_builtin() {
-        // The fast path must make the identical decision (and consume
-        // identical RouterState randomness) as the snapshot path.
-        let routers: [&dyn Router; 6] = [
-            &RoundRobin,
-            &JoinShortestQueue,
-            &PowerOfTwoChoices,
-            &LeastWorkLeft,
-            &ExpectedWait,
-            &Sticky::<JoinShortestQueue>::new(),
-        ];
+        // The one `route` must make the identical decision (and consume
+        // identical RouterState randomness) as each built-in's
+        // reference decision over per-replica records.
         let queued = [3usize, 0, 5, 1, 2];
         let in_flight = [1usize, 2, 0, 1, 4];
         let free_units = [0usize, 2, 1, 3, 1];
         let work = [0.02f64, 0.0, 0.05, 0.004, 0.02];
         let speed = [1.0f64, 0.6, 1.0, 0.6, 1.5];
-        let snapshots: Vec<ReplicaSnapshot> = (0..queued.len())
-            .map(|i| ReplicaSnapshot {
+        let replicas: Vec<Snap> = (0..queued.len())
+            .map(|i| Snap {
                 queued: queued[i],
                 in_flight: in_flight[i],
                 free_units: free_units[i],
                 remaining_work: work[i],
                 speed: speed[i],
-                in_flight_wait: 0.0,
             })
             .collect();
         let loads =
             ReplicaLoads::new(&queued, &in_flight, &free_units).with_estimates(&work, &speed);
-        for router in routers {
+        for (which, router) in builtins().into_iter().enumerate() {
             let mut a = RouterState::new(99);
             let mut b = RouterState::new(99);
             for _ in 0..64 {
-                let via_snapshots = router.route(&snapshots, &ctx(), &mut a);
-                let via_loads = router.route_indexed(&loads, &ctx(), &mut b);
+                let via_snapshots = reference_route(which, &replicas, &ctx(), &mut a);
+                let via_loads = router.route(&loads, &ctx(), &mut b);
                 assert_eq!(via_snapshots, via_loads, "router {}", router.name());
             }
             assert_eq!(a, b, "router {} diverged RouterState", router.name());
         }
-    }
-
-    #[test]
-    fn default_route_indexed_delegates_to_route() {
-        // A custom router implementing only `route` gets a correct
-        // indexed path for free.
-        #[derive(Debug)]
-        struct LastReplica;
-        impl Router for LastReplica {
-            fn name(&self) -> String {
-                "last".into()
-            }
-            fn route(
-                &self,
-                replicas: &[ReplicaSnapshot],
-                _ctx: &RoutingCtx<'_>,
-                _state: &mut RouterState,
-            ) -> usize {
-                replicas.len() - 1
-            }
-        }
-        let queued = [0usize, 0, 0];
-        let in_flight = [0usize; 3];
-        let free_units = [1usize; 3];
-        let mut state = RouterState::new(0);
-        let pick = LastReplica.route_indexed(
-            &ReplicaLoads::new(&queued, &in_flight, &free_units),
-            &ctx(),
-            &mut state,
-        );
-        assert_eq!(pick, 2);
     }
 
     #[test]
@@ -1230,13 +1138,11 @@ mod tests {
         // in-flight residual is identical (the batch's finish time
         // already folded the slow speed in when it was scheduled).
         assert!((loads.expected_wait(1) - 0.105).abs() < 1e-12);
-        // Snapshots agree with the indexed accessors.
-        let snap0 = loads.snapshot(0);
-        assert!((snap0.in_flight_wait - 0.025).abs() < 1e-12);
-        assert!((snap0.expected_wait() - loads.expected_wait(0)).abs() < 1e-15);
+        assert!((loads.in_flight_wait(0) - 0.025).abs() < 1e-12);
+        assert!((loads.in_flight_wait(1) - 0.025).abs() < 1e-12);
         // And the router picks the fast replica.
         let mut state = RouterState::new(0);
-        assert_eq!(ExpectedWait.route_indexed(&loads, &ctx(), &mut state), 0);
+        assert_eq!(ExpectedWait.route(&loads, &ctx(), &mut state), 0);
     }
 
     #[test]
@@ -1283,7 +1189,7 @@ mod tests {
             }
             fn route(
                 &self,
-                _replicas: &[ReplicaSnapshot],
+                _loads: &ReplicaLoads<'_>,
                 _ctx: &RoutingCtx<'_>,
                 _state: &mut RouterState,
             ) -> usize {

@@ -1,5 +1,6 @@
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
+use std::ops::ControlFlow;
 use std::time::Duration;
 
 use recpipe_data::ArrivalProcess;
@@ -327,14 +328,15 @@ impl SlotState {
     }
 }
 
-/// Autoscaling runtime bounds (a validated, flattened
-/// [`AutoscaleConfig`]).
-#[derive(Debug, Clone, Copy)]
-struct ScaleRt {
+/// Autoscaling runtime: the bounds of a validated, flattened
+/// [`AutoscaleConfig`] and the controller every closing window
+/// consults.
+struct ScaleRt<'a> {
     group: usize,
     min: usize,
     max: usize,
     warmup_s: f64,
+    controller: &'a mut dyn FleetController,
 }
 
 /// Batch membership: allocation-free in the dominant per-query case,
@@ -388,15 +390,6 @@ pub(crate) struct Sim<'a> {
     total_queued_entries: usize,
     /// Cached `policy.admit_on_arrival()` (consulted on every arrival).
     work_conserving: bool,
-    /// Whether the arrival schedule is staged lazily: one stage-0 event
-    /// in the heap at a time, each pop staging its successor. Keeping
-    /// the heap at the in-flight high-water mark instead of the full
-    /// query count cuts every push/pop from `log(queries)` to
-    /// `log(concurrency)`. Requires a nondecreasing schedule; unsorted
-    /// traces fall back to eager staging, which is bit-identical
-    /// because every schedule arrival's heap seq is preassigned to its
-    /// query index either way.
-    lazy_arrivals: bool,
     /// Whether the router reads the work/speed estimator signals
     /// ([`Router::uses_estimates`]); false keeps `queued_work`,
     /// `inflight_finish`, and `inflight_count` empty and their hot-path
@@ -521,7 +514,7 @@ pub(crate) struct Sim<'a> {
     /// Lazily-pulled arrival schedule ([`ArrivalProcess::stream`]):
     /// each popped schedule arrival pulls its successor's timestamp on
     /// demand instead of materializing the whole schedule up front.
-    /// `None` falls back to the eager `times()` vector.
+    /// `None` on shards past the head, which stage no schedule.
     arrival_stream: Option<Box<dyn Iterator<Item = f64> + Send + 'a>>,
     /// Largest arrival timestamp injected so far (the backlog test's
     /// denominator), maintained at every `arrival_time` write so
@@ -618,8 +611,7 @@ pub(crate) struct Sim<'a> {
     windows: Vec<WindowStats>,
 
     // --- Closed-loop autoscaling (None unless `enable_autoscale`) ---
-    scale: Option<ScaleRt>,
-    controller: Option<&'a mut dyn FleetController>,
+    scale: Option<ScaleRt<'a>>,
 
     // --- Multi-path serving (None unless `enable_multipath`) ---
     mp: Option<MultipathRt<'a>>,
@@ -1011,7 +1003,6 @@ impl<'a> Sim<'a> {
             think_time_s: None,
             work_conserving: policy.admit_on_arrival(),
             schedule_len: 0,
-            lazy_arrivals: false,
             lifecycle_active: false,
             failure_policy: FailurePolicy::default(),
             warmup_speed: 0.5,
@@ -1060,7 +1051,6 @@ impl<'a> Sim<'a> {
             win_latencies: Vec::new(),
             windows: Vec::new(),
             scale: None,
-            controller: None,
             mp: None,
             resil: None,
             resil_active: false,
@@ -1080,16 +1070,17 @@ impl<'a> Sim<'a> {
         sim
     }
 
-    /// Stages the open-loop arrival schedule (a closed loop starts only
-    /// its client population and derives the rest from completions).
-    /// Schedule arrival `q` always carries heap seq `q` (the counter
-    /// resumes at `initial`), so staging events lazily or eagerly
-    /// yields the same (time, seq) total order — the heap just stays
-    /// small in the lazy case.
+    /// Stages the arrival schedule lazily from
+    /// [`ArrivalProcess::stream`] (a closed loop stages only its client
+    /// population and derives the rest from resolved queries): one
+    /// stage-0 event sits in the heap at a time, and each pop pulls its
+    /// successor's timestamp ([`stage_next_arrival`]). The heap stays
+    /// at the in-flight high-water mark instead of the query count, and
+    /// a 10M-query replay never materializes the schedule. Schedule
+    /// arrival `q` carries heap seq `q` (the counter resumes at
+    /// `initial`), which fixes its tie order against every other event.
     ///
-    /// Processes exposing [`ArrivalProcess::stream`] are consumed
-    /// lazily too: one timestamp is pulled per staged event, so a
-    /// 10M-query replay never materializes the schedule vector.
+    /// [`stage_next_arrival`]: Self::stage_next_arrival
     fn stage_schedule(&mut self, seed: u64) {
         let num_queries = self.num_queries;
         let initial = match self.arrivals.closed_loop() {
@@ -1105,35 +1096,12 @@ impl<'a> Sim<'a> {
         if initial == 0 {
             return;
         }
-        let arrivals = self.arrivals;
-        if let Some(mut stream) = arrivals.stream(seed) {
-            // Streamed schedules are nondecreasing by the `stream`
-            // contract (every implementor replays `times()` and all
-            // built-in processes emit sorted schedules), so lazy
-            // staging always applies.
-            let t0 = stream.next().expect("arrival stream ended early");
-            self.arrival_time[0] = t0;
-            self.arrival_span = self.arrival_span.max(t0);
-            self.lazy_arrivals = true;
-            self.arrival_stream = Some(stream);
-            self.heap.push(Event::arrive(t0, 0, 0, 0));
-            return;
-        }
-        let times = arrivals.times(initial, seed);
-        for (query, &t) in times.iter().enumerate() {
-            self.arrival_time[query] = t;
-            self.arrival_span = self.arrival_span.max(t);
-        }
-        self.lazy_arrivals = times.windows(2).all(|w| w[0] <= w[1]);
-        if self.lazy_arrivals {
-            if let Some(&t0) = times.first() {
-                self.heap.push(Event::arrive(t0, 0, 0, 0));
-            }
-        } else {
-            for (query, &t) in times.iter().enumerate() {
-                self.heap.push(Event::arrive(t, query as u64, query, 0));
-            }
-        }
+        let mut stream = self.arrivals.stream(seed);
+        let t0 = stream.next().expect("arrival stream ended early");
+        self.arrival_time[0] = t0;
+        self.arrival_span = self.arrival_span.max(t0);
+        self.arrival_stream = Some(stream);
+        self.heap.push(Event::arrive(t0, 0, 0, 0));
     }
 
     /// Arms the replica lifecycle: flattens every group's attached
@@ -1191,8 +1159,8 @@ impl<'a> Sim<'a> {
             min: cfg.min_replicas,
             max: cfg.max_replicas,
             warmup_s: cfg.warmup_s,
+            controller,
         });
-        self.controller = Some(controller);
         self.lifecycle_active = true;
         self.telemetry_active = true;
         let base = self.slot_base[cfg.group];
@@ -1402,17 +1370,7 @@ impl<'a> Sim<'a> {
                 self.push_arrive(start, packed, 0);
                 self.res_arm_attempt(start, q);
             }
-            None => {
-                // Closed loop: the timed-out query's client re-arms
-                // just as a completion would free it.
-                if let Some(think) = self.think_time_s {
-                    if self.next_inject < self.num_queries {
-                        let next = self.next_inject;
-                        self.next_inject += 1;
-                        self.inject(next, now + think);
-                    }
-                }
-            }
+            None => self.release_client(now),
         }
     }
 
@@ -1483,24 +1441,23 @@ impl<'a> Sim<'a> {
                 mp.admission_shed += 1;
                 self.shed += 1;
                 self.win_shed += 1;
-                // Closed loop: the shed query's client re-arms just as
-                // a completion would free it.
-                if let Some(think) = self.think_time_s {
-                    if self.next_inject < self.num_queries {
-                        let q = self.next_inject;
-                        self.next_inject += 1;
-                        self.inject(q, now + think);
-                    }
-                }
+                self.release_client(now);
                 None
             }
         }
     }
 
-    /// Attributes a post-admission loss (lifecycle shed or mid-service
-    /// drop) to the query's path. No-op outside multi-path runs and for
-    /// queries the admission policy already shed.
-    fn mp_account_lost(&mut self, query: usize, was_in_flight: bool) {
+    /// Counts a post-admission loss of `query` — shed without service,
+    /// or dropped mid-service when `was_in_flight` — in the run, window,
+    /// and (on multi-path runs) per-path counters.
+    fn account_lost(&mut self, query: usize, was_in_flight: bool) {
+        if was_in_flight {
+            self.dropped += 1;
+            self.win_dropped += 1;
+        } else {
+            self.shed += 1;
+            self.win_shed += 1;
+        }
         if let Some(mp) = self.mp.as_mut() {
             let p = mp.qpath[query] as usize;
             debug_assert!(p < mp.entry.len(), "lost query was never admitted");
@@ -1510,6 +1467,20 @@ impl<'a> Sim<'a> {
                 mp.shed[p] += 1;
             }
             mp.in_system -= 1;
+        }
+    }
+
+    /// Closed loop: a resolved query (completed, shed, dropped, or
+    /// timed out) frees its client, which thinks and then issues the
+    /// next query. No-op on open-loop runs and once every query has
+    /// been issued.
+    fn release_client(&mut self, now: f64) {
+        if let Some(think) = self.think_time_s {
+            if self.next_inject < self.num_queries {
+                let q = self.next_inject;
+                self.next_inject += 1;
+                self.inject(q, now + think);
+            }
         }
     }
 
@@ -1530,10 +1501,10 @@ impl<'a> Sim<'a> {
     /// the stage's resource group, recording the choice in the query's
     /// routing history (the [`RoutingCtx`] affinity signal).
     ///
-    /// Replicated groups go through [`Router::route_indexed`], probing
-    /// the incrementally-maintained `queued`/`in_flight`/`free` counter
+    /// Replicated groups go through [`Router::route`], probing the
+    /// incrementally-maintained `queued`/`in_flight`/`free` counter
     /// arrays and the `remaining_work`/`slot_speed` estimator arrays
-    /// directly — no snapshot materialization per decision.
+    /// directly.
     /// Returns `None` when lifecycle masking leaves the group with no
     /// routable (up or warming) replica — the caller sheds, parks, or
     /// fails the run per the [`FailurePolicy`].
@@ -1592,7 +1563,7 @@ impl<'a> Sim<'a> {
             let ctx = RoutingCtx::new(query, stage_idx, group, prior, &self.stage_groups);
             let pick = self
                 .router
-                .route_indexed(&loads, &ctx, &mut self.router_states[group]);
+                .route(&loads, &ctx, &mut self.router_states[group]);
             assert!(
                 pick < replicas,
                 "router returned replica {pick} of {replicas}"
@@ -1676,7 +1647,7 @@ impl<'a> Sim<'a> {
             let ctx = RoutingCtx::new(query, stage_idx, group, &self.mask_hist, &self.stage_groups);
             let pick = self
                 .router
-                .route_indexed(&loads, &ctx, &mut self.router_states[group]);
+                .route(&loads, &ctx, &mut self.router_states[group]);
             assert!(
                 pick < self.mask_idx.len(),
                 "router returned replica {pick} of {} available",
@@ -2002,7 +1973,8 @@ impl<'a> Sim<'a> {
     }
 
     /// A query arrived at a group with no routable replica. Under
-    /// [`FailurePolicy::Shed`] the query is shed; under
+    /// [`FailurePolicy::Shed`] the query is shed (freeing its
+    /// closed-loop client); under
     /// [`FailurePolicy::Requeue`] it parks awaiting a revival — but only
     /// while one is actually coming (a pending scheduled
     /// provision/recover, or an autoscaling controller that may yet
@@ -2020,9 +1992,8 @@ impl<'a> Sim<'a> {
                     // here would double-resolve.
                     return;
                 }
-                self.shed += 1;
-                self.win_shed += 1;
-                self.mp_account_lost(query, false);
+                self.account_lost(query, false);
+                self.release_client(now);
             }
             FailurePolicy::Requeue => {
                 let revival_pending = self.revivals_left[group] > 0
@@ -2040,7 +2011,7 @@ impl<'a> Sim<'a> {
     /// Disposes of a query stranded by a fail-stop: re-enters it as a
     /// fresh arrival at the same stage (Requeue — its original arrival
     /// time is kept, so the lost work shows up as latency) or counts it
-    /// shed/dropped (Shed).
+    /// shed/dropped and frees its closed-loop client (Shed).
     fn strand(&mut self, now: f64, query: usize, stage_idx: usize, was_in_flight: bool) {
         if self.resil_active {
             // A stranded carcass simply evaporates (its query already
@@ -2061,14 +2032,8 @@ impl<'a> Sim<'a> {
                 self.push_arrive(now, query, stage_idx);
             }
             FailurePolicy::Shed => {
-                if was_in_flight {
-                    self.dropped += 1;
-                    self.win_dropped += 1;
-                } else {
-                    self.shed += 1;
-                    self.win_shed += 1;
-                }
-                self.mp_account_lost(query, was_in_flight);
+                self.account_lost(query, was_in_flight);
+                self.release_client(now);
             }
         }
     }
@@ -2198,33 +2163,15 @@ impl<'a> Sim<'a> {
             }
             let Batch {
                 stage,
-                slot: _,
                 queries,
                 finish,
-            } = std::mem::replace(
-                &mut self.batches[idx],
-                Batch {
-                    stage: 0,
-                    slot: 0,
-                    queries: BatchQueries::One(0),
-                    finish: 0.0,
-                },
-            );
+                ..
+            } = self.retire_batch(idx);
             self.batch_gen[idx] += 1; // cancels the pending Complete
-            self.free_batches.push(idx);
             let s = &self.stages[stage];
             self.busy_unit_seconds[slot] -= s.units as f64 * (finish - now).max(0.0);
             self.busy_units_now -= s.units;
-            match queries {
-                BatchQueries::One(query) => self.strand(now, query, stage, true),
-                BatchQueries::Many(mut queries) => {
-                    for &query in queries.iter() {
-                        self.strand(now, query, stage, true);
-                    }
-                    queries.clear();
-                    self.query_pool.push(queries);
-                }
-            }
+            self.for_each_query(queries, |sim, query| sim.strand(now, query, stage, true));
         }
         let mut stranded = std::mem::take(&mut self.waiting[slot]);
         self.total_queued_entries -= stranded.len();
@@ -2290,7 +2237,7 @@ impl<'a> Sim<'a> {
         // Live replicas: the scaled group's routable count when a
         // controller is attached (the number it steers), else the whole
         // fleet's.
-        let live_replicas = match self.scale {
+        let live_replicas = match &self.scale {
             Some(scale) => {
                 let base = self.slot_base[scale.group];
                 let replicas = self.group_replicas[scale.group];
@@ -2344,10 +2291,7 @@ impl<'a> Sim<'a> {
     /// slots to scale up, drain the highest-index routable ones to
     /// scale down (drains never kill live work).
     fn autoscale_tick(&mut self, now: f64) {
-        let Some(scale) = self.scale else {
-            return;
-        };
-        let Some(window) = self.windows.last().cloned() else {
+        let (Some(scale), Some(window)) = (self.scale.as_mut(), self.windows.last()) else {
             return;
         };
         let base = self.slot_base[scale.group];
@@ -2355,10 +2299,11 @@ impl<'a> Sim<'a> {
         let live = (base..base + replicas)
             .filter(|&s| self.state[s].routable())
             .count();
-        let controller = self.controller.as_mut().expect("controller attached");
-        let desired = controller
-            .desired_replicas(&window, live)
+        let desired = scale
+            .controller
+            .desired_replicas(window, live)
             .clamp(scale.min, scale.max);
+        let warmup_s = scale.warmup_s;
         match desired.cmp(&live) {
             Ordering::Greater => {
                 let mut need = desired - live;
@@ -2367,7 +2312,7 @@ impl<'a> Sim<'a> {
                         break;
                     }
                     if self.state[slot] == SlotState::Down {
-                        self.apply_provision(now, slot, scale.warmup_s);
+                        self.apply_provision(now, slot, warmup_s);
                         need -= 1;
                     }
                 }
@@ -2388,22 +2333,40 @@ impl<'a> Sim<'a> {
         }
     }
 
+    /// Takes batch `idx` out of the table, recycling its table slot.
+    fn retire_batch(&mut self, idx: usize) -> Batch {
+        self.free_batches.push(idx);
+        let vacant = Batch {
+            stage: 0,
+            slot: 0,
+            queries: BatchQueries::One(0),
+            finish: 0.0,
+        };
+        std::mem::replace(&mut self.batches[idx], vacant)
+    }
+
+    /// Hands a retired batch's queries to `f` in batch order, then
+    /// returns a multi-query buffer to the pool.
+    fn for_each_query(&mut self, queries: BatchQueries, mut f: impl FnMut(&mut Self, usize)) {
+        match queries {
+            BatchQueries::One(query) => f(self, query),
+            BatchQueries::Many(mut queries) => {
+                for &query in queries.iter() {
+                    f(self, query);
+                }
+                queries.clear();
+                self.query_pool.push(queries);
+            }
+        }
+    }
+
     fn on_complete(&mut self, now: f64, batch: usize) {
         let Batch {
             stage,
             slot,
             queries,
             finish,
-        } = std::mem::replace(
-            &mut self.batches[batch],
-            Batch {
-                stage: 0,
-                slot: 0,
-                queries: BatchQueries::One(0),
-                finish: 0.0,
-            },
-        );
-        self.free_batches.push(batch);
+        } = self.retire_batch(batch);
         let s = &self.stages[stage];
         self.free[slot] += s.units;
         self.in_flight[slot] -= queries.len();
@@ -2416,16 +2379,7 @@ impl<'a> Sim<'a> {
         // release can never return more units than the replica owns.
         debug_assert!(self.free[slot] <= self.slot_capacity[slot]);
 
-        match queries {
-            BatchQueries::One(query) => self.route_onward(now, query, stage),
-            BatchQueries::Many(mut queries) => {
-                for &query in queries.iter() {
-                    self.route_onward(now, query, stage);
-                }
-                queries.clear();
-                self.query_pool.push(queries);
-            }
-        }
+        self.for_each_query(queries, |sim, query| sim.route_onward(now, query, stage));
         self.dispatch(now, slot);
         // A draining slot that just emptied goes down.
         if self.lifecycle_active
@@ -2524,175 +2478,32 @@ impl<'a> Sim<'a> {
                     mp.latency[p].record_secs(latency_s);
                 }
             }
-            // Closed loop: this completion frees a client, which
-            // thinks and then issues the next query.
-            if let Some(think) = self.think_time_s {
-                if self.next_inject < self.num_queries {
-                    let q = self.next_inject;
-                    self.next_inject += 1;
-                    self.inject(q, now + think);
-                }
-            }
+            self.release_client(now);
         }
     }
 
-    /// Stages schedule arrival `query + 1` after arrival `query` popped
-    /// (lazy staging): the successor's timestamp comes off the arrival
-    /// stream when one is attached, or the pre-filled `arrival_time`
-    /// vector otherwise.
+    /// Stages schedule arrival `query + 1` after arrival `query` popped:
+    /// the successor's timestamp comes off the arrival stream.
     fn stage_next_arrival(&mut self, query: usize) {
         let next = query + 1;
-        if let Some(stream) = self.arrival_stream.as_mut() {
-            let t = stream.next().expect("arrival stream ended early");
-            debug_assert!(
-                t >= self.arrival_time[query],
-                "streamed arrivals must be nondecreasing"
-            );
-            self.arrival_time[next] = t;
-            self.arrival_span = self.arrival_span.max(t);
-        }
-        self.heap
-            .push(Event::arrive(self.arrival_time[next], next as u64, next, 0));
+        let stream = self.arrival_stream.as_mut().expect("schedule is staged");
+        let t = stream.next().expect("arrival stream ended early");
+        // Built-in processes are sorted by construction and
+        // `TraceArrivals::new` rejects decreasing traces; this guards
+        // custom processes against the stream contract.
+        debug_assert!(
+            t >= self.arrival_time[query],
+            "streamed arrivals must be nondecreasing"
+        );
+        self.arrival_time[next] = t;
+        self.arrival_span = self.arrival_span.max(t);
+        self.heap.push(Event::arrive(t, next as u64, next, 0));
     }
 
     pub(crate) fn run(mut self) -> Result<SimResult, SimError> {
         while let Some(event) = self.heap.pop() {
-            let now = event.time;
-            if self.telemetry_active {
-                self.tele_advance(now);
-            }
-            match event.kind() {
-                EventKind::Arrive { query, stage } => {
-                    // Under resilience the payload packs the lane
-                    // identity around the stage; decode it and rebuild
-                    // the packed id that flows through queues/batches.
-                    let (stage, packed) = if self.resil_active {
-                        let raw = stage as u32;
-                        let gen = (raw >> RES_STAGE_BITS) & RES_GEN_MASK;
-                        let lane = (raw >> 31) as usize;
-                        (
-                            (raw & RES_STAGE_MASK) as usize,
-                            query | (gen as usize) << 32 | lane << 63,
-                        )
-                    } else {
-                        (stage, query)
-                    };
-                    self.last_time = now;
-                    // A lazily-staged schedule arrival stages its
-                    // successor (closed-loop re-injections sit past
-                    // `schedule_len` and never match; lifecycle
-                    // requeues re-use schedule query indices but carry
-                    // later seqs, so the seq check keeps them from
-                    // staging duplicates).
-                    if self.lazy_arrivals
-                        && stage == 0
-                        && event.seq() as usize == query
-                        && query + 1 < self.schedule_len
-                    {
-                        self.stage_next_arrival(query);
-                    }
-                    // Window arrival counting: schedule-driven stage-0
-                    // arrivals only (their heap seq is their query
-                    // index); requeues and parked flushes re-use query
-                    // indices but carry later seqs, so they never
-                    // double-count. Closed-loop injections count at
-                    // `inject`.
-                    if self.telemetry_active
-                        && stage == 0
-                        && query < self.schedule_len
-                        && event.seq() as usize == query
-                    {
-                        self.win_arrivals += 1;
-                    }
-                    if self.resil_active {
-                        let rt = self.resil.as_mut().expect("resilience runtime attached");
-                        if rt.state[query] == RQ_FRESH && stage == 0 {
-                            // First dispatch of the query: attempt 1
-                            // starts now, with its timeout and hedge.
-                            rt.state[query] = RQ_LIVE;
-                            rt.attempts[query] = 1;
-                            self.res_arm_attempt(now, query);
-                        } else if !self.lane_live(packed) {
-                            // A cancelled lane's leftover arrival
-                            // (requeue or parked flush of an attempt
-                            // that has since resolved or timed out).
-                            continue;
-                        }
-                    }
-                    self.on_arrive(now, packed, stage);
-                    if self.fatal.is_some() {
-                        break;
-                    }
-                }
-                EventKind::Complete { batch, gen } => {
-                    // A fail-stop that killed the batch bumped its
-                    // generation; the orphaned completion is a no-op.
-                    if gen == self.batch_gen[batch] as u32 {
-                        self.last_time = now;
-                        self.on_complete(now, batch);
-                    }
-                }
-                EventKind::Recheck { slot, gen } => {
-                    // Lazy cancellation: only the latest-armed timer of
-                    // a slot dispatches. A superseded timer can never
-                    // launch anything a live recheck, arrival, or
-                    // completion would not have launched first (the
-                    // armed time is always at or before the head
-                    // entry's hold deadline), so skipping it changes
-                    // nothing but the wasted queue scan.
-                    if gen == self.timer_gen[slot] as u32 {
-                        self.armed[slot] = None;
-                        self.dispatch(now, slot);
-                    }
-                }
-                EventKind::Lifecycle { idx } => {
-                    let (slot, ev) = self.sched[idx];
-                    if ev.revives() {
-                        self.revivals_left[self.slot_group[slot]] -= 1;
-                    }
-                    match ev.action {
-                        LifecycleAction::Provision { warmup_s } => {
-                            self.apply_provision(now, slot, warmup_s)
-                        }
-                        LifecycleAction::Drain => self.apply_drain(slot),
-                        LifecycleAction::FailStop => self.apply_fail_stop(now, slot),
-                        LifecycleAction::Recover => self.apply_recover(now, slot),
-                        LifecycleAction::Degrade { speed } => self.apply_degrade(slot, speed),
-                    }
-                }
-                EventKind::WarmDone { slot, gen } => {
-                    if gen == self.slot_gen[slot] as u32 && self.state[slot] == SlotState::Warming {
-                        self.state[slot] = SlotState::Up;
-                        // `* 1.0` is exact, so healthy slots stay
-                        // bit-identical to the degrade-free loop.
-                        self.cur_speed[slot] = self.slot_speed[slot] * self.degrade_frac[slot];
-                    }
-                }
-                EventKind::WindowTick => {
-                    self.close_window(now);
-                    self.autoscale_tick(now);
-                    // Re-arm while the run is still going; the last
-                    // (partial) window closes in `finish`.
-                    let timed_out = self.resil.as_ref().map_or(0, |r| r.stats.timed_out);
-                    let done = self.completed + self.shed + self.dropped + timed_out;
-                    if done < self.num_queries && !self.heap.is_empty() {
-                        self.heap
-                            .push(Event::window_tick(now + self.window_s, self.seq));
-                        self.seq += 1;
-                    }
-                }
-                EventKind::Timeout { query, gen } => {
-                    let rt = self.resil.as_mut().expect("resilience runtime attached");
-                    if gen == rt.gen[query] && rt.state[query] == RQ_LIVE {
-                        self.on_timeout(now, query);
-                    }
-                }
-                EventKind::Hedge { query, gen } => {
-                    let rt = self.resil.as_mut().expect("resilience runtime attached");
-                    if gen == rt.gen[query] && rt.state[query] == RQ_LIVE && !rt.hedged[query] {
-                        self.on_hedge(now, query, gen);
-                    }
-                }
+            if self.step(event).is_break() {
+                break;
             }
         }
         if let Some(err) = self.fatal.take() {
@@ -2701,7 +2512,142 @@ impl<'a> Sim<'a> {
         Ok(self.finish())
     }
 
-    /// Runs one stage's shard of a sharded (lifecycle-free) run.
+    /// Processes one popped event — the one dispatch the serial loop
+    /// and every stage shard share. Breaks once an arrival leaves the
+    /// run failed ([`SimError::NoAvailableReplica`]).
+    fn step(&mut self, event: Event) -> ControlFlow<()> {
+        let now = event.time;
+        if self.telemetry_active {
+            self.tele_advance(now);
+        }
+        match event.kind() {
+            EventKind::Arrive { query, stage } => {
+                // Under resilience the payload packs the lane identity
+                // around the stage; decode it and rebuild the packed id
+                // that flows through queues/batches.
+                let (stage, packed) = if self.resil_active {
+                    let raw = stage as u32;
+                    let gen = (raw >> RES_STAGE_BITS) & RES_GEN_MASK;
+                    let lane = (raw >> 31) as usize;
+                    (
+                        (raw & RES_STAGE_MASK) as usize,
+                        query | (gen as usize) << 32 | lane << 63,
+                    )
+                } else {
+                    (stage, query)
+                };
+                self.last_time = now;
+                // A schedule arrival stages its successor (closed-loop
+                // re-injections sit past `schedule_len` and never match;
+                // lifecycle requeues re-use schedule query indices but
+                // carry later seqs, so the seq check keeps them from
+                // staging duplicates).
+                let scheduled = stage == 0 && event.seq() as usize == query;
+                if scheduled && query + 1 < self.schedule_len {
+                    self.stage_next_arrival(query);
+                }
+                // Window arrival counting: schedule-driven stage-0
+                // arrivals only (their heap seq is their query index);
+                // requeues and parked flushes re-use query indices but
+                // carry later seqs, so they never double-count.
+                // Closed-loop injections count at `inject`.
+                if self.telemetry_active && scheduled && query < self.schedule_len {
+                    self.win_arrivals += 1;
+                }
+                if self.resil_active {
+                    let rt = self.resil.as_mut().expect("resilience runtime attached");
+                    if rt.state[query] == RQ_FRESH && stage == 0 {
+                        // First dispatch of the query: attempt 1 starts
+                        // now, with its timeout and hedge.
+                        rt.state[query] = RQ_LIVE;
+                        rt.attempts[query] = 1;
+                        self.res_arm_attempt(now, query);
+                    } else if !self.lane_live(packed) {
+                        // A cancelled lane's leftover arrival (requeue or
+                        // parked flush of an attempt that has since
+                        // resolved or timed out).
+                        return ControlFlow::Continue(());
+                    }
+                }
+                self.on_arrive(now, packed, stage);
+                if self.fatal.is_some() {
+                    return ControlFlow::Break(());
+                }
+            }
+            EventKind::Complete { batch, gen } => {
+                // A fail-stop that killed the batch bumped its
+                // generation; the orphaned completion is a no-op.
+                if gen == self.batch_gen[batch] as u32 {
+                    self.last_time = now;
+                    self.on_complete(now, batch);
+                }
+            }
+            EventKind::Recheck { slot, gen } => {
+                // Lazy cancellation: only the latest-armed timer of a
+                // slot dispatches. A superseded timer can never launch
+                // anything a live recheck, arrival, or completion would
+                // not have launched first (the armed time is always at
+                // or before the head entry's hold deadline), so skipping
+                // it changes nothing but the wasted queue scan.
+                if gen == self.timer_gen[slot] as u32 {
+                    self.armed[slot] = None;
+                    self.dispatch(now, slot);
+                }
+            }
+            EventKind::Lifecycle { idx } => {
+                let (slot, ev) = self.sched[idx];
+                if ev.revives() {
+                    self.revivals_left[self.slot_group[slot]] -= 1;
+                }
+                match ev.action {
+                    LifecycleAction::Provision { warmup_s } => {
+                        self.apply_provision(now, slot, warmup_s)
+                    }
+                    LifecycleAction::Drain => self.apply_drain(slot),
+                    LifecycleAction::FailStop => self.apply_fail_stop(now, slot),
+                    LifecycleAction::Recover => self.apply_recover(now, slot),
+                    LifecycleAction::Degrade { speed } => self.apply_degrade(slot, speed),
+                }
+            }
+            EventKind::WarmDone { slot, gen } => {
+                if gen == self.slot_gen[slot] as u32 && self.state[slot] == SlotState::Warming {
+                    self.state[slot] = SlotState::Up;
+                    // `* 1.0` is exact, so healthy slots stay
+                    // bit-identical to the degrade-free loop.
+                    self.cur_speed[slot] = self.slot_speed[slot] * self.degrade_frac[slot];
+                }
+            }
+            EventKind::WindowTick => {
+                self.close_window(now);
+                self.autoscale_tick(now);
+                // Re-arm while the run is still going; the last
+                // (partial) window closes in `finish`.
+                let timed_out = self.resil.as_ref().map_or(0, |r| r.stats.timed_out);
+                let done = self.completed + self.shed + self.dropped + timed_out;
+                if done < self.num_queries && !self.heap.is_empty() {
+                    self.heap
+                        .push(Event::window_tick(now + self.window_s, self.seq));
+                    self.seq += 1;
+                }
+            }
+            EventKind::Timeout { query, gen } => {
+                let rt = self.resil.as_mut().expect("resilience runtime attached");
+                if gen == rt.gen[query] && rt.state[query] == RQ_LIVE {
+                    self.on_timeout(now, query);
+                }
+            }
+            EventKind::Hedge { query, gen } => {
+                let rt = self.resil.as_mut().expect("resilience runtime attached");
+                if gen == rt.gen[query] && rt.state[query] == RQ_LIVE && !rt.hedged[query] {
+                    self.on_hedge(now, query, gen);
+                }
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// Runs one stage's shard of a sharded (lifecycle-free) run through
+    /// the serial loop's [`step`](Self::step).
     ///
     /// The head shard (`input` is `None`) replays the arrival schedule
     /// through the normal heap. Downstream shards merge their internal
@@ -2719,71 +2665,32 @@ impl<'a> Sim<'a> {
         stage: usize,
         mut input: Option<&mut dyn ShardSource>,
     ) -> RunTotals {
-        match input.as_mut() {
-            None => {
-                while let Some(event) = self.heap.pop() {
-                    self.handle_shard_event(event);
-                }
-            }
-            Some(src) => {
-                let mut pending = src.next_arrival();
-                loop {
-                    let take_heap = match (self.heap.peek(), pending) {
-                        (Some(ev), Some((t, _, _))) => ev.time <= t,
-                        (Some(_), None) => true,
-                        (None, Some(_)) => false,
-                        (None, None) => break,
-                    };
-                    if take_heap {
-                        let event = self.heap.pop().expect("peeked event exists");
-                        self.handle_shard_event(event);
-                    } else {
-                        let (t, query, arrived) = pending.take().expect("checked above");
-                        pending = src.next_arrival();
-                        // The query's end-to-end clock starts at its
-                        // *original* arrival (EDF deadlines and latency
-                        // both key off it), not the hand-off instant.
-                        self.arrival_time[query] = arrived;
-                        self.arrival_span = self.arrival_span.max(arrived);
-                        self.last_time = t;
-                        self.on_arrive(t, query, stage);
-                    }
-                }
+        let mut pending = input.as_mut().and_then(|src| src.next_arrival());
+        loop {
+            let take_heap = match (self.heap.peek(), pending) {
+                (Some(ev), Some((t, _, _))) => ev.time <= t,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => break,
+            };
+            if take_heap {
+                let event = self.heap.pop().expect("peeked event exists");
+                // Shards are lifecycle-free, so no arrival fails the run.
+                let flow = self.step(event);
+                debug_assert!(flow.is_continue());
+            } else {
+                let (t, query, arrived) = pending.take().expect("checked above");
+                pending = input.as_mut().and_then(|src| src.next_arrival());
+                // The query's end-to-end clock starts at its *original*
+                // arrival (EDF deadlines and latency both key off it),
+                // not the hand-off instant.
+                self.arrival_time[query] = arrived;
+                self.arrival_span = self.arrival_span.max(arrived);
+                self.last_time = t;
+                self.on_arrive(t, query, stage);
             }
         }
         self.totals()
-    }
-
-    /// One event of a stage shard's loop — the lifecycle-free subset of
-    /// [`run`](Self::run)'s dispatch.
-    fn handle_shard_event(&mut self, event: Event) {
-        let now = event.time;
-        match event.kind() {
-            EventKind::Arrive { query, stage } => {
-                self.last_time = now;
-                if self.lazy_arrivals
-                    && stage == 0
-                    && event.seq() as usize == query
-                    && query + 1 < self.schedule_len
-                {
-                    self.stage_next_arrival(query);
-                }
-                self.on_arrive(now, query, stage);
-            }
-            EventKind::Complete { batch, gen } => {
-                if gen == self.batch_gen[batch] as u32 {
-                    self.last_time = now;
-                    self.on_complete(now, batch);
-                }
-            }
-            EventKind::Recheck { slot, gen } => {
-                if gen == self.timer_gen[slot] as u32 {
-                    self.armed[slot] = None;
-                    self.dispatch(now, slot);
-                }
-            }
-            _ => unreachable!("lifecycle events never reach a stage shard"),
-        }
     }
 
     /// Takes the run's raw totals (a stage shard's contribution to the
@@ -2862,12 +2769,8 @@ impl<'a> Sim<'a> {
             for group in 0..self.parked.len() {
                 let leftover = std::mem::take(&mut self.parked[group]);
                 self.total_queued_entries -= leftover.len();
-                self.shed += leftover.len();
-                self.win_shed += leftover.len();
-                if self.mp.is_some() {
-                    for &(query, _) in &leftover {
-                        self.mp_account_lost(query, false);
-                    }
+                for (query, _) in leftover {
+                    self.account_lost(query, false);
                 }
             }
         }
@@ -2890,50 +2793,41 @@ impl<'a> Sim<'a> {
             None => self.spec.max_qps_at_full_batch(),
         };
         let rate_overload = self.think_time_s.is_none() && offered > full_batch_qps;
-        let core = self.totals().into_result(self.spec, rate_overload);
-        let (path_stats, admission_shed) = match self.mp.take() {
-            Some(mp) => {
-                let MultipathRt {
-                    names,
-                    profiles,
-                    admitted,
-                    completed,
-                    shed,
-                    dropped,
-                    mut latency,
-                    admission_shed,
-                    ..
-                } = mp;
-                let stats = names
-                    .into_iter()
-                    .enumerate()
-                    .map(|(p, name)| PathStats {
-                        name,
-                        quality: profiles[p].quality,
-                        admitted: admitted[p],
-                        completed: completed[p],
-                        shed: shed[p],
-                        dropped: dropped[p],
-                        mean_latency_s: latency[p].mean().as_secs_f64(),
-                        p99_s: latency[p].p99().as_secs_f64(),
-                    })
-                    .collect();
-                (stats, admission_shed)
-            }
-            None => (Vec::new(), 0),
-        };
-        let result = core
-            .with_lifecycle_outcome(
-                self.shed,
-                self.dropped,
-                self.cost_integral,
-                std::mem::take(&mut self.windows),
-            )
-            .with_multipath_outcome(path_stats, admission_shed);
-        match self.resil.take() {
-            Some(rt) => result.with_resilience_outcome(rt.stats),
-            None => result,
+        let mut result = self.totals().into_result(self.spec, rate_overload);
+        result.shed = self.shed;
+        result.dropped = self.dropped;
+        result.cost_integral = self.cost_integral;
+        result.windows = std::mem::take(&mut self.windows);
+        if let Some(mp) = self.mp.take() {
+            let MultipathRt {
+                names,
+                profiles,
+                admitted,
+                completed,
+                shed,
+                dropped,
+                mut latency,
+                admission_shed,
+                ..
+            } = mp;
+            result.paths = names
+                .into_iter()
+                .enumerate()
+                .map(|(p, name)| PathStats {
+                    name,
+                    quality: profiles[p].quality,
+                    admitted: admitted[p],
+                    completed: completed[p],
+                    shed: shed[p],
+                    dropped: dropped[p],
+                    mean_latency_s: latency[p].mean().as_secs_f64(),
+                    p99_s: latency[p].p99().as_secs_f64(),
+                })
+                .collect();
+            result.admission_shed = admission_shed;
         }
+        result.resilience = self.resil.take().map(|rt| rt.stats);
+        result
     }
 }
 

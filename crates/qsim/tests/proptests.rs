@@ -279,7 +279,7 @@ mod reference_routed {
     use recpipe_data::ArrivalProcess;
     use recpipe_metrics::{LatencyStats, ThroughputMeter};
     use recpipe_qsim::{
-        PipelineSpec, QueueEntry, Release, ReplicaSnapshot, Router, RouterState, RoutingCtx,
+        PipelineSpec, QueueEntry, Release, ReplicaLoads, Router, RouterState, RoutingCtx,
         SchedulingPolicy, SimResult, StageSpec,
     };
 
@@ -370,7 +370,7 @@ mod reference_routed {
         armed: Vec<Option<f64>>,
         busy_unit_seconds: Vec<f64>,
         router_states: Vec<RouterState>,
-        snapshots: Vec<ReplicaSnapshot>,
+        queued: Vec<usize>,
         batches: Vec<Batch>,
         finish_time: Vec<f64>,
         completed: usize,
@@ -421,7 +421,7 @@ mod reference_routed {
                 router_states: (0..resources.len() as u64)
                     .map(|g| RouterState::new(seed ^ g.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
                     .collect(),
-                snapshots: Vec::new(),
+                queued: Vec::new(),
                 batches: Vec::new(),
                 finish_time: vec![f64::NAN; num_queries],
                 completed: 0,
@@ -464,23 +464,23 @@ mod reference_routed {
             if replicas == 1 {
                 return base;
             }
-            self.snapshots.clear();
+            self.queued.clear();
             for slot in base..base + replicas {
-                self.snapshots.push(ReplicaSnapshot {
-                    queued: self.waiting[slot].len(),
-                    in_flight: self.in_flight[slot],
-                    free_units: self.free[slot],
-                    remaining_work: 0.0,
-                    speed: 1.0,
-                    in_flight_wait: 0.0,
-                });
+                self.queued.push(self.waiting[slot].len());
             }
+            // Counter-only loads: no estimates, so remaining work reads
+            // 0.0 and speed 1.0 — the PR-3 router view.
+            let loads = ReplicaLoads::new(
+                &self.queued,
+                &self.in_flight[base..base + replicas],
+                &self.free[base..base + replicas],
+            );
             // The PR-3 router set never reads the routing context; a
             // history-free root context satisfies the new signature.
             let ctx = RoutingCtx::root(query, stage_idx, group);
             let pick = self
                 .router
-                .route(&self.snapshots, &ctx, &mut self.router_states[group]);
+                .route(&loads, &ctx, &mut self.router_states[group]);
             assert!(
                 pick < replicas,
                 "router returned replica {pick} of {replicas}"
@@ -1086,7 +1086,7 @@ mod reference_pr4 {
         /// Routes a query arriving at `stage_idx` to one replica slot of
         /// the stage's resource group.
         ///
-        /// Replicated groups go through [`Router::route_indexed`], probing
+        /// Replicated groups go through [`Router::route`], probing
         /// the incrementally-maintained `queued`/`in_flight`/`free` counter
         /// arrays directly — no snapshot materialization per decision.
         fn route(&mut self, query: usize, stage_idx: usize) -> usize {
@@ -1105,7 +1105,7 @@ mod reference_pr4 {
             let ctx = RoutingCtx::root(query, stage_idx, group);
             let pick = self
                 .router
-                .route_indexed(&loads, &ctx, &mut self.router_states[group]);
+                .route(&loads, &ctx, &mut self.router_states[group]);
             assert!(
                 pick < replicas,
                 "router returned replica {pick} of {replicas}"
@@ -1858,7 +1858,7 @@ mod reference_pr5 {
         /// the stage's resource group, recording the choice in the query's
         /// routing history (the [`RoutingCtx`] affinity signal).
         ///
-        /// Replicated groups go through [`Router::route_indexed`], probing
+        /// Replicated groups go through [`Router::route`], probing
         /// the incrementally-maintained `queued`/`in_flight`/`free` counter
         /// arrays and the `remaining_work`/`slot_speed` estimator arrays
         /// directly — no snapshot materialization per decision.
@@ -1895,7 +1895,7 @@ mod reference_pr5 {
                 );
                 let pick = self
                     .router
-                    .route_indexed(&loads, &ctx, &mut self.router_states[group]);
+                    .route(&loads, &ctx, &mut self.router_states[group]);
                 assert!(
                     pick < replicas,
                     "router returned replica {pick} of {replicas}"
@@ -2537,7 +2537,7 @@ proptest! {
         seed in 0u64..300,
     ) {
         // The PR-4 hot-loop rewrite (pooled batch buffers, batch-slot
-        // freelist, counter-array router probes via `route_indexed`,
+        // freelist, counter-array router probes via `route`,
         // generation-counter timer cancellation) must not change a
         // single bit of any simulation: policies that arm timers,
         // routers that probe replica state, and batch formation all go
@@ -2861,6 +2861,8 @@ proptest! {
         fail_ms in proptest::collection::vec(50u64..1500, 1..4),
         fail_targets in proptest::collection::vec(0usize..8, 1..4),
         shed_policy in proptest::prelude::any::<bool>(),
+        closed_loop in proptest::prelude::any::<bool>(),
+        clients in 1usize..5,
         queries in 100usize..400,
         seed in 0u64..100,
     ) {
@@ -2868,6 +2870,8 @@ proptest! {
         // the last failure, so Requeue always has a way forward): every
         // injected query is accounted for exactly once -- completed,
         // shed, or dropped -- and under Requeue nothing is ever lost.
+        // Closed-loop clients must survive their queries' losses, or a
+        // small population stops issuing before `queries` is reached.
         // The simulator's debug assertions (unit conservation, counter
         // drift) are live here too.
         let mut fails: Vec<(f64, usize)> = fail_ms
@@ -2892,13 +2896,17 @@ proptest! {
             .with_group_lifecycle(0, schedule);
         let policy = policy_for(policy_idx);
         let router = router_for_v4(router_idx);
-        let arrivals = MmppArrivals::new(60.0, 500.0, 0.2, 0.1);
+        let arrivals: Box<dyn recpipe_data::ArrivalProcess> = if closed_loop {
+            Box::new(ClosedLoopArrivals::new(clients, 0.005))
+        } else {
+            Box::new(MmppArrivals::new(60.0, 500.0, 0.2, 0.1))
+        };
         let cfg = if shed_policy {
             LifecycleConfig::new().with_failure_policy(FailurePolicy::Shed)
         } else {
             LifecycleConfig::new()
         };
-        let out = Scenario::new(&spec, &arrivals, queries, seed)
+        let out = Scenario::new(&spec, arrivals.as_ref(), queries, seed)
             .policy(policy.as_ref())
             .router(router.as_ref())
             .lifecycle(&cfg)
@@ -2910,7 +2918,7 @@ proptest! {
             prop_assert_eq!(out.shed + out.dropped, 0);
         }
         // Failure replay is reproducible like everything else.
-        let again = Scenario::new(&spec, &arrivals, queries, seed)
+        let again = Scenario::new(&spec, arrivals.as_ref(), queries, seed)
             .policy(policy.as_ref())
             .router(router.as_ref())
             .lifecycle(&cfg)

@@ -355,3 +355,54 @@ fn closed_loop_serving_end_to_end_obeys_littles_law() {
         out.qps
     );
 }
+
+#[test]
+fn closed_loop_clients_survive_failure_sheds_end_to_end() {
+    use recpipe::data::ClosedLoopArrivals;
+    use recpipe::qsim::{
+        FailurePolicy, LifecycleConfig, LifecycleEvent, LifecycleSchedule, PipelineSpec,
+        ReplicaGroup, Scenario, StageSpec,
+    };
+
+    // Eight closed-loop clients on one 2-replica group at 4 ms. Under
+    // `Shed`, every query a failure sheds or drops must free its client
+    // just as a completion does, so all 2,000 queries are still issued
+    // and `completed + shed + dropped` accounts for each of them.
+    let arrivals = ClosedLoopArrivals::new(8, 0.01);
+    let cfg = LifecycleConfig::new().with_failure_policy(FailurePolicy::Shed);
+    let run = |failed: &[usize]| {
+        let mut schedule = LifecycleSchedule::empty();
+        for &r in failed {
+            schedule = schedule.with_event(LifecycleEvent::fail_stop(0.5, r));
+        }
+        for &r in failed {
+            schedule = schedule.with_event(LifecycleEvent::recover(0.6, r));
+        }
+        let spec = PipelineSpec::new(vec![ReplicaGroup::replicated("worker", 1, 2)])
+            .with_stage(StageSpec::new("rank", 0, 1, 0.004))
+            .unwrap()
+            .with_group_lifecycle(0, schedule);
+        Scenario::new(&spec, &arrivals, 2_000, 3)
+            .lifecycle(&cfg)
+            .run()
+            .unwrap()
+    };
+    let healthy = run(&[]);
+    assert_eq!(healthy.completed, 2_000);
+    for failed in [&[0usize][..], &[0, 1]] {
+        let out = run(failed);
+        assert!(
+            out.shed + out.dropped > 0,
+            "{failed:?}: the outage lost nothing"
+        );
+        assert_eq!(out.completed + out.shed + out.dropped, 2_000, "{failed:?}");
+        // A 0.1 s outage in a ~4 s run must not cost the population
+        // clients: throughput stays near the failure-free run's.
+        assert!(
+            out.qps > 0.9 * healthy.qps,
+            "{failed:?}: qps {} vs healthy {}",
+            out.qps,
+            healthy.qps
+        );
+    }
+}

@@ -90,6 +90,47 @@ fn cluster_routing_through_facade() {
 }
 
 #[test]
+fn custom_router_through_facade() {
+    use recpipe::data::PoissonArrivals;
+    use recpipe::qsim::{ReplicaLoads, Router, RouterState, RoutingCtx};
+
+    // A custom router is one decision over the group's loads: here, the
+    // least-loaded replica with ties going to the highest index (the
+    // mirror image of JSQ's lowest-index tie-break).
+    #[derive(Debug)]
+    struct LastLeastLoaded;
+    impl Router for LastLeastLoaded {
+        fn name(&self) -> String {
+            "last-least-loaded".into()
+        }
+        fn route(
+            &self,
+            loads: &ReplicaLoads<'_>,
+            _ctx: &RoutingCtx<'_>,
+            _state: &mut RouterState,
+        ) -> usize {
+            (0..loads.len())
+                .rev()
+                .min_by_key(|&i| loads.load(i))
+                .expect("loads are never empty")
+        }
+    }
+
+    let spec = PipelineSpec::new(vec![ReplicaGroup::replicated("worker", 2, 3)])
+        .with_stage(StageSpec::new("rank", 0, 1, 0.004))
+        .unwrap();
+    let out = Scenario::new(&spec, &PoissonArrivals::new(600.0), 1_000, 1)
+        .router(&LastLeastLoaded)
+        .run()
+        .unwrap();
+    assert_eq!(out.completed, 1_000);
+    let util = &out.replica_utilization[0];
+    assert!(util.iter().all(|&u| u > 0.0), "{util:?}");
+    // Ties go high, so the last replica carries the most work.
+    assert!(util[2] > util[0], "{util:?}");
+}
+
+#[test]
 fn heterogeneous_fleet_through_facade() {
     use recpipe::core::FleetSpec;
     use recpipe::data::PoissonArrivals;
