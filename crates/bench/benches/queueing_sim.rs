@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use recpipe_core::{Backend, Scheduler, SchedulerSettings, SweepBudget};
+use recpipe_core::{Backend, FleetSpec, Scheduler, SchedulerSettings, SweepBudget};
 use recpipe_data::{DiurnalArrivals, MmppArrivals, PoissonArrivals, TraceArrivals};
 use recpipe_hwsim::{CpuModel, PcieModel};
 use recpipe_qsim::{
@@ -297,7 +297,7 @@ fn bench_cluster_sweep(c: &mut Criterion) {
     let mut settings = SchedulerSettings::quick();
     settings.quality_queries = 5;
     settings.sim_queries = 6_000;
-    settings.replica_options = vec![1, 2, 4];
+    settings.fleet_options = [1, 2, 4].map(FleetSpec::uniform).to_vec();
     settings.workers = Some(1);
     let pool: Vec<Arc<dyn Backend>> = vec![Arc::new(CpuModel::cascade_lake())];
     let interconnect = PcieModel::measured();

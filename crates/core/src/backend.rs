@@ -467,7 +467,7 @@ impl StageSite {
     ///
     /// # Panics
     ///
-    /// Panics if `replicas == 0`, matching [`ClusterSpec::new`] and the
+    /// Panics if `replicas == 0`, matching [`FleetSpec::uniform`] and the
     /// qsim constructors — a zero-replica fleet is a configuration bug,
     /// not a degenerate case to normalize away.
     pub fn with_replicas(self, replicas: usize) -> Self {
@@ -683,100 +683,6 @@ impl Placement {
             })
             .collect::<Vec<_>>()
             .join("|")
-    }
-}
-
-/// Per-backend replica fleets for a serving cluster — the
-/// engine-builder-facing way to replicate backends (and mix their
-/// machine generations) without editing every [`StageSite`] by hand.
-///
-/// Index `i` holds the fleet of backend `i` in the engine's pool.
-/// Applied to a [`Placement`] it sets the fleet on every site of each
-/// backend; derived *from* a placement it summarizes the fleets the
-/// sites carry.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct ClusterSpec {
-    fleets: Vec<FleetSpec>,
-}
-
-impl ClusterSpec {
-    /// A cluster of explicit per-backend replica counts (uniform
-    /// current-generation fleets).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any count is zero.
-    pub fn new(replicas: Vec<usize>) -> Self {
-        Self {
-            fleets: replicas.into_iter().map(FleetSpec::uniform).collect(),
-        }
-    }
-
-    /// A cluster of explicit per-backend generation mixes.
-    pub fn heterogeneous(fleets: Vec<FleetSpec>) -> Self {
-        Self { fleets }
-    }
-
-    /// Every backend at a single replica — the pre-cluster default.
-    pub fn single(pool_size: usize) -> Self {
-        Self::uniform(pool_size, 1)
-    }
-
-    /// Every backend at `replicas` replicas.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replicas == 0`.
-    pub fn uniform(pool_size: usize, replicas: usize) -> Self {
-        Self::new(vec![replicas; pool_size])
-    }
-
-    /// Replaces one backend's replica count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is out of range or `replicas == 0`.
-    pub fn with_backend(self, backend: usize, replicas: usize) -> Self {
-        self.with_fleet(backend, FleetSpec::uniform(replicas))
-    }
-
-    /// Replaces one backend's generation mix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is out of range.
-    pub fn with_fleet(mut self, backend: usize, fleet: FleetSpec) -> Self {
-        assert!(backend < self.fleets.len(), "unknown backend index");
-        self.fleets[backend] = fleet;
-        self
-    }
-
-    /// The per-backend replica counts, indexed by pool position.
-    pub fn replicas(&self) -> Vec<usize> {
-        self.fleets.iter().map(FleetSpec::replicas).collect()
-    }
-
-    /// The per-backend fleets, indexed by pool position.
-    pub fn fleets(&self) -> &[FleetSpec] {
-        &self.fleets
-    }
-
-    /// Summarizes the fleets a placement's sites carry over a pool of
-    /// `pool_size` backends (one baseline replica for backends hosting
-    /// no stage).
-    pub fn from_placement(placement: &Placement, pool_size: usize) -> Self {
-        Self {
-            fleets: (0..pool_size).map(|b| placement.fleet_for(b)).collect(),
-        }
-    }
-
-    /// Applies the fleets to a placement, replicating every backend's
-    /// sites accordingly.
-    pub fn apply(&self, mut placement: Placement) -> Placement {
-        for (backend, fleet) in self.fleets.iter().enumerate() {
-            placement = placement.with_fleet(backend, fleet.clone());
-        }
-        placement
     }
 }
 
@@ -1109,22 +1015,6 @@ mod tests {
     }
 
     #[test]
-    fn cluster_spec_applies_and_summarizes() {
-        let cluster = ClusterSpec::single(2).with_backend(1, 4);
-        let placement = cluster.apply(Placement::gpu_frontend(2, 2));
-        assert_eq!(placement.replicas_for(1), 4);
-        assert_eq!(placement.replicas_for(0), 1);
-        assert_eq!(ClusterSpec::from_placement(&placement, 2), cluster);
-        assert_eq!(ClusterSpec::uniform(3, 2).replicas(), &[2, 2, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn cluster_spec_rejects_zero_counts() {
-        ClusterSpec::new(vec![1, 0]);
-    }
-
-    #[test]
     fn fleet_spec_constructors_and_cost() {
         let mix = FleetSpec::mixed(&[(2, 1.0), (2, 0.6)]);
         assert_eq!(mix, FleetSpec::new(&[1.0, 1.0, 0.6, 0.6]));
@@ -1252,17 +1142,6 @@ mod tests {
             assert_eq!(group.profiles()[0].speed, 1.0);
             assert_eq!(group.profiles()[1].speed, 0.5);
         }
-    }
-
-    #[test]
-    fn cluster_spec_fleet_round_trips_through_placements() {
-        let mix = FleetSpec::mixed(&[(1, 1.0), (2, 0.6)]);
-        let cluster = ClusterSpec::single(2).with_fleet(1, mix.clone());
-        let placement = cluster.apply(Placement::gpu_frontend(2, 2));
-        assert_eq!(placement.fleet_for(1), mix);
-        assert_eq!(placement.fleet_for(0), FleetSpec::uniform(1));
-        assert_eq!(ClusterSpec::from_placement(&placement, 2), cluster);
-        assert_eq!(cluster.replicas(), vec![1, 3]);
     }
 
     #[test]

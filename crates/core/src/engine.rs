@@ -20,7 +20,7 @@ use recpipe_metrics::ParetoFront;
 use recpipe_qsim::{PipelineSpec, SimResult, SpecError};
 use serde::{Deserialize, Serialize};
 
-use crate::backend::{build_serving_spec, Backend, ClusterSpec, FleetSpec, Placement};
+use crate::backend::{build_serving_spec, Backend, FleetSpec, Placement};
 use crate::scheduler::Scheduler;
 use crate::{PipelineConfig, QualityEvaluator, QualityReport, SchedulerSettings};
 
@@ -45,13 +45,6 @@ pub enum EngineError {
         /// Number of backends in the pool.
         pool_size: usize,
     },
-    /// A cluster spec's entry count differs from the backend pool's.
-    ClusterArity {
-        /// Backends in the pool.
-        pool_size: usize,
-        /// Entries in the cluster spec.
-        entries: usize,
-    },
     /// The queueing spec rejected a stage (e.g. parallelism above the
     /// backend's capacity).
     Spec(SpecError),
@@ -72,10 +65,6 @@ impl std::fmt::Display for EngineError {
             EngineError::UnknownBackend { index, pool_size } => write!(
                 f,
                 "placement references backend {index} but the pool has {pool_size}"
-            ),
-            EngineError::ClusterArity { pool_size, entries } => write!(
-                f,
-                "cluster spec has {entries} entries but the pool has {pool_size} backends"
             ),
             EngineError::Spec(e) => write!(f, "invalid queueing spec: {e}"),
             EngineError::Sim(e) => write!(f, "simulation failed: {e}"),
@@ -173,7 +162,6 @@ pub struct EngineBuilder {
     sim_queries: usize,
     seed: u64,
     batching: bool,
-    cluster: Option<ClusterSpec>,
     fleet_overrides: Vec<(usize, FleetSpec)>,
 }
 
@@ -191,7 +179,6 @@ impl EngineBuilder {
             sim_queries: 4_000,
             seed: 0xbeef,
             batching: false,
-            cluster: None,
             fleet_overrides: Vec::new(),
         }
     }
@@ -277,14 +264,14 @@ impl EngineBuilder {
     /// Replica counts live on the placement's stages, so the call is a
     /// no-op for a backend the placement gives no stage to (idle
     /// hardware has nothing to replicate), and
-    /// [`Engine::cluster`] will keep reporting 1 for it.
+    /// [`Placement::fleet_for`] keeps reporting one replica for it.
     ///
     /// An out-of-pool index surfaces as
     /// [`EngineError::UnknownBackend`] at [`build`](Self::build).
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`, matching [`ClusterSpec::new`] and
+    /// Panics if `n == 0`, matching [`FleetSpec::uniform`] and
     /// [`StageSite::with_replicas`](crate::StageSite::with_replicas).
     pub fn replicas(self, backend_idx: usize, n: usize) -> Self {
         self.fleet(backend_idx, FleetSpec::uniform(n))
@@ -299,16 +286,6 @@ impl EngineBuilder {
     /// placement gives no stage to.
     pub fn fleet(mut self, backend_idx: usize, fleet: FleetSpec) -> Self {
         self.fleet_overrides.push((backend_idx, fleet));
-        self
-    }
-
-    /// Sets every backend's replica count at once from a
-    /// [`ClusterSpec`] (entry `i` replicates backend `i`). Individual
-    /// [`replicas`](Self::replicas) calls override it. As with
-    /// [`replicas`](Self::replicas), entries for backends the
-    /// placement gives no stage to are ignored.
-    pub fn cluster(mut self, cluster: ClusterSpec) -> Self {
-        self.cluster = Some(cluster);
         self
     }
 
@@ -336,15 +313,6 @@ impl EngineBuilder {
         let mut placement = self
             .placement
             .unwrap_or_else(|| Placement::uniform(0, pipeline.num_stages(), 1));
-        if let Some(cluster) = &self.cluster {
-            if cluster.fleets().len() != self.backends.len() {
-                return Err(EngineError::ClusterArity {
-                    pool_size: self.backends.len(),
-                    entries: cluster.fleets().len(),
-                });
-            }
-            placement = cluster.apply(placement);
-        }
         for (backend, fleet) in &self.fleet_overrides {
             if *backend >= self.backends.len() {
                 return Err(EngineError::UnknownBackend {
@@ -485,14 +453,6 @@ impl Engine {
     /// The per-stage placement.
     pub fn placement(&self) -> &Placement {
         &self.placement
-    }
-
-    /// The cluster shape: per-backend replica counts derived from the
-    /// placement (all 1 for an unreplicated engine; backends hosting
-    /// no stage always report 1, whatever the builder was asked —
-    /// replica counts live on the stages that use them).
-    pub fn cluster(&self) -> ClusterSpec {
-        ClusterSpec::from_placement(&self.placement, self.backends.len())
     }
 
     /// Total replica cost of this engine's cluster (see
@@ -719,12 +679,11 @@ impl Engine {
     /// swept (overriding `settings.dataset`); the settings supply the
     /// search grid.
     ///
-    /// When the settings sweep cluster shapes
-    /// ([`SchedulerSettings::replica_options`] beyond `[1]`, or any
-    /// [`SchedulerSettings::fleet_options`] mixing generations), the
-    /// front becomes three-objective — quality vs latency vs
-    /// profile-weighted fleet cost ([`Scheduler::pareto_with_cost`]) —
-    /// so cheap clusters survive alongside fast ones.
+    /// When the settings sweep cluster shapes (any
+    /// [`SchedulerSettings::fleet_options`] beyond one baseline
+    /// replica), the front becomes three-objective — quality vs latency
+    /// vs profile-weighted fleet cost ([`Scheduler::pareto_with_cost`])
+    /// — so cheap clusters survive alongside fast ones.
     pub fn sweep(&self, settings: &SchedulerSettings) -> ParetoFront<Outcome> {
         let mut settings = settings.clone();
         settings.dataset = self.pipeline.dataset();
@@ -1096,7 +1055,8 @@ mod tests {
             .build()
             .unwrap();
         assert!((fleet.max_qps() - 3.0 * base.max_qps()).abs() < 1e-6);
-        assert_eq!(fleet.cluster().replicas(), &[3, 1]);
+        assert_eq!(fleet.placement().fleet_for(0).replicas(), 3);
+        assert_eq!(fleet.placement().fleet_for(1).replicas(), 1);
         assert_eq!(fleet.replica_cost(), 3);
         assert_eq!(base.replica_cost(), 1);
         let outcome = fleet.evaluate_at(100.0);
@@ -1105,30 +1065,7 @@ mod tests {
     }
 
     #[test]
-    fn cluster_spec_builder_composes_with_overrides() {
-        use crate::backend::ClusterSpec;
-        let engine = Engine::commodity(two_stage())
-            .placement(Placement::gpu_frontend(2, 1))
-            .cluster(ClusterSpec::uniform(2, 2))
-            .replicas(1, 4)
-            .quality_queries(20)
-            .build()
-            .unwrap();
-        // The cluster set both backends to 2; the override lifted the
-        // GPU to 4.
-        assert_eq!(engine.cluster().replicas(), &[2, 4]);
-        assert_eq!(engine.replica_cost(), 6);
-    }
-
-    #[test]
-    fn cluster_arity_and_unknown_backend_are_build_errors() {
-        use crate::backend::ClusterSpec;
-        let err = Engine::commodity(two_stage())
-            .cluster(ClusterSpec::single(3))
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, EngineError::ClusterArity { .. }));
-        assert!(err.to_string().contains("cluster"));
+    fn unknown_replicated_backend_is_a_build_error() {
         let err = Engine::commodity(two_stage())
             .replicas(9, 2)
             .build()
@@ -1154,7 +1091,7 @@ mod tests {
         assert!((mixed.max_qps() - 1.5 * base.max_qps()).abs() < 1e-6);
         assert_eq!(mixed.replica_cost(), 2);
         assert!((mixed.fleet_cost() - 1.5).abs() < 1e-12);
-        assert_eq!(mixed.cluster().fleets()[0], FleetSpec::new(&[1.0, 0.5]));
+        assert_eq!(mixed.placement().fleet_for(0), FleetSpec::new(&[1.0, 0.5]));
         let outcome = mixed.evaluate_at(200.0);
         assert_eq!(outcome.mapping, "cpu*1@1.0+1@0.5");
         assert_eq!(outcome.replicas, 2);
@@ -1258,7 +1195,7 @@ mod tests {
         // keeps cheap clusters alongside fast ones, and is identical
         // across worker counts.
         let mut settings = crate::SchedulerSettings::quick();
-        settings.replica_options = vec![1, 2];
+        settings.fleet_options = [1, 2].map(FleetSpec::uniform).to_vec();
         let engine = Engine::commodity(two_stage())
             .placement(Placement::cpu_only(2))
             .load(400.0)
@@ -1292,7 +1229,7 @@ mod tests {
         // selection depends only on candidate-seeded results, so the
         // pruned front is identical across worker counts.
         let mut settings = crate::SchedulerSettings::quick();
-        settings.replica_options = vec![1, 2];
+        settings.fleet_options = [1, 2].map(FleetSpec::uniform).to_vec();
         settings.sweep_budget = crate::SweepBudget::halving(settings.sim_queries);
         let engine = Engine::commodity(two_stage())
             .placement(Placement::cpu_only(2))

@@ -75,7 +75,7 @@ mod stage;
 
 pub use autoscale::{PredictiveScaling, ReactiveScaling};
 pub use backend::{
-    build_serving_spec, build_spec, Backend, ClusterSpec, FleetSpec, Placement, StageSite,
+    build_serving_spec, build_spec, Backend, FleetSpec, Placement, StageSite,
     INTERMEDIATE_BYTES_PER_ITEM,
 };
 pub use engine::{Engine, EngineBuilder, EngineError, Outcome};

@@ -27,20 +27,14 @@ pub struct SchedulerSettings {
     /// Candidate per-query parallelism for backends that can split a
     /// query across resource units (CPU model parallelism).
     pub cores_options: Vec<usize>,
-    /// Candidate replica counts per backend. The sweep takes the cross
+    /// Candidate replica fleets per backend. The sweep takes the cross
     /// product over the distinct backends each placement uses, so the
-    /// Pareto front trades quality and latency against total replica
-    /// cost. `[1]` (the default) reproduces the pre-cluster sweep
-    /// exactly. Superseded by [`fleet_options`](Self::fleet_options)
-    /// when that grid is non-empty.
-    pub replica_options: Vec<usize>,
-    /// Candidate replica *fleets* per backend — the heterogeneous
-    /// generalization of [`replica_options`](Self::replica_options):
-    /// each option is a full generation mix (e.g.
-    /// `FleetSpec::mixed(&[(2, 1.0), (2, 0.6)])`), so a sweep can trade
-    /// "4 old replicas" against "2 new" on the quality x p99 x
-    /// fleet-cost front. When empty (the default) the sweep derives
-    /// uniform fleets from `replica_options`.
+    /// Pareto front trades quality and latency against fleet cost. An
+    /// option is a uniform replica count (`FleetSpec::uniform(4)`) or
+    /// a generation mix (`FleetSpec::mixed(&[(2, 1.0), (2, 0.6)])`),
+    /// so a sweep can trade "4 old replicas" against "2 new". Empty
+    /// (the default) means one baseline replica per backend: the
+    /// pre-cluster sweep, reproduced exactly.
     pub fleet_options: Vec<FleetSpec>,
     /// Deepest pipeline the search enumerates (`Engine::sweep` uses
     /// this; the `explore_*` methods take it as an explicit argument).
@@ -65,7 +59,7 @@ pub struct SchedulerSettings {
 
 /// How a sweep spends its per-candidate simulation budget.
 ///
-/// The replica cross product ([`SchedulerSettings::replica_options`])
+/// The fleet cross product ([`SchedulerSettings::fleet_options`])
 /// multiplies the placement grid, and most of that grid is nowhere near
 /// the Pareto front; halving prunes it with cheap low-budget
 /// simulations before spending the full budget on contenders.
@@ -160,7 +154,6 @@ impl SchedulerSettings {
             items_grid: vec![256, 512, 1024, 2048, 3200, 4096],
             keep_ratios: vec![8, 16],
             cores_options: vec![1, 2, 4],
-            replica_options: vec![1],
             fleet_options: Vec::new(),
             max_stages: 3,
             quality_queries: 200,
@@ -180,7 +173,6 @@ impl SchedulerSettings {
             items_grid: vec![1024, 4096],
             keep_ratios: vec![8],
             cores_options: vec![1, 2],
-            replica_options: vec![1],
             fleet_options: Vec::new(),
             max_stages: 3,
             quality_queries: 400,
@@ -421,22 +413,14 @@ impl Scheduler {
     }
 
     /// The fleet grid a sweep crosses per backend:
-    /// [`SchedulerSettings::fleet_options`] when set, otherwise uniform
-    /// fleets derived from
-    /// [`SchedulerSettings::replica_options`] (`[1]` when both are
-    /// empty).
+    /// [`SchedulerSettings::fleet_options`], or one baseline replica
+    /// when that is empty.
     pub fn effective_fleet_options(&self) -> Vec<FleetSpec> {
-        if !self.settings.fleet_options.is_empty() {
-            return self.settings.fleet_options.clone();
+        if self.settings.fleet_options.is_empty() {
+            vec![FleetSpec::uniform(1)]
+        } else {
+            self.settings.fleet_options.clone()
         }
-        if self.settings.replica_options.is_empty() {
-            return vec![FleetSpec::uniform(1)];
-        }
-        self.settings
-            .replica_options
-            .iter()
-            .map(|&r| FleetSpec::uniform(r))
-            .collect()
     }
 
     /// Whether the sweep explores more than the single-baseline-replica
@@ -452,8 +436,8 @@ impl Scheduler {
     /// [`effective_fleet_options`](Self::effective_fleet_options) over
     /// the distinct backends the placement uses. The options define the
     /// whole search space — any fleets the placement already carries
-    /// are overwritten by the enumeration. With options `[1]` (the
-    /// default) and an unreplicated placement (what
+    /// are overwritten by the enumeration. With the default (empty)
+    /// options and an unreplicated placement (what
     /// [`placements_for`](Self::placements_for) generates) this is the
     /// identity, so pre-cluster sweeps are reproduced
     /// candidate-for-candidate.
@@ -1018,7 +1002,7 @@ mod tests {
     #[test]
     fn fleet_variants_cross_distinct_backends() {
         let mut settings = SchedulerSettings::quick();
-        settings.replica_options = vec![1, 2];
+        settings.fleet_options = [1, 2].map(FleetSpec::uniform).to_vec();
         let s = Scheduler::new(settings);
         // Two distinct backends -> 2 x 2 variants; one backend -> 2.
         assert_eq!(s.fleet_variants(&Placement::gpu_frontend(2, 1)).len(), 4);
@@ -1123,7 +1107,7 @@ mod tests {
         // every point it returns is bit-identical to the corresponding
         // full-budget point (same candidate seed, same final budget).
         let mut settings = SchedulerSettings::quick();
-        settings.replica_options = vec![1, 2, 4];
+        settings.fleet_options = [1, 2, 4].map(FleetSpec::uniform).to_vec();
         let pool: Vec<Arc<dyn Backend>> = vec![Arc::new(CpuModel::cascade_lake())];
         let interconnect = PcieModel::measured();
         let qps = 2_000.0;
@@ -1186,7 +1170,7 @@ mod tests {
         // A first rung already at `sim_queries` is a single full rung:
         // identical points, identical cost.
         let mut settings = SchedulerSettings::quick();
-        settings.replica_options = vec![1, 2];
+        settings.fleet_options = [1, 2].map(FleetSpec::uniform).to_vec();
         let pool: Vec<Arc<dyn Backend>> = vec![Arc::new(CpuModel::cascade_lake())];
         let interconnect = PcieModel::measured();
         let (full_points, full_stats) = Scheduler::new(settings.clone()).explore_pool_with_stats(

@@ -80,7 +80,6 @@
 
 mod admission;
 mod lifecycle;
-mod persist;
 mod policy;
 mod resilience;
 mod result;
@@ -98,7 +97,6 @@ pub use lifecycle::{
     AutoscaleConfig, FailurePolicy, FleetController, LifecycleAction, LifecycleConfig,
     LifecycleEvent, LifecycleSchedule, SloSpec, WindowStats,
 };
-pub use persist::ParseError;
 pub use policy::{BatchWindow, EarliestDeadlineFirst, Fifo, QueueEntry, Release, SchedulingPolicy};
 pub use resilience::{
     FaultBurst, FaultKind, FaultPlan, HedgeDelay, HedgePolicy, ResilienceConfig, ResilienceStats,

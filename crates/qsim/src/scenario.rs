@@ -56,6 +56,9 @@ pub enum SimError {
     /// Two runtimes, named by their [`Scenario`] setters, that the
     /// event loop cannot serve together yet.
     Incompatible(&'static str, &'static str),
+    /// A config field, named by its type and field, set outside the
+    /// range (the second string) its builder would have asserted.
+    OutOfRange(&'static str, &'static str),
 }
 
 impl std::fmt::Display for SimError {
@@ -87,6 +90,7 @@ impl std::fmt::Display for SimError {
                 write!(f, "at most {MAX_ATTEMPTS} attempts per query, got {n}")
             }
             SimError::Incompatible(a, b) => write!(f, "{a} and {b} cannot run together yet"),
+            SimError::OutOfRange(field, range) => write!(f, "{field} must be {range}"),
         }
     }
 }
@@ -306,7 +310,50 @@ impl<'a> Scenario<'a> {
                 return Err(SimError::Incompatible(a, b));
             }
         }
-        if let Some((cfg, _)) = &self.autoscale {
+        // The configs' fields are public, so a struct literal can skip
+        // the builders' asserts; the event loop relies on these ranges.
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        let life = self.lifecycle;
+        let scale = self.autoscale.as_ref().map(|(cfg, _)| *cfg);
+        for (ok, field, range) in [
+            (
+                life.is_none_or(|c| c.window_s.is_none_or(positive)),
+                "LifecycleConfig::window_s",
+                "positive and finite",
+            ),
+            (
+                life.is_none_or(|c| c.warmup_speed > 0.0 && c.warmup_speed <= 1.0),
+                "LifecycleConfig::warmup_speed",
+                "in (0, 1]",
+            ),
+            (
+                scale.is_none_or(|c| positive(c.window_s)),
+                "AutoscaleConfig::window_s",
+                "positive and finite",
+            ),
+            (
+                scale.is_none_or(|c| c.min_replicas >= 1),
+                "AutoscaleConfig::min_replicas",
+                "at least 1",
+            ),
+            (
+                scale.is_none_or(|c| {
+                    (c.min_replicas..=c.max_replicas).contains(&c.initial_replicas)
+                }),
+                "AutoscaleConfig::initial_replicas",
+                "within min_replicas..=max_replicas",
+            ),
+            (
+                scale.is_none_or(|c| c.warmup_s.is_finite() && c.warmup_s >= 0.0),
+                "AutoscaleConfig::warmup_s",
+                "non-negative and finite",
+            ),
+        ] {
+            if !ok {
+                return Err(SimError::OutOfRange(field, range));
+            }
+        }
+        if let Some(cfg) = scale {
             let group = spec.resources().get(cfg.group);
             let replicas = group.ok_or(SimError::AutoscaleGroup(cfg.group))?.replicas();
             if cfg.max_replicas > replicas {
@@ -423,7 +470,10 @@ impl PipelineSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AlwaysPrimary, ReplicaGroup, RetryPolicy, StageSpec, WindowStats};
+    use crate::{
+        AlwaysPrimary, LifecycleEvent, LifecycleSchedule, ReplicaGroup, RetryPolicy, StageSpec,
+        WindowStats,
+    };
 
     /// `stages` 1 ms stages on one two-replica group.
     fn spec(stages: usize) -> PipelineSpec {
@@ -550,13 +600,102 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_lifecycle_window_is_a_typed_error() {
+        // A zero-width window would re-arm its tick at the same
+        // instant forever.
+        let (spec, arrivals) = (spec(1), PoissonArrivals::new(100.0));
+        for window_s in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let cfg = LifecycleConfig {
+                window_s: Some(window_s),
+                ..LifecycleConfig::default()
+            };
+            let run = Scenario::new(&spec, &arrivals, 200, 1)
+                .lifecycle(&cfg)
+                .run();
+            let err = SimError::OutOfRange("LifecycleConfig::window_s", "positive and finite");
+            assert_eq!(run, Err(err), "window {window_s}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_autoscale_window_is_a_typed_error() {
+        let (spec, arrivals) = (spec(1), PoissonArrivals::new(100.0));
+        let cfg = AutoscaleConfig {
+            window_s: 0.0,
+            ..AutoscaleConfig::new(0, 1, 2, 1.0)
+        };
+        let run = Scenario::new(&spec, &arrivals, 200, 1)
+            .autoscale(&cfg, &mut Hold)
+            .run();
+        let err = SimError::OutOfRange("AutoscaleConfig::window_s", "positive and finite");
+        assert_eq!(run, Err(err));
+    }
+
+    #[test]
+    fn zero_warmup_speed_is_a_typed_error() {
+        // A provisioned replica warming at speed 0 would take forever
+        // to serve its first batch.
+        let schedule = LifecycleSchedule::empty()
+            .with_event(LifecycleEvent::fail_stop(0.5, 0))
+            .with_event(LifecycleEvent::provision(1.0, 0, 0.5));
+        let spec = spec(1).with_group_lifecycle(0, schedule);
+        let cfg = LifecycleConfig {
+            warmup_speed: 0.0,
+            ..LifecycleConfig::default()
+        };
+        let arrivals = PoissonArrivals::new(100.0);
+        let run = Scenario::new(&spec, &arrivals, 200, 1)
+            .lifecycle(&cfg)
+            .run();
+        let err = SimError::OutOfRange("LifecycleConfig::warmup_speed", "in (0, 1]");
+        assert_eq!(run, Err(err));
+    }
+
+    #[test]
+    fn autoscale_band_without_a_replica_is_a_typed_error() {
+        // A zero floor would start the group fully down and shed
+        // every query.
+        let (spec, arrivals) = (spec(1), PoissonArrivals::new(100.0));
+        let band = AutoscaleConfig::new(0, 1, 2, 1.0);
+        let run = |cfg: &AutoscaleConfig| {
+            Scenario::new(&spec, &arrivals, 200, 1)
+                .autoscale(cfg, &mut Hold)
+                .run()
+        };
+        let empty = AutoscaleConfig {
+            min_replicas: 0,
+            initial_replicas: 0,
+            ..band.clone()
+        };
+        let floor = SimError::OutOfRange("AutoscaleConfig::min_replicas", "at least 1");
+        assert_eq!(run(&empty), Err(floor));
+        let above = AutoscaleConfig {
+            initial_replicas: 3,
+            ..band.clone()
+        };
+        let initial = SimError::OutOfRange(
+            "AutoscaleConfig::initial_replicas",
+            "within min_replicas..=max_replicas",
+        );
+        assert_eq!(run(&above), Err(initial));
+        let warmup = AutoscaleConfig {
+            warmup_s: -1.0,
+            ..band
+        };
+        let err = SimError::OutOfRange("AutoscaleConfig::warmup_s", "non-negative and finite");
+        assert_eq!(run(&warmup), Err(err));
+    }
+
+    #[test]
     fn the_limits_themselves_are_served() {
         let (spec, arrivals) = (spec(2), PoissonArrivals::new(100.0));
         let retry = RetryPolicy::new(MAX_ATTEMPTS, 0.01, 2.0);
         let cfg = ResilienceConfig::new().with_timeout(0.1).with_retry(retry);
-        let scale = AutoscaleConfig::new(0, 1, 2, 1.0);
+        let scale = AutoscaleConfig::new(0, 1, 2, 1.0).with_initial_replicas(2);
+        let full_speed = LifecycleConfig::new().with_warmup_speed(1.0);
         let base = || Scenario::new(&spec, &arrivals, 50, 1);
         assert!(base().resilience(&cfg).run().is_ok());
+        assert!(base().lifecycle(&full_speed).run().is_ok());
         assert!(base().autoscale(&scale, &mut Hold).run().is_ok());
     }
 

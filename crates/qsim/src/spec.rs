@@ -71,9 +71,7 @@ impl ReplicaProfile {
 ///
 /// [`replicated`](Self::replicated) remains the uniform constructor:
 /// every spec it builds is bit-identical in behavior to the pre-fleet
-/// `ReplicaGroup { capacity, replicas }` form, and the serialized
-/// vintages of both eras still round-trip (see
-/// [`from_json`](Self::from_json)).
+/// `ReplicaGroup { capacity, replicas }` form.
 ///
 /// # Validation policy
 ///

@@ -2737,32 +2737,6 @@ proptest! {
     }
 
     #[test]
-    fn replica_group_json_round_trips(
-        caps in proptest::collection::vec(1usize..8, 1..6),
-        speed_pcts in proptest::collection::vec(10u64..300, 1..6),
-        uniform in proptest::prelude::any::<bool>(),
-    ) {
-        // Serde satellite: every group the API can build survives a
-        // to_json -> from_json trip exactly, whichever vintage the
-        // emission picks (pre-cluster, uniform cluster, or profiles).
-        let group = if uniform {
-            ReplicaGroup::replicated("fleet", caps[0], speed_pcts.len())
-        } else {
-            let profiles: Vec<ReplicaProfile> = caps
-                .iter()
-                .zip(speed_pcts.iter().cycle())
-                .map(|(&c, &pct)| ReplicaProfile::new(c, pct as f64 / 100.0))
-                .collect();
-            ReplicaGroup::heterogeneous("fleet", profiles)
-        };
-        let back = ReplicaGroup::from_json(&group.to_json()).unwrap();
-        prop_assert_eq!(&group, &back);
-        for (a, b) in group.profiles().iter().zip(back.profiles()) {
-            prop_assert_eq!(a.speed.to_bits(), b.speed.to_bits());
-        }
-    }
-
-    #[test]
     fn closed_loop_completes_and_bounds_inflight(
         clients in 1usize..32,
         servers in 1usize..4,
@@ -3269,51 +3243,6 @@ proptest! {
             .run()
             .unwrap();
         prop_assert_eq!(out, again);
-    }
-
-    #[test]
-    fn path_sets_round_trip_through_vintage_five_json(
-        replicas in 1usize..5,
-        capacity in 1usize..4,
-        max_batch in 1usize..8,
-        lite_quality_pct in 0u64..100,
-        lite_ms in 1u64..10,
-        heterogeneous in proptest::prelude::any::<bool>(),
-    ) {
-        // Serde satellite, multi-path edition: every path set the API
-        // can build survives a to_json -> from_json trip exactly --
-        // names, qualities, stage shapes, batch models, and whichever
-        // group vintage the fleet encoding picks.
-        let fleet = if heterogeneous {
-            let profiles = (0..replicas)
-                .map(|i| ReplicaProfile::new(capacity, 1.0 / (i + 1) as f64))
-                .collect();
-            vec![ReplicaGroup::heterogeneous("fleet", profiles)]
-        } else {
-            vec![ReplicaGroup::replicated("fleet", capacity, replicas)]
-        };
-        let paths = PathSet::new(fleet)
-            .with_path(
-                "full",
-                1.0,
-                vec![
-                    StageSpec::new("filter", 0, 1, 0.004)
-                        .with_batch(BatchModel::new(max_batch, 0.25)),
-                    StageSpec::new("rank", 0, 1, 0.002),
-                ],
-            )
-            .unwrap()
-            .with_path(
-                "lite",
-                lite_quality_pct as f64 / 100.0,
-                vec![StageSpec::new("lite", 0, 1, lite_ms as f64 / 1e3)],
-            )
-            .unwrap();
-        let json = paths.to_json();
-        let back = PathSet::from_json(&json).unwrap();
-        prop_assert_eq!(&paths, &back);
-        // Emission is canonical: re-serializing reproduces the bytes.
-        prop_assert_eq!(json, back.to_json());
     }
 }
 

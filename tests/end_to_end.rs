@@ -238,7 +238,8 @@ fn cluster_of_replicas_end_to_end() {
         .quality_queries(20)
         .build()
         .unwrap();
-    assert_eq!(fleet.cluster().replicas(), &[1, 4]);
+    assert_eq!(fleet.placement().fleet_for(0).replicas(), 1);
+    assert_eq!(fleet.placement().fleet_for(1).replicas(), 4);
     let arrivals = PoissonArrivals::new(overload);
     let rr = fleet.scenario(&arrivals, 6_000).run().unwrap();
     let jsq = fleet
@@ -279,7 +280,7 @@ fn heterogeneous_fleet_end_to_end() {
     assert_eq!(mixed.replica_cost(), 4);
     assert!((mixed.fleet_cost() - 3.0).abs() < 1e-12);
     assert_eq!(
-        mixed.cluster().fleets()[1],
+        mixed.placement().fleet_for(1),
         FleetSpec::new(&[1.0, 1.0, 0.5, 0.5])
     );
     let outcome = mixed.evaluate_at(100.0);
@@ -404,5 +405,187 @@ fn closed_loop_clients_survive_failure_sheds_end_to_end() {
             out.qps,
             healthy.qps
         );
+    }
+}
+
+/// The exact outcome of one live-runtime run: every counter, the
+/// per-path admitted/completed mix, and the bit patterns of p50, p99
+/// and the fleet-cost integral.
+#[derive(Debug, PartialEq)]
+struct Pinned {
+    completed: usize,
+    shed: usize,
+    dropped: usize,
+    timed_out: usize,
+    windows: usize,
+    paths: Vec<(usize, usize)>,
+    p50: u64,
+    p99: u64,
+    cost: u64,
+}
+
+impl Pinned {
+    fn of(mut out: recpipe::qsim::SimResult) -> Self {
+        Self {
+            completed: out.completed,
+            shed: out.shed,
+            dropped: out.dropped,
+            timed_out: out.timed_out(),
+            windows: out.windows.len(),
+            paths: out
+                .paths
+                .iter()
+                .map(|p| (p.admitted, p.completed))
+                .collect(),
+            p50: out.p50_seconds().to_bits(),
+            p99: out.p99_seconds().to_bits(),
+            cost: out.cost_integral.to_bits(),
+        }
+    }
+}
+
+#[test]
+fn live_runtimes_replay_their_pinned_outcomes_bit_for_bit() {
+    // The lifecycle, autoscale, admission and resilience runtimes each
+    // running live (not at an inert config) on a small fleet. Any
+    // change to what the event loop computes moves at least one of
+    // these exact values.
+    use recpipe::core::ReactiveScaling;
+    use recpipe::data::{DiurnalArrivals, PoissonArrivals};
+    use recpipe::qsim::{
+        AutoscaleConfig, FaultPlan, HedgePolicy, JoinShortestQueue, LifecycleConfig,
+        LifecycleEvent, LifecycleSchedule, LoadAdaptive, PathSet, PipelineSpec, ReplicaGroup,
+        ResilienceConfig, RetryBudget, RetryPolicy, Scenario, StageSpec,
+    };
+
+    let worker = |replicas: usize, service_s: f64| {
+        PipelineSpec::new(vec![ReplicaGroup::replicated("worker", 1, replicas)])
+            .with_stage(StageSpec::new("rank", 0, 1, service_s))
+            .unwrap()
+    };
+    let windowed = LifecycleConfig::new().with_window(0.5);
+
+    // A fail-stop and its recovery under `Requeue`: the dead replica's
+    // queue and in-flight batch re-enter on the survivors.
+    let schedule = LifecycleSchedule::empty()
+        .with_event(LifecycleEvent::fail_stop(2.0, 0))
+        .with_event(LifecycleEvent::recover(3.0, 0));
+    let spec = worker(3, 0.004).with_group_lifecycle(0, schedule);
+    let failover = Scenario::new(&spec, &PoissonArrivals::new(500.0), 4_000, 11)
+        .router(&JoinShortestQueue)
+        .lifecycle(&windowed)
+        .run()
+        .unwrap();
+
+    // Reactive autoscaling through a compressed diurnal day.
+    let spec = worker(6, 0.010);
+    let band = AutoscaleConfig::new(0, 1, 6, 0.5)
+        .with_initial_replicas(2)
+        .with_warmup(0.2);
+    let mut reactive = ReactiveScaling::new(0.6, 4.0);
+    let scaled = Scenario::new(&spec, &DiurnalArrivals::new(50.0, 400.0, 8.0), 2_500, 12)
+        .autoscale(&band, &mut reactive)
+        .run()
+        .unwrap();
+
+    // A two-path brown-out: past the knee, arrivals degrade onto the
+    // lighter path, then shed, instead of queueing behind the full one.
+    let paths = PathSet::new(vec![ReplicaGroup::replicated("worker", 1, 2)])
+        .with_path("full", 0.92, vec![StageSpec::new("rank", 0, 1, 0.008)])
+        .unwrap()
+        .with_path("lite", 0.85, vec![StageSpec::new("rank", 0, 1, 0.002)])
+        .unwrap();
+    let brownout = Scenario::multipath(
+        &paths,
+        &LoadAdaptive::new(1.5, 0.75),
+        &PoissonArrivals::new(330.0),
+        4_000,
+        13,
+    )
+    .lifecycle(&windowed)
+    .run()
+    .unwrap();
+
+    // Timeouts, budgeted retries and a quantile hedge while one
+    // replica limps at quarter speed.
+    let degrade = FaultPlan::new(5).degrade_burst(1.0, 1, 0.25).expand(4);
+    let spec = worker(4, 0.008).with_group_lifecycle(0, degrade);
+    let retry = RetryPolicy::new(3, 0.005, 2.0)
+        .with_jitter(0.5)
+        .with_budget(RetryBudget::new(50.0, 0.1));
+    let resilience = ResilienceConfig::new()
+        .with_timeout(0.050)
+        .with_retry(retry)
+        .with_hedge(HedgePolicy::at_quantile(0.9));
+    let resilient = Scenario::new(&spec, &PoissonArrivals::new(250.0), 4_000, 14)
+        .lifecycle(&windowed)
+        .resilience(&resilience)
+        .run()
+        .unwrap();
+
+    let pins = [
+        (
+            "failover",
+            failover,
+            Pinned {
+                completed: 4_000,
+                shed: 0,
+                dropped: 0,
+                timed_out: 0,
+                windows: 17,
+                paths: vec![],
+                p50: 0x3f70_624d_d2f1_a9fc,
+                p99: 0x3fa3_d454_2aa4_9952,
+                cost: 0x4038_8000_0000_001e,
+            },
+        ),
+        (
+            "scaled",
+            scaled,
+            Pinned {
+                completed: 2_500,
+                shed: 0,
+                dropped: 0,
+                timed_out: 0,
+                windows: 24,
+                paths: vec![],
+                p50: 0x3f84_7ae1_47ae_147b,
+                p99: 0x3fab_c0c1_25cf_9d62,
+                cost: 0x4047_c18f_5055_576a,
+            },
+        ),
+        (
+            "brownout",
+            brownout,
+            Pinned {
+                completed: 2_941,
+                shed: 1_059,
+                dropped: 0,
+                timed_out: 0,
+                windows: 25,
+                paths: vec![(2_225, 2_225), (716, 716)],
+                p50: 0x3f83_1574_7dcd_ad95,
+                p99: 0x3f90_2ec8_50a2_6b0b,
+                cost: 0x4039_0000_0000_0000,
+            },
+        ),
+        (
+            "resilient",
+            resilient,
+            Pinned {
+                completed: 3_458,
+                shed: 0,
+                dropped: 0,
+                timed_out: 542,
+                windows: 34,
+                paths: vec![],
+                p50: 0x3f80_624d_d2f1_a9fc,
+                p99: 0x3fb5_488f_b77e_c310,
+                cost: 0x4062_8e04_fe8d_b0a1,
+            },
+        ),
+    ];
+    for (name, out, expected) in pins {
+        assert_eq!(Pinned::of(out), expected, "{name}");
     }
 }

@@ -136,15 +136,13 @@ fn heterogeneous_fleet_through_facade() {
     use recpipe::data::PoissonArrivals;
     use recpipe::qsim::{ExpectedWait, ReplicaGroup, ReplicaProfile, Router, RoutingCtx, Sticky};
 
-    // qsim-level: a two-generation group with speed-weighted capacity
-    // and a serialized form that round-trips.
+    // qsim-level: a two-generation group with speed-weighted capacity.
     let group = ReplicaGroup::heterogeneous(
         "worker",
         vec![ReplicaProfile::baseline(2), ReplicaProfile::new(2, 0.5)],
     );
     assert_eq!(group.total_units(), 4);
     assert!((group.weighted_units() - 3.0).abs() < 1e-12);
-    assert_eq!(ReplicaGroup::from_json(&group.to_json()).unwrap(), group);
 
     let spec = PipelineSpec::new(vec![group])
         .with_stage(StageSpec::new("rank", 0, 1, 0.004))
