@@ -196,12 +196,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Adds an already-shared backend to the pool.
-    pub fn backend_arc(mut self, backend: Arc<dyn Backend>) -> Self {
-        self.backends.push(backend);
-        self
-    }
-
     /// Sets the per-stage placement (defaults to every stage on backend
     /// 0 with parallelism 1).
     pub fn placement(mut self, placement: Placement) -> Self {

@@ -32,6 +32,7 @@
 //! state only inside the [`AdmissionState`] handed to it, so identical
 //! seeds replay identical admission streams.
 
+use crate::router::splitmix64;
 use crate::{PipelineSpec, ReplicaGroup, SpecError, StageSpec, WindowStats};
 
 /// Largest number of paths one [`PathSet`] may hold: per-query path
@@ -330,11 +331,7 @@ impl AdmissionState {
     /// Draws the next value of the deterministic RNG stream
     /// (splitmix64, the same generator routers use for probing).
     pub fn next_u64(&mut self) -> u64 {
-        self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        splitmix64(&mut self.rng)
     }
 }
 

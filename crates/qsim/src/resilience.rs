@@ -30,6 +30,7 @@
 //! lifecycle-only run — pinned by proptest.
 
 use crate::lifecycle::{LifecycleEvent, LifecycleSchedule};
+use crate::router::splitmix64;
 
 /// Retry discipline consulted when a per-attempt timeout fires.
 ///
@@ -483,14 +484,6 @@ impl FaultPlan {
             "cannot expand a fault plan over zero replicas"
         );
         let mut rng = self.seed;
-        let mut next_u64 = move || -> u64 {
-            // splitmix64 — the same stream routers and admission use.
-            rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = rng;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
         let mut events: Vec<LifecycleEvent> = Vec::new();
         let mut pool: Vec<usize> = (0..replicas).collect();
         for b in &self.bursts {
@@ -498,7 +491,7 @@ impl FaultPlan {
             // Partial Fisher–Yates over the slot pool: the first `hit`
             // entries after shuffling are the burst's victims.
             for i in 0..hit {
-                let j = i + (next_u64() as usize) % (replicas - i);
+                let j = i + (splitmix64(&mut rng) as usize) % (replicas - i);
                 pool.swap(i, j);
             }
             let mut victims: Vec<usize> = pool[..hit].to_vec();

@@ -356,6 +356,17 @@ impl<'a> RoutingCtx<'a> {
     }
 }
 
+/// Advances a splitmix64 stream and returns its next value — the one
+/// generator behind routers, admission policies, fault plans and retry
+/// jitter.
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// Per-group mutable routing state owned by the simulator: a round-robin
 /// cursor and a seeded splitmix64 stream for randomized routers.
 ///
@@ -388,11 +399,7 @@ impl RouterState {
 
     /// Draws the next value of the seeded splitmix64 stream.
     pub fn next_u64(&mut self) -> u64 {
-        self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        splitmix64(&mut self.rng)
     }
 }
 
@@ -951,6 +958,18 @@ mod tests {
             route(&PowerOfTwoChoices, &[snap(4, 4)], &ctx(), &mut state),
             0
         );
+    }
+
+    #[test]
+    fn splitmix64_matches_the_reference_vector() {
+        let mut state = 0;
+        let drawn: Vec<u64> = (0..3).map(|_| splitmix64(&mut state)).collect();
+        let expected = [
+            0xe220_a839_7b1d_cdaf,
+            0x6e78_9e6a_a1b9_65f4,
+            0x06c4_5d18_8009_454f,
+        ];
+        assert_eq!(drawn, expected);
     }
 
     #[test]

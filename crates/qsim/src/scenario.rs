@@ -13,8 +13,9 @@ use recpipe_data::{ArrivalProcess, PoissonArrivals};
 
 use crate::sim::{Inputs, Sim, MAX_ATTEMPTS, MAX_RESILIENT_STAGES};
 use crate::{
-    shard, AdmissionPolicy, AutoscaleConfig, Fifo, FleetController, LifecycleConfig, PathSet,
-    PipelineSpec, ResilienceConfig, RoundRobin, Router, SchedulingPolicy, SimResult,
+    shard, AdmissionPolicy, AutoscaleConfig, Fifo, FleetController, HedgeDelay, LifecycleConfig,
+    PathSet, PipelineSpec, ResilienceConfig, ResilienceStats, RoundRobin, Router, SchedulingPolicy,
+    SimResult,
 };
 
 /// Why a [`Scenario`] could not be served.
@@ -274,10 +275,19 @@ impl<'a> Scenario<'a> {
         if let Some((paths, admission)) = self.multipath {
             sim.enable_multipath(paths, admission, inputs.seed);
         }
-        if let Some(cfg) = self.resilience {
+        let inert = self.resilience.filter(|cfg| cfg.is_inert());
+        if let Some(cfg) = self.resilience.filter(|cfg| !cfg.is_inert()) {
             sim.enable_resilience(cfg, inputs.seed);
         }
-        sim.run()
+        let mut result = sim.run()?;
+        if let Some(cfg) = inert {
+            // An inert config arms nothing; it reports zeroed stats.
+            result.resilience = Some(ResilienceStats {
+                retries: vec![0; cfg.retry.max_attempts - 1],
+                ..ResilienceStats::default()
+            });
+        }
+        Ok(result)
     }
 
     /// Every bound the event loop relies on, checked in O(1).
@@ -313,8 +323,17 @@ impl<'a> Scenario<'a> {
         // The configs' fields are public, so a struct literal can skip
         // the builders' asserts; the event loop relies on these ranges.
         let positive = |x: f64| x.is_finite() && x > 0.0;
+        let non_negative = |x: f64| x.is_finite() && x >= 0.0;
         let life = self.lifecycle;
         let scale = self.autoscale.as_ref().map(|(cfg, _)| *cfg);
+        let resilience = self.resilience;
+        let retry = resilience.map(|cfg| &cfg.retry);
+        let budget = retry.and_then(|r| r.budget);
+        let (fixed, quantile) = match resilience.and_then(|cfg| cfg.hedge).map(|h| h.delay) {
+            Some(HedgeDelay::Fixed(d)) => (Some(d), None),
+            Some(HedgeDelay::Quantile(q)) => (None, Some(q)),
+            None => (None, None),
+        };
         for (ok, field, range) in [
             (
                 life.is_none_or(|c| c.window_s.is_none_or(positive)),
@@ -344,9 +363,59 @@ impl<'a> Scenario<'a> {
                 "within min_replicas..=max_replicas",
             ),
             (
-                scale.is_none_or(|c| c.warmup_s.is_finite() && c.warmup_s >= 0.0),
+                scale.is_none_or(|c| non_negative(c.warmup_s)),
                 "AutoscaleConfig::warmup_s",
                 "non-negative and finite",
+            ),
+            (
+                resilience.is_none_or(|c| c.timeout_s.is_none_or(positive)),
+                "ResilienceConfig::timeout_s",
+                "positive and finite",
+            ),
+            (
+                retry.is_none_or(|r| r.max_attempts >= 1),
+                "RetryPolicy::max_attempts",
+                "at least 1",
+            ),
+            (
+                retry.is_none_or(|r| non_negative(r.backoff_base_s)),
+                "RetryPolicy::backoff_base_s",
+                "non-negative and finite",
+            ),
+            (
+                retry.is_none_or(|r| r.backoff_factor.is_finite() && r.backoff_factor >= 1.0),
+                "RetryPolicy::backoff_factor",
+                "at least 1 and finite",
+            ),
+            (
+                retry.is_none_or(|r| r.backoff_max_s >= 0.0),
+                "RetryPolicy::backoff_max_s",
+                "non-negative (infinity allowed)",
+            ),
+            (
+                retry.is_none_or(|r| (0.0..=1.0).contains(&r.jitter_frac)),
+                "RetryPolicy::jitter_frac",
+                "in [0, 1]",
+            ),
+            (
+                budget.is_none_or(|b| b.capacity.is_finite() && b.capacity >= 1.0),
+                "RetryBudget::capacity",
+                "at least 1 and finite",
+            ),
+            (
+                budget.is_none_or(|b| (0.0..=1.0).contains(&b.refill_per_success)),
+                "RetryBudget::refill_per_success",
+                "in [0, 1]",
+            ),
+            (
+                fixed.is_none_or(non_negative),
+                "HedgeDelay::Fixed",
+                "non-negative and finite",
+            ),
+            (
+                quantile.is_none_or(|q| q > 0.0 && q < 1.0),
+                "HedgeDelay::Quantile",
+                "in (0, 1)",
             ),
         ] {
             if !ok {
@@ -471,8 +540,8 @@ impl PipelineSpec {
 mod tests {
     use super::*;
     use crate::{
-        AlwaysPrimary, LifecycleEvent, LifecycleSchedule, ReplicaGroup, RetryPolicy, StageSpec,
-        WindowStats,
+        AlwaysPrimary, HedgePolicy, LifecycleEvent, LifecycleSchedule, ReplicaGroup, RetryBudget,
+        RetryPolicy, StageSpec, WindowStats,
     };
 
     /// `stages` 1 ms stages on one two-replica group.
@@ -617,6 +686,159 @@ mod tests {
         }
     }
 
+    /// 200 queries at 100 QPS on one 1 ms stage under `cfg`.
+    fn resilient(cfg: &ResilienceConfig) -> Result<SimResult, SimError> {
+        let (spec, arrivals) = (spec(1), PoissonArrivals::new(100.0));
+        Scenario::new(&spec, &arrivals, 200, 1)
+            .resilience(cfg)
+            .run()
+    }
+
+    /// A 50 ms timeout retried under `retry`.
+    fn retrying(retry: RetryPolicy) -> ResilienceConfig {
+        ResilienceConfig::new().with_timeout(0.05).with_retry(retry)
+    }
+
+    #[test]
+    fn non_positive_timeout_is_a_typed_error() {
+        // Every attempt would time out the instant it starts.
+        for timeout_s in [0.0, -1.0] {
+            let cfg = ResilienceConfig {
+                timeout_s: Some(timeout_s),
+                ..ResilienceConfig::new()
+            };
+            let err = SimError::OutOfRange("ResilienceConfig::timeout_s", "positive and finite");
+            assert_eq!(resilient(&cfg), Err(err), "timeout {timeout_s}");
+        }
+    }
+
+    #[test]
+    fn non_finite_timeout_is_a_typed_error() {
+        for timeout_s in [f64::NAN, f64::INFINITY] {
+            let cfg = ResilienceConfig {
+                timeout_s: Some(timeout_s),
+                ..ResilienceConfig::new()
+            };
+            let err = SimError::OutOfRange("ResilienceConfig::timeout_s", "positive and finite");
+            assert_eq!(resilient(&cfg), Err(err), "timeout {timeout_s}");
+        }
+    }
+
+    #[test]
+    fn negative_fixed_hedge_delay_is_a_typed_error() {
+        // A hedge armed before its attempt starts would complete
+        // queries before they arrive.
+        for delay_s in [-0.01, f64::NAN] {
+            let hedge = HedgePolicy {
+                delay: HedgeDelay::Fixed(delay_s),
+            };
+            let cfg = ResilienceConfig::new().with_timeout(0.05).with_hedge(hedge);
+            let err = SimError::OutOfRange("HedgeDelay::Fixed", "non-negative and finite");
+            assert_eq!(resilient(&cfg), Err(err), "delay {delay_s}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_hedge_quantile_is_a_typed_error() {
+        for q in [f64::NAN, 0.0, 1.0] {
+            let hedge = HedgePolicy {
+                delay: HedgeDelay::Quantile(q),
+            };
+            let cfg = ResilienceConfig::new().with_timeout(0.05).with_hedge(hedge);
+            let err = SimError::OutOfRange("HedgeDelay::Quantile", "in (0, 1)");
+            assert_eq!(resilient(&cfg), Err(err), "quantile {q}");
+        }
+    }
+
+    #[test]
+    fn negative_backoff_base_is_a_typed_error() {
+        // A retry would start before the timeout that spawned it.
+        for backoff_base_s in [-0.5, f64::NAN] {
+            let retry = RetryPolicy {
+                backoff_base_s,
+                ..RetryPolicy::new(3, 0.01, 2.0)
+            };
+            let err =
+                SimError::OutOfRange("RetryPolicy::backoff_base_s", "non-negative and finite");
+            assert_eq!(
+                resilient(&retrying(retry)),
+                Err(err),
+                "base {backoff_base_s}"
+            );
+        }
+    }
+
+    #[test]
+    fn out_of_range_jitter_is_a_typed_error() {
+        for jitter_frac in [-5.0, 1.5, f64::NAN] {
+            let retry = RetryPolicy {
+                jitter_frac,
+                ..RetryPolicy::new(3, 0.01, 2.0)
+            };
+            let err = SimError::OutOfRange("RetryPolicy::jitter_frac", "in [0, 1]");
+            assert_eq!(
+                resilient(&retrying(retry)),
+                Err(err),
+                "jitter {jitter_frac}"
+            );
+        }
+    }
+
+    #[test]
+    fn out_of_range_retry_policy_is_a_typed_error() {
+        let valid = RetryPolicy::new(3, 0.01, 2.0);
+        let no_attempt = RetryPolicy {
+            max_attempts: 0,
+            ..valid.clone()
+        };
+        let err = SimError::OutOfRange("RetryPolicy::max_attempts", "at least 1");
+        assert_eq!(resilient(&retrying(no_attempt)), Err(err));
+        for backoff_factor in [0.5, f64::NAN, f64::INFINITY] {
+            let retry = RetryPolicy {
+                backoff_factor,
+                ..valid.clone()
+            };
+            let err = SimError::OutOfRange("RetryPolicy::backoff_factor", "at least 1 and finite");
+            assert_eq!(
+                resilient(&retrying(retry)),
+                Err(err),
+                "factor {backoff_factor}"
+            );
+        }
+        for backoff_max_s in [-1.0, f64::NAN] {
+            let retry = RetryPolicy {
+                backoff_max_s,
+                ..valid.clone()
+            };
+            let err = SimError::OutOfRange(
+                "RetryPolicy::backoff_max_s",
+                "non-negative (infinity allowed)",
+            );
+            assert_eq!(resilient(&retrying(retry)), Err(err), "cap {backoff_max_s}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_retry_budget_is_a_typed_error() {
+        let budgeted = |capacity, refill_per_success| {
+            let budget = RetryBudget {
+                capacity,
+                refill_per_success,
+            };
+            retrying(RetryPolicy::new(3, 0.01, 2.0).with_budget(budget))
+        };
+        for capacity in [0.5, f64::NAN, f64::INFINITY] {
+            let err = SimError::OutOfRange("RetryBudget::capacity", "at least 1 and finite");
+            let run = resilient(&budgeted(capacity, 0.1));
+            assert_eq!(run, Err(err), "capacity {capacity}");
+        }
+        for refill in [-0.1, 1.5, f64::NAN] {
+            let err = SimError::OutOfRange("RetryBudget::refill_per_success", "in [0, 1]");
+            let run = resilient(&budgeted(10.0, refill));
+            assert_eq!(run, Err(err), "refill {refill}");
+        }
+    }
+
     #[test]
     fn out_of_range_autoscale_window_is_a_typed_error() {
         let (spec, arrivals) = (spec(1), PoissonArrivals::new(100.0));
@@ -693,8 +915,21 @@ mod tests {
         let cfg = ResilienceConfig::new().with_timeout(0.1).with_retry(retry);
         let scale = AutoscaleConfig::new(0, 1, 2, 1.0).with_initial_replicas(2);
         let full_speed = LifecycleConfig::new().with_warmup_speed(1.0);
+        // The resilience ranges' closed ends: full jitter, an uncapped
+        // backoff, an empty and a full refill, and a zero hedge delay.
+        let edges = RetryPolicy::new(3, 0.0, 1.0)
+            .with_jitter(1.0)
+            .with_backoff_cap(f64::INFINITY);
+        let edge_cfgs = [0.0, 1.0].map(|refill| {
+            let retry = edges.clone().with_budget(RetryBudget::new(1.0, refill));
+            let cfg = ResilienceConfig::new().with_timeout(0.1).with_retry(retry);
+            cfg.with_hedge(HedgePolicy::after(0.0))
+        });
         let base = || Scenario::new(&spec, &arrivals, 50, 1);
         assert!(base().resilience(&cfg).run().is_ok());
+        for edge in &edge_cfgs {
+            assert!(base().resilience(edge).run().is_ok(), "{edge:?}");
+        }
         assert!(base().lifecycle(&full_speed).run().is_ok());
         assert!(base().autoscale(&scale, &mut Hold).run().is_ok());
     }

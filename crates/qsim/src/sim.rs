@@ -1,23 +1,25 @@
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 use std::time::Duration;
 
 use recpipe_data::ArrivalProcess;
 use recpipe_metrics::{LatencyStats, ThroughputMeter};
 
 use crate::{
-    Admission, AdmissionCtx, AdmissionPolicy, AdmissionState, AutoscaleConfig, FailurePolicy,
-    FleetController, HedgeDelay, HedgePolicy, LifecycleAction, LifecycleConfig, LifecycleEvent,
-    PathProfile, PathSet, PathStats, PipelineSpec, QueueEntry, Release, ReplicaLoads,
-    ResilienceConfig, ResilienceStats, RetryPolicy, Router, RouterState, RoutingCtx,
-    SchedulingPolicy, SimError, SimResult, StageSpec, WindowStats,
+    AdmissionPolicy, AutoscaleConfig, FailurePolicy, FleetController, LifecycleAction,
+    LifecycleConfig, LifecycleEvent, PathSet, PipelineSpec, QueueEntry, Release, ReplicaLoads,
+    ResilienceConfig, Router, RouterState, RoutingCtx, SchedulingPolicy, SimError, SimResult,
+    StageSpec,
 };
 
-/// Per-query path marker: not yet admitted (no admission decision seen).
-const MP_UNASSIGNED: u8 = 0xFF;
-/// Per-query path marker: rejected at admission.
-const MP_SHED: u8 = 0xFE;
+mod lanes;
+mod paths;
+mod telemetry;
+
+use lanes::ResilienceRt;
+use paths::MultipathRt;
+use telemetry::Telemetry;
 
 /// Fraction of queries discarded from the front as warmup.
 const WARMUP_FRACTION: f64 = 0.05;
@@ -132,14 +134,63 @@ const RES_STAGE_MASK: u32 = (1 << RES_STAGE_BITS) - 1;
 /// bumps while one event sat in the heap — attempts are capped at 255
 /// and each contributes at most two bumps).
 const RES_GEN_MASK: u32 = 0x7_FFFF;
-/// Low-32 mask extracting the bare query index from a packed lane id
-/// (`query | gen << 32 | lane << 63`) as flows through queues and
-/// batches on resilient runs.
+/// Low-32 mask extracting the bare query index from a lane id.
 const RES_Q_MASK: usize = 0xFFFF_FFFF;
 /// Most stages a resilient run's packed arrive payload can name.
 pub(crate) const MAX_RESILIENT_STAGES: usize = RES_STAGE_MASK as usize;
 /// Most attempts per query a resilient run's attempt counter holds.
 pub(crate) const MAX_ATTEMPTS: usize = u8::MAX as usize;
+
+/// A lane id — what queues and batches carry for a query on resilient
+/// runs: `query | gen << 32 | hedge << 63`, the query's lane generation
+/// (its 19 payload bits) above the bare index and the top bit set on a
+/// hedge lane. A gen-0 primary lane's id is the bare query, the only
+/// id resilience-free runs carry.
+fn lane_id(query: usize, gen: u32, hedge: bool) -> usize {
+    query | ((gen & RES_GEN_MASK) as usize) << 32 | (hedge as usize) << 63
+}
+
+/// The bare query index of a lane id.
+fn lane_query(id: usize) -> usize {
+    id & RES_Q_MASK
+}
+
+/// A lane id's generation (its 19 payload bits).
+fn lane_gen(id: usize) -> u32 {
+    // simlint: allow(packing-cast) -- masked to the 19 payload bits at the cast
+    (id >> 32) as u32 & RES_GEN_MASK
+}
+
+/// Whether a lane id names a hedge lane.
+fn is_hedge_lane(id: usize) -> bool {
+    id >> 63 == 1
+}
+
+/// The arrive payload of lane `id` entering `stage`:
+/// `stage | gen << 12 | hedge << 31`, which is the plain `stage` for a
+/// gen-0 primary lane.
+fn lane_payload(id: usize, stage: usize) -> u32 {
+    // simlint: allow(packing-cast) -- stage < 2^12 (pipeline depth, validated by Scenario::run)
+    let stage = stage as u32;
+    // simlint: allow(packing-cast) -- a single bit
+    stage | lane_gen(id) << RES_STAGE_BITS | (is_hedge_lane(id) as u32) << 31
+}
+
+/// Unpacks an arrive event's query and [`lane_payload`] into the lane
+/// id and the stage.
+fn unpack_lane(query: usize, payload: usize) -> (usize, usize) {
+    // simlint: allow(packing-cast) -- payloads are u32 (`Event::b`)
+    let payload = payload as u32;
+    let gen = (payload >> RES_STAGE_BITS) & RES_GEN_MASK;
+    let stage = (payload & RES_STAGE_MASK) as usize;
+    (lane_id(query, gen, payload >> 31 == 1), stage)
+}
+
+/// Refills `out` with `column[r]` for each compacted replica `r`.
+fn gather<T: Copy>(out: &mut Vec<T>, column: &[T], idx: &[usize]) {
+    out.clear();
+    out.extend(idx.iter().map(|&r| column[r]));
+}
 
 /// A packed heap event: 24 bytes instead of the 40 a
 /// `(f64, u64, EventKind)` struct would occupy, so every sift in the
@@ -180,52 +231,13 @@ impl Event {
         }
     }
 
+    /// The low 32 bits of a slot's or batch's generation — what a
+    /// `Complete`, `Recheck` or `WarmDone` payload carries.
     #[inline]
-    fn arrive(time: f64, seq: u64, query: usize, stage: usize) -> Self {
-        // simlint: allow(packing-cast) -- stage indexes a pipeline of
-        // at most a handful of stages (< 2^12, validated by Scenario::run).
-        Self::new(time, seq, TAG_ARRIVE, query, stage as u32)
-    }
-
-    #[inline]
-    fn complete(time: f64, seq: u64, batch: usize, gen: u64) -> Self {
+    fn gen32(gen: u64) -> u32 {
         // simlint: allow(packing-cast) -- generations compare on their
         // low 32 bits by design (see Event docs on wraparound).
-        Self::new(time, seq, TAG_COMPLETE, batch, gen as u32)
-    }
-
-    #[inline]
-    fn recheck(time: f64, seq: u64, slot: usize, gen: u64) -> Self {
-        // simlint: allow(packing-cast) -- generations compare on their
-        // low 32 bits by design (see Event docs on wraparound).
-        Self::new(time, seq, TAG_RECHECK, slot, gen as u32)
-    }
-
-    #[inline]
-    fn lifecycle(time: f64, seq: u64, idx: usize) -> Self {
-        Self::new(time, seq, TAG_LIFECYCLE, idx, 0)
-    }
-
-    #[inline]
-    fn warm_done(time: f64, seq: u64, slot: usize, gen: u64) -> Self {
-        // simlint: allow(packing-cast) -- generations compare on their
-        // low 32 bits by design (see Event docs on wraparound).
-        Self::new(time, seq, TAG_WARM_DONE, slot, gen as u32)
-    }
-
-    #[inline]
-    fn window_tick(time: f64, seq: u64) -> Self {
-        Self::new(time, seq, TAG_WINDOW_TICK, 0, 0)
-    }
-
-    #[inline]
-    fn timeout(time: f64, seq: u64, query: usize, gen: u32) -> Self {
-        Self::new(time, seq, TAG_TIMEOUT, query, gen)
-    }
-
-    #[inline]
-    fn hedge(time: f64, seq: u64, query: usize, gen: u32) -> Self {
-        Self::new(time, seq, TAG_HEDGE, query, gen)
+        gen as u32
     }
 
     /// The event's heap sequence number.
@@ -307,7 +319,7 @@ struct Batch {
 /// Availability state of one replica slot — the lifecycle state
 /// machine `warming → up → draining → down` (fail-stop jumps from any
 /// live state straight to `Down`). Lifecycle-free runs keep every slot
-/// `Up` forever and never read the state.
+/// `Up` forever.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SlotState {
     /// Provisioned but still warming: serves at reduced speed, accepts
@@ -358,13 +370,42 @@ impl BatchQueries {
     }
 }
 
+/// The fleet's levels: what the telemetry integrals accrue and what
+/// admission policies see.
+#[derive(Clone, Copy)]
+struct Gauges {
+    /// Waiting queries across all slots (queued plus parked).
+    queued: usize,
+    /// Units currently in service across all slots.
+    busy: usize,
+    /// Unit capacity of non-down slots.
+    capacity: usize,
+    /// Summed profile speeds of non-down slots — the cost integrand.
+    cost: f64,
+}
+
+/// Scratch columns for availability-masked routing: the original
+/// replica index per compacted position, the compacted counter and
+/// estimator columns, and the remapped routing history.
+#[derive(Default)]
+struct MaskScratch {
+    idx: Vec<usize>,
+    queued: Vec<usize>,
+    in_flight: Vec<usize>,
+    free: Vec<usize>,
+    work: Vec<f64>,
+    speed: Vec<f64>,
+    finish: Vec<f64>,
+    count: Vec<usize>,
+    hist: Vec<u32>,
+}
+
 /// The simulator state. `#[repr(C)]` pins the declared field order in
 /// memory: the per-event scalars and flags pack into the first cache
-/// lines, the hot container headers follow, and the lifecycle /
-/// telemetry / masking machinery — untouched on lifecycle-free runs —
-/// sits at the cold tail. (repr(Rust) is free to shuffle fields, and a
-/// struct this wide scatters the hot set across its full ~1.5 KB
-/// otherwise.)
+/// lines, the hot container headers follow, and the lifecycle machinery
+/// and the optional runtimes — untouched on lifecycle-free runs — sit at
+/// the cold tail. (repr(Rust) is free to shuffle fields, and a struct
+/// this wide scatters the hot set across all of it otherwise.)
 #[repr(C)]
 pub(crate) struct Sim<'a> {
     // --- Hot per-event scalars (first cache lines) ---
@@ -382,42 +423,26 @@ pub(crate) struct Sim<'a> {
     /// queries below this index are warmup and skip latency recording.
     warmup_len: usize,
     num_queries: usize,
-    /// Units currently in service across all slots — the utilization
-    /// integrand.
-    busy_units_now: usize,
-    /// Waiting queries across all slots (queued plus parked) — the
-    /// queue-depth integrand.
-    total_queued_entries: usize,
+    /// Queue depth, busy units, and the live fleet's capacity and cost,
+    /// maintained incrementally.
+    gauges: Gauges,
     /// Cached `policy.admit_on_arrival()` (consulted on every arrival).
     work_conserving: bool,
     /// Whether the router reads the work/speed estimator signals
-    /// ([`Router::uses_estimates`]); false keeps `queued_work`,
-    /// `inflight_finish`, and `inflight_count` empty and their hot-path
-    /// maintenance skipped.
+    /// ([`Router::uses_estimates`]); false skips the hot-path
+    /// maintenance of `queued_work`, `inflight_finish`, and
+    /// `inflight_count`, which then stay zero.
     track_est: bool,
     /// Whether the router reads per-query routing history
     /// ([`Router::uses_history`]) on a multi-stage pipeline; false
     /// skips `chosen` entirely and routes with an empty history slice.
     track_hist: bool,
-    /// Whether any lifecycle machinery is live (scheduled events or an
-    /// autoscaling controller). False keeps every guarded branch cold
-    /// and the run bit-identical to the lifecycle-free loop.
-    lifecycle_active: bool,
-    /// Whether time-weighted integrals accrue (any lifecycle activity,
-    /// or an explicit telemetry window).
-    telemetry_active: bool,
     /// Whether latency/throughput are recorded at completion time (see
     /// [`SCALE_RECORDING_THRESHOLD`]; always true for stage shards).
     record_at_completion: bool,
-    /// Whether query-level resilience machinery (timeouts, retries,
-    /// hedges) is live. An inert [`ResilienceConfig`] keeps this false
-    /// and every guarded branch cold, so the run stays bit-identical to
-    /// the resilience-free loop.
-    resil_active: bool,
     /// One-shot routing exclusion for a hedge dispatch: the primary
-    /// lane's slot, skipped by the masked router while the group has
-    /// another routable replica. Always `None` outside a hedge
-    /// dispatch.
+    /// lane's slot, skipped by the router while the group has another
+    /// routable replica. Always `None` outside a hedge dispatch.
     avoid_slot: Option<usize>,
 
     // --- Hot containers ---
@@ -477,10 +502,10 @@ pub(crate) struct Sim<'a> {
     /// Closed-loop think time, when the arrivals are a closed loop.
     think_time_s: Option<f64>,
 
-    // --- Estimator / history columns (empty unless tracked) ---
+    // --- Estimator / history columns (maintained only when tracked) ---
     /// Per-slot queued (not yet launched) work in baseline seconds —
     /// one of the two [`ExpectedWait`] estimator signals (see router.rs
-    /// module docs). Empty (never maintained) unless the router reads
+    /// module docs). Zero (never maintained) unless the router reads
     /// estimates (`track_est`).
     ///
     /// [`ExpectedWait`]: crate::ExpectedWait
@@ -489,10 +514,10 @@ pub(crate) struct Sim<'a> {
     /// `inflight_count`, the decay-aware in-flight wait signal:
     /// `inflight_finish[s] - inflight_count[s] * now` is exactly the
     /// summed not-yet-elapsed service of the slot's running batches.
-    /// Empty unless `track_est`.
+    /// Zero unless `track_est`.
     inflight_finish: Vec<f64>,
     /// Per-slot count of live batches (the decay term's multiplier).
-    /// Empty unless `track_est`.
+    /// Zero unless `track_est`.
     inflight_count: Vec<usize>,
     /// Replica chosen (index within its group) per query per stage,
     /// laid out `query * num_stages + stage` — the routing history
@@ -566,216 +591,14 @@ pub(crate) struct Sim<'a> {
     /// Flattened static schedule: `(slot, event)` per scheduled
     /// lifecycle event, indexed by `EventKind::Lifecycle`.
     sched: Vec<(usize, LifecycleEvent)>,
-    /// Scratch arrays for availability-masked routing (original replica
-    /// index per compacted position, plus compacted counter/estimator
-    /// columns and remapped history).
-    mask_idx: Vec<usize>,
-    mask_queued: Vec<usize>,
-    mask_inflight: Vec<usize>,
-    mask_free: Vec<usize>,
-    mask_work: Vec<f64>,
-    mask_speed: Vec<f64>,
-    mask_finish: Vec<f64>,
-    mask_count: Vec<usize>,
-    mask_hist: Vec<u32>,
+    /// Scratch columns for availability-masked routing.
+    mask: MaskScratch,
 
-    // --- Windowed telemetry (inert unless `telemetry_active`) ---
-    /// Window width in seconds (0.0 = no windowed series).
-    window_s: f64,
-    /// Time the integrals were last advanced to.
-    integral_t: f64,
-    /// Unit capacity of non-down slots — the utilization denominator.
-    live_capacity: usize,
-    /// Summed profile speeds of non-down slots — the cost integrand.
-    live_cost: f64,
-    /// `∫ total_queued_entries dt`, `∫ busy_units_now dt`,
-    /// `∫ live_capacity dt`, `∫ live_cost dt` since t = 0.
-    queue_integral: f64,
-    busy_integral: f64,
-    cap_integral: f64,
-    cost_integral: f64,
-    /// Current window: start time, integral bases at the start, and
-    /// event counters.
-    win_start: f64,
-    win_queue_base: f64,
-    win_busy_base: f64,
-    win_cap_base: f64,
-    win_cost_base: f64,
-    win_arrivals: usize,
-    win_completed: usize,
-    win_shed: usize,
-    win_dropped: usize,
-    win_timed_out: usize,
-    win_latencies: Vec<f64>,
-    /// Closed windows, in order.
-    windows: Vec<WindowStats>,
-
-    // --- Closed-loop autoscaling (None unless `enable_autoscale`) ---
+    // --- Optional runtimes (None unless armed) ---
+    tele: Option<Telemetry>,
     scale: Option<ScaleRt<'a>>,
-
-    // --- Multi-path serving (None unless `enable_multipath`) ---
     mp: Option<MultipathRt<'a>>,
-
-    // --- Query-level resilience (None unless `enable_resilience`) ---
     resil: Option<Box<ResilienceRt>>,
-}
-
-/// A query's resolution state on a resilient run.
-const RQ_FRESH: u8 = 0;
-/// The query has at least one live lane in flight.
-const RQ_LIVE: u8 = 1;
-/// The query resolved (completed, shed, or timed-out-final); any
-/// surviving lanes are carcasses.
-const RQ_DONE: u8 = 2;
-
-/// Query-level resilience runtime (see [`Scenario::resilience`]): per-query
-/// lane generations and attempt counts, the retry token bucket, the
-/// completed-latency reservoir behind quantile hedge delays, and the
-/// run's [`ResilienceStats`]. Boxed behind an `Option` at the
-/// simulator's cold tail — resilience-free runs never touch it.
-struct ResilienceRt {
-    /// Per-attempt timeout, if configured.
-    timeout_s: Option<f64>,
-    retry: RetryPolicy,
-    hedge: Option<HedgePolicy>,
-    /// Flattened retry-budget bucket (`has_budget` false leaves retries
-    /// unmetered).
-    has_budget: bool,
-    tokens: f64,
-    bucket_cap: f64,
-    refill: f64,
-    /// Per-query resolution state (`RQ_*`).
-    state: Vec<u8>,
-    /// Per-query lane generation: bumped when the query resolves or an
-    /// attempt times out, lazily cancelling every event and queue/batch
-    /// resident of the superseded lanes.
-    gen: Vec<u32>,
-    /// Attempts started per query (1 on first dispatch).
-    attempts: Vec<u8>,
-    /// Whether the current attempt already dispatched its hedge.
-    hedged: Vec<bool>,
-    /// Slot the query's latest entry-stage lane was placed on — what a
-    /// hedge dispatch routes away from (`u32::MAX` = none recorded).
-    last_slot: Vec<u32>,
-    /// Dedicated splitmix lane for backoff jitter (decorrelated from
-    /// router and admission streams).
-    rng: u64,
-    /// Completed-latency reservoir feeding quantile hedge delays: a
-    /// fixed ring overwritten round-robin past capacity, re-sorted into
-    /// `sorted` at most every [`RESERVOIR_RESORT`] inserts.
-    samples: Vec<f64>,
-    sorted: Vec<f64>,
-    sample_writes: usize,
-    sample_dirty: usize,
-    stats: ResilienceStats,
-}
-
-/// Completed-latency reservoir capacity for quantile hedge delays.
-const RESERVOIR_CAP: usize = 512;
-/// Inserts tolerated before the reservoir's sorted view refreshes.
-const RESERVOIR_RESORT: usize = 64;
-
-impl ResilienceRt {
-    /// Next uniform draw in `[0, 1)` from the jitter lane.
-    fn next_u01(&mut self) -> f64 {
-        self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Records a completed query's latency into the hedge reservoir
-    /// (no-op unless a quantile delay needs it).
-    fn push_sample(&mut self, latency_s: f64) {
-        if !matches!(
-            self.hedge,
-            Some(HedgePolicy {
-                delay: HedgeDelay::Quantile(_)
-            })
-        ) {
-            return;
-        }
-        if self.samples.len() < RESERVOIR_CAP {
-            self.samples.push(latency_s);
-        } else {
-            self.samples[self.sample_writes % RESERVOIR_CAP] = latency_s;
-        }
-        self.sample_writes += 1;
-        self.sample_dirty += 1;
-    }
-
-    /// The hedge delay for an attempt starting now: the fixed delay, or
-    /// the reservoir's current quantile (None until
-    /// [`HedgePolicy::MIN_QUANTILE_SAMPLES`] completions have been
-    /// observed — early hedging off a handful of samples would be
-    /// noise).
-    fn hedge_delay(&mut self) -> Option<f64> {
-        match self.hedge?.delay {
-            HedgeDelay::Fixed(d) => Some(d),
-            HedgeDelay::Quantile(q) => {
-                if self.sample_writes < HedgePolicy::MIN_QUANTILE_SAMPLES {
-                    return None;
-                }
-                if self.sample_dirty >= RESERVOIR_RESORT || self.sorted.len() != self.samples.len()
-                {
-                    self.sorted.clear();
-                    self.sorted.extend_from_slice(&self.samples);
-                    self.sorted
-                        .sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
-                    self.sample_dirty = 0;
-                }
-                let n = self.sorted.len();
-                let idx = ((n as f64 * q).ceil() as usize).clamp(1, n) - 1;
-                Some(self.sorted[idx])
-            }
-        }
-    }
-}
-
-/// Multi-path runtime state (see [`Scenario::multipath`]): the admission
-/// seam plus per-path accounting. Boxed behind an `Option` at the
-/// simulator's cold tail — single-pipeline runs never touch it.
-struct MultipathRt<'a> {
-    admission: &'a dyn AdmissionPolicy,
-    /// Per-path analytic profiles handed to the policy on every arrival.
-    profiles: Vec<PathProfile>,
-    /// First flat stage of each path.
-    entry: Vec<usize>,
-    /// Per flat stage: whether it is its path's final stage.
-    last_of_path: Vec<bool>,
-    /// Path names, carried through to [`PathStats`].
-    names: Vec<String>,
-    /// Per-query path assignment ([`MP_UNASSIGNED`] until the admission
-    /// decision, [`MP_SHED`] when rejected).
-    qpath: Vec<u8>,
-    /// The policy's mutable state (degradation level, RNG stream).
-    state: AdmissionState,
-    /// Per-path admissions over the whole run.
-    admitted: Vec<usize>,
-    /// Per-path completions.
-    completed: Vec<usize>,
-    /// Per-path post-admission sheds (lifecycle losses, not admission
-    /// rejections).
-    shed: Vec<usize>,
-    /// Per-path mid-service drops (fail-stops under `Shed`).
-    dropped: Vec<usize>,
-    /// Per-path post-warmup latency collectors.
-    latency: Vec<LatencyStats>,
-    /// Queries rejected at admission (before any path).
-    admission_shed: usize,
-    /// Admitted-but-unresolved queries — the concurrency signal
-    /// admission policies threshold on.
-    in_system: usize,
-    /// Largest single-path fully-batched capacity — the saturation
-    /// test's rate bound (the concatenated spec's own figure sums every
-    /// path's load as if all were always taken, which is meaningless).
-    max_full_batch_qps: f64,
-    /// Per-path admissions in the current telemetry window.
-    win_admitted: Vec<usize>,
-    /// Per-path completions in the current telemetry window.
-    win_completed: Vec<usize>,
 }
 
 /// Receives a stage shard's completions `(time, query, arrived)` for
@@ -921,8 +744,12 @@ impl<'a> Sim<'a> {
         let num_stages = spec.stages().len();
         let group_replicas: Vec<usize> = resources.iter().map(|r| r.replicas()).collect();
         let cur_speed = slot_speed.clone();
-        let live_capacity: usize = slot_capacity.iter().sum();
-        let live_cost: f64 = slot_speed.iter().sum();
+        let gauges = Gauges {
+            queued: 0,
+            busy: 0,
+            capacity: slot_capacity.iter().sum(),
+            cost: slot_speed.iter().sum(),
+        };
         let num_groups = resources.len();
         // Gate per-query bookkeeping on what the router actually reads:
         // oblivious and counter-only routers skip the estimator arrays'
@@ -939,7 +766,7 @@ impl<'a> Sim<'a> {
         // the order-independent folded sinks.
         let record_at_completion = num_queries >= SCALE_RECORDING_THRESHOLD;
         let warmup_len = ((num_queries as f64) * WARMUP_FRACTION) as usize;
-        let sim = Self {
+        Self {
             spec,
             stages: spec.stages(),
             policy,
@@ -955,21 +782,9 @@ impl<'a> Sim<'a> {
             slot_capacity,
             slot_speed,
             free,
-            queued_work: if track_est {
-                vec![0.0; num_slots]
-            } else {
-                Vec::new()
-            },
-            inflight_finish: if track_est {
-                vec![0.0; num_slots]
-            } else {
-                Vec::new()
-            },
-            inflight_count: if track_est {
-                vec![0; num_slots]
-            } else {
-                Vec::new()
-            },
+            queued_work: vec![0.0; num_slots],
+            inflight_finish: vec![0.0; num_slots],
+            inflight_count: vec![0; num_slots],
             stage_groups: spec.stages().iter().map(|s| s.resource).collect(),
             chosen: if track_hist {
                 vec![u32::MAX; num_queries * num_stages]
@@ -1003,7 +818,6 @@ impl<'a> Sim<'a> {
             think_time_s: None,
             work_conserving: policy.admit_on_arrival(),
             schedule_len: 0,
-            lifecycle_active: false,
             failure_policy: FailurePolicy::default(),
             warmup_speed: 0.5,
             state: vec![SlotState::Up; num_slots],
@@ -1018,42 +832,12 @@ impl<'a> Sim<'a> {
             dropped: 0,
             fatal: None,
             sched: Vec::new(),
-            mask_idx: Vec::new(),
-            mask_queued: Vec::new(),
-            mask_inflight: Vec::new(),
-            mask_free: Vec::new(),
-            mask_work: Vec::new(),
-            mask_speed: Vec::new(),
-            mask_finish: Vec::new(),
-            mask_count: Vec::new(),
-            mask_hist: Vec::new(),
-            telemetry_active: false,
-            window_s: 0.0,
-            integral_t: 0.0,
-            total_queued_entries: 0,
-            busy_units_now: 0,
-            live_capacity,
-            live_cost,
-            queue_integral: 0.0,
-            busy_integral: 0.0,
-            cap_integral: 0.0,
-            cost_integral: 0.0,
-            win_start: 0.0,
-            win_queue_base: 0.0,
-            win_busy_base: 0.0,
-            win_cap_base: 0.0,
-            win_cost_base: 0.0,
-            win_arrivals: 0,
-            win_completed: 0,
-            win_shed: 0,
-            win_dropped: 0,
-            win_timed_out: 0,
-            win_latencies: Vec::new(),
-            windows: Vec::new(),
+            mask: MaskScratch::default(),
+            gauges,
+            tele: None,
             scale: None,
             mp: None,
             resil: None,
-            resil_active: false,
             avoid_slot: None,
             arrival_stream: None,
             arrival_span: 0.0,
@@ -1066,8 +850,7 @@ impl<'a> Sim<'a> {
             }),
             live_throughput: ThroughputMeter::new(),
             shard_out: None,
-        };
-        sim
+        }
     }
 
     /// Stages the arrival schedule lazily from
@@ -1101,13 +884,13 @@ impl<'a> Sim<'a> {
         self.arrival_time[0] = t0;
         self.arrival_span = self.arrival_span.max(t0);
         self.arrival_stream = Some(stream);
-        self.heap.push(Event::arrive(t0, 0, 0, 0));
+        self.heap.push(Event::new(t0, 0, TAG_ARRIVE, 0, 0));
     }
 
     /// Arms the replica lifecycle: flattens every group's attached
     /// schedule into timed heap events, applies the failure policy and
-    /// warm-up speed, and (when configured) starts the telemetry
-    /// window clock.
+    /// warm-up speed, and attaches telemetry when a window is configured
+    /// (starting its clock) or any event is scheduled.
     ///
     /// Determinism: lifecycle events are sequenced in group-major,
     /// schedule order *after* all schedule arrivals (their heap seqs
@@ -1128,19 +911,14 @@ impl<'a> Sim<'a> {
                 }
                 let idx = self.sched.len();
                 self.sched.push((slot, event));
-                self.heap.push(Event::lifecycle(event.time, self.seq, idx));
-                self.seq += 1;
+                self.push(event.time, TAG_LIFECYCLE, idx, 0);
             }
         }
-        self.lifecycle_active = !self.sched.is_empty();
         if let Some(w) = cfg.window_s {
-            self.telemetry_active = true;
-            self.window_s = w;
-            self.heap.push(Event::window_tick(w, self.seq));
-            self.seq += 1;
+            self.push(w, TAG_WINDOW_TICK, 0, 0);
         }
-        if self.lifecycle_active {
-            self.telemetry_active = true;
+        if cfg.window_s.is_some() || !self.sched.is_empty() {
+            self.tele = Some(Telemetry::new(cfg.window_s.unwrap_or(0.0)));
         }
     }
 
@@ -1161,15 +939,12 @@ impl<'a> Sim<'a> {
             warmup_s: cfg.warmup_s,
             controller,
         });
-        self.lifecycle_active = true;
-        self.telemetry_active = true;
-        let base = self.slot_base[cfg.group];
-        let replicas = self.group_replicas[cfg.group];
-        for slot in base + cfg.initial_replicas..base + replicas {
+        self.tele.get_or_insert_with(Telemetry::default);
+        for slot in self.group_slots(cfg.group).skip(cfg.initial_replicas) {
             self.state[slot] = SlotState::Down;
             self.free[slot] = 0;
-            self.live_capacity -= self.slot_capacity[slot];
-            self.live_cost -= self.slot_speed[slot];
+            self.gauges.capacity -= self.slot_capacity[slot];
+            self.gauges.cost -= self.slot_speed[slot];
             self.group_available[cfg.group] -= 1;
         }
     }
@@ -1188,189 +963,76 @@ impl<'a> Sim<'a> {
         seed: u64,
     ) {
         debug_assert_eq!(paths.spec().stages().len(), self.stages.len());
-        let n = paths.num_paths();
-        let profiles = paths.profiles();
-        let max_full_batch_qps = profiles
-            .iter()
-            .map(|p| p.max_qps_full_batch)
-            .fold(0.0, f64::max);
-        self.mp = Some(MultipathRt {
-            admission,
-            profiles,
-            entry: (0..n).map(|p| paths.entry(p)).collect(),
-            last_of_path: paths.last_of_path(),
-            names: paths.names().to_vec(),
-            qpath: vec![MP_UNASSIGNED; self.num_queries],
-            // A distinct splitmix lane per run seed: decorrelated from
-            // every router's per-group stream (those mix the group
-            // index) while staying a pure function of the seed.
-            state: AdmissionState::new(seed ^ 0xa076_1d64_78bd_642f),
-            admitted: vec![0; n],
-            completed: vec![0; n],
-            shed: vec![0; n],
-            dropped: vec![0; n],
-            latency: (0..n).map(|_| LatencyStats::new()).collect(),
-            admission_shed: 0,
-            in_system: 0,
-            max_full_batch_qps,
-            win_admitted: vec![0; n],
-            win_completed: vec![0; n],
-        });
+        self.mp = Some(MultipathRt::new(paths, admission, self.num_queries, seed));
     }
 
-    /// Arms query-level resilience: per-attempt timeouts, the retry
-    /// policy, and hedged requests per `cfg`. Consumes no heap seqs and
-    /// pushes no events; an inert config additionally leaves
-    /// `resil_active` false, so the event stream — and therefore the
-    /// whole run — is bit-identical to the plain routed loop (pinned by
-    /// proptest).
+    /// Arms query-level resilience for an active `cfg`: per-attempt
+    /// timeouts, the retry policy, and hedged requests. Consumes no heap
+    /// seqs until the first dispatch. `Scenario::run` never arms an
+    /// inert config, which therefore replays the run without it bit for
+    /// bit (pinned by proptest).
     pub(crate) fn enable_resilience(&mut self, cfg: &ResilienceConfig, seed: u64) {
         // Packed lane payloads bound both (validated by `Scenario::run`).
         debug_assert!(self.stages.len() <= MAX_RESILIENT_STAGES);
         debug_assert!(cfg.retry.max_attempts <= MAX_ATTEMPTS);
-        let active = !cfg.is_inert();
-        let n = if active { self.num_queries } else { 0 };
-        let (has_budget, bucket_cap, refill) = match cfg.retry.budget {
-            Some(b) => (true, b.capacity, b.refill_per_success),
-            None => (false, 0.0, 0.0),
-        };
-        self.resil = Some(Box::new(ResilienceRt {
-            timeout_s: cfg.timeout_s,
-            retry: cfg.retry.clone(),
-            hedge: cfg.hedge,
-            has_budget,
-            tokens: bucket_cap,
-            bucket_cap,
-            refill,
-            state: vec![RQ_FRESH; n],
-            gen: vec![0; n],
-            attempts: vec![0; n],
-            hedged: vec![false; n],
-            last_slot: vec![u32::MAX; n],
-            // A distinct splitmix lane per run seed, decorrelated from
-            // the router/admission streams by a different xor constant.
-            rng: seed ^ 0xd6e8_feb8_6659_fd93,
-            samples: Vec::new(),
-            sorted: Vec::new(),
-            sample_writes: 0,
-            sample_dirty: 0,
-            stats: ResilienceStats {
-                retries: vec![0; cfg.retry.max_attempts.saturating_sub(1)],
-                ..ResilienceStats::default()
-            },
-        }));
-        self.resil_active = active;
+        debug_assert!(!cfg.is_inert());
+        self.resil = Some(Box::new(ResilienceRt::new(cfg, self.num_queries, seed)));
     }
 
-    /// The bare query index of a (possibly lane-packed) queue/batch id.
-    #[inline]
-    fn unq(&self, packed: usize) -> usize {
-        if self.resil_active {
-            packed & RES_Q_MASK
-        } else {
-            packed
-        }
+    fn group_slots(&self, group: usize) -> Range<usize> {
+        let base = self.slot_base[group];
+        base..base + self.group_replicas[group]
     }
 
-    /// Pushes an arrive event carrying `packed`'s lane identity in its
-    /// payload (`b = stage | gen << 12 | lane << 31`); on
-    /// resilience-free runs `packed` is the bare query and the payload
-    /// collapses to the plain `b = stage` encoding byte-for-byte.
-    fn push_arrive(&mut self, t: f64, packed: usize, stage: usize) {
-        let b = if self.resil_active {
-            // simlint: allow(packing-cast) -- masked to the 19 payload bits at the cast
-            let gen = (packed >> 32) as u32 & RES_GEN_MASK;
-            // simlint: allow(packing-cast) -- a single bit survives the >> 63
-            let lane = (packed >> 63) as u32;
-            // simlint: allow(packing-cast) -- stage < 2^12 (pipeline depth, validated by Scenario::run)
-            stage as u32 | (gen << RES_STAGE_BITS) | (lane << 31)
-        } else {
-            // simlint: allow(packing-cast) -- stage < 2^12 (pipeline depth, validated by Scenario::run)
-            stage as u32
-        };
-        self.heap
-            .push(Event::new(t, self.seq, TAG_ARRIVE, packed & RES_Q_MASK, b));
+    /// Pushes an event carrying the next heap seq.
+    fn push(&mut self, time: f64, tag: u64, a: usize, b: u32) {
+        self.heap.push(Event::new(time, self.seq, tag, a, b));
         self.seq += 1;
     }
 
-    /// Whether a packed lane id still names a live lane of its query
-    /// (generation matches and the query is unresolved); false means
-    /// the lane is a carcass — cancelled lazily, to be discarded
+    /// Pushes an arrive event for lane `id` entering `stage` (the bare
+    /// query and the plain stage payload on resilience-free runs).
+    fn push_arrive(&mut self, t: f64, id: usize, stage: usize) {
+        self.push(t, TAG_ARRIVE, lane_query(id), lane_payload(id, stage));
+    }
+
+    /// Whether lane `id` still names a live lane of its query; false
+    /// means the lane is a carcass — cancelled lazily, to be discarded
     /// wherever it next surfaces.
-    #[inline]
-    fn lane_live(&self, packed: usize) -> bool {
+    fn lane_live(&self, id: usize) -> bool {
         let rt = self.resil.as_ref().expect("resilience runtime attached");
-        let q = packed & RES_Q_MASK;
-        // simlint: allow(packing-cast) -- masked to the 19 payload bits at the cast
-        let gen = ((packed >> 32) as u32) & RES_GEN_MASK;
-        gen == (rt.gen[q] & RES_GEN_MASK) && rt.state[q] == RQ_LIVE
+        rt.is_live(lane_query(id), lane_gen(id))
     }
 
     /// Arms the timeout and hedge events for an attempt of `q` starting
     /// at `start` under the query's current generation.
-    fn res_arm_attempt(&mut self, start: f64, q: usize) {
+    fn arm_attempt(&mut self, start: f64, q: usize) {
         let rt = self.resil.as_mut().expect("resilience runtime attached");
-        let gen = rt.gen[q];
-        let timeout_s = rt.timeout_s;
-        let hedge_delay = rt.hedge_delay();
-        if let Some(t) = timeout_s {
-            self.heap.push(Event::timeout(start + t, self.seq, q, gen));
-            self.seq += 1;
+        let (gen, timeout_at, hedge_at) = rt.timers(start, q);
+        if let Some(t) = timeout_at {
+            self.push(t, TAG_TIMEOUT, q, gen);
         }
-        if let Some(d) = hedge_delay {
-            self.heap.push(Event::hedge(start + d, self.seq, q, gen));
-            self.seq += 1;
+        if let Some(t) = hedge_at {
+            self.push(t, TAG_HEDGE, q, gen);
         }
     }
 
-    /// A live attempt's timeout fired: the attempt is abandoned (the
-    /// generation bump lazily cancels both of its lanes wherever they
-    /// sit — heap, queue, or in-flight batch) and the retry policy
-    /// picks between a backed-off re-dispatch and resolving the query
-    /// timed-out-final.
+    /// A live attempt's timeout fired: a retry re-enters stage 0 once
+    /// its backoff elapses, or the query resolves timed-out-final.
     fn on_timeout(&mut self, now: f64, q: usize) {
         self.last_time = now;
-        let telemetry = self.telemetry_active;
-        let mut retry_start = None;
-        {
-            let rt = self.resil.as_mut().expect("resilience runtime attached");
-            rt.stats.timeouts += 1;
-            rt.gen[q] = rt.gen[q].wrapping_add(1);
-            let attempts = rt.attempts[q] as usize;
-            let can_retry = attempts < rt.retry.max_attempts;
-            let budget_ok = !rt.has_budget || rt.tokens >= 1.0;
-            if can_retry && budget_ok {
-                if rt.has_budget {
-                    rt.tokens -= 1.0;
-                }
-                rt.attempts[q] += 1;
-                rt.hedged[q] = false;
-                let retry_index = attempts; // 1-based retry number
-                rt.stats.retries[retry_index - 1] += 1;
-                let mut delay = rt.retry.backoff_s(retry_index);
-                if rt.retry.jitter_frac > 0.0 {
-                    delay *= 1.0 + rt.retry.jitter_frac * rt.next_u01();
-                }
-                retry_start = Some(now + delay);
-            } else {
-                if can_retry {
-                    rt.stats.retries_denied += 1;
-                }
-                rt.state[q] = RQ_DONE;
-                rt.stats.timed_out += 1;
-                if telemetry {
-                    self.win_timed_out += 1;
-                }
+        let rt = self.resil.as_mut().expect("resilience runtime attached");
+        match rt.on_timeout(now, q) {
+            Some((start, gen)) => {
+                self.push_arrive(start, lane_id(q, gen, false), 0);
+                self.arm_attempt(start, q);
             }
-        }
-        match retry_start {
-            Some(start) => {
-                let gen = self.resil.as_ref().expect("attached").gen[q];
-                let packed = q | ((gen & RES_GEN_MASK) as usize) << 32;
-                self.push_arrive(start, packed, 0);
-                self.res_arm_attempt(start, q);
+            None => {
+                if let Some(tele) = self.tele.as_mut() {
+                    tele.on_timed_out();
+                }
+                self.release_client(now);
             }
-            None => self.release_client(now),
         }
     }
 
@@ -1381,70 +1043,27 @@ impl<'a> Sim<'a> {
     /// cancelled lazily and its service accounted wasted.
     fn on_hedge(&mut self, now: f64, q: usize, gen: u32) {
         self.last_time = now;
-        let avoid = {
-            let rt = self.resil.as_mut().expect("resilience runtime attached");
-            rt.hedged[q] = true;
-            rt.stats.hedges_issued += 1;
-            rt.last_slot[q]
-        };
-        let packed = q | ((gen & RES_GEN_MASK) as usize) << 32 | 1usize << 63;
-        self.avoid_slot = (avoid != u32::MAX).then_some(avoid as usize);
-        self.on_arrive(now, packed, 0);
+        let rt = self.resil.as_mut().expect("resilience runtime attached");
+        self.avoid_slot = rt.on_hedge(q);
+        self.on_arrive(now, lane_id(q, gen, true), 0);
         self.avoid_slot = None;
     }
 
     /// Runs the admission decision for a stage-0 arrival: returns the
-    /// admitted path's entry stage, or `None` when the query was shed.
-    /// Re-arrivals of an already-admitted query (lifecycle requeues and
-    /// parked flushes re-enter at their original stage — which is 0
-    /// only on path 0) keep their path without a second decision.
+    /// admitted path's entry stage, or `None` when the query was shed
+    /// (freeing its closed-loop client).
     fn admit(&mut self, now: f64, query: usize) -> Option<usize> {
-        let capacity = self.live_capacity;
-        let queue_depth = self.total_queued_entries;
-        let window = self.windows.last();
-        let telemetry = self.telemetry_active;
+        let window = self.tele.as_ref().and_then(|t| t.windows.last());
         let mp = self.mp.as_mut().expect("multipath runtime attached");
-        let prior = mp.qpath[query];
-        if prior != MP_UNASSIGNED {
-            debug_assert_eq!(prior, 0, "only path 0 starts at flat stage 0");
-            return Some(0);
-        }
-        let decision = {
-            let ctx = AdmissionCtx {
-                now,
-                query,
-                in_system: mp.in_system,
-                capacity,
-                queue_depth,
-                paths: &mp.profiles,
-                window,
-            };
-            mp.admission.admit(&ctx, &mut mp.state)
-        };
-        match decision {
-            Admission::Admit(p) => {
-                assert!(
-                    p < mp.entry.len(),
-                    "admission chose path {p} of {}",
-                    mp.entry.len()
-                );
-                mp.qpath[query] = p as u8;
-                mp.admitted[p] += 1;
-                mp.in_system += 1;
-                if telemetry {
-                    mp.win_admitted[p] += 1;
-                }
-                Some(mp.entry[p])
+        let entry = mp.admit(now, query, self.gauges, window);
+        if entry.is_none() {
+            self.shed += 1;
+            if let Some(tele) = self.tele.as_mut() {
+                tele.on_lost(false, 1);
             }
-            Admission::Shed => {
-                mp.qpath[query] = MP_SHED;
-                mp.admission_shed += 1;
-                self.shed += 1;
-                self.win_shed += 1;
-                self.release_client(now);
-                None
-            }
+            self.release_client(now);
         }
+        entry
     }
 
     /// Counts a post-admission loss of `query` — shed without service,
@@ -1453,20 +1072,14 @@ impl<'a> Sim<'a> {
     fn account_lost(&mut self, query: usize, was_in_flight: bool) {
         if was_in_flight {
             self.dropped += 1;
-            self.win_dropped += 1;
         } else {
             self.shed += 1;
-            self.win_shed += 1;
+        }
+        if let Some(tele) = self.tele.as_mut() {
+            tele.on_lost(was_in_flight, 1);
         }
         if let Some(mp) = self.mp.as_mut() {
-            let p = mp.qpath[query] as usize;
-            debug_assert!(p < mp.entry.len(), "lost query was never admitted");
-            if was_in_flight {
-                mp.dropped[p] += 1;
-            } else {
-                mp.shed[p] += 1;
-            }
-            mp.in_system -= 1;
+            mp.on_lost(query, was_in_flight);
         }
     }
 
@@ -1490,176 +1103,139 @@ impl<'a> Sim<'a> {
         // Closed-loop arrivals are attributed to the window in which the
         // client issues them (skew vs first service at most the think
         // time).
-        if self.telemetry_active {
-            self.win_arrivals += 1;
+        if let Some(tele) = self.tele.as_mut() {
+            tele.on_arrival();
         }
-        self.heap.push(Event::arrive(t, self.seq, query, 0));
-        self.seq += 1;
+        self.push(t, TAG_ARRIVE, query, 0);
     }
 
     /// Routes `query` arriving at `stage_idx` to one replica slot of
     /// the stage's resource group, recording the choice in the query's
     /// routing history (the [`RoutingCtx`] affinity signal).
     ///
-    /// Replicated groups go through [`Router::route`], probing the
-    /// incrementally-maintained `queued`/`in_flight`/`free` counter
-    /// arrays and the `remaining_work`/`slot_speed` estimator arrays
-    /// directly.
-    /// Returns `None` when lifecycle masking leaves the group with no
-    /// routable (up or warming) replica — the caller sheds, parks, or
-    /// fails the run per the [`FailurePolicy`].
+    /// While lifecycle masking leaves a replica unroutable, or a hedge
+    /// avoids its primary's slot, the candidates are compacted first:
+    /// routers never see a draining or down replica. Returns `None` when
+    /// the group has no routable (up or warming) replica — the caller
+    /// sheds, parks, or fails the run per the [`FailurePolicy`].
     fn route(&mut self, now: f64, query: usize, stage_idx: usize) -> Option<usize> {
         let group = self.stages[stage_idx].resource;
-        let base = self.slot_base[group];
-        let replicas = self.group_replicas[group];
-        // A hedge dispatch routes through the masked path to exclude
-        // its primary's slot — but only while the group actually has
-        // another replica to offer.
-        let avoiding = self
+        let slots = self.group_slots(group);
+        let (base, replicas) = (slots.start, slots.len());
+        // A hedge dispatch avoids its primary's slot — but only while
+        // the group actually has another replica to offer.
+        let avoid = self
             .avoid_slot
-            .is_some_and(|s| (base..base + replicas).contains(&s) && replicas > 1);
-        if (self.lifecycle_active && self.group_available[group] < replicas) || avoiding {
-            if let Some(slot) = self.route_masked(now, query, stage_idx, group) {
-                return Some(slot);
-            }
-            if self.avoid_slot.take().is_some() {
+            .filter(|s| slots.contains(s) && replicas > 1);
+        let masked = self.group_available[group] < replicas || avoid.is_some();
+        if masked {
+            self.compact(slots.clone(), avoid);
+            if self.mask.idx.is_empty() && avoid.is_some() {
                 // The avoided slot is the group's only routable replica:
                 // hedge onto it rather than not at all.
-                return self.route(now, query, stage_idx);
+                self.compact(slots, None);
             }
-            return None;
+            if self.mask.idx.is_empty() {
+                return None;
+            }
         }
-        let num_stages = self.stages.len();
-        let pick = if replicas == 1 {
-            0
+        let candidates = if masked {
+            self.mask.idx.len()
         } else {
-            debug_assert!((base..base + replicas).all(|s| self.queued[s] == self.waiting[s].len()));
-            debug_assert!(
-                !self.track_est || (base..base + replicas).all(|s| self.estimator_mirrors_scan(s))
-            );
-            let mut loads = ReplicaLoads::new(
-                &self.queued[base..base + replicas],
-                &self.in_flight[base..base + replicas],
-                &self.free[base..base + replicas],
-            );
-            if self.track_est {
-                loads = loads
-                    .with_estimates(
-                        &self.queued_work[base..base + replicas],
-                        &self.cur_speed[base..base + replicas],
-                    )
-                    .with_in_flight_decay(
-                        &self.inflight_finish[base..base + replicas],
-                        &self.inflight_count[base..base + replicas],
-                        now,
-                    );
+            replicas
+        };
+        let pick = if candidates > 1 {
+            self.consult_router(now, query, stage_idx, masked)
+        } else {
+            0
+        };
+        let replica = if masked { self.mask.idx[pick] } else { pick };
+        if self.track_hist {
+            self.chosen[query * self.stages.len() + stage_idx] = replica as u32;
+        }
+        Some(base + replica)
+    }
+
+    /// Compacts the routable slots of `slots` other than `avoid` into
+    /// the mask scratch columns.
+    fn compact(&mut self, slots: Range<usize>, avoid: Option<usize>) {
+        let (m, base) = (&mut self.mask, slots.start);
+        let keep = |&s: &usize| self.state[s].routable() && Some(s) != avoid;
+        m.idx.clear();
+        m.idx.extend(slots.filter(keep).map(|s| s - base));
+        gather(&mut m.queued, &self.queued[base..], &m.idx);
+        gather(&mut m.in_flight, &self.in_flight[base..], &m.idx);
+        gather(&mut m.free, &self.free[base..], &m.idx);
+        if self.track_est {
+            gather(&mut m.work, &self.queued_work[base..], &m.idx);
+            gather(&mut m.speed, &self.cur_speed[base..], &m.idx);
+            gather(&mut m.finish, &self.inflight_finish[base..], &m.idx);
+            gather(&mut m.count, &self.inflight_count[base..], &m.idx);
+        }
+    }
+
+    /// Asks the router to pick one of the group's candidates: every
+    /// replica, probing the incrementally-maintained counter and
+    /// estimator columns directly, or — when `masked` — the compacted
+    /// ones, with the query's same-group routing history remapped onto
+    /// compacted positions (absent replicas become `u32::MAX`, which
+    /// affinity routers treat as "no prior" and fall back).
+    fn consult_router(&mut self, now: f64, query: usize, stage_idx: usize, masked: bool) -> usize {
+        let group = self.stages[stage_idx].resource;
+        let slots = self.group_slots(group);
+        let history = query * self.stages.len();
+        if !masked {
+            debug_assert!(slots
+                .clone()
+                .all(|s| self.queued[s] == self.waiting[s].len()));
+            debug_assert!(!self.track_est || slots.clone().all(|s| self.estimator_mirrors_scan(s)));
+        } else if self.track_hist {
+            self.mask.hist.clear();
+            for s in 0..stage_idx {
+                let prior = self.chosen[history + s];
+                let remapped = if self.stage_groups[s] == group {
+                    let at = self.mask.idx.iter().position(|&r| r == prior as usize);
+                    at.map_or(u32::MAX, |at| at as u32)
+                } else {
+                    prior
+                };
+                self.mask.hist.push(remapped);
             }
-            let history = query * num_stages;
-            let prior: &[u32] = if self.track_hist {
+        }
+        // The candidates' counter and estimator columns: the compacted
+        // ones, or the group's own.
+        let (counts, est, count, prior) = if masked {
+            let m = &self.mask;
+            let counts = [&m.queued, &m.in_flight, &m.free].map(|v| &v[..]);
+            let est = [&m.work, &m.speed, &m.finish].map(|v| &v[..]);
+            (counts, est, &m.count[..], &m.hist[..])
+        } else {
+            let counts = [&self.queued, &self.in_flight, &self.free];
+            let est = [&self.queued_work, &self.cur_speed, &self.inflight_finish];
+            let prior = if self.track_hist {
                 &self.chosen[history..history + stage_idx]
             } else {
                 &[]
             };
-            let ctx = RoutingCtx::new(query, stage_idx, group, prior, &self.stage_groups);
-            let pick = self
-                .router
-                .route(&loads, &ctx, &mut self.router_states[group]);
-            assert!(
-                pick < replicas,
-                "router returned replica {pick} of {replicas}"
-            );
-            pick
+            let counts = counts.map(|v| &v[slots.clone()]);
+            let est = est.map(|v| &v[slots.clone()]);
+            (counts, est, &self.inflight_count[slots], prior)
         };
-        if self.track_hist {
-            self.chosen[query * num_stages + stage_idx] = pick as u32;
+        let ([queued, in_flight, free], [work, speed, finish]) = (counts, est);
+        let mut loads = ReplicaLoads::new(queued, in_flight, free);
+        if self.track_est {
+            loads = (loads.with_estimates(work, speed)).with_in_flight_decay(finish, count, now);
         }
-        Some(base + pick)
-    }
-
-    /// Availability-masked routing: compacts the group's routable slots
-    /// into the scratch columns, remaps the query's same-group routing
-    /// history onto compacted positions (absent replicas become
-    /// `u32::MAX`, which affinity routers treat as "no prior" and fall
-    /// back), and routes over the compacted view. Routers never see a
-    /// draining or down replica.
-    fn route_masked(
-        &mut self,
-        now: f64,
-        query: usize,
-        stage_idx: usize,
-        group: usize,
-    ) -> Option<usize> {
-        let base = self.slot_base[group];
-        let replicas = self.group_replicas[group];
-        let num_stages = self.stages.len();
-        self.mask_idx.clear();
-        self.mask_queued.clear();
-        self.mask_inflight.clear();
-        self.mask_free.clear();
-        self.mask_work.clear();
-        self.mask_speed.clear();
-        self.mask_finish.clear();
-        self.mask_count.clear();
-        for r in 0..replicas {
-            let slot = base + r;
-            if self.state[slot].routable() && Some(slot) != self.avoid_slot {
-                self.mask_idx.push(r);
-                self.mask_queued.push(self.queued[slot]);
-                self.mask_inflight.push(self.in_flight[slot]);
-                self.mask_free.push(self.free[slot]);
-                if self.track_est {
-                    self.mask_work.push(self.queued_work[slot]);
-                    self.mask_speed.push(self.cur_speed[slot]);
-                    self.mask_finish.push(self.inflight_finish[slot]);
-                    self.mask_count.push(self.inflight_count[slot]);
-                }
-            }
-        }
-        if self.mask_idx.is_empty() {
-            return None;
-        }
-        let pick = if self.mask_idx.len() == 1 {
-            0
-        } else {
-            let history = query * num_stages;
-            self.mask_hist.clear();
-            if self.track_hist {
-                for s in 0..stage_idx {
-                    let prior = self.chosen[history + s];
-                    let remapped = if self.stage_groups[s] == group {
-                        self.mask_idx
-                            .iter()
-                            .position(|&r| r == prior as usize)
-                            .map_or(u32::MAX, |at| at as u32)
-                    } else {
-                        prior
-                    };
-                    self.mask_hist.push(remapped);
-                }
-            }
-            let mut loads =
-                ReplicaLoads::new(&self.mask_queued, &self.mask_inflight, &self.mask_free);
-            if self.track_est {
-                loads = loads
-                    .with_estimates(&self.mask_work, &self.mask_speed)
-                    .with_in_flight_decay(&self.mask_finish, &self.mask_count, now);
-            }
-            let ctx = RoutingCtx::new(query, stage_idx, group, &self.mask_hist, &self.stage_groups);
-            let pick = self
-                .router
-                .route(&loads, &ctx, &mut self.router_states[group]);
-            assert!(
-                pick < self.mask_idx.len(),
-                "router returned replica {pick} of {} available",
-                self.mask_idx.len()
-            );
-            pick
-        };
-        let replica = self.mask_idx[pick];
-        if self.track_hist {
-            self.chosen[query * num_stages + stage_idx] = replica as u32;
-        }
-        Some(base + replica)
+        let ctx = RoutingCtx::new(query, stage_idx, group, prior, &self.stage_groups);
+        let pick = self
+            .router
+            .route(&loads, &ctx, &mut self.router_states[group]);
+        let candidates = loads.len();
+        assert!(
+            pick < candidates,
+            "router returned replica {pick} of {candidates}"
+        );
+        pick
     }
 
     /// Recomputes one slot's estimator signals from scratch by scanning
@@ -1714,7 +1290,7 @@ impl<'a> Sim<'a> {
             self.inflight_count[slot] += 1;
         }
         self.busy_unit_seconds[slot] += stage.units as f64 * service;
-        self.busy_units_now += stage.units;
+        self.gauges.busy += stage.units;
         self.launches += 1;
         self.served += queries.len() as u64;
         let entry = Batch {
@@ -1736,13 +1312,8 @@ impl<'a> Sim<'a> {
                 self.batches.len() - 1
             }
         };
-        self.heap.push(Event::complete(
-            finish,
-            self.seq,
-            batch,
-            self.batch_gen[batch],
-        ));
-        self.seq += 1;
+        let gen = Event::gen32(self.batch_gen[batch]);
+        self.push(finish, TAG_COMPLETE, batch, gen);
     }
 
     /// Inserts an entry into its slot queue at its (priority, seq)
@@ -1765,7 +1336,7 @@ impl<'a> Sim<'a> {
         }
         queue.insert(at, entry);
         self.queued[slot] += 1;
-        self.total_queued_entries += 1;
+        self.gauges.queued += 1;
     }
 
     /// Gathers up to `limit` waiting same-stage entries of one slot in
@@ -1795,7 +1366,7 @@ impl<'a> Sim<'a> {
         }
         queue.truncate(write);
         self.queued[slot] -= taken;
-        self.total_queued_entries -= taken;
+        self.gauges.queued -= taken;
         // Mirror enqueue's per-entry additions one by one so the
         // counter drifts no differently than the updates it reverses.
         if self.track_est {
@@ -1813,22 +1384,11 @@ impl<'a> Sim<'a> {
         let at = queue.iter().position(|e| e.stage == stage)?;
         let taken = queue.remove(at).map(|e| e.query);
         self.queued[slot] -= 1;
-        self.total_queued_entries -= 1;
+        self.gauges.queued -= 1;
         if self.track_est {
             self.queued_work[slot] -= self.stages[stage].service_time;
         }
         taken
-    }
-
-    /// Pops a recycled batch-query buffer (or a fresh one on the cold
-    /// path before the pool warms up).
-    fn pooled_buffer(&mut self) -> Vec<usize> {
-        self.query_pool.pop().unwrap_or_default()
-    }
-
-    /// The waiting entry with the lowest policy priority on `slot`.
-    fn head_of(&self, slot: usize) -> Option<QueueEntry> {
-        self.waiting[slot].front().copied()
     }
 
     /// Runs the scheduling loop for one replica slot: launch batches
@@ -1837,7 +1397,8 @@ impl<'a> Sim<'a> {
     /// priority-minimal entry is considered for launch.
     fn dispatch(&mut self, now: f64, slot: usize) {
         loop {
-            let Some(head) = self.head_of(slot) else {
+            // The waiting entry with the lowest policy priority.
+            let Some(head) = self.waiting[slot].front().copied() else {
                 return;
             };
             let stage = &self.stages[head.stage];
@@ -1857,10 +1418,6 @@ impl<'a> Sim<'a> {
                 .policy
                 .release(now, &head, ready, stage.batch.max_batch)
             {
-                Release::Now => {
-                    let queries = self.take_batch(slot, head.stage, ready);
-                    self.launch(now, head.stage, slot, queries);
-                }
                 Release::At(t) if t > now => {
                     // Arm at most one live recheck per slot: arming an
                     // earlier deadline bumps the generation, lazily
@@ -1868,14 +1425,13 @@ impl<'a> Sim<'a> {
                     if self.armed[slot].is_none_or(|armed| t < armed) {
                         self.armed[slot] = Some(t);
                         self.timer_gen[slot] += 1;
-                        self.heap
-                            .push(Event::recheck(t, self.seq, slot, self.timer_gen[slot]));
-                        self.seq += 1;
+                        let gen = Event::gen32(self.timer_gen[slot]);
+                        self.push(t, TAG_RECHECK, slot, gen);
                     }
                     return;
                 }
-                Release::At(_) => {
-                    // A hold "until" a past instant is a launch.
+                // `Now`, or a hold "until" a past instant: launch.
+                _ => {
                     let queries = self.take_batch(slot, head.stage, ready);
                     self.launch(now, head.stage, slot, queries);
                 }
@@ -1892,7 +1448,8 @@ impl<'a> Sim<'a> {
                     .expect("ready entry exists"),
             )
         } else {
-            let mut buf = self.pooled_buffer();
+            // A recycled buffer (a fresh one before the pool warms up).
+            let mut buf = self.query_pool.pop().unwrap_or_default();
             self.take_same_stage_into(slot, stage, ready, &mut buf);
             BatchQueries::Many(buf)
         }
@@ -1911,22 +1468,17 @@ impl<'a> Sim<'a> {
         } else {
             stage_idx
         };
-        // Under resilience `query` is a packed lane id; routing,
-        // history, and the arrival clock key off the bare index while
-        // queue entries and batch members carry the packed form.
-        let q = self.unq(query);
+        // Under resilience `query` is a lane id; routing, history, and
+        // the arrival clock key off the bare index while queue entries
+        // and batch members carry the lane id.
+        let q = lane_query(query);
         let Some(slot) = self.route(now, q, stage_idx) else {
             self.handle_unroutable(now, query, stage_idx);
             return;
         };
-        if self.resil_active && stage_idx == 0 {
-            // What a later hedge dispatch of this query routes away
-            // from (either lane may record; the last write wins and the
-            // next reader is the next attempt, which rewrites it).
-            self.resil
-                .as_mut()
-                .expect("resilience runtime attached")
-                .last_slot[q] = slot as u32;
+        if let Some(rt) = self.resil.as_mut().filter(|_| stage_idx == 0) {
+            // What a later hedge dispatch of this query routes away from.
+            rt.placed(q, slot);
         }
         let stage = &self.stages[stage_idx];
         let entry = QueueEntry {
@@ -1943,7 +1495,7 @@ impl<'a> Sim<'a> {
             // waiting same-stage work on the same replica into its
             // batch when allowed. The arriving query leads the batch.
             let queries = if stage.batch.max_batch > 1 {
-                let mut buf = self.pooled_buffer();
+                let mut buf = self.query_pool.pop().unwrap_or_default();
                 buf.push(query);
                 self.take_same_stage_into(slot, stage_idx, stage.batch.max_batch - 1, &mut buf);
                 if buf.len() == 1 {
@@ -1985,7 +1537,7 @@ impl<'a> Sim<'a> {
         let group = self.stages[stage_idx].resource;
         match self.failure_policy {
             FailurePolicy::Shed => {
-                if self.resil_active {
+                if self.resil.is_some() {
                     // Only the lane evaporates; the *query* resolves
                     // through its timeout (or the end-of-run sweep), so
                     // a surviving hedge twin can still win — counting
@@ -2000,7 +1552,7 @@ impl<'a> Sim<'a> {
                     || self.scale.as_ref().is_some_and(|s| s.group == group);
                 if revival_pending {
                     self.parked[group].push((query, stage_idx));
-                    self.total_queued_entries += 1;
+                    self.gauges.queued += 1;
                 } else {
                     self.fatal = Some(SimError::NoAvailableReplica { group, time: now });
                 }
@@ -2013,16 +1565,13 @@ impl<'a> Sim<'a> {
     /// time is kept, so the lost work shows up as latency) or counts it
     /// shed/dropped and frees its closed-loop client (Shed).
     fn strand(&mut self, now: f64, query: usize, stage_idx: usize, was_in_flight: bool) {
-        if self.resil_active {
+        if self.resil.is_some() {
             // A stranded carcass simply evaporates (its query already
             // resolved); a live lane re-enters under Requeue, and under
             // Shed the *lane* is lost but the query stays live — its
             // timeout (or the end-of-run sweep) resolves it, and a
             // hedge twin may still complete it.
-            if !self.lane_live(query) {
-                return;
-            }
-            if self.failure_policy == FailurePolicy::Requeue {
+            if self.lane_live(query) && self.failure_policy == FailurePolicy::Requeue {
                 self.push_arrive(now, query, stage_idx);
             }
             return;
@@ -2042,7 +1591,7 @@ impl<'a> Sim<'a> {
     /// `now` (a replica just revived), in parking order.
     fn flush_parked(&mut self, now: f64, group: usize) {
         let mut parked = std::mem::take(&mut self.parked[group]);
-        self.total_queued_entries -= parked.len();
+        self.gauges.queued -= parked.len();
         for (query, stage_idx) in parked.drain(..) {
             self.push_arrive(now, query, stage_idx);
         }
@@ -2056,8 +1605,8 @@ impl<'a> Sim<'a> {
         debug_assert_eq!(self.queued[slot], 0);
         self.state[slot] = SlotState::Down;
         self.free[slot] = 0;
-        self.live_capacity -= self.slot_capacity[slot];
-        self.live_cost -= self.slot_speed[slot];
+        self.gauges.capacity -= self.slot_capacity[slot];
+        self.gauges.cost -= self.slot_speed[slot];
     }
 
     /// Brings a down slot up, through `warmup_s` of reduced-speed
@@ -2078,18 +1627,13 @@ impl<'a> Sim<'a> {
         }
         self.slot_gen[slot] += 1;
         self.group_available[group] += 1;
-        self.live_capacity += self.slot_capacity[slot];
-        self.live_cost += self.slot_speed[slot];
+        self.gauges.capacity += self.slot_capacity[slot];
+        self.gauges.cost += self.slot_speed[slot];
         if warmup_s > 0.0 {
             self.state[slot] = SlotState::Warming;
             self.cur_speed[slot] = self.slot_speed[slot] * self.warmup_speed;
-            self.heap.push(Event::warm_done(
-                now + warmup_s,
-                self.seq,
-                slot,
-                self.slot_gen[slot],
-            ));
-            self.seq += 1;
+            let gen = Event::gen32(self.slot_gen[slot]);
+            self.push(now + warmup_s, TAG_WARM_DONE, slot, gen);
         } else {
             self.state[slot] = SlotState::Up;
             self.cur_speed[slot] = self.slot_speed[slot];
@@ -2170,11 +1714,11 @@ impl<'a> Sim<'a> {
             self.batch_gen[idx] += 1; // cancels the pending Complete
             let s = &self.stages[stage];
             self.busy_unit_seconds[slot] -= s.units as f64 * (finish - now).max(0.0);
-            self.busy_units_now -= s.units;
+            self.gauges.busy -= s.units;
             self.for_each_query(queries, |sim, query| sim.strand(now, query, stage, true));
         }
         let mut stranded = std::mem::take(&mut self.waiting[slot]);
-        self.total_queued_entries -= stranded.len();
+        self.gauges.queued -= stranded.len();
         for entry in stranded.drain(..) {
             self.strand(now, entry.query, entry.stage, false);
         }
@@ -2194,96 +1738,29 @@ impl<'a> Sim<'a> {
         if was_routable {
             self.group_available[self.slot_group[slot]] -= 1;
         }
-        self.live_capacity -= self.slot_capacity[slot];
-        self.live_cost -= self.slot_speed[slot];
+        self.gauges.capacity -= self.slot_capacity[slot];
+        self.gauges.cost -= self.slot_speed[slot];
     }
 
-    /// Advances the time-weighted telemetry integrals to `now`.
-    fn tele_advance(&mut self, now: f64) {
-        let dt = now - self.integral_t;
-        if dt > 0.0 {
-            self.queue_integral += self.total_queued_entries as f64 * dt;
-            self.busy_integral += self.busy_units_now as f64 * dt;
-            self.cap_integral += self.live_capacity as f64 * dt;
-            self.cost_integral += self.live_cost * dt;
-            self.integral_t = now;
-        }
-    }
-
-    /// Closes the telemetry window ending at `now` (no-op on an empty
-    /// span) and resets the per-window counters.
+    /// Closes the telemetry window ending at `now`, adding the closing
+    /// window's per-path counts on multi-path runs. An empty span closes
+    /// nothing.
     fn close_window(&mut self, now: f64) {
-        let duration = now - self.win_start;
-        if duration <= 0.0 {
-            return;
+        let live_replicas = self.live_replicas();
+        let tele = self.tele.as_mut().expect("telemetry attached");
+        if let (Some(window), Some(mp)) = (tele.close(now, live_replicas), self.mp.as_mut()) {
+            (window.path_admitted, window.path_completed) = mp.take_window();
         }
-        let mean_queue_depth = (self.queue_integral - self.win_queue_base) / duration;
-        let cap_delta = self.cap_integral - self.win_cap_base;
-        let utilization = if cap_delta > 0.0 {
-            ((self.busy_integral - self.win_busy_base) / cap_delta).min(1.0)
-        } else {
-            0.0
+    }
+
+    /// Routable replicas: of the scaled group when a controller is
+    /// attached (the number it steers), else of the whole fleet.
+    fn live_replicas(&self) -> usize {
+        let slots = match &self.scale {
+            Some(scale) => self.group_slots(scale.group),
+            None => 0..self.state.len(),
         };
-        let cost = (self.cost_integral - self.win_cost_base) / duration;
-        let p99_s = if self.win_latencies.is_empty() {
-            0.0
-        } else {
-            self.win_latencies
-                .sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
-            let n = self.win_latencies.len();
-            let idx = ((n as f64 * 0.99).ceil() as usize).clamp(1, n) - 1;
-            self.win_latencies[idx]
-        };
-        // Live replicas: the scaled group's routable count when a
-        // controller is attached (the number it steers), else the whole
-        // fleet's.
-        let live_replicas = match &self.scale {
-            Some(scale) => {
-                let base = self.slot_base[scale.group];
-                let replicas = self.group_replicas[scale.group];
-                (base..base + replicas)
-                    .filter(|&s| self.state[s].routable())
-                    .count()
-            }
-            None => self.state.iter().filter(|s| s.routable()).count(),
-        };
-        let (path_admitted, path_completed) = match self.mp.as_mut() {
-            Some(mp) => {
-                let n = mp.win_admitted.len();
-                (
-                    std::mem::replace(&mut mp.win_admitted, vec![0; n]),
-                    std::mem::replace(&mut mp.win_completed, vec![0; n]),
-                )
-            }
-            None => (Vec::new(), Vec::new()),
-        };
-        self.windows.push(WindowStats {
-            start: self.win_start,
-            end: now,
-            arrivals: self.win_arrivals,
-            completed: self.win_completed,
-            shed: self.win_shed,
-            dropped: self.win_dropped,
-            timed_out: self.win_timed_out,
-            p99_s,
-            mean_queue_depth,
-            utilization,
-            live_replicas,
-            cost,
-            path_admitted,
-            path_completed,
-        });
-        self.win_start = now;
-        self.win_queue_base = self.queue_integral;
-        self.win_busy_base = self.busy_integral;
-        self.win_cap_base = self.cap_integral;
-        self.win_cost_base = self.cost_integral;
-        self.win_arrivals = 0;
-        self.win_completed = 0;
-        self.win_shed = 0;
-        self.win_dropped = 0;
-        self.win_timed_out = 0;
-        self.win_latencies.clear();
+        slots.filter(|&s| self.state[s].routable()).count()
     }
 
     /// Consults the autoscaling controller with the window that just
@@ -2291,23 +1768,21 @@ impl<'a> Sim<'a> {
     /// slots to scale up, drain the highest-index routable ones to
     /// scale down (drains never kill live work).
     fn autoscale_tick(&mut self, now: f64) {
-        let (Some(scale), Some(window)) = (self.scale.as_mut(), self.windows.last()) else {
+        let live = self.live_replicas();
+        let window = self.tele.as_ref().and_then(|t| t.windows.last());
+        let (Some(scale), Some(window)) = (self.scale.as_mut(), window) else {
             return;
         };
-        let base = self.slot_base[scale.group];
-        let replicas = self.group_replicas[scale.group];
-        let live = (base..base + replicas)
-            .filter(|&s| self.state[s].routable())
-            .count();
         let desired = scale
             .controller
             .desired_replicas(window, live)
             .clamp(scale.min, scale.max);
-        let warmup_s = scale.warmup_s;
+        let (group, warmup_s) = (scale.group, scale.warmup_s);
+        let slots = self.group_slots(group);
         match desired.cmp(&live) {
             Ordering::Greater => {
                 let mut need = desired - live;
-                for slot in base..base + replicas {
+                for slot in slots {
                     if need == 0 {
                         break;
                     }
@@ -2319,7 +1794,7 @@ impl<'a> Sim<'a> {
             }
             Ordering::Less => {
                 let mut excess = live - desired;
-                for slot in (base..base + replicas).rev() {
+                for slot in slots.rev() {
                     if excess == 0 {
                         break;
                     }
@@ -2374,7 +1849,7 @@ impl<'a> Sim<'a> {
             self.inflight_finish[slot] -= finish;
             self.inflight_count[slot] -= 1;
         }
-        self.busy_units_now -= s.units;
+        self.gauges.busy -= s.units;
         // Conservation invariant (active under the test profile): a
         // release can never return more units than the replica owns.
         debug_assert!(self.free[slot] <= self.slot_capacity[slot]);
@@ -2382,8 +1857,7 @@ impl<'a> Sim<'a> {
         self.for_each_query(queries, |sim, query| sim.route_onward(now, query, stage));
         self.dispatch(now, slot);
         // A draining slot that just emptied goes down.
-        if self.lifecycle_active
-            && self.state[slot] == SlotState::Draining
+        if self.state[slot] == SlotState::Draining
             && self.in_flight[slot] == 0
             && self.queued[slot] == 0
         {
@@ -2402,6 +1876,15 @@ impl<'a> Sim<'a> {
             out.emit(now, query, self.arrival_time[query]);
             return;
         }
+        // Resilience: a carcass (its query resolved or its attempt
+        // timed out while it sat in service) is discarded here, its
+        // baseline service charged to wasted work.
+        if let Some(rt) = self.resil.as_mut() {
+            if !rt.is_live(lane_query(query), lane_gen(query)) {
+                rt.stats.wasted_service_s += self.stages[stage].service_time;
+                return;
+            }
+        }
         // A path's stages are contiguous in the concatenated spec, so
         // "advance to stage + 1" is correct within a path; the path's
         // final stage completes the query instead of entering the next
@@ -2410,76 +1893,39 @@ impl<'a> Sim<'a> {
             Some(mp) => mp.last_of_path[stage],
             None => stage + 1 == self.stages.len(),
         };
-        // Resilience: a carcass (its query resolved or its attempt
-        // timed out while it sat in service) is discarded here, its
-        // baseline service charged to wasted work. A live lane
-        // finishing its last stage resolves the query — the generation
-        // bump cancels the twin lane wherever it is.
-        let q = if self.resil_active {
-            let bare = query & RES_Q_MASK;
-            if !self.lane_live(query) {
-                let service = self.stages[stage].service_time;
-                let rt = self.resil.as_mut().expect("resilience runtime attached");
-                rt.stats.wasted_service_s += service;
-                return;
-            }
-            if last_stage {
-                let latency_s = now - self.arrival_time[bare];
-                let rt = self.resil.as_mut().expect("resilience runtime attached");
-                rt.gen[bare] = rt.gen[bare].wrapping_add(1);
-                rt.state[bare] = RQ_DONE;
-                if query >> 63 == 1 {
-                    rt.stats.hedges_won += 1;
-                }
-                if rt.has_budget {
-                    rt.tokens = (rt.tokens + rt.refill).min(rt.bucket_cap);
-                }
-                rt.push_sample(latency_s);
-            }
-            bare
-        } else {
-            query
-        };
         if !last_stage {
             self.push_arrive(now, query, stage + 1);
-        } else {
-            let query = q;
-            self.completed += 1;
-            if self.record_at_completion {
-                // At-scale (and shard-tail) recording: stream the
-                // latency and completion straight into the sinks; both
-                // are order-independent, so this matches the
-                // query-order replay in `finish` exactly.
-                if query >= self.warmup_len {
-                    self.live_latency
-                        .record_secs(now - self.arrival_time[query]);
-                }
-                self.live_throughput
-                    .record_completion(Duration::from_secs_f64(now));
-            } else {
-                self.finish_time[query] = now;
-            }
-            if self.telemetry_active {
-                self.win_completed += 1;
-                self.win_latencies.push(now - self.arrival_time[query]);
-            }
-            let latency_s = now - self.arrival_time[query];
-            let warm = query >= self.warmup_len;
-            let telemetry = self.telemetry_active;
-            if let Some(mp) = self.mp.as_mut() {
-                let p = mp.qpath[query] as usize;
-                debug_assert!(p < mp.entry.len(), "completion of an unadmitted query");
-                mp.completed[p] += 1;
-                mp.in_system -= 1;
-                if telemetry {
-                    mp.win_completed[p] += 1;
-                }
-                if warm {
-                    mp.latency[p].record_secs(latency_s);
-                }
-            }
-            self.release_client(now);
+            return;
         }
+        let (hedge, query) = (is_hedge_lane(query), lane_query(query));
+        let latency_s = now - self.arrival_time[query];
+        let warm = query >= self.warmup_len;
+        if let Some(rt) = self.resil.as_mut() {
+            // A live lane finishing resolves the query — the generation
+            // bump cancels the twin lane wherever it is.
+            rt.resolve(query, hedge, latency_s);
+        }
+        self.completed += 1;
+        if self.record_at_completion {
+            // At-scale (and shard-tail) recording: stream the latency
+            // and completion straight into the sinks; both are
+            // order-independent, so this matches the query-order replay
+            // in `finish` exactly.
+            if warm {
+                self.live_latency.record_secs(latency_s);
+            }
+            self.live_throughput
+                .record_completion(Duration::from_secs_f64(now));
+        } else {
+            self.finish_time[query] = now;
+        }
+        if let Some(tele) = self.tele.as_mut() {
+            tele.on_completion(latency_s);
+        }
+        if let Some(mp) = self.mp.as_mut() {
+            mp.on_completion(query, latency_s, warm);
+        }
+        self.release_client(now);
     }
 
     /// Stages schedule arrival `query + 1` after arrival `query` popped:
@@ -2497,7 +1943,8 @@ impl<'a> Sim<'a> {
         );
         self.arrival_time[next] = t;
         self.arrival_span = self.arrival_span.max(t);
-        self.heap.push(Event::arrive(t, next as u64, next, 0));
+        self.heap
+            .push(Event::new(t, next as u64, TAG_ARRIVE, next, 0));
     }
 
     pub(crate) fn run(mut self) -> Result<SimResult, SimError> {
@@ -2517,24 +1964,17 @@ impl<'a> Sim<'a> {
     /// run failed ([`SimError::NoAvailableReplica`]).
     fn step(&mut self, event: Event) -> ControlFlow<()> {
         let now = event.time;
-        if self.telemetry_active {
-            self.tele_advance(now);
+        if let Some(tele) = self.tele.as_mut() {
+            tele.advance(now, self.gauges);
         }
         match event.kind() {
             EventKind::Arrive { query, stage } => {
                 // Under resilience the payload packs the lane identity
-                // around the stage; decode it and rebuild the packed id
-                // that flows through queues/batches.
-                let (stage, packed) = if self.resil_active {
-                    let raw = stage as u32;
-                    let gen = (raw >> RES_STAGE_BITS) & RES_GEN_MASK;
-                    let lane = (raw >> 31) as usize;
-                    (
-                        (raw & RES_STAGE_MASK) as usize,
-                        query | (gen as usize) << 32 | lane << 63,
-                    )
-                } else {
-                    (stage, query)
+                // around the stage; rebuild the lane id that flows
+                // through queues and batches.
+                let (id, stage) = match self.resil {
+                    Some(_) => unpack_lane(query, stage),
+                    None => (query, stage),
                 };
                 self.last_time = now;
                 // A schedule arrival stages its successor (closed-loop
@@ -2551,25 +1991,24 @@ impl<'a> Sim<'a> {
                 // requeues and parked flushes re-use query indices but
                 // carry later seqs, so they never double-count.
                 // Closed-loop injections count at `inject`.
-                if self.telemetry_active && scheduled && query < self.schedule_len {
-                    self.win_arrivals += 1;
+                if scheduled && query < self.schedule_len {
+                    if let Some(tele) = self.tele.as_mut() {
+                        tele.on_arrival();
+                    }
                 }
-                if self.resil_active {
-                    let rt = self.resil.as_mut().expect("resilience runtime attached");
-                    if rt.state[query] == RQ_FRESH && stage == 0 {
+                if let Some(rt) = self.resil.as_mut() {
+                    if stage == 0 && rt.start(query) {
                         // First dispatch of the query: attempt 1 starts
                         // now, with its timeout and hedge.
-                        rt.state[query] = RQ_LIVE;
-                        rt.attempts[query] = 1;
-                        self.res_arm_attempt(now, query);
-                    } else if !self.lane_live(packed) {
+                        self.arm_attempt(now, query);
+                    } else if !self.lane_live(id) {
                         // A cancelled lane's leftover arrival (requeue or
                         // parked flush of an attempt that has since
                         // resolved or timed out).
                         return ControlFlow::Continue(());
                     }
                 }
-                self.on_arrive(now, packed, stage);
+                self.on_arrive(now, id, stage);
                 if self.fatal.is_some() {
                     return ControlFlow::Break(());
                 }
@@ -2625,20 +2064,19 @@ impl<'a> Sim<'a> {
                 let timed_out = self.resil.as_ref().map_or(0, |r| r.stats.timed_out);
                 let done = self.completed + self.shed + self.dropped + timed_out;
                 if done < self.num_queries && !self.heap.is_empty() {
-                    self.heap
-                        .push(Event::window_tick(now + self.window_s, self.seq));
-                    self.seq += 1;
+                    let window_s = self.tele.as_ref().expect("telemetry attached").window_s;
+                    self.push(now + window_s, TAG_WINDOW_TICK, 0, 0);
                 }
             }
             EventKind::Timeout { query, gen } => {
-                let rt = self.resil.as_mut().expect("resilience runtime attached");
-                if gen == rt.gen[query] && rt.state[query] == RQ_LIVE {
+                let rt = self.resil.as_ref().expect("resilience runtime attached");
+                if rt.attempt_live(query, gen) {
                     self.on_timeout(now, query);
                 }
             }
             EventKind::Hedge { query, gen } => {
-                let rt = self.resil.as_mut().expect("resilience runtime attached");
-                if gen == rt.gen[query] && rt.state[query] == RQ_LIVE && !rt.hedged[query] {
+                let rt = self.resil.as_ref().expect("resilience runtime attached");
+                if rt.hedge_due(query, gen) {
                     self.on_hedge(now, query, gen);
                 }
             }
@@ -2745,38 +2183,26 @@ impl<'a> Sim<'a> {
         // Conservation safety net: queries still parked when the event
         // stream ran dry (a promised revival never came before the last
         // event) count as shed, so completed + shed + dropped always
-        // accounts for every injected query.
-        if self.resil_active {
-            // Parked entries are lanes, not queries — drop them and
-            // sweep the per-query states instead, so a query with a
-            // parked lane *and* a live twin (or a silently-lost lane
-            // under Shed) resolves exactly once.
-            for group in 0..self.parked.len() {
-                let leftover = std::mem::take(&mut self.parked[group]);
-                self.total_queued_entries -= leftover.len();
+        // accounts for every injected query. On resilient runs parked
+        // entries are lanes, not queries: they are dropped and the
+        // per-query states swept instead, so a query with a parked lane
+        // *and* a live twin (or a silently-lost lane under Shed)
+        // resolves exactly once.
+        let leftover: Vec<_> = self.parked.iter_mut().flat_map(std::mem::take).collect();
+        if self.resil.is_none() {
+            for (query, _) in leftover {
+                self.account_lost(query, false);
             }
-            let rt = self.resil.as_mut().expect("resilience runtime attached");
-            let mut unresolved = 0usize;
-            for state in rt.state.iter_mut() {
-                if *state == RQ_LIVE {
-                    *state = RQ_DONE;
-                    unresolved += 1;
-                }
-            }
+        }
+        if let Some(rt) = self.resil.as_ref() {
+            let unresolved = rt.unresolved();
             self.shed += unresolved;
-            self.win_shed += unresolved;
-        } else {
-            for group in 0..self.parked.len() {
-                let leftover = std::mem::take(&mut self.parked[group]);
-                self.total_queued_entries -= leftover.len();
-                for (query, _) in leftover {
-                    self.account_lost(query, false);
-                }
+            if let Some(tele) = self.tele.as_mut() {
+                tele.on_lost(false, unresolved);
             }
         }
         // Close the trailing partial window at the integral clock.
-        if self.telemetry_active && self.window_s > 0.0 {
-            let end = self.integral_t;
+        if let Some(end) = self.tele.as_ref().and_then(Telemetry::end) {
             self.close_window(end);
         }
         // Saturation: open-loop offered load beyond the fully-batched
@@ -2796,35 +2222,12 @@ impl<'a> Sim<'a> {
         let mut result = self.totals().into_result(self.spec, rate_overload);
         result.shed = self.shed;
         result.dropped = self.dropped;
-        result.cost_integral = self.cost_integral;
-        result.windows = std::mem::take(&mut self.windows);
+        if let Some(tele) = self.tele.take() {
+            result.cost_integral = tele.cost_integral();
+            result.windows = tele.windows;
+        }
         if let Some(mp) = self.mp.take() {
-            let MultipathRt {
-                names,
-                profiles,
-                admitted,
-                completed,
-                shed,
-                dropped,
-                mut latency,
-                admission_shed,
-                ..
-            } = mp;
-            result.paths = names
-                .into_iter()
-                .enumerate()
-                .map(|(p, name)| PathStats {
-                    name,
-                    quality: profiles[p].quality,
-                    admitted: admitted[p],
-                    completed: completed[p],
-                    shed: shed[p],
-                    dropped: dropped[p],
-                    mean_latency_s: latency[p].mean().as_secs_f64(),
-                    p99_s: latency[p].p99().as_secs_f64(),
-                })
-                .collect();
-            result.admission_shed = admission_shed;
+            (result.paths, result.admission_shed) = mp.into_stats();
         }
         result.resilience = self.resil.take().map(|rt| rt.stats);
         result

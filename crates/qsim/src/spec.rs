@@ -138,21 +138,13 @@ impl ReplicaGroup {
         }
     }
 
-    /// Appends one replica profile to the fleet.
-    pub fn with_profile(mut self, profile: ReplicaProfile) -> Self {
-        self.profiles.push(profile);
-        self
-    }
-
     /// Attaches a lifecycle schedule: timed provision / drain /
     /// fail-stop / recovery events replayed against this group's
     /// replicas by a [`Scenario`](crate::Scenario) with lifecycle,
     /// autoscaling, multi-path, or resilience set. Plain scenarios
     /// ignore the schedule entirely.
     ///
-    /// Fleet-shape transforms ([`resized`](Self::resized),
-    /// [`scaled`](Self::scaled),
-    /// [`with_fleet_speeds`](Self::with_fleet_speeds)) clear the
+    /// [`with_fleet_speeds`](Self::with_fleet_speeds) clears the
     /// schedule: its events name replica indices, and resizing
     /// invalidates those identities.
     ///
@@ -234,44 +226,11 @@ impl ReplicaGroup {
             .sum()
     }
 
-    /// Resizes the group to `replicas` copies of its *first* profile —
-    /// the uniform-resize knob behind
-    /// [`PipelineSpec::with_replicas`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replicas == 0`.
-    pub fn resized(mut self, replicas: usize) -> Self {
-        assert!(replicas > 0, "replica count must be positive");
-        self.profiles = vec![self.profiles[0]; replicas];
-        // Resizing invalidates the replica identities lifecycle events
-        // name, so the schedule does not survive the transform.
-        self.lifecycle = LifecycleSchedule::empty();
-        self
-    }
-
-    /// Tiles the fleet `factor` times — how a whole-pipeline backend
-    /// decomposition is cloned when the backend itself is replicated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor == 0`.
-    pub fn scaled(mut self, factor: usize) -> Self {
-        assert!(factor > 0, "replica factor must be positive");
-        let base = self.profiles.clone();
-        self.profiles = Vec::with_capacity(base.len() * factor);
-        for _ in 0..factor {
-            self.profiles.extend_from_slice(&base);
-        }
-        self.lifecycle = LifecycleSchedule::empty();
-        self
-    }
-
     /// Expands the group into a mixed-generation fleet: one copy of the
     /// base profiles per entry of `speeds`, each copy's speeds
-    /// multiplied by that entry. `&[1.0; n]` reproduces
-    /// [`scaled`](Self::scaled)`(n)` exactly, so uniform fleets stay
-    /// bit-identical to plain replication.
+    /// multiplied by that entry. `&[1.0; n]` tiles the base profiles
+    /// `n` times unchanged, so uniform fleets stay bit-identical to
+    /// plain replication.
     ///
     /// # Panics
     ///
@@ -672,68 +631,11 @@ impl PipelineSpec {
         self.resources.iter().map(|r| r.replicas()).sum()
     }
 
-    /// Replaces the replica count of resource group `resource` with
-    /// `replicas` copies of its first profile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is out of range or `replicas == 0`.
-    pub fn with_replicas(mut self, resource: usize, replicas: usize) -> Self {
-        assert!(resource < self.resources.len(), "unknown resource group");
-        let group = self.resources[resource].clone();
-        self.resources[resource] = group.resized(replicas);
-        self
-    }
-
-    /// Replaces the fleet of resource group `resource` with explicit
-    /// per-replica profiles — the heterogeneous form of
-    /// [`with_replicas`](Self::with_replicas).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is out of range, `profiles` is empty, or any
-    /// existing stage's `units` exceed the new fleet's smallest
-    /// capacity (the bound [`with_stage`](Self::with_stage) enforces).
-    pub fn with_profiles(mut self, resource: usize, profiles: Vec<ReplicaProfile>) -> Self {
-        assert!(resource < self.resources.len(), "unknown resource group");
-        let name = self.resources[resource].name.clone();
-        let group = ReplicaGroup::heterogeneous(name, profiles);
-        for s in &self.stages {
-            if s.resource == resource {
-                assert!(
-                    s.units <= group.capacity(),
-                    "stage {} requests {} units but the new fleet's smallest replica has {}",
-                    s.name,
-                    s.units,
-                    group.capacity()
-                );
-            }
-        }
-        self.resources[resource] = group;
-        self
-    }
-
-    /// Multiplies every resource group's replica count by `factor` —
-    /// how a whole-pipeline backend decomposition (e.g. an accelerator's
-    /// mem + lanes chain spec) is cloned when the backend itself is
-    /// replicated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor == 0`.
-    pub fn scale_replicas(mut self, factor: usize) -> Self {
-        assert!(factor > 0, "replica factor must be positive");
-        for r in &mut self.resources {
-            *r = r.clone().scaled(factor);
-        }
-        self
-    }
-
     /// Expands every resource group into a mixed-generation fleet: one
     /// copy of the group per entry of `speeds`, scaled by that entry —
     /// how a whole-pipeline chain decomposition is cloned across a
-    /// heterogeneous backend fleet. `&[1.0; n]` reproduces
-    /// [`scale_replicas`](Self::scale_replicas)`(n)` exactly.
+    /// heterogeneous backend fleet (`&[1.0; n]` replicates it `n`
+    /// times).
     ///
     /// # Panics
     ///

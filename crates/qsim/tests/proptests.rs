@@ -3325,20 +3325,23 @@ proptest! {
         max_batch in 1usize..8,
         policy_idx in 0usize..3,
         router_idx in 0usize..6,
+        retry_idx in 0usize..4,
         queries in 100usize..600,
         seed in 0u64..200,
     ) {
         // The resilience machinery must be invisible when unused: an
-        // inert ResilienceConfig (no timeout, no hedge) under a default
-        // lifecycle produces the PR-8 routed loop's result bit-for-bit
-        // across the router x policy x fleet x batching matrix. The
-        // packed query ids stay in the gen-0/lane-0 encoding, which is
-        // byte-identical to the plain encoding, so the event streams
-        // match exactly — not just the summaries.
+        // inert ResilienceConfig (no timeout, no hedge — a retry policy
+        // alone arms nothing) under a default lifecycle produces the
+        // PR-8 routed loop's result bit-for-bit across the router x
+        // policy x fleet x batching matrix. The packed query ids stay
+        // in the gen-0/lane-0 encoding, which is byte-identical to the
+        // plain encoding, so the event streams match exactly — not
+        // just the summaries.
         let spec = replicated_pipeline(replicas, capacity, vec![0.004, 0.002], max_batch);
         let policy = policy_for(policy_idx);
         let router = router_for_v4(router_idx);
         let arrivals = MmppArrivals::new(100.0, 800.0, 0.2, 0.1);
+        let inert = ResilienceConfig::new().with_retry(retry_for(retry_idx));
         let routed = Scenario::new(&spec, &arrivals, queries, seed)
             .policy(policy.as_ref())
             .router(router.as_ref())
@@ -3348,10 +3351,11 @@ proptest! {
             .policy(policy.as_ref())
             .router(router.as_ref())
             .lifecycle(&LifecycleConfig::new())
-            .resilience(&ResilienceConfig::new())
+            .resilience(&inert)
             .run()
             .unwrap();
         let stats = resilient.resilience.take().expect("resilient runs report stats");
+        prop_assert_eq!(&stats.retries, &vec![0; inert.retry.max_attempts - 1]);
         prop_assert_eq!(stats.timeouts, 0);
         prop_assert_eq!(stats.timed_out, 0);
         prop_assert_eq!(stats.total_retries(), 0);

@@ -410,7 +410,8 @@ fn closed_loop_clients_survive_failure_sheds_end_to_end() {
 
 /// The exact outcome of one live-runtime run: every counter, the
 /// per-path admitted/completed mix, and the bit patterns of p50, p99
-/// and the fleet-cost integral.
+/// and the fleet-cost integral; a digest of every window field; the
+/// full resilience stats; and each path's losses and latency bits.
 #[derive(Debug, PartialEq)]
 struct Pinned {
     completed: usize,
@@ -422,10 +423,42 @@ struct Pinned {
     p50: u64,
     p99: u64,
     cost: u64,
+    window_digest: u64,
+    resilience: Option<Resilience>,
+    path_losses: Vec<PathLosses>,
+}
+
+/// `ResilienceStats` with its wasted service seconds as bits:
+/// timeouts, timed out, retries by attempt, retries denied, hedges
+/// issued, hedges won, wasted service.
+type Resilience = (usize, usize, Vec<usize>, usize, usize, usize, u64);
+
+/// A path's shed and dropped counts and the bits of its mean and p99.
+type PathLosses = (usize, usize, u64, u64);
+
+/// FNV-1a over 64-bit words: a stable digest of a window series.
+fn digest(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x100_0000_01b3)
+    })
 }
 
 impl Pinned {
     fn of(mut out: recpipe::qsim::SimResult) -> Self {
+        let window_digest = digest(out.windows.iter().flat_map(|w| {
+            let counts = [w.arrivals, w.completed, w.shed, w.dropped, w.timed_out];
+            let reals = [w.start, w.end, w.p99_s, w.mean_queue_depth, w.utilization];
+            let paths = [
+                w.live_replicas,
+                w.path_admitted.len(),
+                w.path_completed.len(),
+            ];
+            let per_path = w.path_admitted.iter().chain(&w.path_completed).copied();
+            (counts.into_iter().chain(paths).chain(per_path))
+                .map(|n| n as u64)
+                .chain(reals.into_iter().chain([w.cost]).map(f64::to_bits))
+                .collect::<Vec<_>>()
+        }));
         Self {
             completed: out.completed,
             shed: out.shed,
@@ -440,6 +473,33 @@ impl Pinned {
             p50: out.p50_seconds().to_bits(),
             p99: out.p99_seconds().to_bits(),
             cost: out.cost_integral.to_bits(),
+            window_digest,
+            resilience: out.resilience.as_ref().map(|r| {
+                let hedges = (r.hedges_issued, r.hedges_won);
+                let (retries, wasted) = (r.retries.clone(), r.wasted_service_s.to_bits());
+                let (timeouts, denied) = (r.timeouts, r.retries_denied);
+                (
+                    timeouts,
+                    r.timed_out,
+                    retries,
+                    denied,
+                    hedges.0,
+                    hedges.1,
+                    wasted,
+                )
+            }),
+            path_losses: out
+                .paths
+                .iter()
+                .map(|p| {
+                    (
+                        p.shed,
+                        p.dropped,
+                        p.mean_latency_s.to_bits(),
+                        p.p99_s.to_bits(),
+                    )
+                })
+                .collect(),
         }
     }
 }
@@ -537,6 +597,9 @@ fn live_runtimes_replay_their_pinned_outcomes_bit_for_bit() {
                 p50: 0x3f70_624d_d2f1_a9fc,
                 p99: 0x3fa3_d454_2aa4_9952,
                 cost: 0x4038_8000_0000_001e,
+                window_digest: 0x4184_3466_b43f_7dd1,
+                resilience: None,
+                path_losses: vec![],
             },
         ),
         (
@@ -552,6 +615,9 @@ fn live_runtimes_replay_their_pinned_outcomes_bit_for_bit() {
                 p50: 0x3f84_7ae1_47ae_147b,
                 p99: 0x3fab_c0c1_25cf_9d62,
                 cost: 0x4047_c18f_5055_576a,
+                window_digest: 0x9fc6_853b_6006_3500,
+                resilience: None,
+                path_losses: vec![],
             },
         ),
         (
@@ -567,6 +633,12 @@ fn live_runtimes_replay_their_pinned_outcomes_bit_for_bit() {
                 p50: 0x3f83_1574_7dcd_ad95,
                 p99: 0x3f90_2ec8_50a2_6b0b,
                 cost: 0x4039_0000_0000_0000,
+                window_digest: 0xee5a_0bda_da8c_b970,
+                resilience: None,
+                path_losses: vec![
+                    (0, 0, 0x3f85_8908_743a_30f6, 0x3f90_2ec8_50a2_6b0b),
+                    (0, 0, 0x3f7c_e393_c146_0e8b, 0x3f90_297a_1943_1474),
+                ],
             },
         ),
         (
@@ -582,6 +654,17 @@ fn live_runtimes_replay_their_pinned_outcomes_bit_for_bit() {
                 p50: 0x3f80_624d_d2f1_a9fc,
                 p99: 0x3fb5_488f_b77e_c310,
                 cost: 0x4062_8e04_fe8d_b0a1,
+                window_digest: 0x06e2_684c_0063_1539,
+                resilience: Some((
+                    896,
+                    542,
+                    vec![312, 42],
+                    523,
+                    950,
+                    253,
+                    0x402d_8937_4bc6_a64f,
+                )),
+                path_losses: vec![],
             },
         ),
     ];
