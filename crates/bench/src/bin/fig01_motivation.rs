@@ -11,8 +11,8 @@ fn main() {
     let multi = criteo_two_stage(512);
 
     let quality = QualityEvaluator::criteo_like(64).queries(500);
-    let q_single = quality.evaluate(&single);
-    let q_multi = quality.evaluate(&multi);
+    let reports = quality.evaluate_all(&[single.clone(), multi.clone()]);
+    let (q_single, q_multi) = (reports[0], reports[1]);
 
     let mut table = Table::new(vec!["design", "NDCG", "GFLOPs/query", "embedding MB/query"]);
     for (p, q) in [(&single, &q_single), (&multi, &q_multi)] {

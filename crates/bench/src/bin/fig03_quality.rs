@@ -19,12 +19,22 @@ fn main() {
 
     println!("Figure 3 (center/right): quality vs items ranked x model\n");
     let mut table = Table::new(vec!["items ranked", "RMsmall", "RMmed", "RMlarge"]);
-    for items in [256u64, 512, 1024, 2048, 3200, 4096] {
+    let items_grid = [256u64, 512, 1024, 2048, 3200, 4096];
+    let pipelines: Vec<PipelineConfig> = items_grid
+        .iter()
+        .flat_map(|&items| {
+            ModelKind::ALL.map(|kind| PipelineConfig::single_stage(kind, items, 64).unwrap())
+        })
+        .collect();
+    // One batch: every pipeline shares the Monte-Carlo pools and noise.
+    let reports = eval.evaluate_all(&pipelines);
+    for (items, row_reports) in items_grid.iter().zip(reports.chunks(ModelKind::ALL.len())) {
         let mut row = vec![items.to_string()];
-        for kind in ModelKind::ALL {
-            let p = PipelineConfig::single_stage(kind, items, 64).unwrap();
-            row.push(format!("{:.2}", eval.evaluate(&p).ndcg_percent()));
-        }
+        row.extend(
+            row_reports
+                .iter()
+                .map(|r| format!("{:.2}", r.ndcg_percent())),
+        );
         table.row(row);
     }
     println!("{table}");

@@ -150,46 +150,88 @@ impl QualityEvaluator {
         self.evaluate_all(std::slice::from_ref(pipeline))[0]
     }
 
-    /// Measures every pipeline's quality in one pass over the
-    /// Monte-Carlo queries, reports in input order.
+    /// Measures every pipeline's quality over the Monte-Carlo queries,
+    /// reports in input order.
     ///
-    /// Each query's candidate pool, its gains and its ideal top-k are
-    /// drawn once and shared by every pipeline (common random numbers),
-    /// while each pipeline scores with its own noise stream seeded as a
-    /// lone [`evaluate`](Self::evaluate) seeds it. A report therefore
-    /// does not depend on which pipelines share the batch or in what
-    /// order: `evaluate_all(ps)[i] == evaluate(&ps[i])`, bit for bit.
-    /// Pools are streamed one query at a time, so memory does not grow
-    /// with the query count.
+    /// Every pipeline sees the same candidate pools (common random
+    /// numbers) and scores them with the noise stream a lone
+    /// [`evaluate`](Self::evaluate) draws from
+    /// `StdRng::seed_from_u64(seed)`. A report therefore does not depend
+    /// on which pipelines share the batch or in what order:
+    /// `evaluate_all(ps)[i] == evaluate(&ps[i])`, bit for bit.
+    ///
+    /// That stream is one fixed sequence of standard normals, and a
+    /// pipeline whose funnel reads `D` of them per query reads query
+    /// `q`'s at positions `q·D..(q+1)·D`. So the sequence is drawn once,
+    /// onto a shared tape, and pipelines with equal `D` form a group that
+    /// shares each query's pool, ideal top-k and tape slice. The
+    /// evaluator always advances the group whose next query ends earliest
+    /// on the tape and forgets the prefix no group still needs, so a
+    /// batch draws `queries · max D` normals rather than
+    /// `queries · Σ D`, and the tape holds fewer than `2 · max D` of them
+    /// at any time. Each group streams its own pools one query at a
+    /// time, so memory does not grow with the query count.
     pub fn evaluate_all(&self, pipelines: &[PipelineConfig]) -> Vec<QualityReport> {
-        let mut gen = QueryGenerator::new(&self.spec, self.seed.wrapping_add(1));
-        let mut rngs: Vec<StdRng> = pipelines
-            .iter()
-            .map(|_| StdRng::seed_from_u64(self.seed))
-            .collect();
-        let mut scores: Vec<Vec<f64>> = pipelines
-            .iter()
-            .map(|_| Vec::with_capacity(self.num_queries))
-            .collect();
-        for _ in 0..self.num_queries {
-            let query = gen.next_query();
-            // Ideal ordering over the FULL pool: unseen candidates count
-            // against the pipeline.
-            let gains: Vec<f64> = query
-                .utilities
-                .iter()
-                .map(|&u| u.powf(self.spec.gain_exponent))
-                .collect();
-            let ideal = ideal_top_k(&gains, self.top_k);
-            for ((pipeline, rng), scores) in pipelines.iter().zip(&mut rngs).zip(&mut scores) {
-                let served: Vec<f64> = self
-                    .funnel(pipeline, &query.utilities, rng)
-                    .into_iter()
-                    .map(|idx| gains[idx])
-                    .collect();
-                scores.push(ndcg_at_k(&served, &ideal, self.top_k));
+        self.evaluate_on(pipelines, &mut NoiseTape::new(self.seed))
+    }
+
+    /// [`evaluate_all`](Self::evaluate_all), reading the scoring noise
+    /// from `tape`.
+    fn evaluate_on(
+        &self,
+        pipelines: &[PipelineConfig],
+        tape: &mut NoiseTape,
+    ) -> Vec<QualityReport> {
+        // Groups in first-appearance order, so nothing depends on a hash.
+        let mut groups: Vec<Group> = Vec::new();
+        for (i, pipeline) in pipelines.iter().enumerate() {
+            let draws = self.draws(pipeline);
+            match groups.iter_mut().find(|g| g.draws == draws) {
+                Some(group) => group.members.push(i),
+                None => groups.push(Group {
+                    draws,
+                    members: vec![i],
+                    done: 0,
+                    pools: QueryGenerator::new(&self.spec, self.seed.wrapping_add(1)),
+                }),
             }
         }
+        let max_draws = groups.iter().map(|g| g.draws).max().unwrap_or(0);
+        let exponent = self.spec.gain_exponent;
+        let queries = self.num_queries;
+        let mut scores: Vec<Vec<f64>> = pipelines
+            .iter()
+            .map(|_| Vec::with_capacity(queries))
+            .collect();
+        while let Some(group) = groups
+            .iter_mut()
+            .filter(|g| g.done < queries)
+            .min_by_key(|g| (g.done + 1) * g.draws)
+        {
+            let noise = tape.read(group.done * group.draws, group.draws);
+            let utilities = group.pools.next_query().utilities;
+            // Ideal ordering over the FULL pool: unseen candidates count
+            // against the pipeline.
+            let ideal = ideal_gains(&utilities, self.top_k, exponent);
+            for &i in &group.members {
+                let served: Vec<f64> = self
+                    .funnel(&pipelines[i], &utilities, noise)
+                    .into_iter()
+                    .map(|idx| utilities[idx].powf(exponent))
+                    .collect();
+                scores[i].push(ndcg_at_k(&served, &ideal, self.top_k));
+            }
+            group.done += 1;
+            if let Some(needed) = groups
+                .iter()
+                .filter(|g| g.done < queries)
+                .map(|g| g.done * g.draws)
+                .min()
+            {
+                tape.release(needed);
+            }
+        }
+        debug_assert!(tape.peak <= 2 * max_draws, "tape held {}", tape.peak);
         scores
             .iter()
             .map(|scores| {
@@ -205,43 +247,84 @@ impl QualityEvaluator {
             .collect()
     }
 
-    /// Runs one query's pool through the pipeline's stages and returns
-    /// the served pool indices, best first. `rng` is the pipeline's own
-    /// scoring-noise stream.
-    fn funnel(&self, pipeline: &PipelineConfig, utilities: &[f64], rng: &mut StdRng) -> Vec<usize> {
-        let noise = Normal::standard();
+    /// Scoring normals one query's funnel reads: the shared error
+    /// component of every item entering the first stage, then one fresh
+    /// draw per item entering each stage.
+    fn draws(&self, pipeline: &PipelineConfig) -> usize {
+        let num_stages = pipeline.num_stages();
+        let mut entering = (pipeline.items_in() as usize).min(self.spec.candidates_per_query);
+        let mut draws = entering;
+        for (stage_idx, stage) in pipeline.stages().iter().enumerate() {
+            draws += entering;
+            entering = survivor_count(
+                entering,
+                stage.items_out as usize,
+                self.stage_sub_batches(stage_idx + 1 == num_stages),
+            );
+        }
+        draws
+    }
 
+    /// Sub-batches a stage's survivor selection stitches. Inter-stage
+    /// filtering may stitch per-sub-batch top-k/n lists (unordered is
+    /// fine; the next stage rescores), but the FINAL stage's output is
+    /// the served ranking and is always globally ordered.
+    fn stage_sub_batches(&self, last: bool) -> usize {
+        if last {
+            1
+        } else {
+            self.sub_batches
+        }
+    }
+
+    /// Runs one query's pool through the pipeline's stages and returns
+    /// the served pool indices, best first. `noise` is the pipeline's
+    /// scoring noise for this query, [`draws`](Self::draws) normals read
+    /// in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the funnel reads exactly `noise`: a miscounted
+    /// slice would shift every later query's noise.
+    fn funnel(&self, pipeline: &PipelineConfig, utilities: &[f64], noise: &[f64]) -> Vec<usize> {
         // The funnel: indices into the pool survive stage by stage.
         let first_in = (pipeline.items_in() as usize).min(utilities.len());
         let mut survivors: Vec<usize> = (0..first_in).collect();
 
         // Persistent per-item error component shared by every stage
         // (see `stage_noise_correlation`).
-        let shared: Vec<f64> = (0..first_in).map(|_| noise.sample(rng)).collect();
+        let (shared, mut fresh) = noise.split_at(first_in);
         let rho = self.stage_noise_correlation;
         let fresh_scale = (1.0 - rho * rho).sqrt();
 
         let num_stages = pipeline.num_stages();
         for (stage_idx, stage) in pipeline.stages().iter().enumerate() {
             let sigma = self.accuracy.sigma(stage.model);
+            let (draws, rest) = fresh.split_at_checked(survivors.len()).unwrap_or_else(|| {
+                panic!("{} reads past its scoring normals", pipeline.describe())
+            });
+            fresh = rest;
             let scored: Vec<(usize, f64)> = survivors
                 .iter()
-                .map(|&idx| {
-                    let eps = rho * shared[idx] + fresh_scale * noise.sample(rng);
+                .zip(draws)
+                .map(|(&idx, &z)| {
+                    let eps = rho * shared[idx] + fresh_scale * z;
                     (idx, utilities[idx] + sigma * eps)
                 })
                 .collect();
-            // Inter-stage filtering may stitch per-sub-batch top-k/n
-            // lists (unordered is fine; the next stage rescores), but
-            // the FINAL stage's output is the served ranking and is
-            // always globally ordered.
-            let last = stage_idx + 1 == num_stages;
-            survivors = if last {
-                top_k_indices(&scored, stage.items_out as usize)
-            } else {
-                select_top(&scored, stage.items_out as usize, self.sub_batches)
-            };
+            survivors = select_top(
+                &scored,
+                stage.items_out as usize,
+                self.stage_sub_batches(stage_idx + 1 == num_stages),
+            );
         }
+        assert!(
+            fresh.is_empty(),
+            "{} left {} of its {} scoring normals unread",
+            pipeline.describe(),
+            fresh.len(),
+            noise.len()
+        );
         survivors
     }
 
@@ -275,17 +358,33 @@ impl QualityEvaluator {
 /// `sub_batches` per-chunk top-(k/n) selections (the accelerator's
 /// sub-batched filtering).
 fn select_top(scored: &[(usize, f64)], k: usize, sub_batches: usize) -> Vec<usize> {
-    if sub_batches <= 1 || scored.len() <= sub_batches {
-        return top_k_indices(scored, k);
-    }
-    let chunk_len = scored.len().div_ceil(sub_batches);
-    let per_chunk = (k / sub_batches).max(1);
-    let mut out = Vec::with_capacity(k);
-    for chunk in scored.chunks(chunk_len) {
-        out.extend(top_k_indices(chunk, per_chunk));
-    }
+    let (chunk_len, per_chunk) = chunking(scored.len(), k, sub_batches);
+    let mut out: Vec<usize> = scored
+        .chunks(chunk_len)
+        .flat_map(|chunk| top_k_indices(chunk, per_chunk))
+        .collect();
     out.truncate(k.max(1));
     out
+}
+
+/// How [`select_top`] splits `len` scored items: into chunks of
+/// `chunk_len` that each keep their top `per_chunk`, returned as
+/// `(chunk_len, per_chunk)`. One chunk unless sub-batching applies.
+fn chunking(len: usize, k: usize, sub_batches: usize) -> (usize, usize) {
+    if sub_batches <= 1 || len <= sub_batches {
+        (len.max(1), k.max(1))
+    } else {
+        (len.div_ceil(sub_batches), (k / sub_batches).max(1))
+    }
+}
+
+/// How many of `len` scored items [`select_top`] keeps: each chunk's
+/// top `per_chunk` (or all of a shorter chunk), cut to `k` (at least
+/// one).
+fn survivor_count(len: usize, k: usize, sub_batches: usize) -> usize {
+    let (chunk_len, per_chunk) = chunking(len, k, sub_batches);
+    let stitched = len / chunk_len * per_chunk.min(chunk_len) + (len % chunk_len).min(per_chunk);
+    stitched.min(k.max(1))
 }
 
 /// Indices of the top `k` (at least one) items by score, best first.
@@ -296,6 +395,81 @@ fn top_k_indices(scored: &[(usize, f64)], k: usize) -> Vec<usize> {
         .into_iter()
         .map(|pos| scored[pos].0)
         .collect()
+}
+
+/// `ideal_top_k` of the pool's gains `u^exponent`, with only the `k`
+/// winners raised to the power. Every dataset's gain exponent is
+/// positive, so the gain is non-decreasing in the `Exp(1)` utility and
+/// the top-k utilities carry exactly the top-k gains.
+fn ideal_gains(utilities: &[f64], k: usize, exponent: f64) -> Vec<f64> {
+    ideal_top_k(utilities, k)
+        .into_iter()
+        .map(|u| u.powf(exponent))
+        .collect()
+}
+
+/// Pipelines whose funnels read the same number of scoring normals per
+/// query, and so the same tape slice for each query.
+struct Group {
+    /// Normals per query ([`QualityEvaluator::draws`]).
+    draws: usize,
+    /// Positions in the batch.
+    members: Vec<usize>,
+    /// Queries evaluated so far.
+    done: usize,
+    /// The group's own copy of the pool stream.
+    pools: QueryGenerator,
+}
+
+/// The scoring-noise sequence every pipeline reads: the standard normals
+/// `StdRng::seed_from_u64(seed)` yields, drawn on demand and kept only
+/// while some group still needs them.
+struct NoiseTape {
+    rng: StdRng,
+    normal: Normal,
+    /// Tape positions `base..base + held.len()`.
+    held: Vec<f64>,
+    base: usize,
+    /// Most normals held at once.
+    peak: usize,
+}
+
+impl NoiseTape {
+    fn new(seed: u64) -> Self {
+        Self {
+            rng: StdRng::seed_from_u64(seed),
+            normal: Normal::standard(),
+            held: Vec::new(),
+            base: 0,
+            peak: 0,
+        }
+    }
+
+    /// Tape positions `start..start + len`, drawing those not drawn yet.
+    fn read(&mut self, start: usize, len: usize) -> &[f64] {
+        let (from, to) = (start - self.base, start + len - self.base);
+        while self.held.len() < to {
+            self.held.push(self.normal.sample(&mut self.rng));
+        }
+        self.peak = self.peak.max(self.held.len());
+        &self.held[from..to]
+    }
+
+    /// Forgets the positions below `start` once they are at least half
+    /// of what the tape holds.
+    fn release(&mut self, start: usize) {
+        let dead = start - self.base;
+        if 2 * dead >= self.held.len() {
+            self.held.drain(..dead);
+            self.base = start;
+        }
+    }
+
+    /// Normals drawn so far.
+    #[cfg(test)]
+    fn drawn(&self) -> usize {
+        self.base + self.held.len()
+    }
 }
 
 #[cfg(test)]
@@ -478,12 +652,14 @@ mod tests {
                     sorted_top_k_indices(&scored, k),
                     "len {len}, k {k}"
                 );
-                for sub_batches in [1, 4, len.max(1)] {
+                for sub_batches in [1, 3, 4, 7, len.max(1)] {
+                    let kept = select_top(&scored, k, sub_batches);
                     assert_eq!(
-                        select_top(&scored, k, sub_batches),
+                        kept,
                         sorted_select_top(&scored, k, sub_batches),
                         "len {len}, k {k}, sub_batches {sub_batches}"
                     );
+                    assert_eq!(kept.len(), survivor_count(len, k, sub_batches));
                 }
             }
         }
@@ -497,10 +673,15 @@ mod tests {
         )
     }
 
-    #[test]
-    fn batched_reports_do_not_depend_on_the_batch() {
+    fn quick_grid() -> Vec<PipelineConfig> {
         let grid = crate::Scheduler::new(crate::SchedulerSettings::quick()).enumerate_pipelines(3);
         assert_eq!(grid.len(), 14);
+        grid
+    }
+
+    #[test]
+    fn batched_reports_do_not_depend_on_the_batch() {
+        let grid = quick_grid();
         for sub_batches in [1, 4] {
             let e = QualityEvaluator::criteo_like(64)
                 .queries(10)
@@ -551,6 +732,129 @@ mod tests {
                 "{dataset:?} {} at {sub_batches} sub-batches",
                 pipeline.describe()
             );
+        }
+    }
+
+    #[test]
+    fn quick_grid_draws_each_scoring_normal_once() {
+        let grid = quick_grid();
+        let e = QualityEvaluator::criteo_like(64);
+        let draws: Vec<usize> = grid.iter().map(|p| e.draws(p)).collect();
+        // A noise stream per pipeline reads the sum per query; the tape
+        // draws only the largest.
+        assert_eq!(draws.iter().sum::<usize>(), 74_368);
+        assert_eq!(draws.iter().max(), Some(&8_768));
+        for queries in [10, 40] {
+            let e = e.clone().queries(queries);
+            let mut tape = NoiseTape::new(e.seed);
+            e.evaluate_on(&grid, &mut tape);
+            assert_eq!(tape.drawn(), queries * 8_768, "{queries} queries");
+            assert!(
+                tape.peak <= 2 * 8_768,
+                "{queries} queries: the tape held {} normals",
+                tape.peak
+            );
+        }
+    }
+
+    #[test]
+    fn batches_read_the_tape_as_lone_evaluations_do() {
+        let mut grid = quick_grid();
+        // Clipped to the 4,096-item pool, as `fig13` ranks it.
+        grid.push(single(ModelKind::RmLarge, 12_288));
+        let draws_at_one = QualityEvaluator::criteo_like(64);
+        assert_eq!(draws_at_one.draws(&grid[14]), 8_192);
+        let by_draws = |d: usize, skip: usize| {
+            grid.iter()
+                .enumerate()
+                .filter(|(_, p)| draws_at_one.draws(p) == d)
+                .nth(skip)
+                .map(|(i, _)| i)
+                .expect("a quick-grid pipeline with these draws")
+        };
+        let batches = [
+            (0..grid.len()).collect::<Vec<usize>>(),
+            // Groups that interleave on the tape, one of them split.
+            vec![
+                by_draws(8_768, 0),
+                by_draws(2_048, 0),
+                by_draws(8_192, 0),
+                by_draws(2_048, 1),
+            ],
+            // A pipeline twice in one batch.
+            vec![3, 0, 3, 14],
+        ];
+        let movielens = |model, items, mid: Option<u64>| {
+            let builder = PipelineConfig::builder().dataset(DatasetKind::MovieLens1M);
+            match mid {
+                None => builder.stage(StageConfig::new(model, items, 64)),
+                Some(mid) => builder
+                    .stage(StageConfig::new(model, items, mid))
+                    .stage(StageConfig::new(ModelKind::RmLarge, mid, 64)),
+            }
+            .build()
+            .unwrap()
+        };
+        // All three are clipped to MovieLens-1M's 1,024-item pool.
+        let ml_batch = [
+            movielens(ModelKind::RmSmall, 4096, None),
+            movielens(ModelKind::RmSmall, 4096, Some(256)),
+            movielens(ModelKind::RmLarge, 1024, None),
+        ];
+        for sub_batches in [1, 2, 3, 4, 7, 64, 5000] {
+            let e = QualityEvaluator::criteo_like(64)
+                .queries(6)
+                .sub_batches(sub_batches);
+            let alone: Vec<_> = grid.iter().map(|p| bits(&e.evaluate(p))).collect();
+            for batch in &batches {
+                let pipelines: Vec<PipelineConfig> =
+                    batch.iter().map(|&i| grid[i].clone()).collect();
+                let together: Vec<_> = e.evaluate_all(&pipelines).iter().map(bits).collect();
+                let expected: Vec<_> = batch.iter().map(|&i| alone[i]).collect();
+                assert_eq!(together, expected, "{batch:?} at {sub_batches} sub-batches");
+            }
+            let e = QualityEvaluator::for_dataset(DatasetKind::MovieLens1M, 64)
+                .queries(6)
+                .sub_batches(sub_batches);
+            let alone: Vec<_> = ml_batch.iter().map(|p| bits(&e.evaluate(p))).collect();
+            let together: Vec<_> = e.evaluate_all(&ml_batch).iter().map(bits).collect();
+            assert_eq!(together, alone, "MovieLens-1M at {sub_batches} sub-batches");
+        }
+    }
+
+    #[test]
+    fn lazy_ideal_matches_the_ideal_of_all_gains() {
+        // Exp(1) pools rounded to quarters: many ties, and zeros.
+        let mut gen = QueryGenerator::new(&DatasetSpec::movielens_1m(), 3);
+        for round in 0..4 {
+            let mut utilities: Vec<f64> = gen
+                .next_query()
+                .utilities
+                .iter()
+                .map(|u| (u * 4.0).floor() / 4.0)
+                .collect();
+            // A negative zero, and a utility whose gain underflows to a
+            // zero that ties with it.
+            utilities[round] = -0.0;
+            utilities[round + 7] = 1e-200;
+            let positive = utilities.iter().filter(|&&u| u > 0.0).count();
+            assert!(
+                utilities.len() - positive > 64,
+                "{positive} of {}",
+                utilities.len()
+            );
+            for exponent in [2.0, 2.5, 3.0] {
+                let gains: Vec<f64> = utilities.iter().map(|u| u.powf(exponent)).collect();
+                let len = utilities.len();
+                // Cuts above, at and inside the tied zeros.
+                for k in [0, 1, 64, positive - 1, positive, positive + 2, len, len + 1] {
+                    assert_eq!(
+                        ideal_gains(&utilities, k, exponent),
+                        ideal_top_k(&gains, k),
+                        "round {round}, exponent {exponent}, k {k}"
+                    );
+                }
+            }
         }
     }
 

@@ -84,7 +84,16 @@ impl AccuracyModel {
     }
 
     /// Overrides one tier's sigma (used by the calibration harness).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `sigma` is finite and non-negative. Zero is a
+    /// noiseless oracle tier.
     pub fn with_sigma(mut self, kind: ModelKind, sigma: f64) -> Self {
+        assert!(
+            sigma.is_finite() && sigma >= 0.0,
+            "sigma must be finite and non-negative, got {sigma}"
+        );
         match kind {
             ModelKind::RmSmall => self.sigma_small = sigma,
             ModelKind::RmMed => self.sigma_med = sigma,
@@ -156,6 +165,27 @@ mod tests {
             m.sigma(ModelKind::RmSmall),
             AccuracyModel::criteo().sigma(ModelKind::RmSmall)
         );
+        // A noiseless tier is legal.
+        let oracle = AccuracyModel::criteo().with_sigma(ModelKind::RmSmall, 0.0);
+        assert_eq!(oracle.sigma(ModelKind::RmSmall), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "sigma must be finite and non-negative")]
+    fn with_sigma_rejects_nan() {
+        AccuracyModel::criteo().with_sigma(ModelKind::RmSmall, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "sigma must be finite and non-negative")]
+    fn with_sigma_rejects_a_negative_sigma() {
+        AccuracyModel::criteo().with_sigma(ModelKind::RmSmall, -0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "sigma must be finite and non-negative")]
+    fn with_sigma_rejects_an_infinite_sigma() {
+        AccuracyModel::criteo().with_sigma(ModelKind::RmSmall, f64::INFINITY);
     }
 
     #[test]

@@ -436,7 +436,7 @@ type Resilience = (usize, usize, Vec<usize>, usize, usize, usize, u64);
 /// A path's shed and dropped counts and the bits of its mean and p99.
 type PathLosses = (usize, usize, u64, u64);
 
-/// FNV-1a over 64-bit words: a stable digest of a window series.
+/// FNV-1a over 64-bit words: a stable digest of a series of bit patterns.
 fn digest(words: impl IntoIterator<Item = u64>) -> u64 {
     words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
         (h ^ w).wrapping_mul(0x100_0000_01b3)
@@ -670,5 +670,28 @@ fn live_runtimes_replay_their_pinned_outcomes_bit_for_bit() {
     ];
     for (name, out, expected) in pins {
         assert_eq!(Pinned::of(out), expected, "{name}");
+    }
+}
+
+#[test]
+fn quick_grid_qualities_keep_their_pinned_bits() {
+    // One digest of every quick-grid report's NDCG and std bits per
+    // sub-batch count, recorded when each pipeline still drew its own
+    // scoring-noise stream. Sharing one noise tape must not move a bit.
+    use recpipe::core::QualityEvaluator;
+    let grid = Scheduler::new(SchedulerSettings::quick()).enumerate_pipelines(3);
+    assert_eq!(grid.len(), 14);
+    for (sub_batches, pinned) in [(1, 0x39f9_d7f7_c98d_64cb), (4, 0x898e_b951_1d6c_1336)] {
+        let reports = QualityEvaluator::criteo_like(64)
+            .queries(24)
+            .seed(77)
+            .sub_batches(sub_batches)
+            .evaluate_all(&grid);
+        let bits = digest(
+            reports
+                .iter()
+                .flat_map(|r| [r.ndcg.to_bits(), r.ndcg_std.to_bits()]),
+        );
+        assert_eq!(bits, pinned, "{sub_batches} sub-batches: {bits:#018x}");
     }
 }
