@@ -209,14 +209,22 @@ pub enum HedgeDelay {
     /// "hedge past p95" discipline). Until
     /// [`HedgePolicy::MIN_QUANTILE_SAMPLES`] completions have been
     /// observed no hedges are issued — the estimate would be noise.
+    ///
+    /// The delay for `q` is the `⌈n·q⌉`-th smallest of the last
+    /// `n ≤ 512` completed queries' end-to-end latencies, read when an
+    /// attempt starts. While the window fills, every completion
+    /// refreshes it; once full, it refreshes at most every 64
+    /// completions, so the delay can lag up to 63 completions behind.
     Quantile(f64),
 }
 
 /// Hedged-request discipline: after [`HedgeDelay`], dispatch one
 /// duplicate of the outstanding attempt, routed to a *different*
 /// replica whenever the group has one; first completion wins and the
-/// loser is cancelled lazily (its queued work is purged, its in-flight
-/// service runs out and is accounted as wasted).
+/// loser is cancelled lazily. Nothing is purged: the losing lane stays
+/// in its queue or batch as a carcass, is served like a live lane, and
+/// is discarded when it leaves that stage, its service charged to
+/// [`wasted_service_s`](ResilienceStats::wasted_service_s).
 ///
 /// At most one hedge is issued per attempt — retries re-arm the hedge
 /// clock.

@@ -37,7 +37,7 @@ pub enum SimError {
     NoPaths,
     /// The scenario asks for zero queries.
     NoQueries,
-    /// More queries (the payload) than packed heap events can index.
+    /// More queries (the payload) than packed events can index.
     TooManyQueries(usize),
     /// The autoscaled resource group (the payload) does not exist.
     AutoscaleGroup(usize),

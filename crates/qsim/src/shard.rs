@@ -4,9 +4,10 @@
 //! groups only couples stages in one direction: a stage-`k` completion
 //! at time `t` becomes a stage-`k+1` arrival at the same `t`. That
 //! makes the serial event loop decomposable by stage: each stage runs
-//! as its own shard (its own heap, queues, batches, and router state)
-//! and hands finished queries downstream through a bounded channel,
-//! turning an `s`-stage replay into an `s`-deep pipeline of threads.
+//! as its own shard (its own event queue, replica queues, batches, and
+//! router state) and hands finished queries downstream through a
+//! bounded channel, turning an `s`-stage replay into an `s`-deep
+//! pipeline of threads.
 //!
 //! # Determinism
 //!

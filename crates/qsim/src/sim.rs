@@ -1,5 +1,5 @@
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::{ControlFlow, Range};
 use std::time::Duration;
 
@@ -15,10 +15,12 @@ use crate::{
 
 mod lanes;
 mod paths;
+mod queue;
 mod telemetry;
 
 use lanes::ResilienceRt;
 use paths::MultipathRt;
+use queue::EventQueue;
 use telemetry::Telemetry;
 
 /// Fraction of queries discarded from the front as warmup.
@@ -35,8 +37,8 @@ const WARMUP_FRACTION: f64 = 0.05;
 /// an 80 MB finish vector plus an unbounded sample vector.
 const SCALE_RECORDING_THRESHOLD: usize = 1 << 20;
 
-/// A decoded heap event — the transient, register-allocated view the
-/// run loops match on. The heap itself stores the packed 24-byte
+/// A decoded event — the transient, register-allocated view the run
+/// loops match on. The event queue itself stores the packed 24-byte
 /// [`Event`]; nothing persists this enum.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum EventKind {
@@ -131,7 +133,7 @@ const RES_STAGE_MASK: u32 = (1 << RES_STAGE_BITS) - 1;
 /// Mask for the 19 generation bits carried in packed arrive payloads.
 /// Full 32-bit generations live in `ResilienceRt::gen`; payload
 /// comparisons mask both sides (a mis-match would need 2^19 same-query
-/// bumps while one event sat in the heap — attempts are capped at 255
+/// bumps while one event sat in the queue — attempts are capped at 255
 /// and each contributes at most two bumps).
 const RES_GEN_MASK: u32 = 0x7_FFFF;
 /// Low-32 mask extracting the bare query index from a lane id.
@@ -192,13 +194,13 @@ fn gather<T: Copy>(out: &mut Vec<T>, column: &[T], idx: &[usize]) {
     out.extend(idx.iter().map(|&r| column[r]));
 }
 
-/// A packed heap event: 24 bytes instead of the 40 a
+/// A packed event: 24 bytes instead of the 40 a
 /// `(f64, u64, EventKind)` struct would occupy, so every sift in the
 /// event heap moves 40% less memory — the heap is the hottest data
 /// structure in the simulator, and pop/push cost is dominated by these
 /// copies at 4 events per query-stage.
 ///
-/// `key` packs `(seq << 3) | tag`. Heap seqs are globally unique
+/// `key` packs `(seq << 3) | tag`. Seqs are globally unique
 /// (schedule arrivals carry their query index, everything else draws
 /// from the `Sim::seq` counter that resumes past them), so ordering by
 /// `key` is ordering by `seq` — the tag bits can never influence the
@@ -206,7 +208,7 @@ fn gather<T: Copy>(out: &mut Vec<T>, column: &[T], idx: &[usize]) {
 /// bounded well below `u32::MAX` (validated by `Scenario::run`), and
 /// generation counters compare on their low 32 bits (a stale event
 /// would mis-match only after 2^32 same-slot generation bumps while it
-/// sat in the heap, which cannot happen before the heap itself
+/// sat in the queue, which cannot happen before the queue itself
 /// exhausts memory).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Event {
@@ -240,16 +242,22 @@ impl Event {
         gen as u32
     }
 
-    /// The event's heap sequence number.
+    /// The event's sequence number.
     #[inline]
     fn seq(&self) -> u64 {
         self.key >> 3
     }
 
+    /// The event's `TAG_*` kind.
+    #[inline]
+    fn tag(&self) -> u64 {
+        self.key & 0b111
+    }
+
     /// Decodes the packed payload for matching.
     #[inline]
     fn kind(&self) -> EventKind {
-        match self.key & 0b111 {
+        match self.tag() {
             TAG_ARRIVE => EventKind::Arrive {
                 query: self.a as usize,
                 stage: self.b as usize,
@@ -446,7 +454,7 @@ pub(crate) struct Sim<'a> {
     avoid_slot: Option<usize>,
 
     // --- Hot containers ---
-    heap: BinaryHeap<Event>,
+    queue: EventQueue,
     stages: &'a [StageSpec],
     /// Per-slot waiting entries, kept sorted by (policy priority,
     /// admission seq) — FIFO inserts are O(1) appends.
@@ -773,7 +781,7 @@ impl<'a> Sim<'a> {
             arrivals,
             router,
             num_queries,
-            heap: BinaryHeap::new(),
+            queue: EventQueue::default(),
             seq: 0,
             arrival_time: vec![f64::NAN; num_queries],
             slot_base,
@@ -860,7 +868,7 @@ impl<'a> Sim<'a> {
     /// successor's timestamp ([`stage_next_arrival`]). The heap stays
     /// at the in-flight high-water mark instead of the query count, and
     /// a 10M-query replay never materializes the schedule. Schedule
-    /// arrival `q` carries heap seq `q` (the counter resumes at
+    /// arrival `q` carries seq `q` (the counter resumes at
     /// `initial`), which fixes its tie order against every other event.
     ///
     /// [`stage_next_arrival`]: Self::stage_next_arrival
@@ -884,16 +892,16 @@ impl<'a> Sim<'a> {
         self.arrival_time[0] = t0;
         self.arrival_span = self.arrival_span.max(t0);
         self.arrival_stream = Some(stream);
-        self.heap.push(Event::new(t0, 0, TAG_ARRIVE, 0, 0));
+        self.queue.push_heap(Event::new(t0, 0, TAG_ARRIVE, 0, 0));
     }
 
     /// Arms the replica lifecycle: flattens every group's attached
-    /// schedule into timed heap events, applies the failure policy and
+    /// schedule into timed events, applies the failure policy and
     /// warm-up speed, and attaches telemetry when a window is configured
     /// (starting its clock) or any event is scheduled.
     ///
     /// Determinism: lifecycle events are sequenced in group-major,
-    /// schedule order *after* all schedule arrivals (their heap seqs
+    /// schedule order *after* all schedule arrivals (their seqs
     /// start past `schedule_len`), so at equal timestamps an arrival is
     /// processed before the lifecycle event that would have masked its
     /// replica, and two same-time lifecycle events fire in schedule
@@ -952,8 +960,8 @@ impl<'a> Sim<'a> {
     /// Arms multi-path serving: every stage-0 arrival first passes the
     /// admission policy, which assigns it a path (its stages sit at a
     /// fixed offset in the concatenated spec) or sheds it. Consumes no
-    /// heap seqs and pushes no events, so an [`AlwaysPrimary`] run's
-    /// event stream is identical to the plain routed loop.
+    /// seqs and pushes no events, so an [`AlwaysPrimary`] run's event
+    /// stream is identical to the plain routed loop.
     ///
     /// [`AlwaysPrimary`]: crate::AlwaysPrimary
     pub(crate) fn enable_multipath(
@@ -967,7 +975,7 @@ impl<'a> Sim<'a> {
     }
 
     /// Arms query-level resilience for an active `cfg`: per-attempt
-    /// timeouts, the retry policy, and hedged requests. Consumes no heap
+    /// timeouts, the retry policy, and hedged requests. Consumes no
     /// seqs until the first dispatch. `Scenario::run` never arms an
     /// inert config, which therefore replays the run without it bit for
     /// bit (pinned by proptest).
@@ -984,9 +992,9 @@ impl<'a> Sim<'a> {
         base..base + self.group_replicas[group]
     }
 
-    /// Pushes an event carrying the next heap seq.
+    /// Queues an event carrying the next seq.
     fn push(&mut self, time: f64, tag: u64, a: usize, b: u32) {
-        self.heap.push(Event::new(time, self.seq, tag, a, b));
+        self.queue.push(Event::new(time, self.seq, tag, a, b));
         self.seq += 1;
     }
 
@@ -1421,7 +1429,7 @@ impl<'a> Sim<'a> {
                 Release::At(t) if t > now => {
                     // Arm at most one live recheck per slot: arming an
                     // earlier deadline bumps the generation, lazily
-                    // cancelling the superseded event still in the heap.
+                    // cancelling the superseded event still queued.
                     if self.armed[slot].is_none_or(|armed| t < armed) {
                         self.armed[slot] = Some(t);
                         self.timer_gen[slot] += 1;
@@ -1693,7 +1701,7 @@ impl<'a> Sim<'a> {
     /// time is refunded) and both in-flight and queued queries are
     /// stranded per the failure policy — in-flight queries first (batch
     /// table order), then queued ones in queue order, all re-entering at
-    /// `now` with fresh heap seqs. No-op on a slot already down.
+    /// `now` with fresh seqs. No-op on a slot already down.
     fn apply_fail_stop(&mut self, now: f64, slot: usize) {
         if self.state[slot] == SlotState::Down {
             return;
@@ -1872,7 +1880,7 @@ impl<'a> Sim<'a> {
         if let Some(out) = self.shard_out.as_mut() {
             // Stage shard with a downstream: hand the query over at its
             // completion instant — the serial loop's same-time Arrive
-            // push, minus the shared heap.
+            // push, minus the shared queue.
             out.emit(now, query, self.arrival_time[query]);
             return;
         }
@@ -1943,12 +1951,13 @@ impl<'a> Sim<'a> {
         );
         self.arrival_time[next] = t;
         self.arrival_span = self.arrival_span.max(t);
-        self.heap
-            .push(Event::new(t, next as u64, TAG_ARRIVE, next, 0));
+        // Straight onto the heap: see `EventQueue::push_heap`.
+        self.queue
+            .push_heap(Event::new(t, next as u64, TAG_ARRIVE, next, 0));
     }
 
     pub(crate) fn run(mut self) -> Result<SimResult, SimError> {
-        while let Some(event) = self.heap.pop() {
+        while let Some(event) = self.queue.pop() {
             if self.step(event).is_break() {
                 break;
             }
@@ -1987,7 +1996,7 @@ impl<'a> Sim<'a> {
                     self.stage_next_arrival(query);
                 }
                 // Window arrival counting: schedule-driven stage-0
-                // arrivals only (their heap seq is their query index);
+                // arrivals only (their seq is their query index);
                 // requeues and parked flushes re-use query indices but
                 // carry later seqs, so they never double-count.
                 // Closed-loop injections count at `inject`.
@@ -2063,7 +2072,7 @@ impl<'a> Sim<'a> {
                 // (partial) window closes in `finish`.
                 let timed_out = self.resil.as_ref().map_or(0, |r| r.stats.timed_out);
                 let done = self.completed + self.shed + self.dropped + timed_out;
-                if done < self.num_queries && !self.heap.is_empty() {
+                if done < self.num_queries && !self.queue.is_empty() {
                     let window_s = self.tele.as_ref().expect("telemetry attached").window_s;
                     self.push(now + window_s, TAG_WINDOW_TICK, 0, 0);
                 }
@@ -2088,8 +2097,9 @@ impl<'a> Sim<'a> {
     /// the serial loop's [`step`](Self::step).
     ///
     /// The head shard (`input` is `None`) replays the arrival schedule
-    /// through the normal heap. Downstream shards merge their internal
-    /// event heap with the incoming arrival stream: an incoming arrival
+    /// through its event queue, as the serial loop does. Downstream
+    /// shards merge the same kind of queue (heap and in-order FIFOs)
+    /// with the incoming arrival stream: an incoming arrival
     /// at time `t` was *created* at `t` (the upstream completion's
     /// instant), while every internal event at `t` was created strictly
     /// earlier (launches precede completions because service times are
@@ -2105,14 +2115,14 @@ impl<'a> Sim<'a> {
     ) -> RunTotals {
         let mut pending = input.as_mut().and_then(|src| src.next_arrival());
         loop {
-            let take_heap = match (self.heap.peek(), pending) {
+            let take_queued = match (self.queue.peek(), pending) {
                 (Some(ev), Some((t, _, _))) => ev.time <= t,
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
                 (None, None) => break,
             };
-            if take_heap {
-                let event = self.heap.pop().expect("peeked event exists");
+            if take_queued {
+                let event = self.queue.pop().expect("peeked event exists");
                 // Shards are lifecycle-free, so no arrival fails the run.
                 let flow = self.step(event);
                 debug_assert!(flow.is_continue());
@@ -3260,5 +3270,94 @@ mod tests {
             .unwrap();
         assert_eq!(out.completed + out.shed + out.dropped, 2_000);
         assert_eq!(out.dropped, 0);
+    }
+
+    // ------------------------------------------------------------------
+    // The event queue's in-order FIFOs
+    // ------------------------------------------------------------------
+
+    use crate::{FaultBurst, FaultKind, FaultPlan, Fifo, HedgePolicy, RetryBudget, RetryPolicy};
+
+    #[test]
+    fn in_order_events_pop_from_the_fifos() {
+        // The `perfbench` `gray` workload's fleet, traffic and resilience
+        // at 50k queries (about 66 s), with its limpware and fail-stop
+        // bursts moved inside the run and a quarter as long: next-stage
+        // arrivals, requeues, first-attempt timeouts (mostly stale when
+        // they fire), retries and p95 hedges all flow through the queue.
+        // A retry's arrival and timers are created ahead of the FIFOs'
+        // backs and send the in-order events behind them to the heap
+        // until the clock passes; at `gray`'s full 20 s and 10 s, faults
+        // cover nearly half the run and the FIFO shares fall to about
+        // 91% of timers and 89% of other arrivals.
+        let plan = FaultPlan::new(1)
+            .burst(FaultBurst {
+                time: 10.0,
+                kind: FaultKind::Degrade { speed: 0.3 },
+                count: 2,
+                recover_after_s: Some(5.0),
+            })
+            .burst(FaultBurst {
+                time: 30.0,
+                kind: FaultKind::FailStop,
+                count: 1,
+                recover_after_s: Some(2.5),
+            });
+        let batched = |name, group, service_s| {
+            StageSpec::new(name, group, 1, service_s).with_batch(BatchModel::new(8, 0.25))
+        };
+        let spec = PipelineSpec::new(vec![
+            ReplicaGroup::replicated("filter", 1, 4),
+            ReplicaGroup::replicated("rank", 1, 4),
+        ])
+        .with_group_lifecycle(1, plan.expand(4))
+        .with_stage(batched("filter", 0, 0.002))
+        .unwrap()
+        .with_stage(batched("rank", 1, 0.004))
+        .unwrap();
+        let capacity = spec.max_qps();
+        let arrivals = MmppArrivals::new(0.6 * capacity, 1.4 * capacity, 2.0, 0.5);
+        let resilience = ResilienceConfig::new()
+            .with_timeout(0.060)
+            .with_retry(RetryPolicy::new(3, 0.010, 2.0).with_budget(RetryBudget::new(100.0, 0.1)))
+            .with_hedge(HedgePolicy::at_quantile(0.95));
+        let n = 50_000;
+        let inputs = Inputs {
+            spec: &spec,
+            arrivals: &arrivals,
+            policy: &Fifo,
+            router: &RoundRobin,
+            num_queries: n,
+            seed: 1,
+        };
+        // `Scenario::run`'s arming, with the loop kept in hand to read
+        // the queue's counts afterwards.
+        let mut sim = Sim::new(inputs);
+        sim.enable_lifecycle(&LifecycleConfig::new().with_window(1.0));
+        sim.enable_resilience(&resilience, 1);
+        while let Some(event) = sim.queue.pop() {
+            assert!(sim.step(event).is_continue());
+        }
+        let stats = &sim.resil.as_ref().expect("resilience attached").stats;
+        assert!(stats.timeouts > 0 && stats.total_retries() > 0 && stats.hedges_issued > 0);
+        assert!(sim.completed < n, "the faults cost some queries");
+
+        let c = sim.queue.counts;
+        assert_eq!(c.pops(), c.pushes);
+        // All n schedule arrivals pop from the heap (every other arrival
+        // carries a seq past n).
+        assert_eq!(c.schedule_heap, n as u64);
+        let [arrive, timeout, hedge] = [TAG_ARRIVE, TAG_TIMEOUT, TAG_HEDGE].map(|t| t as usize);
+        let share = |fifo: u64, heap: u64| fifo as f64 / (fifo + heap) as f64;
+        let timers = share(
+            c.fifo[timeout] + c.fifo[hedge],
+            c.heap[timeout] + c.heap[hedge],
+        );
+        let onward = share(c.fifo[arrive], c.heap[arrive] - c.schedule_heap);
+        assert!(timers >= 0.9, "FIFO share of timer pops {timers}: {c:?}");
+        assert!(
+            onward >= 0.9,
+            "FIFO share of other arrivals {onward}: {c:?}"
+        );
     }
 }

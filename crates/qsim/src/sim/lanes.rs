@@ -22,8 +22,8 @@ const DONE: u8 = 2;
 
 /// Completed-latency reservoir capacity for quantile hedge delays.
 const RESERVOIR_CAP: usize = 512;
-/// Inserts tolerated before the reservoir's sorted view refreshes.
-const RESERVOIR_RESORT: usize = 64;
+/// Inserts tolerated before the reservoir's quantile refreshes.
+const RESERVOIR_REFRESH: usize = 64;
 
 /// The runtime of an active [`ResilienceConfig`]: per-query lane
 /// generations and attempt counts, the retry token bucket, the
@@ -49,10 +49,12 @@ pub(super) struct ResilienceRt {
     /// router and admission streams).
     rng: u64,
     /// Completed-latency reservoir feeding quantile hedge delays: a
-    /// fixed ring overwritten round-robin past capacity, re-sorted into
-    /// `sorted` at most every [`RESERVOIR_RESORT`] inserts.
+    /// fixed ring overwritten round-robin past capacity. Its quantile is
+    /// selected on a copy, `selected`, which keeps it at the quantile's
+    /// index until the next refresh: whenever the reservoir grew, and at
+    /// most every [`RESERVOIR_REFRESH`] inserts once full.
     samples: Vec<f64>,
-    sorted: Vec<f64>,
+    selected: Vec<f64>,
     sample_writes: usize,
     sample_dirty: usize,
     pub(super) stats: ResilienceStats,
@@ -72,7 +74,7 @@ impl ResilienceRt {
             // the router/admission streams by a different xor constant.
             rng: seed ^ 0xd6e8_feb8_6659_fd93,
             samples: Vec::new(),
-            sorted: Vec::new(),
+            selected: Vec::new(),
             sample_writes: 0,
             sample_dirty: 0,
             stats: ResilienceStats {
@@ -217,17 +219,19 @@ impl ResilienceRt {
                 if self.sample_writes < HedgePolicy::MIN_QUANTILE_SAMPLES {
                     return None;
                 }
-                if self.sample_dirty >= RESERVOIR_RESORT || self.sorted.len() != self.samples.len()
-                {
-                    self.sorted.clear();
-                    self.sorted.extend_from_slice(&self.samples);
-                    self.sorted
-                        .sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
+                let n = self.samples.len();
+                let idx = ((n as f64 * q).ceil() as usize).clamp(1, n) - 1;
+                if self.sample_dirty >= RESERVOIR_REFRESH || self.selected.len() != n {
+                    // The order statistic is one value, so selecting it
+                    // reads the same delay a full sort would.
+                    self.selected.clear();
+                    self.selected.extend_from_slice(&self.samples);
+                    self.selected.select_nth_unstable_by(idx, |a, b| {
+                        a.partial_cmp(b).unwrap_or(Ordering::Equal)
+                    });
                     self.sample_dirty = 0;
                 }
-                let n = self.sorted.len();
-                let idx = ((n as f64 * q).ceil() as usize).clamp(1, n) - 1;
-                Some(self.sorted[idx])
+                Some(self.selected[idx])
             }
         }
     }

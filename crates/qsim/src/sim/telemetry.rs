@@ -118,11 +118,11 @@ impl Telemetry {
         let p99_s = if w.latencies.is_empty() {
             0.0
         } else {
-            w.latencies
-                .sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
             let n = w.latencies.len();
             let idx = ((n as f64 * 0.99).ceil() as usize).clamp(1, n) - 1;
-            w.latencies[idx]
+            *w.latencies
+                .select_nth_unstable_by(idx, |a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal))
+                .1
         };
         self.windows.push(WindowStats {
             start: w.start,

@@ -511,11 +511,12 @@ fn live_runtimes_replay_their_pinned_outcomes_bit_for_bit() {
     // change to what the event loop computes moves at least one of
     // these exact values.
     use recpipe::core::ReactiveScaling;
-    use recpipe::data::{DiurnalArrivals, PoissonArrivals};
+    use recpipe::data::{DiurnalArrivals, MmppArrivals, PoissonArrivals};
     use recpipe::qsim::{
-        AutoscaleConfig, FaultPlan, HedgePolicy, JoinShortestQueue, LifecycleConfig,
-        LifecycleEvent, LifecycleSchedule, LoadAdaptive, PathSet, PipelineSpec, ReplicaGroup,
-        ResilienceConfig, RetryBudget, RetryPolicy, Scenario, StageSpec,
+        AutoscaleConfig, BatchModel, FaultBurst, FaultKind, FaultPlan, HedgePolicy,
+        JoinShortestQueue, LifecycleConfig, LifecycleEvent, LifecycleSchedule, LoadAdaptive,
+        PathSet, PipelineSpec, ReplicaGroup, ResilienceConfig, RetryBudget, RetryPolicy, Scenario,
+        StageSpec,
     };
 
     let worker = |replicas: usize, service_s: f64| {
@@ -578,6 +579,47 @@ fn live_runtimes_replay_their_pinned_outcomes_bit_for_bit() {
         .with_retry(retry)
         .with_hedge(HedgePolicy::at_quantile(0.9));
     let resilient = Scenario::new(&spec, &PoissonArrivals::new(250.0), 4_000, 14)
+        .lifecycle(&windowed)
+        .resilience(&resilience)
+        .run()
+        .unwrap();
+
+    // A two-stage batched fleet under MMPP bursts near capacity, with a
+    // limpware burst and a requeued fail-stop on the rank fleet (both
+    // recovering), timeouts, budgeted retries and a p95 hedge: the only
+    // pin whose queries flow on to a next stage.
+    let plan = FaultPlan::new(15)
+        .burst(FaultBurst {
+            time: 5.0,
+            kind: FaultKind::Degrade { speed: 0.3 },
+            count: 2,
+            recover_after_s: Some(5.0),
+        })
+        .burst(FaultBurst {
+            time: 15.0,
+            kind: FaultKind::FailStop,
+            count: 1,
+            recover_after_s: Some(2.0),
+        });
+    let batched = |name, group, service_s| {
+        StageSpec::new(name, group, 1, service_s).with_batch(BatchModel::new(8, 0.25))
+    };
+    let spec = PipelineSpec::new(vec![
+        ReplicaGroup::replicated("filter", 1, 4),
+        ReplicaGroup::replicated("rank", 1, 4),
+    ])
+    .with_group_lifecycle(1, plan.expand(4))
+    .with_stage(batched("filter", 0, 0.002))
+    .unwrap()
+    .with_stage(batched("rank", 1, 0.004))
+    .unwrap();
+    let capacity = spec.max_qps();
+    let bursty = MmppArrivals::new(0.6 * capacity, 1.4 * capacity, 2.0, 0.5);
+    let resilience = ResilienceConfig::new()
+        .with_timeout(0.060)
+        .with_retry(RetryPolicy::new(3, 0.010, 2.0).with_budget(RetryBudget::new(100.0, 0.1)))
+        .with_hedge(HedgePolicy::at_quantile(0.95));
+    let gray = Scenario::new(&spec, &bursty, 20_000, 15)
         .lifecycle(&windowed)
         .resilience(&resilience)
         .run()
@@ -663,6 +705,32 @@ fn live_runtimes_replay_their_pinned_outcomes_bit_for_bit() {
                     950,
                     253,
                     0x402d_8937_4bc6_a64f,
+                )),
+                path_losses: vec![],
+            },
+        ),
+        (
+            "gray",
+            gray,
+            Pinned {
+                completed: 19_047,
+                shed: 0,
+                dropped: 0,
+                timed_out: 953,
+                windows: 56,
+                paths: vec![],
+                p50: 0x3f7a_ab1f_cb43_d813,
+                p99: 0x3fb3_74bc_6a7e_f9db,
+                cost: 0x406b_c000_0000_000a,
+                window_digest: 0xd0d0_3036_2993_a0ca,
+                resilience: Some((
+                    1_298,
+                    953,
+                    vec![289, 56],
+                    928,
+                    1_850,
+                    82,
+                    0x4024_ae14_7ae1_4762,
                 )),
                 path_losses: vec![],
             },
