@@ -306,28 +306,14 @@ fn bench_cluster_sweep(c: &mut Criterion) {
     let full = Scheduler::new(settings.clone());
     group.bench_function("replica_grid/full", |b| {
         b.iter(|| {
-            black_box(full.explore_pool_with_stats(
-                black_box(2_000.0),
-                2,
-                &pool,
-                1,
-                None,
-                &interconnect,
-            ))
+            black_box(full.explore_pool(black_box(2_000.0), 2, &pool, 1, None, &interconnect))
         })
     });
     settings.sweep_budget = SweepBudget::halving(settings.sim_queries);
     let halving = Scheduler::new(settings);
     group.bench_function("replica_grid/halving", |b| {
         b.iter(|| {
-            black_box(halving.explore_pool_with_stats(
-                black_box(2_000.0),
-                2,
-                &pool,
-                1,
-                None,
-                &interconnect,
-            ))
+            black_box(halving.explore_pool(black_box(2_000.0), 2, &pool, 1, None, &interconnect))
         })
     });
     group.finish();

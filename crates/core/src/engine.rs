@@ -682,7 +682,7 @@ impl Engine {
         let mut settings = settings.clone();
         settings.dataset = self.pipeline.dataset();
         let scheduler = Scheduler::new(settings.clone());
-        let points = scheduler.explore_pool(
+        let (points, _) = scheduler.explore_pool(
             self.load_qps,
             settings.max_stages,
             &self.backends,

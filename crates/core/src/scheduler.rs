@@ -466,25 +466,11 @@ impl Scheduler {
     /// [`explore_hetero`](Self::explore_hetero), and
     /// `Engine::sweep`. Quality uses `sub_batches`-way stitched top-k
     /// selection (1 = whole-batch); `interconnect` is charged when
-    /// consecutive stages cross backends.
-    pub fn explore_pool(
-        &self,
-        qps: f64,
-        max_stages: usize,
-        pool: &[Arc<dyn Backend>],
-        sub_batches: usize,
-        sla_s: Option<f64>,
-        interconnect: &PcieModel,
-    ) -> Vec<Outcome> {
-        self.explore_pool_with_stats(qps, max_stages, pool, sub_batches, sla_s, interconnect)
-            .0
-    }
-
-    /// [`explore_pool`](Self::explore_pool), also returning the sweep's
+    /// consecutive stages cross backends. Also returns the sweep's
     /// simulation-cost accounting — how budget pruning
     /// ([`SweepBudget::Halving`]) compares against the exhaustive
     /// sweep.
-    pub fn explore_pool_with_stats(
+    pub fn explore_pool(
         &self,
         qps: f64,
         max_stages: usize,
@@ -747,6 +733,7 @@ impl Scheduler {
     pub fn explore_cpu(&self, qps: f64, max_stages: usize) -> Vec<Outcome> {
         let pool: Vec<Arc<dyn Backend>> = vec![Arc::new(CpuModel::cascade_lake())];
         self.explore_pool(qps, max_stages, &pool, 1, None, &PcieModel::measured())
+            .0
     }
 
     /// Explores heterogeneous CPU+GPU execution (paper Section 5.2).
@@ -754,6 +741,7 @@ impl Scheduler {
         let pool: Vec<Arc<dyn Backend>> =
             vec![Arc::new(CpuModel::cascade_lake()), Arc::new(GpuModel::t4())];
         self.explore_pool(qps, max_stages, &pool, 1, None, &PcieModel::measured())
+            .0
     }
 
     /// Explores RPAccel execution across partitions (paper Section 7).
@@ -1072,7 +1060,7 @@ mod tests {
         // A load high enough that single replicas queue hard on the
         // best pipelines: the mixed fleet's 1.6x drain rate buys real
         // p99, while the uniform two-replica fleet costs 2.0.
-        let points = s.explore_pool(8_000.0, 2, &pool, 1, None, &PcieModel::measured());
+        let (points, _) = s.explore_pool(8_000.0, 2, &pool, 1, None, &PcieModel::measured());
         let front = Scheduler::pareto_with_cost(points);
         assert!(!front.is_empty());
         assert!(
@@ -1112,18 +1100,12 @@ mod tests {
         let interconnect = PcieModel::measured();
         let qps = 2_000.0;
 
-        let (full_points, full_stats) = Scheduler::new(settings.clone()).explore_pool_with_stats(
-            qps,
-            2,
-            &pool,
-            1,
-            None,
-            &interconnect,
-        );
+        let (full_points, full_stats) =
+            Scheduler::new(settings.clone()).explore_pool(qps, 2, &pool, 1, None, &interconnect);
 
         settings.sweep_budget = SweepBudget::halving(settings.sim_queries);
         let (half_points, half_stats) =
-            Scheduler::new(settings).explore_pool_with_stats(qps, 2, &pool, 1, None, &interconnect);
+            Scheduler::new(settings).explore_pool(qps, 2, &pool, 1, None, &interconnect);
 
         assert_eq!(half_stats.candidates, full_stats.candidates);
         assert!(
@@ -1155,8 +1137,7 @@ mod tests {
     fn full_budget_stats_account_every_candidate() {
         let s = scheduler();
         let pool: Vec<Arc<dyn Backend>> = vec![Arc::new(CpuModel::cascade_lake())];
-        let (points, stats) =
-            s.explore_pool_with_stats(150.0, 2, &pool, 1, None, &PcieModel::measured());
+        let (points, stats) = s.explore_pool(150.0, 2, &pool, 1, None, &PcieModel::measured());
         assert_eq!(stats.candidates as usize, points.len());
         assert_eq!(stats.simulations, stats.candidates);
         assert_eq!(
@@ -1173,26 +1154,14 @@ mod tests {
         settings.fleet_options = [1, 2].map(FleetSpec::uniform).to_vec();
         let pool: Vec<Arc<dyn Backend>> = vec![Arc::new(CpuModel::cascade_lake())];
         let interconnect = PcieModel::measured();
-        let (full_points, full_stats) = Scheduler::new(settings.clone()).explore_pool_with_stats(
-            400.0,
-            1,
-            &pool,
-            1,
-            None,
-            &interconnect,
-        );
+        let (full_points, full_stats) =
+            Scheduler::new(settings.clone()).explore_pool(400.0, 1, &pool, 1, None, &interconnect);
         settings.sweep_budget = SweepBudget::Halving {
             min_queries: settings.sim_queries,
             survivor_fraction: 0.5,
         };
-        let (degen_points, degen_stats) = Scheduler::new(settings).explore_pool_with_stats(
-            400.0,
-            1,
-            &pool,
-            1,
-            None,
-            &interconnect,
-        );
+        let (degen_points, degen_stats) =
+            Scheduler::new(settings).explore_pool(400.0, 1, &pool, 1, None, &interconnect);
         assert_eq!(full_points, degen_points);
         assert_eq!(full_stats, degen_stats);
     }

@@ -1,3 +1,4 @@
+use std::borrow::Cow;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
@@ -84,7 +85,7 @@ fn bin_lower(idx: usize) -> u64 {
 /// assert_eq!(stats.p99(), Duration::from_millis(99));
 /// assert_eq!(stats.p50(), Duration::from_millis(50));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LatencyStats {
     /// Raw samples while in exact mode; empty once folded.
     samples_ns: Vec<u64>,
@@ -340,6 +341,41 @@ impl LatencyStats {
             }
         }
     }
+
+    /// The exact samples in ascending order, borrowed when already
+    /// sorted.
+    fn sorted_samples(&self) -> Cow<'_, [u64]> {
+        if self.sorted {
+            return Cow::Borrowed(&self.samples_ns);
+        }
+        let mut samples = self.samples_ns.clone();
+        samples.sort_unstable();
+        Cow::Owned(samples)
+    }
+}
+
+/// Value equality: two exact collectors are equal when they hold the
+/// same multiset of samples, two folded ones when their bins, count,
+/// sum, min and max match, and an exact collector never equals a
+/// folded one. No accessor reads the order samples were recorded in,
+/// or whether a percentile read has sorted them, so neither counts.
+impl PartialEq for LatencyStats {
+    fn eq(&self, other: &Self) -> bool {
+        match (self.is_folded(), other.is_folded()) {
+            (true, true) => {
+                self.count == other.count
+                    && self.sum_ns == other.sum_ns
+                    && self.min_ns == other.min_ns
+                    && self.max_ns == other.max_ns
+                    && self.bins == other.bins
+            }
+            (false, false) => {
+                self.samples_ns.len() == other.samples_ns.len()
+                    && self.sorted_samples() == other.sorted_samples()
+            }
+            _ => false,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -410,8 +446,41 @@ mod tests {
         for ms in [9u64, 7, 5, 3, 1] {
             b.record(Duration::from_millis(ms));
         }
+        assert_eq!(a, b);
+        // Reading a percentile sorts `b`'s samples; it still holds the
+        // same multiset.
+        assert_eq!(b.p99(), Duration::from_millis(9));
+        assert_eq!(a, b);
         assert_eq!(a.p50(), b.p50());
         assert_eq!(a.p99(), b.p99());
+        assert_eq!(LatencyStats::new(), LatencyStats::with_capacity(8));
+
+        // Same count, min, max and sum; different samples.
+        let exact = |samples: &[u64]| {
+            let mut s = LatencyStats::new();
+            for &ms in samples {
+                s.record(Duration::from_millis(ms));
+            }
+            s
+        };
+        let (c, d) = (exact(&[1, 5, 6, 8]), exact(&[1, 4, 7, 8]));
+        assert_eq!((c.len(), c.mean(), c.max()), (d.len(), d.mean(), d.max()));
+        assert_ne!(c, d);
+
+        // A folded pair recorded in opposite orders.
+        let n = FOLD_THRESHOLD as u64 + 10;
+        let (mut fwd, mut rev) = (LatencyStats::new(), LatencyStats::new());
+        for i in 1..=n {
+            fwd.record(Duration::from_nanos(i * 977));
+            rev.record(Duration::from_nanos((n + 1 - i) * 977));
+        }
+        assert!(fwd.is_folded() && rev.is_folded());
+        assert_eq!(fwd, rev);
+
+        // An exact collector never equals a folded one, even empty.
+        let mut folded = LatencyStats::new();
+        folded.fold();
+        assert_ne!(folded, LatencyStats::new());
     }
 
     #[test]

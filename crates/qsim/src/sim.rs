@@ -26,17 +26,6 @@ use telemetry::Telemetry;
 /// Fraction of queries discarded from the front as warmup.
 const WARMUP_FRACTION: f64 = 0.05;
 
-/// Runs at or above this many queries record latency and throughput at
-/// completion time (streaming into the histogram-backed
-/// [`LatencyStats`]) instead of materializing a per-query finish-time
-/// vector and replaying it in query order at the end. Both recordings
-/// describe the same multiset of `(arrival, finish)` pairs — latency
-/// percentiles sort lazily and the nanosecond sum is integer-exact, so
-/// every accessor reports identical values — but the streaming form
-/// keeps a 10M-query replay's resident memory flat instead of holding
-/// an 80 MB finish vector plus an unbounded sample vector.
-const SCALE_RECORDING_THRESHOLD: usize = 1 << 20;
-
 /// A decoded event — the transient, register-allocated view the run
 /// loops match on. The event queue itself stores the packed 24-byte
 /// [`Event`]; nothing persists this enum.
@@ -192,6 +181,17 @@ fn unpack_lane(query: usize, payload: usize) -> (usize, usize) {
 fn gather<T: Copy>(out: &mut Vec<T>, column: &[T], idx: &[usize]) {
     out.clear();
     out.extend(idx.iter().map(|&r| column[r]));
+}
+
+/// The nearest-rank `q`-quantile of the non-empty `values`: the
+/// `⌈n·q⌉`-th smallest (clamped to `1..=n`), found by selection, which
+/// reads the same value a full sort would. Leaves `values` reordered.
+fn nearest_rank(values: &mut [f64], q: f64) -> f64 {
+    let n = values.len();
+    let idx = ((n as f64 * q).ceil() as usize).clamp(1, n) - 1;
+    *values
+        .select_nth_unstable_by(idx, |a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal))
+        .1
 }
 
 /// A packed event: 24 bytes instead of the 40 a
@@ -445,9 +445,6 @@ pub(crate) struct Sim<'a> {
     /// ([`Router::uses_history`]) on a multi-stage pipeline; false
     /// skips `chosen` entirely and routes with an empty history slice.
     track_hist: bool,
-    /// Whether latency/throughput are recorded at completion time (see
-    /// [`SCALE_RECORDING_THRESHOLD`]; always true for stage shards).
-    record_at_completion: bool,
     /// One-shot routing exclusion for a hedge dispatch: the primary
     /// lane's slot, skipped by the router while the group has another
     /// routable replica. Always `None` outside a hedge dispatch.
@@ -468,7 +465,6 @@ pub(crate) struct Sim<'a> {
     free: Vec<usize>,
     /// Absolute stage-0 arrival time per query (NaN until injected).
     arrival_time: Vec<f64>,
-    finish_time: Vec<f64>,
     /// In-flight batches, indexed by `Complete` events; completed slots
     /// are recycled through `free_batches` so the table stays at the
     /// concurrency high-water mark instead of growing per launch.
@@ -553,11 +549,12 @@ pub(crate) struct Sim<'a> {
     /// denominator), maintained at every `arrival_time` write so
     /// `finish` never rescans the vector.
     arrival_span: f64,
-    /// Completion-time latency sink (used only when
-    /// `record_at_completion`).
-    live_latency: LatencyStats,
-    /// Completion-time throughput sink (ditto).
-    live_throughput: ThroughputMeter,
+    /// Post-warmup latency of every completion, recorded as it
+    /// happens. Folded past 2^17 samples, so a 10M-query run's memory
+    /// stays flat.
+    latency: LatencyStats,
+    /// Every completion's time, recorded as it happens.
+    throughput: ThroughputMeter,
     /// Where a stage shard hands finished queries to the next stage's
     /// shard; the serial loop and the final stage's shard keep `None`
     /// and record completions locally (see shard.rs).
@@ -706,8 +703,9 @@ impl<'a> Sim<'a> {
     /// shard's group RNG stream matches the serial loop's), history
     /// tracking off (shard eligibility requires pairwise-distinct
     /// stage groups, so a same-group affinity prior can never exist),
-    /// completion-time recording, and — for the head shard only — the
-    /// arrival schedule.
+    /// and — for the head shard only — the arrival schedule. Only the
+    /// final stage's shard (`out` is `None`) completes queries, so only
+    /// it records latency and throughput.
     pub(crate) fn new_shard(
         inputs: Inputs<'a>,
         stage: usize,
@@ -767,12 +765,6 @@ impl<'a> Sim<'a> {
         // distinct stage groups) means no same-group prior can exist.
         let track_est = router.uses_estimates();
         let track_hist = !shard && router.uses_history() && num_stages > 1;
-        // Shards keep the serial recording mode so even the raw sample
-        // *order* inside the unfolded collector matches the serial loop:
-        // below the scale threshold the tail shard replays its
-        // query-indexed finish vector, above it both loops stream into
-        // the order-independent folded sinks.
-        let record_at_completion = num_queries >= SCALE_RECORDING_THRESHOLD;
         let warmup_len = ((num_queries as f64) * WARMUP_FRACTION) as usize;
         Self {
             spec,
@@ -813,11 +805,6 @@ impl<'a> Sim<'a> {
             batches: Vec::new(),
             free_batches: Vec::new(),
             query_pool: Vec::new(),
-            finish_time: if record_at_completion {
-                Vec::new()
-            } else {
-                vec![f64::NAN; num_queries]
-            },
             completed: 0,
             last_time: 0.0,
             launches: 0,
@@ -849,14 +836,9 @@ impl<'a> Sim<'a> {
             avoid_slot: None,
             arrival_stream: None,
             arrival_span: 0.0,
-            record_at_completion,
             warmup_len,
-            live_latency: LatencyStats::with_capacity(if record_at_completion {
-                num_queries.saturating_sub(warmup_len)
-            } else {
-                0
-            }),
-            live_throughput: ThroughputMeter::new(),
+            latency: LatencyStats::with_capacity(num_queries.saturating_sub(warmup_len)),
+            throughput: ThroughputMeter::new(),
             shard_out: None,
         }
     }
@@ -1914,19 +1896,11 @@ impl<'a> Sim<'a> {
             rt.resolve(query, hedge, latency_s);
         }
         self.completed += 1;
-        if self.record_at_completion {
-            // At-scale (and shard-tail) recording: stream the latency
-            // and completion straight into the sinks; both are
-            // order-independent, so this matches the query-order replay
-            // in `finish` exactly.
-            if warm {
-                self.live_latency.record_secs(latency_s);
-            }
-            self.live_throughput
-                .record_completion(Duration::from_secs_f64(now));
-        } else {
-            self.finish_time[query] = now;
+        if warm {
+            self.latency.record_secs(latency_s);
         }
+        self.throughput
+            .record_completion(Duration::from_secs_f64(now));
         if let Some(tele) = self.tele.as_mut() {
             tele.on_completion(latency_s);
         }
@@ -2144,48 +2118,15 @@ impl<'a> Sim<'a> {
     /// Takes the run's raw totals (a stage shard's contribution to the
     /// merged result).
     fn totals(&mut self) -> RunTotals {
-        let (latency, qps) = self.collect_latency();
         RunTotals {
             busy_unit_seconds: std::mem::take(&mut self.busy_unit_seconds),
             last_time: self.last_time,
             launches: self.launches,
             served: self.served,
             completed: self.completed,
-            latency,
-            qps,
+            latency: std::mem::take(&mut self.latency),
+            qps: self.throughput.qps(),
             arrival_span: self.arrival_span,
-        }
-    }
-
-    /// Collects post-warmup latency and throughput: already streamed
-    /// into the completion-order sinks at scale, replayed in query
-    /// order from the finish vector otherwise. The two modes report
-    /// identical statistics (the sinks are order-independent); below
-    /// the scale threshold even the raw sample order matches, keeping
-    /// serial-vs-sharded results comparable as whole structs.
-    fn collect_latency(&mut self) -> (LatencyStats, f64) {
-        if self.record_at_completion {
-            let latency = std::mem::replace(&mut self.live_latency, LatencyStats::with_capacity(0));
-            (latency, self.live_throughput.qps())
-        } else {
-            let warmup = self.warmup_len;
-            let mut latency = LatencyStats::with_capacity(self.num_queries.saturating_sub(warmup));
-            let mut throughput = ThroughputMeter::new();
-            for (query, (&arrive, &finish)) in self
-                .arrival_time
-                .iter()
-                .zip(self.finish_time.iter())
-                .enumerate()
-            {
-                if finish.is_nan() {
-                    continue; // never completed (shed, dropped, or stranded)
-                }
-                throughput.record_completion(Duration::from_secs_f64(finish));
-                if query >= warmup {
-                    latency.record_secs(finish - arrive);
-                }
-            }
-            (latency, throughput.qps())
         }
     }
 

@@ -6,9 +6,7 @@
 //!
 //! [`Scenario::resilience`]: crate::Scenario::resilience
 
-use std::cmp::Ordering;
-
-use super::RES_GEN_MASK;
+use super::{nearest_rank, RES_GEN_MASK};
 use crate::router::splitmix64;
 use crate::{HedgeDelay, HedgePolicy, ResilienceConfig, ResilienceStats};
 
@@ -49,11 +47,13 @@ pub(super) struct ResilienceRt {
     /// router and admission streams).
     rng: u64,
     /// Completed-latency reservoir feeding quantile hedge delays: a
-    /// fixed ring overwritten round-robin past capacity. Its quantile is
-    /// selected on a copy, `selected`, which keeps it at the quantile's
-    /// index until the next refresh: whenever the reservoir grew, and at
-    /// most every [`RESERVOIR_REFRESH`] inserts once full.
+    /// fixed ring overwritten round-robin past capacity.
     samples: Vec<f64>,
+    /// The reservoir's quantile, selected on the copy `selected` (so
+    /// the ring keeps its order) and cached until the next refresh:
+    /// whenever the reservoir grew, and at most every
+    /// [`RESERVOIR_REFRESH`] inserts once full.
+    quantile: f64,
     selected: Vec<f64>,
     sample_writes: usize,
     sample_dirty: usize,
@@ -74,6 +74,7 @@ impl ResilienceRt {
             // the router/admission streams by a different xor constant.
             rng: seed ^ 0xd6e8_feb8_6659_fd93,
             samples: Vec::new(),
+            quantile: 0.0,
             selected: Vec::new(),
             sample_writes: 0,
             sample_dirty: 0,
@@ -219,19 +220,14 @@ impl ResilienceRt {
                 if self.sample_writes < HedgePolicy::MIN_QUANTILE_SAMPLES {
                     return None;
                 }
-                let n = self.samples.len();
-                let idx = ((n as f64 * q).ceil() as usize).clamp(1, n) - 1;
-                if self.sample_dirty >= RESERVOIR_REFRESH || self.selected.len() != n {
-                    // The order statistic is one value, so selecting it
-                    // reads the same delay a full sort would.
-                    self.selected.clear();
-                    self.selected.extend_from_slice(&self.samples);
-                    self.selected.select_nth_unstable_by(idx, |a, b| {
-                        a.partial_cmp(b).unwrap_or(Ordering::Equal)
-                    });
+                if self.sample_dirty >= RESERVOIR_REFRESH
+                    || self.selected.len() != self.samples.len()
+                {
+                    self.selected.clone_from(&self.samples);
+                    self.quantile = nearest_rank(&mut self.selected, q);
                     self.sample_dirty = 0;
                 }
-                Some(self.selected[idx])
+                Some(self.quantile)
             }
         }
     }

@@ -3,9 +3,7 @@
 //! telemetry window is set, a lifecycle schedule is non-empty, or an
 //! autoscaler is attached.
 
-use std::cmp::Ordering;
-
-use super::Gauges;
+use super::{nearest_rank, Gauges};
 use crate::WindowStats;
 
 /// `∫ gauge dt` since t = 0 for the queue depth, busy units, live
@@ -118,11 +116,7 @@ impl Telemetry {
         let p99_s = if w.latencies.is_empty() {
             0.0
         } else {
-            let n = w.latencies.len();
-            let idx = ((n as f64 * 0.99).ceil() as usize).clamp(1, n) - 1;
-            *w.latencies
-                .select_nth_unstable_by(idx, |a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal))
-                .1
+            nearest_rank(&mut w.latencies, 0.99)
         };
         self.windows.push(WindowStats {
             start: w.start,

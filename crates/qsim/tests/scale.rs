@@ -86,11 +86,11 @@ fn scale_10m_query_trace_replay_completes_in_bounded_memory() {
 #[test]
 #[ignore = "release-mode scale smoke (cargo test --release -- --ignored scale_)"]
 fn scale_2m_sharded_matches_serial_above_every_threshold() {
-    // 2M queries sit above both the completion-recording threshold
-    // (2^20) and the histogram fold threshold (2^17), so this pins the
-    // sharded loop against the serial one on the exact code paths the
-    // 10M replay uses — folded sinks, streamed arrivals, estimator
-    // gating — where the small-n property tests cannot reach.
+    // 2M queries sit far above the histogram fold threshold (2^17), so
+    // this pins the sharded loop against the serial one on the exact
+    // code paths the 10M replay uses — folded sinks, streamed arrivals,
+    // estimator gating — at a scale the small-n property tests cannot
+    // reach.
     let spec = two_backend_spec();
     let trace = synthetic_trace(50_000, 11).with_rate(0.7 * spec.max_qps_at_full_batch());
     let n = 2 * (1 << 20);

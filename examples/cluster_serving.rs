@@ -226,17 +226,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pool: Vec<Arc<dyn recpipe::core::Backend>> = vec![Arc::new(CpuModel::cascade_lake())];
     let interconnect = PcieModel::measured();
     let load = 8_000.0;
-    let (full_points, full_stats) = Scheduler::new(settings.clone()).explore_pool_with_stats(
-        load,
-        2,
-        &pool,
-        1,
-        None,
-        &interconnect,
-    );
+    let (full_points, full_stats) =
+        Scheduler::new(settings.clone()).explore_pool(load, 2, &pool, 1, None, &interconnect);
     settings.sweep_budget = SweepBudget::halving(settings.sim_queries);
     let (halved_points, halved_stats) =
-        Scheduler::new(settings).explore_pool_with_stats(load, 2, &pool, 1, None, &interconnect);
+        Scheduler::new(settings).explore_pool(load, 2, &pool, 1, None, &interconnect);
 
     let front = Scheduler::pareto_with_cost(full_points);
     let halved_front = Scheduler::pareto_with_cost(halved_points);

@@ -763,3 +763,45 @@ fn quick_grid_qualities_keep_their_pinned_bits() {
         assert_eq!(bits, pinned, "{sub_batches} sub-batches: {bits:#018x}");
     }
 }
+
+#[test]
+fn folded_latency_run_keeps_its_pinned_bits() {
+    // 150k queries leave 142,500 post-warmup samples: past the 2^17 at
+    // which `LatencyStats` folds into its histogram, so this is the one
+    // root test whose latency collector runs folded. Every reported
+    // statistic is pinned bit for bit.
+    use recpipe::data::MmppArrivals;
+    use recpipe::metrics::LatencyStats;
+    use recpipe::qsim::{BatchModel, PipelineSpec, ReplicaGroup, Scenario, StageSpec};
+
+    let batched = |name, group, service_s| {
+        StageSpec::new(name, group, 1, service_s).with_batch(BatchModel::new(8, 0.25))
+    };
+    let spec = PipelineSpec::new(vec![
+        ReplicaGroup::replicated("filter", 1, 4),
+        ReplicaGroup::replicated("rank", 1, 4),
+    ])
+    .with_stage(batched("filter", 0, 0.002))
+    .unwrap()
+    .with_stage(batched("rank", 1, 0.004))
+    .unwrap();
+    let capacity = spec.max_qps();
+    let bursty = MmppArrivals::new(0.6 * capacity, 1.4 * capacity, 2.0, 0.5);
+    let mut out = Scenario::new(&spec, &bursty, 150_000, 16).run().unwrap();
+    assert!(out.latency.len() > LatencyStats::fold_threshold());
+    assert!(out.latency.is_folded());
+    let bits = [
+        out.p50_seconds().to_bits(),
+        out.p99_seconds().to_bits(),
+        out.latency.mean().as_secs_f64().to_bits(),
+        out.qps.to_bits(),
+    ];
+    assert_eq!((out.completed, out.latency.len()), (150_000, 142_500));
+    let pinned = [
+        0x3f7a_933a_6b1c_13ee,
+        0x3f8b_6162_f9fd_e5fd,
+        0x3f7f_0a64_183e_a162,
+        0x4088_1642_32a0_da1b,
+    ];
+    assert_eq!(bits, pinned, "p50, p99, mean, qps: {bits:#018x?}");
+}
