@@ -193,17 +193,6 @@ impl EmbeddingCache {
         (fl * self.frontend_amat() + bl * self.backend_static_amat()) / (fl + bl)
     }
 
-    /// Lookup-weighted AMAT with the look-ahead tier active — what the
-    /// running accelerator actually experiences.
-    pub fn weighted_amat_effective(&self, frontend_items: u64, backend_items: u64) -> f64 {
-        let fl = (frontend_items * self.tables) as f64;
-        let bl = (backend_items * self.tables) as f64;
-        if fl + bl == 0.0 {
-            return 0.0;
-        }
-        (fl * self.frontend_amat() + bl * self.backend_amat()) / (fl + bl)
-    }
-
     /// Total embedding fetch time for a stage: misses stream from DRAM,
     /// hits from SRAM (used by the RPAccel latency model, where many
     /// outstanding lookups overlap and bandwidth dominates).
@@ -258,7 +247,7 @@ mod tests {
         // Devoting everything to one stage starves the other: some
         // interior split beats both extremes. (Our synthetic Zipf
         // locality puts the optimum more frontend-heavy than the paper's
-        // equal split — see EXPERIMENTS.md.)
+        // equal split.)
         let sweep: Vec<f64> = (1..=19)
             .map(|i| cache_with_fraction(i as f64 / 20.0).weighted_amat(4096, 512))
             .collect();
@@ -310,12 +299,6 @@ mod tests {
             (0.25..0.60).contains(&reduction),
             "backend AMAT reduction {reduction}"
         );
-    }
-
-    #[test]
-    fn effective_amat_beats_static_amat() {
-        let c = cache_with_fraction(0.5);
-        assert!(c.weighted_amat_effective(4096, 512) < c.weighted_amat(4096, 512));
     }
 
     #[test]

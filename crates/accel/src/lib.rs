@@ -54,7 +54,7 @@ pub use baseline::BaselineAccel;
 pub use embcache::{EmbeddingCache, EmbeddingCacheConfig};
 pub use pipeline::SubBatchSchedule;
 pub use reconfig::{Partition, SubArray};
-pub use rpaccel::{AccelExecutor, RpAccel, RpAccelConfig, ServiceProfile};
+pub use rpaccel::{RpAccel, RpAccelConfig, ServiceProfile};
 pub use scaling::FutureScaling;
 pub use systolic::{LayerRun, SystolicArray};
 pub use topk::{FilterOutcome, TopKFilter};

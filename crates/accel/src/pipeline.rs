@@ -94,13 +94,6 @@ impl SubBatchSchedule {
         let bottleneck = chunk.iter().cloned().fold(0.0, f64::max);
         chunk.iter().sum::<f64>() + bottleneck * (n - 1.0)
     }
-
-    /// How the per-chunk top-k is divided: each chunk forwards `k / n`
-    /// survivors which are stitched into the next stage's input (the
-    /// quality effect the evaluator in `recpipe-core` measures).
-    pub fn survivors_per_chunk(&self, k: usize) -> usize {
-        (k / self.sub_batches).max(1)
-    }
 }
 
 #[cfg(test)]
@@ -160,13 +153,6 @@ mod tests {
     #[test]
     fn empty_chain_is_zero() {
         assert_eq!(SubBatchSchedule::paper_default().makespan_chain(&[]), 0.0);
-    }
-
-    #[test]
-    fn survivors_split_evenly() {
-        let s = SubBatchSchedule::paper_default();
-        assert_eq!(s.survivors_per_chunk(512), 128);
-        assert_eq!(s.survivors_per_chunk(2), 1); // floor at one
     }
 
     #[test]

@@ -1,5 +1,5 @@
 use recpipe_data::{DatasetSpec, Zipf};
-use recpipe_hwsim::{Device, MemoryModel, PcieModel, StageWork};
+use recpipe_hwsim::{MemoryModel, PcieModel, StageWork};
 use serde::{Deserialize, Serialize};
 
 use crate::{
@@ -292,37 +292,6 @@ impl RpAccel {
             .map(|w| StageWork::new(w.model.clone(), w.items * batch.max(1) as u64))
             .collect()
     }
-
-    /// A simple single-resource [`Device`] view (lanes-wide, full-latency
-    /// service); prefer [`service_profile`](Self::service_profile) for
-    /// at-scale studies where the DRAM bottleneck matters.
-    pub fn executor(&self, stages: Vec<StageWork>) -> AccelExecutor {
-        AccelExecutor {
-            latency: self.query_latency(&stages),
-            lanes: self.config.partition.query_lanes(),
-        }
-    }
-}
-
-/// Fixed-latency executor view of an [`RpAccel`] serving one pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AccelExecutor {
-    latency: f64,
-    lanes: usize,
-}
-
-impl Device for AccelExecutor {
-    fn name(&self) -> String {
-        format!("rpaccel(x{})", self.lanes)
-    }
-
-    fn stage_latency(&self, _work: &StageWork) -> f64 {
-        self.latency
-    }
-
-    fn servers(&self) -> usize {
-        self.lanes
-    }
 }
 
 #[cfg(test)]
@@ -433,13 +402,6 @@ mod tests {
         ];
         let t = a.query_latency(&stages);
         assert!(t > 0.0 && t < 0.01);
-    }
-
-    #[test]
-    fn executor_reports_lanes() {
-        let a = accel(Partition::symmetric(8, 16));
-        let e = a.executor(two_stage());
-        assert_eq!(e.servers(), 8);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! gate: a pure-std, hand-rolled scanner ([`mod@scan`]) feeds a rule
 //! engine ([`rules`]) that denies hash-order iteration, ambient clocks
 //! and entropy, unregistered event tags, unjustified packing casts,
-//! non-validating public constructors, and untested `serve_*` entry
-//! points — with an inline allowlist
+//! non-validating public constructors, untested `serve_*` entry points
+//! and public items nothing uses — with an inline allowlist
 //! (`// simlint: allow(<rule>) -- <justification>`) for the audited
 //! exceptions.
 //!
@@ -66,14 +66,15 @@ pub fn analyze_files(sources: &[(String, String)], cfg: &Config) -> Report {
 }
 
 /// Collects the workspace's own Rust sources under `root`: every
-/// `.rs` file below `crates/`, plus top-level `src/`, `examples/`, and
-/// `tests/` if present. Skips `target/` and `fixtures/` directories
-/// (fixtures violate rules on purpose) and the offline dependency
-/// shims (vendored API surface, not simulator code). The listing is
-/// sorted so reports are stable across filesystems.
+/// `.rs` file below `crates/`, plus top-level `src/`, `examples/`,
+/// `tests/` and the benchmark's `perfbench/` if present. Skips
+/// `target/`, `fixtures/` (fixtures violate rules on purpose) and
+/// hidden directories, and the offline dependency shims (vendored API
+/// surface, not simulator code). The listing is sorted so reports are
+/// stable across filesystems.
 pub fn collect_files(root: &std::path::Path) -> std::io::Result<Vec<(String, String)>> {
     let mut paths: Vec<std::path::PathBuf> = Vec::new();
-    for top in ["crates", "src", "examples", "tests"] {
+    for top in ["crates", "src", "examples", "tests", "perfbench"] {
         let dir = root.join(top);
         if dir.is_dir() {
             walk(&dir, &mut paths)?;
@@ -102,7 +103,7 @@ fn walk(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) -> std::io::Re
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if name == "target" || name == "fixtures" || name == ".git" {
+            if name == "target" || name == "fixtures" || name.starts_with('.') {
                 continue;
             }
             walk(&path, out)?;

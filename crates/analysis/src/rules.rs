@@ -6,11 +6,13 @@
 //! enforced"): determinism (`hash-iter`, `wall-clock`, `unseeded-rng`,
 //! `shard-nondet`), event-loop discipline (`tag-registry`), packing
 //! safety (`packing-cast`), and API discipline (`ctor-validate`,
-//! `serve-coverage`). A ninth rule, `bad-allow`, keeps the allowlist
-//! itself honest: malformed directives and unknown rule ids are
-//! findings, not silent no-ops.
+//! `serve-coverage`, `dead-pub`). A tenth rule, `bad-allow`, keeps the
+//! allowlist itself honest: malformed directives and unknown rule ids
+//! are findings, not silent no-ops.
 
-use crate::scan::{find_word, ScannedFile};
+use std::collections::HashMap;
+
+use crate::scan::{find_word, impl_self_type, ScannedFile};
 
 /// How a finding affects the exit status.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,6 +86,11 @@ pub const RULES: &[RuleMeta] = &[
         summary: "every public qsim serve_* entry point is named by a qsim/tests/ property",
     },
     RuleMeta {
+        id: "dead-pub",
+        severity: Severity::Deny,
+        summary: "every pub item of library code is named outside its declaration and own tests",
+    },
+    RuleMeta {
         id: "bad-allow",
         severity: Severity::Deny,
         summary: "allow directives parse, name known rules, and carry a justification",
@@ -98,14 +105,15 @@ pub fn rule_meta(id: &str) -> Option<&'static RuleMeta> {
 /// Scope and carve-out configuration. [`Config::default`] encodes this
 /// workspace's layout — including the bench/test carve-out for the
 /// wall-clock and RNG rules, which is deliberately config (product
-/// crates get no inline escape hatch for those rules; see ISSUE 10).
+/// crates get no inline escape hatch for those rules).
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Path prefixes whose non-test code is a simulator hot path
     /// (scope of `hash-iter`).
     pub sim_paths: Vec<String>,
     /// Path fragments exempt from `wall-clock`/`unseeded-rng`: bench
-    /// crates, integration tests, criterion benches. `#[cfg(test)]`
+    /// crates, integration tests, criterion benches, the benchmark
+    /// harness. `#[cfg(test)]`
     /// regions are exempt everywhere regardless of path.
     pub bench_test_paths: Vec<String>,
     /// Files holding shard executors (scope of `shard-nondet`).
@@ -145,6 +153,7 @@ impl Default for Config {
                 "/tests/".into(),
                 "/benches/".into(),
                 "tests/".into(),
+                "perfbench/".into(),
             ],
             shard_files: vec!["crates/qsim/src/shard.rs".into()],
             event_file: "crates/qsim/src/sim.rs".into(),
@@ -257,6 +266,7 @@ pub fn check_file(file: &ScannedFile, cfg: &Config, out: &mut Vec<Finding>) {
 /// Runs the cross-file rules over the whole scanned set.
 pub fn check_workspace(files: &[ScannedFile], cfg: &Config, out: &mut Vec<Finding>) {
     serve_coverage(files, cfg, out);
+    dead_pub(files, cfg, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -650,26 +660,17 @@ fn tag_registry(ctx: &mut Ctx<'_>) {
 
 /// Collects `TAG_*` word tokens in `code`, excluding the table name.
 fn collect_tag_tokens(code: &str, table_name: &str, out: &mut Vec<String>) {
-    let bytes = code.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        if c.is_ascii_alphabetic() || c == '_' {
-            let start = i;
-            while i < bytes.len() && {
-                let d = bytes[i] as char;
-                d.is_ascii_alphanumeric() || d == '_'
-            } {
-                i += 1;
-            }
-            let word = &code[start..i];
-            if word.starts_with("TAG_") && word != table_name {
-                out.push(word.to_string());
-            }
-            continue;
-        }
-        i += 1;
-    }
+    out.extend(
+        words(code)
+            .filter(|w| w.starts_with("TAG_") && *w != table_name)
+            .map(str::to_string),
+    );
+}
+
+/// The identifiers in `code`, in order (number literals excluded).
+fn words(code: &str) -> impl Iterator<Item = &str> {
+    code.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|w| w.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_'))
 }
 
 // ---------------------------------------------------------------------------
@@ -880,4 +881,131 @@ fn serve_coverage(files: &[ScannedFile], cfg: &Config, out: &mut Vec<Finding>) {
             });
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// dead-pub
+// ---------------------------------------------------------------------------
+
+/// Item keywords whose `pub` declarations `dead-pub` checks.
+const PUB_ITEM_KINDS: &[&str] = &["fn", "const", "static", "struct", "enum", "trait", "type"];
+
+/// A `pub` item declared in library code.
+struct PubItem<'a> {
+    kind: &'a str,
+    name: &'a str,
+    /// Index of the declaring file.
+    file: usize,
+    /// 0-indexed declaration line.
+    line: usize,
+}
+
+/// Cross-file rule: every `pub` item declared in the non-test code of a
+/// library source (`crates/*/src/**` or `src/**`, binaries excluded) is
+/// named somewhere else — in any other scanned file (tests, benches,
+/// examples and perfbench included), or in its own file's non-test
+/// code outside its declaration and its `impl` headers. An item only
+/// its own unit tests or a `pub use` re-export name is dead public API:
+/// delete it with those tests, or allowlist it with the extension seam
+/// that keeps it public.
+///
+/// Names match as whole words of code, so an item sharing its name with
+/// a live item elsewhere (a common method name like `len`) stays
+/// unflagged: the rule finds dead names, not every dead item.
+fn dead_pub(files: &[ScannedFile], cfg: &Config, out: &mut Vec<Finding>) {
+    let mut items: Vec<PubItem<'_>> = Vec::new();
+    for (fi, f) in files.iter().enumerate() {
+        if !declares_api(&f.path) {
+            continue;
+        }
+        for (idx, line) in f.lines.iter().enumerate() {
+            if line.in_test {
+                continue;
+            }
+            if let Some((kind, name)) = pub_item(&line.code) {
+                items.push(PubItem {
+                    kind,
+                    name,
+                    file: fi,
+                    line: idx,
+                });
+            }
+        }
+    }
+    // One index per scan: every (file, line) whose code names a declared
+    // item. Re-exports are not uses, so `pub use` statements are skipped.
+    let mut named_at: HashMap<&str, Vec<(usize, usize)>> =
+        items.iter().map(|it| (it.name, Vec::new())).collect();
+    for (fi, f) in files.iter().enumerate() {
+        let mut in_pub_use = false;
+        for (idx, line) in f.lines.iter().enumerate() {
+            if in_pub_use || line.code.trim_start().starts_with("pub use ") {
+                in_pub_use = !line.code.contains(';');
+                continue;
+            }
+            for word in words(&line.code) {
+                if let Some(at) = named_at.get_mut(word) {
+                    if at.last() != Some(&(fi, idx)) {
+                        at.push((fi, idx));
+                    }
+                }
+            }
+        }
+    }
+    for item in &items {
+        let file = &files[item.file];
+        // A use is any line of another file, or a non-test line of the
+        // declaring file other than the declaration and its impl headers.
+        let is_use = |&(fi, idx): &(usize, usize)| {
+            fi != item.file || {
+                let line = &file.lines[idx];
+                idx != item.line && !line.in_test && !opens_impl_of(&line.code, item.name)
+            }
+        };
+        if named_at[item.name].iter().any(is_use) || file.allowed(item.line, "dead-pub") {
+            continue;
+        }
+        out.push(Finding {
+            rule: "dead-pub",
+            severity: cfg.severity("dead-pub"),
+            path: file.path.clone(),
+            line: item.line + 1,
+            message: format!(
+                "`pub {} {}` is named only by its declaration, its impl headers, its own \
+                 tests or a re-export; delete it, or allowlist the extension seam that \
+                 keeps it public",
+                item.kind, item.name
+            ),
+        });
+    }
+}
+
+/// Whether `code` opens an `impl` block whose self type is `name`.
+fn opens_impl_of(code: &str, name: &str) -> bool {
+    let code = code.trim_start();
+    find_word(code, "impl") == Some(0) && impl_self_type(code) == Some(name)
+}
+
+/// Whether `path` is library source whose `pub` items are API:
+/// `crates/*/src/**` or the facade's `src/**`, binaries excluded.
+fn declares_api(path: &str) -> bool {
+    let in_src = path.starts_with("src/")
+        || path
+            .strip_prefix("crates/")
+            .and_then(|rest| rest.split_once('/'))
+            .is_some_and(|(_, rest)| rest.starts_with("src/"));
+    in_src && !path.starts_with("src/bin/") && !path.contains("/src/bin/")
+}
+
+/// The kind and name of a `pub` item declared on this line of code
+/// (`pub(crate)` and other restricted visibilities are not API).
+fn pub_item(code: &str) -> Option<(&'static str, &str)> {
+    let tokens: Vec<&str> = code.split_whitespace().take(4).collect();
+    let (kind, name) = match tokens.as_slice() {
+        ["pub", "const" | "unsafe" | "async", "fn", name, ..] => ("fn", *name),
+        ["pub", kind, name, ..] => (*kind, *name),
+        _ => return None,
+    };
+    let kind = *PUB_ITEM_KINDS.iter().find(|k| **k == kind)?;
+    Some((kind, words(name).next()?))
 }

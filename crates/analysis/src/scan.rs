@@ -338,23 +338,25 @@ fn mark_scopes(lines: &mut [Line]) {
 fn classify_header(header: &str) -> (bool, Option<String>, Option<String>) {
     let test = header.contains("cfg(test") || header.contains("#[test]");
     let mut fn_name = None;
-    let mut impl_name = None;
     let tokens: Vec<&str> = tokenize(header);
     for (i, t) in tokens.iter().enumerate() {
         if *t == "fn" {
             fn_name = tokens.get(i + 1).map(|s| s.to_string());
         }
-        if *t == "impl" && impl_name.is_none() {
-            // `impl<T> Foo for Bar` names Bar; `impl Foo` names Foo.
-            let rest = &tokens[i + 1..];
-            let named = match rest.iter().position(|t| *t == "for") {
-                Some(f) => rest.get(f + 1),
-                None => rest.first(),
-            };
-            impl_name = named.map(|s| s.to_string());
-        }
     }
-    (test, fn_name, impl_name)
+    (test, fn_name, impl_self_type(header).map(str::to_string))
+}
+
+/// The self type of the first `impl` in `header`: `impl<T> Foo for
+/// Bar<T>` names `Bar`, `impl Foo` names `Foo`.
+pub(crate) fn impl_self_type(header: &str) -> Option<&str> {
+    let tokens = tokenize(header);
+    let at = tokens.iter().position(|t| *t == "impl")?;
+    let rest = &tokens[at + 1..];
+    match rest.iter().position(|t| *t == "for") {
+        Some(f) => rest.get(f + 1).copied(),
+        None => rest.first().copied(),
+    }
 }
 
 /// Splits a header into identifier-ish tokens, dropping generics and

@@ -1,12 +1,13 @@
 //! Fixture-driven tests for every `simlint` rule — positive, negative,
-//! and allowlisted cases — plus the meta-test asserting the live
-//! workspace scans clean. Fixtures live in `tests/fixtures/`, which the
+//! and allowlisted cases. Fixtures live in `tests/fixtures/`, which the
 //! workspace walker skips (they violate rules on purpose); each test
 //! assigns them the synthetic workspace-relative path that puts them in
-//! the rule's scope.
+//! the rule's scope. The meta-test asserting the live workspace scans
+//! clean is a root-package test (`tests/simlint.rs`), so the root test
+//! run fails on any finding.
 
 use recpipe_analysis::rules::{Config, Finding, Severity};
-use recpipe_analysis::{analyze_files, analyze_workspace, Report};
+use recpipe_analysis::{analyze_files, Report};
 
 const HASH_ITER: &str = include_str!("fixtures/hash_iter.rs");
 const WALL_CLOCK: &str = include_str!("fixtures/wall_clock.rs");
@@ -18,6 +19,9 @@ const CTOR_VALIDATE: &str = include_str!("fixtures/ctor_validate.rs");
 const SERVE_SRC: &str = include_str!("fixtures/serve_src.rs");
 const SERVE_TESTS: &str = include_str!("fixtures/serve_tests.rs");
 const BAD_ALLOW: &str = include_str!("fixtures/bad_allow.rs");
+const DEAD_PUB: &str = include_str!("fixtures/dead_pub.rs");
+const DEAD_PUB_LIB: &str = include_str!("fixtures/dead_pub_lib.rs");
+const DEAD_PUB_USE: &str = include_str!("fixtures/dead_pub_use.rs");
 
 fn report(files: &[(&str, &str)]) -> Report {
     let owned: Vec<(String, String)> = files
@@ -63,6 +67,7 @@ fn bench_and_test_carve_out_is_config_not_allows() {
     for path in [
         "crates/bench/src/bin/bench_smoke.rs",
         "crates/qsim/tests/scale.rs",
+        "perfbench/src/main.rs",
     ] {
         let r = report(&[(path, WALL_CLOCK)]);
         assert!(r.findings.is_empty(), "{path}: {:?}", r.findings);
@@ -182,22 +187,74 @@ fn severity_overrides_downgrade_a_rule_to_warn() {
     );
 }
 
+/// The dead-pub fixture crate: declarations, the crate root that
+/// re-exports two of them, and a test naming one, plus `extra` files.
+fn dead_pub_report(api: &str, extra: &[(&str, &str)]) -> Report {
+    let mut files = vec![
+        ("crates/demo/src/api.rs", api),
+        ("crates/demo/src/lib.rs", DEAD_PUB_LIB),
+        ("crates/demo/tests/use.rs", DEAD_PUB_USE),
+    ];
+    files.extend_from_slice(extra);
+    report(&files)
+}
+
+fn dead_names(r: &Report) -> Vec<String> {
+    by_rule(r, "dead-pub")
+        .iter()
+        .map(|f| f.message.split('`').nth(1).unwrap_or("").to_string())
+        .collect()
+}
+
 #[test]
-fn live_workspace_scans_clean() {
-    // The meta-test the tentpole demands: the shipped tree has zero
-    // findings, so any rule drift (or new violation) is caught in-repo.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..");
-    let r = analyze_workspace(&root, &Config::default()).expect("workspace readable");
-    assert!(r.files > 50, "walker found only {} files", r.files);
-    assert!(
-        r.findings.is_empty(),
-        "workspace must scan clean:\n{}",
+fn dead_pub_flags_items_named_only_by_themselves() {
+    let r = dead_pub_report(DEAD_PUB, &[]);
+    // The unused fn, the struct only its impl header names, and the
+    // const only its own tests and a re-export name. The item another
+    // file names, the one its own code calls, the `pub(crate)` one and
+    // the allowlisted seam stay silent.
+    assert_eq!(
+        dead_names(&r),
+        [
+            "pub fn orphan_helper",
+            "pub struct Hollow",
+            "pub const TEST_ONLY_LIMIT"
+        ],
+        "{:?}",
         r.findings
-            .iter()
-            .map(|f| f.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
     );
+    assert!(r.has_denies());
+}
+
+#[test]
+fn dead_pub_allow_keeps_a_seam_accessor() {
+    let unallowed = DEAD_PUB.replace("// simlint: allow(dead-pub)", "//");
+    let r = dead_pub_report(&unallowed, &[]);
+    assert!(
+        dead_names(&r).contains(&"pub fn seam_accessor".to_string()),
+        "{:?}",
+        r.findings
+    );
+}
+
+#[test]
+fn dead_pub_counts_perfbench_and_ignores_binaries() {
+    // perfbench is a read-only use site: what only the benchmark calls
+    // is live.
+    let bench = "fn main() {\n    let _ = orphan_helper();\n}\n";
+    let r = dead_pub_report(DEAD_PUB, &[("perfbench/src/main.rs", bench)]);
+    assert!(
+        !dead_names(&r).contains(&"pub fn orphan_helper".to_string()),
+        "{:?}",
+        r.findings
+    );
+    // Binaries and non-library trees declare no API.
+    for path in ["crates/demo/src/bin/tool.rs", "examples/tool.rs"] {
+        let r = report(&[(path, DEAD_PUB)]);
+        assert!(
+            by_rule(&r, "dead-pub").is_empty(),
+            "{path}: {:?}",
+            r.findings
+        );
+    }
 }

@@ -56,7 +56,7 @@ fn main() {
         "Paper shape: larger caches lower the whole curve; a larger\n\
          filtering ratio (fewer backend lookups) pushes the optimum toward\n\
          the frontend. Our synthetic Zipf locality places the optimum more\n\
-         frontend-heavy than the paper's equal split (see EXPERIMENTS.md)."
+         frontend-heavy than the paper's equal split."
     );
 
     // The look-ahead tier on top of the best static split (O.4).

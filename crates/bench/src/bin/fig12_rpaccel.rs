@@ -95,6 +95,6 @@ fn main() {
     println!(
         "Paper shape: fewer, larger backend arrays (8,2) win latency at low\n\
          load; the paper's high-load flip toward (8,16) sits beyond the\n\
-         shared-DRAM saturation point in our model (see EXPERIMENTS.md)."
+         shared-DRAM saturation point in our model."
     );
 }

@@ -54,11 +54,6 @@ pub fn ms(seconds: f64) -> String {
     format!("{:.2}", seconds * 1e3)
 }
 
-/// Formats an NDCG fraction in the paper's percent convention.
-pub fn ndcg_pct(ndcg: f64) -> String {
-    format!("{:.2}", ndcg * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,6 +68,5 @@ mod tests {
     #[test]
     fn formatting_helpers() {
         assert_eq!(ms(0.0123), "12.30");
-        assert_eq!(ndcg_pct(0.9225), "92.25");
     }
 }

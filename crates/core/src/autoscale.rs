@@ -156,12 +156,6 @@ impl PredictiveScaling {
             ewma: None,
         }
     }
-
-    /// The current smoothed arrival-rate estimate in QPS (`None` before
-    /// the first window).
-    pub fn smoothed_rate(&self) -> Option<f64> {
-        self.ewma
-    }
 }
 
 impl FleetController for PredictiveScaling {
@@ -256,7 +250,6 @@ mod tests {
         // 300 QPS observed, trend +100 → predict 400 → 4 replicas,
         // while a purely reactive view of 300 QPS would ask for 3.
         assert_eq!(policy.desired_replicas(&window(600, 0.7, 0.0, 3), 3), 4);
-        assert!((policy.smoothed_rate().unwrap() - 300.0).abs() < 1e-9);
     }
 
     #[test]

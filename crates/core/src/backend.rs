@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use recpipe_accel::{BaselineAccel, RpAccel};
-use recpipe_hwsim::{CpuModel, Device, GpuModel, PcieModel, StageWork};
+use recpipe_hwsim::{CpuModel, GpuModel, PcieModel, StageWork};
 use recpipe_qsim::{BatchModel, PipelineSpec, ReplicaGroup, StageSpec};
 use serde::{Deserialize, Serialize};
 
@@ -152,7 +152,7 @@ impl Backend for GpuModel {
     }
 
     fn stage_latency(&self, work: &StageWork, _parallelism: usize) -> f64 {
-        Device::stage_latency(self, work)
+        GpuModel::stage_latency(self, work)
     }
 
     fn max_batch(&self) -> usize {
@@ -366,22 +366,6 @@ impl FleetSpec {
         self.speed_bits.len()
     }
 
-    /// The same fleet resized to `replicas` machines: scale-down keeps
-    /// the lowest-index replicas (mirroring the simulator's
-    /// drain-highest-index-first rule), scale-up appends
-    /// current-generation (speed 1.0) machines — what an autoscaler
-    /// provisions fresh.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replicas == 0`.
-    pub fn resized(&self, replicas: usize) -> Self {
-        assert!(replicas > 0, "replica count must be positive");
-        let mut speed_bits = self.speed_bits.clone();
-        speed_bits.resize(replicas, 1.0f64.to_bits());
-        Self { speed_bits }
-    }
-
     /// The per-replica speeds, in replica-index order.
     pub fn speeds(&self) -> Vec<f64> {
         self.speed_bits.iter().map(|&b| f64::from_bits(b)).collect()
@@ -462,18 +446,6 @@ impl StageSite {
         }
     }
 
-    /// Sets the replica count of this stage's backend fleet (uniform
-    /// current-generation machines).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replicas == 0`, matching [`FleetSpec::uniform`] and the
-    /// qsim constructors — a zero-replica fleet is a configuration bug,
-    /// not a degenerate case to normalize away.
-    pub fn with_replicas(self, replicas: usize) -> Self {
-        self.with_fleet(FleetSpec::uniform(replicas))
-    }
-
     /// Sets this stage's backend fleet to an explicit generation mix.
     pub fn with_fleet(mut self, fleet: FleetSpec) -> Self {
         self.fleet = fleet;
@@ -519,14 +491,6 @@ impl Placement {
         Self::uniform(0, stages, 1)
     }
 
-    /// Commodity convention: all stages on the CPU, with the final
-    /// (heavyweight) stage split across `cores` cores.
-    pub fn cpu_parallel_backend(stages: usize, cores: usize) -> Self {
-        let mut sites = vec![StageSite::new(0, 1); stages.saturating_sub(1)];
-        sites.push(StageSite::new(0, cores));
-        Self::new(sites)
-    }
-
     /// Commodity convention: every stage on the GPU.
     pub fn gpu_only(stages: usize) -> Self {
         Self::uniform(1, stages, 1)
@@ -555,21 +519,10 @@ impl Placement {
         self.sites.len()
     }
 
-    /// Sets the replica count on every site of `backend` — the
-    /// placement-level form of [`EngineBuilder::replicas`].
+    /// Sets the replica fleet on every site of `backend` — the
+    /// placement-level form of [`EngineBuilder::fleet`].
     ///
-    /// # Panics
-    ///
-    /// Panics if `replicas == 0` (see [`StageSite::with_replicas`]).
-    ///
-    /// [`EngineBuilder::replicas`]: crate::EngineBuilder::replicas
-    pub fn with_backend_replicas(self, backend: usize, replicas: usize) -> Self {
-        self.with_fleet(backend, FleetSpec::uniform(replicas))
-    }
-
-    /// Sets the generation mix on every site of `backend` — the
-    /// heterogeneous form of
-    /// [`with_backend_replicas`](Self::with_backend_replicas).
+    /// [`EngineBuilder::fleet`]: crate::EngineBuilder::fleet
     pub fn with_fleet(mut self, backend: usize, fleet: FleetSpec) -> Self {
         for site in &mut self.sites {
             if site.backend == backend {
@@ -844,7 +797,7 @@ mod tests {
         // Uniform single-backend placements collapse to the bare name.
         assert_eq!(Placement::cpu_only(2).describe(&pool), "cpu");
         assert_eq!(
-            Placement::cpu_parallel_backend(2, 4).describe(&pool),
+            Placement::new(vec![StageSite::new(0, 1), StageSite::new(0, 4)]).describe(&pool),
             "cpu|cpu(x4)"
         );
     }
@@ -864,7 +817,7 @@ mod tests {
             &pool,
             &pcie,
             &pipeline,
-            &Placement::cpu_parallel_backend(2, 4),
+            &Placement::new(vec![StageSite::new(0, 1), StageSite::new(0, 4)]),
         )
         .unwrap();
         assert!(parallel.stages()[1].service_time < cpu_only.stages()[1].service_time);
@@ -967,7 +920,7 @@ mod tests {
     fn replicated_placement_emits_replica_groups() {
         let pool = commodity_pool();
         let pipeline = two_stage();
-        let placement = Placement::cpu_only(2).with_backend_replicas(0, 3);
+        let placement = Placement::cpu_only(2).with_fleet(0, FleetSpec::uniform(3));
         let spec = build_spec(&pool, &PcieModel::measured(), &pipeline, &placement).unwrap();
         assert_eq!(spec.resources()[0].replicas(), 3);
         assert_eq!(spec.resources()[1].replicas(), 1);
@@ -988,7 +941,7 @@ mod tests {
         let pipeline = two_stage();
         let accel = RpAccel::new(RpAccelConfig::paper_default(Partition::symmetric(8, 2)));
         let pool: Vec<Arc<dyn Backend>> = vec![Arc::new(accel)];
-        let placement = Placement::uniform(0, 2, 1).with_backend_replicas(0, 2);
+        let placement = Placement::uniform(0, 2, 1).with_fleet(0, FleetSpec::uniform(2));
         let spec = build_spec(&pool, &PcieModel::measured(), &pipeline, &placement).unwrap();
         // Replicating the accelerator clones its mem + lanes chain.
         assert_eq!(spec.resources()[0].name, "accel-mem");
@@ -999,14 +952,14 @@ mod tests {
     fn placement_replica_accessors_and_describe() {
         let pool = commodity_pool();
         let p = Placement::new(vec![StageSite::new(1, 1), StageSite::new(0, 4)])
-            .with_backend_replicas(0, 3)
-            .with_backend_replicas(1, 2);
+            .with_fleet(0, FleetSpec::uniform(3))
+            .with_fleet(1, FleetSpec::uniform(2));
         assert_eq!(p.replicas_for(0), 3);
         assert_eq!(p.replicas_for(1), 2);
         assert_eq!(p.replica_cost(), 5);
         assert_eq!(p.describe(&pool), "gpu*2|cpu*3(x4)");
         // Sole-backend collapse keeps the replica annotation.
-        let sole = Placement::cpu_only(2).with_backend_replicas(0, 4);
+        let sole = Placement::cpu_only(2).with_fleet(0, FleetSpec::uniform(4));
         assert_eq!(sole.describe(&pool), "cpu*4");
         assert_eq!(sole.replica_cost(), 4);
         // Unreplicated placements describe exactly as before.
@@ -1036,24 +989,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn fleet_spec_rejects_bad_speeds() {
         FleetSpec::new(&[1.0, 0.0]);
-    }
-
-    #[test]
-    fn fleet_resize_truncates_high_indices_and_appends_baseline() {
-        let mix = FleetSpec::new(&[1.0, 0.6, 0.8]);
-        // Scale-down keeps the lowest-index replicas (the simulator
-        // drains highest-index first).
-        assert_eq!(mix.resized(2), FleetSpec::new(&[1.0, 0.6]));
-        // Scale-up appends current-generation machines.
-        assert_eq!(mix.resized(5), FleetSpec::new(&[1.0, 0.6, 0.8, 1.0, 1.0]));
-        // Same size is the identity.
-        assert_eq!(mix.resized(3), mix);
-    }
-
-    #[test]
-    #[should_panic(expected = "replica count must be positive")]
-    fn fleet_resize_rejects_zero() {
-        FleetSpec::uniform(2).resized(0);
     }
 
     #[test]
@@ -1102,7 +1037,7 @@ mod tests {
         assert!((hetero.fleet_cost() - 2.5).abs() < 1e-12);
 
         // Uniform fleets keep cost == count, the pre-fleet axis.
-        let uniform = Placement::cpu_only(2).with_backend_replicas(0, 4);
+        let uniform = Placement::cpu_only(2).with_fleet(0, FleetSpec::uniform(4));
         assert_eq!(uniform.replica_cost(), 4);
         assert!((uniform.fleet_cost() - 4.0).abs() < 1e-12);
     }

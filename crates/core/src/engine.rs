@@ -265,8 +265,7 @@ impl EngineBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`, matching [`FleetSpec::uniform`] and
-    /// [`StageSite::with_replicas`](crate::StageSite::with_replicas).
+    /// Panics if `n == 0`, matching [`FleetSpec::uniform`].
     pub fn replicas(self, backend_idx: usize, n: usize) -> Self {
         self.fleet(backend_idx, FleetSpec::uniform(n))
     }

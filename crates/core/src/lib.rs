@@ -69,7 +69,6 @@ mod parallel;
 mod pipeline;
 mod quality;
 mod report;
-mod resilience;
 mod scheduler;
 mod stage;
 
@@ -84,6 +83,5 @@ pub use parallel::{parallel_map, worker_threads};
 pub use pipeline::{PipelineBuilder, PipelineConfig, PipelineError};
 pub use quality::{QualityEvaluator, QualityReport};
 pub use report::Table;
-pub use resilience::{ResilienceOutcome, ResilienceSweep};
 pub use scheduler::{candidate_seed, Scheduler, SchedulerSettings, SweepBudget, SweepStats};
 pub use stage::StageConfig;

@@ -1,9 +1,8 @@
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
-use recpipe_accel::{Partition, RpAccel, RpAccelConfig};
-use recpipe_data::{DatasetKind, DatasetSpec, PoissonArrivals};
-use recpipe_hwsim::{CpuModel, GpuModel, PcieModel};
+use recpipe_data::{DatasetKind, PoissonArrivals};
+use recpipe_hwsim::{CpuModel, PcieModel};
 use recpipe_metrics::{Dominance, ParetoFront};
 use recpipe_models::ModelKind;
 use recpipe_qsim::{Scenario, SimResult};
@@ -462,14 +461,20 @@ impl Scheduler {
     }
 
     /// Explores the joint design space over an arbitrary backend pool —
-    /// the generic engine behind [`explore_cpu`](Self::explore_cpu),
-    /// [`explore_hetero`](Self::explore_hetero), and
+    /// the generic engine behind [`explore_cpu`](Self::explore_cpu) and
     /// `Engine::sweep`. Quality uses `sub_batches`-way stitched top-k
     /// selection (1 = whole-batch); `interconnect` is charged when
     /// consecutive stages cross backends. Also returns the sweep's
     /// simulation-cost accounting — how budget pruning
     /// ([`SweepBudget::Halving`]) compares against the exhaustive
     /// sweep.
+    ///
+    /// Candidate evaluation fans across the settings' worker pool:
+    /// quality (one contiguous chunk of the pipelines per worker) first,
+    /// then the queueing simulations (one task per pipeline x placement,
+    /// each with its own [`candidate_seed`]). Candidates keep their
+    /// serial enumeration order, so the returned points are identical
+    /// for any worker count.
     pub fn explore_pool(
         &self,
         qps: f64,
@@ -479,82 +484,30 @@ impl Scheduler {
         sla_s: Option<f64>,
         interconnect: &PcieModel,
     ) -> (Vec<Outcome>, SweepStats) {
-        // Keyed access only (contains_key/insert/index) — results never
-        // depend on hash iteration order, which keeps the sweep
-        // deterministic (audited; simlint denies hash *iteration* here).
-        let mut quality_cache = HashMap::new();
-        let mut stats = SweepStats::default();
-        let points = self.explore_pool_cached(
-            qps,
-            max_stages,
-            pool,
-            sub_batches,
-            sla_s,
-            interconnect,
-            &mut quality_cache,
-            &mut stats,
-            |_| true,
-        );
-        (points, stats)
-    }
-
-    /// [`explore_pool`](Self::explore_pool) with a caller-owned quality
-    /// cache (so multi-pool sweeps evaluate each pipeline's quality
-    /// once) and a pipeline filter applied before any evaluation.
-    ///
-    /// Candidate evaluation fans across the settings' worker pool:
-    /// quality (one contiguous chunk of the distinct pipelines per
-    /// worker) first, then the queueing simulations (one task per
-    /// pipeline x placement, each with its own [`candidate_seed`]).
-    /// Candidates keep their serial enumeration order, so the returned
-    /// points are identical for any worker count.
-    #[allow(clippy::too_many_arguments)]
-    fn explore_pool_cached(
-        &self,
-        qps: f64,
-        max_stages: usize,
-        pool: &[Arc<dyn Backend>],
-        sub_batches: usize,
-        sla_s: Option<f64>,
-        interconnect: &PcieModel,
-        quality_cache: &mut HashMap<PipelineConfig, f64>,
-        stats: &mut SweepStats,
-        keep: impl Fn(&PipelineConfig) -> bool,
-    ) -> Vec<Outcome> {
         let workers = worker_threads(self.settings.workers);
         let quality_eval = self.quality_evaluator().sub_batches(sub_batches);
+        let pipelines = self.enumerate_pipelines(max_stages);
 
-        let pipelines: Vec<PipelineConfig> = self
-            .enumerate_pipelines(max_stages)
-            .into_iter()
-            .filter(|p| keep(p))
+        // Phase 1: quality per pipeline (`enumerate_pipelines` already
+        // deduplicates, so qualities index by position). Each worker
+        // takes one contiguous chunk through `evaluate_all`, which
+        // shares every Monte-Carlo pool across its chunk; reports do not
+        // depend on the chunking.
+        let chunks: Vec<&[PipelineConfig]> = pipelines
+            .chunks(pipelines.len().div_ceil(workers).max(1))
             .collect();
-
-        // Phase 1: quality per distinct pipeline, skipping pipelines the
-        // caller already evaluated (e.g. on a previous partition of a
-        // multi-pool sweep). Each worker takes one contiguous chunk
-        // through `evaluate_all`, which shares every Monte-Carlo pool
-        // across its chunk; reports do not depend on the chunking.
-        let missing: Vec<PipelineConfig> = pipelines
-            .iter()
-            .filter(|p| !quality_cache.contains_key(*p))
-            .cloned()
-            .collect();
-        let chunks: Vec<&[PipelineConfig]> = missing
-            .chunks(missing.len().div_ceil(workers).max(1))
-            .collect();
-        let reports = parallel_map(&chunks, workers, |_, chunk| {
+        let ndcgs: Vec<f64> = parallel_map(&chunks, workers, |_, chunk| {
             quality_eval.evaluate_all(chunk)
-        });
-        for (pipeline, report) in missing.into_iter().zip(reports.into_iter().flatten()) {
-            quality_cache.insert(pipeline, report.ndcg);
-        }
+        })
+        .into_iter()
+        .flatten()
+        .map(|report| report.ndcg)
+        .collect();
 
         // Phase 2: enumerate candidates serially (cheap, deterministic
         // order), then simulate each in parallel with its own seed.
         let mut candidates = Vec::new();
-        for pipeline in &pipelines {
-            let ndcg = quality_cache[pipeline];
+        for (pipeline, &ndcg) in pipelines.iter().zip(&ndcgs) {
             for base in self.placements_for(pool, pipeline.num_stages()) {
                 for placement in self.fleet_variants(&base) {
                     let Ok(spec) = build_spec(pool, interconnect, pipeline, &placement) else {
@@ -578,7 +531,10 @@ impl Scheduler {
         }
 
         let sim_queries = self.settings.sim_queries;
-        stats.candidates += candidates.len() as u64;
+        let mut stats = SweepStats {
+            candidates: candidates.len() as u64,
+            ..SweepStats::default()
+        };
 
         // Phase 3: spend the simulation budget. `Full` is the
         // degenerate single-rung schedule (first rung already at the
@@ -589,7 +545,7 @@ impl Scheduler {
         // identical under both budgets.
         let results: Vec<(usize, SimResult)> = match self.settings.sweep_budget {
             SweepBudget::Full => {
-                self.simulate_rungs(&candidates, qps, workers, sim_queries, 1.0, stats)
+                self.simulate_rungs(&candidates, qps, workers, sim_queries, 1.0, &mut stats)
             }
             SweepBudget::Halving {
                 min_queries,
@@ -600,14 +556,14 @@ impl Scheduler {
                 workers,
                 min_queries,
                 survivor_fraction,
-                stats,
+                &mut stats,
             ),
         };
 
         // Each candidate index appears at most once in `results`, so
         // its pipeline/mapping move straight into the outcome.
         let mut candidates: Vec<Option<Candidate>> = candidates.into_iter().map(Some).collect();
-        results
+        let points = results
             .into_iter()
             .map(|(i, mut sim)| {
                 let c = candidates[i].take().expect("candidate consumed once");
@@ -626,7 +582,8 @@ impl Scheduler {
                     fleet_cost: c.fleet_cost,
                 }
             })
-            .collect()
+            .collect();
+        (points, stats)
     }
 
     /// Runs the rung-based simulation schedule over an enumerated
@@ -736,51 +693,6 @@ impl Scheduler {
             .0
     }
 
-    /// Explores heterogeneous CPU+GPU execution (paper Section 5.2).
-    pub fn explore_hetero(&self, qps: f64, max_stages: usize) -> Vec<Outcome> {
-        let pool: Vec<Arc<dyn Backend>> =
-            vec![Arc::new(CpuModel::cascade_lake()), Arc::new(GpuModel::t4())];
-        self.explore_pool(qps, max_stages, &pool, 1, None, &PcieModel::measured())
-            .0
-    }
-
-    /// Explores RPAccel execution across partitions (paper Section 7).
-    /// Monolithic partitions host only single-stage pipelines; quality
-    /// uses the paper's 4-way sub-batched stitching and is evaluated
-    /// once per pipeline across all partitions.
-    pub fn explore_accel(
-        &self,
-        qps: f64,
-        max_stages: usize,
-        partitions: &[Partition],
-    ) -> Vec<Outcome> {
-        let spec = DatasetSpec::for_kind(self.settings.dataset);
-        let interconnect = PcieModel::measured();
-        // Keyed access only across partitions — see explore_pool_cached;
-        // sharing the cache never exposes hash iteration order.
-        let mut quality_cache = HashMap::new();
-        let mut stats = SweepStats::default();
-        let mut points = Vec::new();
-        for partition in partitions {
-            let accel =
-                RpAccel::new(RpAccelConfig::paper_default(partition.clone()).with_dataset(&spec));
-            let pool: Vec<Arc<dyn Backend>> = vec![Arc::new(accel)];
-            let monolithic = partition.is_monolithic();
-            points.extend(self.explore_pool_cached(
-                qps,
-                max_stages,
-                &pool,
-                4,
-                None,
-                &interconnect,
-                &mut quality_cache,
-                &mut stats,
-                |p| !monolithic || p.num_stages() == 1,
-            ));
-        }
-        points
-    }
-
     /// Quality-vs-latency Pareto frontier (maximize NDCG, minimize
     /// p99), dropping saturated points — the shared dominance path used
     /// by `Engine::sweep` and the figure binaries.
@@ -852,6 +764,8 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use recpipe_accel::{Partition, RpAccel, RpAccelConfig};
+    use recpipe_hwsim::GpuModel;
 
     fn scheduler() -> Scheduler {
         Scheduler::new(SchedulerSettings::quick())
@@ -950,15 +864,6 @@ mod tests {
         if let Some(best) = Scheduler::best_quality_under_sla(&points, 0.025) {
             assert!(best.p99_s <= 0.025);
         }
-    }
-
-    #[test]
-    fn accel_exploration_produces_points() {
-        let s = scheduler();
-        let partitions = vec![Partition::symmetric(8, 2), Partition::symmetric(8, 8)];
-        let points = s.explore_accel(400.0, 2, &partitions);
-        assert!(!points.is_empty());
-        assert!(points.iter().any(|p| p.mapping == "rpaccel(8,2)"));
     }
 
     #[test]
@@ -1072,19 +977,6 @@ mod tests {
         for p in front.iter() {
             assert!(p.fleet_cost <= p.replicas as f64 + 1e-12);
         }
-    }
-
-    #[test]
-    fn monolithic_partitions_host_only_single_stage() {
-        let s = scheduler();
-        let points = s.explore_accel(200.0, 2, &[Partition::monolithic()]);
-        assert!(points.iter().all(|p| p.pipeline.num_stages() == 1));
-    }
-
-    #[test]
-    fn hetero_exploration_includes_gpu_mappings() {
-        let points = scheduler().explore_hetero(100.0, 2);
-        assert!(points.iter().any(|p| p.mapping.contains("gpu")));
     }
 
     #[test]

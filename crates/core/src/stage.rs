@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// // RMsmall filters 4096 candidates down to 256.
 /// let stage = StageConfig::new(ModelKind::RmSmall, 4096, 256);
-/// assert_eq!(stage.filter_ratio(), 16.0);
+/// assert_eq!(stage.items_in / stage.items_out, 16);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct StageConfig {
@@ -35,12 +35,6 @@ impl StageConfig {
             items_in,
             items_out,
         }
-    }
-
-    /// Ratio of items in to items out (the paper's "filtering ratio" is
-    /// its reciprocal).
-    pub fn filter_ratio(&self) -> f64 {
-        self.items_in as f64 / self.items_out.max(1) as f64
     }
 
     /// The concrete model architecture for a dataset.
@@ -63,18 +57,6 @@ impl std::fmt::Display for StageConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn filter_ratio_divides_counts() {
-        let s = StageConfig::new(ModelKind::RmSmall, 4096, 512);
-        assert_eq!(s.filter_ratio(), 8.0);
-    }
-
-    #[test]
-    fn filter_ratio_handles_zero_out() {
-        let s = StageConfig::new(ModelKind::RmSmall, 100, 0);
-        assert_eq!(s.filter_ratio(), 100.0);
-    }
 
     #[test]
     fn work_carries_items_in() {

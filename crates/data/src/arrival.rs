@@ -158,11 +158,6 @@ impl MmppArrivals {
             dwell_surge_s,
         }
     }
-
-    /// Ratio of surge rate to quiet rate — a burstiness summary.
-    pub fn burst_ratio(&self) -> f64 {
-        self.rate_surge / self.rate_quiet
-    }
 }
 
 impl ArrivalProcess for MmppArrivals {
@@ -503,7 +498,6 @@ mod tests {
     fn mmpp_mean_rate_is_dwell_weighted() {
         let p = MmppArrivals::new(100.0, 1000.0, 0.9, 0.1);
         assert!((p.mean_rate() - 190.0).abs() < 1e-9);
-        assert!((p.burst_ratio() - 10.0).abs() < 1e-12);
     }
 
     #[test]

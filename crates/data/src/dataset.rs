@@ -136,11 +136,6 @@ impl DatasetSpec {
             DatasetKind::MovieLens20M => Self::movielens_20m(),
         }
     }
-
-    /// Total embedding rows across all tables.
-    pub fn total_rows(&self) -> u64 {
-        self.rows_per_table * self.num_sparse_features as u64
-    }
 }
 
 #[cfg(test)]
@@ -155,7 +150,7 @@ mod tests {
         assert_eq!(spec.candidates_per_query, 4096);
         assert_eq!(spec.top_k_served, 64);
         // ~67M total rows to reproduce Table 1 model sizes.
-        assert!(spec.total_rows() > 60_000_000);
+        assert!(spec.rows_per_table * spec.num_sparse_features as u64 > 60_000_000);
     }
 
     #[test]

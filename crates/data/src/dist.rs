@@ -177,17 +177,6 @@ impl Zipf {
         (x.floor() as u64).clamp(1, self.n)
     }
 
-    /// Analytic probability mass of rank `k` under the continuous
-    /// approximation used by [`sample`](Self::sample).
-    ///
-    /// Returns the probability that a sample falls in `[k, k+1)`; the cache
-    /// models use the cumulative form [`cdf`](Self::cdf) to compute hit
-    /// rates without simulation.
-    pub fn pmf(&self, k: u64) -> f64 {
-        assert!((1..=self.n).contains(&k), "rank out of range");
-        self.cdf(k) - if k == 1 { 0.0 } else { self.cdf(k - 1) }
-    }
-
     /// Probability that a sample's rank is `<= k` (fraction of accesses
     /// absorbed by the `k` hottest items).
     ///
@@ -326,12 +315,5 @@ mod tests {
         // s = 0 degenerates to uniform: cdf(k) ≈ k/n.
         let z = Zipf::new(1000, 0.0);
         assert!((z.cdf(500) - 0.5).abs() < 0.01);
-    }
-
-    #[test]
-    fn zipf_pmf_sums_to_cdf() {
-        let z = Zipf::new(100, 0.9);
-        let total: f64 = (1..=100).map(|k| z.pmf(k)).sum();
-        assert!((total - 1.0).abs() < 1e-9);
     }
 }

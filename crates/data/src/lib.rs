@@ -32,7 +32,6 @@
 mod arrival;
 mod dataset;
 mod dist;
-mod movielens;
 mod query;
 mod synthetic;
 mod trace;
@@ -43,9 +42,6 @@ pub use arrival::{
 };
 pub use dataset::{DatasetKind, DatasetSpec};
 pub use dist::{Exponential, Normal, Zipf};
-pub use movielens::{
-    interaction_stats, parse_ml1m, parse_ml20m, InteractionStats, ParseRatingError, Rating,
-};
 pub use query::{ClickSample, RankingQuery};
 pub use synthetic::{ClickGenerator, EmbeddingTrace, QueryGenerator};
 pub use trace::TraceArrivals;

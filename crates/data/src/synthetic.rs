@@ -50,11 +50,6 @@ impl QueryGenerator {
         self.next_id += 1;
         RankingQuery { id, utilities }
     }
-
-    /// Produces a batch of `n` queries.
-    pub fn take_queries(&mut self, n: usize) -> Vec<RankingQuery> {
-        (0..n).map(|_| self.next_query()).collect()
-    }
 }
 
 /// Latent-factor click generator for the learned-model path.
@@ -179,11 +174,6 @@ impl EmbeddingTrace {
         }
     }
 
-    /// Creates a trace matching a dataset spec.
-    pub fn for_spec(spec: &DatasetSpec, seed: u64) -> Self {
-        Self::new(spec.rows_per_table, spec.zipf_exponent, seed)
-    }
-
     /// The underlying popularity distribution.
     pub fn popularity(&self) -> Zipf {
         self.zipf
@@ -216,9 +206,8 @@ mod tests {
     fn query_ids_are_monotone() {
         let spec = DatasetSpec::movielens_1m();
         let mut gen = QueryGenerator::new(&spec, 0);
-        let qs = gen.take_queries(5);
-        for (i, q) in qs.iter().enumerate() {
-            assert_eq!(q.id, i as u64);
+        for i in 0..5 {
+            assert_eq!(gen.next_query().id, i);
         }
     }
 
@@ -279,14 +268,5 @@ mod tests {
             "top-1% share {}",
             hot as f64 / 10_000.0
         );
-    }
-
-    #[test]
-    fn embedding_trace_for_spec_uses_row_count() {
-        let spec = DatasetSpec::movielens_1m();
-        let mut trace = EmbeddingTrace::for_spec(&spec, 1);
-        for _ in 0..100 {
-            assert!(trace.next_access() <= spec.rows_per_table);
-        }
     }
 }

@@ -1,7 +1,7 @@
 use recpipe_models::ModelConfig;
 use serde::{Deserialize, Serialize};
 
-use crate::{Device, StageWork};
+use crate::StageWork;
 
 /// Roofline-style cost model of a server-class CPU (Table 2: Intel
 /// Cascade Lake, 64 cores, AVX-512, 75 GB/s DRAM).
@@ -135,20 +135,14 @@ impl CpuModel {
         total / (self.dram_bw * self.random_access_eff)
     }
 
-    /// Service time of one query's stage using `cores_per_query` cores.
+    /// Service time of one query's stage using `cores_per_query` cores:
+    /// [`batch_stage_latency`](Self::batch_stage_latency) at batch 1.
     ///
     /// # Panics
     ///
     /// Panics if `cores_per_query` is zero or exceeds the core count.
     pub fn stage_latency(&self, work: &StageWork, cores_per_query: usize) -> f64 {
-        assert!(
-            cores_per_query >= 1 && cores_per_query <= self.cores,
-            "cores_per_query out of range"
-        );
-        let single = self.compute_time(&work.model, work.items)
-            + self.embedding_time(&work.model, work.items);
-        let speedup = self.parallel_speedup(cores_per_query);
-        single / speedup + self.dispatch_overhead_s
+        self.batch_stage_latency(work, cores_per_query, 1)
     }
 
     /// Service time of a batch of `batch` queries' stages sharing
@@ -157,8 +151,7 @@ impl CpuModel {
     /// The batch concatenates its GEMMs (raising the batch-efficiency
     /// factor toward 1.0), embedding gathers scale linearly, and the
     /// software dispatch overhead is paid once per batch instead of once
-    /// per query. `batch = 1` equals
-    /// [`stage_latency`](Self::stage_latency) exactly.
+    /// per query.
     ///
     /// # Panics
     ///
@@ -183,49 +176,6 @@ impl CpuModel {
     pub fn parallel_speedup(&self, k: usize) -> f64 {
         let k = k.max(1) as f64;
         k * self.parallel_eff.powf(k.log2())
-    }
-
-    /// Wraps this CPU into a [`Device`] executor that dedicates
-    /// `cores_per_query` cores to each in-flight query.
-    pub fn executor(&self, cores_per_query: usize) -> CpuExecutor {
-        CpuExecutor {
-            cpu: self.clone(),
-            cores_per_query,
-        }
-    }
-}
-
-/// A [`Device`] view of a [`CpuModel`] with a fixed per-query core
-/// allocation; `servers = cores / cores_per_query`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CpuExecutor {
-    cpu: CpuModel,
-    cores_per_query: usize,
-}
-
-impl CpuExecutor {
-    /// The underlying CPU model.
-    pub fn cpu(&self) -> &CpuModel {
-        &self.cpu
-    }
-
-    /// Cores dedicated to each query.
-    pub fn cores_per_query(&self) -> usize {
-        self.cores_per_query
-    }
-}
-
-impl Device for CpuExecutor {
-    fn name(&self) -> String {
-        format!("cpu(x{})", self.cores_per_query)
-    }
-
-    fn stage_latency(&self, work: &StageWork) -> f64 {
-        self.cpu.stage_latency(work, self.cores_per_query)
-    }
-
-    fn servers(&self) -> usize {
-        (self.cpu.cores / self.cores_per_query).max(1)
     }
 }
 
@@ -300,14 +250,6 @@ mod tests {
         // Sublinear: 4 cores give less than 4x.
         assert!(t1 / t4 < 4.0);
         assert!(t1 / t2 > 1.4);
-    }
-
-    #[test]
-    fn executor_partitions_cores() {
-        let cpu = CpuModel::cascade_lake();
-        assert_eq!(cpu.executor(1).servers(), 64);
-        assert_eq!(cpu.executor(4).servers(), 16);
-        assert_eq!(cpu.executor(1).name(), "cpu(x1)");
     }
 
     #[test]

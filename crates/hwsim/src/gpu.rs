@@ -1,7 +1,7 @@
 use recpipe_models::ModelConfig;
 use serde::{Deserialize, Serialize};
 
-use crate::{Device, PcieModel, StageWork};
+use crate::{PcieModel, StageWork};
 
 /// Cost model of a discrete inference GPU (Table 2: NVIDIA T4 — 2560
 /// cores, 8.1 TFLOPS fp32, 300 GB/s, PCIe attached).
@@ -11,9 +11,9 @@ use crate::{Device, PcieModel, StageWork};
 /// The GPU parallelizes *within* one query (its large candidate batch maps
 /// onto the data-parallel cores) and serves queries serially — the paper's
 /// observation that GPUs buy latency, not concurrency, for this workload.
-/// `servers() == 1`, so at-scale behavior shows the characteristic
-/// tail-latency cliff once the offered load approaches `1 / service_time`
-/// (Figure 8 top).
+/// One GPU serves one query (or batch) at a time, so at-scale behavior
+/// shows the characteristic tail-latency cliff once the offered load
+/// approaches `1 / service_time` (Figure 8 top).
 ///
 /// ## Calibration
 ///
@@ -106,17 +106,20 @@ impl GpuModel {
         bytes / (self.mem_bw * self.gather_eff)
             + cost.sparse_lookups_per_item as f64 * self.kernel_launch_s
     }
-}
 
-impl GpuModel {
+    /// Service time of one query's stage:
+    /// [`batch_stage_latency`](Self::batch_stage_latency) at batch 1.
+    pub fn stage_latency(&self, work: &StageWork) -> f64 {
+        self.batch_stage_latency(work, 1)
+    }
+
     /// Service time of a batch of `batch` queries' stages on the GPU.
     ///
     /// Batching is where the GPU shines for this workload: the batch's
     /// candidate sets concatenate into one large launch, so the per-layer
     /// kernel-launch overheads, the fixed per-query software overhead,
     /// and PCIe setup are paid once while GEMM efficiency climbs toward
-    /// `eff_cap`. `batch = 1` equals the [`Device::stage_latency`] path
-    /// exactly.
+    /// `eff_cap`.
     pub fn batch_stage_latency(&self, work: &StageWork, batch: usize) -> f64 {
         let batch = batch.max(1) as u64;
         let input = self.pcie.transfer_time(work.input_bytes() * batch);
@@ -124,24 +127,6 @@ impl GpuModel {
             + self.compute_time(&work.model, work.items * batch)
             + self.embedding_time(&work.model, work.items * batch)
             + self.fixed_overhead_s
-    }
-}
-
-impl Device for GpuModel {
-    fn name(&self) -> String {
-        "gpu".to_string()
-    }
-
-    fn stage_latency(&self, work: &StageWork) -> f64 {
-        let input = self.pcie.transfer_time(work.input_bytes());
-        input
-            + self.compute_time(&work.model, work.items)
-            + self.embedding_time(&work.model, work.items)
-            + self.fixed_overhead_s
-    }
-
-    fn servers(&self) -> usize {
-        1
     }
 }
 
@@ -186,11 +171,6 @@ mod tests {
         let w = work(ModelKind::RmLarge, 4096);
         let speedup = cpu.stage_latency(&w, 1) / gpu.stage_latency(&w);
         assert!(speedup > 10.0, "GPU speedup {speedup}");
-    }
-
-    #[test]
-    fn gpu_serializes_queries() {
-        assert_eq!(GpuModel::t4().servers(), 1);
     }
 
     #[test]

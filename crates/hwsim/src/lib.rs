@@ -47,4 +47,4 @@ pub use cpu::CpuModel;
 pub use gpu::GpuModel;
 pub use mem::MemoryModel;
 pub use pcie::PcieModel;
-pub use work::{Device, StageWork};
+pub use work::StageWork;

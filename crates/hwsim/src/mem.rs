@@ -67,11 +67,6 @@ impl MemoryModel {
     pub fn access_time(&self, bytes: u64) -> f64 {
         self.latency_s + bytes as f64 / self.bandwidth_bps
     }
-
-    /// Time to stream `bytes` (bandwidth-bound, latency amortized away).
-    pub fn stream_time(&self, bytes: u64) -> f64 {
-        bytes as f64 / self.bandwidth_bps
-    }
 }
 
 #[cfg(test)]
@@ -92,13 +87,6 @@ mod tests {
     fn table3_dram_latency_is_100_cycles() {
         // 100 cycles at 250 MHz = 400 ns.
         assert!((MemoryModel::accel_dram().latency() - 400e-9).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stream_ignores_latency() {
-        let ssd = MemoryModel::ssd();
-        assert!(ssd.stream_time(3_000_000_000) > ssd.access_time(0));
-        assert!((ssd.stream_time(3_000_000_000) - 1.0).abs() < 1e-9);
     }
 
     #[test]

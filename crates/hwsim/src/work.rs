@@ -57,23 +57,6 @@ impl StageWork {
     }
 }
 
-/// A hardware executor that can serve pipeline stages.
-///
-/// `stage_latency` is the *service time* of one query's stage on one
-/// executor unit; `servers` is how many units serve concurrently (CPU
-/// core groups, a single GPU, accelerator sub-arrays). The queueing
-/// simulator composes these into at-scale tail latency.
-pub trait Device {
-    /// Human-readable device name for reports.
-    fn name(&self) -> String;
-
-    /// Service time in seconds for one query's stage.
-    fn stage_latency(&self, work: &StageWork) -> f64;
-
-    /// Number of units that can each serve one query concurrently.
-    fn servers(&self) -> usize;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

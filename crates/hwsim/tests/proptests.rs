@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use recpipe_data::DatasetKind;
-use recpipe_hwsim::{amat, CpuModel, Device, GpuModel, LruCache, PcieModel, StageWork};
+use recpipe_hwsim::{amat, CpuModel, GpuModel, LruCache, PcieModel, StageWork};
 use recpipe_models::{ModelConfig, ModelKind};
 
 fn model_kind() -> impl Strategy<Value = ModelKind> {

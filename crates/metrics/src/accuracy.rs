@@ -69,27 +69,6 @@ impl BinaryConfusion {
     }
 }
 
-/// Misclassification rate of `scores` against `labels` at threshold 0.5.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-///
-/// # Examples
-///
-/// ```
-/// let err = recpipe_metrics::binary_error(&[0.9, 0.1], &[true, true]);
-/// assert!((err - 0.5).abs() < 1e-9);
-/// ```
-pub fn binary_error(scores: &[f64], labels: &[bool]) -> f64 {
-    assert_eq!(scores.len(), labels.len(), "scores/labels length mismatch");
-    let mut cm = BinaryConfusion::new();
-    for (&s, &l) in scores.iter().zip(labels.iter()) {
-        cm.observe(s, l);
-    }
-    cm.error()
-}
-
 /// Area under the ROC curve via the rank-sum (Mann–Whitney U) statistic.
 ///
 /// Returns `0.5` when either class is absent (no ranking information).
@@ -160,16 +139,6 @@ mod tests {
     #[test]
     fn empty_confusion_has_zero_error() {
         assert_eq!(BinaryConfusion::new().error(), 0.0);
-    }
-
-    #[test]
-    fn binary_error_perfect_predictions() {
-        assert_eq!(binary_error(&[0.9, 0.1], &[true, false]), 0.0);
-    }
-
-    #[test]
-    fn binary_error_inverted_predictions() {
-        assert_eq!(binary_error(&[0.1, 0.9], &[true, false]), 1.0);
     }
 
     #[test]

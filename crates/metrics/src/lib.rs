@@ -7,7 +7,7 @@
 //! * **Tail latency** — 99th-percentile query latency ([`LatencyStats`]).
 //! * **Throughput** — queries served per second ([`ThroughputMeter`]).
 //!
-//! The crate also provides binary-classification [`accuracy`](binary_error)
+//! The crate also provides binary-classification [`accuracy`](BinaryConfusion)
 //! helpers (the per-item metric the paper contrasts with quality) and the
 //! shared Pareto machinery — [`pareto_front`] and the typed
 //! [`ParetoFront`] — that the scheduler and the `Engine`'s `sweep` use as
@@ -31,7 +31,7 @@ mod pareto;
 mod percentile;
 mod throughput;
 
-pub use accuracy::{auc, binary_error, BinaryConfusion};
+pub use accuracy::{auc, BinaryConfusion};
 pub use ndcg::{dcg, ideal_sorted, ideal_top_k, ndcg, ndcg_at_k, top_k_positions};
 pub use pareto::{pareto_front, Dominance, ParetoFront, ParetoPoint};
 pub use percentile::LatencyStats;

@@ -260,11 +260,6 @@ impl LatencyStats {
         self.percentile(50.0)
     }
 
-    /// 95th-percentile latency.
-    pub fn p95(&mut self) -> Duration {
-        self.percentile(95.0)
-    }
-
     /// 99th-percentile tail latency — the paper's SLA metric.
     pub fn p99(&mut self) -> Duration {
         self.percentile(99.0)
@@ -413,7 +408,7 @@ mod tests {
     fn nearest_rank_on_uniform_grid() {
         let mut s = filled(100);
         assert_eq!(s.p50(), Duration::from_millis(50));
-        assert_eq!(s.p95(), Duration::from_millis(95));
+        assert_eq!(s.percentile(95.0), Duration::from_millis(95));
         assert_eq!(s.p99(), Duration::from_millis(99));
         assert_eq!(s.percentile(100.0), Duration::from_millis(100));
     }
@@ -422,7 +417,7 @@ mod tests {
     fn percentiles_are_monotone() {
         let mut s = filled(1000);
         let p50 = s.p50();
-        let p95 = s.p95();
+        let p95 = s.percentile(95.0);
         let p99 = s.p99();
         assert!(p50 <= p95);
         assert!(p95 <= p99);

@@ -1,6 +1,6 @@
 use serde::{Deserialize, Serialize};
 
-use crate::{ModelCost, ModelKind};
+use crate::ModelKind;
 
 /// CTR-prediction error (percent) as a function of pure-MLP FLOPs, fitted
 /// to the paper's Table 1.
@@ -101,12 +101,6 @@ impl AccuracyModel {
         }
         self
     }
-
-    /// CTR error percent for a model tier, via the Table 1 fit applied to
-    /// the tier's MLP FLOPs.
-    pub fn error_percent(&self, cost: &ModelCost) -> f64 {
-        error_percent_from_flops(cost.mlp_flops_per_item)
-    }
 }
 
 #[cfg(test)]
@@ -186,12 +180,5 @@ mod tests {
     #[should_panic(expected = "sigma must be finite and non-negative")]
     fn with_sigma_rejects_an_infinite_sigma() {
         AccuracyModel::criteo().with_sigma(ModelKind::RmSmall, f64::INFINITY);
-    }
-
-    #[test]
-    fn error_percent_uses_mlp_flops() {
-        let m = AccuracyModel::criteo();
-        let cost = ModelConfig::for_kind(ModelKind::RmSmall, DatasetKind::CriteoKaggle).cost();
-        assert!((m.error_percent(&cost) - 21.36).abs() < 0.05);
     }
 }

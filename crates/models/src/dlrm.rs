@@ -21,7 +21,7 @@ use crate::{EmbeddingTable, Mlp, ModelConfig};
 /// The table row count is a constructor argument (`vocab`) rather than the
 /// production-scale `ModelConfig::rows_per_table`, so trained models stay
 /// laptop-sized; capacity effects are modeled by
-/// [`VirtualTable`](crate::VirtualTable).
+/// [`ModelCost`](crate::ModelCost).
 ///
 /// # Examples
 ///

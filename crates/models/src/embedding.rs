@@ -6,8 +6,8 @@ use serde::{Deserialize, Serialize};
 /// lookup and SGD update.
 ///
 /// Used by the functional model path. Production-scale tables (Table 1:
-/// up to 8 GB) are represented by [`VirtualTable`] instead, which tracks
-/// capacity without materializing values.
+/// up to 8 GB) are never materialized: their capacity and lookup bytes
+/// are accounted analytically by [`ModelCost`](crate::ModelCost).
 ///
 /// # Examples
 ///
@@ -63,21 +63,6 @@ impl EmbeddingTable {
         self.weights.row(id)
     }
 
-    /// Sum-pools the vectors for `ids` (multi-hot lookup).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any id is out of range.
-    pub fn lookup_pooled(&self, ids: &[usize]) -> Vec<f32> {
-        let mut out = vec![0.0; self.dim()];
-        for &id in ids {
-            for (o, &w) in out.iter_mut().zip(self.lookup(id)) {
-                *o += w;
-            }
-        }
-        out
-    }
-
     /// Applies an SGD update `row -= lr * grad` to the row for `id`.
     ///
     /// # Panics
@@ -88,84 +73,6 @@ impl EmbeddingTable {
         for (w, &g) in self.weights.row_mut(id).iter_mut().zip(grad.iter()) {
             *w -= lr * g;
         }
-    }
-}
-
-/// A capacity-only embedding table for production-scale models.
-///
-/// Table 1 models span 1–8 GB of embeddings, which we must reason about
-/// (cache sizing, SSD spill, lookup bytes) without allocating. A
-/// `VirtualTable` records geometry and synthesizes deterministic values on
-/// demand via hashing, so functional code paths (e.g. examples that "run"
-/// RMlarge) still produce stable numbers.
-///
-/// # Examples
-///
-/// ```
-/// use recpipe_models::VirtualTable;
-///
-/// let table = VirtualTable::new(2_600_000, 32);
-/// assert_eq!(table.bytes(), 2_600_000 * 32 * 4);
-/// let v = table.value(12345, 3);
-/// assert_eq!(v, table.value(12345, 3)); // deterministic
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct VirtualTable {
-    rows: u64,
-    dim: usize,
-}
-
-impl VirtualTable {
-    /// Creates a virtual table with the given geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows == 0` or `dim == 0`.
-    pub fn new(rows: u64, dim: usize) -> Self {
-        assert!(rows > 0 && dim > 0, "table must be non-empty");
-        Self { rows, dim }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> u64 {
-        self.rows
-    }
-
-    /// Embedding dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Virtual storage footprint in bytes.
-    pub fn bytes(&self) -> u64 {
-        self.rows * self.dim as u64 * 4
-    }
-
-    /// Bytes transferred by one row lookup.
-    pub fn bytes_per_lookup(&self) -> u64 {
-        self.dim as u64 * 4
-    }
-
-    /// Deterministic pseudo-random value of element `(row, d)` in
-    /// `[-0.05, 0.05]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row >= rows` or `d >= dim`.
-    pub fn value(&self, row: u64, d: usize) -> f32 {
-        assert!(row < self.rows && d < self.dim, "index out of bounds");
-        let mut h = row ^ ((d as u64) << 48) ^ 0x9e37_79b9_7f4a_7c15;
-        h ^= h >> 30;
-        h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h ^= h >> 27;
-        h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-        h ^= h >> 31;
-        ((h as f64 / u64::MAX as f64) as f32 - 0.5) * 0.1
-    }
-
-    /// Synthesizes the full row for `row`.
-    pub fn row(&self, row: u64) -> Vec<f32> {
-        (0..self.dim).map(|d| self.value(row, d)).collect()
     }
 }
 
@@ -187,25 +94,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_lookup_sums_rows() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let table = EmbeddingTable::new(5, 3, &mut rng);
-        let a = table.lookup(0).to_vec();
-        let b = table.lookup(1).to_vec();
-        let pooled = table.lookup_pooled(&[0, 1]);
-        for i in 0..3 {
-            assert!((pooled[i] - (a[i] + b[i])).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn pooled_lookup_of_empty_is_zero() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let table = EmbeddingTable::new(5, 3, &mut rng);
-        assert_eq!(table.lookup_pooled(&[]), vec![0.0; 3]);
-    }
-
-    #[test]
     fn bytes_accounts_full_table() {
         let mut rng = StdRng::seed_from_u64(4);
         let table = EmbeddingTable::new(100, 16, &mut rng);
@@ -221,44 +109,5 @@ mod tests {
         let after = table.lookup(1);
         assert!((after[0] - (before[0] - 0.1)).abs() < 1e-6);
         assert!((after[1] - (before[1] + 0.2)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn virtual_table_matches_table1_sizes() {
-        // 26 tables x 2.6M rows at dims 4/16/32 → ~1/4/8 GB (Table 1).
-        for (dim, gb) in [(4usize, 1.0f64), (16, 4.0), (32, 8.0)] {
-            let total: u64 = (0..26)
-                .map(|_| VirtualTable::new(2_600_000, dim).bytes())
-                .sum();
-            let total_gb = total as f64 / 1e9;
-            assert!(
-                (total_gb - gb).abs() / gb < 0.15,
-                "dim {dim}: {total_gb} GB vs expected {gb}"
-            );
-        }
-    }
-
-    #[test]
-    fn virtual_values_are_deterministic_and_bounded() {
-        let t = VirtualTable::new(1000, 8);
-        for row in [0u64, 1, 999] {
-            for d in 0..8 {
-                let v = t.value(row, d);
-                assert_eq!(v, t.value(row, d));
-                assert!(v.abs() <= 0.05 + 1e-6);
-            }
-        }
-    }
-
-    #[test]
-    fn virtual_rows_differ() {
-        let t = VirtualTable::new(1000, 8);
-        assert_ne!(t.row(1), t.row(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn virtual_value_out_of_range_panics() {
-        VirtualTable::new(10, 2).value(10, 0);
     }
 }

@@ -39,7 +39,7 @@ mod zoo;
 pub use accuracy::{error_percent_from_flops, AccuracyModel};
 pub use cost::ModelCost;
 pub use dlrm::Dlrm;
-pub use embedding::{EmbeddingTable, VirtualTable};
+pub use embedding::EmbeddingTable;
 pub use mlp::{DenseLayer, Mlp};
 pub use neumf::NeuMf;
 pub use train::{TrainReport, Trainer};

@@ -22,22 +22,6 @@ impl ModelKind {
     /// All tiers in increasing complexity order.
     pub const ALL: [ModelKind; 3] = [ModelKind::RmSmall, ModelKind::RmMed, ModelKind::RmLarge];
 
-    /// The degradation ladder of multi-path serving: all tiers in
-    /// *decreasing* complexity order — best quality first, the order
-    /// admission policies walk when browning out (path sets expect
-    /// paths appended best-quality first).
-    pub const LADDER: [ModelKind; 3] = [ModelKind::RmLarge, ModelKind::RmMed, ModelKind::RmSmall];
-
-    /// The next-lighter tier an overloaded server degrades to, or
-    /// `None` at the bottom of the ladder.
-    pub fn lighter(self) -> Option<ModelKind> {
-        match self {
-            ModelKind::RmLarge => Some(ModelKind::RmMed),
-            ModelKind::RmMed => Some(ModelKind::RmSmall),
-            ModelKind::RmSmall => None,
-        }
-    }
-
     /// Display name matching the paper.
     pub fn name(self) -> &'static str {
         match self {
@@ -214,17 +198,6 @@ mod tests {
     fn display_names_match_paper() {
         assert_eq!(ModelKind::RmSmall.to_string(), "RMsmall");
         assert_eq!(ModelKind::RmLarge.to_string(), "RMlarge");
-    }
-
-    #[test]
-    fn ladder_reverses_all_and_lighter_walks_it() {
-        let mut reversed = ModelKind::ALL;
-        reversed.reverse();
-        assert_eq!(ModelKind::LADDER, reversed);
-        for pair in ModelKind::LADDER.windows(2) {
-            assert_eq!(pair[0].lighter(), Some(pair[1]));
-        }
-        assert_eq!(ModelKind::RmSmall.lighter(), None);
     }
 
     #[test]

@@ -95,7 +95,7 @@ pub use admission::{
 };
 pub use lifecycle::{
     AutoscaleConfig, FailurePolicy, FleetController, LifecycleAction, LifecycleConfig,
-    LifecycleEvent, LifecycleSchedule, SloSpec, WindowStats,
+    LifecycleEvent, LifecycleSchedule, WindowStats,
 };
 pub use policy::{BatchWindow, EarliestDeadlineFirst, Fifo, QueueEntry, Release, SchedulingPolicy};
 pub use resilience::{

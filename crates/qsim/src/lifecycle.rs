@@ -241,12 +241,6 @@ impl LifecycleSchedule {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Number of pending revival events
-    /// ([`Provision`](LifecycleAction::Provision)/[`Recover`](LifecycleAction::Recover)).
-    pub fn revivals(&self) -> usize {
-        self.events.iter().filter(|e| e.revives()).count()
-    }
 }
 
 /// What happens to queries stranded by a fail-stop (killed mid-batch or
@@ -339,8 +333,9 @@ impl WindowStats {
     }
 
     /// Fraction of the window's resolved queries that were shed or
-    /// dropped: `(shed + dropped) / (completed + shed + dropped)` (0.0
-    /// when the window resolved nothing). The loss signal brown-out
+    /// dropped: `(shed + dropped) / (completed + shed + dropped +
+    /// timed_out)`, the denominator [`timeout_rate`](Self::timeout_rate)
+    /// uses (0.0 when the window resolved nothing). The loss signal brown-out
     /// SLOs bound — a run that protects p99 by shedding heavily still
     /// shows its damage here.
     pub fn shed_rate(&self) -> f64 {
@@ -368,81 +363,15 @@ impl WindowStats {
         }
     }
 
-    /// Whether the window violated a p99 SLO with zero shed tolerance —
-    /// shorthand for [`violates_slo`](Self::violates_slo) with
-    /// [`SloSpec::p99`].
+    /// Whether the window violated a p99 SLO: any shed, dropped or
+    /// timed-out query, tail latency above `slo_p99_s`, or work waiting
+    /// while nothing completed (a stalled window has no latency sample
+    /// but is certainly not meeting its SLO).
     pub fn violates(&self, slo_p99_s: f64) -> bool {
-        self.violates_slo(&SloSpec::p99(slo_p99_s))
-    }
-
-    /// Whether the window violated an [`SloSpec`]: shed rate above the
-    /// SLO's tolerance, timeout rate above its timeout tolerance, tail
-    /// latency above its p99 bound, or work waiting while nothing
-    /// completed (a stalled window has no latency sample but is
-    /// certainly not meeting its SLO).
-    pub fn violates_slo(&self, slo: &SloSpec) -> bool {
-        self.shed_rate() > slo.max_shed_rate
-            || self.timeout_rate() > slo.max_timeout_rate
-            || self.p99_s > slo.p99_s
+        self.shed_rate() > 0.0
+            || self.timeout_rate() > 0.0
+            || self.p99_s > slo_p99_s
             || (self.completed == 0 && self.mean_queue_depth >= 1.0)
-    }
-}
-
-/// A windowed service-level objective: a p99 latency bound plus a shed
-/// tolerance. The default tolerance is zero — any shed or dropped query
-/// violates — matching [`WindowStats::violates`]; brown-out runs that
-/// deliberately shed under overload raise the tolerance with
-/// [`with_shed_tolerance`](Self::with_shed_tolerance) so only
-/// *excessive* loss flags.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SloSpec {
-    /// Largest acceptable window p99 latency in seconds.
-    pub p99_s: f64,
-    /// Largest acceptable window [`shed_rate`](WindowStats::shed_rate)
-    /// (default 0.0: any loss violates).
-    pub max_shed_rate: f64,
-    /// Largest acceptable window
-    /// [`timeout_rate`](WindowStats::timeout_rate) (default 0.0: any
-    /// final timeout violates).
-    pub max_timeout_rate: f64,
-}
-
-impl SloSpec {
-    /// A p99-only SLO with zero shed and timeout tolerance.
-    pub fn p99(p99_s: f64) -> Self {
-        Self {
-            p99_s,
-            max_shed_rate: 0.0,
-            max_timeout_rate: 0.0,
-        }
-    }
-
-    /// Sets the shed-rate tolerance.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `rate` is in `[0, 1]`.
-    pub fn with_shed_tolerance(mut self, rate: f64) -> Self {
-        assert!(
-            rate.is_finite() && (0.0..=1.0).contains(&rate),
-            "shed tolerance must be in [0, 1]"
-        );
-        self.max_shed_rate = rate;
-        self
-    }
-
-    /// Sets the timeout-rate tolerance.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `rate` is in `[0, 1]`.
-    pub fn with_timeout_tolerance(mut self, rate: f64) -> Self {
-        assert!(
-            rate.is_finite() && (0.0..=1.0).contains(&rate),
-            "timeout tolerance must be in [0, 1]"
-        );
-        self.max_timeout_rate = rate;
-        self
     }
 }
 
@@ -625,7 +554,6 @@ mod tests {
             LifecycleEvent::drain(2.0, 1),
         ]);
         assert_eq!(s.events().len(), 3);
-        assert_eq!(s.revivals(), 1);
         assert!(!s.is_empty());
         assert!(LifecycleSchedule::empty().is_empty());
     }
@@ -748,49 +676,6 @@ mod tests {
     }
 
     #[test]
-    fn slo_spec_bounds_shed_rate_as_well_as_tail() {
-        let heavy_shed = WindowStats {
-            start: 0.0,
-            end: 1.0,
-            arrivals: 100,
-            completed: 60,
-            shed: 40,
-            dropped: 0,
-            timed_out: 0,
-            p99_s: 0.005, // p99 looks great — protected by shedding
-            mean_queue_depth: 0.5,
-            utilization: 0.4,
-            live_replicas: 2,
-            cost: 2.0,
-            path_admitted: Vec::new(),
-            path_completed: Vec::new(),
-        };
-        // Default tolerance (zero): any shed violates — the old rule.
-        assert!(heavy_shed.violates(0.025));
-        // A brown-out SLO tolerating 50% loss passes this window...
-        let lenient = SloSpec::p99(0.025).with_shed_tolerance(0.5);
-        assert!(!heavy_shed.violates_slo(&lenient));
-        // ...but a 25% tolerance flags the 40% shed rate even though
-        // the p99 bound holds.
-        let strict = SloSpec::p99(0.025).with_shed_tolerance(0.25);
-        assert!(heavy_shed.violates_slo(&strict));
-        // The p99 clause still applies independently of shed tolerance.
-        let slow = WindowStats {
-            shed: 0,
-            completed: 100,
-            p99_s: 0.050,
-            ..heavy_shed
-        };
-        assert!(slow.violates_slo(&lenient));
-    }
-
-    #[test]
-    #[should_panic(expected = "shed tolerance")]
-    fn shed_tolerance_above_one_is_rejected() {
-        let _ = SloSpec::p99(0.025).with_shed_tolerance(1.5);
-    }
-
-    #[test]
     fn degrade_is_not_a_revival_and_validates_speed() {
         let e = LifecycleEvent::degrade(1.0, 0, 0.25);
         assert!(!e.revives());
@@ -844,16 +729,8 @@ mod tests {
         assert!((timing_out.timeout_rate() - 0.1).abs() < 1e-12);
         // Timeouts do not inflate the shed channel...
         assert!((timing_out.shed_rate() - 0.0).abs() < 1e-12);
-        // ...but the default zero tolerance flags any final timeout,
-        // mirroring the shed-rate rule.
+        // ...but any final timeout violates, mirroring the shed rule.
         assert!(timing_out.violates(0.025));
-        // A resilience SLO tolerating 15% timeouts passes the window...
-        let lenient = SloSpec::p99(0.025).with_timeout_tolerance(0.15);
-        assert!(!timing_out.violates_slo(&lenient));
-        // ...while a 5% tolerance flags the 10% rate even though both
-        // the p99 and shed bounds hold.
-        let strict = SloSpec::p99(0.025).with_timeout_tolerance(0.05);
-        assert!(timing_out.violates_slo(&strict));
         // An idle window resolves nothing and cannot violate on rate.
         let idle = WindowStats {
             arrivals: 0,
@@ -865,12 +742,6 @@ mod tests {
         };
         assert!((idle.timeout_rate() - 0.0).abs() < 1e-12);
         assert!(!idle.violates(0.025));
-    }
-
-    #[test]
-    #[should_panic(expected = "timeout tolerance")]
-    fn timeout_tolerance_above_one_is_rejected() {
-        let _ = SloSpec::p99(0.025).with_timeout_tolerance(1.01);
     }
 
     #[test]

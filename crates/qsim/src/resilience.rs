@@ -412,21 +412,6 @@ impl FaultPlan {
         }
     }
 
-    /// Adds a correlated fail-stop burst: `count` replicas die at
-    /// `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is negative or non-finite, or `count == 0`.
-    pub fn fail_stop_burst(self, time: f64, count: usize) -> Self {
-        self.burst(FaultBurst {
-            time,
-            kind: FaultKind::FailStop,
-            count,
-            recover_after_s: None,
-        })
-    }
-
     /// Adds a correlated degrade burst: `count` replicas limp at
     /// `speed` × profile from `time`.
     ///
@@ -654,7 +639,7 @@ mod tests {
 
     #[test]
     fn fault_plan_burst_count_clamps_to_group_size() {
-        let plan = FaultPlan::new(3).fail_stop_burst(1.0, 10);
+        let plan = FaultPlan::new(3).degrade_burst(1.0, 10, 0.5);
         let schedule = plan.expand(2);
         assert_eq!(schedule.events().len(), 2);
         let hit: Vec<usize> = schedule.events().iter().map(|e| e.replica).collect();
@@ -666,6 +651,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one replica")]
     fn empty_burst_is_rejected() {
-        let _ = FaultPlan::new(0).fail_stop_burst(1.0, 0);
+        let _ = FaultPlan::new(0).degrade_burst(1.0, 0, 0.5);
     }
 }

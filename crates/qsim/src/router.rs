@@ -26,7 +26,7 @@
 //! * [`Sticky`] — replica affinity: a query's later stages return to
 //!   the replica an earlier stage on the same group chose (where its
 //!   state — cached embeddings, per-query context — already lives),
-//!   with a pluggable fallback router for the first touch.
+//!   with [`JoinShortestQueue`] for the first touch.
 //!
 //! # The expected-wait estimator
 //!
@@ -341,6 +341,7 @@ impl<'a> RoutingCtx<'a> {
     }
 
     /// The replica a given prior stage chose, if recorded.
+    // simlint: allow(dead-pub) -- Router seam: a user's router reads any earlier stage's choice
     pub fn prior_replica(&self, stage: usize) -> Option<usize> {
         self.prior_replicas.get(stage).map(|&r| r as usize)
     }
@@ -696,8 +697,8 @@ impl Router for ExpectedWait {
 /// Replica-affinity routing: a query's later stages return to the
 /// replica an earlier stage *on the same resource group* chose — where
 /// its per-query state (cached embedding rows, intermediate scores)
-/// already lives — falling back to an inner router at the group's first
-/// touch.
+/// already lives — falling back to [`JoinShortestQueue`] at the group's
+/// first touch.
 ///
 /// Affinity is a *constraint*, not a load signal: once a query touches
 /// a group, its later stages on that group ignore occupancy entirely.
@@ -708,27 +709,11 @@ impl Router for ExpectedWait {
 /// loses (uniform fleets under bursts, where the fallback decision gets
 /// frozen at stage 0 on information that has gone stale).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Sticky<R: Router = JoinShortestQueue> {
-    fallback: R,
-}
+pub struct Sticky;
 
-impl Sticky<JoinShortestQueue> {
-    /// Sticky routing over the default [`JoinShortestQueue`] fallback.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl<R: Router> Sticky<R> {
-    /// Sticky routing over an explicit first-touch fallback router.
-    pub fn with_fallback(fallback: R) -> Self {
-        Self { fallback }
-    }
-}
-
-impl<R: Router> Router for Sticky<R> {
+impl Router for Sticky {
     fn name(&self) -> String {
-        format!("sticky({})", self.fallback.name())
+        "sticky(jsq)".into()
     }
 
     fn route(
@@ -739,12 +724,12 @@ impl<R: Router> Router for Sticky<R> {
     ) -> usize {
         match ctx.prior_on_group() {
             Some(r) if r < loads.len() => r,
-            _ => self.fallback.route(loads, ctx, state),
+            _ => JoinShortestQueue.route(loads, ctx, state),
         }
     }
 
     fn uses_estimates(&self) -> bool {
-        self.fallback.uses_estimates()
+        false
     }
 
     fn uses_history(&self) -> bool {
@@ -827,9 +812,7 @@ mod tests {
             &PowerOfTwoChoices,
             &LeastWorkLeft,
             &ExpectedWait,
-            &Sticky {
-                fallback: JoinShortestQueue,
-            },
+            &Sticky,
         ]
     }
 
@@ -1068,10 +1051,10 @@ mod tests {
         let ctx = RoutingCtx::new(7, 2, 0, &prior, &groups);
         // Affinity overrides load: replica 1 is empty but 2 holds the
         // query's state.
-        assert_eq!(route(&Sticky::new(), &replicas, &ctx, &mut state), 2);
+        assert_eq!(route(&Sticky, &replicas, &ctx, &mut state), 2);
         // A different group (1) only has the stage-1 record: replica 0.
         let ctx_g1 = RoutingCtx::new(7, 2, 1, &prior, &groups);
-        assert_eq!(route(&Sticky::new(), &replicas, &ctx_g1, &mut state), 0);
+        assert_eq!(route(&Sticky, &replicas, &ctx_g1, &mut state), 0);
     }
 
     #[test]
@@ -1080,11 +1063,7 @@ mod tests {
         let replicas = vec![snap(9, 9), snap(0, 0)];
         // No prior stages: the JSQ fallback picks the empty replica.
         let first = RoutingCtx::root(3, 0, 0);
-        assert_eq!(route(&Sticky::new(), &replicas, &first, &mut state), 1);
-        // An explicit fallback router is honored too.
-        let rr = Sticky::with_fallback(RoundRobin);
-        assert_eq!(route(&rr, &replicas, &first, &mut state), 0);
-        assert_eq!(route(&rr, &replicas, &first, &mut state), 1);
+        assert_eq!(route(&Sticky, &replicas, &first, &mut state), 1);
     }
 
     #[test]
@@ -1195,10 +1174,7 @@ mod tests {
         assert!(!PowerOfTwoChoices.uses_estimates() && !PowerOfTwoChoices.uses_history());
         assert!(!LeastWorkLeft.uses_estimates() && !LeastWorkLeft.uses_history());
         assert!(ExpectedWait.uses_estimates() && !ExpectedWait.uses_history());
-        let sticky = Sticky::new();
-        assert!(!sticky.uses_estimates() && sticky.uses_history());
-        let sticky_ew = Sticky::with_fallback(ExpectedWait);
-        assert!(sticky_ew.uses_estimates() && sticky_ew.uses_history());
+        assert!(!Sticky.uses_estimates() && Sticky.uses_history());
         // Custom routers default to the conservative "reads everything".
         #[derive(Debug)]
         struct Custom;

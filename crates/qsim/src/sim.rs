@@ -2815,7 +2815,7 @@ mod tests {
             let scenario = Scenario::new(&spec, &burst, 800, 7).policy(&window);
             scenario.router(router).run().unwrap()
         };
-        let sticky = run(&Sticky::new());
+        let sticky = run(&Sticky);
         let jsq = run(&JoinShortestQueue);
         assert_eq!(sticky.completed, 800);
         assert!(
@@ -2830,7 +2830,7 @@ mod tests {
     fn heterogeneous_routing_is_deterministic_per_router() {
         let spec = two_generation_fleet(2, 2, 0.6);
         let arrivals = MmppArrivals::new(60.0, 400.0, 0.3, 0.1);
-        let routers: [&dyn Router; 3] = [&ExpectedWait, &Sticky::new(), &JoinShortestQueue];
+        let routers: [&dyn Router; 3] = [&ExpectedWait, &Sticky, &JoinShortestQueue];
         let window = BatchWindow::new(0.002);
         for router in routers {
             let run = || {
@@ -2877,7 +2877,7 @@ mod tests {
         let arrivals = MmppArrivals::new(100.0, 900.0, 0.3, 0.1);
         let scenario = || Scenario::new(&spec, &arrivals, 2_000, 13);
         let baseline = scenario().run().unwrap();
-        let routers: [&dyn Router; 2] = [&ExpectedWait, &Sticky::new()];
+        let routers: [&dyn Router; 2] = [&ExpectedWait, &Sticky];
         for router in routers {
             let routed = scenario().router(router).run().unwrap();
             assert_eq!(baseline, routed, "router {}", router.name());
@@ -2982,7 +2982,7 @@ mod tests {
     fn empty_lifecycle_run_matches_serve_routed_exactly() {
         let spec = replicated(3, 0.005);
         let arrivals = MmppArrivals::new(200.0, 900.0, 0.3, 0.1);
-        let routers: [&dyn Router; 3] = [&RoundRobin, &JoinShortestQueue, &Sticky::new()];
+        let routers: [&dyn Router; 3] = [&RoundRobin, &JoinShortestQueue, &Sticky];
         for router in routers {
             let scenario = || Scenario::new(&spec, &arrivals, 3_000, 11);
             let plain = scenario().router(router).run().unwrap();

@@ -58,7 +58,7 @@ fn router_for(idx: usize) -> Box<dyn Router> {
 fn router_for_v4(idx: usize) -> Box<dyn Router> {
     match idx % 6 {
         4 => Box::new(ExpectedWait),
-        5 => Box::new(Sticky::new()),
+        5 => Box::new(Sticky),
         other => router_for(other),
     }
 }
@@ -2914,7 +2914,7 @@ fn router_sync(idx: usize) -> Box<dyn Router + Sync> {
         2 => Box::new(PowerOfTwoChoices),
         3 => Box::new(LeastWorkLeft),
         4 => Box::new(ExpectedWait),
-        _ => Box::new(Sticky::new()),
+        _ => Box::new(Sticky),
     }
 }
 

@@ -73,16 +73,6 @@ pub fn relu(x: f32) -> f32 {
     x.max(0.0)
 }
 
-/// Derivative of ReLU with respect to its input.
-#[inline]
-pub fn relu_grad(x: f32) -> f32 {
-    if x > 0.0 {
-        1.0
-    } else {
-        0.0
-    }
-}
-
 /// Numerically stable logistic sigmoid `1 / (1 + e^-x)`.
 ///
 /// # Examples
@@ -100,12 +90,6 @@ pub fn sigmoid(x: f32) -> f32 {
         let z = x.exp();
         z / (1.0 + z)
     }
-}
-
-/// Derivative of the sigmoid expressed via its output `y = sigmoid(x)`.
-#[inline]
-pub fn sigmoid_grad(y: f32) -> f32 {
-    y * (1.0 - y)
 }
 
 #[cfg(test)]
@@ -132,12 +116,6 @@ mod tests {
         assert!(sigmoid(-1000.0).is_finite());
         assert!(sigmoid(1000.0) <= 1.0);
         assert!(sigmoid(-1000.0) >= 0.0);
-    }
-
-    #[test]
-    fn sigmoid_grad_peaks_at_half() {
-        assert!((sigmoid_grad(0.5) - 0.25).abs() < 1e-7);
-        assert!(sigmoid_grad(0.9) < 0.25);
     }
 
     #[test]

@@ -43,16 +43,6 @@ impl Initializer {
     }
 }
 
-/// Convenience wrapper for [`Initializer::XavierUniform`].
-pub fn xavier_uniform<R: Rng + ?Sized>(rng: &mut R, rows: usize, cols: usize) -> Matrix {
-    Initializer::XavierUniform.init(rng, rows, cols)
-}
-
-/// Convenience wrapper for [`Initializer::HeUniform`].
-pub fn he_uniform<R: Rng + ?Sized>(rng: &mut R, rows: usize, cols: usize) -> Matrix {
-    Initializer::HeUniform.init(rng, rows, cols)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,7 +52,7 @@ mod tests {
     #[test]
     fn xavier_respects_bound() {
         let mut rng = StdRng::seed_from_u64(1);
-        let w = xavier_uniform(&mut rng, 10, 10);
+        let w = Initializer::XavierUniform.init(&mut rng, 10, 10);
         let bound = (6.0f32 / 20.0).sqrt();
         assert!(w.as_slice().iter().all(|&x| x.abs() <= bound + 1e-6));
     }
@@ -70,7 +60,7 @@ mod tests {
     #[test]
     fn he_respects_bound() {
         let mut rng = StdRng::seed_from_u64(2);
-        let w = he_uniform(&mut rng, 25, 4);
+        let w = Initializer::HeUniform.init(&mut rng, 25, 4);
         let bound = (6.0f32 / 25.0).sqrt();
         assert!(w.as_slice().iter().all(|&x| x.abs() <= bound + 1e-6));
     }
@@ -79,8 +69,8 @@ mod tests {
     fn seeded_init_is_deterministic() {
         let mut a = StdRng::seed_from_u64(42);
         let mut b = StdRng::seed_from_u64(42);
-        let wa = xavier_uniform(&mut a, 8, 8);
-        let wb = xavier_uniform(&mut b, 8, 8);
+        let wa = Initializer::XavierUniform.init(&mut a, 8, 8);
+        let wb = Initializer::XavierUniform.init(&mut b, 8, 8);
         assert_eq!(wa, wb);
     }
 
@@ -88,8 +78,8 @@ mod tests {
     fn different_seeds_differ() {
         let mut a = StdRng::seed_from_u64(1);
         let mut b = StdRng::seed_from_u64(2);
-        let wa = xavier_uniform(&mut a, 8, 8);
-        let wb = xavier_uniform(&mut b, 8, 8);
+        let wa = Initializer::XavierUniform.init(&mut a, 8, 8);
+        let wb = Initializer::XavierUniform.init(&mut b, 8, 8);
         assert_ne!(wa, wb);
     }
 

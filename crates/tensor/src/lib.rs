@@ -24,8 +24,8 @@ mod init;
 mod matrix;
 mod ops;
 
-pub use activation::{relu, relu_grad, sigmoid, sigmoid_grad, Activation};
+pub use activation::{relu, sigmoid, Activation};
 pub use error::ShapeError;
-pub use init::{he_uniform, xavier_uniform, Initializer};
+pub use init::Initializer;
 pub use matrix::Matrix;
-pub use ops::{add_bias_inplace, axpy, dot, l2_norm, mean_squared_error, scale_inplace};
+pub use ops::{add_bias_inplace, dot, l2_norm};

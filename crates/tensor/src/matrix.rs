@@ -323,28 +323,6 @@ impl Matrix {
         })
     }
 
-    /// Elementwise (Hadamard) product `self ⊙ rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if shapes differ.
-    pub fn hadamard(&self, rhs: &Matrix) -> Result<Matrix, ShapeError> {
-        if self.shape() != rhs.shape() {
-            return Err(ShapeError::new("hadamard", self.shape(), rhs.shape()));
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(rhs.data.iter())
-            .map(|(a, b)| a * b)
-            .collect();
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
     /// Applies `f` to every element, returning a new matrix.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
         Matrix {
@@ -454,14 +432,6 @@ mod tests {
         let sum = a.add(&b).unwrap();
         let back = sum.sub(&b).unwrap();
         assert!(back.max_abs_diff(&a) < 1e-6);
-    }
-
-    #[test]
-    fn hadamard_elementwise() {
-        let a = Matrix::from_rows(&[&[2.0, 3.0]]);
-        let b = Matrix::from_rows(&[&[4.0, 5.0]]);
-        let h = a.hadamard(&b).unwrap();
-        assert_eq!(h.as_slice(), &[8.0, 15.0]);
     }
 
     #[test]

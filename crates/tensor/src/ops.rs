@@ -17,19 +17,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
 }
 
-/// `y += alpha * x` (the BLAS `axpy` primitive).
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-#[inline]
-pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "axpy requires equal lengths");
-    for (yi, xi) in y.iter_mut().zip(x.iter()) {
-        *yi += alpha * xi;
-    }
-}
-
 /// Euclidean norm of a slice.
 ///
 /// # Examples
@@ -40,13 +27,6 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
 #[inline]
 pub fn l2_norm(v: &[f32]) -> f32 {
     v.iter().map(|x| x * x).sum::<f32>().sqrt()
-}
-
-/// Scales every element of a matrix in place.
-pub fn scale_inplace(m: &mut Matrix, alpha: f32) {
-    for x in m.as_mut_slice() {
-        *x *= alpha;
-    }
 }
 
 /// Adds the bias vector to every row of the activations matrix in place.
@@ -62,21 +42,6 @@ pub fn add_bias_inplace(m: &mut Matrix, bias: &[f32]) {
             *x += b;
         }
     }
-}
-
-/// Mean squared error between predictions and targets.
-///
-/// # Panics
-///
-/// Panics if the lengths differ or the slices are empty.
-pub fn mean_squared_error(pred: &[f32], target: &[f32]) -> f32 {
-    assert_eq!(pred.len(), target.len(), "mse requires equal lengths");
-    assert!(!pred.is_empty(), "mse requires at least one element");
-    pred.iter()
-        .zip(target.iter())
-        .map(|(p, t)| (p - t) * (p - t))
-        .sum::<f32>()
-        / pred.len() as f32
 }
 
 #[cfg(test)]
@@ -100,23 +65,8 @@ mod tests {
     }
 
     #[test]
-    fn axpy_accumulates() {
-        let x = [1.0, 2.0];
-        let mut y = [10.0, 20.0];
-        axpy(2.0, &x, &mut y);
-        assert_eq!(y, [12.0, 24.0]);
-    }
-
-    #[test]
     fn l2_norm_of_zero_vector() {
         assert_eq!(l2_norm(&[0.0, 0.0]), 0.0);
-    }
-
-    #[test]
-    fn scale_inplace_scales() {
-        let mut m = Matrix::from_rows(&[&[1.0, -2.0]]);
-        scale_inplace(&mut m, 3.0);
-        assert_eq!(m.as_slice(), &[3.0, -6.0]);
     }
 
     #[test]
@@ -125,16 +75,5 @@ mod tests {
         add_bias_inplace(&mut m, &[10.0, 20.0]);
         assert_eq!(m.row(0), &[11.0, 21.0]);
         assert_eq!(m.row(1), &[12.0, 22.0]);
-    }
-
-    #[test]
-    fn mse_of_identical_is_zero() {
-        assert_eq!(mean_squared_error(&[1.0, 2.0], &[1.0, 2.0]), 0.0);
-    }
-
-    #[test]
-    fn mse_known_value() {
-        let got = mean_squared_error(&[0.0, 0.0], &[1.0, 3.0]);
-        assert!((got - 5.0).abs() < 1e-6);
     }
 }

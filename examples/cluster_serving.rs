@@ -131,7 +131,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Box::new(RoundRobin),
         Box::new(JoinShortestQueue),
         Box::new(LeastWorkLeft),
-        Box::new(Sticky::new()),
+        Box::new(Sticky),
         Box::new(ExpectedWait),
     ];
     let mut table = Table::new(vec!["router", "p50 (ms)", "p99 (ms)", "QPS"]);
@@ -185,7 +185,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Box::new(PowerOfTwoChoices),
         Box::new(JoinShortestQueue),
         Box::new(LeastWorkLeft),
-        Box::new(Sticky::new()),
+        Box::new(Sticky),
         Box::new(ExpectedWait),
     ];
     let mut table = Table::new(vec!["router", "p50 (ms)", "p99 (ms)", "mean batch"]);

@@ -147,7 +147,7 @@ fn heterogeneous_fleet_through_facade() {
     let spec = PipelineSpec::new(vec![group])
         .with_stage(StageSpec::new("rank", 0, 1, 0.004))
         .unwrap();
-    let routers: Vec<Box<dyn Router>> = vec![Box::new(ExpectedWait), Box::new(Sticky::new())];
+    let routers: Vec<Box<dyn Router>> = vec![Box::new(ExpectedWait), Box::new(Sticky)];
     for router in &routers {
         let out = Scenario::new(&spec, &PoissonArrivals::new(0.7 * spec.max_qps()), 800, 1)
             .router(router.as_ref())
@@ -178,7 +178,7 @@ fn models_and_hwsim_through_facade() {
     let cpu = CpuModel::cascade_lake();
     let gpu = GpuModel::t4();
     assert!(cpu.stage_latency(&work, 1) > 0.0);
-    assert!(recpipe::hwsim::Device::stage_latency(&gpu, &work) > 0.0);
+    assert!(gpu.stage_latency(&work) > 0.0);
 
     let mut lru = LruCache::new(4);
     lru.access(1);
