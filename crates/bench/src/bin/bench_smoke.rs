@@ -1,8 +1,9 @@
 //! CI bench smoke check: re-times the hottest queueing-simulator
-//! benches and fails (non-zero exit) if any regressed more than 2x
-//! against the checked-in `BENCH_pr9.json` baseline, and holds the
-//! 10M-query sharded trace replay to its single-digit-second
-//! (machine-normalized) budget.
+//! benches and the quality evaluator's quick-grid batch, and fails
+//! (non-zero exit) if any regressed more than 2x against its checked-in
+//! baseline (`BENCH_pr9.json` for the simulator, `BENCH_pr23.json` for
+//! the evaluator), and holds the 10M-query sharded trace replay to its
+//! single-digit-second (machine-normalized) budget.
 //!
 //! Baselines were recorded on one developer machine, while CI runs on
 //! shared runners with very different single-core throughput — so
@@ -11,7 +12,8 @@
 //! fixed CPU-bound *calibration* workload (pure integer mixing, no
 //! simulator code) whose baseline is recorded alongside the bench
 //! baselines; each bench's threshold is scaled by the
-//! measured/baseline calibration ratio. A runner half as fast as the
+//! measured/baseline calibration ratio, each baseline file carrying its
+//! own calibration entry. A runner half as fast as the
 //! recording machine is expected to take ~2x on calibration and
 //! benches alike, leaving the regression ratio near 1. The 2x
 //! threshold on top of that is deliberately generous — only a genuine
@@ -24,6 +26,7 @@
 
 use std::time::{Duration, Instant};
 
+use recpipe_core::{QualityEvaluator, Scheduler, SchedulerSettings};
 use recpipe_data::{DiurnalArrivals, PoissonArrivals, TraceArrivals};
 use recpipe_qsim::{
     BatchModel, ExpectedWait, HedgePolicy, JoinShortestQueue, LifecycleConfig, LifecycleEvent,
@@ -225,20 +228,30 @@ fn main() {
     let json = std::fs::read_to_string(baseline_path)
         .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
 
+    let quality_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr23.json");
+    let quality_json = std::fs::read_to_string(quality_path)
+        .unwrap_or_else(|e| panic!("cannot read baseline {quality_path}: {e}"));
+
     // Machine normalization: how much slower/faster this machine runs
-    // the fixed calibration loop than the baseline recorder did.
+    // the fixed calibration loop than each baseline's recorder did.
     let cal_name = "bench_smoke/calibration";
-    let cal_baseline = baseline_ns_per_iter(&json, cal_name)
-        .unwrap_or_else(|| panic!("baseline for {cal_name} missing from {baseline_path}"));
     let cal_measured = measure_ns_per_iter(|| {
         std::hint::black_box(calibration_workload());
     });
-    let machine_factor =
-        (cal_measured / cal_baseline).clamp(MACHINE_FACTOR_RANGE.0, MACHINE_FACTOR_RANGE.1);
-    println!(
-        "{cal_name}: {cal_measured:.0} ns/iter vs baseline {cal_baseline:.0} \
-         (machine factor x{machine_factor:.2})"
-    );
+    let factor_for = |json: &str, path: &str| {
+        let cal_baseline = baseline_ns_per_iter(json, cal_name)
+            .unwrap_or_else(|| panic!("baseline for {cal_name} missing from {path}"));
+        let factor =
+            (cal_measured / cal_baseline).clamp(MACHINE_FACTOR_RANGE.0, MACHINE_FACTOR_RANGE.1);
+        let file = path.rsplit('/').next().unwrap_or(path);
+        println!(
+            "{cal_name}: {cal_measured:.0} ns/iter vs {file} baseline {cal_baseline:.0} \
+             (machine factor x{factor:.2})"
+        );
+        factor
+    };
+    let machine_factor = factor_for(&json, baseline_path);
+    let quality_factor = factor_for(&quality_json, quality_path);
 
     let spec = two_stage();
     let fleet = jsq_fleet();
@@ -328,11 +341,8 @@ fn main() {
     ];
 
     let mut failed = false;
-    for (name, f) in checks {
-        let baseline = baseline_ns_per_iter(&json, name)
-            .unwrap_or_else(|| panic!("baseline for {name} missing from {baseline_path}"));
-        let measured = measure_ns_per_iter(f);
-        let ratio = measured / (baseline * machine_factor);
+    let mut gate = |name: &str, measured: f64, baseline: f64, factor: f64| {
+        let ratio = measured / (baseline * factor);
         let verdict = if ratio > MAX_REGRESSION {
             failed = true;
             "REGRESSED"
@@ -343,7 +353,23 @@ fn main() {
             "{name}: {measured:.0} ns/iter vs baseline {baseline:.0} \
              (normalized x{ratio:.2}) {verdict}"
         );
+    };
+    for (name, f) in checks {
+        let baseline = baseline_ns_per_iter(&json, name)
+            .unwrap_or_else(|| panic!("baseline for {name} missing from {baseline_path}"));
+        gate(name, measure_ns_per_iter(f), baseline, machine_factor);
     }
+    // The quality evaluator: most of a design sweep's run time.
+    // Mirrors benches/pipeline_eval.rs `quality_eval_all_quick_grid`.
+    let quality_name = "quality_eval_all_quick_grid";
+    let grid = Scheduler::new(SchedulerSettings::quick()).enumerate_pipelines(3);
+    let evaluator = QualityEvaluator::criteo_like(64).queries(50);
+    let baseline = baseline_ns_per_iter(&quality_json, quality_name)
+        .unwrap_or_else(|| panic!("baseline for {quality_name} missing from {quality_path}"));
+    let measured = measure_ns_per_iter(|| {
+        std::hint::black_box(evaluator.evaluate_all(std::hint::black_box(&grid)));
+    });
+    gate(quality_name, measured, baseline, quality_factor);
     // Scale check, measured once (a full repetition loop would dwarf
     // the rest of the smoke): the 10M-query sharded replay must stay
     // within the regression envelope of its baseline AND inside the

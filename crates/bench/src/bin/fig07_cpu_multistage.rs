@@ -78,27 +78,52 @@ fn main() {
                 .expect("valid CPU engine")
         })
         .collect();
+    let loads = [100.0, 250.0, 500.0, 1000.0, 2000.0];
     let mut right = Table::new(vec!["QPS", "1-stage p99", "2-stage p99", "3-stage p99"]);
-    for qps in [100.0, 250.0, 500.0, 1000.0, 2000.0] {
+    // p99 in ms per load and design; `None` where the design saturates.
+    let mut p99_ms: Vec<Vec<Option<f64>>> = Vec::new();
+    for qps in loads {
+        let p99s: Vec<Option<f64>> = engines
+            .iter()
+            .map(|engine| {
+                // Latency-only table: a bare scenario skips the (unused)
+                // quality evaluation.
+                (engine.max_qps() >= qps).then(|| {
+                    let mut sim = engine
+                        .scenario(&PoissonArrivals::new(qps), 4_000)
+                        .run()
+                        .expect("valid scenario");
+                    sim.p99_seconds() * 1e3
+                })
+            })
+            .collect();
         let mut row = vec![format!("{qps:.0}")];
-        for engine in &engines {
-            if engine.max_qps() < qps {
-                row.push("saturated".into());
-            } else {
-                // Latency-only table: a bare scenario skips the
-                // (unused) quality evaluation.
-                let mut sim = engine
-                    .scenario(&PoissonArrivals::new(qps), 4_000)
-                    .run()
-                    .expect("valid scenario");
-                row.push(format!("{:.2} ms", sim.p99_seconds() * 1e3));
-            }
-        }
+        row.extend(p99s.iter().map(|p99| match p99 {
+            Some(ms) => format!("{ms:.2} ms"),
+            None => "saturated".into(),
+        }));
         right.row(row);
+        p99_ms.push(p99s);
     }
     println!("{right}");
-    println!(
-        "Paper shape: two-stage cuts tail latency ~4.4x vs single-stage at\n\
-         QPS 500; three stages add queueing overhead between stages."
-    );
+    println!("Paper shape: two-stage cuts tail latency ~4.4x vs single-stage at QPS 500.");
+    for (more, fewer) in [(1, 0), (2, 1)] {
+        let (more_name, fewer_name) = (designs[more].0, designs[fewer].0);
+        let pairs: Vec<(f64, f64, f64)> = loads
+            .iter()
+            .zip(&p99_ms)
+            .filter_map(|(&qps, row)| Some((qps, row[more]?, row[fewer]?)))
+            .collect();
+        let lower = pairs.iter().filter(|&&(_, m, f)| m < f).count();
+        print!(
+            "Measured: {more_name} p99 is below {fewer_name} at {lower} of {} loads both sustain",
+            pairs.len()
+        );
+        match pairs.iter().find(|&&(qps, _, _)| qps == 500.0) {
+            Some(&(_, m, f)) => {
+                println!("; at QPS 500, {m:.2} vs {f:.2} ms ({:.2}x).", f / m)
+            }
+            None => println!("."),
+        }
+    }
 }

@@ -470,11 +470,12 @@ impl Scheduler {
     /// sweep.
     ///
     /// Candidate evaluation fans across the settings' worker pool:
-    /// quality (one contiguous chunk of the pipelines per worker) first,
-    /// then the queueing simulations (one task per pipeline x placement,
-    /// each with its own [`candidate_seed`]). Candidates keep their
-    /// serial enumeration order, so the returned points are identical
-    /// for any worker count.
+    /// quality first (one contiguous range of the Monte-Carlo queries per
+    /// worker, each evaluating every pipeline, with per-query NDCGs
+    /// reduced in query order), then the queueing simulations (one task
+    /// per pipeline x placement, each with its own [`candidate_seed`]).
+    /// Candidates keep their serial enumeration order, so the returned
+    /// points are identical for any worker count.
     pub fn explore_pool(
         &self,
         qps: f64,
@@ -490,19 +491,11 @@ impl Scheduler {
 
         // Phase 1: quality per pipeline (`enumerate_pipelines` already
         // deduplicates, so qualities index by position). Each worker
-        // takes one contiguous chunk through `evaluate_all`, which
-        // shares every Monte-Carlo pool across its chunk; reports do not
-        // depend on the chunking.
-        let chunks: Vec<&[PipelineConfig]> = pipelines
-            .chunks(pipelines.len().div_ceil(workers).max(1))
-            .collect();
-        let ndcgs: Vec<f64> = parallel_map(&chunks, workers, |_, chunk| {
-            quality_eval.evaluate_all(chunk)
-        })
-        .into_iter()
-        .flatten()
-        .map(|report| report.ndcg)
-        .collect();
+        // takes one contiguous range of the Monte-Carlo queries for the
+        // whole grid, so every pipeline shares each query's pool and
+        // funnel prefixes; reports do not depend on the split.
+        let (reports, _) = quality_eval.evaluate_split(&pipelines, workers);
+        let ndcgs: Vec<f64> = reports.iter().map(|report| report.ndcg).collect();
 
         // Phase 2: enumerate candidates serially (cheap, deterministic
         // order), then simulate each in parallel with its own seed.

@@ -744,12 +744,13 @@ fn live_runtimes_replay_their_pinned_outcomes_bit_for_bit() {
 #[test]
 fn quick_grid_qualities_keep_their_pinned_bits() {
     // One digest of every quick-grid report's NDCG and std bits per
-    // sub-batch count, recorded when each pipeline still drew its own
-    // scoring-noise stream. Sharing one noise tape must not move a bit.
+    // sub-batch count, recorded when pools and scoring noise became keyed
+    // by query and item. Batching, sharing funnel prefixes and splitting
+    // queries across workers must not move a bit.
     use recpipe::core::QualityEvaluator;
     let grid = Scheduler::new(SchedulerSettings::quick()).enumerate_pipelines(3);
     assert_eq!(grid.len(), 14);
-    for (sub_batches, pinned) in [(1, 0x39f9_d7f7_c98d_64cb), (4, 0x898e_b951_1d6c_1336)] {
+    for (sub_batches, pinned) in [(1, 0xe3e6_ab86_19eb_bf83), (4, 0x9ea4_57e5_b89d_67b0)] {
         let reports = QualityEvaluator::criteo_like(64)
             .queries(24)
             .seed(77)
