@@ -1,7 +1,7 @@
 //! CI bench smoke check: re-times the hottest queueing-simulator
 //! benches and the quality evaluator's quick-grid batch, and fails
 //! (non-zero exit) if any regressed more than 2x against its checked-in
-//! baseline (`BENCH_pr9.json` for the simulator, `BENCH_pr23.json` for
+//! baseline (`BENCH_pr9.json` for the simulator, `BENCH_pr24.json` for
 //! the evaluator), and holds the 10M-query sharded trace replay to its
 //! single-digit-second (machine-normalized) budget.
 //!
@@ -228,7 +228,7 @@ fn main() {
     let json = std::fs::read_to_string(baseline_path)
         .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
 
-    let quality_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr23.json");
+    let quality_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr24.json");
     let quality_json = std::fs::read_to_string(quality_path)
         .unwrap_or_else(|e| panic!("cannot read baseline {quality_path}: {e}"));
 

@@ -1,9 +1,10 @@
+use std::cmp::Reverse;
 use std::ops::{AddAssign, Range};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use recpipe_data::{DatasetKind, DatasetSpec, Normal, QueryGenerator};
-use recpipe_metrics::{ideal_top_k, ndcg_at_k, top_k_positions, BinaryConfusion};
+use recpipe_metrics::{ideal_top_k, top_k_positions, top_k_set, BinaryConfusion, NdcgAtK};
 use recpipe_models::{AccuracyModel, ModelKind};
 use serde::{Deserialize, Serialize};
 
@@ -209,7 +210,7 @@ impl QualityEvaluator {
             .map(|start| start..queries.min(start + span))
             .collect();
         let mut work = Work::default();
-        let mut ndcgs: Vec<Vec<f64>> = vec![Vec::with_capacity(queries); trie.leaves.len()];
+        let mut ndcgs: Vec<Vec<f64>> = vec![Vec::with_capacity(queries); trie.leaves];
         for (part, part_work) in
             parallel_map(&ranges, workers, |_, range| trie.run(self, range.clone()))
         {
@@ -224,9 +225,9 @@ impl QualityEvaluator {
     }
 
     /// Sub-batches a stage's survivor selection stitches. Inter-stage
-    /// filtering may stitch per-sub-batch top-k/n lists (unordered is
+    /// filtering may stitch per-sub-batch top-k/n sets (unordered is
     /// fine; the next stage rescores), but the FINAL stage's output is
-    /// the served ranking and is always globally ordered.
+    /// the served ranking and is always one global top-k.
     fn stage_sub_batches(&self, last: bool) -> usize {
         if last {
             1
@@ -271,8 +272,13 @@ pub(crate) struct Work {
     pub(crate) normals: u64,
     /// Item scores computed, over every stage.
     pub(crate) scored: u64,
-    /// Top-k selections run over stage scores.
+    /// Top-k selections run over a stage's scores: one per scoring for
+    /// its one-chunk selections, which are drawn from one another, and
+    /// one per sub-batched selection.
     pub(crate) selections: u64,
+    /// Items put in ranked order: each served ranking and the ideal
+    /// prefix. Shortlists between stages stay unordered.
+    pub(crate) sorted: u64,
 }
 
 impl AddAssign for Work {
@@ -281,6 +287,7 @@ impl AddAssign for Work {
         self.normals += other.normals;
         self.scored += other.scored;
         self.selections += other.selections;
+        self.sorted += other.sorted;
     }
 }
 
@@ -301,7 +308,7 @@ struct Scoring {
     model: ModelKind,
     /// Stage index: 0 for a pool input.
     depth: usize,
-    /// The selections over these scores, in creation order.
+    /// The selections over these scores, widest first.
     selections: Vec<usize>,
 }
 
@@ -310,6 +317,9 @@ struct Scoring {
 struct Selection {
     k: usize,
     sub_batches: usize,
+    /// The served ranking these survivors make, if a pipeline ends here:
+    /// its index among the trie's distinct served rankings.
+    served: Option<usize>,
 }
 
 /// A batch's funnels merged on their shared stage prefixes.
@@ -319,18 +329,26 @@ struct Selection {
 /// the same stages share those nodes, so each query scores and selects
 /// them once. Nodes are kept in creation order, so a selection's
 /// survivors are always ready before the scoring that reads them.
+///
+/// Survivors are a set kept in input order, so every shortlist lists
+/// pool items in ascending order; the next stage rescores them and reads
+/// their order only to break exact score ties. Only a served ranking is
+/// sorted, from its own selection's set.
 #[derive(Debug)]
 struct Trie {
     scorings: Vec<Scoring>,
     selections: Vec<Selection>,
-    /// The selection behind each distinct served ranking.
-    leaves: Vec<usize>,
-    /// Each pipeline's entry in `leaves`.
+    /// Distinct served rankings.
+    leaves: usize,
+    /// Each pipeline's served ranking.
     served: Vec<usize>,
     /// Largest pool clip: the items whose first-stage error is drawn.
     clip: usize,
     /// Deepest stage index.
     depth: usize,
+    /// What every served ranking is scored with: NDCG at the
+    /// evaluator's top-k, its rank discounts computed once.
+    at_k: NdcgAtK,
 }
 
 impl Trie {
@@ -339,10 +357,11 @@ impl Trie {
         let mut trie = Self {
             scorings: Vec::new(),
             selections: Vec::new(),
-            leaves: Vec::new(),
+            leaves: 0,
             served: Vec::with_capacity(pipelines.len()),
             clip: 0,
             depth: 0,
+            at_k: NdcgAtK::new(eval.top_k),
         };
         for pipeline in pipelines {
             let last = pipeline.num_stages().saturating_sub(1);
@@ -359,13 +378,11 @@ impl Trie {
             let Input::Survivors(leaf) = input else {
                 panic!("{pipeline:?} has no stage to serve from");
             };
-            let served = match trie.leaves.iter().position(|&l| l == leaf) {
-                Some(served) => served,
-                None => {
-                    trie.leaves.push(leaf);
-                    trie.leaves.len() - 1
-                }
-            };
+            let leaves = &mut trie.leaves;
+            let served = *trie.selections[leaf].served.get_or_insert_with(|| {
+                *leaves += 1;
+                *leaves - 1
+            });
             trie.served.push(served);
         }
         trie
@@ -402,14 +419,21 @@ impl Trie {
         }) {
             return i;
         }
-        self.selections.push(Selection { k, sub_batches });
+        self.selections.push(Selection {
+            k,
+            sub_batches,
+            served: None,
+        });
         let i = self.selections.len() - 1;
-        self.scorings[scoring].selections.push(i);
+        let all = &self.selections;
+        let selections = &mut self.scorings[scoring].selections;
+        selections.push(i);
+        selections.sort_by_key(|&s| Reverse(all[s].k));
         i
     }
 
-    /// Per-query NDCG of every leaf over `queries`, in query order, and
-    /// the work done.
+    /// Per-query NDCG of every served ranking over `queries`, in query
+    /// order, and the work done.
     fn run(&self, eval: &QualityEvaluator, queries: Range<usize>) -> (Vec<Vec<f64>>, Work) {
         let exponent = eval.spec.gain_exponent;
         let rho = eval.stage_noise_correlation;
@@ -419,7 +443,9 @@ impl Trie {
         let widest = self.scorings.iter().map(|s| s.selections.len()).max();
         let mut picked: Vec<Vec<usize>> = vec![Vec::new(); widest.unwrap_or(0)];
         let mut scores: Vec<f64> = Vec::new();
-        let mut ndcgs: Vec<Vec<f64>> = vec![Vec::with_capacity(queries.len()); self.leaves.len()];
+        // Each served item's gain, computed on first read; NaN until then.
+        let mut gains: Vec<f64> = vec![f64::NAN; self.clip];
+        let mut ndcgs: Vec<Vec<f64>> = vec![Vec::with_capacity(queries.len()); self.leaves];
         let mut work = Work::default();
         for query in queries {
             let pool_key = stream_key(eval.seed, query, POOL_STREAM);
@@ -427,8 +453,11 @@ impl Trie {
                 .next_query()
                 .utilities;
             // Ideal ordering over the FULL pool: unseen candidates count
-            // against the pipeline.
+            // against the pipeline. Its DCG normalizes every ranking.
             let ideal = ideal_gains(&utilities, eval.top_k, exponent);
+            work.sorted += ideal.len() as u64;
+            let ideal_dcg = self.at_k.dcg(ideal);
+            gains.fill(f64::NAN);
             work.pools += 1;
             noise.start(eval.seed, query, &mut work);
             for scoring in &self.scorings {
@@ -453,42 +482,51 @@ impl Trie {
                 }
                 work.scored += input.len() as u64;
 
-                // Every one-chunk selection is a prefix of the largest
-                // one's stable order, so they share a single top-k.
+                // Widest first, so every one-chunk set after the first is
+                // the top k of the one before it: the same set a
+                // selection over all the scores keeps.
                 let len = scores.len();
-                let whole = scoring
-                    .selections
-                    .iter()
-                    .map(|&i| &self.selections[i])
-                    .filter(|s| one_chunk(len, s.sub_batches))
-                    .map(|s| s.k)
-                    .max();
-                let top = whole.map_or_else(Vec::new, |k| {
-                    work.selections += 1;
-                    select_top(&scores, k, 1)
-                });
+                let mut wider: Option<Vec<usize>> = None;
                 for (out, &i) in picked.iter_mut().zip(&scoring.selections) {
-                    let Selection { k, sub_batches } = self.selections[i];
+                    let Selection {
+                        k,
+                        sub_batches,
+                        served,
+                    } = self.selections[i];
+                    let kept = match &wider {
+                        Some(wider) if one_chunk(len, sub_batches) => {
+                            top_k_set(wider, k, |&pos| scores[pos])
+                                .into_iter()
+                                .map(|j| wider[j])
+                                .collect()
+                        }
+                        _ => {
+                            work.selections += 1;
+                            select_top(&scores, k, sub_batches)
+                        }
+                    };
+                    if let Some(leaf) = served {
+                        let ranked = top_k_positions(&kept, eval.top_k, |&pos| scores[pos]);
+                        work.sorted += ranked.len() as u64;
+                        let served_gains = ranked.into_iter().map(|j| {
+                            let item = input[kept[j]];
+                            let gain = &mut gains[item];
+                            if gain.is_nan() {
+                                *gain = utilities[item].powf(exponent);
+                            }
+                            *gain
+                        });
+                        ndcgs[leaf].push(self.at_k.ndcg(served_gains, ideal_dcg));
+                    }
                     out.clear();
+                    out.extend(kept.iter().map(|&pos| input[pos]));
                     if one_chunk(len, sub_batches) {
-                        out.extend(top.iter().take(k).map(|&pos| input[pos]));
-                    } else {
-                        work.selections += 1;
-                        let kept = select_top(&scores, k, sub_batches);
-                        out.extend(kept.into_iter().map(|pos| input[pos]));
+                        wider = Some(kept);
                     }
                 }
                 for (out, &i) in picked.iter_mut().zip(&scoring.selections) {
                     std::mem::swap(out, &mut survivors[i]);
                 }
-            }
-            for (leaf_ndcgs, &leaf) in ndcgs.iter_mut().zip(&self.leaves) {
-                let served: Vec<f64> = survivors[leaf]
-                    .iter()
-                    .take(eval.top_k)
-                    .map(|&idx| utilities[idx].powf(exponent))
-                    .collect();
-                leaf_ndcgs.push(ndcg_at_k(&served, &ideal, eval.top_k));
             }
         }
         (ndcgs, work)
@@ -632,11 +670,10 @@ fn one_chunk(len: usize, sub_batches: usize) -> bool {
     sub_batches <= 1 || len <= sub_batches
 }
 
-/// Positions of the top `k` (at least one) `scores`, optionally
-/// stitching `sub_batches` per-chunk top-(k/n) selections (the
-/// accelerator's sub-batched filtering). One chunk's positions are best
-/// first, ties in input order: exactly the prefix a stable descending
-/// sort yields.
+/// Positions of the top `k` (at least one) `scores` in input order,
+/// optionally stitching `sub_batches` per-chunk top-(k/n) sets (the
+/// accelerator's sub-batched filtering). Each chunk keeps the first
+/// positions of a stable descending sort, and chunks stitch in order.
 fn select_top(scores: &[f64], k: usize, sub_batches: usize) -> Vec<usize> {
     let k = k.max(1);
     let (chunk_len, per_chunk) = if one_chunk(scores.len(), sub_batches) {
@@ -648,7 +685,7 @@ fn select_top(scores: &[f64], k: usize, sub_batches: usize) -> Vec<usize> {
         .chunks(chunk_len)
         .enumerate()
         .flat_map(|(chunk, scores)| {
-            top_k_positions(scores, per_chunk, |&s| s)
+            top_k_set(scores, per_chunk, |&s| s)
                 .into_iter()
                 .map(move |pos| chunk * chunk_len + pos)
         })
@@ -809,8 +846,8 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The pre-selection top-k (a full stable sort): the reference the
-    /// selection-based [`select_top`] must match exactly.
+    /// The pre-selection top-k (a full stable sort), best first: the
+    /// reference the selection-based [`select_top`] must match exactly.
     fn sorted_top_k(scores: &[f64], k: usize) -> Vec<usize> {
         let mut sorted: Vec<(usize, f64)> = scores.iter().copied().enumerate().collect();
         sorted.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
@@ -818,10 +855,13 @@ mod tests {
         sorted.into_iter().map(|(pos, _)| pos).collect()
     }
 
-    /// [`select_top`]'s stitching over [`sorted_top_k`].
+    /// [`select_top`]'s stitching over [`sorted_top_k`], put back in
+    /// input order.
     fn sorted_select_top(scores: &[f64], k: usize, sub_batches: usize) -> Vec<usize> {
         if sub_batches <= 1 || scores.len() <= sub_batches {
-            return sorted_top_k(scores, k);
+            let mut top = sorted_top_k(scores, k);
+            top.sort_unstable();
+            return top;
         }
         let chunk_len = scores.len().div_ceil(sub_batches);
         let per_chunk = (k / sub_batches).max(1);
@@ -834,6 +874,7 @@ mod tests {
             );
         }
         out.truncate(k.max(1));
+        out.sort_unstable();
         out
     }
 
@@ -852,10 +893,22 @@ mod tests {
                         "len {len}, k {k}, sub_batches {sub_batches}"
                     );
                 }
-                // A one-chunk top-k is a prefix of every larger one.
-                let widest = select_top(&scores, len + 3, 1);
+                // A one-chunk top-k is the top k of every larger one, and
+                // a served ranking its stable sort.
                 let top = select_top(&scores, k, 1);
-                assert_eq!(top, widest[..top.len()], "len {len}, k {k}");
+                for wider in [len / 2, len.saturating_sub(1), len + 3] {
+                    let wider = select_top(&scores, wider.max(k), 1);
+                    let nested: Vec<usize> = top_k_set(&wider, k.max(1), |&pos| scores[pos])
+                        .into_iter()
+                        .map(|j| wider[j])
+                        .collect();
+                    assert_eq!(nested, top, "len {len}, k {k}");
+                    let ranked: Vec<usize> = top_k_positions(&wider, k.max(1), |&pos| scores[pos])
+                        .into_iter()
+                        .map(|j| wider[j])
+                        .collect();
+                    assert_eq!(ranked, sorted_top_k(&scores, k), "len {len}, k {k}");
+                }
             }
         }
     }
@@ -917,9 +970,11 @@ mod tests {
         // shortlists (128 and 512 items), RMlarge after both RMmed ones,
         // and RMlarge after the two RMsmall → RMmed chains (64 each).
         let scored = 3 * (1_024 + 4_096) + 2 * (128 + 512) + (128 + 512) + 2 * 64;
-        // One top-k per stage-0 (model, clip), each serving its 64 as a
-        // prefix of its shortlist, six at stage 1 and two at stage 2.
+        // One top-k per stage-0 (model, clip), whose narrower sets are
+        // drawn from its widest, six at stage 1 and two at stage 2.
         let selections = 6 + 6 + 2;
+        // Only the 14 served top-64s and the ideal top-64 are sorted.
+        let sorted = 14 * 64 + 64;
         for (queries, normals) in [(10, 53_652), (40, 214_438)] {
             let e = QualityEvaluator::criteo_like(64).queries(queries);
             let (_, work) = e.evaluate_split(&grid, 1);
@@ -931,6 +986,7 @@ mod tests {
                     normals,
                     scored: per_query(scored),
                     selections: per_query(selections),
+                    sorted: per_query(sorted),
                 },
                 "{queries} queries"
             );

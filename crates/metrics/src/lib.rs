@@ -32,7 +32,9 @@ mod percentile;
 mod throughput;
 
 pub use accuracy::{auc, BinaryConfusion};
-pub use ndcg::{dcg, ideal_sorted, ideal_top_k, ndcg, ndcg_at_k, top_k_positions};
+pub use ndcg::{
+    dcg, ideal_sorted, ideal_top_k, ndcg, ndcg_at_k, top_k_positions, top_k_set, NdcgAtK,
+};
 pub use pareto::{pareto_front, Dominance, ParetoFront, ParetoPoint};
 pub use percentile::LatencyStats;
 pub use throughput::ThroughputMeter;

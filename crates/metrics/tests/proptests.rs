@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use recpipe_metrics::{
-    auc, dcg, ideal_sorted, ideal_top_k, ndcg, ndcg_at_k, pareto_front, Dominance, LatencyStats,
-    ParetoPoint,
+    auc, dcg, ideal_sorted, ideal_top_k, ndcg, ndcg_at_k, pareto_front, top_k_positions, top_k_set,
+    Dominance, LatencyStats, ParetoPoint,
 };
 use std::time::Duration;
 
@@ -133,6 +133,42 @@ proptest! {
                     || front.len() == 1,
                     "front member {} dominated by {}", b.payload, a.payload);
             }
+        }
+    }
+}
+
+proptest! {
+    // Each case checks every k of a list up to 1,080 items long.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn top_k_set_is_the_stable_sort_prefix_in_input_order(
+        // Lists on both sides of the 1,024 items from which the sample
+        // prefilter runs.
+        n in prop_oneof![0usize..=48, 1000usize..=1080],
+        extra in proptest::collection::vec(-4.0f64..4.0, 1..4),
+        seed in 0u64..u64::MAX,
+    ) {
+        // A handful of distinct scores, signed zeros among them, so
+        // nearly every cut falls inside a run of ties.
+        let levels: Vec<f64> = [-0.0, 0.0].into_iter().chain(extra).collect();
+        let mut z = seed;
+        let scores: Vec<f64> = (0..n)
+            .map(|_| {
+                z = z
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                levels[(z >> 33) as usize % levels.len()]
+            })
+            .collect();
+        let mut stable: Vec<usize> = (0..n).collect();
+        stable.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap());
+        for k in 0..=n + 1 {
+            let prefix = &stable[..k.min(n)];
+            let mut in_order = prefix.to_vec();
+            in_order.sort_unstable();
+            prop_assert_eq!(top_k_set(&scores, k, |&s| s), in_order, "n {}, k {}", n, k);
+            prop_assert_eq!(top_k_positions(&scores, k, |&s| s), prefix, "n {}, k {}", n, k);
         }
     }
 }

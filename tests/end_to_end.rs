@@ -744,14 +744,23 @@ fn live_runtimes_replay_their_pinned_outcomes_bit_for_bit() {
 #[test]
 fn quick_grid_qualities_keep_their_pinned_bits() {
     // One digest of every quick-grid report's NDCG and std bits per
-    // sub-batch count, recorded when pools and scoring noise became keyed
-    // by query and item. Batching, sharing funnel prefixes and splitting
-    // queries across workers must not move a bit.
+    // dataset and sub-batch count, recorded when pools and scoring noise
+    // became keyed by query and item (the MovieLens-1M ones later, from
+    // the same evaluator). Batching, sharing funnel prefixes, the order
+    // of shortlists and splitting queries across workers must not move a
+    // bit.
+    // MovieLens-1M's pool has 1,024 items, so every 4,096-item funnel of
+    // the grid is clipped to it, and its gains are `utility^2`.
     use recpipe::core::QualityEvaluator;
     let grid = Scheduler::new(SchedulerSettings::quick()).enumerate_pipelines(3);
     assert_eq!(grid.len(), 14);
-    for (sub_batches, pinned) in [(1, 0xe3e6_ab86_19eb_bf83), (4, 0x9ea4_57e5_b89d_67b0)] {
-        let reports = QualityEvaluator::criteo_like(64)
+    for (dataset, sub_batches, pinned) in [
+        (DatasetKind::CriteoKaggle, 1, 0xe3e6_ab86_19eb_bf83),
+        (DatasetKind::CriteoKaggle, 4, 0x9ea4_57e5_b89d_67b0),
+        (DatasetKind::MovieLens1M, 1, 0x13a4_c59a_e13d_edfd),
+        (DatasetKind::MovieLens1M, 3, 0x354e_b80b_2284_63ab),
+    ] {
+        let reports = QualityEvaluator::for_dataset(dataset, 64)
             .queries(24)
             .seed(77)
             .sub_batches(sub_batches)
@@ -761,7 +770,10 @@ fn quick_grid_qualities_keep_their_pinned_bits() {
                 .iter()
                 .flat_map(|r| [r.ndcg.to_bits(), r.ndcg_std.to_bits()]),
         );
-        assert_eq!(bits, pinned, "{sub_batches} sub-batches: {bits:#018x}");
+        assert_eq!(
+            bits, pinned,
+            "{dataset:?} at {sub_batches} sub-batches: {bits:#018x}"
+        );
     }
 }
 
