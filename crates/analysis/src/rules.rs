@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use crate::scan::{find_word, impl_self_type, ScannedFile};
+use crate::scan::{find_word, impl_self_type, Line, ScannedFile};
 
 /// How a finding affects the exit status.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -898,6 +898,8 @@ struct PubItem<'a> {
     file: usize,
     /// 0-indexed declaration line.
     line: usize,
+    /// A builder setter: a `pub fn` taking `mut self` and more.
+    setter: bool,
 }
 
 /// Cross-file rule: every `pub` item declared in the non-test code of a
@@ -908,6 +910,10 @@ struct PubItem<'a> {
 /// its own unit tests or a `pub use` re-export name is dead public API:
 /// delete it with those tests, or allowlist it with the extension seam
 /// that keeps it public.
+///
+/// A builder setter is live only where a line calls it as `.name(`
+/// with an argument, so a same-named getter's `.name()` does not keep
+/// it alive.
 ///
 /// Names match as whole words of code, so an item sharing its name with
 /// a live item elsewhere (a common method name like `len`) stays
@@ -928,6 +934,7 @@ fn dead_pub(files: &[ScannedFile], cfg: &Config, out: &mut Vec<Finding>) {
                     name,
                     file: fi,
                     line: idx,
+                    setter: kind == "fn" && is_setter(&f.lines[idx..]),
                 });
             }
         }
@@ -955,29 +962,59 @@ fn dead_pub(files: &[ScannedFile], cfg: &Config, out: &mut Vec<Finding>) {
     for item in &items {
         let file = &files[item.file];
         // A use is any line of another file, or a non-test line of the
-        // declaring file other than the declaration and its impl headers.
+        // declaring file other than the declaration and its impl headers;
+        // a setter's use must also call it with an argument.
         let is_use = |&(fi, idx): &(usize, usize)| {
-            fi != item.file || {
-                let line = &file.lines[idx];
-                idx != item.line && !line.in_test && !opens_impl_of(&line.code, item.name)
-            }
+            let line = &files[fi].lines[idx];
+            (fi != item.file
+                || idx != item.line && !line.in_test && !opens_impl_of(&line.code, item.name))
+                && (!item.setter || calls_with_argument(&line.code, item.name))
         };
         if named_at[item.name].iter().any(is_use) || file.allowed(item.line, "dead-pub") {
             continue;
         }
+        let named = if item.setter {
+            "is a builder setter no line calls with an argument"
+        } else {
+            "is named only by its declaration, its impl headers, its own tests or a re-export"
+        };
         out.push(Finding {
             rule: "dead-pub",
             severity: cfg.severity("dead-pub"),
             path: file.path.clone(),
             line: item.line + 1,
             message: format!(
-                "`pub {} {}` is named only by its declaration, its impl headers, its own \
-                 tests or a re-export; delete it, or allowlist the extension seam that \
-                 keeps it public",
+                "`pub {} {}` {named}; delete it, or allowlist the extension seam that keeps \
+                 it public",
                 item.kind, item.name
             ),
         });
     }
+}
+
+/// Whether the `pub fn` whose declaration starts `lines` takes
+/// `mut self` and at least one more argument. The signature is read up
+/// to the first line that closes a parenthesis or opens the body.
+fn is_setter(lines: &[Line]) -> bool {
+    let end = lines.iter().position(|l| l.code.contains([')', '{']));
+    let signature: Vec<&str> = lines[..=end.unwrap_or(0)]
+        .iter()
+        .map(|l| l.code.as_str())
+        .collect();
+    signature
+        .join(" ")
+        .split_once('(')
+        .and_then(|(_, params)| params.trim_start().strip_prefix("mut self"))
+        .and_then(|rest| rest.trim_start().strip_prefix(','))
+        .is_some_and(|rest| !rest.trim_start().starts_with(')'))
+}
+
+/// Whether `code` calls `.name(` with an argument: anything but `)`
+/// after the parenthesis, or the line's end (a call broken over lines).
+fn calls_with_argument(code: &str, name: &str) -> bool {
+    let call = format!(".{name}(");
+    code.match_indices(&call)
+        .any(|(at, _)| !code[at + call.len()..].trim_start().starts_with(')'))
 }
 
 /// Whether `code` opens an `impl` block whose self type is `name`.

@@ -22,6 +22,7 @@ const BAD_ALLOW: &str = include_str!("fixtures/bad_allow.rs");
 const DEAD_PUB: &str = include_str!("fixtures/dead_pub.rs");
 const DEAD_PUB_LIB: &str = include_str!("fixtures/dead_pub_lib.rs");
 const DEAD_PUB_USE: &str = include_str!("fixtures/dead_pub_use.rs");
+const DEAD_PUB_SETTER: &str = include_str!("fixtures/dead_pub_setter.rs");
 
 fn report(files: &[(&str, &str)]) -> Report {
     let owned: Vec<(String, String)> = files
@@ -257,4 +258,19 @@ fn dead_pub_counts_perfbench_and_ignores_binaries() {
             r.findings
         );
     }
+}
+
+#[test]
+fn dead_pub_setters_need_a_call_with_an_argument() {
+    let r = report(&[("crates/demo/src/builder.rs", DEAD_PUB_SETTER)]);
+    // Only getter-style `.name()` calls name the two setters; the setter
+    // called with an argument on the next line and the `mut self`-only
+    // method stay silent.
+    let names = dead_names(&r);
+    assert_eq!(
+        names,
+        ["pub fn timeout", "pub fn retries"],
+        "{:?}",
+        r.findings
+    );
 }

@@ -7,11 +7,12 @@
 //! hardware through this one trait, so adding a new device means
 //! implementing [`Backend`] once — nothing downstream changes.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use recpipe_accel::{BaselineAccel, RpAccel};
+use recpipe_accel::{BaselineAccel, RpAccel, ServiceProfile};
 use recpipe_hwsim::{CpuModel, GpuModel, PcieModel, StageWork};
-use recpipe_qsim::{BatchModel, PipelineSpec, ReplicaGroup, StageSpec};
+use recpipe_qsim::{BatchModel, PipelineSpec, ReplicaGroup, SpecError, StageSpec};
 use serde::{Deserialize, Serialize};
 
 use crate::engine::EngineError;
@@ -32,14 +33,15 @@ pub const INTERMEDIATE_BYTES_PER_ITEM: u64 = 164;
 ///   resource pool *one instance* of this backend contributes (e.g. 64
 ///   CPU cores, 1 GPU, 8 accelerator lanes) — the engine replicates it
 ///   per the placement's replica counts;
-/// * [`stage_latency`](Backend::stage_latency) prices one query's stage,
-///   optionally split across `parallelism` resource units.
+/// * [`batch_latency`](Backend::batch_latency) prices a batch of
+///   queries' stage, optionally split across `parallelism` resource
+///   units. The engine prices one query as a batch of one.
 ///
 /// Backends whose at-scale behavior is *not* well modeled as
 /// independent per-stage service (RPAccel serializes all queries on its
-/// shared DRAM system) can override [`chain_spec`](Backend::chain_spec)
-/// to supply a whole-pipeline queueing decomposition; the engine uses it
-/// whenever every stage of a pipeline is placed on that backend.
+/// shared DRAM system) can override [`chain_profile`](Backend::chain_profile)
+/// to price a whole pipeline as a memory phase plus a compute phase; the
+/// engine uses it whenever every stage of a pipeline is placed on that backend.
 ///
 /// # Examples
 ///
@@ -61,8 +63,8 @@ pub const INTERMEDIATE_BYTES_PER_ITEM: u64 = 164;
 ///     fn resources(&self) -> ReplicaGroup {
 ///         ReplicaGroup::new("fixed", 4)
 ///     }
-///     fn stage_latency(&self, _work: &StageWork, _parallelism: usize) -> f64 {
-///         self.0
+///     fn batch_latency(&self, _work: &StageWork, _parallelism: usize, batch: usize) -> f64 {
+///         self.0 * batch as f64
 ///     }
 /// }
 /// ```
@@ -74,24 +76,16 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
     /// simulation.
     fn resources(&self) -> ReplicaGroup;
 
-    /// Service time in seconds of one query's stage, using
+    /// Service time in seconds of a batch of `batch` queries' stage on
     /// `parallelism` resource units (backends that cannot split a query
-    /// simply ignore values above 1).
-    fn stage_latency(&self, work: &StageWork, parallelism: usize) -> f64;
+    /// simply ignore values above 1). Called with
+    /// `1 <= batch <= max_batch()`; `batch = 1` is one query's price.
+    fn batch_latency(&self, work: &StageWork, parallelism: usize, batch: usize) -> f64;
 
     /// Largest number of queries this backend profitably serves as one
     /// launched batch (1 = per-query serving, the default).
     fn max_batch(&self) -> usize {
         1
-    }
-
-    /// Service time in seconds of a batch of `batch` queries' stage on
-    /// `parallelism` resource units. The default is linear (no batching
-    /// benefit); hardware models override it with their real
-    /// batch-scaling curves. Must equal
-    /// [`stage_latency`](Backend::stage_latency) at `batch = 1`.
-    fn batch_latency(&self, work: &StageWork, parallelism: usize, batch: usize) -> f64 {
-        self.stage_latency(work, parallelism) * batch.max(1) as f64
     }
 
     /// Whether this backend models splitting one query across multiple
@@ -103,13 +97,12 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
         false
     }
 
-    /// Optional whole-pipeline queueing decomposition, consulted when
-    /// every stage of `pipeline` is placed on this backend. When
-    /// `batching` is true the decomposition's stages should carry the
-    /// backend's batch-scaling models. Return `None` (the default) to
-    /// use the generic per-stage path.
-    fn chain_spec(&self, pipeline: &PipelineConfig, batching: bool) -> Option<PipelineSpec> {
-        let _ = (pipeline, batching);
+    /// Optional whole-pipeline service profile of one launch of `batch`
+    /// queries (`1 <= batch <= max_batch()`), consulted when every stage
+    /// of `pipeline` is placed on this backend. Return `None` (the
+    /// default) to price the pipeline stage by stage.
+    fn chain_profile(&self, pipeline: &PipelineConfig, batch: usize) -> Option<ServiceProfile> {
+        let _ = (pipeline, batch);
         None
     }
 }
@@ -121,10 +114,6 @@ impl Backend for CpuModel {
 
     fn resources(&self) -> ReplicaGroup {
         ReplicaGroup::new("cpu", self.cores)
-    }
-
-    fn stage_latency(&self, work: &StageWork, parallelism: usize) -> f64 {
-        CpuModel::stage_latency(self, work, parallelism.clamp(1, self.cores))
     }
 
     fn max_batch(&self) -> usize {
@@ -151,10 +140,6 @@ impl Backend for GpuModel {
         ReplicaGroup::new("gpu", 1)
     }
 
-    fn stage_latency(&self, work: &StageWork, _parallelism: usize) -> f64 {
-        GpuModel::stage_latency(self, work)
-    }
-
     fn max_batch(&self) -> usize {
         // The device that lives on batching: launches, PCIe setup, and
         // the fixed per-query overhead amortize across the batch.
@@ -176,10 +161,6 @@ impl Backend for RpAccel {
         ReplicaGroup::new("rpaccel", self.config().partition.query_lanes())
     }
 
-    fn stage_latency(&self, work: &StageWork, _parallelism: usize) -> f64 {
-        self.query_latency(std::slice::from_ref(work))
-    }
-
     fn max_batch(&self) -> usize {
         // Matches the paper's 4-way sub-batched pipelining: enough to
         // amortize weight streaming without starving the top-k filter.
@@ -190,18 +171,8 @@ impl Backend for RpAccel {
         self.batched_query_latency(std::slice::from_ref(work), batch)
     }
 
-    fn chain_spec(&self, pipeline: &PipelineConfig, batching: bool) -> Option<PipelineSpec> {
-        let works = pipeline.stage_works();
-        let batch = if batching {
-            Backend::max_batch(self)
-        } else {
-            1
-        };
-        Some(accel_profile_spec(
-            self.service_profile(&works),
-            self.batched_service_profile(&works, batch),
-            batch,
-        ))
+    fn chain_profile(&self, pipeline: &PipelineConfig, batch: usize) -> Option<ServiceProfile> {
+        Some(self.batched_service_profile(&pipeline.stage_works(), batch))
     }
 }
 
@@ -214,12 +185,6 @@ impl Backend for BaselineAccel {
         ReplicaGroup::new("baseline-accel", 1)
     }
 
-    fn stage_latency(&self, work: &StageWork, _parallelism: usize) -> f64 {
-        // The baseline serves a single monolithic stage; the top-64
-        // host filter is the paper's serving configuration.
-        self.query_latency(work, 64)
-    }
-
     fn max_batch(&self) -> usize {
         // A monolithic inference engine batches conservatively: weight
         // streaming amortizes, the host filter round trip does not.
@@ -227,10 +192,12 @@ impl Backend for BaselineAccel {
     }
 
     fn batch_latency(&self, work: &StageWork, _parallelism: usize, batch: usize) -> f64 {
+        // The baseline serves a single monolithic stage; the top-64
+        // host filter is the paper's serving configuration.
         self.batched_query_latency(work, 64, batch)
     }
 
-    fn chain_spec(&self, pipeline: &PipelineConfig, batching: bool) -> Option<PipelineSpec> {
+    fn chain_profile(&self, pipeline: &PipelineConfig, batch: usize) -> Option<ServiceProfile> {
         // The baseline models a single monolithic stage; multi-stage
         // pipelines fall back to the generic per-stage path so no
         // frontend work is silently dropped.
@@ -238,63 +205,44 @@ impl Backend for BaselineAccel {
             return None;
         }
         let work = pipeline.stage_works().into_iter().next()?;
-        let batch = if batching {
-            Backend::max_batch(self)
-        } else {
-            1
-        };
-        Some(accel_profile_spec(
-            self.service_profile(&work, pipeline.items_served()),
-            self.batched_service_profile(&work, pipeline.items_served(), batch),
-            batch,
-        ))
+        Some(self.batched_service_profile(&work, pipeline.items_served(), batch))
     }
 }
 
 /// Queueing decomposition of an accelerator service profile: a
-/// serialized memory phase followed by a lanes-parallel compute phase.
+/// serialized memory phase followed by a lanes-parallel compute phase,
+/// each group cloned once per fleet member at that member's `speeds`
+/// entry (replicating an accelerator clones its whole chain).
 ///
 /// `batched` is the same profile measured at `batch` queries per
 /// launch; each phase's batch model is the line through the two
 /// measurements (`batch = 1` degenerates to per-query stages).
 fn accel_profile_spec(
-    profile: recpipe_accel::ServiceProfile,
-    batched: recpipe_accel::ServiceProfile,
+    profile: ServiceProfile,
+    batched: ServiceProfile,
     batch: usize,
-) -> PipelineSpec {
-    let mem_base = profile.dram_service_s.max(1e-9);
-    let compute_base = profile.compute_service_s;
+    speeds: &[f64],
+) -> Result<PipelineSpec, SpecError> {
+    let mem = StageSpec::new("mem", 0, 1, profile.dram_service_s.max(1e-9));
+    let compute = StageSpec::new("compute", 1, 1, profile.compute_service_s);
     PipelineSpec::new(vec![
-        ReplicaGroup::new("accel-mem", 1),
-        ReplicaGroup::new("accel-lanes", profile.lanes),
+        ReplicaGroup::new("accel-mem", 1).with_fleet_speeds(speeds),
+        ReplicaGroup::new("accel-lanes", profile.lanes).with_fleet_speeds(speeds),
     ])
-    .with_stage(
-        StageSpec::new("mem", 0, 1, mem_base).with_batch(fit_batch_model(
-            mem_base,
-            batched.dram_service_s,
-            batch,
-        )),
-    )
-    .expect("validated stage")
-    .with_stage(
-        StageSpec::new("compute", 1, 1, compute_base).with_batch(fit_batch_model(
-            compute_base,
-            batched.compute_service_s,
-            batch,
-        )),
-    )
-    .expect("validated stage")
+    .with_stage(fit_batch(mem, batched.dram_service_s, batch))?
+    .with_stage(fit_batch(compute, batched.compute_service_s, batch))
 }
 
-/// Fits the two-point linear batch model through a per-query service
-/// time `base` and a whole-batch service time `full` at `batch` queries
-/// per launch.
-fn fit_batch_model(base: f64, full: f64, batch: usize) -> BatchModel {
+/// `stage` with the two-point linear batch model through its per-query
+/// service time and the whole-batch service time `full` at `batch`
+/// queries per launch.
+fn fit_batch(stage: StageSpec, full: f64, batch: usize) -> StageSpec {
+    let base = stage.service_time;
     if batch <= 1 || base <= 0.0 {
-        return BatchModel::per_query();
+        return stage;
     }
     let slope = ((full - base) / (batch - 1) as f64).max(0.0);
-    BatchModel::new(batch, (slope / base).clamp(0.0, 1.0))
+    stage.with_batch(BatchModel::new(batch, (slope / base).clamp(0.0, 1.0)))
 }
 
 /// The generation mix of one backend's replica fleet: one service-speed
@@ -419,8 +367,7 @@ impl Default for FleetSpec {
 }
 
 /// Where one pipeline stage runs: a backend (by index into the engine's
-/// pool), how many of that backend's resource units serve one query,
-/// and the replica fleet of the backend the stage may route across.
+/// pool) and how many of that backend's resource units serve one query.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct StageSite {
     /// Index into the backend pool.
@@ -428,43 +375,22 @@ pub struct StageSite {
     /// Resource units dedicated to each in-flight query (CPU model
     /// parallelism; 1 for backends that serve a query on one unit).
     pub parallelism: usize,
-    /// The backend's replica fleet as seen by this stage (one baseline
-    /// replica = the single pre-cluster pool). Stages sharing a backend
-    /// share its fleet: the emitted group carries the *largest* fleet
-    /// any of its stages requests.
-    fleet: FleetSpec,
 }
 
 impl StageSite {
-    /// A site on `backend` with the given per-query parallelism, on a
-    /// single (unreplicated) backend instance.
+    /// A site on `backend` with the given per-query parallelism.
     pub fn new(backend: usize, parallelism: usize) -> Self {
         Self {
             backend,
             parallelism: parallelism.max(1),
-            fleet: FleetSpec::default(),
         }
-    }
-
-    /// Sets this stage's backend fleet to an explicit generation mix.
-    pub fn with_fleet(mut self, fleet: FleetSpec) -> Self {
-        self.fleet = fleet;
-        self
-    }
-
-    /// Replicas of the backend available to this stage.
-    pub fn replicas(&self) -> usize {
-        self.fleet.replicas()
-    }
-
-    /// The fleet's generation mix.
-    pub fn fleet(&self) -> &FleetSpec {
-        &self.fleet
     }
 }
 
 /// A per-stage assignment of pipeline stages to backends — the
-/// scheduler's Step 2 decision, generalized beyond CPU/GPU.
+/// scheduler's Step 2 decision, generalized beyond CPU/GPU — plus the
+/// replica fleet of each backend the stages use (one baseline replica
+/// unless set with [`with_fleet`](Placement::with_fleet)).
 ///
 /// The index-based helpers ([`cpu_only`](Placement::cpu_only),
 /// [`gpu_only`](Placement::gpu_only), ...) assume the *commodity pool
@@ -473,12 +399,18 @@ impl StageSite {
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Placement {
     sites: Vec<StageSite>,
+    /// Each used backend's fleet other than one baseline replica, so
+    /// equal placements compare and hash equal however they were built.
+    fleets: BTreeMap<usize, FleetSpec>,
 }
 
 impl Placement {
     /// Creates a placement from explicit per-stage sites.
     pub fn new(sites: Vec<StageSite>) -> Self {
-        Self { sites }
+        Self {
+            sites,
+            fleets: BTreeMap::new(),
+        }
     }
 
     /// Every stage on `backend` with the given parallelism.
@@ -519,47 +451,24 @@ impl Placement {
         self.sites.len()
     }
 
-    /// Sets the replica fleet on every site of `backend` — the
-    /// placement-level form of [`EngineBuilder::fleet`].
+    /// Sets `backend`'s replica fleet — the placement-level form of
+    /// [`EngineBuilder::fleet`]. A no-op for a backend no stage is
+    /// placed on (idle hardware has nothing to replicate).
     ///
     /// [`EngineBuilder::fleet`]: crate::EngineBuilder::fleet
     pub fn with_fleet(mut self, backend: usize, fleet: FleetSpec) -> Self {
-        for site in &mut self.sites {
-            if site.backend == backend {
-                *site = site.clone().with_fleet(fleet.clone());
-            }
+        if fleet == FleetSpec::default() {
+            self.fleets.remove(&backend);
+        } else if self.sites.iter().any(|s| s.backend == backend) {
+            self.fleets.insert(backend, fleet);
         }
         self
     }
 
-    /// The fleet of `backend`'s emitted group: the largest fleet any
-    /// stage placed on it requests — strictly-greater weighted
-    /// capacity ([`FleetSpec::cost`], the sum of speeds) wins, then
-    /// strictly-more replicas, then the first such site — or one
-    /// baseline replica if the backend hosts no stage. On uniform
-    /// baseline fleets cost equals the replica count, so this is
-    /// exactly the pre-fleet max-of-counts rule; comparing capacity
-    /// first keeps a fast 2-replica fleet from silently losing to a
-    /// slow 3-replica one another stage requested.
+    /// The replica fleet of `backend`'s emitted group (one baseline
+    /// replica unless [`with_fleet`](Self::with_fleet) set another).
     pub fn fleet_for(&self, backend: usize) -> FleetSpec {
-        let mut best: Option<&FleetSpec> = None;
-        for site in self.sites.iter().filter(|s| s.backend == backend) {
-            let fleet = site.fleet();
-            if best.is_none_or(|b| {
-                fleet.cost() > b.cost()
-                    || (fleet.cost() == b.cost() && fleet.replicas() > b.replicas())
-            }) {
-                best = Some(fleet);
-            }
-        }
-        best.cloned().unwrap_or_default()
-    }
-
-    /// Replica count of `backend`'s emitted group: the largest count
-    /// any stage placed on it requests (1 if the backend hosts no
-    /// stage).
-    pub fn replicas_for(&self, backend: usize) -> usize {
-        self.fleet_for(backend).replicas()
+        self.fleets.get(&backend).cloned().unwrap_or_default()
     }
 
     /// Total replica cost: the sum of replica counts across the
@@ -570,7 +479,7 @@ impl Placement {
     pub fn replica_cost(&self) -> usize {
         self.used_backends()
             .into_iter()
-            .map(|b| self.replicas_for(b))
+            .map(|b| self.fleet_for(b).replicas())
             .sum()
     }
 
@@ -586,7 +495,7 @@ impl Placement {
             .sum()
     }
 
-    fn used_backends(&self) -> Vec<usize> {
+    pub(crate) fn used_backends(&self) -> Vec<usize> {
         let mut used: Vec<usize> = self.sites.iter().map(|s| s.backend).collect();
         used.sort_unstable();
         used.dedup();
@@ -661,11 +570,11 @@ pub fn build_spec(
 /// backend `pool` — the one code path every evaluation flows through.
 ///
 /// If all stages land on a single backend that supplies a
-/// [`Backend::chain_spec`], that decomposition is used (scaled to the
-/// placement's replica count: replicating an accelerator clones its
-/// whole mem + lanes chain). Otherwise each stage becomes a queueing
-/// stage on its backend's resource group — emitted with as many
-/// replicas as the placement's sites request for that backend — and
+/// [`Backend::chain_profile`], its mem + lanes decomposition is used
+/// (scaled to the placement's fleet: replicating an accelerator clones
+/// its whole chain). Otherwise each stage becomes a queueing stage on
+/// its backend's resource group, priced as a batch of one — emitted
+/// with the placement's fleet for that backend — and
 /// consecutive stages on *different* backends pay `interconnect`
 /// transfer for the surviving candidates. Replica-to-replica hops
 /// within one backend are free: the model assumes a uniform same-tier
@@ -673,10 +582,11 @@ pub fn build_spec(
 ///
 /// With `batching` enabled, each stage additionally carries a
 /// [`BatchModel`] fitted to its backend's batch-scaling curve
-/// ([`Backend::batch_latency`] probed at batch 1 and
-/// [`Backend::max_batch`]), with interconnect transfer scaling linearly
-/// across the batch. With `batching` disabled every stage is per-query,
-/// preserving the pre-batching simulator's behavior exactly.
+/// ([`Backend::batch_latency`], or each phase's chain profile, probed
+/// at batch 1 and [`Backend::max_batch`]), with interconnect transfer
+/// scaling linearly across the batch. With `batching` disabled every
+/// stage is per-query, preserving the pre-batching simulator's behavior
+/// exactly.
 ///
 /// # Errors
 ///
@@ -702,19 +612,24 @@ pub fn build_serving_spec(
             pool_size: pool.len(),
         });
     }
+    let batch_of = |backend: &dyn Backend| if batching { backend.max_batch() } else { 1 };
 
     // The whole-chain decomposition models plain (parallelism-1)
     // occupancy; placements requesting model parallelism fall through
     // to the generic path, which both prices the parallelism and
     // validates it against the backend's capacity.
-    if let Some(sole) = placement.sole_backend() {
-        if placement.sites().iter().all(|s| s.parallelism == 1) {
-            if let Some(spec) = pool[sole].chain_spec(pipeline, batching) {
-                // Replicating the backend clones its whole chain
-                // decomposition, one copy per fleet member at that
-                // member's generation speed.
-                return Ok(spec.scale_fleet(&placement.fleet_for(sole).speeds()));
-            }
+    let chain = placement
+        .sole_backend()
+        .filter(|_| placement.sites().iter().all(|s| s.parallelism == 1));
+    if let Some(sole) = chain {
+        let backend = pool[sole].as_ref();
+        let batch = batch_of(backend);
+        let profiles = backend
+            .chain_profile(pipeline, 1)
+            .zip(backend.chain_profile(pipeline, batch));
+        if let Some((one, full)) = profiles {
+            let speeds = placement.fleet_for(sole).speeds();
+            return Ok(accel_profile_spec(one, full, batch, &speeds)?);
         }
     }
 
@@ -739,21 +654,13 @@ pub fn build_serving_spec(
         } else {
             0.0
         };
-        let backend = &pool[site.backend];
-        let base = backend.stage_latency(work, site.parallelism) + transfer;
-        let mut stage = StageSpec::new(
-            format!("s{i}:{}", backend.name()),
-            site.backend,
-            site.parallelism,
-            base,
-        );
-        let max_batch = backend.max_batch();
-        if batching && max_batch > 1 {
-            let full = backend.batch_latency(work, site.parallelism, max_batch)
-                + transfer * max_batch as f64;
-            stage = stage.with_batch(fit_batch_model(base, full, max_batch));
-        }
-        spec = spec.with_stage(stage)?;
+        let backend = pool[site.backend].as_ref();
+        let batch = batch_of(backend);
+        let base = backend.batch_latency(work, site.parallelism, 1) + transfer;
+        let full = backend.batch_latency(work, site.parallelism, batch) + transfer * batch as f64;
+        let name = format!("s{i}:{}", backend.name());
+        let stage = StageSpec::new(name, site.backend, site.parallelism, base);
+        spec = spec.with_stage(fit_batch(stage, full, batch))?;
         prev = Some(site.backend);
     }
     Ok(spec)
@@ -783,7 +690,7 @@ mod tests {
         let cpu = CpuModel::cascade_lake();
         let work = &two_stage().stage_works()[0];
         assert_eq!(
-            Backend::stage_latency(&cpu, work, 2),
+            Backend::batch_latency(&cpu, work, 2, 1),
             CpuModel::stage_latency(&cpu, work, 2)
         );
         assert_eq!(cpu.resources().capacity(), 64);
@@ -899,9 +806,9 @@ mod tests {
         // stage; a multi-stage pipeline must NOT silently drop frontend
         // work — it takes the generic per-stage path instead.
         let baseline = BaselineAccel::paper_default();
-        assert!(baseline.chain_spec(&two_stage(), false).is_none());
+        assert!(baseline.chain_profile(&two_stage(), 1).is_none());
         let single = PipelineConfig::single_stage(ModelKind::RmLarge, 4096, 64).unwrap();
-        assert!(baseline.chain_spec(&single, false).is_some());
+        assert!(baseline.chain_profile(&single, 1).is_some());
 
         let pool: Vec<Arc<dyn Backend>> = vec![Arc::new(BaselineAccel::paper_default())];
         let spec = build_spec(
@@ -954,8 +861,8 @@ mod tests {
         let p = Placement::new(vec![StageSite::new(1, 1), StageSite::new(0, 4)])
             .with_fleet(0, FleetSpec::uniform(3))
             .with_fleet(1, FleetSpec::uniform(2));
-        assert_eq!(p.replicas_for(0), 3);
-        assert_eq!(p.replicas_for(1), 2);
+        assert_eq!(p.fleet_for(0).replicas(), 3);
+        assert_eq!(p.fleet_for(1).replicas(), 2);
         assert_eq!(p.replica_cost(), 5);
         assert_eq!(p.describe(&pool), "gpu*2|cpu*3(x4)");
         // Sole-backend collapse keeps the replica annotation.
@@ -1000,27 +907,6 @@ mod tests {
         // Mixed fleet on one backend of a heterogeneous placement.
         let hetero = Placement::gpu_frontend(2, 2).with_fleet(1, FleetSpec::new(&[1.0, 0.5]));
         assert_eq!(hetero.describe(&pool), "gpu*1@1.0+1@0.5|cpu(x2)");
-    }
-
-    #[test]
-    fn fleet_for_prefers_weighted_capacity_over_raw_count() {
-        // Sites on one backend may disagree (hand-built placements);
-        // the emitted group must not let a slow 3-replica fleet beat a
-        // fast 2-replica one on count alone.
-        let slow3 = FleetSpec::new(&[0.1, 0.1, 0.1]);
-        let fast2 = FleetSpec::uniform(2);
-        let p = Placement::new(vec![
-            StageSite::new(0, 1).with_fleet(slow3),
-            StageSite::new(0, 1).with_fleet(fast2.clone()),
-        ]);
-        assert_eq!(p.fleet_for(0), fast2);
-        // Equal weighted capacity: more replicas still wins (the
-        // pre-fleet max-of-counts rule on uniform fleets).
-        let p = Placement::new(vec![
-            StageSite::new(0, 1).with_fleet(FleetSpec::new(&[2.0])),
-            StageSite::new(0, 1).with_fleet(FleetSpec::new(&[1.0, 1.0])),
-        ]);
-        assert_eq!(p.fleet_for(0), FleetSpec::uniform(2));
     }
 
     #[test]

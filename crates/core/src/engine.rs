@@ -154,7 +154,6 @@ pub struct EngineBuilder {
     pipeline: Option<PipelineConfig>,
     backends: Vec<Arc<dyn Backend>>,
     placement: Option<Placement>,
-    interconnect: Option<PcieModel>,
     load_qps: f64,
     sla_s: Option<f64>,
     quality_queries: usize,
@@ -171,7 +170,6 @@ impl EngineBuilder {
             pipeline: None,
             backends: Vec::new(),
             placement: None,
-            interconnect: None,
             load_qps: 100.0,
             sla_s: None,
             quality_queries: 300,
@@ -200,13 +198,6 @@ impl EngineBuilder {
     /// 0 with parallelism 1).
     pub fn placement(mut self, placement: Placement) -> Self {
         self.placement = Some(placement);
-        self
-    }
-
-    /// Sets the interconnect paid when consecutive stages cross
-    /// backends (defaults to the measured PCIe model).
-    pub fn interconnect(mut self, pcie: PcieModel) -> Self {
-        self.interconnect = Some(pcie);
         self
     }
 
@@ -255,9 +246,8 @@ impl EngineBuilder {
     /// every stage placed on that backend; with `n = 1` (the default)
     /// the serving spec is identical to the pre-cluster engine.
     ///
-    /// Replica counts live on the placement's stages, so the call is a
-    /// no-op for a backend the placement gives no stage to (idle
-    /// hardware has nothing to replicate), and
+    /// The call is a no-op for a backend the placement gives no stage
+    /// to (idle hardware has nothing to replicate), and
     /// [`Placement::fleet_for`] keeps reporting one replica for it.
     ///
     /// An out-of-pool index surfaces as
@@ -315,13 +305,12 @@ impl EngineBuilder {
             }
             placement = placement.with_fleet(*backend, fleet.clone());
         }
-        let interconnect = self.interconnect.unwrap_or_else(PcieModel::measured);
         // Building the spec here both validates the placement eagerly
         // (misuse fails at build time, not on first evaluation) and
         // lets every later call reuse it.
         let spec = build_serving_spec(
             &self.backends,
-            &interconnect,
+            &PcieModel::measured(),
             &pipeline,
             &placement,
             self.batching,
@@ -330,7 +319,6 @@ impl EngineBuilder {
             pipeline,
             backends: self.backends,
             placement,
-            interconnect,
             load_qps: self.load_qps,
             sla_s: self.sla_s,
             quality_queries: self.quality_queries,
@@ -375,7 +363,6 @@ pub struct Engine {
     pipeline: PipelineConfig,
     backends: Vec<Arc<dyn Backend>>,
     placement: Placement,
-    interconnect: PcieModel,
     load_qps: f64,
     sla_s: Option<f64>,
     quality_queries: usize,
@@ -507,11 +494,6 @@ impl Engine {
             .queries(self.quality_queries)
             .sub_batches(self.sub_batches)
             .seed(self.seed)
-    }
-
-    /// The interconnect charged on backend crossings.
-    pub(crate) fn interconnect(&self) -> &PcieModel {
-        &self.interconnect
     }
 
     /// Measures pipelines' qualities (NDCG, in input order) with this
@@ -666,7 +648,7 @@ impl Engine {
 
     /// Explores the scheduler's design space over this engine's backend
     /// pool at the bound load — up to `settings.max_stages` stages,
-    /// charging this engine's interconnect on backend crossings — and
+    /// charging the measured PCIe link on backend crossings — and
     /// returns the quality/latency Pareto frontier (saturated points
     /// dropped). The engine's pipeline supplies the dataset being
     /// swept (overriding `settings.dataset`); the settings supply the
@@ -687,7 +669,7 @@ impl Engine {
             &self.backends,
             self.sub_batches,
             self.sla_s,
-            &self.interconnect,
+            &PcieModel::measured(),
         );
         if scheduler.sweeps_cluster_cost() {
             Scheduler::pareto_with_cost(points)
@@ -831,8 +813,8 @@ mod tests {
             ReplicaGroup::new("mock", self.units)
         }
 
-        fn stage_latency(&self, _work: &StageWork, parallelism: usize) -> f64 {
-            self.latency_s / parallelism as f64
+        fn batch_latency(&self, _work: &StageWork, parallelism: usize, batch: usize) -> f64 {
+            self.latency_s / parallelism as f64 * batch as f64
         }
     }
 

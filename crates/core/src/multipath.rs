@@ -18,6 +18,7 @@
 //!   — the brown-out analogue of the cluster sweep's cost-aware front.
 
 use recpipe_data::ArrivalProcess;
+use recpipe_hwsim::PcieModel;
 use recpipe_qsim::{
     AdmissionPolicy, AlwaysPrimary, DeadlineAware, LifecycleConfig, LoadAdaptive, PathSet,
     PathStats, Router, Scenario, SchedulingPolicy,
@@ -131,7 +132,7 @@ impl<'e> PathSetBuilder<'e> {
     }
 
     /// Builds the path set: each path's queueing spec is built exactly
-    /// like the engine's own (same pool, interconnect, and batching
+    /// like the engine's own (same pool, PCIe link, and batching
     /// flag), qualities without explicit tags are measured together
     /// with the engine's evaluator settings (one shared-pool batch per
     /// dataset, bit-identical to measuring each alone), and the specs
@@ -149,7 +150,7 @@ impl<'e> PathSetBuilder<'e> {
         for p in &self.paths {
             specs.push(build_serving_spec(
                 self.engine.backends(),
-                self.engine.interconnect(),
+                &PcieModel::measured(),
                 &p.pipeline,
                 &p.placement,
                 self.engine.batching(),

@@ -674,6 +674,8 @@ fn one_chunk(len: usize, sub_batches: usize) -> bool {
 /// optionally stitching `sub_batches` per-chunk top-(k/n) sets (the
 /// accelerator's sub-batched filtering). Each chunk keeps the first
 /// positions of a stable descending sort, and chunks stitch in order.
+/// With more chunks than `k` each chunk keeps one winner, and the `k`
+/// best winners pass on (equal scores to the earlier position).
 fn select_top(scores: &[f64], k: usize, sub_batches: usize) -> Vec<usize> {
     let k = k.max(1);
     let (chunk_len, per_chunk) = if one_chunk(scores.len(), sub_batches) {
@@ -681,7 +683,7 @@ fn select_top(scores: &[f64], k: usize, sub_batches: usize) -> Vec<usize> {
     } else {
         (scores.len().div_ceil(sub_batches), (k / sub_batches).max(1))
     };
-    let mut out: Vec<usize> = scores
+    let winners: Vec<usize> = scores
         .chunks(chunk_len)
         .enumerate()
         .flat_map(|(chunk, scores)| {
@@ -690,8 +692,13 @@ fn select_top(scores: &[f64], k: usize, sub_batches: usize) -> Vec<usize> {
                 .map(move |pos| chunk * chunk_len + pos)
         })
         .collect();
-    out.truncate(k);
-    out
+    if winners.len() <= k {
+        return winners;
+    }
+    top_k_set(&winners, k, |&pos| scores[pos])
+        .into_iter()
+        .map(|j| winners[j])
+        .collect()
 }
 
 /// `ideal_top_k` of the pool's gains `u^exponent`, with only the `k`
@@ -855,8 +862,8 @@ mod tests {
         sorted.into_iter().map(|(pos, _)| pos).collect()
     }
 
-    /// [`select_top`]'s stitching over [`sorted_top_k`], put back in
-    /// input order.
+    /// [`select_top`]'s stitching over [`sorted_top_k`], keeping the
+    /// best `k` chunk winners, put back in input order.
     fn sorted_select_top(scores: &[f64], k: usize, sub_batches: usize) -> Vec<usize> {
         if sub_batches <= 1 || scores.len() <= sub_batches {
             let mut top = sorted_top_k(scores, k);
@@ -873,9 +880,15 @@ mod tests {
                     .map(|pos| chunk * chunk_len + pos),
             );
         }
-        out.truncate(k.max(1));
-        out.sort_unstable();
-        out
+        // Equal scores sit in input order here, so the stable sort
+        // breaks their ties to the earlier position.
+        let winners: Vec<f64> = out.iter().map(|&pos| scores[pos]).collect();
+        let mut top: Vec<usize> = sorted_top_k(&winners, k)
+            .into_iter()
+            .map(|j| out[j])
+            .collect();
+        top.sort_unstable();
+        top
     }
 
     #[test]
@@ -925,6 +938,19 @@ mod tests {
         let grid = crate::Scheduler::new(crate::SchedulerSettings::quick()).enumerate_pipelines(3);
         assert_eq!(grid.len(), 14);
         grid
+    }
+
+    #[test]
+    fn more_sub_batches_than_survivors_keep_the_best_chunk_winners() {
+        // Past 256 sub-batches each chunk keeps one winner, and the 256
+        // best winners pass on: the stage still reads the whole pool.
+        let funnel = two_stage(ModelKind::RmSmall, 4096, 256);
+        let ndcg = |n| eval().queries(100).sub_batches(n).evaluate(&funnel).ndcg;
+        let whole = ndcg(1);
+        for n in [300, 1_000, 4_095] {
+            let chunked = ndcg(n);
+            assert!((chunked - whole).abs() < 0.02, "{n}: {chunked} vs {whole}");
+        }
     }
 
     #[test]

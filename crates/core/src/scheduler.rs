@@ -442,11 +442,8 @@ impl Scheduler {
     /// candidate-for-candidate.
     pub fn fleet_variants(&self, placement: &Placement) -> Vec<Placement> {
         let opts = self.effective_fleet_options();
-        let mut used: Vec<usize> = placement.sites().iter().map(|s| s.backend).collect();
-        used.sort_unstable();
-        used.dedup();
         let mut out = vec![placement.clone()];
-        for &b in &used {
+        for b in placement.used_backends() {
             let mut next = Vec::with_capacity(out.len() * opts.len());
             for p in &out {
                 for fleet in &opts {

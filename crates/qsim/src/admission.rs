@@ -33,6 +33,7 @@
 //! seeds replay identical admission streams.
 
 use crate::router::splitmix64;
+use crate::spec::bottleneck_qps;
 use crate::{PipelineSpec, ReplicaGroup, SpecError, StageSpec, WindowStats};
 
 /// Largest number of paths one [`PathSet`] may hold: per-query path
@@ -238,27 +239,16 @@ impl PathSet {
     /// matter, not a spec property).
     pub fn profile(&self, p: usize) -> PathProfile {
         let resources = self.spec.resources();
-        let mut load = vec![0.0; resources.len()];
-        let mut amortized = vec![0.0; resources.len()];
-        let mut floor = 0.0;
-        for s in self.path_stages(p) {
-            load[s.resource] += s.units as f64 * s.service_time;
-            amortized[s.resource] += s.units as f64 * s.amortized_service_time();
-            floor += s.service_time;
-        }
-        let bottleneck = |per_resource: &[f64]| {
-            resources
-                .iter()
-                .zip(per_resource)
-                .filter(|(_, load)| **load > 0.0)
-                .map(|(r, load)| r.weighted_units() / load)
-                .fold(f64::INFINITY, f64::min)
-        };
+        let stages = self.path_stages(p);
         PathProfile {
             quality: self.qualities[p],
-            service_floor_s: floor,
-            max_qps: bottleneck(&load),
-            max_qps_full_batch: bottleneck(&amortized),
+            service_floor_s: stages.iter().map(|s| s.service_time).sum(),
+            max_qps: bottleneck_qps(resources, stages, |s| s.service_time),
+            max_qps_full_batch: bottleneck_qps(
+                resources,
+                stages,
+                StageSpec::amortized_service_time,
+            ),
         }
     }
 

@@ -255,14 +255,13 @@ impl ReplicaGroup {
 /// one batch on the same resource units.
 ///
 /// A batch of `b` queries takes
-/// `overhead_s + service_time * (1 + marginal * (b - 1))` seconds:
+/// `service_time * (1 + marginal * (b - 1))` seconds:
 ///
-/// * `marginal = 1, overhead_s = 0` (the [`per_query`](Self::per_query)
-///   default) is exactly today's per-query serving — `b` queries cost
-///   `b` service times, and `max_batch = 1` never forms a batch;
+/// * `marginal = 1` (the [`per_query`](Self::per_query) default) is
+///   exactly today's per-query serving — `b` queries cost `b` service
+///   times, and `max_batch = 1` never forms a batch;
 /// * `marginal < 1` models hardware that amortizes fixed work (weight
-///   streaming, kernel launches, PCIe setup) across the batch;
-/// * `overhead_s` charges per-launch cost that batching dilutes.
+///   streaming, kernel launches, PCIe setup) across the batch.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BatchModel {
     /// Largest number of queries one launch may aggregate.
@@ -270,8 +269,6 @@ pub struct BatchModel {
     /// Fraction of the base service time each query after the first
     /// adds (1.0 = no batching benefit, 0.0 = perfect batching).
     pub marginal: f64,
-    /// Fixed per-batch overhead in seconds.
-    pub overhead_s: f64,
 }
 
 impl BatchModel {
@@ -281,12 +278,10 @@ impl BatchModel {
         Self {
             max_batch: 1,
             marginal: 1.0,
-            overhead_s: 0.0,
         }
     }
 
-    /// A batching model with the given size cap and marginal cost and no
-    /// fixed overhead.
+    /// A batching model with the given size cap and marginal cost.
     ///
     /// # Panics
     ///
@@ -304,7 +299,6 @@ impl BatchModel {
         Self {
             max_batch,
             marginal,
-            overhead_s: 0.0,
         }
     }
 
@@ -312,7 +306,7 @@ impl BatchModel {
     /// service time is `base`.
     pub fn service_time(&self, base: f64, b: usize) -> f64 {
         let extra = b.saturating_sub(1) as f64;
-        self.overhead_s + base * (1.0 + self.marginal * extra)
+        base * (1.0 + self.marginal * extra)
     }
 
     /// Whether this model ever aggregates queries.
@@ -410,7 +404,7 @@ pub enum SpecError {
         stage: String,
     },
     /// A stage's batching model is malformed (zero batch cap, negative
-    /// or non-finite marginal cost or overhead).
+    /// or non-finite marginal cost).
     InvalidBatchModel {
         /// The offending stage name.
         stage: String,
@@ -521,10 +515,7 @@ impl PipelineSpec {
             });
         }
         let b = &stage.batch;
-        if b.max_batch == 0
-            || !(b.marginal.is_finite() && b.marginal >= 0.0)
-            || !(b.overhead_s.is_finite() && b.overhead_s >= 0.0)
-        {
+        if b.max_batch == 0 || !(b.marginal.is_finite() && b.marginal >= 0.0) {
             return Err(SpecError::InvalidBatchModel {
                 stage: stage.name.clone(),
             });
@@ -543,50 +534,23 @@ impl PipelineSpec {
         &self.stages
     }
 
-    /// Offered load (busy units x seconds per query) per resource — the
-    /// stability check `load_per_resource * qps <= total_units` predicts
-    /// saturation.
-    pub fn unit_seconds_per_query(&self) -> Vec<f64> {
-        let mut load = vec![0.0; self.resources.len()];
-        for s in &self.stages {
-            load[s.resource] += s.units as f64 * s.service_time;
-        }
-        load
-    }
-
     /// Maximum sustainable throughput in QPS (the tightest resource
     /// bottleneck across all replicas), serving one query per launch.
     /// Replica speeds weight the capacity: an old-generation replica at
     /// speed 0.6 contributes 0.6 of its units to the drain rate.
     pub fn max_qps(&self) -> f64 {
-        self.resources
-            .iter()
-            .zip(self.unit_seconds_per_query())
-            .filter(|(_, load)| *load > 0.0)
-            .map(|(r, load)| r.weighted_units() / load)
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Busy unit-seconds per query per resource with every stage running
-    /// at its largest batch — the best-case (fully amortized) load.
-    pub fn amortized_unit_seconds_per_query(&self) -> Vec<f64> {
-        let mut load = vec![0.0; self.resources.len()];
-        for s in &self.stages {
-            load[s.resource] += s.units as f64 * s.amortized_service_time();
-        }
-        load
+        bottleneck_qps(&self.resources, &self.stages, |s| s.service_time)
     }
 
     /// Maximum sustainable throughput in QPS when every stage serves
     /// full batches. Equals [`max_qps`](Self::max_qps) for per-query
     /// stages; higher when batching amortizes service time.
     pub fn max_qps_at_full_batch(&self) -> f64 {
-        self.resources
-            .iter()
-            .zip(self.amortized_unit_seconds_per_query())
-            .filter(|(_, load)| *load > 0.0)
-            .map(|(r, load)| r.weighted_units() / load)
-            .fold(f64::INFINITY, f64::min)
+        bottleneck_qps(
+            &self.resources,
+            &self.stages,
+            StageSpec::amortized_service_time,
+        )
     }
 
     /// Whether any stage aggregates queries into batches.
@@ -631,27 +595,31 @@ impl PipelineSpec {
         self.resources.iter().map(|r| r.replicas()).sum()
     }
 
-    /// Expands every resource group into a mixed-generation fleet: one
-    /// copy of the group per entry of `speeds`, scaled by that entry —
-    /// how a whole-pipeline chain decomposition is cloned across a
-    /// heterogeneous backend fleet (`&[1.0; n]` replicates it `n`
-    /// times).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `speeds` is empty or contains a non-positive or
-    /// non-finite value.
-    pub fn scale_fleet(mut self, speeds: &[f64]) -> Self {
-        for r in &mut self.resources {
-            *r = r.clone().with_fleet_speeds(speeds);
-        }
-        self
-    }
-
     /// Sum of stage service times — the zero-load latency floor.
     pub fn service_floor(&self) -> f64 {
         self.stages.iter().map(|s| s.service_time).sum()
     }
+}
+
+/// The drain rate of the tightest resource group: each group's
+/// speed-weighted units over the busy unit-seconds per query that
+/// `stages` charge it, with `service` a stage's per-query service time.
+/// Groups no stage loads never bind.
+pub(crate) fn bottleneck_qps(
+    resources: &[ReplicaGroup],
+    stages: &[StageSpec],
+    service: impl Fn(&StageSpec) -> f64,
+) -> f64 {
+    let mut load = vec![0.0; resources.len()];
+    for s in stages {
+        load[s.resource] += s.units as f64 * service(s);
+    }
+    resources
+        .iter()
+        .zip(load)
+        .filter(|(_, load)| *load > 0.0)
+        .map(|(r, load)| r.weighted_units() / load)
+        .fold(f64::INFINITY, f64::min)
 }
 
 #[cfg(test)]
@@ -725,8 +693,6 @@ mod tests {
             .unwrap()
             .with_stage(StageSpec::new("back", 0, 2, 0.005))
             .unwrap();
-        let load = spec.unit_seconds_per_query();
-        assert!((load[0] - 0.020).abs() < 1e-12);
         assert!((spec.max_qps() - 3200.0).abs() < 1e-9);
     }
 
