@@ -75,11 +75,6 @@ pub struct ServiceProfile {
 }
 
 impl ServiceProfile {
-    /// End-to-end single-query latency.
-    pub fn latency(&self) -> f64 {
-        self.dram_service_s + self.compute_service_s
-    }
-
     /// Maximum sustainable throughput in QPS.
     pub fn max_qps(&self) -> f64 {
         let dram_cap = if self.dram_service_s > 0.0 {
@@ -388,7 +383,8 @@ mod tests {
         let a = accel(Partition::symmetric(8, 8));
         let stages = two_stage();
         let p = a.service_profile(&stages);
-        assert!((p.latency() - a.query_latency(&stages)).abs() < 1e-9);
+        let latency = p.dram_service_s + p.compute_service_s;
+        assert!((latency - a.query_latency(&stages)).abs() < 1e-9);
         assert!(p.max_qps() > 0.0);
     }
 

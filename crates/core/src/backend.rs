@@ -763,41 +763,19 @@ mod tests {
     }
 
     #[test]
-    fn rpaccel_chain_spec_is_used_when_sole_backend() {
-        let pipeline = two_stage();
+    fn model_parallel_placements_skip_the_chain_profile() {
+        // A sole RPAccel serves through its `chain_profile` (its specs
+        // are pinned in `tests/backend_contract.rs`); model-parallel
+        // placements go generic instead, which prices the parallelism
+        // and validates it against capacity (lanes = 2 here).
         let accel = RpAccel::new(RpAccelConfig::paper_default(Partition::symmetric(8, 2)));
         let pool: Vec<Arc<dyn Backend>> = vec![Arc::new(accel)];
-        let spec = build_spec(
-            &pool,
-            &PcieModel::measured(),
-            &pipeline,
-            &Placement::uniform(0, 2, 1),
-        )
-        .unwrap();
-        // The chain decomposition has the mem + lanes shape, not one
-        // stage per pipeline stage.
-        assert_eq!(spec.resources().len(), 2);
-        assert_eq!(spec.resources()[0].name, "accel-mem");
-        assert_eq!(spec.stages().len(), 2);
-
-        // Model-parallel placements bypass the chain decomposition and
-        // go generic — including capacity validation (lanes = 2 here).
-        let parallel = build_spec(
-            &pool,
-            &PcieModel::measured(),
-            &pipeline,
-            &Placement::uniform(0, 2, 2),
-        )
-        .unwrap();
-        assert_eq!(parallel.resources()[0].name, "rpaccel");
-        let err = build_spec(
-            &pool,
-            &PcieModel::measured(),
-            &pipeline,
-            &Placement::uniform(0, 2, 999),
-        )
-        .unwrap_err();
-        assert!(matches!(err, EngineError::Spec(_)));
+        let build = |parallelism| {
+            let placement = Placement::uniform(0, 2, parallelism);
+            build_spec(&pool, &PcieModel::measured(), &two_stage(), &placement)
+        };
+        assert_eq!(build(2).unwrap().resources()[0].name, "rpaccel");
+        assert!(matches!(build(999).unwrap_err(), EngineError::Spec(_)));
     }
 
     #[test]
@@ -841,18 +819,6 @@ mod tests {
         )
         .unwrap();
         assert!((spec.max_qps() - 3.0 * single.max_qps()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn replicated_chain_spec_clones_the_whole_decomposition() {
-        let pipeline = two_stage();
-        let accel = RpAccel::new(RpAccelConfig::paper_default(Partition::symmetric(8, 2)));
-        let pool: Vec<Arc<dyn Backend>> = vec![Arc::new(accel)];
-        let placement = Placement::uniform(0, 2, 1).with_fleet(0, FleetSpec::uniform(2));
-        let spec = build_spec(&pool, &PcieModel::measured(), &pipeline, &placement).unwrap();
-        // Replicating the accelerator clones its mem + lanes chain.
-        assert_eq!(spec.resources()[0].name, "accel-mem");
-        assert!(spec.resources().iter().all(|r| r.replicas() == 2));
     }
 
     #[test]
@@ -947,22 +913,6 @@ mod tests {
         )
         .unwrap();
         assert!((spec.max_qps() - 2.6 * single.max_qps()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn mixed_fleet_chain_spec_scales_every_group_by_generation() {
-        let pipeline = two_stage();
-        let accel = RpAccel::new(RpAccelConfig::paper_default(Partition::symmetric(8, 2)));
-        let pool: Vec<Arc<dyn Backend>> = vec![Arc::new(accel)];
-        let placement = Placement::uniform(0, 2, 1).with_fleet(0, FleetSpec::new(&[1.0, 0.5]));
-        let spec = build_spec(&pool, &PcieModel::measured(), &pipeline, &placement).unwrap();
-        // Each chain group (mem + lanes) is cloned per fleet member at
-        // that member's speed.
-        for group in spec.resources() {
-            assert_eq!(group.replicas(), 2);
-            assert_eq!(group.profiles()[0].speed, 1.0);
-            assert_eq!(group.profiles()[1].speed, 0.5);
-        }
     }
 
     #[test]

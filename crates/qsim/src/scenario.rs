@@ -267,10 +267,7 @@ impl<'a> Scenario<'a> {
             if let Some((scale, _)) = &self.autoscale {
                 cfg = cfg.with_window(scale.window_s);
             }
-            sim.enable_lifecycle(&cfg);
-        }
-        if let Some((cfg, controller)) = self.autoscale {
-            sim.enable_autoscale(cfg, controller);
+            sim.enable_lifecycle(&cfg, self.autoscale);
         }
         if let Some((paths, admission)) = self.multipath {
             sim.enable_multipath(paths, admission, inputs.seed);

@@ -7,18 +7,19 @@ use recpipe_data::ArrivalProcess;
 use recpipe_metrics::{LatencyStats, ThroughputMeter};
 
 use crate::{
-    AdmissionPolicy, AutoscaleConfig, FailurePolicy, FleetController, LifecycleAction,
-    LifecycleConfig, LifecycleEvent, PathSet, PipelineSpec, QueueEntry, Release, ReplicaLoads,
-    ResilienceConfig, Router, RouterState, RoutingCtx, SchedulingPolicy, SimError, SimResult,
-    StageSpec,
+    AdmissionPolicy, AutoscaleConfig, FleetController, LifecycleConfig, PathSet, PipelineSpec,
+    QueueEntry, Release, ReplicaLoads, ResilienceConfig, Router, RouterState, RoutingCtx,
+    SchedulingPolicy, SimError, SimResult, StageSpec,
 };
 
 mod lanes;
+mod lifecycle;
 mod paths;
 mod queue;
 mod telemetry;
 
 use lanes::ResilienceRt;
+use lifecycle::LifecycleRt;
 use paths::MultipathRt;
 use queue::EventQueue;
 use telemetry::Telemetry;
@@ -324,41 +325,6 @@ struct Batch {
     finish: f64,
 }
 
-/// Availability state of one replica slot — the lifecycle state
-/// machine `warming → up → draining → down` (fail-stop jumps from any
-/// live state straight to `Down`). Lifecycle-free runs keep every slot
-/// `Up` forever.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotState {
-    /// Provisioned but still warming: serves at reduced speed, accepts
-    /// routes.
-    Warming,
-    /// Fully available.
-    Up,
-    /// Finishing queued and in-flight work; accepts no new routes.
-    Draining,
-    /// Not serving; holds no units, no queue, accepts no routes.
-    Down,
-}
-
-impl SlotState {
-    /// Whether routers may send new work to a slot in this state.
-    fn routable(self) -> bool {
-        matches!(self, SlotState::Warming | SlotState::Up)
-    }
-}
-
-/// Autoscaling runtime: the bounds of a validated, flattened
-/// [`AutoscaleConfig`] and the controller every closing window
-/// consults.
-struct ScaleRt<'a> {
-    group: usize,
-    min: usize,
-    max: usize,
-    warmup_s: f64,
-    controller: &'a mut dyn FleetController,
-}
-
 /// Batch membership: allocation-free in the dominant per-query case,
 /// and backed by a pooled buffer (recycled at completion) for real
 /// batches, so the steady-state event loop allocates nothing per
@@ -410,10 +376,10 @@ struct MaskScratch {
 
 /// The simulator state. `#[repr(C)]` pins the declared field order in
 /// memory: the per-event scalars and flags pack into the first cache
-/// lines, the hot container headers follow, and the lifecycle machinery
-/// and the optional runtimes — untouched on lifecycle-free runs — sit at
-/// the cold tail. (repr(Rust) is free to shuffle fields, and a struct
-/// this wide scatters the hot set across all of it otherwise.)
+/// lines, the hot container headers follow, and the optional runtimes —
+/// the lifecycle among them, each `None` unless armed — sit at the cold
+/// tail. (repr(Rust) is free to shuffle fields, and a struct this wide
+/// scatters the hot set across all of it otherwise.)
 #[repr(C)]
 pub(crate) struct Sim<'a> {
     // --- Hot per-event scalars (first cache lines) ---
@@ -489,7 +455,7 @@ pub(crate) struct Sim<'a> {
     /// contexts expose to affinity routers).
     stage_groups: Vec<usize>,
     /// Per-slot *current* service-rate multiplier: the profile speed,
-    /// scaled down while warming. Equal to `slot_speed` on
+    /// scaled down while warming or degraded. Equal to `slot_speed` on
     /// lifecycle-free runs (bit-identical estimates and service times).
     cur_speed: Vec<f64>,
     /// Per-slot earliest armed policy recheck, if any.
@@ -559,49 +525,18 @@ pub(crate) struct Sim<'a> {
     /// shard; the serial loop and the final stage's shard keep `None`
     /// and record completions locally (see shard.rs).
     shard_out: Option<&'a mut dyn ShardSink>,
-
-    // --- Replica lifecycle (inert defaults; see `enable_lifecycle`) ---
-    /// What happens to queries stranded by failures.
-    failure_policy: FailurePolicy,
-    /// Speed multiplier applied while a slot warms.
-    warmup_speed: f64,
-    /// Per-slot availability state.
-    state: Vec<SlotState>,
-    /// Per-slot gray-failure (limpware) speed fraction: 1.0 when
-    /// healthy, `(0, 1)` while degraded. Multiplies into `cur_speed`
-    /// alongside warm-up; a [`LifecycleAction::Recover`] on a live
-    /// degraded slot restores it (and a provision of a down slot resets
-    /// it — a fresh machine).
-    degrade_frac: Vec<f64>,
-    /// Per-slot lifecycle generation: bumped on every provision, drain,
-    /// and fail-stop so in-flight `WarmDone` events cancel lazily.
-    slot_gen: Vec<u64>,
-    /// Routable (up or warming) replicas per group — the fast "is
-    /// masking needed at all" check.
-    group_available: Vec<usize>,
-    /// Pending revival (provision/recover) events per group in the
-    /// static schedule: while positive, unroutable queries park instead
-    /// of failing the run.
-    revivals_left: Vec<usize>,
-    /// Per-group parked queries `(query, stage)` awaiting a revival.
-    parked: Vec<Vec<(usize, usize)>>,
-    /// Queries dropped without service (dead-group arrivals and dead
-    /// queue residents under `FailurePolicy::Shed`).
+    /// Queries lost without service: shed at admission, or at a dead
+    /// group or from a dead queue under `FailurePolicy::Shed`.
     shed: usize,
     /// In-flight queries killed by fail-stops under
     /// `FailurePolicy::Shed`.
     dropped: usize,
-    /// The typed all-replicas-down error, checked after every arrival.
-    fatal: Option<SimError>,
-    /// Flattened static schedule: `(slot, event)` per scheduled
-    /// lifecycle event, indexed by `EventKind::Lifecycle`.
-    sched: Vec<(usize, LifecycleEvent)>,
-    /// Scratch columns for availability-masked routing.
+    /// Scratch columns for masked routing.
     mask: MaskScratch,
 
     // --- Optional runtimes (None unless armed) ---
     tele: Option<Telemetry>,
-    scale: Option<ScaleRt<'a>>,
+    life: Option<Box<LifecycleRt<'a>>>,
     mp: Option<MultipathRt<'a>>,
     resil: Option<Box<ResilienceRt>>,
 }
@@ -749,14 +684,12 @@ impl<'a> Sim<'a> {
         let num_slots = slot_group.len();
         let num_stages = spec.stages().len();
         let group_replicas: Vec<usize> = resources.iter().map(|r| r.replicas()).collect();
-        let cur_speed = slot_speed.clone();
         let gauges = Gauges {
             queued: 0,
             busy: 0,
             capacity: slot_capacity.iter().sum(),
             cost: slot_speed.iter().sum(),
         };
-        let num_groups = resources.len();
         // Gate per-query bookkeeping on what the router actually reads:
         // oblivious and counter-only routers skip the estimator arrays'
         // maintenance entirely, and history-blind routers (every
@@ -778,8 +711,9 @@ impl<'a> Sim<'a> {
             arrival_time: vec![f64::NAN; num_queries],
             slot_base,
             slot_group,
-            group_replicas: group_replicas.clone(),
+            group_replicas,
             slot_capacity,
+            cur_speed: slot_speed.clone(),
             slot_speed,
             free,
             queued_work: vec![0.0; num_slots],
@@ -813,24 +747,13 @@ impl<'a> Sim<'a> {
             think_time_s: None,
             work_conserving: policy.admit_on_arrival(),
             schedule_len: 0,
-            failure_policy: FailurePolicy::default(),
-            warmup_speed: 0.5,
-            state: vec![SlotState::Up; num_slots],
-            degrade_frac: vec![1.0; num_slots],
-            cur_speed,
-            slot_gen: vec![0; num_slots],
             batch_gen: Vec::new(),
-            group_available: group_replicas,
-            revivals_left: vec![0; num_groups],
-            parked: vec![Vec::new(); num_groups],
             shed: 0,
             dropped: 0,
-            fatal: None,
-            sched: Vec::new(),
             mask: MaskScratch::default(),
             gauges,
             tele: None,
-            scale: None,
+            life: None,
             mp: None,
             resil: None,
             avoid_slot: None,
@@ -877,65 +800,27 @@ impl<'a> Sim<'a> {
         self.queue.push_heap(Event::new(t0, 0, TAG_ARRIVE, 0, 0));
     }
 
-    /// Arms the replica lifecycle: flattens every group's attached
-    /// schedule into timed events, applies the failure policy and
-    /// warm-up speed, and attaches telemetry when a window is configured
-    /// (starting its clock) or any event is scheduled.
+    /// Arms the replica lifecycle under `cfg`, with `scale`'s controller
+    /// consulted at every closing window, and attaches telemetry when a
+    /// window is configured (starting its clock) or the lifecycle armed.
     ///
     /// Determinism: lifecycle events are sequenced in group-major,
     /// schedule order *after* all schedule arrivals (their seqs
     /// start past `schedule_len`), so at equal timestamps an arrival is
     /// processed before the lifecycle event that would have masked its
     /// replica, and two same-time lifecycle events fire in schedule
-    /// order.
-    pub(crate) fn enable_lifecycle(&mut self, cfg: &LifecycleConfig) {
-        self.failure_policy = cfg.failure_policy;
-        self.warmup_speed = cfg.warmup_speed;
-        let resources = self.spec.resources();
-        for (g, r) in resources.iter().enumerate() {
-            let base = self.slot_base[g];
-            for &event in r.lifecycle().events() {
-                let slot = base + event.replica;
-                if event.revives() {
-                    self.revivals_left[g] += 1;
-                }
-                let idx = self.sched.len();
-                self.sched.push((slot, event));
-                self.push(event.time, TAG_LIFECYCLE, idx, 0);
-            }
-        }
+    /// order. The first window tick follows them.
+    pub(crate) fn enable_lifecycle(
+        &mut self,
+        cfg: &LifecycleConfig,
+        scale: Option<(&AutoscaleConfig, &'a mut dyn FleetController)>,
+    ) {
+        self.arm_lifecycle(cfg, scale);
         if let Some(w) = cfg.window_s {
             self.push(w, TAG_WINDOW_TICK, 0, 0);
         }
-        if cfg.window_s.is_some() || !self.sched.is_empty() {
+        if cfg.window_s.is_some() || self.life.is_some() {
             self.tele = Some(Telemetry::new(cfg.window_s.unwrap_or(0.0)));
-        }
-    }
-
-    /// Arms closed-loop autoscaling: replicas `initial_replicas..` of
-    /// the scaled group start down, and every closing telemetry window
-    /// consults `controller` (see [`Scenario::autoscale`]).
-    ///
-    /// [`Scenario::autoscale`]: crate::Scenario::autoscale
-    pub(crate) fn enable_autoscale(
-        &mut self,
-        cfg: &AutoscaleConfig,
-        controller: &'a mut dyn FleetController,
-    ) {
-        self.scale = Some(ScaleRt {
-            group: cfg.group,
-            min: cfg.min_replicas,
-            max: cfg.max_replicas,
-            warmup_s: cfg.warmup_s,
-            controller,
-        });
-        self.tele.get_or_insert_with(Telemetry::default);
-        for slot in self.group_slots(cfg.group).skip(cfg.initial_replicas) {
-            self.state[slot] = SlotState::Down;
-            self.free[slot] = 0;
-            self.gauges.capacity -= self.slot_capacity[slot];
-            self.gauges.cost -= self.slot_speed[slot];
-            self.group_available[cfg.group] -= 1;
         }
     }
 
@@ -1107,7 +992,8 @@ impl<'a> Sim<'a> {
     /// avoids its primary's slot, the candidates are compacted first:
     /// routers never see a draining or down replica. Returns `None` when
     /// the group has no routable (up or warming) replica — the caller
-    /// sheds, parks, or fails the run per the [`FailurePolicy`].
+    /// sheds, parks, or fails the run per the
+    /// [`FailurePolicy`](crate::FailurePolicy).
     fn route(&mut self, now: f64, query: usize, stage_idx: usize) -> Option<usize> {
         let group = self.stages[stage_idx].resource;
         let slots = self.group_slots(group);
@@ -1117,7 +1003,8 @@ impl<'a> Sim<'a> {
         let avoid = self
             .avoid_slot
             .filter(|s| slots.contains(s) && replicas > 1);
-        let masked = self.group_available[group] < replicas || avoid.is_some();
+        let life = self.life.as_ref();
+        let masked = avoid.is_some() || life.is_some_and(|l| l.masks(group, replicas));
         if masked {
             self.compact(slots.clone(), avoid);
             if self.mask.idx.is_empty() && avoid.is_some() {
@@ -1150,7 +1037,8 @@ impl<'a> Sim<'a> {
     /// the mask scratch columns.
     fn compact(&mut self, slots: Range<usize>, avoid: Option<usize>) {
         let (m, base) = (&mut self.mask, slots.start);
-        let keep = |&s: &usize| self.state[s].routable() && Some(s) != avoid;
+        let life = self.life.as_ref();
+        let keep = |&s: &usize| Some(s) != avoid && life.is_none_or(|l| l.routable(s));
         m.idx.clear();
         m.idx.extend(slots.filter(keep).map(|s| s - base));
         gather(&mut m.queued, &self.queued[base..], &m.idx);
@@ -1514,224 +1402,6 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// A query arrived at a group with no routable replica. Under
-    /// [`FailurePolicy::Shed`] the query is shed (freeing its
-    /// closed-loop client); under
-    /// [`FailurePolicy::Requeue`] it parks awaiting a revival — but only
-    /// while one is actually coming (a pending scheduled
-    /// provision/recover, or an autoscaling controller that may yet
-    /// provision). Otherwise the run fails with the typed
-    /// [`SimError::NoAvailableReplica`] instead of waiting forever (or
-    /// panicking inside a router).
-    fn handle_unroutable(&mut self, now: f64, query: usize, stage_idx: usize) {
-        let group = self.stages[stage_idx].resource;
-        match self.failure_policy {
-            FailurePolicy::Shed => {
-                if self.resil.is_some() {
-                    // Only the lane evaporates; the *query* resolves
-                    // through its timeout (or the end-of-run sweep), so
-                    // a surviving hedge twin can still win — counting
-                    // here would double-resolve.
-                    return;
-                }
-                self.account_lost(query, false);
-                self.release_client(now);
-            }
-            FailurePolicy::Requeue => {
-                let revival_pending = self.revivals_left[group] > 0
-                    || self.scale.as_ref().is_some_and(|s| s.group == group);
-                if revival_pending {
-                    self.parked[group].push((query, stage_idx));
-                    self.gauges.queued += 1;
-                } else {
-                    self.fatal = Some(SimError::NoAvailableReplica { group, time: now });
-                }
-            }
-        }
-    }
-
-    /// Disposes of a query stranded by a fail-stop: re-enters it as a
-    /// fresh arrival at the same stage (Requeue — its original arrival
-    /// time is kept, so the lost work shows up as latency) or counts it
-    /// shed/dropped and frees its closed-loop client (Shed).
-    fn strand(&mut self, now: f64, query: usize, stage_idx: usize, was_in_flight: bool) {
-        if self.resil.is_some() {
-            // A stranded carcass simply evaporates (its query already
-            // resolved); a live lane re-enters under Requeue, and under
-            // Shed the *lane* is lost but the query stays live — its
-            // timeout (or the end-of-run sweep) resolves it, and a
-            // hedge twin may still complete it.
-            if self.lane_live(query) && self.failure_policy == FailurePolicy::Requeue {
-                self.push_arrive(now, query, stage_idx);
-            }
-            return;
-        }
-        match self.failure_policy {
-            FailurePolicy::Requeue => {
-                self.push_arrive(now, query, stage_idx);
-            }
-            FailurePolicy::Shed => {
-                self.account_lost(query, was_in_flight);
-                self.release_client(now);
-            }
-        }
-    }
-
-    /// Re-enters every query parked on `group` as a fresh arrival at
-    /// `now` (a replica just revived), in parking order.
-    fn flush_parked(&mut self, now: f64, group: usize) {
-        let mut parked = std::mem::take(&mut self.parked[group]);
-        self.gauges.queued -= parked.len();
-        for (query, stage_idx) in parked.drain(..) {
-            self.push_arrive(now, query, stage_idx);
-        }
-        self.parked[group] = parked; // give the buffer back
-    }
-
-    /// Final transition to `Down`: the slot stops counting toward live
-    /// capacity and cost. Only valid once the slot holds no work.
-    fn slot_down(&mut self, slot: usize) {
-        debug_assert_eq!(self.in_flight[slot], 0);
-        debug_assert_eq!(self.queued[slot], 0);
-        self.state[slot] = SlotState::Down;
-        self.free[slot] = 0;
-        self.gauges.capacity -= self.slot_capacity[slot];
-        self.gauges.cost -= self.slot_speed[slot];
-    }
-
-    /// Brings a down slot up, through `warmup_s` of reduced-speed
-    /// warm-up when positive. No-op on a slot that is not down (a
-    /// schedule may provision an already-live replica). Parked queries
-    /// of the group re-enter immediately.
-    fn apply_provision(&mut self, now: f64, slot: usize, warmup_s: f64) {
-        if self.state[slot] != SlotState::Down {
-            return;
-        }
-        let group = self.slot_group[slot];
-        self.degrade_frac[slot] = 1.0; // a provision is a fresh machine
-        self.free[slot] = self.slot_capacity[slot];
-        if self.track_est {
-            self.queued_work[slot] = 0.0;
-            self.inflight_finish[slot] = 0.0;
-            self.inflight_count[slot] = 0;
-        }
-        self.slot_gen[slot] += 1;
-        self.group_available[group] += 1;
-        self.gauges.capacity += self.slot_capacity[slot];
-        self.gauges.cost += self.slot_speed[slot];
-        if warmup_s > 0.0 {
-            self.state[slot] = SlotState::Warming;
-            self.cur_speed[slot] = self.slot_speed[slot] * self.warmup_speed;
-            let gen = Event::gen32(self.slot_gen[slot]);
-            self.push(now + warmup_s, TAG_WARM_DONE, slot, gen);
-        } else {
-            self.state[slot] = SlotState::Up;
-            self.cur_speed[slot] = self.slot_speed[slot];
-        }
-        self.flush_parked(now, group);
-    }
-
-    /// Gray failure (limpware): the slot keeps serving — and keeps
-    /// accepting routes, invisibly to availability masking — at
-    /// `speed` of its profile rate. Applies to batches launched from
-    /// now on (in-flight batches keep their booked finish; queued work,
-    /// the bulk under load, is slowed). Estimator-reading routers see
-    /// the limp through `cur_speed`. No-op on a down slot.
-    fn apply_degrade(&mut self, slot: usize, speed: f64) {
-        if self.state[slot] == SlotState::Down {
-            return;
-        }
-        self.degrade_frac[slot] = speed;
-        let base = if self.state[slot] == SlotState::Warming {
-            self.slot_speed[slot] * self.warmup_speed
-        } else {
-            self.slot_speed[slot]
-        };
-        self.cur_speed[slot] = base * speed;
-    }
-
-    /// A scheduled recovery: provisions a down slot instantly, or —
-    /// the limpware repair edge — restores a live degraded slot to its
-    /// profile speed in place.
-    fn apply_recover(&mut self, now: f64, slot: usize) {
-        if self.state[slot] == SlotState::Down {
-            self.apply_provision(now, slot, 0.0);
-        } else if self.degrade_frac[slot] != 1.0 {
-            self.apply_degrade(slot, 1.0);
-        }
-    }
-
-    /// Takes a live slot out of rotation: no new routes, queued and
-    /// in-flight work finishes, and the slot goes down once empty. A
-    /// draining warming replica keeps its warm-up speed for the drain
-    /// (it never finished warming). No-op unless the slot is up or
-    /// warming.
-    fn apply_drain(&mut self, slot: usize) {
-        if !self.state[slot].routable() {
-            return;
-        }
-        self.state[slot] = SlotState::Draining;
-        self.slot_gen[slot] += 1; // cancels any pending WarmDone
-        self.group_available[self.slot_group[slot]] -= 1;
-        if self.in_flight[slot] == 0 && self.queued[slot] == 0 {
-            self.slot_down(slot);
-        }
-    }
-
-    /// Kills a slot instantly: in-flight batches are destroyed (their
-    /// completions cancel via the batch generation, their unserved busy
-    /// time is refunded) and both in-flight and queued queries are
-    /// stranded per the failure policy — in-flight queries first (batch
-    /// table order), then queued ones in queue order, all re-entering at
-    /// `now` with fresh seqs. No-op on a slot already down.
-    fn apply_fail_stop(&mut self, now: f64, slot: usize) {
-        if self.state[slot] == SlotState::Down {
-            return;
-        }
-        let was_routable = self.state[slot].routable();
-        let stage_count = self.stages.len();
-        debug_assert!(stage_count > 0);
-        for idx in 0..self.batches.len() {
-            if self.batches[idx].slot != slot || self.free_batches.contains(&idx) {
-                continue;
-            }
-            let Batch {
-                stage,
-                queries,
-                finish,
-                ..
-            } = self.retire_batch(idx);
-            self.batch_gen[idx] += 1; // cancels the pending Complete
-            let s = &self.stages[stage];
-            self.busy_unit_seconds[slot] -= s.units as f64 * (finish - now).max(0.0);
-            self.gauges.busy -= s.units;
-            self.for_each_query(queries, |sim, query| sim.strand(now, query, stage, true));
-        }
-        let mut stranded = std::mem::take(&mut self.waiting[slot]);
-        self.gauges.queued -= stranded.len();
-        for entry in stranded.drain(..) {
-            self.strand(now, entry.query, entry.stage, false);
-        }
-        self.waiting[slot] = stranded; // give the buffer back
-        self.queued[slot] = 0;
-        self.in_flight[slot] = 0;
-        self.free[slot] = 0;
-        if self.track_est {
-            self.queued_work[slot] = 0.0;
-            self.inflight_finish[slot] = 0.0;
-            self.inflight_count[slot] = 0;
-        }
-        self.armed[slot] = None;
-        self.timer_gen[slot] += 1; // cancels pending rechecks
-        self.slot_gen[slot] += 1; // cancels a pending WarmDone
-        self.state[slot] = SlotState::Down;
-        if was_routable {
-            self.group_available[self.slot_group[slot]] -= 1;
-        }
-        self.gauges.capacity -= self.slot_capacity[slot];
-        self.gauges.cost -= self.slot_speed[slot];
-    }
-
     /// Closes the telemetry window ending at `now`, adding the closing
     /// window's per-path counts on multi-path runs. An empty span closes
     /// nothing.
@@ -1740,61 +1410,6 @@ impl<'a> Sim<'a> {
         let tele = self.tele.as_mut().expect("telemetry attached");
         if let (Some(window), Some(mp)) = (tele.close(now, live_replicas), self.mp.as_mut()) {
             (window.path_admitted, window.path_completed) = mp.take_window();
-        }
-    }
-
-    /// Routable replicas: of the scaled group when a controller is
-    /// attached (the number it steers), else of the whole fleet.
-    fn live_replicas(&self) -> usize {
-        let slots = match &self.scale {
-            Some(scale) => self.group_slots(scale.group),
-            None => 0..self.state.len(),
-        };
-        slots.filter(|&s| self.state[s].routable()).count()
-    }
-
-    /// Consults the autoscaling controller with the window that just
-    /// closed and applies its decision: provision the lowest-index down
-    /// slots to scale up, drain the highest-index routable ones to
-    /// scale down (drains never kill live work).
-    fn autoscale_tick(&mut self, now: f64) {
-        let live = self.live_replicas();
-        let window = self.tele.as_ref().and_then(|t| t.windows.last());
-        let (Some(scale), Some(window)) = (self.scale.as_mut(), window) else {
-            return;
-        };
-        let desired = scale
-            .controller
-            .desired_replicas(window, live)
-            .clamp(scale.min, scale.max);
-        let (group, warmup_s) = (scale.group, scale.warmup_s);
-        let slots = self.group_slots(group);
-        match desired.cmp(&live) {
-            Ordering::Greater => {
-                let mut need = desired - live;
-                for slot in slots {
-                    if need == 0 {
-                        break;
-                    }
-                    if self.state[slot] == SlotState::Down {
-                        self.apply_provision(now, slot, warmup_s);
-                        need -= 1;
-                    }
-                }
-            }
-            Ordering::Less => {
-                let mut excess = live - desired;
-                for slot in slots.rev() {
-                    if excess == 0 {
-                        break;
-                    }
-                    if self.state[slot].routable() {
-                        self.apply_drain(slot);
-                        excess -= 1;
-                    }
-                }
-            }
-            Ordering::Equal => {}
         }
     }
 
@@ -1846,12 +1461,8 @@ impl<'a> Sim<'a> {
 
         self.for_each_query(queries, |sim, query| sim.route_onward(now, query, stage));
         self.dispatch(now, slot);
-        // A draining slot that just emptied goes down.
-        if self.state[slot] == SlotState::Draining
-            && self.in_flight[slot] == 0
-            && self.queued[slot] == 0
-        {
-            self.slot_down(slot);
+        if self.life.is_some() {
+            self.down_if_drained(slot);
         }
     }
 
@@ -1936,7 +1547,7 @@ impl<'a> Sim<'a> {
                 break;
             }
         }
-        if let Some(err) = self.fatal.take() {
+        if let Some(err) = self.life.as_mut().and_then(|l| l.fatal.take()) {
             return Err(err);
         }
         Ok(self.finish())
@@ -1992,7 +1603,7 @@ impl<'a> Sim<'a> {
                     }
                 }
                 self.on_arrive(now, id, stage);
-                if self.fatal.is_some() {
+                if self.life.as_ref().is_some_and(|l| l.fatal.is_some()) {
                     return ControlFlow::Break(());
                 }
             }
@@ -2016,29 +1627,8 @@ impl<'a> Sim<'a> {
                     self.dispatch(now, slot);
                 }
             }
-            EventKind::Lifecycle { idx } => {
-                let (slot, ev) = self.sched[idx];
-                if ev.revives() {
-                    self.revivals_left[self.slot_group[slot]] -= 1;
-                }
-                match ev.action {
-                    LifecycleAction::Provision { warmup_s } => {
-                        self.apply_provision(now, slot, warmup_s)
-                    }
-                    LifecycleAction::Drain => self.apply_drain(slot),
-                    LifecycleAction::FailStop => self.apply_fail_stop(now, slot),
-                    LifecycleAction::Recover => self.apply_recover(now, slot),
-                    LifecycleAction::Degrade { speed } => self.apply_degrade(slot, speed),
-                }
-            }
-            EventKind::WarmDone { slot, gen } => {
-                if gen == self.slot_gen[slot] as u32 && self.state[slot] == SlotState::Warming {
-                    self.state[slot] = SlotState::Up;
-                    // `* 1.0` is exact, so healthy slots stay
-                    // bit-identical to the degrade-free loop.
-                    self.cur_speed[slot] = self.slot_speed[slot] * self.degrade_frac[slot];
-                }
-            }
+            EventKind::Lifecycle { idx } => self.on_lifecycle(now, idx),
+            EventKind::WarmDone { slot, gen } => self.on_warm_done(slot, gen),
             EventKind::WindowTick => {
                 self.close_window(now);
                 self.autoscale_tick(now);
@@ -2131,19 +1721,12 @@ impl<'a> Sim<'a> {
     }
 
     fn finish(mut self) -> SimResult {
-        // Conservation safety net: queries still parked when the event
-        // stream ran dry (a promised revival never came before the last
-        // event) count as shed, so completed + shed + dropped always
-        // accounts for every injected query. On resilient runs parked
-        // entries are lanes, not queries: they are dropped and the
-        // per-query states swept instead, so a query with a parked lane
-        // *and* a live twin (or a silently-lost lane under Shed)
-        // resolves exactly once.
-        let leftover: Vec<_> = self.parked.iter_mut().flat_map(std::mem::take).collect();
-        if self.resil.is_none() {
-            for (query, _) in leftover {
-                self.account_lost(query, false);
-            }
+        // Conservation safety net: parked queries count as shed, and on
+        // resilient runs every unresolved query does (a query with a
+        // parked lane *and* a live twin, or a silently-lost lane under
+        // Shed, resolves exactly once).
+        if self.life.is_some() {
+            self.shed_parked();
         }
         if let Some(rt) = self.resil.as_ref() {
             let unresolved = rt.unresolved();
@@ -2567,7 +2150,6 @@ mod tests {
         let four = mixed_fleet(4);
         assert!((four.max_qps() - 4.0 * one.max_qps()).abs() < 1e-9);
         assert!(four.has_replication() && !one.has_replication());
-        assert_eq!(four.total_replicas(), 4);
     }
 
     #[test]
@@ -2724,7 +2306,6 @@ mod tests {
         let uniform = mixed_fleet(3);
         assert!((mixed.max_qps() - uniform.max_qps()).abs() < 1e-9);
         assert!(mixed.has_heterogeneity() && !uniform.has_heterogeneity());
-        assert_eq!(mixed.total_replicas(), 4);
     }
 
     #[test]
@@ -3112,6 +2693,46 @@ mod tests {
     }
 
     #[test]
+    fn a_drain_cut_short_mid_warm_up_keeps_the_warm_up_speed_through_limps() {
+        // Replica 1 comes back warming for 10 s, takes ten queries of a
+        // burst (one in service, nine queued at half speed), and drains
+        // at t = 1. A limp during the drain scales the warm-up speed
+        // (0.5 * 0.9) rather than replacing it, and a recovery restores
+        // the warm-up speed, not the profile speed. A last arrival at
+        // t = 2 on replica 0 gives every run the same span.
+        use recpipe_data::TraceArrivals;
+        let run = |extra: &[LifecycleEvent]| {
+            let mut schedule = LifecycleSchedule::empty()
+                .with_event(LifecycleEvent::fail_stop(0.0, 1))
+                .with_event(LifecycleEvent::provision(0.0, 1, 10.0))
+                .with_event(LifecycleEvent::drain(1.0, 1));
+            for &event in extra {
+                schedule = schedule.with_event(event);
+            }
+            let spec = PipelineSpec::new(vec![ReplicaGroup::replicated("w", 1, 2)])
+                .with_stage(StageSpec::new("s", 0, 1, 0.010))
+                .unwrap()
+                .with_group_lifecycle(0, schedule);
+            let mut times = vec![0.995; 20];
+            times.push(2.0);
+            let out = Scenario::new(&spec, &TraceArrivals::new(times), 21, 1)
+                .lifecycle(&LifecycleConfig::new())
+                .run()
+                .unwrap();
+            assert_eq!(out.completed, 21);
+            out.replica_utilization[0][1]
+        };
+        let drained = run(&[]);
+        let limp = LifecycleEvent::degrade(1.0, 1, 0.9);
+        let limping = run(&[limp]);
+        let busy = |speed: f64| 0.020 + 9.0 * 0.010 / speed;
+        let ratio = limping / drained;
+        let expected = busy(0.5 * 0.9) / busy(0.5);
+        assert!((ratio - expected).abs() < 1e-9, "ratio {ratio}");
+        assert_eq!(run(&[limp, LifecycleEvent::recover(1.0, 1)]), drained);
+    }
+
+    #[test]
     fn windowed_telemetry_accounts_for_every_query() {
         // With a telemetry window, the per-window series partitions the
         // run: summed arrivals and completions match the totals, window
@@ -3274,7 +2895,7 @@ mod tests {
         // `Scenario::run`'s arming, with the loop kept in hand to read
         // the queue's counts afterwards.
         let mut sim = Sim::new(inputs);
-        sim.enable_lifecycle(&LifecycleConfig::new().with_window(1.0));
+        sim.enable_lifecycle(&LifecycleConfig::new().with_window(1.0), None);
         sim.enable_resilience(&resilience, 1);
         while let Some(event) = sim.queue.pop() {
             assert!(sim.step(event).is_continue());

@@ -589,12 +589,6 @@ impl PipelineSpec {
         self
     }
 
-    /// Total replica count across all resource groups — the cluster's
-    /// hardware cost axis for replica-aware Pareto fronts.
-    pub fn total_replicas(&self) -> usize {
-        self.resources.iter().map(|r| r.replicas()).sum()
-    }
-
     /// Sum of stage service times — the zero-load latency floor.
     pub fn service_floor(&self) -> f64 {
         self.stages.iter().map(|s| s.service_time).sum()

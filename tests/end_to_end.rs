@@ -513,7 +513,7 @@ fn live_runtimes_replay_their_pinned_outcomes_bit_for_bit() {
     use recpipe::core::ReactiveScaling;
     use recpipe::data::{DiurnalArrivals, MmppArrivals, PoissonArrivals};
     use recpipe::qsim::{
-        AutoscaleConfig, BatchModel, FaultBurst, FaultKind, FaultPlan, HedgePolicy,
+        AutoscaleConfig, BatchModel, FailurePolicy, FaultBurst, FaultKind, FaultPlan, HedgePolicy,
         JoinShortestQueue, LifecycleConfig, LifecycleEvent, LifecycleSchedule, LoadAdaptive,
         PathSet, PipelineSpec, ReplicaGroup, ResilienceConfig, RetryBudget, RetryPolicy, Scenario,
         StageSpec,
@@ -625,6 +625,36 @@ fn live_runtimes_replay_their_pinned_outcomes_bit_for_bit() {
         .run()
         .unwrap();
 
+    // Losses under `Shed`: replica 1 drains mid-batch, the survivors
+    // fall behind, and a fail-stop strands replica 0's in-flight batch
+    // (dropped) and its queue (shed); replica 0 returns through a
+    // warm-up and replica 1 once its drain is done.
+    let schedule = LifecycleSchedule::empty()
+        .with_event(LifecycleEvent::drain(1.0, 1))
+        .with_event(LifecycleEvent::fail_stop(1.5, 0))
+        .with_event(LifecycleEvent::provision(2.0, 0, 0.5))
+        .with_event(LifecycleEvent::provision(3.0, 1, 0.0));
+    let spec = worker(4, 0.004).with_group_lifecycle(0, schedule);
+    let shed_cfg = windowed.clone().with_failure_policy(FailurePolicy::Shed);
+    let shedding = Scenario::new(&spec, &PoissonArrivals::new(800.0), 4_000, 16)
+        .lifecycle(&shed_cfg)
+        .run()
+        .unwrap();
+
+    // A whole-group outage under `Requeue`: both replicas fail at once,
+    // and their stranded work and every arrival in the hole park until
+    // the scheduled recoveries flush them.
+    let schedule = LifecycleSchedule::empty()
+        .with_event(LifecycleEvent::fail_stop(1.0, 0))
+        .with_event(LifecycleEvent::fail_stop(1.0, 1))
+        .with_event(LifecycleEvent::recover(1.2, 0))
+        .with_event(LifecycleEvent::recover(1.3, 1));
+    let spec = worker(2, 0.004).with_group_lifecycle(0, schedule);
+    let outage = Scenario::new(&spec, &PoissonArrivals::new(300.0), 3_000, 17)
+        .lifecycle(&windowed)
+        .run()
+        .unwrap();
+
     let pins = [
         (
             "failover",
@@ -732,6 +762,42 @@ fn live_runtimes_replay_their_pinned_outcomes_bit_for_bit() {
                     82,
                     0x4024_ae14_7ae1_4762,
                 )),
+                path_losses: vec![],
+            },
+        ),
+        (
+            "shedding",
+            shedding,
+            Pinned {
+                completed: 3_991,
+                shed: 8,
+                dropped: 1,
+                timed_out: 0,
+                windows: 11,
+                paths: vec![],
+                p50: 0x3fc0_576a_b9cc_02e7,
+                p99: 0x3fd8_6ffb_161c_8832,
+                cost: 0x4033_8027_b7f9_6a18,
+                window_digest: 0x7a59_e43e_99fd_9f40,
+                resilience: None,
+                path_losses: vec![],
+            },
+        ),
+        (
+            "outage",
+            outage,
+            Pinned {
+                completed: 3_000,
+                shed: 0,
+                dropped: 0,
+                timed_out: 0,
+                windows: 21,
+                paths: vec![],
+                p50: 0x3f70_624d_d2f1_a9fc,
+                p99: 0x3fcc_a54c_f878_9991,
+                cost: 0x4034_8000_0000_0000,
+                window_digest: 0x6af0_5689_630d_2085,
+                resilience: None,
                 path_losses: vec![],
             },
         ),
