@@ -3,6 +3,9 @@
 //! plus bit-for-bit equivalence with the pre-batching simulator.
 
 use proptest::prelude::*;
+
+#[allow(dead_code)]
+mod golden;
 use recpipe_data::{ClosedLoopArrivals, MmppArrivals, PoissonArrivals};
 use recpipe_qsim::{
     serve_lifecycle, serve_resilient, serve_routed, serve_routed_sharded, AdmissionPolicy,
@@ -2356,6 +2359,63 @@ mod reference_pr5 {
             .with_replica_utilization(replica_utilization)
         }
     }
+}
+
+/// Records `golden/corpus.txt` while the frozen loops above still
+/// exist: every corpus entry inside a frozen loop's domain must equal
+/// that loop's result bit for bit before its digests are printed (the
+/// PR-5 loop books `ExpectedWait`'s in-flight work in full, so it
+/// serves the other five routers only). Prints the data file to
+/// stdout and the comparison counts to stderr.
+#[test]
+#[ignore = "one-off: records the golden corpus against the frozen loops"]
+fn record_golden_corpus_against_the_frozen_loops() {
+    use golden::Fleet;
+    let (mut served, mut comparisons) = (0usize, 0usize);
+    println!("# qsim golden corpus: index, outcome digest, telemetry digest (hex).");
+    println!("# Regenerate only with a stated reason; see tests/golden/mod.rs.");
+    for i in 0..golden::LEN {
+        let e = golden::entry(i);
+        let live = e.run();
+        let Fleet::Spec(spec) = &e.fleet else {
+            let (outcome, telemetry) = golden::digest(live);
+            println!("{i} {outcome:016x} {telemetry:016x}");
+            continue;
+        };
+        let (arrivals, policy, router) =
+            (e.arrivals.as_ref(), e.policy.as_ref(), e.router.as_ref());
+        let mut frozen = Vec::new();
+        if golden::PLAIN.contains(&i) {
+            frozen.push(reference::simulate(
+                spec,
+                arrivals.mean_rate(),
+                e.queries,
+                e.seed,
+            ));
+        }
+        if golden::UNIFORM.contains(&i) {
+            frozen.push(reference_routed::serve_routed(
+                spec, arrivals, policy, router, e.queries, e.seed,
+            ));
+            frozen.push(reference_pr4::serve_routed(
+                spec, arrivals, policy, router, e.queries, e.seed,
+            ));
+        }
+        let expected_wait = router.name() == ExpectedWait.name();
+        if (golden::UNIFORM.contains(&i) || golden::MIXED.contains(&i)) && !expected_wait {
+            frozen.push(reference_pr5::serve_routed(
+                spec, arrivals, policy, router, e.queries, e.seed,
+            ));
+        }
+        served += usize::from(!frozen.is_empty());
+        for old in frozen {
+            assert_eq!(old, live, "corpus entry {i}");
+            comparisons += 1;
+        }
+        let (outcome, telemetry) = golden::digest(live);
+        println!("{i} {outcome:016x} {telemetry:016x}");
+    }
+    eprintln!("frozen == live on all {served} served entries ({comparisons} comparisons)");
 }
 
 proptest! {
