@@ -45,9 +45,7 @@
 //!   finish times minus `now` per batch. Because each batch's finish
 //!   time already folds in the replica's live speed, this term is
 //!   *already* wall-clock and is **not** divided by speed again.
-//!   Exposed through [`ReplicaLoads::in_flight_wait`] when the
-//!   simulator attaches the decay columns
-//!   ([`with_in_flight_decay`](ReplicaLoads::with_in_flight_decay)).
+//!   Exposed through [`ReplicaLoads::in_flight_wait`].
 //!
 //! [`ReplicaLoads::expected_wait`] is the sum of the two:
 //! `remaining_work / speed + in_flight_wait`. **Units matter here**:
@@ -99,50 +97,40 @@
 /// [`Router::route`] decides over.
 ///
 /// The simulator maintains `queued`/`in_flight`/`free_units` counters
-/// plus the `remaining_work`/`speed` estimator arrays incrementally on
-/// every enqueue, launch, and completion; routers probe them directly,
-/// so a JSQ decision over `n` replicas reads `2n` integers.
+/// plus the expected-wait estimator columns incrementally on every
+/// enqueue, launch, and completion; routers probe them directly, so a
+/// JSQ decision over `n` replicas reads `2n` integers.
 ///
-/// The estimator arrays are optional at construction
-/// ([`with_estimates`](Self::with_estimates)) so pre-fleet callers and
-/// frozen reference simulators keep building loads from the three
-/// counter arrays alone; absent estimates read as an idle
-/// ([`remaining_work`](Self::remaining_work) = 0) baseline-speed
-/// replica. The live simulator always supplies them.
+/// The simulator attaches the estimator columns
+/// ([`with_estimates`](Self::with_estimates)) only for routers that
+/// read them ([`Router::uses_estimates`]); a view without them reads
+/// as idle ([`remaining_work`](Self::remaining_work) and
+/// [`in_flight_wait`](Self::in_flight_wait) = 0) baseline-speed
+/// replicas.
 #[derive(Debug, Clone, Copy)]
 pub struct ReplicaLoads<'a> {
     queued: &'a [usize],
     in_flight: &'a [usize],
     free_units: &'a [usize],
     /// Estimator columns, attached only for routers that read them —
-    /// one `None` store on the counter-only construction path instead
-    /// of five (the loads struct is rebuilt per routing decision).
+    /// one `None` store on the counter-only construction path (the
+    /// loads struct is rebuilt per routing decision).
     est: Option<Estimates<'a>>,
 }
 
 /// The expected-wait estimator columns of a [`ReplicaLoads`].
 #[derive(Debug, Clone, Copy)]
 struct Estimates<'a> {
-    work: Option<&'a [f64]>,
-    speed: Option<&'a [f64]>,
-    /// Sum of in-flight batches' scheduled finish times per replica
-    /// (decay estimator; `None` keeps the legacy full-booking form).
-    finish_sum: Option<&'a [f64]>,
-    /// Number of in-flight batches per replica (decay estimator).
-    batches: Option<&'a [usize]>,
+    /// Queued work per replica, in baseline seconds.
+    work: &'a [f64],
+    /// Service-rate multiplier per replica.
+    speed: &'a [f64],
+    /// Sum of in-flight batches' scheduled finish times per replica.
+    finish_sum: &'a [f64],
+    /// Number of in-flight batches per replica.
+    batches: &'a [usize],
     /// Simulation clock the decayed wait is evaluated at.
     now: f64,
-}
-
-impl Estimates<'_> {
-    /// No columns attached yet (builder starting point).
-    const NONE: Self = Estimates {
-        work: None,
-        speed: None,
-        finish_sum: None,
-        batches: None,
-        now: 0.0,
-    };
 }
 
 impl<'a> ReplicaLoads<'a> {
@@ -166,51 +154,37 @@ impl<'a> ReplicaLoads<'a> {
         }
     }
 
-    /// Attaches the remaining-work and speed estimator arrays (see the
-    /// module docs for what `work` measures).
+    /// Attaches the expected-wait estimator columns, each indexed by
+    /// replica: queued work in baseline seconds, speed, the sum of the
+    /// in-flight batches' scheduled finish times and their count, plus
+    /// the simulation clock `now` (the module docs spell out the
+    /// units). [`in_flight_wait`](Self::in_flight_wait) then reads
+    /// `finish_sum[i] - batches[i] * now`: the exact wall-clock seconds
+    /// of in-flight service left.
     ///
     /// # Panics
     ///
-    /// Panics if either slice's length differs from the counter
-    /// arrays'.
-    pub fn with_estimates(mut self, work: &'a [f64], speed: &'a [f64]) -> Self {
-        assert!(
-            work.len() == self.queued.len() && speed.len() == self.queued.len(),
-            "estimator arrays must match the counter arrays' length"
-        );
-        let est = self.est.get_or_insert(Estimates::NONE);
-        est.work = Some(work);
-        est.speed = Some(speed);
-        self
-    }
-
-    /// Attaches the decayed in-flight columns: per replica, the sum of
-    /// in-flight batches' scheduled finish times, the number of
-    /// in-flight batches, and the current simulation clock.
-    /// [`in_flight_wait`](Self::in_flight_wait) then reads
-    /// `finish_sum[i] - batches[i] * now` — the exact wall-clock
-    /// seconds of in-flight service left — instead of zero. Views
-    /// built without this call (frozen references, pre-fleet callers)
-    /// keep the legacy estimator unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either slice's length differs from the counter
-    /// arrays'.
-    pub fn with_in_flight_decay(
+    /// Panics if any slice's length differs from the counter arrays'.
+    pub fn with_estimates(
         mut self,
+        work: &'a [f64],
+        speed: &'a [f64],
         finish_sum: &'a [f64],
         batches: &'a [usize],
         now: f64,
     ) -> Self {
+        let n = self.queued.len();
         assert!(
-            finish_sum.len() == self.queued.len() && batches.len() == self.queued.len(),
-            "decay arrays must match the counter arrays' length"
+            work.len() == n && speed.len() == n && finish_sum.len() == n && batches.len() == n,
+            "estimator arrays must match the counter arrays' length"
         );
-        let est = self.est.get_or_insert(Estimates::NONE);
-        est.finish_sum = Some(finish_sum);
-        est.batches = Some(batches);
-        est.now = now;
+        self.est = Some(Estimates {
+            work,
+            speed,
+            finish_sum,
+            batches,
+            now,
+        });
         self
     }
 
@@ -241,38 +215,30 @@ impl<'a> ReplicaLoads<'a> {
         self.queued[i] + self.in_flight[i]
     }
 
-    /// Remaining expected work on replica `i` in **baseline seconds**
+    /// Queued expected work on replica `i` in **baseline seconds**
     /// (divide by [`speed`](Self::speed) for wall clock; module docs
-    /// spell out the estimator and its units). With the decay columns
-    /// attached this covers queued entries only; without them it also
-    /// carries in-flight batches at their full booked baseline time.
-    /// Reads 0.0 when the view was built without estimates.
+    /// spell out the estimator and its units). In-flight batches count
+    /// in [`in_flight_wait`](Self::in_flight_wait) instead. Reads 0.0
+    /// when the view was built without estimates.
     pub fn remaining_work(&self, i: usize) -> f64 {
-        self.est.and_then(|e| e.work).map_or(0.0, |w| w[i])
+        self.est.map_or(0.0, |e| e.work[i])
     }
 
     /// Replica `i`'s service-rate multiplier (1.0 when the view was
     /// built without estimates).
     pub fn speed(&self, i: usize) -> f64 {
-        self.est.and_then(|e| e.speed).map_or(1.0, |s| s[i])
+        self.est.map_or(1.0, |e| e.speed[i])
     }
 
     /// Decayed wall-clock seconds until replica `i`'s in-flight batches
     /// finish: `finish_sum - batches * now`, already speed-scaled.
-    /// Reads 0.0 when the decay columns are not attached
-    /// ([`with_in_flight_decay`](Self::with_in_flight_decay)).
+    /// Reads 0.0 when the view was built without estimates.
     pub fn in_flight_wait(&self, i: usize) -> f64 {
-        match self.est {
-            // Clamp: finish times are >= now by construction, but the
-            // incremental sum can carry float dust after many updates.
-            Some(Estimates {
-                finish_sum: Some(fs),
-                batches: Some(b),
-                now,
-                ..
-            }) => (fs[i] - b[i] as f64 * now).max(0.0),
-            _ => 0.0,
-        }
+        // Clamp: finish times are >= now by construction, but the
+        // incremental sum can carry float dust after many updates.
+        self.est.map_or(0.0, |e| {
+            (e.finish_sum[i] - e.batches[i] as f64 * e.now).max(0.0)
+        })
     }
 
     /// Expected wall-clock drain time of replica `i`'s outstanding
@@ -775,6 +741,8 @@ mod tests {
         free_units: Vec<usize>,
         work: Vec<f64>,
         speed: Vec<f64>,
+        finish_sum: Vec<f64>,
+        batches: Vec<usize>,
     }
 
     impl Columns {
@@ -785,12 +753,19 @@ mod tests {
                 free_units: replicas.iter().map(|r| r.free_units).collect(),
                 work: replicas.iter().map(|r| r.remaining_work).collect(),
                 speed: replicas.iter().map(|r| r.speed).collect(),
+                finish_sum: vec![0.0; replicas.len()],
+                batches: vec![0; replicas.len()],
             }
         }
 
         fn loads(&self) -> ReplicaLoads<'_> {
-            ReplicaLoads::new(&self.queued, &self.in_flight, &self.free_units)
-                .with_estimates(&self.work, &self.speed)
+            ReplicaLoads::new(&self.queued, &self.in_flight, &self.free_units).with_estimates(
+                &self.work,
+                &self.speed,
+                &self.finish_sum,
+                &self.batches,
+                0.0,
+            )
         }
     }
 
@@ -1099,8 +1074,8 @@ mod tests {
                 speed: speed[i],
             })
             .collect();
-        let loads =
-            ReplicaLoads::new(&queued, &in_flight, &free_units).with_estimates(&work, &speed);
+        let loads = ReplicaLoads::new(&queued, &in_flight, &free_units)
+            .with_estimates(&work, &speed, &[0.0; 5], &[0; 5], 0.0);
         for (which, router) in builtins().into_iter().enumerate() {
             let mut a = RouterState::new(99);
             let mut b = RouterState::new(99);
@@ -1127,9 +1102,13 @@ mod tests {
         let finish_sum = [10.025f64, 10.025]; // one batch each, finishes at t=10.025
         let batches = [1usize, 1];
         let now = 10.0;
-        let loads = ReplicaLoads::new(&queued, &in_flight, &free_units)
-            .with_estimates(&work, &speed)
-            .with_in_flight_decay(&finish_sum, &batches, now);
+        let loads = ReplicaLoads::new(&queued, &in_flight, &free_units).with_estimates(
+            &work,
+            &speed,
+            &finish_sum,
+            &batches,
+            now,
+        );
         // Replica 0: 0.040 / 1.0 + 0.025 = 0.065 s.
         assert!((loads.expected_wait(0) - 0.065).abs() < 1e-12);
         // Replica 1: 0.040 / 0.5 + 0.025 = 0.105 s — the wall-clock
@@ -1152,7 +1131,7 @@ mod tests {
         let batches = [1usize];
         let at = |now: f64| {
             ReplicaLoads::new(&queued, &in_flight, &free_units)
-                .with_in_flight_decay(&finish_sum, &batches, now)
+                .with_estimates(&[0.0], &[1.0], &finish_sum, &batches, now)
                 .in_flight_wait(0)
         };
         assert!((at(7.0) - 0.5).abs() < 1e-12);
@@ -1160,7 +1139,7 @@ mod tests {
         assert_eq!(at(7.5), 0.0);
         // Float dust past the finish clamps to zero, never negative.
         assert_eq!(at(7.5 + 1e-9), 0.0);
-        // Without the decay columns the wait reads zero.
+        // Without the estimator columns the wait reads zero.
         assert_eq!(
             ReplicaLoads::new(&queued, &in_flight, &free_units).in_flight_wait(0),
             0.0
@@ -1201,15 +1180,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "decay arrays must match")]
+    #[should_panic(expected = "match the counter arrays")]
     fn replica_loads_rejects_mismatched_decay_arrays() {
-        let _ =
-            ReplicaLoads::new(&[1, 2], &[0, 0], &[1, 1]).with_in_flight_decay(&[0.0], &[0, 0], 0.0);
+        let loads = ReplicaLoads::new(&[1, 2], &[0, 0], &[1, 1]);
+        let _ = loads.with_estimates(&[0.0, 0.0], &[1.0, 1.0], &[0.0], &[0, 0], 0.0);
     }
 
     #[test]
     #[should_panic(expected = "match the counter arrays")]
     fn replica_loads_rejects_mismatched_estimates() {
-        let _ = ReplicaLoads::new(&[1, 2], &[0, 0], &[1, 1]).with_estimates(&[0.0], &[1.0, 1.0]);
+        let loads = ReplicaLoads::new(&[1, 2], &[0, 0], &[1, 1]);
+        let _ = loads.with_estimates(&[0.0], &[1.0, 1.0], &[0.0, 0.0], &[0, 0], 0.0);
     }
 }

@@ -1102,7 +1102,7 @@ impl<'a> Sim<'a> {
         let ([queued, in_flight, free], [work, speed, finish]) = (counts, est);
         let mut loads = ReplicaLoads::new(queued, in_flight, free);
         if self.track_est {
-            loads = (loads.with_estimates(work, speed)).with_in_flight_decay(finish, count, now);
+            loads = loads.with_estimates(work, speed, finish, count, now);
         }
         let ctx = RoutingCtx::new(query, stage_idx, group, prior, &self.stage_groups);
         let pick = self
