@@ -1558,7 +1558,12 @@ impl<'a> Sim<'a> {
     /// run failed ([`SimError::NoAvailableReplica`]).
     fn step(&mut self, event: Event) -> ControlFlow<()> {
         let now = event.time;
-        if let Some(tele) = self.tele.as_mut() {
+        // Telemetry ends at the last resolution: an event popping after
+        // it (a stale warm-up, a window tick armed before the end)
+        // advances no integral and closes no window, so `finish` closes
+        // the trailing window at the last resolution.
+        let telemetry_live = self.tele.is_some() && self.resolved() < self.num_queries;
+        if let Some(tele) = self.tele.as_mut().filter(|_| telemetry_live) {
             tele.advance(now, self.gauges);
         }
         match event.kind() {
@@ -1629,18 +1634,17 @@ impl<'a> Sim<'a> {
             }
             EventKind::Lifecycle { idx } => self.on_lifecycle(now, idx),
             EventKind::WarmDone { slot, gen } => self.on_warm_done(slot, gen),
-            EventKind::WindowTick => {
+            EventKind::WindowTick if telemetry_live => {
                 self.close_window(now);
                 self.autoscale_tick(now);
                 // Re-arm while the run is still going; the last
                 // (partial) window closes in `finish`.
-                let timed_out = self.resil.as_ref().map_or(0, |r| r.stats.timed_out);
-                let done = self.completed + self.shed + self.dropped + timed_out;
-                if done < self.num_queries && !self.queue.is_empty() {
+                if !self.queue.is_empty() {
                     let window_s = self.tele.as_ref().expect("telemetry attached").window_s;
                     self.push(now + window_s, TAG_WINDOW_TICK, 0, 0);
                 }
             }
+            EventKind::WindowTick => {}
             EventKind::Timeout { query, gen } => {
                 let rt = self.resil.as_ref().expect("resilience runtime attached");
                 if rt.attempt_live(query, gen) {
@@ -1703,6 +1707,13 @@ impl<'a> Sim<'a> {
             }
         }
         self.totals()
+    }
+
+    /// Queries resolved so far: completed, shed, dropped, or timed out
+    /// for good.
+    fn resolved(&self) -> usize {
+        let timed_out = self.resil.as_ref().map_or(0, |r| r.stats.timed_out);
+        self.completed + self.shed + self.dropped + timed_out
     }
 
     /// Takes the run's raw totals (a stage shard's contribution to the
@@ -2744,6 +2755,41 @@ mod tests {
         );
         // Two always-up speed-1 replicas cost 2 per second.
         assert!((out.mean_fleet_cost() - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn telemetry_ends_at_the_last_resolution() {
+        // Replica 1 fail-stops at t = 0, is provisioned with a warm-up
+        // and drains at t = 1, so its warm-up completion is stale. How
+        // long that warm-up was must not matter: events popping after
+        // the last query resolves (the stale completion, a window tick
+        // armed before the end) stretch neither the trailing window nor
+        // the cost integral.
+        let run = |warmup_s| {
+            let schedule = LifecycleSchedule::empty()
+                .with_event(LifecycleEvent::fail_stop(0.0, 1))
+                .with_event(LifecycleEvent::provision(0.0, 1, warmup_s))
+                .with_event(LifecycleEvent::drain(1.0, 1));
+            let spec = PipelineSpec::new(vec![ReplicaGroup::replicated("w", 1, 2)])
+                .with_group_lifecycle(0, schedule)
+                .with_stage(StageSpec::new("s", 0, 1, 0.005))
+                .unwrap();
+            Scenario::new(&spec, &PoissonArrivals::new(100.0), 300, 7)
+                .lifecycle(&LifecycleConfig::new().with_window(1.0))
+                .run()
+                .unwrap()
+        };
+        let (short, long) = (run(1.5), run(100.0));
+        assert_eq!(short.completed, 300);
+        assert_eq!(short.cost_integral.to_bits(), long.cost_integral.to_bits());
+        assert_eq!(short.windows, long.windows);
+        // The trailing window closes at the last completion, inside the
+        // third second, with the run's last completions in it.
+        let last = long.windows.last().unwrap();
+        assert_eq!(long.windows.len(), 3);
+        assert!(last.start == 2.0 && last.end < 3.0 && last.completed > 0);
+        let integrated: f64 = long.windows.iter().map(|w| w.cost * w.duration()).sum();
+        assert!((integrated - long.cost_integral).abs() < 1e-9);
     }
 
     /// Test controller: always demands a fixed replica count.

@@ -668,8 +668,8 @@ fn live_runtimes_replay_their_pinned_outcomes_bit_for_bit() {
                 paths: vec![],
                 p50: 0x3f70_624d_d2f1_a9fc,
                 p99: 0x3fa3_d454_2aa4_9952,
-                cost: 0x4038_8000_0000_001e,
-                window_digest: 0x4184_3466_b43f_7dd1,
+                cost: 0x4037_8439_76ff_76f8,
+                window_digest: 0x2571_da77_a06d_7f12,
                 resilience: None,
                 path_losses: vec![],
             },
@@ -686,8 +686,8 @@ fn live_runtimes_replay_their_pinned_outcomes_bit_for_bit() {
                 paths: vec![],
                 p50: 0x3f84_7ae1_47ae_147b,
                 p99: 0x3fab_c0c1_25cf_9d62,
-                cost: 0x4047_c18f_5055_576a,
-                window_digest: 0x9fc6_853b_6006_3500,
+                cost: 0x4046_b450_95ae_28ac,
+                window_digest: 0x2c46_62a4_9b14_87a4,
                 resilience: None,
                 path_losses: vec![],
             },
@@ -704,8 +704,8 @@ fn live_runtimes_replay_their_pinned_outcomes_bit_for_bit() {
                 paths: vec![(2_225, 2_225), (716, 716)],
                 p50: 0x3f83_1574_7dcd_ad95,
                 p99: 0x3f90_2ec8_50a2_6b0b,
-                cost: 0x4039_0000_0000_0000,
-                window_digest: 0xee5a_0bda_da8c_b970,
+                cost: 0x4038_4285_d819_109d,
+                window_digest: 0xba12_2d11_7980_127d,
                 resilience: None,
                 path_losses: vec![
                     (0, 0, 0x3f85_8908_743a_30f6, 0x3f90_2ec8_50a2_6b0b),
@@ -721,12 +721,12 @@ fn live_runtimes_replay_their_pinned_outcomes_bit_for_bit() {
                 shed: 0,
                 dropped: 0,
                 timed_out: 542,
-                windows: 34,
+                windows: 33,
                 paths: vec![],
                 p50: 0x3f80_624d_d2f1_a9fc,
                 p99: 0x3fb5_488f_b77e_c310,
-                cost: 0x4062_8e04_fe8d_b0a1,
-                window_digest: 0x06e2_684c_0063_1539,
+                cost: 0x4050_4a31_7d1a_9bb6,
+                window_digest: 0xa8fd_3adf_943e_7c24,
                 resilience: Some((
                     896,
                     542,
@@ -751,8 +751,8 @@ fn live_runtimes_replay_their_pinned_outcomes_bit_for_bit() {
                 paths: vec![],
                 p50: 0x3f7a_ab1f_cb43_d813,
                 p99: 0x3fb3_74bc_6a7e_f9db,
-                cost: 0x406b_c000_0000_000a,
-                window_digest: 0xd0d0_3036_2993_a0ca,
+                cost: 0x406b_8464_1f2d_f7b2,
+                window_digest: 0x8b0b_1316_4c73_4ffb,
                 resilience: Some((
                     1_298,
                     953,
@@ -777,8 +777,8 @@ fn live_runtimes_replay_their_pinned_outcomes_bit_for_bit() {
                 paths: vec![],
                 p50: 0x3fc0_576a_b9cc_02e7,
                 p99: 0x3fd8_6ffb_161c_8832,
-                cost: 0x4033_8027_b7f9_6a18,
-                window_digest: 0x7a59_e43e_99fd_9f40,
+                cost: 0x4031_9da7_e914_41fc,
+                window_digest: 0x791f_89a5_9426_7224,
                 resilience: None,
                 path_losses: vec![],
             },
@@ -795,8 +795,8 @@ fn live_runtimes_replay_their_pinned_outcomes_bit_for_bit() {
                 paths: vec![],
                 p50: 0x3f70_624d_d2f1_a9fc,
                 p99: 0x3fcc_a54c_f878_9991,
-                cost: 0x4034_8000_0000_0000,
-                window_digest: 0x6af0_5689_630d_2085,
+                cost: 0x4033_f940_0654_ad4f,
+                window_digest: 0xe1e1_717c_0a6b_2c56,
                 resilience: None,
                 path_losses: vec![],
             },
