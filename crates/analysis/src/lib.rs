@@ -1,10 +1,10 @@
 //! `recpipe-analysis`: the `simlint` static-analysis pass.
 //!
 //! The simulator's correctness claims rest on bit-for-bit determinism:
-//! frozen-reference proptests pin each serving loop against its
-//! predecessor, and sharded == serial merges hold only because nothing
-//! in the hot path depends on hash order, wall-clock time, or unseeded
-//! RNG. `simlint` turns that contract from prose into a mechanical
+//! a digest corpus pins the serving loop's outcomes over thousands of
+//! seeded scenarios, and sharded == serial merges hold only because
+//! nothing in the hot path depends on hash order, wall-clock time, or
+//! unseeded RNG. `simlint` turns that contract from prose into a mechanical
 //! gate: a pure-std, hand-rolled scanner ([`mod@scan`]) feeds a rule
 //! engine ([`rules`]) that denies hash-order iteration, ambient clocks
 //! and entropy, unregistered event tags, unjustified packing casts,

@@ -133,8 +133,8 @@ pub struct Config {
     pub ctor_paths: Vec<String>,
     /// Path prefix holding the serving entry points.
     pub serve_src: String,
-    /// Path prefix holding the frozen-reference/conservation tests
-    /// that must name every public `serve_*` entry point.
+    /// Path prefix holding the corpus-digest/conservation tests that
+    /// must name every public `serve_*` entry point.
     pub serve_tests: String,
     /// Per-rule severity overrides, checked before [`RULES`] defaults.
     pub severity_overrides: Vec<(String, Severity)>,
@@ -828,7 +828,7 @@ fn ctor_validate(ctx: &mut Ctx<'_>) {
 
 /// Cross-file rule: every `pub fn serve*` in the serving crate must be
 /// named by at least one test under the configured tests tree — the
-/// repo's frozen-reference/conservation discipline, enforced
+/// repo's corpus-digest/conservation discipline, enforced
 /// mechanically. Adding a `serve_*` entry point without pinning it
 /// fails the build.
 fn serve_coverage(files: &[ScannedFile], cfg: &Config, out: &mut Vec<Finding>) {
@@ -875,7 +875,7 @@ fn serve_coverage(files: &[ScannedFile], cfg: &Config, out: &mut Vec<Finding>) {
                 line: idx + 1,
                 message: format!(
                     "public entry point `{name}` is not named by any test under \
-                     `{}`; add a frozen-reference or conservation property pinning it",
+                     `{}`; add a corpus digest or conservation property pinning it",
                     cfg.serve_tests
                 ),
             });

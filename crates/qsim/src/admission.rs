@@ -381,7 +381,7 @@ pub trait AdmissionPolicy {
 
 /// The degenerate policy: every query takes the primary path. On a
 /// single-path set this replays the plain routed run bit-for-bit — the
-/// frozen-reference pin for the multi-path loop.
+/// live-vs-live pin for the multi-path loop.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AlwaysPrimary;
 

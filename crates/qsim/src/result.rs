@@ -71,9 +71,7 @@ pub struct SimResult {
 
 impl SimResult {
     /// Bundles simulation outputs.
-    // simlint: allow(ctor-validate) -- output bundle: every field is
-    // simulator-produced, so there is no invalid input to reject.
-    pub fn new(
+    pub(crate) fn new(
         latency: LatencyStats,
         qps: f64,
         completed: usize,
@@ -99,13 +97,13 @@ impl SimResult {
     }
 
     /// Attaches the observed mean batch size.
-    pub fn with_mean_batch(mut self, mean_batch: f64) -> Self {
+    pub(crate) fn with_mean_batch(mut self, mean_batch: f64) -> Self {
         self.mean_batch = mean_batch;
         self
     }
 
     /// Attaches the per-replica utilization breakdown.
-    pub fn with_replica_utilization(mut self, replica_utilization: Vec<Vec<f64>>) -> Self {
+    pub(crate) fn with_replica_utilization(mut self, replica_utilization: Vec<Vec<f64>>) -> Self {
         self.replica_utilization = replica_utilization;
         self
     }

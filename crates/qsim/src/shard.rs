@@ -192,8 +192,8 @@ pub(crate) fn run(inputs: Inputs<'_>, workers: usize) -> SimResult {
     let workers = if workers == 0 {
         // simlint: allow(shard-nondet) -- sizes the thread pool only; per-shard
         // results are computed independently and merged in shard order, so the
-        // merged output is invariant to how many workers ran (proved by the
-        // sharded == serial frozen-reference proptests).
+        // merged output is invariant to how many workers ran (checked by the
+        // sharded == serial proptest for every worker count).
         std::thread::available_parallelism().map_or(1, |p| p.get())
     } else {
         workers
