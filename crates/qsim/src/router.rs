@@ -50,12 +50,9 @@
 //! [`ReplicaLoads::expected_wait`] is the sum of the two:
 //! `remaining_work / speed + in_flight_wait`. **Units matter here**:
 //! `remaining_work` is base-time and gets speed-scaled at read time;
-//! `in_flight_wait` is wall-clock and does not. (Earlier revisions
-//! booked in-flight batches at their full *baseline* service time
-//! inside `remaining_work`, which both ignored elapsed service — a
-//! batch one tick from finishing counted the same as one just launched
-//! — and mixed the two unit systems; the decayed form subtracts
-//! elapsed in-flight service exactly.)
+//! `in_flight_wait` is wall-clock and does not. The in-flight term
+//! decays as service elapses: a batch one tick from finishing adds
+//! almost nothing, one just launched its whole service time.
 //!
 //! The estimator still ignores a replica's internal unit parallelism
 //! for queued work (the serial-drain approximation, exact for

@@ -95,27 +95,19 @@ impl Draw {
 
 /// What serves an entry's queries: one pipeline, or a path ladder and
 /// the admission policy that picks among its paths.
-pub enum Fleet {
-    /// A single pipeline.
+enum Fleet {
     Spec(PipelineSpec),
-    /// Multi-path serving.
     Paths(PathSet, Box<dyn AdmissionPolicy>),
 }
 
 /// One corpus scenario.
 pub struct Entry {
-    /// The fleet and its stages.
-    pub fleet: Fleet,
-    /// The arrival process.
-    pub arrivals: Box<dyn ArrivalProcess>,
-    /// When replicas launch batches.
-    pub policy: Box<dyn SchedulingPolicy>,
-    /// Which replica each query joins.
-    pub router: Box<dyn Router>,
-    /// Queries injected.
-    pub queries: usize,
-    /// Run seed.
-    pub seed: u64,
+    fleet: Fleet,
+    arrivals: Box<dyn ArrivalProcess>,
+    policy: Box<dyn SchedulingPolicy>,
+    router: Box<dyn Router>,
+    queries: usize,
+    seed: u64,
     lifecycle: Option<LifecycleConfig>,
     autoscale: Option<(AutoscaleConfig, Pressure)>,
     resilience: Option<ResilienceConfig>,
@@ -124,19 +116,12 @@ pub struct Entry {
 impl Entry {
     /// Runs the scenario.
     pub fn run(&self) -> SimResult {
-        let (spec, multipath) = match &self.fleet {
-            Fleet::Spec(spec) => (spec, None),
-            Fleet::Paths(paths, admission) => (paths.spec(), Some((paths, admission.as_ref()))),
-        };
-        let mut scenario = match multipath {
-            Some((paths, admission)) => Scenario::multipath(
-                paths,
-                admission,
-                self.arrivals.as_ref(),
-                self.queries,
-                self.seed,
-            ),
-            None => Scenario::new(spec, self.arrivals.as_ref(), self.queries, self.seed),
+        let (arrivals, n, seed) = (self.arrivals.as_ref(), self.queries, self.seed);
+        let mut scenario = match &self.fleet {
+            Fleet::Spec(spec) => Scenario::new(spec, arrivals, n, seed),
+            Fleet::Paths(paths, admission) => {
+                Scenario::multipath(paths, admission.as_ref(), arrivals, n, seed)
+            }
         }
         .policy(self.policy.as_ref())
         .router(self.router.as_ref());
@@ -146,8 +131,9 @@ impl Entry {
         if let Some(cfg) = &self.resilience {
             scenario = scenario.resilience(cfg);
         }
-        let mut controller = self.autoscale.as_ref().map(|(_, c)| c.clone());
-        if let (Some((cfg, _)), Some(controller)) = (&self.autoscale, controller.as_mut()) {
+        // The scenario borrows the controller mutably; each run gets a copy.
+        let mut autoscale = self.autoscale.clone();
+        if let Some((cfg, controller)) = autoscale.as_mut() {
             scenario = scenario.autoscale(cfg, controller);
         }
         scenario.run().expect("corpus scenarios are valid")
