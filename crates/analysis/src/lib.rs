@@ -7,9 +7,9 @@
 //! unseeded RNG. `simlint` turns that contract from prose into a mechanical
 //! gate: a pure-std, hand-rolled scanner ([`mod@scan`]) feeds a rule
 //! engine ([`rules`]) that denies hash-order iteration, ambient clocks
-//! and entropy, unregistered event tags, unjustified packing casts,
-//! non-validating public constructors, untested `serve_*` entry points
-//! and public items nothing uses — with an inline allowlist
+//! and entropy, unjustified packing casts, non-validating public
+//! constructors, untested `serve_*` entry points and public items
+//! nothing uses — with an inline allowlist
 //! (`// simlint: allow(<rule>) -- <justification>`) for the audited
 //! exceptions.
 //!

@@ -1,14 +1,13 @@
 //! The `simlint` rule engine: rule registry, per-rule severities, and
 //! the rule implementations over [`ScannedFile`]s.
 //!
-//! Rules fall into the four families the determinism contract needs
+//! Rules fall into the three families the determinism contract needs
 //! (see ARCHITECTURE.md "Determinism discipline, mechanically
 //! enforced"): determinism (`hash-iter`, `wall-clock`, `unseeded-rng`,
-//! `shard-nondet`), event-loop discipline (`tag-registry`), packing
-//! safety (`packing-cast`), and API discipline (`ctor-validate`,
-//! `serve-coverage`, `dead-pub`). A tenth rule, `bad-allow`, keeps the
-//! allowlist itself honest: malformed directives and unknown rule ids
-//! are findings, not silent no-ops.
+//! `shard-nondet`), packing safety (`packing-cast`), and API discipline
+//! (`ctor-validate`, `serve-coverage`, `dead-pub`). A ninth rule,
+//! `bad-allow`, keeps the allowlist itself honest: malformed directives
+//! and unknown rule ids are findings, not silent no-ops.
 
 use std::collections::HashMap;
 
@@ -66,11 +65,6 @@ pub const RULES: &[RuleMeta] = &[
         summary: "no thread-id or worker-count-dependent branches in shard executors",
     },
     RuleMeta {
-        id: "tag-registry",
-        severity: Severity::Deny,
-        summary: "every TAG_* event constant is in the tie-order table once and decodes",
-    },
-    RuleMeta {
         id: "packing-cast",
         severity: Severity::Deny,
         summary: "as u32/u64 in packed-event/lane-payload code needs a range justification",
@@ -118,11 +112,8 @@ pub struct Config {
     pub bench_test_paths: Vec<String>,
     /// Files holding shard executors (scope of `shard-nondet`).
     pub shard_files: Vec<String>,
-    /// The event-loop file holding the `TAG_*` constants, the
-    /// tie-order table, and the packed-event code.
+    /// The event-loop file holding the packed-event code.
     pub event_file: String,
-    /// Name of the tie-order registry const in `event_file`.
-    pub tie_order_table: String,
     /// `impl` blocks in `event_file` whose casts are packing casts.
     pub packing_impls: Vec<String>,
     /// Substrings of `fn` names in `event_file` whose casts are
@@ -157,7 +148,6 @@ impl Default for Config {
             ],
             shard_files: vec!["crates/qsim/src/shard.rs".into()],
             event_file: "crates/qsim/src/sim.rs".into(),
-            tie_order_table: "TAG_TIE_ORDER".into(),
             packing_impls: vec!["Event".into()],
             packing_fns: vec![
                 "pack".into(),
@@ -258,7 +248,6 @@ pub fn check_file(file: &ScannedFile, cfg: &Config, out: &mut Vec<Finding>) {
     wall_clock(&mut ctx);
     unseeded_rng(&mut ctx);
     shard_nondet(&mut ctx);
-    tag_registry(&mut ctx);
     packing_cast(&mut ctx);
     ctor_validate(&mut ctx);
 }
@@ -534,143 +523,6 @@ fn shard_nondet(ctx: &mut Ctx<'_>) {
             );
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// tag-registry
-// ---------------------------------------------------------------------------
-
-/// Enforces the event-tag registry in the event-loop file: every
-/// `const TAG_*: u64` must appear exactly once in the tie-order table
-/// and have an explicit decode arm, so a new event kind cannot land
-/// with an unconsidered same-timestamp ordering or a wildcard decode.
-fn tag_registry(ctx: &mut Ctx<'_>) {
-    if ctx.file.path != ctx.cfg.event_file {
-        return;
-    }
-    let table_name = ctx.cfg.tie_order_table.clone();
-    // Declared scalar tags: `const TAG_X: u64 = …`.
-    let mut tags: Vec<(String, usize)> = Vec::new();
-    for (idx, line) in ctx.file.lines.iter().enumerate() {
-        let code = line.code.trim();
-        if let Some(rest) = code.strip_prefix("const TAG_") {
-            if let Some(colon) = rest.find(':') {
-                let name = format!("TAG_{}", &rest[..colon].trim());
-                if name != table_name && rest[colon..].contains("u64") && !rest.contains('[') {
-                    tags.push((name, idx));
-                }
-            }
-        }
-    }
-    if tags.is_empty() {
-        return;
-    }
-    // The tie-order table: TAG_* tokens inside the initializer of the
-    // `const TAG_TIE_ORDER` declaration. Bracket depth is tracked from
-    // the `=` so the `]` in the array *type* doesn't end collection.
-    let mut table: Vec<String> = Vec::new();
-    let mut table_at = None;
-    for (idx, line) in ctx.file.lines.iter().enumerate() {
-        let code = line.code.trim();
-        if (code.starts_with("const ") || code.starts_with("pub const "))
-            && find_word(code, &table_name).is_some()
-        {
-            table_at = Some(idx);
-            break;
-        }
-    }
-    if let Some(start) = table_at {
-        let mut text = String::new();
-        let mut started = false;
-        let mut depth = 0i32;
-        'collect: for line in ctx.file.lines.iter().skip(start) {
-            for c in line.code.chars() {
-                if !started {
-                    started = c == '=';
-                    continue;
-                }
-                match c {
-                    '[' => depth += 1,
-                    ']' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break 'collect;
-                        }
-                    }
-                    _ => {
-                        if depth > 0 {
-                            text.push(c);
-                        }
-                    }
-                }
-            }
-            text.push('\n');
-        }
-        collect_tag_tokens(&text, &table_name, &mut table);
-    }
-    let Some(table_at) = table_at else {
-        let (_, first) = &tags[0];
-        ctx.emit(
-            "tag-registry",
-            *first,
-            format!(
-                "event tags declared but no `{table_name}` tie-order table found; \
-                 register every tag's same-timestamp ordering"
-            ),
-        );
-        return;
-    };
-    for (tag, decl_at) in &tags {
-        let registered = table.iter().filter(|t| *t == tag).count();
-        if registered != 1 {
-            ctx.emit(
-                "tag-registry",
-                *decl_at,
-                format!(
-                    "`{tag}` appears {registered} times in `{table_name}` (must be exactly 1): \
-                     a tag outside the table sorts arbitrarily against its peers"
-                ),
-            );
-        }
-        let decodes = ctx.file.lines.iter().any(|l| {
-            find_word(&l.code, tag)
-                .map(|at| l.code[at + tag.len()..].trim_start().starts_with("=>"))
-                .unwrap_or(false)
-        });
-        if !decodes {
-            ctx.emit(
-                "tag-registry",
-                *decl_at,
-                format!(
-                    "`{tag}` has no explicit decode arm (`{tag} =>`); wildcard decode hides it"
-                ),
-            );
-        }
-    }
-    for t in &table {
-        if !tags.iter().any(|(tag, _)| tag == t) {
-            ctx.emit(
-                "tag-registry",
-                table_at,
-                format!("`{t}` is registered in `{table_name}` but never declared"),
-            );
-        }
-    }
-}
-
-/// Collects `TAG_*` word tokens in `code`, excluding the table name.
-fn collect_tag_tokens(code: &str, table_name: &str, out: &mut Vec<String>) {
-    out.extend(
-        words(code)
-            .filter(|w| w.starts_with("TAG_") && *w != table_name)
-            .map(str::to_string),
-    );
-}
-
-/// The identifiers in `code`, in order (number literals excluded).
-fn words(code: &str) -> impl Iterator<Item = &str> {
-    code.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-        .filter(|w| w.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_'))
 }
 
 // ---------------------------------------------------------------------------
@@ -1045,4 +897,10 @@ fn pub_item(code: &str) -> Option<(&'static str, &str)> {
     };
     let kind = *PUB_ITEM_KINDS.iter().find(|k| **k == kind)?;
     Some((kind, words(name).next()?))
+}
+
+/// The identifiers in `code`, in order (number literals excluded).
+fn words(code: &str) -> impl Iterator<Item = &str> {
+    code.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|w| w.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_'))
 }

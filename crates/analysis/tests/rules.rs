@@ -12,8 +12,6 @@ use recpipe_analysis::{analyze_files, Report};
 const HASH_ITER: &str = include_str!("fixtures/hash_iter.rs");
 const WALL_CLOCK: &str = include_str!("fixtures/wall_clock.rs");
 const SHARD_NONDET: &str = include_str!("fixtures/shard_nondet.rs");
-const TAG_REGISTRY: &str = include_str!("fixtures/tag_registry.rs");
-const TAG_REGISTRY_OK: &str = include_str!("fixtures/tag_registry_ok.rs");
 const PACKING_CAST: &str = include_str!("fixtures/packing_cast.rs");
 const CTOR_VALIDATE: &str = include_str!("fixtures/ctor_validate.rs");
 const SERVE_SRC: &str = include_str!("fixtures/serve_src.rs");
@@ -91,28 +89,6 @@ fn shard_nondet_requires_justified_worker_branches() {
 fn shard_nondet_only_applies_to_shard_files() {
     let r = report(&[("crates/qsim/src/sim2.rs", SHARD_NONDET)]);
     assert!(by_rule(&r, "shard-nondet").is_empty(), "{:?}", r.findings);
-}
-
-#[test]
-fn tag_registry_catches_orphans_ghosts_and_missing_arms() {
-    let r = report(&[("crates/qsim/src/sim.rs", TAG_REGISTRY)]);
-    let hits = by_rule(&r, "tag-registry");
-    assert_eq!(hits.len(), 3, "findings: {:?}", r.findings);
-    assert!(hits
-        .iter()
-        .any(|f| f.message.contains("TAG_ORPHAN") && f.message.contains("0 times")));
-    assert!(hits
-        .iter()
-        .any(|f| f.message.contains("TAG_ORPHAN") && f.message.contains("decode arm")));
-    assert!(hits
-        .iter()
-        .any(|f| f.message.contains("TAG_GHOST") && f.message.contains("never declared")));
-}
-
-#[test]
-fn tag_registry_accepts_a_complete_table() {
-    let r = report(&[("crates/qsim/src/sim.rs", TAG_REGISTRY_OK)]);
-    assert!(r.findings.is_empty(), "{:?}", r.findings);
 }
 
 #[test]

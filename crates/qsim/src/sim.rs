@@ -27,90 +27,45 @@ use telemetry::Telemetry;
 /// Fraction of queries discarded from the front as warmup.
 const WARMUP_FRACTION: f64 = 0.05;
 
-/// A decoded event — the transient, register-allocated view the run
-/// loops match on. The event queue itself stores the packed 24-byte
-/// [`Event`]; nothing persists this enum.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// What an event does. The discriminant is the event's 3-bit tag in
+/// [`Event`]'s key, and [`Event::kind`] decodes it; each variant names
+/// the payload its event carries in `a` and `b`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EventKind {
-    /// Query `query` arrives at stage `stage` and joins its queue.
-    Arrive { query: usize, stage: usize },
-    /// Batch `batch` finishes service, releasing its units. The event
-    /// is live only while `gen` matches the batch table slot's
-    /// generation (low 32 bits) — a fail-stop that kills the batch
-    /// bumps the generation, cancelling the completion lazily at pop
-    /// (always 0 on lifecycle-free runs).
-    Complete { batch: usize, gen: u32 },
-    /// A scheduling policy asked to re-examine replica slot `slot`.
-    /// The event is live only while `gen` matches the slot's timer
-    /// generation (low 32 bits) — superseded timers are cancelled
-    /// lazily (skipped at pop) instead of scanned.
-    Recheck { slot: usize, gen: u32 },
-    /// Scheduled lifecycle event `idx` (index into the flattened
-    /// per-run schedule) fires against its replica slot.
-    Lifecycle { idx: usize },
-    /// Replica slot `slot` finishes warming and reaches full speed;
-    /// live only while `gen` matches the slot's lifecycle generation
-    /// (low 32 bits; a drain or fail-stop during warm-up cancels it).
-    WarmDone { slot: usize, gen: u32 },
+    /// Query `a` arrives at stage `b` and joins its queue (on resilient
+    /// runs `b` is the [`lane_payload`] packing the stage).
+    Arrive = 0,
+    /// Batch `a` finishes service, releasing its units. The event is
+    /// live only while `b` matches the batch table slot's generation
+    /// (low 32 bits) — a fail-stop that kills the batch bumps the
+    /// generation, cancelling the completion lazily at pop (always 0 on
+    /// lifecycle-free runs).
+    Complete = 1,
+    /// A scheduling policy asked to re-examine replica slot `a`. The
+    /// event is live only while `b` matches the slot's timer generation
+    /// (low 32 bits) — superseded timers are cancelled lazily (skipped
+    /// at pop) instead of scanned.
+    Recheck = 2,
+    /// Scheduled lifecycle event `a` (index into the flattened per-run
+    /// schedule) fires against its replica slot.
+    Lifecycle = 3,
+    /// Replica slot `a` finishes warming and reaches full speed; live
+    /// only while `b` matches the slot's lifecycle generation (low 32
+    /// bits; a drain or fail-stop during warm-up cancels it).
+    WarmDone = 4,
     /// A telemetry window boundary: close the current window, consult
     /// the autoscaling controller, and re-arm the next tick.
-    WindowTick,
-    /// Query `query`'s per-attempt timeout fires; live only while `gen`
+    WindowTick = 5,
+    /// Query `a`'s per-attempt timeout fires; live only while `b`
     /// matches the query's lane generation (a completion or an earlier
     /// timeout bumped it otherwise — the same lazy-cancellation
     /// discipline as `Complete`).
-    Timeout { query: usize, gen: u32 },
-    /// Query `query`'s hedge delay elapsed; if the attempt (`gen`) is
-    /// still live and unhedged, a duplicate lane dispatches to a
-    /// different replica.
-    Hedge { query: usize, gen: u32 },
+    Timeout = 6,
+    /// Query `a`'s hedge delay elapsed; if attempt `b` is still live
+    /// and unhedged, a duplicate lane dispatches to a different
+    /// replica.
+    Hedge = 7,
 }
-
-const TAG_ARRIVE: u64 = 0;
-const TAG_COMPLETE: u64 = 1;
-const TAG_RECHECK: u64 = 2;
-const TAG_LIFECYCLE: u64 = 3;
-const TAG_WARM_DONE: u64 = 4;
-const TAG_WINDOW_TICK: u64 = 5;
-const TAG_TIMEOUT: u64 = 6;
-const TAG_HEDGE: u64 = 7;
-
-/// The same-timestamp tie-order registry. Events that share a
-/// timestamp fire in ascending `seq`, and seqs are assigned in this
-/// grouping order: schedule arrivals first (seq = query index, fixed
-/// before the loop starts), then lifecycle transitions (group-major,
-/// preassigned past the schedule by `enable_lifecycle`), then the
-/// telemetry window tick, then every dynamically created event —
-/// completions, rechecks, warm-ups, timeouts, hedges — in creation
-/// order from the running `Sim::seq` counter. `simlint`'s
-/// `tag-registry` rule requires each `TAG_*` constant to appear here
-/// exactly once and to have an explicit decode arm, so a new event
-/// kind cannot land without a considered position in this order (see
-/// ARCHITECTURE.md "Determinism discipline, mechanically enforced").
-const TAG_TIE_ORDER: [u64; 8] = [
-    TAG_ARRIVE,
-    TAG_LIFECYCLE,
-    TAG_WINDOW_TICK,
-    TAG_COMPLETE,
-    TAG_RECHECK,
-    TAG_WARM_DONE,
-    TAG_TIMEOUT,
-    TAG_HEDGE,
-];
-
-// Compile-time proof that the tie-order table is a permutation of all
-// eight tags: each value in 0..8, none repeated, none missing.
-const _: () = {
-    let mut seen = [false; 8];
-    let mut i = 0;
-    while i < TAG_TIE_ORDER.len() {
-        let t = TAG_TIE_ORDER[i] as usize;
-        assert!(t < 8, "tag out of range");
-        assert!(!seen[t], "tag registered twice");
-        seen[t] = true;
-        i += 1;
-    }
-};
 
 /// Stage bits in a resilience-packed arrive payload (`b`): the low 12
 /// bits carry the stage, the next 19 the lane generation, the top bit
@@ -195,22 +150,25 @@ fn nearest_rank(values: &mut [f64], q: f64) -> f64 {
         .1
 }
 
-/// A packed event: 24 bytes instead of the 40 a
-/// `(f64, u64, EventKind)` struct would occupy, so every sift in the
+/// A packed event: 24 bytes instead of the 40 a time, a seq and the
+/// kind with two `usize` payloads would occupy, so every sift in the
 /// event heap moves 40% less memory — the heap is the hottest data
 /// structure in the simulator, and pop/push cost is dominated by these
 /// copies at 4 events per query-stage.
 ///
-/// `key` packs `(seq << 3) | tag`. Seqs are globally unique
-/// (schedule arrivals carry their query index, everything else draws
-/// from the `Sim::seq` counter that resumes past them), so ordering by
-/// `key` is ordering by `seq` — the tag bits can never influence the
-/// total order. Payloads are two `u32`s: query/batch/slot indices are
-/// bounded well below `u32::MAX` (validated by `Scenario::run`), and
-/// generation counters compare on their low 32 bits (a stale event
-/// would mis-match only after 2^32 same-slot generation bumps while it
-/// sat in the queue, which cannot happen before the queue itself
-/// exhausts memory).
+/// `key` packs `(seq << 3) | kind`. Seqs are unique, so events pop in
+/// `(time, seq)` order and the kind never breaks a tie: same-time
+/// events pop in the order their seqs were numbered. Schedule arrival
+/// `q` carries seq `q`; the scheduled lifecycle transitions (group-major,
+/// in schedule order) and then the first window tick are numbered next,
+/// when the run is armed; every other event takes the next seq from
+/// `Sim::seq` when it is created. A new kind's tie order is decided by
+/// where its seq comes from, not by its tag. Payloads are two `u32`s:
+/// query/batch/slot indices are bounded well below `u32::MAX`
+/// (validated by `Scenario::run`), and generation counters compare on
+/// their low 32 bits (a stale event would mis-match only after 2^32
+/// same-slot generation bumps while it sat in the queue, which cannot
+/// happen before the queue itself exhausts memory).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Event {
     time: f64,
@@ -221,11 +179,12 @@ struct Event {
 
 impl Event {
     #[inline]
-    fn new(time: f64, seq: u64, tag: u64, a: usize, b: u32) -> Self {
+    fn new(time: f64, seq: u64, kind: EventKind, a: usize, b: u32) -> Self {
         debug_assert!(a <= u32::MAX as usize);
         Self {
             time,
-            key: (seq << 3) | tag,
+            // simlint: allow(packing-cast) -- a discriminant in 0..8
+            key: (seq << 3) | kind as u64,
             // simlint: allow(packing-cast) -- a is a query/batch/slot
             // index bounded far below u32::MAX at construction
             // (debug_assert above; scale asserts at spec build).
@@ -249,45 +208,21 @@ impl Event {
         self.key >> 3
     }
 
-    /// The event's `TAG_*` kind.
-    #[inline]
-    fn tag(&self) -> u64 {
-        self.key & 0b111
-    }
-
-    /// Decodes the packed payload for matching.
+    /// The event's kind, decoded from the tag bits (high to low). Every
+    /// 3-bit pattern has its own arm and there is no wildcard, so the
+    /// compiler checks that each tag decodes.
     #[inline]
     fn kind(&self) -> EventKind {
-        match self.tag() {
-            TAG_ARRIVE => EventKind::Arrive {
-                query: self.a as usize,
-                stage: self.b as usize,
-            },
-            TAG_COMPLETE => EventKind::Complete {
-                batch: self.a as usize,
-                gen: self.b,
-            },
-            TAG_RECHECK => EventKind::Recheck {
-                slot: self.a as usize,
-                gen: self.b,
-            },
-            TAG_LIFECYCLE => EventKind::Lifecycle {
-                idx: self.a as usize,
-            },
-            TAG_WARM_DONE => EventKind::WarmDone {
-                slot: self.a as usize,
-                gen: self.b,
-            },
-            TAG_WINDOW_TICK => EventKind::WindowTick,
-            TAG_TIMEOUT => EventKind::Timeout {
-                query: self.a as usize,
-                gen: self.b,
-            },
-            TAG_HEDGE => EventKind::Hedge {
-                query: self.a as usize,
-                gen: self.b,
-            },
-            _ => unreachable!("tag masked to 3 bits; all eight values have arms"),
+        let bit = |b: u32| self.key >> b & 1 == 1;
+        match (bit(2), bit(1), bit(0)) {
+            (false, false, false) => EventKind::Arrive,
+            (false, false, true) => EventKind::Complete,
+            (false, true, false) => EventKind::Recheck,
+            (false, true, true) => EventKind::Lifecycle,
+            (true, false, false) => EventKind::WarmDone,
+            (true, false, true) => EventKind::WindowTick,
+            (true, true, false) => EventKind::Timeout,
+            (true, true, true) => EventKind::Hedge,
         }
     }
 }
@@ -773,8 +708,8 @@ impl<'a> Sim<'a> {
     /// successor's timestamp ([`stage_next_arrival`]). The heap stays
     /// at the in-flight high-water mark instead of the query count, and
     /// a 10M-query replay never materializes the schedule. Schedule
-    /// arrival `q` carries seq `q` (the counter resumes at
-    /// `initial`), which fixes its tie order against every other event.
+    /// arrival `q` carries seq `q`, and the counter resumes at `initial`
+    /// (see [`Event`] on the tie order this fixes).
     ///
     /// [`stage_next_arrival`]: Self::stage_next_arrival
     fn stage_schedule(&mut self, seed: u64) {
@@ -797,19 +732,18 @@ impl<'a> Sim<'a> {
         self.arrival_time[0] = t0;
         self.arrival_span = self.arrival_span.max(t0);
         self.arrival_stream = Some(stream);
-        self.queue.push_heap(Event::new(t0, 0, TAG_ARRIVE, 0, 0));
+        self.queue
+            .push_heap(Event::new(t0, 0, EventKind::Arrive, 0, 0));
     }
 
     /// Arms the replica lifecycle under `cfg`, with `scale`'s controller
     /// consulted at every closing window, and attaches telemetry when a
     /// window is configured (starting its clock) or the lifecycle armed.
     ///
-    /// Determinism: lifecycle events are sequenced in group-major,
-    /// schedule order *after* all schedule arrivals (their seqs
-    /// start past `schedule_len`), so at equal timestamps an arrival is
-    /// processed before the lifecycle event that would have masked its
-    /// replica, and two same-time lifecycle events fire in schedule
-    /// order. The first window tick follows them.
+    /// The lifecycle transitions, then the first window tick, take the
+    /// seqs after the schedule arrivals (see [`Event`]), so at equal
+    /// timestamps an arrival is processed before the lifecycle event
+    /// that would have masked its replica.
     pub(crate) fn enable_lifecycle(
         &mut self,
         cfg: &LifecycleConfig,
@@ -817,7 +751,7 @@ impl<'a> Sim<'a> {
     ) {
         self.arm_lifecycle(cfg, scale);
         if let Some(w) = cfg.window_s {
-            self.push(w, TAG_WINDOW_TICK, 0, 0);
+            self.push(w, EventKind::WindowTick, 0, 0);
         }
         if cfg.window_s.is_some() || self.life.is_some() {
             self.tele = Some(Telemetry::new(cfg.window_s.unwrap_or(0.0)));
@@ -860,15 +794,20 @@ impl<'a> Sim<'a> {
     }
 
     /// Queues an event carrying the next seq.
-    fn push(&mut self, time: f64, tag: u64, a: usize, b: u32) {
-        self.queue.push(Event::new(time, self.seq, tag, a, b));
+    fn push(&mut self, time: f64, kind: EventKind, a: usize, b: u32) {
+        self.queue.push(Event::new(time, self.seq, kind, a, b));
         self.seq += 1;
     }
 
     /// Pushes an arrive event for lane `id` entering `stage` (the bare
     /// query and the plain stage payload on resilience-free runs).
     fn push_arrive(&mut self, t: f64, id: usize, stage: usize) {
-        self.push(t, TAG_ARRIVE, lane_query(id), lane_payload(id, stage));
+        self.push(
+            t,
+            EventKind::Arrive,
+            lane_query(id),
+            lane_payload(id, stage),
+        );
     }
 
     /// Whether lane `id` still names a live lane of its query; false
@@ -885,10 +824,10 @@ impl<'a> Sim<'a> {
         let rt = self.resil.as_mut().expect("resilience runtime attached");
         let (gen, timeout_at, hedge_at) = rt.timers(start, q);
         if let Some(t) = timeout_at {
-            self.push(t, TAG_TIMEOUT, q, gen);
+            self.push(t, EventKind::Timeout, q, gen);
         }
         if let Some(t) = hedge_at {
-            self.push(t, TAG_HEDGE, q, gen);
+            self.push(t, EventKind::Hedge, q, gen);
         }
     }
 
@@ -981,7 +920,7 @@ impl<'a> Sim<'a> {
         if let Some(tele) = self.tele.as_mut() {
             tele.on_arrival();
         }
-        self.push(t, TAG_ARRIVE, query, 0);
+        self.push(t, EventKind::Arrive, query, 0);
     }
 
     /// Routes `query` arriving at `stage_idx` to one replica slot of
@@ -1191,7 +1130,7 @@ impl<'a> Sim<'a> {
             }
         };
         let gen = Event::gen32(self.batch_gen[batch]);
-        self.push(finish, TAG_COMPLETE, batch, gen);
+        self.push(finish, EventKind::Complete, batch, gen);
     }
 
     /// Inserts an entry into its slot queue at its (priority, seq)
@@ -1304,7 +1243,7 @@ impl<'a> Sim<'a> {
                         self.armed[slot] = Some(t);
                         self.timer_gen[slot] += 1;
                         let gen = Event::gen32(self.timer_gen[slot]);
-                        self.push(t, TAG_RECHECK, slot, gen);
+                        self.push(t, EventKind::Recheck, slot, gen);
                     }
                     return;
                 }
@@ -1538,7 +1477,7 @@ impl<'a> Sim<'a> {
         self.arrival_span = self.arrival_span.max(t);
         // Straight onto the heap: see `EventQueue::push_heap`.
         self.queue
-            .push_heap(Event::new(t, next as u64, TAG_ARRIVE, next, 0));
+            .push_heap(Event::new(t, next as u64, EventKind::Arrive, next, 0));
     }
 
     pub(crate) fn run(mut self) -> Result<SimResult, SimError> {
@@ -1567,13 +1506,14 @@ impl<'a> Sim<'a> {
             tele.advance(now, self.gauges);
         }
         match event.kind() {
-            EventKind::Arrive { query, stage } => {
+            EventKind::Arrive => {
                 // Under resilience the payload packs the lane identity
                 // around the stage; rebuild the lane id that flows
                 // through queues and batches.
+                let (query, payload) = (event.a as usize, event.b as usize);
                 let (id, stage) = match self.resil {
-                    Some(_) => unpack_lane(query, stage),
-                    None => (query, stage),
+                    Some(_) => unpack_lane(query, payload),
+                    None => (query, payload),
                 };
                 self.last_time = now;
                 // A schedule arrival stages its successor (closed-loop
@@ -1612,28 +1552,30 @@ impl<'a> Sim<'a> {
                     return ControlFlow::Break(());
                 }
             }
-            EventKind::Complete { batch, gen } => {
+            EventKind::Complete => {
                 // A fail-stop that killed the batch bumped its
                 // generation; the orphaned completion is a no-op.
-                if gen == self.batch_gen[batch] as u32 {
+                let batch = event.a as usize;
+                if event.b == self.batch_gen[batch] as u32 {
                     self.last_time = now;
                     self.on_complete(now, batch);
                 }
             }
-            EventKind::Recheck { slot, gen } => {
+            EventKind::Recheck => {
                 // Lazy cancellation: only the latest-armed timer of a
                 // slot dispatches. A superseded timer can never launch
                 // anything a live recheck, arrival, or completion would
                 // not have launched first (the armed time is always at
                 // or before the head entry's hold deadline), so skipping
                 // it changes nothing but the wasted queue scan.
-                if gen == self.timer_gen[slot] as u32 {
+                let slot = event.a as usize;
+                if event.b == self.timer_gen[slot] as u32 {
                     self.armed[slot] = None;
                     self.dispatch(now, slot);
                 }
             }
-            EventKind::Lifecycle { idx } => self.on_lifecycle(now, idx),
-            EventKind::WarmDone { slot, gen } => self.on_warm_done(slot, gen),
+            EventKind::Lifecycle => self.on_lifecycle(now, event.a as usize),
+            EventKind::WarmDone => self.on_warm_done(event.a as usize, event.b),
             EventKind::WindowTick if telemetry_live => {
                 self.close_window(now);
                 self.autoscale_tick(now);
@@ -1641,17 +1583,19 @@ impl<'a> Sim<'a> {
                 // (partial) window closes in `finish`.
                 if !self.queue.is_empty() {
                     let window_s = self.tele.as_ref().expect("telemetry attached").window_s;
-                    self.push(now + window_s, TAG_WINDOW_TICK, 0, 0);
+                    self.push(now + window_s, EventKind::WindowTick, 0, 0);
                 }
             }
             EventKind::WindowTick => {}
-            EventKind::Timeout { query, gen } => {
+            EventKind::Timeout => {
+                let query = event.a as usize;
                 let rt = self.resil.as_ref().expect("resilience runtime attached");
-                if rt.attempt_live(query, gen) {
+                if rt.attempt_live(query, event.b) {
                     self.on_timeout(now, query);
                 }
             }
-            EventKind::Hedge { query, gen } => {
+            EventKind::Hedge => {
+                let (query, gen) = (event.a as usize, event.b);
                 let rt = self.resil.as_ref().expect("resilience runtime attached");
                 if rt.hedge_due(query, gen) {
                     self.on_hedge(now, query, gen);
@@ -2792,6 +2736,36 @@ mod tests {
         assert!((integrated - long.cost_integral).abs() < 1e-9);
     }
 
+    #[test]
+    fn same_time_events_pop_in_the_order_their_seqs_were_numbered() {
+        // A schedule arrival, a scheduled transition and the first window
+        // tick all fall at t = 1: the arrival pops first (seq = its query
+        // index), then the transition, then the tick, as armed.
+        use recpipe_data::TraceArrivals;
+        let degrade = LifecycleEvent::degrade(1.0, 0, 0.5);
+        let spec = replicated(2, 0.005)
+            .with_group_lifecycle(0, LifecycleSchedule::empty().with_event(degrade));
+        let arrivals = TraceArrivals::new(vec![1.0, 2.0]);
+        let mut sim = Sim::new(Inputs {
+            spec: &spec,
+            arrivals: &arrivals,
+            policy: &Fifo,
+            router: &RoundRobin,
+            num_queries: 2,
+            seed: 1,
+        });
+        sim.enable_lifecycle(&LifecycleConfig::new().with_window(1.0), None);
+        let popped: Vec<_> = std::iter::from_fn(|| sim.queue.pop())
+            .map(|e| (e.time, e.kind()))
+            .collect();
+        let kinds = [
+            EventKind::Arrive,
+            EventKind::Lifecycle,
+            EventKind::WindowTick,
+        ];
+        assert_eq!(popped, kinds.map(|kind| (1.0, kind)));
+    }
+
     /// Test controller: always demands a fixed replica count.
     #[derive(Debug)]
     struct FixedTarget(usize);
@@ -2939,7 +2913,8 @@ mod tests {
         // All n schedule arrivals pop from the heap (every other arrival
         // carries a seq past n).
         assert_eq!(c.schedule_heap, n as u64);
-        let [arrive, timeout, hedge] = [TAG_ARRIVE, TAG_TIMEOUT, TAG_HEDGE].map(|t| t as usize);
+        let [arrive, timeout, hedge] =
+            [EventKind::Arrive, EventKind::Timeout, EventKind::Hedge].map(|k| k as usize);
         let share = |fifo: u64, heap: u64| fifo as f64 / (fifo + heap) as f64;
         let timers = share(
             c.fifo[timeout] + c.fifo[hedge],

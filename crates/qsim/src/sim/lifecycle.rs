@@ -4,7 +4,7 @@
 //! some group's schedule has an event or an autoscaler is attached; a
 //! run without it keeps every slot up at its profile speed.
 
-use super::{Event, Sim, TAG_LIFECYCLE, TAG_WARM_DONE};
+use super::{Event, EventKind, Sim};
 use crate::{
     AutoscaleConfig, FailurePolicy, FleetController, LifecycleAction, LifecycleConfig,
     LifecycleEvent, SimError,
@@ -63,7 +63,7 @@ pub(super) struct LifecycleRt<'a> {
     /// The typed all-replicas-down error, checked after every arrival.
     pub(super) fatal: Option<SimError>,
     /// Flattened static schedule: `(slot, event)` per scheduled
-    /// lifecycle event, indexed by `EventKind::Lifecycle`.
+    /// lifecycle event, indexed by a `Lifecycle` event's payload.
     sched: Vec<(usize, LifecycleEvent)>,
     scale: Option<ScaleRt<'a>>,
 }
@@ -112,7 +112,7 @@ impl<'a> Sim<'a> {
         for (g, r) in resources.iter().enumerate() {
             for &event in r.lifecycle().events() {
                 life.revivals_left[g] += usize::from(event.revives());
-                self.push(event.time, TAG_LIFECYCLE, life.sched.len(), 0);
+                self.push(event.time, EventKind::Lifecycle, life.sched.len(), 0);
                 life.sched.push((self.slot_base[g] + event.replica, event));
             }
         }
@@ -297,7 +297,7 @@ impl<'a> Sim<'a> {
         self.gauges.cost += self.slot_speed[slot];
         self.refresh_speed(slot);
         if warmup_s > 0.0 {
-            self.push(now + warmup_s, TAG_WARM_DONE, slot, gen);
+            self.push(now + warmup_s, EventKind::WarmDone, slot, gen);
         }
         self.flush_parked(now, group);
     }

@@ -4,8 +4,8 @@
 //! Next-stage, requeued and parked-flush arrivals enter at `now`. A
 //! run has one timeout, so an attempt starting now times out at
 //! `now + timeout_s`. Hedges fire at `now + delay`, and a quantile
-//! delay moves at most every 64 completions. Each of these tags has a
-//! FIFO. An event joins its tag's FIFO when it pops after the FIFO's
+//! delay moves at most every 64 completions. Each of these kinds has a
+//! FIFO. An event joins its kind's FIFO when it pops after the FIFO's
 //! back, and goes on the heap otherwise, so every FIFO stays sorted. The
 //! least queued event is then the least of the heap top and the three
 //! FIFO fronts. Keys are unique, so `Event`'s order is total, and the
@@ -14,7 +14,7 @@
 
 use std::collections::{BinaryHeap, VecDeque};
 
-use super::{Event, TAG_ARRIVE, TAG_HEDGE, TAG_TIMEOUT};
+use super::{Event, EventKind};
 
 /// The heap's source index in [`EventQueue::least`], past the FIFOs;
 /// FIFO `i` is source `i`.
@@ -34,7 +34,7 @@ pub(super) struct EventQueue {
 }
 
 impl EventQueue {
-    /// Queues `event`: at the back of its tag's FIFO when it pops after
+    /// Queues `event`: at the back of its kind's FIFO when it pops after
     /// the FIFO's back, on the heap otherwise. `Sim::push`'s seqs only
     /// grow, so an arrive, timeout or hedge event reaches the heap only
     /// when its time is earlier than its FIFO's back.
@@ -44,10 +44,10 @@ impl EventQueue {
         {
             self.counts.pushes += 1;
         }
-        let fifo = match event.tag() {
-            TAG_ARRIVE => Some(&mut self.fifos[0]),
-            TAG_TIMEOUT => Some(&mut self.fifos[1]),
-            TAG_HEDGE => Some(&mut self.fifos[2]),
+        let fifo = match event.kind() {
+            EventKind::Arrive => Some(&mut self.fifos[0]),
+            EventKind::Timeout => Some(&mut self.fifos[1]),
+            EventKind::Hedge => Some(&mut self.fifos[2]),
             _ => None,
         };
         // `Event`'s order is reversed for the max-heap: the greater
@@ -59,7 +59,7 @@ impl EventQueue {
         }
     }
 
-    /// Queues `event` on the heap, whatever its tag. A schedule arrival
+    /// Queues `event` on the heap, whatever its kind. A schedule arrival
     /// takes this path: it is staged ahead of `now` with a small seq,
     /// and at the back of the arrive FIFO it would send every
     /// next-stage arrival created before it fires to the heap.
@@ -123,15 +123,15 @@ impl EventQueue {
 }
 
 /// Test-only work counts: events pushed, and events popped from the
-/// heap and from the FIFOs. Each FIFO holds one tag, so the FIFO pops
-/// of a tag are that FIFO's pops.
+/// heap and from the FIFOs. Each FIFO holds one kind, so the FIFO pops
+/// of a kind are that FIFO's pops.
 #[cfg(test)]
 #[derive(Debug, Default, Clone, Copy)]
 pub(super) struct Counts {
     pub(super) pushes: u64,
-    /// Heap pops by tag.
+    /// Heap pops by kind.
     pub(super) heap: [u64; 8],
-    /// FIFO pops by tag.
+    /// FIFO pops by kind.
     pub(super) fifo: [u64; 8],
     /// Schedule arrivals (an arrive event whose seq is its query index)
     /// popped from the heap.
@@ -141,13 +141,13 @@ pub(super) struct Counts {
 #[cfg(test)]
 impl Counts {
     fn popped(&mut self, from_heap: bool, event: &Event) {
-        let tag = event.tag() as usize;
+        let kind = event.kind();
         if from_heap {
-            self.heap[tag] += 1;
-            let schedule = event.tag() == TAG_ARRIVE && event.seq() == u64::from(event.a);
+            self.heap[kind as usize] += 1;
+            let schedule = kind == EventKind::Arrive && event.seq() == u64::from(event.a);
             self.schedule_heap += u64::from(schedule);
         } else {
-            self.fifo[tag] += 1;
+            self.fifo[kind as usize] += 1;
         }
     }
 
@@ -187,8 +187,13 @@ mod tests {
                     0..=4 => {
                         let tag = below(&mut rng, 8);
                         let time = now + 0.25 * below(&mut rng, 8) as f64;
-                        let payload = below(&mut rng, 1 << 16) as usize;
-                        let event = Event::new(time, seq, tag, payload, 0);
+                        let a = below(&mut rng, 1 << 16) as u32;
+                        let event = Event {
+                            time,
+                            key: seq << 3 | tag,
+                            a,
+                            b: 0,
+                        };
                         seq += 1;
                         queue.push(event);
                         heap.push(event);
@@ -196,7 +201,7 @@ mod tests {
                     5 => {
                         let time = now + 0.25 * (1 + below(&mut rng, 8)) as f64;
                         let q = scheduled as usize;
-                        let event = Event::new(time, scheduled, TAG_ARRIVE, q, 0);
+                        let event = Event::new(time, scheduled, EventKind::Arrive, q, 0);
                         scheduled += 1;
                         queue.push_heap(event);
                         heap.push(event);
@@ -219,9 +224,9 @@ mod tests {
             // Both paths ran: FIFO-tagged events popped from the FIFOs
             // and, having landed below their FIFO's back, from the heap.
             let c = queue.counts;
-            for tag in [TAG_ARRIVE, TAG_TIMEOUT, TAG_HEDGE] {
-                let tag = tag as usize;
-                assert!(c.fifo[tag] > 0 && c.heap[tag] > 0, "seed {seed}: {c:?}");
+            for kind in [EventKind::Arrive, EventKind::Timeout, EventKind::Hedge] {
+                let k = kind as usize;
+                assert!(c.fifo[k] > 0 && c.heap[k] > 0, "seed {seed}: {c:?}");
             }
             assert_eq!(c.pops(), c.pushes);
         }
