@@ -1,5 +1,6 @@
 //! CI bench smoke check: re-times the hottest queueing-simulator
-//! benches and the quality evaluator's quick-grid batch, and fails
+//! benches (the scenarios the `recpipe_bench` library builds for them)
+//! and the quality evaluator's quick-grid batch, and fails
 //! (non-zero exit) if any regressed more than 2x against its checked-in
 //! baseline (`BENCH_pr9.json` for the simulator, `BENCH_pr24.json` for
 //! the evaluator), and holds the 10M-query sharded trace replay to its
@@ -27,12 +28,7 @@
 use std::time::{Duration, Instant};
 
 use recpipe_core::{QualityEvaluator, Scheduler, SchedulerSettings};
-use recpipe_data::{DiurnalArrivals, PoissonArrivals, TraceArrivals};
-use recpipe_qsim::{
-    BatchModel, ExpectedWait, HedgePolicy, JoinShortestQueue, LifecycleConfig, LifecycleEvent,
-    LifecycleSchedule, LoadAdaptive, PathSet, PipelineSpec, ReplicaGroup, ReplicaProfile,
-    ResilienceConfig, RetryBudget, RetryPolicy, Scenario, StageSpec,
-};
+use recpipe_qsim::{ExpectedWait, JoinShortestQueue, SimResult};
 
 /// Largest tolerated machine-normalized measured/baseline ratio.
 const MAX_REGRESSION: f64 = 2.0;
@@ -106,123 +102,6 @@ fn baseline_ns_per_iter(json: &str, name: &str) -> Option<f64> {
     tail[..end].parse().ok()
 }
 
-fn two_stage() -> PipelineSpec {
-    // Mirrors benches/queueing_sim.rs `qsim/two_stage_10000q`.
-    PipelineSpec::new(vec![
-        ReplicaGroup::new("cpu", 64),
-        ReplicaGroup::new("gpu", 1),
-    ])
-    .with_stage(StageSpec::new("front", 1, 1, 0.0012))
-    .expect("valid stage")
-    .with_stage(StageSpec::new("back", 0, 2, 0.008))
-    .expect("valid stage")
-}
-
-fn jsq_fleet() -> PipelineSpec {
-    // Mirrors benches/queueing_sim.rs `qsim_cluster/routed_10000q/jsq`.
-    PipelineSpec::new(vec![ReplicaGroup::replicated("worker", 1, 4)])
-        .with_stage(StageSpec::new("front", 0, 1, 0.002))
-        .expect("valid stage")
-        .with_stage(StageSpec::new("back", 0, 1, 0.010))
-        .expect("valid stage")
-}
-
-fn two_gen_fleet() -> PipelineSpec {
-    // Mirrors benches/queueing_sim.rs
-    // `qsim_cluster/two_gen_10000q/expected_wait`: the heterogeneous
-    // path (per-replica speeds + the remaining-work estimator probe).
-    PipelineSpec::new(vec![ReplicaGroup::heterogeneous(
-        "worker",
-        vec![
-            ReplicaProfile::baseline(1),
-            ReplicaProfile::baseline(1),
-            ReplicaProfile::new(1, 0.4),
-            ReplicaProfile::new(1, 0.4),
-        ],
-    )])
-    .with_stage(StageSpec::new("front", 0, 1, 0.002))
-    .expect("valid stage")
-    .with_stage(StageSpec::new("back", 0, 1, 0.010))
-    .expect("valid stage")
-}
-
-fn diurnal_failures_fleet() -> PipelineSpec {
-    // Mirrors benches/queueing_sim.rs
-    // `qsim_lifecycle/diurnal_failures_10000q`: the lifecycle-aware
-    // loop (availability masking, fail-stop requeue, windowed
-    // telemetry) under a diurnal rate swing.
-    PipelineSpec::new(vec![ReplicaGroup::replicated("worker", 4, 6)])
-        .with_group_lifecycle(
-            0,
-            LifecycleSchedule::empty()
-                .with_event(LifecycleEvent::fail_stop(8.0, 0))
-                .with_event(LifecycleEvent::recover(12.0, 0)),
-        )
-        .with_stage(StageSpec::new("rank", 0, 1, 0.02))
-        .expect("valid stage")
-}
-
-fn brownout_ladder() -> PathSet {
-    // Mirrors benches/queueing_sim.rs
-    // `qsim_multipath/brownout_ladder3_10000q`: the multi-path
-    // admission loop walking a three-path degradation ladder at 1.5x
-    // the primary path's capacity.
-    PathSet::new(vec![ReplicaGroup::replicated("worker", 8, 1)])
-        .with_path("full", 1.00, vec![StageSpec::new("rm-large", 0, 1, 0.010)])
-        .expect("full path fits the fleet")
-        .with_path("mid", 0.92, vec![StageSpec::new("rm-med", 0, 1, 0.004)])
-        .expect("mid path fits the fleet")
-        .with_path("lite", 0.80, vec![StageSpec::new("rm-small", 0, 1, 0.0015)])
-        .expect("lite path fits the fleet")
-}
-
-fn hedged_limp_fleet() -> PipelineSpec {
-    // Mirrors benches/queueing_sim.rs
-    // `qsim_resilience/hedged_limp_10000q`: the resilience loop on a
-    // gray-failing fleet (one of four replicas limping at 25% speed)
-    // with timeout, budgeted retry, and hedging all armed.
-    PipelineSpec::new(vec![ReplicaGroup::replicated("worker", 1, 4)])
-        .with_group_lifecycle(
-            0,
-            LifecycleSchedule::empty().with_event(LifecycleEvent::degrade(0.0, 0, 0.25)),
-        )
-        .with_stage(StageSpec::new("rank", 0, 1, 0.010))
-        .expect("valid stage")
-}
-
-/// Mirrors benches/queueing_sim.rs `qsim_scale/trace_replay_10M`: the
-/// sharded 10M-query recorded-trace replay.
-fn scale_spec_and_trace() -> (PipelineSpec, TraceArrivals) {
-    let filter = ReplicaGroup::heterogeneous(
-        "filter",
-        vec![
-            ReplicaProfile::baseline(1),
-            ReplicaProfile::baseline(1),
-            ReplicaProfile::new(1, 0.6),
-            ReplicaProfile::new(1, 0.6),
-        ],
-    );
-    let rank = ReplicaGroup::replicated("rank", 1, 4);
-    let spec = PipelineSpec::new(vec![filter, rank])
-        .with_stage(StageSpec::new("filter", 0, 1, 0.002).with_batch(BatchModel::new(8, 0.25)))
-        .expect("valid stage")
-        .with_stage(StageSpec::new("rank", 1, 1, 0.001).with_batch(BatchModel::new(8, 0.25)))
-        .expect("valid stage");
-    let mut z = 42u64;
-    let mut t = 0.0f64;
-    let times: Vec<f64> = (0..100_000)
-        .map(|_| {
-            z = z
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            t += ((z >> 33) as f64 / (1u64 << 31) as f64) * 2e-3;
-            t
-        })
-        .collect();
-    let rate = 0.7 * spec.max_qps_at_full_batch();
-    (spec, TraceArrivals::new(times).with_rate(rate))
-}
-
 fn main() {
     let baseline_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr9.json");
     let json = std::fs::read_to_string(baseline_path)
@@ -253,90 +132,31 @@ fn main() {
     let machine_factor = factor_for(&json, baseline_path);
     let quality_factor = factor_for(&quality_json, quality_path);
 
-    let spec = two_stage();
-    let fleet = jsq_fleet();
-    let arrivals = PoissonArrivals::new(0.9 * fleet.max_qps());
-    let two_gen = two_gen_fleet();
-    let two_gen_arrivals = PoissonArrivals::new(0.9 * two_gen.max_qps());
-    let lifecycle_fleet = diurnal_failures_fleet();
-    let lifecycle_arrivals = DiurnalArrivals::new(100.0, 900.0, 60.0);
-    let lifecycle_cfg = LifecycleConfig::new().with_window(2.0);
-    let ladder = brownout_ladder();
-    let ladder_arrivals = PoissonArrivals::new(1_200.0);
-    let ladder_admission = LoadAdaptive::new(1.5, 0.75);
-    let ladder_cfg = LifecycleConfig::new();
-    let limp_fleet = hedged_limp_fleet();
-    let limp_arrivals = PoissonArrivals::new(150.0);
-    let limp_cfg = LifecycleConfig::new();
-    let limp_resilience = ResilienceConfig::new()
-        .with_timeout(0.250)
-        .with_retry(RetryPolicy::new(3, 0.020, 2.0).with_budget(RetryBudget::new(50.0, 0.1)))
-        .with_hedge(HedgePolicy::after(0.030));
-    type Check = (&'static str, Box<dyn FnMut()>);
+    let two_stage = recpipe_bench::two_stage();
+    let routed = recpipe_bench::routed_fleet();
+    let two_gen = recpipe_bench::two_gen_fleet();
+    type Check = (&'static str, Box<dyn Fn() -> SimResult>);
     let checks: Vec<Check> = vec![
-        (
-            "qsim/two_stage_10000q",
-            Box::new(move || {
-                std::hint::black_box(spec.simulate(300.0, 10_000, 7));
-            }),
-        ),
+        ("qsim/two_stage_10000q", Box::new(move || two_stage(10_000))),
         (
             "qsim_cluster/routed_10000q/jsq",
-            Box::new(move || {
-                std::hint::black_box(
-                    Scenario::new(&fleet, &arrivals, 10_000, 7)
-                        .router(&JoinShortestQueue)
-                        .run()
-                        .expect("valid scenario"),
-                );
-            }),
+            Box::new(move || routed(&JoinShortestQueue)),
         ),
         (
             "qsim_cluster/two_gen_10000q/expected_wait",
-            Box::new(move || {
-                std::hint::black_box(
-                    Scenario::new(&two_gen, &two_gen_arrivals, 10_000, 7)
-                        .router(&ExpectedWait)
-                        .run()
-                        .expect("valid scenario"),
-                );
-            }),
+            Box::new(move || two_gen(&ExpectedWait)),
         ),
         (
             "qsim_lifecycle/diurnal_failures_10000q",
-            Box::new(move || {
-                std::hint::black_box(
-                    Scenario::new(&lifecycle_fleet, &lifecycle_arrivals, 10_000, 7)
-                        .router(&JoinShortestQueue)
-                        .lifecycle(&lifecycle_cfg)
-                        .run()
-                        .expect("replica 0 recovers, so the run cannot strand work"),
-                );
-            }),
+            Box::new(recpipe_bench::diurnal_failures()),
         ),
         (
             "qsim_multipath/brownout_ladder3_10000q",
-            Box::new(move || {
-                std::hint::black_box(
-                    Scenario::multipath(&ladder, &ladder_admission, &ladder_arrivals, 10_000, 7)
-                        .router(&JoinShortestQueue)
-                        .lifecycle(&ladder_cfg)
-                        .run()
-                        .expect("no lifecycle schedule, so the run cannot strand work"),
-                );
-            }),
+            Box::new(recpipe_bench::brownout_ladder()),
         ),
         (
             "qsim_resilience/hedged_limp_10000q",
-            Box::new(move || {
-                std::hint::black_box(
-                    Scenario::new(&limp_fleet, &limp_arrivals, 10_000, 7)
-                        .lifecycle(&limp_cfg)
-                        .resilience(&limp_resilience)
-                        .run()
-                        .expect("degrades never strand work"),
-                );
-            }),
+            Box::new(recpipe_bench::hedged_limp()),
         ),
     ];
 
@@ -354,10 +174,13 @@ fn main() {
              (normalized x{ratio:.2}) {verdict}"
         );
     };
-    for (name, f) in checks {
+    for (name, run) in checks {
         let baseline = baseline_ns_per_iter(&json, name)
             .unwrap_or_else(|| panic!("baseline for {name} missing from {baseline_path}"));
-        gate(name, measure_ns_per_iter(f), baseline, machine_factor);
+        let measured = measure_ns_per_iter(|| {
+            std::hint::black_box(run());
+        });
+        gate(name, measured, baseline, machine_factor);
     }
     // The quality evaluator: most of a design sweep's run time.
     // Mirrors benches/pipeline_eval.rs `quality_eval_all_quick_grid`.
@@ -377,14 +200,9 @@ fn main() {
     let scale_name = "qsim_scale/trace_replay_10M";
     let scale_baseline = baseline_ns_per_iter(&json, scale_name)
         .unwrap_or_else(|| panic!("baseline for {scale_name} missing from {baseline_path}"));
-    let (spec, trace) = scale_spec_and_trace();
+    let replay = recpipe_bench::trace_replay_10m();
     let start = Instant::now();
-    std::hint::black_box(
-        Scenario::new(&spec, &trace, 10_000_000, 7)
-            .workers(0)
-            .run()
-            .expect("valid scenario"),
-    );
+    std::hint::black_box(replay());
     let measured = start.elapsed().as_nanos() as f64;
     let ratio = measured / (scale_baseline * machine_factor);
     let normalized_seconds = measured / machine_factor / 1e9;
