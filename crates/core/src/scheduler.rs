@@ -205,19 +205,14 @@ struct RungPoint {
     saturated: bool,
 }
 
-impl RungPoint {
-    /// Whether `self` Pareto-dominates `other` on (p99 min, ndcg max,
-    /// fleet cost min) — the same axes
-    /// [`Scheduler::pareto_with_cost`] ranks final outcomes on (and,
-    /// with all costs equal, exactly [`Scheduler::pareto`]'s 2D
-    /// dominance).
-    fn dominates(&self, other: &Self) -> bool {
-        self.p99_s <= other.p99_s
-            && self.ndcg >= other.ndcg
-            && self.cost <= other.cost
-            && (self.p99_s < other.p99_s || self.ndcg > other.ndcg || self.cost < other.cost)
-    }
-}
+/// The axes of [`Scheduler::pareto_with_cost`] and of the halving
+/// rungs: p99 min, NDCG max, fleet cost min (with all costs equal,
+/// exactly [`Scheduler::pareto`]'s 2D dominance).
+const P99_NDCG_COST: &[Dominance] = &[
+    Dominance::Minimize,
+    Dominance::Maximize,
+    Dominance::Minimize,
+];
 
 /// The RecPipe inference scheduler: exhaustively explores multi-stage
 /// parameters (Step 1) and hardware placements (Step 2), evaluating
@@ -651,11 +646,10 @@ impl Scheduler {
         let mut survivors: Vec<usize> = Vec::with_capacity(target);
         let mut first_front = true;
         while !pool.is_empty() && (first_front || survivors.len() < target) {
-            let front: Vec<usize> = pool
-                .iter()
-                .copied()
-                .filter(|&i| !pool.iter().any(|&j| ranked[j].dominates(&ranked[i])))
-                .collect();
+            let front = ParetoFront::extract(pool.clone(), P99_NDCG_COST, |&i| {
+                vec![ranked[i].p99_s, ranked[i].ndcg, ranked[i].cost]
+            })
+            .into_vec();
             for &i in &front {
                 if first_front || survivors.len() < target {
                     survivors.push(ranked[i].idx);
@@ -704,15 +698,9 @@ impl Scheduler {
     /// bit-identically.
     pub fn pareto_with_cost(points: Vec<Outcome>) -> ParetoFront<Outcome> {
         let stable: Vec<Outcome> = points.into_iter().filter(|p| !p.saturated).collect();
-        ParetoFront::extract(
-            stable,
-            &[
-                Dominance::Minimize,
-                Dominance::Maximize,
-                Dominance::Minimize,
-            ],
-            |p| vec![p.p99_s, p.ndcg, p.fleet_cost],
-        )
+        ParetoFront::extract(stable, P99_NDCG_COST, |p| {
+            vec![p.p99_s, p.ndcg, p.fleet_cost]
+        })
     }
 
     /// Three-objective Pareto frontier for brown-out sweeps

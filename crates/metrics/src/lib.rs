@@ -9,9 +9,8 @@
 //!
 //! The crate also provides binary-classification [`accuracy`](BinaryConfusion)
 //! helpers (the per-item metric the paper contrasts with quality) and the
-//! shared Pareto machinery — [`pareto_front`] and the typed
-//! [`ParetoFront`] — that the scheduler and the `Engine`'s `sweep` use as
-//! their one dominance path.
+//! shared Pareto machinery, [`ParetoFront`], that the scheduler and the
+//! `Engine`'s `sweep` use as their one dominance path.
 //!
 //! # Examples
 //!
@@ -35,6 +34,6 @@ pub use accuracy::{auc, BinaryConfusion};
 pub use ndcg::{
     dcg, ideal_sorted, ideal_top_k, ndcg, ndcg_at_k, top_k_positions, top_k_set, NdcgAtK,
 };
-pub use pareto::{pareto_front, Dominance, ParetoFront, ParetoPoint};
+pub use pareto::{Dominance, ParetoFront};
 pub use percentile::LatencyStats;
 pub use throughput::ThroughputMeter;

@@ -29,18 +29,17 @@ impl Dominance {
 
 /// A candidate design point: an arbitrary payload tagged with objective
 /// values (one per axis).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ParetoPoint<T> {
+struct ParetoPoint<T> {
     /// The design this point describes (pipeline config, mapping, ...).
-    pub payload: T,
+    payload: T,
     /// Objective values, in the same order as the `axes` passed to
     /// [`pareto_front`].
-    pub objectives: Vec<f64>,
+    objectives: Vec<f64>,
 }
 
 impl<T> ParetoPoint<T> {
     /// Creates a point from a payload and its objective values.
-    pub fn new(payload: T, objectives: Vec<f64>) -> Self {
+    fn new(payload: T, objectives: Vec<f64>) -> Self {
         Self {
             payload,
             objectives,
@@ -66,31 +65,13 @@ fn dominates(a: &[f64], b: &[f64], axes: &[Dominance]) -> bool {
 }
 
 /// Extracts the Pareto-optimal subset of `points` under the given axis
-/// directions.
-///
-/// The scheduler uses this to reduce an exhaustive design-space sweep to
-/// its quality/latency/throughput frontier (Figures 7, 8, 12 of the
-/// paper). Dominated points are dropped; the survivors keep their input
-/// order.
+/// directions. Dominated points are dropped; the survivors keep their
+/// input order.
 ///
 /// # Panics
 ///
 /// Panics if any point's objective count differs from `axes.len()`.
-///
-/// # Examples
-///
-/// ```
-/// use recpipe_metrics::{pareto_front, Dominance, ParetoPoint};
-///
-/// let points = vec![
-///     ParetoPoint::new("fast-low-quality", vec![1.0, 0.80]),
-///     ParetoPoint::new("slow-high-quality", vec![9.0, 0.95]),
-///     ParetoPoint::new("dominated", vec![9.5, 0.80]),
-/// ];
-/// let front = pareto_front(points, &[Dominance::Minimize, Dominance::Maximize]);
-/// assert_eq!(front.len(), 2);
-/// ```
-pub fn pareto_front<T>(points: Vec<ParetoPoint<T>>, axes: &[Dominance]) -> Vec<ParetoPoint<T>> {
+fn pareto_front<T>(points: Vec<ParetoPoint<T>>, axes: &[Dominance]) -> Vec<ParetoPoint<T>> {
     for p in &points {
         assert_eq!(
             p.objectives.len(),
@@ -124,9 +105,10 @@ pub fn pareto_front<T>(points: Vec<ParetoPoint<T>>, axes: &[Dominance]) -> Vec<P
 /// supplied objective projection.
 ///
 /// This is the one shared dominance path for every frontier the system
-/// produces — the scheduler's quality/latency sweeps, the `Engine`'s
-/// [`sweep`] results, and ad-hoc analyses — so "Pareto-optimal" means
-/// the same thing everywhere.
+/// produces — the scheduler's quality/latency sweeps and halving rungs,
+/// the `Engine`'s [`sweep`] results (Figures 7, 8, 12 of the paper), and
+/// ad-hoc analyses — so "Pareto-optimal" means the same thing
+/// everywhere.
 ///
 /// [`sweep`]: https://docs.rs/recpipe-core
 ///

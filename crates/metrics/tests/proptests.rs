@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use recpipe_metrics::{
-    auc, dcg, ideal_sorted, ideal_top_k, ndcg, ndcg_at_k, pareto_front, top_k_positions, top_k_set,
-    Dominance, LatencyStats, ParetoPoint,
+    auc, dcg, ideal_sorted, ideal_top_k, ndcg, ndcg_at_k, top_k_positions, top_k_set, Dominance,
+    LatencyStats, ParetoFront,
 };
 use std::time::Duration;
 
@@ -115,23 +115,22 @@ proptest! {
     fn pareto_front_is_subset_and_nonempty(
         objectives in proptest::collection::vec((0.0f64..10.0, 0.0f64..1.0), 1..40),
     ) {
-        let points: Vec<ParetoPoint<usize>> = objectives
-            .iter()
-            .enumerate()
-            .map(|(i, &(lat, q))| ParetoPoint::new(i, vec![lat, q]))
-            .collect();
-        let n = points.len();
-        let front = pareto_front(points, &[Dominance::Minimize, Dominance::Maximize]);
+        let n = objectives.len();
+        let axes = [Dominance::Minimize, Dominance::Maximize];
+        let front = ParetoFront::extract((0..n).collect(), &axes, |&i: &usize| {
+            let (lat, q) = objectives[i];
+            vec![lat, q]
+        });
         prop_assert!(!front.is_empty());
         prop_assert!(front.len() <= n);
         // No point on the front dominates another point on the front.
-        for a in &front {
-            for b in &front {
-                let strictly_better_everywhere = a.objectives[0] < b.objectives[0]
-                    && a.objectives[1] > b.objectives[1];
-                prop_assert!(!(strictly_better_everywhere && a.payload != b.payload)
+        for &a in &front {
+            for &b in &front {
+                let strictly_better_everywhere = objectives[a].0 < objectives[b].0
+                    && objectives[a].1 > objectives[b].1;
+                prop_assert!(!(strictly_better_everywhere && a != b)
                     || front.len() == 1,
-                    "front member {} dominated by {}", b.payload, a.payload);
+                    "front member {} dominated by {}", b, a);
             }
         }
     }
