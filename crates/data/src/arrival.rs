@@ -90,7 +90,19 @@ pub struct ClosedLoopSpec {
 }
 
 /// Poisson arrival process configuration: memoryless arrivals at a
-/// fixed rate — the paper's load model.
+/// fixed rate, with exponential inter-arrival gaps — the paper's load
+/// model ("Queries follow a Poisson arrival rate", Section 4).
+///
+/// # Examples
+///
+/// ```
+/// use recpipe_data::{ArrivalProcess, PoissonArrivals};
+///
+/// let arrivals: Vec<f64> = PoissonArrivals::new(500.0).stream(7).take(1000).collect();
+/// let span = arrivals.last().unwrap() - arrivals.first().unwrap();
+/// let rate = 999.0 / span;
+/// assert!((rate - 500.0).abs() < 50.0); // ≈ 500 QPS
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoissonArrivals {
     rate_qps: f64,
@@ -121,9 +133,29 @@ impl ArrivalProcess for PoissonArrivals {
     }
 
     fn stream(&self, seed: u64) -> Box<dyn Iterator<Item = f64> + Send + '_> {
-        // The iterator `simulate()` has always drawn from, so its
-        // historical schedules are reproduced bit-for-bit.
-        Box::new(PoissonProcess::new(self.rate_qps, seed))
+        Box::new(PoissonStream {
+            gap: Exponential::new(self.rate_qps),
+            rng: StdRng::seed_from_u64(seed),
+            now: 0.0,
+        })
+    }
+}
+
+/// Streaming form of [`PoissonArrivals`]: one exponential gap per
+/// `next()`.
+#[derive(Debug)]
+struct PoissonStream {
+    gap: Exponential,
+    rng: StdRng,
+    now: f64,
+}
+
+impl Iterator for PoissonStream {
+    type Item = f64;
+
+    fn next(&mut self) -> Option<f64> {
+        self.now += self.gap.sample(&mut self.rng);
+        Some(self.now)
     }
 }
 
@@ -378,68 +410,13 @@ impl ArrivalProcess for ClosedLoopArrivals {
     }
 }
 
-/// Poisson arrival process: an infinite iterator of absolute arrival times
-/// (in seconds) with exponential inter-arrival gaps.
-///
-/// The paper's load model: "Queries follow a Poisson arrival rate"
-/// (Section 4). [`PoissonArrivals`] wraps this iterator behind the
-/// [`ArrivalProcess`] seam; the iterator form remains for streaming
-/// consumers.
-///
-/// # Examples
-///
-/// ```
-/// use recpipe_data::PoissonProcess;
-///
-/// let arrivals: Vec<f64> = PoissonProcess::new(500.0, 7).take(1000).collect();
-/// let span = arrivals.last().unwrap() - arrivals.first().unwrap();
-/// let rate = 999.0 / span;
-/// assert!((rate - 500.0).abs() < 50.0); // ≈ 500 QPS
-/// ```
-#[derive(Debug, Clone)]
-pub struct PoissonProcess {
-    gap: Exponential,
-    rng: StdRng,
-    now: f64,
-}
-
-impl PoissonProcess {
-    /// Creates a Poisson process with the given rate (queries per second)
-    /// and RNG seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate_qps` is not strictly positive and finite.
-    pub fn new(rate_qps: f64, seed: u64) -> Self {
-        Self {
-            gap: Exponential::new(rate_qps),
-            rng: StdRng::seed_from_u64(seed),
-            now: 0.0,
-        }
-    }
-
-    /// The configured arrival rate in queries per second.
-    pub fn rate(&self) -> f64 {
-        self.gap.lambda()
-    }
-}
-
-impl Iterator for PoissonProcess {
-    type Item = f64;
-
-    fn next(&mut self) -> Option<f64> {
-        self.now += self.gap.sample(&mut self.rng);
-        Some(self.now)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn arrivals_are_strictly_increasing() {
-        let times: Vec<f64> = PoissonProcess::new(100.0, 1).take(500).collect();
+        let times = PoissonArrivals::new(100.0).times(500, 1);
         for w in times.windows(2) {
             assert!(w[1] > w[0]);
         }
@@ -448,7 +425,7 @@ mod tests {
     #[test]
     fn mean_rate_approaches_target() {
         let n = 20_000;
-        let times: Vec<f64> = PoissonProcess::new(2000.0, 2).take(n).collect();
+        let times = PoissonArrivals::new(2000.0).times(n, 2);
         let rate = (n as f64 - 1.0) / (times[n - 1] - times[0]);
         assert!(
             (rate - 2000.0).abs() / 2000.0 < 0.05,
@@ -458,31 +435,22 @@ mod tests {
 
     #[test]
     fn same_seed_reproduces_process() {
-        let a: Vec<f64> = PoissonProcess::new(50.0, 9).take(100).collect();
-        let b: Vec<f64> = PoissonProcess::new(50.0, 9).take(100).collect();
+        let a = PoissonArrivals::new(50.0).times(100, 9);
+        let b = PoissonArrivals::new(50.0).times(100, 9);
         assert_eq!(a, b);
     }
 
     #[test]
     fn different_seeds_differ() {
-        let a: Vec<f64> = PoissonProcess::new(50.0, 9).take(10).collect();
-        let b: Vec<f64> = PoissonProcess::new(50.0, 10).take(10).collect();
+        let a = PoissonArrivals::new(50.0).times(10, 9);
+        let b = PoissonArrivals::new(50.0).times(10, 10);
         assert_ne!(a, b);
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_rate_panics() {
-        PoissonProcess::new(0.0, 0);
-    }
-
-    #[test]
-    fn poisson_trait_matches_iterator_schedule() {
-        // The trait impl must reproduce the iterator's schedule exactly:
-        // the old `simulate(qps, ...)` path depends on it bit-for-bit.
-        let via_trait = PoissonArrivals::new(300.0).times(500, 11);
-        let via_iter: Vec<f64> = PoissonProcess::new(300.0, 11).take(500).collect();
-        assert_eq!(via_trait, via_iter);
+        PoissonArrivals::new(0.0);
     }
 
     #[test]

@@ -94,11 +94,6 @@ impl Exponential {
         Self { lambda }
     }
 
-    /// Rate parameter.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
     /// Mean of the distribution (`1 / lambda`).
     pub fn mean(&self) -> f64 {
         1.0 / self.lambda

@@ -38,7 +38,7 @@ mod trace;
 
 pub use arrival::{
     ArrivalProcess, ClosedLoopArrivals, ClosedLoopSpec, DiurnalArrivals, MmppArrivals,
-    PoissonArrivals, PoissonProcess,
+    PoissonArrivals,
 };
 pub use dataset::{DatasetKind, DatasetSpec};
 pub use dist::{Exponential, Normal, Zipf};
