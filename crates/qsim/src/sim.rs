@@ -17,12 +17,14 @@ mod lifecycle;
 mod paths;
 mod queue;
 mod telemetry;
+mod window;
 
 use lanes::ResilienceRt;
 use lifecycle::LifecycleRt;
 use paths::MultipathRt;
 use queue::EventQueue;
 use telemetry::Telemetry;
+use window::QueryWindow;
 
 /// Fraction of queries discarded from the front as warmup.
 const WARMUP_FRACTION: f64 = 0.05;
@@ -76,10 +78,8 @@ const RES_STAGE_BITS: u32 = 12;
 /// Mask extracting the stage from a packed arrive payload.
 const RES_STAGE_MASK: u32 = (1 << RES_STAGE_BITS) - 1;
 /// Mask for the 19 generation bits carried in packed arrive payloads.
-/// Full 32-bit generations live in `ResilienceRt::gen`; payload
-/// comparisons mask both sides (a mis-match would need 2^19 same-query
-/// bumps while one event sat in the queue — attempts are capped at 255
-/// and each contributes at most two bumps).
+/// A query's generation is its attempts less one, and attempts are
+/// capped at 255, so the 19 bits hold it whole.
 const RES_GEN_MASK: u32 = 0x7_FFFF;
 /// Low-32 mask extracting the bare query index from a lane id.
 const RES_Q_MASK: usize = 0xFFFF_FFFF;
@@ -344,7 +344,8 @@ pub(crate) struct Sim<'a> {
     track_est: bool,
     /// Whether the router reads per-query routing history
     /// ([`Router::uses_history`]) on a multi-stage pipeline; false
-    /// skips `chosen` entirely and routes with an empty history slice.
+    /// gives the window's records no history rows and routes with an
+    /// empty history slice.
     track_hist: bool,
     /// One-shot routing exclusion for a hedge dispatch: the primary
     /// lane's slot, skipped by the router while the group has another
@@ -364,8 +365,10 @@ pub(crate) struct Sim<'a> {
     in_flight: Vec<usize>,
     /// Per-slot free units (router signal, maintained incrementally).
     free: Vec<usize>,
-    /// Absolute stage-0 arrival time per query (NaN until injected).
-    arrival_time: Vec<f64>,
+    /// Every in-flight query's record — its arrival clock, routing
+    /// history, admitted path and lane state — from creation (staged,
+    /// injected, or handed to this shard) until it resolves.
+    window: QueryWindow,
     /// In-flight batches, indexed by `Complete` events; completed slots
     /// are recycled through `free_batches` so the table stays at the
     /// concurrency high-water mark instead of growing per launch.
@@ -424,12 +427,6 @@ pub(crate) struct Sim<'a> {
     /// Per-slot count of live batches (the decay term's multiplier).
     /// Zero unless `track_est`.
     inflight_count: Vec<usize>,
-    /// Replica chosen (index within its group) per query per stage,
-    /// laid out `query * num_stages + stage` — the routing history
-    /// behind [`RoutingCtx`]. Empty (never written) unless the router
-    /// reads history (`track_hist`), sparing a 10M-query run the
-    /// `4 * queries * stages`-byte table.
-    chosen: Vec<u32>,
 
     // --- Per-run configuration and recording ---
     spec: &'a PipelineSpec,
@@ -447,8 +444,7 @@ pub(crate) struct Sim<'a> {
     /// `None` on shards past the head, which stage no schedule.
     arrival_stream: Option<Box<dyn Iterator<Item = f64> + Send + 'a>>,
     /// Largest arrival timestamp injected so far (the backlog test's
-    /// denominator), maintained at every `arrival_time` write so
-    /// `finish` never rescans the vector.
+    /// denominator), maintained at every record creation.
     arrival_span: f64,
     /// Post-warmup latency of every completion, recorded as it
     /// happens. Folded past 2^17 samples, so a 10M-query run's memory
@@ -643,7 +639,7 @@ impl<'a> Sim<'a> {
             num_queries,
             queue: EventQueue::default(),
             seq: 0,
-            arrival_time: vec![f64::NAN; num_queries],
+            window: QueryWindow::new(if track_hist { num_stages } else { 0 }),
             slot_base,
             slot_group,
             group_replicas,
@@ -655,11 +651,6 @@ impl<'a> Sim<'a> {
             inflight_finish: vec![0.0; num_slots],
             inflight_count: vec![0; num_slots],
             stage_groups: spec.stages().iter().map(|s| s.resource).collect(),
-            chosen: if track_hist {
-                vec![u32::MAX; num_queries * num_stages]
-            } else {
-                Vec::new()
-            },
             track_est,
             track_hist,
             waiting: vec![VecDeque::new(); num_slots],
@@ -729,7 +720,7 @@ impl<'a> Sim<'a> {
         }
         let mut stream = self.arrivals.stream(seed);
         let t0 = stream.next().expect("arrival stream ended early");
-        self.arrival_time[0] = t0;
+        self.window.create(0, t0);
         self.arrival_span = self.arrival_span.max(t0);
         self.arrival_stream = Some(stream);
         self.queue
@@ -772,7 +763,7 @@ impl<'a> Sim<'a> {
         seed: u64,
     ) {
         debug_assert_eq!(paths.spec().stages().len(), self.stages.len());
-        self.mp = Some(MultipathRt::new(paths, admission, self.num_queries, seed));
+        self.mp = Some(MultipathRt::new(paths, admission, seed));
     }
 
     /// Arms query-level resilience for an active `cfg`: per-attempt
@@ -785,7 +776,7 @@ impl<'a> Sim<'a> {
         debug_assert!(self.stages.len() <= MAX_RESILIENT_STAGES);
         debug_assert!(cfg.retry.max_attempts <= MAX_ATTEMPTS);
         debug_assert!(!cfg.is_inert());
-        self.resil = Some(Box::new(ResilienceRt::new(cfg, self.num_queries, seed)));
+        self.resil = Some(Box::new(ResilienceRt::new(cfg, seed)));
     }
 
     fn group_slots(&self, group: usize) -> Range<usize> {
@@ -815,14 +806,14 @@ impl<'a> Sim<'a> {
     /// wherever it next surfaces.
     fn lane_live(&self, id: usize) -> bool {
         let rt = self.resil.as_ref().expect("resilience runtime attached");
-        rt.is_live(lane_query(id), lane_gen(id))
+        rt.is_live(&self.window, lane_query(id), lane_gen(id))
     }
 
     /// Arms the timeout and hedge events for an attempt of `q` starting
     /// at `start` under the query's current generation.
     fn arm_attempt(&mut self, start: f64, q: usize) {
         let rt = self.resil.as_mut().expect("resilience runtime attached");
-        let (gen, timeout_at, hedge_at) = rt.timers(start, q);
+        let (gen, timeout_at, hedge_at) = rt.timers(start, &self.window, q);
         if let Some(t) = timeout_at {
             self.push(t, EventKind::Timeout, q, gen);
         }
@@ -836,12 +827,13 @@ impl<'a> Sim<'a> {
     fn on_timeout(&mut self, now: f64, q: usize) {
         self.last_time = now;
         let rt = self.resil.as_mut().expect("resilience runtime attached");
-        match rt.on_timeout(now, q) {
+        match rt.on_timeout(now, &mut self.window, q) {
             Some((start, gen)) => {
                 self.push_arrive(start, lane_id(q, gen, false), 0);
                 self.arm_attempt(start, q);
             }
             None => {
+                self.window.retire(q);
                 if let Some(tele) = self.tele.as_mut() {
                     tele.on_timed_out();
                 }
@@ -858,7 +850,7 @@ impl<'a> Sim<'a> {
     fn on_hedge(&mut self, now: f64, q: usize, gen: u32) {
         self.last_time = now;
         let rt = self.resil.as_mut().expect("resilience runtime attached");
-        self.avoid_slot = rt.on_hedge(q);
+        self.avoid_slot = rt.on_hedge(&mut self.window, q);
         self.on_arrive(now, lane_id(q, gen, true), 0);
         self.avoid_slot = None;
     }
@@ -867,10 +859,11 @@ impl<'a> Sim<'a> {
     /// admitted path's entry stage, or `None` when the query was shed
     /// (freeing its closed-loop client).
     fn admit(&mut self, now: f64, query: usize) -> Option<usize> {
-        let window = self.tele.as_ref().and_then(|t| t.windows.last());
+        let closed = self.tele.as_ref().and_then(|t| t.windows.last());
         let mp = self.mp.as_mut().expect("multipath runtime attached");
-        let entry = mp.admit(now, query, self.gauges, window);
+        let entry = mp.admit(now, &mut self.window, query, self.gauges, closed);
         if entry.is_none() {
+            self.window.retire(query);
             self.shed += 1;
             if let Some(tele) = self.tele.as_mut() {
                 tele.on_lost(false, 1);
@@ -882,7 +875,8 @@ impl<'a> Sim<'a> {
 
     /// Counts a post-admission loss of `query` — shed without service,
     /// or dropped mid-service when `was_in_flight` — in the run, window,
-    /// and (on multi-path runs) per-path counters.
+    /// and (on multi-path runs) per-path counters, and retires its
+    /// record.
     fn account_lost(&mut self, query: usize, was_in_flight: bool) {
         if was_in_flight {
             self.dropped += 1;
@@ -893,8 +887,9 @@ impl<'a> Sim<'a> {
             tele.on_lost(was_in_flight, 1);
         }
         if let Some(mp) = self.mp.as_mut() {
-            mp.on_lost(query, was_in_flight);
+            mp.on_lost(&self.window, query, was_in_flight);
         }
+        self.window.retire(query);
     }
 
     /// Closed loop: a resolved query (completed, shed, dropped, or
@@ -912,7 +907,7 @@ impl<'a> Sim<'a> {
     }
 
     fn inject(&mut self, query: usize, t: f64) {
-        self.arrival_time[query] = t;
+        self.window.create(query, t);
         self.arrival_span = self.arrival_span.max(t);
         // Closed-loop arrivals are attributed to the window in which the
         // client issues them (skew vs first service at most the think
@@ -967,7 +962,7 @@ impl<'a> Sim<'a> {
         };
         let replica = if masked { self.mask.idx[pick] } else { pick };
         if self.track_hist {
-            self.chosen[query * self.stages.len() + stage_idx] = replica as u32;
+            self.window.hist_mut(query)[stage_idx] = replica as u32;
         }
         Some(base + replica)
     }
@@ -1000,7 +995,6 @@ impl<'a> Sim<'a> {
     fn consult_router(&mut self, now: f64, query: usize, stage_idx: usize, masked: bool) -> usize {
         let group = self.stages[stage_idx].resource;
         let slots = self.group_slots(group);
-        let history = query * self.stages.len();
         if !masked {
             debug_assert!(slots
                 .clone()
@@ -1009,7 +1003,7 @@ impl<'a> Sim<'a> {
         } else if self.track_hist {
             self.mask.hist.clear();
             for s in 0..stage_idx {
-                let prior = self.chosen[history + s];
+                let prior = self.window.hist(query)[s];
                 let remapped = if self.stage_groups[s] == group {
                     let at = self.mask.idx.iter().position(|&r| r == prior as usize);
                     at.map_or(u32::MAX, |at| at as u32)
@@ -1030,7 +1024,7 @@ impl<'a> Sim<'a> {
             let counts = [&self.queued, &self.in_flight, &self.free];
             let est = [&self.queued_work, &self.cur_speed, &self.inflight_finish];
             let prior = if self.track_hist {
-                &self.chosen[history..history + stage_idx]
+                &self.window.hist(query)[..stage_idx]
             } else {
                 &[]
             };
@@ -1295,13 +1289,13 @@ impl<'a> Sim<'a> {
         };
         if let Some(rt) = self.resil.as_mut().filter(|_| stage_idx == 0) {
             // What a later hedge dispatch of this query routes away from.
-            rt.placed(q, slot);
+            rt.placed(&mut self.window, q, slot);
         }
         let stage = &self.stages[stage_idx];
         let entry = QueueEntry {
             query,
             stage: stage_idx,
-            arrived: self.arrival_time[q],
+            arrived: self.window.rec(q).arrival,
             enqueued: now,
             seq: self.seq,
         };
@@ -1412,15 +1406,17 @@ impl<'a> Sim<'a> {
         if let Some(out) = self.shard_out.as_mut() {
             // Stage shard with a downstream: hand the query over at its
             // completion instant — the serial loop's same-time Arrive
-            // push, minus the shared queue.
-            out.emit(now, query, self.arrival_time[query]);
+            // push, minus the shared queue. The query leaves this
+            // shard's window.
+            out.emit(now, query, self.window.rec(query).arrival);
+            self.window.retire(query);
             return;
         }
         // Resilience: a carcass (its query resolved or its attempt
         // timed out while it sat in service) is discarded here, its
         // baseline service charged to wasted work.
         if let Some(rt) = self.resil.as_mut() {
-            if !rt.is_live(lane_query(query), lane_gen(query)) {
+            if !rt.is_live(&self.window, lane_query(query), lane_gen(query)) {
                 rt.stats.wasted_service_s += self.stages[stage].service_time;
                 return;
             }
@@ -1438,12 +1434,12 @@ impl<'a> Sim<'a> {
             return;
         }
         let (hedge, query) = (is_hedge_lane(query), lane_query(query));
-        let latency_s = now - self.arrival_time[query];
+        let latency_s = now - self.window.rec(query).arrival;
         let warm = query >= self.warmup_len;
         if let Some(rt) = self.resil.as_mut() {
-            // A live lane finishing resolves the query — the generation
-            // bump cancels the twin lane wherever it is.
-            rt.resolve(query, hedge, latency_s);
+            // A live lane finishing resolves the query; retiring its
+            // record below cancels the twin lane wherever it is.
+            rt.resolve(hedge, latency_s);
         }
         self.completed += 1;
         if warm {
@@ -1455,8 +1451,9 @@ impl<'a> Sim<'a> {
             tele.on_completion(latency_s);
         }
         if let Some(mp) = self.mp.as_mut() {
-            mp.on_completion(query, latency_s, warm);
+            mp.on_completion(&self.window, query, latency_s, warm);
         }
+        self.window.retire(query);
         self.release_client(now);
     }
 
@@ -1470,10 +1467,10 @@ impl<'a> Sim<'a> {
         // `TraceArrivals::new` rejects decreasing traces; this guards
         // custom processes against the stream contract.
         debug_assert!(
-            t >= self.arrival_time[query],
+            t >= self.window.rec(query).arrival,
             "streamed arrivals must be nondecreasing"
         );
-        self.arrival_time[next] = t;
+        self.window.create(next, t);
         self.arrival_span = self.arrival_span.max(t);
         // Straight onto the heap: see `EventQueue::push_heap`.
         self.queue
@@ -1536,7 +1533,7 @@ impl<'a> Sim<'a> {
                     }
                 }
                 if let Some(rt) = self.resil.as_mut() {
-                    if stage == 0 && rt.start(query) {
+                    if stage == 0 && rt.start(&mut self.window, query) {
                         // First dispatch of the query: attempt 1 starts
                         // now, with its timeout and hedge.
                         self.arm_attempt(now, query);
@@ -1590,14 +1587,14 @@ impl<'a> Sim<'a> {
             EventKind::Timeout => {
                 let query = event.a as usize;
                 let rt = self.resil.as_ref().expect("resilience runtime attached");
-                if rt.attempt_live(query, event.b) {
+                if rt.is_live(&self.window, query, event.b) {
                     self.on_timeout(now, query);
                 }
             }
             EventKind::Hedge => {
                 let (query, gen) = (event.a as usize, event.b);
                 let rt = self.resil.as_ref().expect("resilience runtime attached");
-                if rt.hedge_due(query, gen) {
+                if rt.hedge_due(&self.window, query, gen) {
                     self.on_hedge(now, query, gen);
                 }
             }
@@ -1644,7 +1641,7 @@ impl<'a> Sim<'a> {
                 // The query's end-to-end clock starts at its *original*
                 // arrival (EDF deadlines and latency both key off it),
                 // not the hand-off instant.
-                self.arrival_time[query] = arrived;
+                self.window.create(query, arrived);
                 self.arrival_span = self.arrival_span.max(arrived);
                 self.last_time = t;
                 self.on_arrive(t, query, stage);
@@ -1684,12 +1681,18 @@ impl<'a> Sim<'a> {
             self.shed_parked();
         }
         if let Some(rt) = self.resil.as_ref() {
-            let unresolved = rt.unresolved();
+            let unresolved = rt.unresolved(&self.window);
             self.shed += unresolved;
             if let Some(tele) = self.tele.as_mut() {
                 tele.on_lost(false, unresolved);
             }
         }
+        // The resolution ledger: every query resolved exactly once.
+        assert_eq!(
+            self.resolved(),
+            self.num_queries,
+            "completed + shed + dropped + timed out must equal the queries offered"
+        );
         // Close the trailing partial window at the integral clock.
         if let Some(end) = self.tele.as_ref().and_then(Telemetry::end) {
             self.close_window(end);
@@ -2844,30 +2847,27 @@ mod tests {
 
     use crate::{FaultBurst, FaultKind, FaultPlan, Fifo, HedgePolicy, RetryBudget, RetryPolicy};
 
-    #[test]
-    fn in_order_events_pop_from_the_fifos() {
-        // The `perfbench` `gray` workload's fleet, traffic and resilience
-        // at 50k queries (about 66 s), with its limpware and fail-stop
-        // bursts moved inside the run and a quarter as long: next-stage
-        // arrivals, requeues, first-attempt timeouts (mostly stale when
-        // they fire), retries and p95 hedges all flow through the queue.
-        // A retry's arrival and timers are created ahead of the FIFOs'
-        // backs and send the in-order events behind them to the heap
-        // until the clock passes; at `gray`'s full 20 s and 10 s, faults
-        // cover nearly half the run and the FIFO shares fall to about
-        // 91% of timers and 89% of other arrivals.
+    /// The `perfbench` `gray` workload's fleet, traffic and resilience,
+    /// with its limpware burst of two rank replicas at `limp_at` for
+    /// `limp_s` and its fail-stop of one at `stop_at` for `stop_s`.
+    fn gray_workload(
+        limp_at: f64,
+        limp_s: f64,
+        stop_at: f64,
+        stop_s: f64,
+    ) -> (PipelineSpec, MmppArrivals, ResilienceConfig) {
         let plan = FaultPlan::new(1)
             .burst(FaultBurst {
-                time: 10.0,
+                time: limp_at,
                 kind: FaultKind::Degrade { speed: 0.3 },
                 count: 2,
-                recover_after_s: Some(5.0),
+                recover_after_s: Some(limp_s),
             })
             .burst(FaultBurst {
-                time: 30.0,
+                time: stop_at,
                 kind: FaultKind::FailStop,
                 count: 1,
-                recover_after_s: Some(2.5),
+                recover_after_s: Some(stop_s),
             });
         let batched = |name, group, service_s| {
             StageSpec::new(name, group, 1, service_s).with_batch(BatchModel::new(8, 0.25))
@@ -2887,23 +2887,49 @@ mod tests {
             .with_timeout(0.060)
             .with_retry(RetryPolicy::new(3, 0.010, 2.0).with_budget(RetryBudget::new(100.0, 0.1)))
             .with_hedge(HedgePolicy::at_quantile(0.95));
-        let n = 50_000;
-        let inputs = Inputs {
-            spec: &spec,
-            arrivals: &arrivals,
+        (spec, arrivals, resilience)
+    }
+
+    /// Serves `n` queries of a [`gray_workload`] at seed 1 with
+    /// `Scenario::run`'s arming and a window every second, keeping the
+    /// drained loop in hand to read its state afterwards.
+    fn run_in_hand<'a>(
+        spec: &'a PipelineSpec,
+        arrivals: &'a MmppArrivals,
+        resilience: &ResilienceConfig,
+        n: usize,
+    ) -> Sim<'a> {
+        let mut sim = Sim::new(Inputs {
+            spec,
+            arrivals,
             policy: &Fifo,
             router: &RoundRobin,
             num_queries: n,
             seed: 1,
-        };
-        // `Scenario::run`'s arming, with the loop kept in hand to read
-        // the queue's counts afterwards.
-        let mut sim = Sim::new(inputs);
+        });
         sim.enable_lifecycle(&LifecycleConfig::new().with_window(1.0), None);
-        sim.enable_resilience(&resilience, 1);
+        sim.enable_resilience(resilience, 1);
         while let Some(event) = sim.queue.pop() {
             assert!(sim.step(event).is_continue());
         }
+        sim
+    }
+
+    #[test]
+    fn in_order_events_pop_from_the_fifos() {
+        // The `perfbench` `gray` workload's fleet, traffic and resilience
+        // at 50k queries (about 66 s), with its limpware and fail-stop
+        // bursts moved inside the run and a quarter as long: next-stage
+        // arrivals, requeues, first-attempt timeouts (mostly stale when
+        // they fire), retries and p95 hedges all flow through the queue.
+        // A retry's arrival and timers are created ahead of the FIFOs'
+        // backs and send the in-order events behind them to the heap
+        // until the clock passes; at `gray`'s full 20 s and 10 s, faults
+        // cover nearly half the run and the FIFO shares fall to about
+        // 91% of timers and 89% of other arrivals.
+        let (spec, arrivals, resilience) = gray_workload(10.0, 5.0, 30.0, 2.5);
+        let n = 50_000;
+        let sim = run_in_hand(&spec, &arrivals, &resilience, n);
         let stats = &sim.resil.as_ref().expect("resilience attached").stats;
         assert!(stats.timeouts > 0 && stats.total_retries() > 0 && stats.hedges_issued > 0);
         assert!(sim.completed < n, "the faults cost some queries");
@@ -2926,5 +2952,28 @@ mod tests {
             onward >= 0.9,
             "FIFO share of other arrivals {onward}: {c:?}"
         );
+    }
+
+    // ------------------------------------------------------------------
+    // The in-flight query window
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn the_query_window_holds_only_the_in_flight_span() {
+        // `gray` itself, faults at 200 s and 600 s, at 200k queries
+        // (about 260 s of traffic: the limp burst falls inside the run,
+        // the fail-stop after it). The window's capacity is the smallest
+        // power of two holding the largest span it ever held, from the
+        // oldest unresolved query to the newest created one, so bounding
+        // it bounds that high-water span; per-query arrays would hold
+        // all 200k queries.
+        let (spec, arrivals, resilience) = gray_workload(200.0, 20.0, 600.0, 10.0);
+        let n = 200_000;
+        let sim = run_in_hand(&spec, &arrivals, &resilience, n);
+        let capacity = sim.window.capacity();
+        assert!(capacity <= 1024, "window capacity {capacity}");
+        // `finish` asserts the resolution ledger.
+        let out = sim.finish();
+        assert!(out.completed < n, "the limp burst costs some queries");
     }
 }

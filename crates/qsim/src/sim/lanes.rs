@@ -2,47 +2,39 @@
 //! attempt state machine behind timeouts, retries and hedges. An
 //! attempt travels as *lanes* (the primary and, once hedged, a
 //! duplicate) tagged with the query's generation; bumping it cancels
-//! every lane of the attempt lazily, wherever it sits.
+//! every lane of the attempt lazily, wherever it sits. A query's lane
+//! fields live in its [`QueryWindow`] record: a query is live once its
+//! first attempt starts, and resolved once its record retires, which
+//! turns any surviving lane into a carcass.
 //!
 //! [`Scenario::resilience`]: crate::Scenario::resilience
 
-use super::{nearest_rank, RES_GEN_MASK};
+use super::nearest_rank;
+use super::window::{QueryRec, QueryWindow, NO_SLOT};
 use crate::router::splitmix64;
 use crate::{HedgeDelay, HedgePolicy, ResilienceConfig, ResilienceStats};
-
-/// A query's resolution state: not yet dispatched.
-const FRESH: u8 = 0;
-/// The query has at least one live lane in flight.
-const LIVE: u8 = 1;
-/// The query resolved (completed, shed, or timed-out-final); any
-/// surviving lanes are carcasses.
-const DONE: u8 = 2;
 
 /// Completed-latency reservoir capacity for quantile hedge delays.
 const RESERVOIR_CAP: usize = 512;
 /// Inserts tolerated before the reservoir's quantile refreshes.
 const RESERVOIR_REFRESH: usize = 64;
 
-/// The runtime of an active [`ResilienceConfig`]: per-query lane
-/// generations and attempt counts, the retry token bucket, the
-/// completed-latency reservoir behind quantile hedge delays, and the
-/// run's [`ResilienceStats`].
+/// A started query's lane generation. Only a timeout bumps it, and a
+/// timeout either retries, starting one more attempt, or resolves the
+/// query, so it is the query's attempts less one.
+fn attempt_gen(rec: &QueryRec) -> u32 {
+    u32::from(rec.attempts) - 1
+}
+
+/// The runtime of an active [`ResilienceConfig`]: the attempt state
+/// machine over the window's lane fields (attempts, hedge flag, entry
+/// slot), the retry token bucket, the completed-latency
+/// reservoir behind quantile hedge delays, and the run's
+/// [`ResilienceStats`].
 pub(super) struct ResilienceRt {
     cfg: ResilienceConfig,
     /// Retry tokens left (unused without a budget).
     tokens: f64,
-    /// Per-query resolution state (`FRESH`, `LIVE` or `DONE`).
-    state: Vec<u8>,
-    /// Per-query lane generation: bumped when the query resolves or an
-    /// attempt times out.
-    gen: Vec<u32>,
-    /// Attempts started per query (1 on first dispatch).
-    attempts: Vec<u8>,
-    /// Whether the current attempt already dispatched its hedge.
-    hedged: Vec<bool>,
-    /// Slot the query's latest entry-stage lane was placed on — what a
-    /// hedge dispatch routes away from (`u32::MAX` = none recorded).
-    last_slot: Vec<u32>,
     /// Dedicated splitmix lane for backoff jitter (decorrelated from
     /// router and admission streams).
     rng: u64,
@@ -61,15 +53,10 @@ pub(super) struct ResilienceRt {
 }
 
 impl ResilienceRt {
-    pub(super) fn new(cfg: &ResilienceConfig, num_queries: usize, seed: u64) -> Self {
+    pub(super) fn new(cfg: &ResilienceConfig, seed: u64) -> Self {
         Self {
             cfg: cfg.clone(),
             tokens: cfg.retry.budget.map_or(0.0, |b| b.capacity),
-            state: vec![FRESH; num_queries],
-            gen: vec![0; num_queries],
-            attempts: vec![0; num_queries],
-            hedged: vec![false; num_queries],
-            last_slot: vec![u32::MAX; num_queries],
             // A distinct splitmix lane per run seed, decorrelated from
             // the router/admission streams by a different xor constant.
             rng: seed ^ 0xd6e8_feb8_6659_fd93,
@@ -86,64 +73,72 @@ impl ResilienceRt {
     }
 
     /// First dispatch: a fresh query goes live with attempt 1 (true);
-    /// any other query is a re-arrival (false).
-    pub(super) fn start(&mut self, q: usize) -> bool {
-        let fresh = self.state[q] == FRESH;
-        if fresh {
-            self.state[q] = LIVE;
-            self.attempts[q] = 1;
+    /// any other query is a re-arrival (false). A retired query is
+    /// resolved, not fresh, and its record stays retired.
+    pub(super) fn start(&mut self, w: &mut QueryWindow, q: usize) -> bool {
+        match w.get_mut(q) {
+            Some(rec) if rec.attempts == 0 => {
+                rec.attempts = 1;
+                true
+            }
+            _ => false,
         }
-        fresh
     }
 
-    /// Whether a lane of generation `gen` (its payload's 19 bits) is
-    /// still live: the query is unresolved and the attempt current.
-    pub(super) fn is_live(&self, q: usize, gen: u32) -> bool {
-        gen == self.gen[q] & RES_GEN_MASK && self.state[q] == LIVE
-    }
-
-    /// Whether a timer armed under generation `gen` still guards the
-    /// live attempt of `q`.
-    pub(super) fn attempt_live(&self, q: usize, gen: u32) -> bool {
-        gen == self.gen[q] && self.state[q] == LIVE
+    /// Whether generation `gen` — a lane's or a timer's — is still the
+    /// live attempt of `q`: the query is unresolved and the attempt
+    /// current.
+    pub(super) fn is_live(&self, w: &QueryWindow, q: usize, gen: u32) -> bool {
+        w.get(q)
+            .is_some_and(|rec| rec.attempts > 0 && gen == attempt_gen(rec))
     }
 
     /// Whether a hedge armed under `gen` is due: its attempt is live and
     /// not hedged yet.
-    pub(super) fn hedge_due(&self, q: usize, gen: u32) -> bool {
-        self.attempt_live(q, gen) && !self.hedged[q]
+    pub(super) fn hedge_due(&self, w: &QueryWindow, q: usize, gen: u32) -> bool {
+        self.is_live(w, q, gen) && !w.rec(q).hedged
     }
 
     /// The timers of an attempt of `q` starting at `start`: its
     /// generation, and when its timeout and its hedge fire.
-    pub(super) fn timers(&mut self, start: f64, q: usize) -> (u32, Option<f64>, Option<f64>) {
+    pub(super) fn timers(
+        &mut self,
+        start: f64,
+        w: &QueryWindow,
+        q: usize,
+    ) -> (u32, Option<f64>, Option<f64>) {
+        let timeout_at = self.cfg.timeout_s.map(|t| start + t);
         let hedge_at = self.hedge_delay().map(|d| start + d);
-        (self.gen[q], self.cfg.timeout_s.map(|t| start + t), hedge_at)
+        (attempt_gen(w.rec(q)), timeout_at, hedge_at)
     }
 
-    /// A live attempt's timeout fired at `now`: the generation bump
-    /// cancels both of its lanes, and the retry policy picks between a
-    /// backed-off retry — its start time and generation — and resolving
-    /// the query timed-out-final (`None`).
-    pub(super) fn on_timeout(&mut self, now: f64, q: usize) -> Option<(f64, u32)> {
+    /// A live attempt's timeout fired at `now`: the retry policy picks
+    /// between a backed-off retry — its start time and generation, whose
+    /// bump cancels both lanes of the timed-out attempt — and resolving
+    /// the query timed-out-final (`None`; the caller retires its record).
+    pub(super) fn on_timeout(
+        &mut self,
+        now: f64,
+        w: &mut QueryWindow,
+        q: usize,
+    ) -> Option<(f64, u32)> {
         self.stats.timeouts += 1;
-        self.gen[q] = self.gen[q].wrapping_add(1);
+        let rec = w.rec_mut(q);
         let retry = &self.cfg.retry;
-        let attempts = self.attempts[q] as usize;
+        let attempts = rec.attempts as usize;
         let can_retry = attempts < retry.max_attempts;
         if !can_retry || (retry.budget.is_some() && self.tokens < 1.0) {
             if can_retry {
                 self.stats.retries_denied += 1;
             }
-            self.state[q] = DONE;
             self.stats.timed_out += 1;
             return None;
         }
         if retry.budget.is_some() {
             self.tokens -= 1.0;
         }
-        self.attempts[q] += 1;
-        self.hedged[q] = false;
+        rec.attempts += 1;
+        rec.hedged = false;
         // `attempts` is also the 1-based number of this retry.
         self.stats.retries[attempts - 1] += 1;
         let mut delay = retry.backoff_s(attempts);
@@ -151,30 +146,29 @@ impl ResilienceRt {
             let u = (splitmix64(&mut self.rng) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
             delay *= 1.0 + retry.jitter_frac * u;
         }
-        Some((now + delay, self.gen[q]))
+        Some((now + delay, attempt_gen(rec)))
     }
 
     /// Issues the hedge of `q`'s current attempt; returns the slot it
     /// should route away from, if one was recorded.
-    pub(super) fn on_hedge(&mut self, q: usize) -> Option<usize> {
-        self.hedged[q] = true;
+    pub(super) fn on_hedge(&mut self, w: &mut QueryWindow, q: usize) -> Option<usize> {
+        let rec = w.rec_mut(q);
+        rec.hedged = true;
         self.stats.hedges_issued += 1;
-        let slot = self.last_slot[q];
-        (slot != u32::MAX).then_some(slot as usize)
+        (rec.last_slot != NO_SLOT).then_some(rec.last_slot as usize)
     }
 
     /// Records the slot a lane of `q` entered the pipeline on (either
     /// lane may record; the next reader is the next attempt, which
     /// rewrites it).
-    pub(super) fn placed(&mut self, q: usize, slot: usize) {
-        self.last_slot[q] = slot as u32;
+    pub(super) fn placed(&mut self, w: &mut QueryWindow, q: usize, slot: usize) {
+        w.rec_mut(q).last_slot = slot as u32;
     }
 
-    /// A live lane of `q` finished the last stage after `latency_s`:
-    /// the query resolves, cancelling its twin lane wherever it is.
-    pub(super) fn resolve(&mut self, q: usize, hedge: bool, latency_s: f64) {
-        self.gen[q] = self.gen[q].wrapping_add(1);
-        self.state[q] = DONE;
+    /// A live lane finished the last stage after `latency_s`: the query
+    /// resolves, and the caller retires its record, which cancels its
+    /// twin lane wherever it is.
+    pub(super) fn resolve(&mut self, hedge: bool, latency_s: f64) {
         if hedge {
             self.stats.hedges_won += 1;
         }
@@ -186,8 +180,8 @@ impl ResilienceRt {
 
     /// Queries still live when the event stream ran dry — the
     /// end-of-run sweep counts them shed.
-    pub(super) fn unresolved(&self) -> usize {
-        self.state.iter().filter(|&&s| s == LIVE).count()
+    pub(super) fn unresolved(&self, w: &QueryWindow) -> usize {
+        w.live().filter(|rec| rec.attempts > 0).count()
     }
 
     /// Records a completed query's latency into the hedge reservoir

@@ -194,7 +194,7 @@ impl<'a> Sim<'a> {
     /// Counts every query still parked when the event stream ran dry (a
     /// promised revival never came) as shed. On resilient runs parked
     /// entries are lanes, not queries: they are dropped, and the sweep
-    /// of per-query states resolves each query once.
+    /// of the window's live records resolves each query once.
     pub(super) fn shed_parked(&mut self) {
         let parked = std::mem::take(&mut self.life_mut().parked);
         if self.resil.is_none() {

@@ -7,18 +7,17 @@
 
 use recpipe_metrics::LatencyStats;
 
+use super::window::{QueryWindow, UNASSIGNED};
 use super::Gauges;
 use crate::{
     Admission, AdmissionCtx, AdmissionPolicy, AdmissionState, PathProfile, PathSet, PathStats,
     WindowStats,
 };
 
-/// Per-query path marker: not yet admitted.
-const UNASSIGNED: u8 = 0xFF;
-
 /// The multi-path runtime: the admission policy and its state, the
 /// path layout, and per-path counters over the run and the current
-/// telemetry window.
+/// telemetry window. A query's admitted path is its [`QueryWindow`]
+/// record's `path`.
 pub(super) struct MultipathRt<'a> {
     admission: &'a dyn AdmissionPolicy,
     /// Per-path analytic profiles handed to the policy on every arrival.
@@ -27,8 +26,6 @@ pub(super) struct MultipathRt<'a> {
     entry: Vec<usize>,
     /// Per flat stage: whether it is its path's final stage.
     pub(super) last_of_path: Vec<bool>,
-    /// Per-query path assignment ([`UNASSIGNED`] until admitted).
-    qpath: Vec<u8>,
     /// The policy's mutable state (degradation level, RNG stream).
     state: AdmissionState,
     /// Per-path outcomes over the whole run (sheds count lifecycle
@@ -53,12 +50,7 @@ pub(super) struct MultipathRt<'a> {
 }
 
 impl<'a> MultipathRt<'a> {
-    pub(super) fn new(
-        paths: &PathSet,
-        admission: &'a dyn AdmissionPolicy,
-        num_queries: usize,
-        seed: u64,
-    ) -> Self {
+    pub(super) fn new(paths: &PathSet, admission: &'a dyn AdmissionPolicy, seed: u64) -> Self {
         let n = paths.num_paths();
         let profiles = paths.profiles();
         let max_full_batch_qps = profiles
@@ -82,7 +74,6 @@ impl<'a> MultipathRt<'a> {
             profiles,
             entry: (0..n).map(|p| paths.entry(p)).collect(),
             last_of_path: paths.last_of_path(),
-            qpath: vec![UNASSIGNED; num_queries],
             // A distinct splitmix lane per run seed: decorrelated from
             // every router's per-group stream (those mix the group
             // index) while staying a pure function of the seed.
@@ -106,11 +97,13 @@ impl<'a> MultipathRt<'a> {
     pub(super) fn admit(
         &mut self,
         now: f64,
+        w: &mut QueryWindow,
         query: usize,
         gauges: Gauges,
         window: Option<&WindowStats>,
     ) -> Option<usize> {
-        let prior = self.qpath[query];
+        let rec = w.rec_mut(query);
+        let prior = rec.path;
         if prior != UNASSIGNED {
             debug_assert_eq!(prior, 0, "only path 0 starts at flat stage 0");
             return Some(0);
@@ -128,7 +121,7 @@ impl<'a> MultipathRt<'a> {
             Admission::Admit(p) => {
                 let paths = self.entry.len();
                 assert!(p < paths, "admission chose path {p} of {paths}");
-                self.qpath[query] = p as u8;
+                rec.path = p as u8;
                 self.stats[p].admitted += 1;
                 self.win_admitted[p] += 1;
                 self.in_system += 1;
@@ -143,8 +136,8 @@ impl<'a> MultipathRt<'a> {
 
     /// Counts an admitted query's loss: shed without service, or
     /// dropped mid-service when `in_flight`.
-    pub(super) fn on_lost(&mut self, query: usize, in_flight: bool) {
-        let p = self.qpath[query] as usize;
+    pub(super) fn on_lost(&mut self, w: &QueryWindow, query: usize, in_flight: bool) {
+        let p = w.rec(query).path as usize;
         debug_assert!(p < self.entry.len(), "lost query was never admitted");
         if in_flight {
             self.stats[p].dropped += 1;
@@ -156,8 +149,14 @@ impl<'a> MultipathRt<'a> {
 
     /// Counts `query`'s completion, recording its latency unless it is
     /// a warmup query.
-    pub(super) fn on_completion(&mut self, query: usize, latency_s: f64, warm: bool) {
-        let p = self.qpath[query] as usize;
+    pub(super) fn on_completion(
+        &mut self,
+        w: &QueryWindow,
+        query: usize,
+        latency_s: f64,
+        warm: bool,
+    ) {
+        let p = w.rec(query).path as usize;
         debug_assert!(p < self.entry.len(), "completion of an unadmitted query");
         self.stats[p].completed += 1;
         self.win_completed[p] += 1;

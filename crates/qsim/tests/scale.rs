@@ -9,63 +9,27 @@
 //! cargo test --release -p recpipe-qsim -- --ignored scale_
 //! ```
 
-use recpipe_data::TraceArrivals;
-use recpipe_qsim::{
-    BatchModel, ExpectedWait, PipelineSpec, ReplicaGroup, ReplicaProfile, Scenario, StageSpec,
-};
+use recpipe_qsim::{ExpectedWait, Scenario};
 
-/// A deterministic synthetic "recorded" trace: `n` arrivals with
-/// pseudo-random gaps (bursty but bounded), tiled by the replay to any
-/// query count.
-fn synthetic_trace(n: usize, seed: u64) -> TraceArrivals {
-    let mut z = seed | 1;
-    let mut t = 0.0f64;
-    let mut times = Vec::with_capacity(n);
-    for _ in 0..n {
-        z = z
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        // Gaps in [0, 2) ms: mean 1 ms, with back-to-back bursts.
-        t += ((z >> 33) as f64 / (1u64 << 31) as f64) * 2e-3;
-        times.push(t);
-    }
-    TraceArrivals::new(times)
-}
+mod replay;
 
-/// Two pipeline stages on two distinct backends — the shape the
-/// per-stage shard decomposition accepts.
-fn two_backend_spec() -> PipelineSpec {
-    let filter = ReplicaGroup::heterogeneous(
-        "filter",
-        vec![
-            ReplicaProfile::baseline(1),
-            ReplicaProfile::baseline(1),
-            ReplicaProfile::new(1, 0.6),
-            ReplicaProfile::new(1, 0.6),
-        ],
-    );
-    let rank = ReplicaGroup::replicated("rank", 1, 4);
-    PipelineSpec::new(vec![filter, rank])
-        .with_stage(StageSpec::new("filter", 0, 1, 0.002).with_batch(BatchModel::new(8, 0.25)))
-        .unwrap()
-        .with_stage(StageSpec::new("rank", 1, 1, 0.001).with_batch(BatchModel::new(8, 0.25)))
-        .unwrap()
-}
+use replay::{synthetic_trace, two_backend_spec};
 
 #[test]
 #[ignore = "release-mode scale smoke (cargo test --release -- --ignored scale_)"]
 fn scale_10m_query_trace_replay_completes_in_bounded_memory() {
     let spec = two_backend_spec();
-    let trace = synthetic_trace(100_000, 42).with_rate(0.7 * spec.max_qps_at_full_batch());
-    let n = 10_000_000;
+    let trace = replay::replay_trace(&spec);
+    let n = replay::QUERIES;
     let start = std::time::Instant::now();
     let mut out = Scenario::new(&spec, &trace, n, 7).workers(0).run().unwrap();
     let elapsed = start.elapsed();
     assert_eq!(out.completed, n);
     assert!(!out.saturated, "offered load was set below capacity");
-    // The latency sink must have folded into the fixed histogram —
-    // that, plus streamed arrivals and completion-time recording, is
-    // what keeps the run's footprint free of any O(N) latency vector.
+    // The latency sink must have folded into the fixed histogram. With
+    // streamed arrivals, completion-time recording and per-query state
+    // held only while the query is in flight, that keeps the run free
+    // of O(N) vectors; footprint.rs measures the heap.
     assert!(out.latency.is_folded());
     // Every post-warmup query (95% of the run) left one sample.
     assert_eq!(out.latency.len(), n - n / 20);
