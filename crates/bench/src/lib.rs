@@ -207,8 +207,9 @@ pub fn hedged_limp() -> impl Fn() -> SimResult {
 /// `qsim_scale/trace_replay_10M`: 10M queries of a synthetic recorded
 /// day (100k arrivals with pseudo-random gaps, tiled by the replay and
 /// rescaled to 0.7 of full-batch capacity) through a batched
-/// two-generation filter group and a uniform rank group, sharded one
-/// thread per stage — the headline number the sharded loop exists for.
+/// two-generation filter group and a uniform rank group, sharded by
+/// stage on every core (one thread per stage on a multi-core host) —
+/// the headline number the sharded loop exists for.
 pub fn trace_replay_10m() -> impl Fn() -> SimResult {
     let filter = ReplicaGroup::heterogeneous(
         "filter",

@@ -3,7 +3,7 @@
 //!
 //! The queueing simulator exposes the mechanism — warm-up, drains, and
 //! windowed telemetry behind the
-//! [`FleetController`](recpipe_qsim::FleetController) seam — while this
+//! [`FleetController`] seam — while this
 //! module supplies the *policies* that close the loop:
 //!
 //! * [`ReactiveScaling`] chases observed utilization and queue depth:

@@ -11,7 +11,7 @@
 //!   NDCG with the engine's Monte-Carlo evaluator;
 //! * [`Scenario::multipath`](recpipe_qsim::Scenario::multipath) runs
 //!   the per-query admission loop (see
-//!   [`AdmissionPolicy`](recpipe_qsim::AdmissionPolicy));
+//!   [`AdmissionPolicy`]);
 //! * [`AdmissionSweep`] grids admission-policy knobs over one path set
 //!   and returns [`BrownoutOutcome`]s, reduced to a three-objective
 //!   front by [`Scheduler::pareto_brownout`](crate::Scheduler::pareto_brownout)

@@ -51,7 +51,7 @@ pub struct SimResult {
     /// lifecycle-free runs — the cost axis of autoscaling comparisons.
     pub cost_integral: f64,
     /// Per-window telemetry series (see
-    /// [`WindowStats`](crate::WindowStats)); empty unless the run was
+    /// [`WindowStats`]); empty unless the run was
     /// configured with a telemetry window.
     pub windows: Vec<WindowStats>,
     /// Per-path accounting of a multi-path run (see

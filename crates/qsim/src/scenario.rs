@@ -226,11 +226,13 @@ impl<'a> Scenario<'a> {
     }
 
     /// Shards the run by pipeline stage on at most `cap` threads (`0`:
-    /// the machine's parallelism; `1`: in turn on this thread), with
-    /// results identical to the serial run for every cap. Scenarios with
-    /// an optional runtime, and specs the decomposition cannot handle
-    /// (one stage, shared groups, closed loops, zero service times),
-    /// run serially.
+    /// the machine's parallelism), with results identical to the serial
+    /// run for every cap. Each thread steps a contiguous run of stage
+    /// shards in turn, and this thread steps the last run, so `1`
+    /// interleaves every shard here and spawns none. Scenarios with an
+    /// optional runtime, and specs the decomposition cannot handle (one
+    /// stage, shared groups, closed loops, zero service times), run
+    /// serially.
     pub fn workers(mut self, cap: usize) -> Self {
         self.workers = Some(cap);
         self

@@ -5,9 +5,16 @@
 //! at time `t` becomes a stage-`k+1` arrival at the same `t`. That
 //! makes the serial event loop decomposable by stage: each stage runs
 //! as its own shard (its own event queue, replica queues, batches, and
-//! router state) and hands finished queries downstream through a
-//! bounded channel, turning an `s`-stage replay into an `s`-deep
-//! pipeline of threads.
+//! router state) and hands finished queries downstream in chunks.
+//!
+//! One driver ([`run`]) serves every worker count. A shard is
+//! resumable: [`Sim::advance`] steps it until it finishes, runs out of
+//! input, or holds a chunk of hand-offs in its outbox. Each of
+//! `min(workers, stages)` threads owns a contiguous run of shards and
+//! steps them in turn. Inside a thread an outbox becomes the next
+//! shard's inbox; between threads chunks cross a bounded channel. The
+//! last run steps on the calling thread, so one worker interleaves
+//! every shard there and spawns nothing.
 //!
 //! # Determinism
 //!
@@ -32,7 +39,11 @@
 //!   run internal events before same-time incoming arrivals, which is
 //!   exactly the serial tie order. This is also why a zero service
 //!   time disqualifies a spec: a zero-length batch would tie its own
-//!   launch and break the strict inequality.
+//!   launch and break the strict inequality. A shard whose inbox is
+//!   empty but open runs an internal event only at or before the last
+//!   hand-off it took in (the *inbox horizon*), since every later
+//!   hand-off arrives no earlier; nothing it holds then is that early,
+//!   so it waits for the next chunk.
 //! * **RNG stream splitting.** Router state is seeded per resource
 //!   group (`seed ^ group * 0x9e37…`), never shared across groups, so
 //!   each shard derives its group's generator from the *global* group
@@ -50,112 +61,49 @@
 //! head), and non-positive service times. Scenarios with any optional
 //! runtime (lifecycle, autoscaling, multi-path, resilience) are always
 //! serial.
+//!
+//! # Memory
+//!
+//! A thread always steps its deepest shard that can move, so a
+//! boundary inside a thread holds one chunk: the downstream shard takes
+//! all of it in before its upstream steps again, and the two shards
+//! swap buffers. A boundary between threads holds up to
+//! [`CHANNEL_CHUNKS`] chunks in its channel, plus the chunk being filled
+//! and the one being taken in. A chunk holds at most [`CHUNK`]
+//! hand-offs plus one batch, 24 bytes each, in a buffer that never
+//! regrows.
 
-use std::sync::mpsc;
+use std::collections::VecDeque;
+use std::ops::Range;
+use std::sync::mpsc::{self, Receiver, SyncSender};
 
 use recpipe_data::ArrivalProcess;
 
-use crate::sim::{Inputs, RunTotals, ShardSink, ShardSource, Sim};
+use crate::sim::{Handoff, Inputs, RunTotals, Sim};
 use crate::{PipelineSpec, SimResult};
 
-/// Completion tuples per channel send: large enough to amortize the
-/// channel's synchronization, small enough to keep the stage pipeline
+/// Hand-offs per chunk: large enough to amortize a channel send and a
+/// switch between shards, small enough to keep the stage pipeline
 /// primed.
 const CHUNK: usize = 4096;
-/// Bounded channel depth in chunks (~256k queries of slack per
+/// Bounded channel depth in chunks (~256k queries of slack per thread
 /// boundary) — backpressure without unbounded buffering.
 const CHANNEL_CHUNKS: usize = 64;
 
-/// A query hand-off: completion time at the upstream stage (= arrival
-/// time at the downstream stage), query index, original stage-0
-/// arrival time.
-type Tuple = (f64, usize, f64);
+/// Hand-offs in upstream emission order (nondecreasing time).
+type Chunk = VecDeque<Handoff>;
 
-/// Collects every hand-off in memory — the sequential (workers ≤ 1)
-/// executor's boundary.
-#[derive(Default)]
-struct VecSink {
-    buf: Vec<Tuple>,
-}
-
-impl ShardSink for VecSink {
-    fn emit(&mut self, time: f64, query: usize, arrived: f64) {
-        self.buf.push((time, query, arrived));
-    }
-}
-
-struct VecSource {
-    iter: std::vec::IntoIter<Tuple>,
-}
-
-impl ShardSource for VecSource {
-    fn next_arrival(&mut self) -> Option<Tuple> {
-        self.iter.next()
-    }
-}
-
-/// Chunk-batched sender over a bounded channel — the threaded
-/// executor's boundary.
-struct ChanSink {
-    tx: mpsc::SyncSender<Vec<Tuple>>,
-    buf: Vec<Tuple>,
-}
-
-impl ChanSink {
-    fn new(tx: mpsc::SyncSender<Vec<Tuple>>) -> Self {
-        Self {
-            tx,
-            buf: Vec::with_capacity(CHUNK),
-        }
-    }
-
-    /// Flushes the trailing partial chunk and closes the channel
-    /// (dropping the sender ends the downstream shard's input).
-    fn finish(self) {
-        if !self.buf.is_empty() {
-            // A send can only fail if the downstream shard panicked;
-            // its own join surfaces that, so the error is ignorable.
-            let _ = self.tx.send(self.buf);
-        }
-    }
-}
-
-impl ShardSink for ChanSink {
-    fn emit(&mut self, time: f64, query: usize, arrived: f64) {
-        self.buf.push((time, query, arrived));
-        if self.buf.len() == CHUNK {
-            let full = std::mem::replace(&mut self.buf, Vec::with_capacity(CHUNK));
-            let _ = self.tx.send(full);
-        }
-    }
-}
-
-struct ChanSource {
-    rx: mpsc::Receiver<Vec<Tuple>>,
-    cur: std::vec::IntoIter<Tuple>,
-}
-
-impl ChanSource {
-    fn new(rx: mpsc::Receiver<Vec<Tuple>>) -> Self {
-        Self {
-            rx,
-            cur: Vec::new().into_iter(),
-        }
-    }
-}
-
-impl ShardSource for ChanSource {
-    fn next_arrival(&mut self) -> Option<Tuple> {
-        loop {
-            if let Some(t) = self.cur.next() {
-                return Some(t);
-            }
-            match self.rx.recv() {
-                Ok(chunk) => self.cur = chunk.into_iter(),
-                Err(_) => return None, // upstream finished and closed
-            }
-        }
-    }
+/// One stage shard on the thread that steps it.
+struct Shard<'a> {
+    stage: usize,
+    sim: Sim<'a>,
+    /// Hand-offs from the upstream shard not yet taken in.
+    inbox: Chunk,
+    /// The upstream shard finished: no hand-off will join `inbox`.
+    closed: bool,
+    /// Stepping the shard can move it: it has input it has not taken
+    /// in, its input just closed, or it stopped on a full outbox.
+    ready: bool,
 }
 
 /// Whether the per-stage decomposition applies (see the module docs
@@ -176,19 +124,13 @@ pub(crate) fn shardable(spec: &PipelineSpec, arrivals: &dyn ArrivalProcess) -> b
     true
 }
 
-/// Runs a [`shardable`] spec sharded by pipeline stage: one shard
-/// (and, with `workers > 1`, one thread) per stage, chained by bounded
-/// hand-off channels, merged into a [`SimResult`] identical to the
-/// serial loop's on the same inputs (see the module docs for the
-/// determinism argument).
-///
-/// `workers` is a parallelism *cap*, not a shard count: `0` resolves
-/// to the machine's available parallelism, `1` runs the shards
-/// sequentially on the calling thread (buffering each boundary), and
-/// anything higher runs one thread per stage. The result never depends
-/// on `workers`.
+/// Runs a [`shardable`] spec sharded by pipeline stage, one shard per
+/// stage on at most `workers` threads (`0`: the machine's available
+/// parallelism), merged into a [`SimResult`] identical to the serial
+/// loop's on the same inputs (see the module docs for the determinism
+/// argument). The result never depends on `workers`.
 pub(crate) fn run(inputs: Inputs<'_>, workers: usize) -> SimResult {
-    // simlint: allow(shard-nondet) -- worker count only picks the execution strategy
+    // simlint: allow(shard-nondet) -- worker count only sizes the thread pool
     let workers = if workers == 0 {
         // simlint: allow(shard-nondet) -- sizes the thread pool only; per-shard
         // results are computed independently and merged in shard order, so the
@@ -198,82 +140,98 @@ pub(crate) fn run(inputs: Inputs<'_>, workers: usize) -> SimResult {
     } else {
         workers
     };
-    // simlint: allow(shard-nondet) -- sequential vs threaded produce identical
-    // shard outcomes; the branch only avoids thread spawn overhead at 1 worker.
-    let outcomes = if workers <= 1 {
-        run_sequential(inputs)
-    } else {
-        run_threaded(inputs)
-    };
+    drive(inputs, workers, CHUNK)
+}
+
+/// Steps the shards on `min(workers, stages)` threads, each owning a
+/// contiguous run of stages: the calling thread steps the last run and
+/// spawns one thread per other run, chained by bounded channels.
+fn drive(inputs: Inputs<'_>, workers: usize, chunk: usize) -> SimResult {
+    let stages = inputs.spec.stages().len();
+    let threads = workers.clamp(1, stages);
+    let run_of = |t: usize| t * stages / threads..(t + 1) * stages / threads;
+    let outcomes = std::thread::scope(|scope| {
+        let mut input = None;
+        let mut spawned = Vec::with_capacity(threads - 1);
+        for t in 0..threads - 1 {
+            let (tx, rx) = mpsc::sync_channel(CHANNEL_CHUNKS);
+            let (run, input) = (run_of(t), input.replace(rx));
+            spawned.push(scope.spawn(move || step_run(inputs, run, input, Some(tx), chunk)));
+        }
+        let last = step_run(inputs, run_of(threads - 1), input, None, chunk);
+        spawned
+            .into_iter()
+            .flat_map(|h| h.join().expect("stage shard panicked"))
+            .chain(last)
+            .collect()
+    });
     merge(inputs.spec, inputs.arrivals, outcomes)
 }
 
-fn run_sequential(inputs: Inputs<'_>) -> Vec<RunTotals> {
-    let stages = inputs.spec.stages().len();
-    let mut outcomes = Vec::with_capacity(stages);
-    let mut carry: Option<Vec<Tuple>> = None;
-    for stage in 0..stages {
-        let last = stage + 1 == stages;
-        let mut sink = VecSink::default();
-        let out: Option<&mut dyn ShardSink> = if last { None } else { Some(&mut sink) };
-        let sim = Sim::new_shard(inputs, stage, out);
-        let outcome = match carry.take() {
-            None => sim.run_shard(stage, None),
-            Some(buf) => {
-                let mut src = VecSource {
-                    iter: buf.into_iter(),
-                };
-                sim.run_shard(stage, Some(&mut src))
+/// Steps the shards of `stages` on this thread until the last of them
+/// finishes, and returns their totals in stage order. `input` brings
+/// the first shard's hand-offs from the thread before (`None` for the
+/// head shard, which stages its own arrivals); `output` takes the last
+/// shard's hand-offs to the thread after (`None` for the final stage).
+fn step_run(
+    inputs: Inputs<'_>,
+    stages: Range<usize>,
+    input: Option<Receiver<Chunk>>,
+    output: Option<SyncSender<Chunk>>,
+    chunk: usize,
+) -> Vec<RunTotals> {
+    let mut shards: Vec<Shard<'_>> = stages
+        .map(|stage| Shard {
+            stage,
+            sim: Sim::new_shard(inputs, stage),
+            inbox: Chunk::new(),
+            closed: stage == 0,
+            ready: stage == 0,
+        })
+        .collect();
+    loop {
+        // Step the deepest shard that can move: every later one has
+        // taken in all its input, so its inbox is free for this one's
+        // outbox.
+        let Some(i) = shards.iter().rposition(|s| s.ready) else {
+            // Every shard here waits on the thread before.
+            let first = &mut shards[0];
+            match input.as_ref().and_then(|rx| rx.recv().ok()) {
+                Some(hand_offs) => first.inbox = hand_offs,
+                None => first.closed = true,
             }
+            first.ready = true;
+            continue;
         };
-        outcomes.push(outcome);
-        if !last {
-            carry = Some(sink.buf);
-        }
-    }
-    outcomes
-}
-
-fn run_threaded(inputs: Inputs<'_>) -> Vec<RunTotals> {
-    let stages = inputs.spec.stages().len();
-    // One bounded channel per stage boundary, wired up front.
-    let mut txs = Vec::with_capacity(stages - 1);
-    let mut rxs = Vec::with_capacity(stages - 1);
-    for _ in 0..stages - 1 {
-        let (tx, rx) = mpsc::sync_channel(CHANNEL_CHUNKS);
-        txs.push(tx);
-        rxs.push(rx);
-    }
-    let mut txs = txs.into_iter();
-    let mut rxs = rxs.into_iter();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(stages);
-        for stage in 0..stages {
-            let last = stage + 1 == stages;
-            let tx = if last { None } else { txs.next() };
-            let input_rx = if stage == 0 { None } else { rxs.next() };
-            handles.push(scope.spawn(move || {
-                let mut sink = tx.map(ChanSink::new);
-                let out = sink.as_mut().map(|s| s as &mut dyn ShardSink);
-                let sim = Sim::new_shard(inputs, stage, out);
-                let outcome = match input_rx {
-                    None => sim.run_shard(stage, None),
-                    Some(rx) => {
-                        let mut src = ChanSource::new(rx);
-                        sim.run_shard(stage, Some(&mut src))
-                    }
-                };
-                if let Some(sink) = sink {
-                    sink.finish();
+        let (upstream, downstream) = shards.split_at_mut(i + 1);
+        let shard = &mut upstream[i];
+        let finished = shard
+            .sim
+            .advance(shard.stage, &mut shard.inbox, shard.closed, chunk);
+        // Unless it finished or ran out of input, the shard stopped on a
+        // full outbox and moves again once that is taken.
+        shard.ready = false;
+        if let Some(out) = shard.sim.outbox() {
+            shard.ready = !finished && out.len() >= chunk;
+            if let Some(next) = downstream.first_mut() {
+                if finished || !out.is_empty() {
+                    debug_assert!(next.inbox.is_empty(), "a waiting shard took in its input");
+                    std::mem::swap(out, &mut next.inbox);
+                    next.closed = finished;
+                    next.ready = true;
                 }
-                outcome
-            }));
+            } else if let Some(tx) = output.as_ref() {
+                if shard.ready || (finished && !out.is_empty()) {
+                    // A send fails only if the downstream thread
+                    // panicked; its join reports that.
+                    let _ = tx.send(std::mem::take(out));
+                }
+            }
         }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("stage shard panicked"))
-            .collect()
-    })
+        if finished && downstream.is_empty() {
+            return shards.iter_mut().map(|s| s.sim.totals()).collect();
+        }
+    }
 }
 
 /// Deterministic merge of the per-stage shard outcomes into the run's
@@ -310,4 +268,57 @@ fn merge(
     // always applies.
     let rate_overload = arrivals.mean_rate() > spec.max_qps_at_full_batch();
     totals.into_result(spec, rate_overload)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{BatchModel, Fifo, JoinShortestQueue, ReplicaGroup, RoundRobin, Router, StageSpec};
+    use recpipe_data::MmppArrivals;
+
+    #[test]
+    fn every_thread_count_and_chunk_size_replays_the_serial_loop() {
+        // 3,000 queries span many chunks, so shards stop mid-run and
+        // resume, and a thread owning two shards (two threads, three
+        // stages) interleaves them. Equal service times make same-time
+        // ties between a shard's own completions and incoming hand-offs
+        // common: a stage-k batch and a stage-(k+1) batch launched at
+        // one instant finish at one instant.
+        let mut spec = PipelineSpec::new(vec![
+            ReplicaGroup::replicated("a", 1, 2),
+            ReplicaGroup::replicated("b", 1, 2),
+            ReplicaGroup::replicated("c", 1, 2),
+        ]);
+        for g in 0..3 {
+            let stage = StageSpec::new(format!("s{g}"), g, 1, 0.002);
+            spec = spec
+                .with_stage(stage.with_batch(BatchModel::new(4, 0.25)))
+                .unwrap();
+        }
+        let arrivals = MmppArrivals::new(300.0, 1500.0, 0.2, 0.1);
+        let routers: [&dyn Router; 2] = [&RoundRobin, &JoinShortestQueue];
+        for router in routers {
+            for seed in 0..4 {
+                let inputs = Inputs {
+                    spec: &spec,
+                    arrivals: &arrivals,
+                    policy: &Fifo,
+                    router,
+                    num_queries: 3_000,
+                    seed,
+                };
+                let serial = Sim::new(inputs).run().unwrap();
+                for workers in 1..=3 {
+                    for chunk in [1, 2, 7, CHUNK] {
+                        assert_eq!(
+                            drive(inputs, workers, chunk),
+                            serial,
+                            "{} seed {seed}, {workers} threads, chunk {chunk}",
+                            router.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

@@ -452,10 +452,11 @@ pub(crate) struct Sim<'a> {
     latency: LatencyStats,
     /// Every completion's time, recorded as it happens.
     throughput: ThroughputMeter,
-    /// Where a stage shard hands finished queries to the next stage's
-    /// shard; the serial loop and the final stage's shard keep `None`
-    /// and record completions locally (see shard.rs).
-    shard_out: Option<&'a mut dyn ShardSink>,
+    /// The hand-offs a stage shard has emitted to the next stage's
+    /// shard and its driver has yet to take (see shard.rs); the serial
+    /// loop and the final stage's shard keep `None` and record
+    /// completions locally.
+    outbox: Option<VecDeque<Handoff>>,
     /// Queries lost without service: shed at admission, or at a dead
     /// group or from a dead queue under `FailurePolicy::Shed`.
     shed: usize,
@@ -472,20 +473,12 @@ pub(crate) struct Sim<'a> {
     resil: Option<Box<ResilienceRt>>,
 }
 
-/// Receives a stage shard's completions `(time, query, arrived)` for
-/// hand-off to the next stage's shard. Emission order is the shard's
+/// A query handed from one stage shard to the next: its completion
+/// time upstream (its arrival time downstream), its index, and its
+/// original stage-0 arrival time. A shard emits hand-offs in its
 /// completion-processing order, which downstream must preserve — it is
 /// the serial loop's tie-break order for equal-time arrivals.
-pub(crate) trait ShardSink {
-    fn emit(&mut self, time: f64, query: usize, arrived: f64);
-}
-
-/// Feeds a stage shard its incoming arrivals `(time, query, arrived)`
-/// in upstream emission order (nondecreasing `time`). `None` means the
-/// upstream shard finished and no more arrivals will come.
-pub(crate) trait ShardSource {
-    fn next_arrival(&mut self) -> Option<(f64, usize, f64)>;
-}
+pub(crate) type Handoff = (f64, usize, f64);
 
 /// A run's raw totals (per-slot busy integrals, clocks, launch counts,
 /// post-warmup records). The serial loop and the sharded merge both
@@ -559,7 +552,7 @@ pub(crate) struct Inputs<'a> {
 
 impl<'a> Sim<'a> {
     pub(crate) fn new(inputs: Inputs<'a>) -> Self {
-        let mut sim = Self::new_inner(inputs, false);
+        let mut sim = Self::new_inner(inputs, None);
         sim.stage_schedule(inputs.seed);
         sim
     }
@@ -570,22 +563,18 @@ impl<'a> Sim<'a> {
     /// tracking off (shard eligibility requires pairwise-distinct
     /// stage groups, so a same-group affinity prior can never exist),
     /// and — for the head shard only — the arrival schedule. Only the
-    /// final stage's shard (`out` is `None`) completes queries, so only
-    /// it records latency and throughput.
-    pub(crate) fn new_shard(
-        inputs: Inputs<'a>,
-        stage: usize,
-        out: Option<&'a mut dyn ShardSink>,
-    ) -> Self {
-        let mut sim = Self::new_inner(inputs, true);
-        sim.shard_out = out;
+    /// final stage's shard completes queries, so only it records
+    /// latency and throughput; every other one gets an outbox.
+    pub(crate) fn new_shard(inputs: Inputs<'a>, stage: usize) -> Self {
+        let mut sim = Self::new_inner(inputs, Some(stage));
         if stage == 0 {
             sim.stage_schedule(inputs.seed);
         }
         sim
     }
 
-    fn new_inner(inputs: Inputs<'a>, shard: bool) -> Self {
+    /// The serial loop's state, or stage `shard`'s when it is `Some`.
+    fn new_inner(inputs: Inputs<'a>, shard: Option<usize>) -> Self {
         let Inputs {
             spec,
             arrivals,
@@ -628,8 +617,17 @@ impl<'a> Sim<'a> {
         // shards force history off — their eligibility (pairwise
         // distinct stage groups) means no same-group prior can exist.
         let track_est = router.uses_estimates();
-        let track_hist = !shard && router.uses_history() && num_stages > 1;
+        let track_hist = shard.is_none() && router.uses_history() && num_stages > 1;
         let warmup_len = ((num_queries as f64) * WARMUP_FRACTION) as usize;
+        let outbox = shard
+            .filter(|&stage| stage + 1 < num_stages)
+            .map(|_| VecDeque::new());
+        // A shard that hands its queries on completes none, so it keeps
+        // an empty latency collector.
+        let latency = match outbox {
+            Some(_) => LatencyStats::default(),
+            None => LatencyStats::with_capacity(num_queries.saturating_sub(warmup_len)),
+        };
         Self {
             spec,
             stages: spec.stages(),
@@ -686,9 +684,9 @@ impl<'a> Sim<'a> {
             arrival_stream: None,
             arrival_span: 0.0,
             warmup_len,
-            latency: LatencyStats::with_capacity(num_queries.saturating_sub(warmup_len)),
+            latency,
             throughput: ThroughputMeter::new(),
-            shard_out: None,
+            outbox,
         }
     }
 
@@ -1403,12 +1401,12 @@ impl<'a> Sim<'a> {
     /// stage shard, to the next stage's shard), or records its
     /// completion (re-arming its closed-loop client).
     fn route_onward(&mut self, now: f64, query: usize, stage: usize) {
-        if let Some(out) = self.shard_out.as_mut() {
+        if let Some(out) = self.outbox.as_mut() {
             // Stage shard with a downstream: hand the query over at its
             // completion instant — the serial loop's same-time Arrive
             // push, minus the shared queue. The query leaves this
             // shard's window.
-            out.emit(now, query, self.window.rec(query).arrival);
+            out.push_back((now, query, self.window.rec(query).arrival));
             self.window.retire(query);
             return;
         }
@@ -1602,42 +1600,47 @@ impl<'a> Sim<'a> {
         ControlFlow::Continue(())
     }
 
-    /// Runs one stage's shard of a sharded (lifecycle-free) run through
-    /// the serial loop's [`step`](Self::step).
-    ///
-    /// The head shard (`input` is `None`) replays the arrival schedule
-    /// through its event queue, as the serial loop does. Downstream
-    /// shards merge the same kind of queue (heap and in-order FIFOs)
-    /// with the incoming arrival stream: an incoming arrival
-    /// at time `t` was *created* at `t` (the upstream completion's
-    /// instant), while every internal event at `t` was created strictly
-    /// earlier (launches precede completions because service times are
-    /// positive, and rechecks only arm strictly-future deadlines) — so
-    /// on equal timestamps internal events run first, exactly the
-    /// serial loop's global-seq tie order. Relative order *within* the
-    /// incoming stream is upstream completion order, again matching the
-    /// serial loop by induction.
-    pub(crate) fn run_shard(
-        mut self,
+    /// Steps stage `stage`'s shard of a sharded (lifecycle-free) run
+    /// through the serial loop's [`step`](Self::step) until it finishes
+    /// (returns `true`), runs out of input, or holds `chunk` hand-offs
+    /// in its [`outbox`](Self::outbox). The head shard takes an empty,
+    /// closed inbox and replays the arrival schedule itself; a later
+    /// shard takes in `inbox`'s hand-offs in order, each after every
+    /// pending event at or before its time (the serial tie order; see
+    /// shard.rs). `closed` says that no more will join `inbox`. With
+    /// `inbox` empty and open the shard stops. It may run an event only
+    /// at or before the last hand-off it took in, since the next one may
+    /// arrive at that time; but it took that hand-off in only once every
+    /// pending event was later, and taking it in created later ones only.
+    pub(crate) fn advance(
+        &mut self,
         stage: usize,
-        mut input: Option<&mut dyn ShardSource>,
-    ) -> RunTotals {
-        let mut pending = input.as_mut().and_then(|src| src.next_arrival());
+        inbox: &mut VecDeque<Handoff>,
+        closed: bool,
+        chunk: usize,
+    ) -> bool {
+        if let Some(out) = self.outbox.as_mut() {
+            // An event hands on at most one batch, so stopping at
+            // `chunk` never grows the outbox past this capacity.
+            let cap = chunk + self.stages[stage].batch.max_batch - 1;
+            out.reserve_exact(cap.saturating_sub(out.len()));
+        }
         loop {
-            let take_queued = match (self.queue.peek(), pending) {
-                (Some(ev), Some((t, _, _))) => ev.time <= t,
-                (Some(_), None) => true,
+            if self.outbox.as_ref().is_some_and(|out| out.len() >= chunk) {
+                return false;
+            }
+            let take_queued = match (self.queue.peek(), inbox.front()) {
+                (Some(ev), Some(&(t, ..))) => ev.time <= t,
+                (Some(_), None) => closed,
                 (None, Some(_)) => false,
-                (None, None) => break,
+                (None, None) => return closed,
             };
             if take_queued {
                 let event = self.queue.pop().expect("peeked event exists");
                 // Shards are lifecycle-free, so no arrival fails the run.
                 let flow = self.step(event);
                 debug_assert!(flow.is_continue());
-            } else {
-                let (t, query, arrived) = pending.take().expect("checked above");
-                pending = input.as_mut().and_then(|src| src.next_arrival());
+            } else if let Some((t, query, arrived)) = inbox.pop_front() {
                 // The query's end-to-end clock starts at its *original*
                 // arrival (EDF deadlines and latency both key off it),
                 // not the hand-off instant.
@@ -1645,9 +1648,17 @@ impl<'a> Sim<'a> {
                 self.arrival_span = self.arrival_span.max(arrived);
                 self.last_time = t;
                 self.on_arrive(t, query, stage);
+            } else {
+                return false;
             }
         }
-        self.totals()
+    }
+
+    /// The hand-offs a shard with a downstream stage emitted and its
+    /// driver has not taken yet; `None` on the final stage's shard and
+    /// on the serial loop.
+    pub(crate) fn outbox(&mut self) -> Option<&mut VecDeque<Handoff>> {
+        self.outbox.as_mut()
     }
 
     /// Queries resolved so far: completed, shed, dropped, or timed out
@@ -1659,7 +1670,7 @@ impl<'a> Sim<'a> {
 
     /// Takes the run's raw totals (a stage shard's contribution to the
     /// merged result).
-    fn totals(&mut self) -> RunTotals {
+    pub(crate) fn totals(&mut self) -> RunTotals {
         RunTotals {
             busy_unit_seconds: std::mem::take(&mut self.busy_unit_seconds),
             last_time: self.last_time,

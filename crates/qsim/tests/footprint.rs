@@ -93,14 +93,17 @@ fn peak_growth<T>(f: impl FnOnce() -> T) -> (T, usize) {
 #[test]
 #[ignore = "release-mode scale smoke (cargo test --release -- --ignored scale_)"]
 fn scale_10m_replay_heap_stays_flat() {
-    // The 10M-query replay of scale.rs, on the serial loop and on two
-    // stage-shard threads. Arrival clocks alone would take 80 MB per
-    // loop; what a run holds besides its in-flight work is the folded
-    // latency histogram and, sharded, the bounded hand-off channel.
+    // The 10M-query replay of scale.rs, on the serial loop, on one
+    // worker (both stage shards interleaved on the calling thread) and
+    // on two stage-shard threads. Arrival clocks alone would take 80 MB
+    // per loop, and buffering a boundary's hand-offs 240 MB; what a run
+    // holds besides its in-flight work is the folded latency histogram
+    // and, sharded, a hand-off chunk per boundary or, between threads,
+    // the bounded channel.
     let spec = replay::two_backend_spec();
     let trace = replay::replay_trace(&spec);
     let n = replay::QUERIES;
-    for workers in [None, Some(2)] {
+    for workers in [None, Some(1), Some(2)] {
         let scenario = Scenario::new(&spec, &trace, n, 7);
         let scenario = match workers {
             Some(cap) => scenario.workers(cap),
