@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// let s = SubBatchSchedule::new(4, 10e-6);
 /// // Frontend 400 us, backend 200 us → pipelining hides most of the backend.
-/// let pipelined = s.makespan(400e-6, 200e-6);
+/// let pipelined = s.makespan(&[400e-6, 200e-6]);
 /// assert!(pipelined < 600e-6);
 /// assert!(pipelined >= 400e-6);
 /// ```
@@ -69,20 +69,12 @@ impl SubBatchSchedule {
         self.sub_batches
     }
 
-    /// Pipelined makespan of a two-stage query whose *whole-query* stage
-    /// times are `frontend_s` and `backend_s`.
-    pub fn makespan(&self, frontend_s: f64, backend_s: f64) -> f64 {
-        let n = self.sub_batches as f64;
-        let f = frontend_s / n + self.per_chunk_overhead_s;
-        let b = backend_s / n + self.per_chunk_overhead_s;
-        f + f.max(b) * (n - 1.0) + b
-    }
-
-    /// Makespan for a chain of stage times (first stage feeds the second,
-    /// and so on), generalizing [`makespan`](Self::makespan) to three-plus
-    /// stages: per-chunk times flow through the pipeline and the
-    /// bottleneck stage sets the steady-state rate.
-    pub fn makespan_chain(&self, stage_times: &[f64]) -> f64 {
+    /// Pipelined makespan of a query whose *whole-query* stage times are
+    /// `stage_times` (the first stage feeds the second, and so on):
+    /// per-chunk times flow through the pipeline and the bottleneck stage
+    /// sets the steady-state rate. Two stages give the classic
+    /// `f + max(f, b) * (n - 1) + b` over per-chunk times.
+    pub fn makespan(&self, stage_times: &[f64]) -> f64 {
         if stage_times.is_empty() {
             return 0.0;
         }
@@ -103,14 +95,14 @@ mod tests {
     #[test]
     fn unpipelined_is_simple_sum() {
         let s = SubBatchSchedule::unpipelined();
-        assert!((s.makespan(3.0, 2.0) - 5.0).abs() < 1e-12);
+        assert!((s.makespan(&[3.0, 2.0]) - 5.0).abs() < 1e-12);
     }
 
     #[test]
     fn pipelining_beats_serial_execution() {
         // O.5: ~1.3x latency reduction for the paper's stage balance.
-        let serial = SubBatchSchedule::unpipelined().makespan(400e-6, 250e-6);
-        let pipelined = SubBatchSchedule::paper_default().makespan(400e-6, 250e-6);
+        let serial = SubBatchSchedule::unpipelined().makespan(&[400e-6, 250e-6]);
+        let pipelined = SubBatchSchedule::paper_default().makespan(&[400e-6, 250e-6]);
         let speedup = serial / pipelined;
         assert!(
             (1.15..1.7).contains(&speedup),
@@ -121,30 +113,22 @@ mod tests {
     #[test]
     fn makespan_never_beats_bottleneck_stage() {
         let s = SubBatchSchedule::new(8, 0.0);
-        let m = s.makespan(1.0, 0.1);
+        let m = s.makespan(&[1.0, 0.1]);
         assert!(m >= 1.0);
     }
 
     #[test]
     fn deep_splitting_pays_overhead() {
         // With a large per-chunk overhead, 64 chunks must be slower than 4.
-        let four = SubBatchSchedule::new(4, 50e-6).makespan(400e-6, 250e-6);
-        let sixty_four = SubBatchSchedule::new(64, 50e-6).makespan(400e-6, 250e-6);
+        let four = SubBatchSchedule::new(4, 50e-6).makespan(&[400e-6, 250e-6]);
+        let sixty_four = SubBatchSchedule::new(64, 50e-6).makespan(&[400e-6, 250e-6]);
         assert!(sixty_four > four);
-    }
-
-    #[test]
-    fn chain_matches_two_stage_makespan() {
-        let s = SubBatchSchedule::paper_default();
-        let two = s.makespan(300e-6, 200e-6);
-        let chain = s.makespan_chain(&[300e-6, 200e-6]);
-        assert!((two - chain).abs() < 1e-12);
     }
 
     #[test]
     fn three_stage_chain_is_bounded_sensibly() {
         let s = SubBatchSchedule::new(4, 0.0);
-        let chain = s.makespan_chain(&[400e-6, 200e-6, 100e-6]);
+        let chain = s.makespan(&[400e-6, 200e-6, 100e-6]);
         // At least the bottleneck, at most the serial sum.
         assert!(chain >= 400e-6);
         assert!(chain <= 700e-6 + 1e-12);
@@ -152,7 +136,7 @@ mod tests {
 
     #[test]
     fn empty_chain_is_zero() {
-        assert_eq!(SubBatchSchedule::paper_default().makespan_chain(&[]), 0.0);
+        assert_eq!(SubBatchSchedule::paper_default().makespan(&[]), 0.0);
     }
 
     #[test]

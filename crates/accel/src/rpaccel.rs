@@ -238,7 +238,7 @@ impl RpAccel {
         let pipeline_time = if n == 1 {
             stage_times[0]
         } else {
-            self.config.schedule.makespan_chain(&stage_times)
+            self.config.schedule.makespan(&stage_times)
         };
 
         self.config.pcie.transfer_time(stages[0].input_bytes()) + pipeline_time

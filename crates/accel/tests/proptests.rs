@@ -95,7 +95,7 @@ proptest! {
         n in 1usize..16,
     ) {
         let schedule = SubBatchSchedule::new(n, 0.0);
-        let makespan = schedule.makespan(f_us * 1e-6, b_us * 1e-6);
+        let makespan = schedule.makespan(&[f_us * 1e-6, b_us * 1e-6]);
         let serial = (f_us + b_us) * 1e-6;
         let bottleneck = f_us.max(b_us) * 1e-6;
         prop_assert!(makespan <= serial + 1e-12, "{makespan} > serial {serial}");
@@ -107,8 +107,8 @@ proptest! {
         f_us in 10.0f64..1000.0,
         b_us in 10.0f64..1000.0,
     ) {
-        let shallow = SubBatchSchedule::new(2, 0.0).makespan(f_us * 1e-6, b_us * 1e-6);
-        let deep = SubBatchSchedule::new(8, 0.0).makespan(f_us * 1e-6, b_us * 1e-6);
+        let shallow = SubBatchSchedule::new(2, 0.0).makespan(&[f_us * 1e-6, b_us * 1e-6]);
+        let deep = SubBatchSchedule::new(8, 0.0).makespan(&[f_us * 1e-6, b_us * 1e-6]);
         prop_assert!(deep <= shallow + 1e-12);
     }
 }

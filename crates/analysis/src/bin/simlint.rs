@@ -1,13 +1,13 @@
-//! `simlint` CLI: scans the workspace and exits nonzero on findings.
+//! `simlint` CLI: scans the workspace and exits 1 on any finding.
 //!
 //! Usage: `simlint [ROOT]` — with no argument it walks up from the
 //! current directory to the workspace `Cargo.toml`. `--list-rules`
-//! prints the registry and exits. The binary deliberately does no
-//! timing of its own (`Instant::now` is exactly what it denies);
-//! `bench_smoke` owns the wall-clock budget check.
+//! prints each rule's id and summary and exits. The binary deliberately
+//! does no timing of its own (`Instant::now` is exactly what it
+//! denies); `bench_smoke` owns the wall-clock budget check.
 
 use recpipe_analysis::analyze_workspace;
-use recpipe_analysis::rules::{Config, RULES};
+use recpipe_analysis::rules::RULES;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -15,15 +15,14 @@ fn main() {
     for arg in &mut args {
         if arg == "--list-rules" {
             for r in RULES {
-                println!("{:<14} {:<5} {}", r.id, r.severity.to_string(), r.summary);
+                println!("{:<14} {}", r.id, r.summary);
             }
             return;
         }
         root = Some(std::path::PathBuf::from(arg));
     }
     let root = root.unwrap_or_else(find_workspace_root);
-    let cfg = Config::default();
-    let report = match analyze_workspace(&root, &cfg) {
+    let report = match analyze_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!(
@@ -42,7 +41,7 @@ fn main() {
         report.files,
         report.lines
     );
-    if report.has_denies() {
+    if !report.findings.is_empty() {
         std::process::exit(1);
     }
 }

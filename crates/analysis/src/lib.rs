@@ -13,21 +13,26 @@
 //! (`// simlint: allow(<rule>) -- <justification>`) for the audited
 //! exceptions.
 //!
-//! Run it with `cargo run -p recpipe-analysis --bin simlint`; it exits
-//! nonzero on any deny-severity finding, so CI fails when the
-//! discipline rots. See ARCHITECTURE.md "Determinism discipline,
+//! Each rule's scope is a constant of [`rules`] (`SIM_PATHS`, the
+//! bench/test carve-out `BENCH_TEST_PREFIXES` and `BENCH_TEST_DIRS`,
+//! `SHARD_FILE`, `EVENT_FILE` with `PACKING_IMPLS` and `PACKING_FNS`,
+//! `QSIM_SRC` and `QSIM_TESTS`), encoding this workspace's layout.
+//!
+//! Run it with `cargo run -p recpipe-analysis --bin simlint`; every
+//! finding fails the scan and makes it exit nonzero, so CI fails when
+//! the discipline rots. See ARCHITECTURE.md "Determinism discipline,
 //! mechanically enforced" for the rule table.
 
 pub mod rules;
 pub mod scan;
 
-use rules::{check_file, check_workspace, Config, Finding, Severity};
+use rules::{check_file, check_workspace, Finding};
 use scan::{scan, ScannedFile};
 
 /// The outcome of an analysis run.
 #[derive(Debug)]
 pub struct Report {
-    /// All findings, sorted by (path, line, rule).
+    /// All findings, sorted by (path, line, rule); any one fails the scan.
     pub findings: Vec<Finding>,
     /// Number of files scanned.
     pub files: usize,
@@ -35,17 +40,10 @@ pub struct Report {
     pub lines: usize,
 }
 
-impl Report {
-    /// Whether any finding carries deny severity (CI failure).
-    pub fn has_denies(&self) -> bool {
-        self.findings.iter().any(|f| f.severity == Severity::Deny)
-    }
-}
-
 /// Analyzes a set of already-loaded `(path, text)` pairs. Paths are
 /// workspace-relative with `/` separators; rule scoping matches on
 /// them, so fixtures can exercise any rule by choosing the path.
-pub fn analyze_files(sources: &[(String, String)], cfg: &Config) -> Report {
+pub fn analyze_files(sources: &[(String, String)]) -> Report {
     let mut scanned: Vec<ScannedFile> = sources
         .iter()
         .map(|(path, text)| scan(path, text))
@@ -53,9 +51,9 @@ pub fn analyze_files(sources: &[(String, String)], cfg: &Config) -> Report {
     scanned.sort_by(|a, b| a.path.cmp(&b.path));
     let mut findings = Vec::new();
     for file in &scanned {
-        check_file(file, cfg, &mut findings);
+        check_file(file, &mut findings);
     }
-    check_workspace(&scanned, cfg, &mut findings);
+    check_workspace(&scanned, &mut findings);
     findings
         .sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
     Report {
@@ -115,7 +113,7 @@ fn walk(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) -> std::io::Re
 }
 
 /// Scans the workspace rooted at `root` and runs every rule.
-pub fn analyze_workspace(root: &std::path::Path, cfg: &Config) -> std::io::Result<Report> {
+pub fn analyze_workspace(root: &std::path::Path) -> std::io::Result<Report> {
     let sources = collect_files(root)?;
-    Ok(analyze_files(&sources, cfg))
+    Ok(analyze_files(&sources))
 }

@@ -1,5 +1,5 @@
-//! The `simlint` rule engine: rule registry, per-rule severities, and
-//! the rule implementations over [`ScannedFile`]s.
+//! The `simlint` rule engine: rule registry, rule scopes, and the rule
+//! implementations over [`ScannedFile`]s.
 //!
 //! Rules fall into the three families the determinism contract needs
 //! (see ARCHITECTURE.md "Determinism discipline, mechanically
@@ -7,37 +7,18 @@
 //! `shard-nondet`), packing safety (`packing-cast`), and API discipline
 //! (`ctor-validate`, `serve-coverage`, `dead-pub`). A ninth rule,
 //! `bad-allow`, keeps the allowlist itself honest: malformed directives
-//! and unknown rule ids are findings, not silent no-ops.
+//! and unknown rule ids are findings, not silent no-ops. Every finding
+//! fails the scan; the scopes below encode this workspace's layout.
 
 use std::collections::HashMap;
 
 use crate::scan::{find_word, impl_self_type, Line, ScannedFile};
 
-/// How a finding affects the exit status.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Fails the run (CI gate).
-    Deny,
-    /// Reported but does not fail the run.
-    Warn,
-}
-
-impl std::fmt::Display for Severity {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Severity::Deny => write!(f, "deny"),
-            Severity::Warn => write!(f, "warn"),
-        }
-    }
-}
-
 /// Registry metadata for one rule.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleMeta {
-    /// Stable id, used in allow directives and severity overrides.
+    /// Stable id, used in allow directives.
     pub id: &'static str,
-    /// Default severity (overridable via [`Config::severity_overrides`]).
-    pub severity: Severity,
     /// One-line description for `simlint --list-rules` and docs.
     pub summary: &'static str,
 }
@@ -46,157 +27,90 @@ pub struct RuleMeta {
 pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         id: "hash-iter",
-        severity: Severity::Deny,
         summary: "no HashMap/HashSet iteration (incl. min/max over entries) in sim paths",
     },
     RuleMeta {
         id: "wall-clock",
-        severity: Severity::Deny,
         summary: "no Instant::now/SystemTime outside bench/test code",
     },
     RuleMeta {
         id: "unseeded-rng",
-        severity: Severity::Deny,
         summary: "no thread_rng/from_entropy/OsRng outside bench/test code",
     },
     RuleMeta {
         id: "shard-nondet",
-        severity: Severity::Deny,
         summary: "no thread-id or worker-count-dependent branches in shard executors",
     },
     RuleMeta {
         id: "packing-cast",
-        severity: Severity::Deny,
         summary: "as u32/u64 in packed-event/lane-payload code needs a range justification",
     },
     RuleMeta {
         id: "ctor-validate",
-        severity: Severity::Deny,
         summary: "public qsim constructors taking sizes/rates validate-or-panic",
     },
     RuleMeta {
         id: "serve-coverage",
-        severity: Severity::Deny,
         summary: "every public qsim serve_* entry point is named by a qsim/tests/ property",
     },
     RuleMeta {
         id: "dead-pub",
-        severity: Severity::Deny,
         summary: "every pub item of library code is named outside its declaration and own tests",
     },
     RuleMeta {
         id: "bad-allow",
-        severity: Severity::Deny,
         summary: "allow directives parse, name known rules, and carry a justification",
     },
 ];
 
-/// Looks up a rule id in the registry.
-pub fn rule_meta(id: &str) -> Option<&'static RuleMeta> {
-    RULES.iter().find(|r| r.id == id)
+/// Path prefixes whose non-test code is a simulator hot path (scope of
+/// `hash-iter`).
+const SIM_PATHS: &[&str] = &["crates/qsim/src/", "crates/core/src/", "crates/hwsim/src/"];
+
+/// Path prefixes exempt from `wall-clock`/`unseeded-rng`: the bench
+/// crate, the root package's tests and the benchmark harness. The
+/// carve-out is a constant, not inline allows, so product crates get no
+/// escape hatch for those rules; `#[cfg(test)]` regions are exempt
+/// everywhere regardless of path.
+const BENCH_TEST_PREFIXES: &[&str] = &["crates/bench/", "tests/", "perfbench/"];
+
+/// Directories exempt from `wall-clock`/`unseeded-rng` wherever they sit:
+/// integration tests and criterion benches.
+const BENCH_TEST_DIRS: &[&str] = &["/tests/", "/benches/"];
+
+/// The file holding the shard executor (scope of `shard-nondet`).
+const SHARD_FILE: &str = "crates/qsim/src/shard.rs";
+
+/// The event-loop file holding the packed-event code (scope of
+/// `packing-cast`).
+const EVENT_FILE: &str = "crates/qsim/src/sim.rs";
+
+/// `impl` blocks in [`EVENT_FILE`] whose casts are packing casts.
+const PACKING_IMPLS: &[&str] = &["Event"];
+
+/// Substrings of `fn` names in [`EVENT_FILE`] whose casts are packing
+/// casts (lane-payload pack/unpack helpers).
+const PACKING_FNS: &[&str] = &["pack", "lane", "payload", "push_arrive"];
+
+/// The serving crate's sources: the scope of `ctor-validate` and the
+/// `serve_*` entry points `serve-coverage` checks.
+const QSIM_SRC: &str = "crates/qsim/src/";
+
+/// The tests that must name every public `serve_*` entry point (corpus
+/// digests and conservation properties).
+const QSIM_TESTS: &str = "crates/qsim/tests/";
+
+/// Whether `path` falls under the bench/test carve-out.
+fn is_bench_test(path: &str) -> bool {
+    BENCH_TEST_PREFIXES.iter().any(|p| path.starts_with(p))
+        || BENCH_TEST_DIRS.iter().any(|d| path.contains(d))
 }
 
-/// Scope and carve-out configuration. [`Config::default`] encodes this
-/// workspace's layout — including the bench/test carve-out for the
-/// wall-clock and RNG rules, which is deliberately config (product
-/// crates get no inline escape hatch for those rules).
-#[derive(Debug, Clone)]
-pub struct Config {
-    /// Path prefixes whose non-test code is a simulator hot path
-    /// (scope of `hash-iter`).
-    pub sim_paths: Vec<String>,
-    /// Path fragments exempt from `wall-clock`/`unseeded-rng`: bench
-    /// crates, integration tests, criterion benches, the benchmark
-    /// harness. `#[cfg(test)]`
-    /// regions are exempt everywhere regardless of path.
-    pub bench_test_paths: Vec<String>,
-    /// Files holding shard executors (scope of `shard-nondet`).
-    pub shard_files: Vec<String>,
-    /// The event-loop file holding the packed-event code.
-    pub event_file: String,
-    /// `impl` blocks in `event_file` whose casts are packing casts.
-    pub packing_impls: Vec<String>,
-    /// Substrings of `fn` names in `event_file` whose casts are
-    /// packing casts (lane-payload pack/unpack helpers).
-    pub packing_fns: Vec<String>,
-    /// Path prefixes whose `pub fn new` constructors must
-    /// validate-or-panic (scope of `ctor-validate`).
-    pub ctor_paths: Vec<String>,
-    /// Path prefix holding the serving entry points.
-    pub serve_src: String,
-    /// Path prefix holding the corpus-digest/conservation tests that
-    /// must name every public `serve_*` entry point.
-    pub serve_tests: String,
-    /// Per-rule severity overrides, checked before [`RULES`] defaults.
-    pub severity_overrides: Vec<(String, Severity)>,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Self {
-            sim_paths: vec![
-                "crates/qsim/src/".into(),
-                "crates/core/src/".into(),
-                "crates/hwsim/src/".into(),
-            ],
-            bench_test_paths: vec![
-                "crates/bench/".into(),
-                "/tests/".into(),
-                "/benches/".into(),
-                "tests/".into(),
-                "perfbench/".into(),
-            ],
-            shard_files: vec!["crates/qsim/src/shard.rs".into()],
-            event_file: "crates/qsim/src/sim.rs".into(),
-            packing_impls: vec!["Event".into()],
-            packing_fns: vec![
-                "pack".into(),
-                "lane".into(),
-                "payload".into(),
-                "push_arrive".into(),
-            ],
-            ctor_paths: vec!["crates/qsim/src/".into()],
-            serve_src: "crates/qsim/src/".into(),
-            serve_tests: "crates/qsim/tests/".into(),
-            severity_overrides: Vec::new(),
-        }
-    }
-}
-
-impl Config {
-    /// Resolved severity for a rule id.
-    pub fn severity(&self, id: &str) -> Severity {
-        self.severity_overrides
-            .iter()
-            .find(|(r, _)| r == id)
-            .map(|(_, s)| *s)
-            .or_else(|| rule_meta(id).map(|m| m.severity))
-            .unwrap_or(Severity::Deny)
-    }
-
-    /// Whether `path` falls under the bench/test carve-out.
-    fn is_bench_test(&self, path: &str) -> bool {
-        self.bench_test_paths.iter().any(|frag| {
-            if let Some(prefix) = frag.strip_suffix('/') {
-                if frag.contains('/') && !frag.starts_with('/') {
-                    // A prefix fragment like `crates/bench/` or `tests/`.
-                    if path.starts_with(frag) || path == prefix {
-                        return true;
-                    }
-                }
-            }
-            frag.starts_with('/') && path.contains(frag)
-        })
-    }
-}
-
-/// One rule violation.
+/// One rule violation; every finding fails the scan.
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// Rule id.
     pub rule: &'static str,
-    /// Resolved severity.
-    pub severity: Severity,
     /// Workspace-relative path.
     pub path: String,
     /// 1-indexed source line.
@@ -209,17 +123,15 @@ impl std::fmt::Display for Finding {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}:{}: [{}] {}: {}",
-            self.path, self.line, self.severity, self.rule, self.message
+            "{}:{}: {}: {}",
+            self.path, self.line, self.rule, self.message
         )
     }
 }
 
-/// Context shared by the per-file rules: the file, the config, and the
-/// findings sink.
+/// Context shared by the per-file rules: the file and the findings sink.
 struct Ctx<'a> {
     file: &'a ScannedFile,
-    cfg: &'a Config,
     out: &'a mut Vec<Finding>,
 }
 
@@ -232,7 +144,6 @@ impl Ctx<'_> {
         }
         self.out.push(Finding {
             rule,
-            severity: self.cfg.severity(rule),
             path: self.file.path.clone(),
             line: idx + 1,
             message,
@@ -241,8 +152,8 @@ impl Ctx<'_> {
 }
 
 /// Runs every per-file rule over `file`.
-pub fn check_file(file: &ScannedFile, cfg: &Config, out: &mut Vec<Finding>) {
-    let mut ctx = Ctx { file, cfg, out };
+pub fn check_file(file: &ScannedFile, out: &mut Vec<Finding>) {
+    let mut ctx = Ctx { file, out };
     bad_allow(&mut ctx);
     hash_iter(&mut ctx);
     wall_clock(&mut ctx);
@@ -253,9 +164,9 @@ pub fn check_file(file: &ScannedFile, cfg: &Config, out: &mut Vec<Finding>) {
 }
 
 /// Runs the cross-file rules over the whole scanned set.
-pub fn check_workspace(files: &[ScannedFile], cfg: &Config, out: &mut Vec<Finding>) {
-    serve_coverage(files, cfg, out);
-    dead_pub(files, cfg, out);
+pub fn check_workspace(files: &[ScannedFile], out: &mut Vec<Finding>) {
+    serve_coverage(files, out);
+    dead_pub(files, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -270,7 +181,7 @@ fn bad_allow(ctx: &mut Ctx<'_>) {
     for (idx, allows) in ctx.file.allows.clone().into_iter().enumerate() {
         for allow in allows {
             for rule in &allow.rules {
-                if rule_meta(rule).is_none() {
+                if !RULES.iter().any(|r| r.id == rule) {
                     ctx.emit("bad-allow", idx, format!("unknown rule `{rule}` in allow"));
                 }
             }
@@ -297,19 +208,14 @@ const HASH_ITER_METHODS: &[&str] = &[
 ];
 
 /// Denies iteration (and min/max over entries, which goes through
-/// `iter`/`keys`/`values`) of `HashMap`/`HashSet` bindings in the
-/// configured sim paths. Keyed access — `get`, `insert`,
+/// `iter`/`keys`/`values`) of `HashMap`/`HashSet` bindings in
+/// [`SIM_PATHS`]. Keyed access — `get`, `insert`,
 /// `contains_key`, `entry`, indexing — is fine: it never observes hash
 /// order. Detection is name-based: pass one collects identifiers bound
 /// to a hash-typed field, param, or `let`; pass two flags
 /// order-observing method calls and `for … in` loops over them.
 fn hash_iter(ctx: &mut Ctx<'_>) {
-    if !ctx
-        .cfg
-        .sim_paths
-        .iter()
-        .any(|p| ctx.file.path.starts_with(p.as_str()))
-    {
+    if !SIM_PATHS.iter().any(|p| ctx.file.path.starts_with(p)) {
         return;
     }
     let mut bound: Vec<String> = Vec::new();
@@ -464,7 +370,7 @@ fn token_rule(
     tokens: &[&str],
     message: impl Fn(&str) -> String,
 ) {
-    if ctx.cfg.is_bench_test(&ctx.file.path) {
+    if is_bench_test(&ctx.file.path) {
         return;
     }
     for (idx, line) in ctx.file.lines.clone().iter().enumerate() {
@@ -488,12 +394,7 @@ fn token_rule(
 /// worker count, so any branch on it needs a written invariance
 /// argument (inline allow).
 fn shard_nondet(ctx: &mut Ctx<'_>) {
-    if !ctx
-        .cfg
-        .shard_files
-        .iter()
-        .any(|f| ctx.file.path == f.as_str())
-    {
+    if ctx.file.path != SHARD_FILE {
         return;
     }
     for (idx, line) in ctx.file.lines.clone().iter().enumerate() {
@@ -533,17 +434,15 @@ fn shard_nondet(ctx: &mut Ctx<'_>) {
 /// unless the line carries an allow with a range justification: a
 /// silent truncation in the packing layer corrupts event identity.
 fn packing_cast(ctx: &mut Ctx<'_>) {
-    if ctx.file.path != ctx.cfg.event_file {
+    if ctx.file.path != EVENT_FILE {
         return;
     }
-    let impls = ctx.cfg.packing_impls.clone();
-    let fns = ctx.cfg.packing_fns.clone();
     for (idx, line) in ctx.file.lines.clone().iter().enumerate() {
         if line.in_test {
             continue;
         }
-        let in_scope = impls.contains(&line.impl_name)
-            || fns.iter().any(|f| line.fn_name.contains(f.as_str()));
+        let in_scope = PACKING_IMPLS.contains(&line.impl_name.as_str())
+            || PACKING_FNS.iter().any(|f| line.fn_name.contains(f));
         if !in_scope {
             continue;
         }
@@ -582,12 +481,7 @@ fn packing_cast(ctx: &mut Ctx<'_>) {
 /// or rates (`usize`/`f64` parameters) must either assert/panic in its
 /// body or document `# Panics` (delegating constructors).
 fn ctor_validate(ctx: &mut Ctx<'_>) {
-    if !ctx
-        .cfg
-        .ctor_paths
-        .iter()
-        .any(|p| ctx.file.path.starts_with(p.as_str()))
-    {
+    if !ctx.file.path.starts_with(QSIM_SRC) {
         return;
     }
     let lines = ctx.file.lines.clone();
@@ -679,14 +573,14 @@ fn ctor_validate(ctx: &mut Ctx<'_>) {
 // ---------------------------------------------------------------------------
 
 /// Cross-file rule: every `pub fn serve*` in the serving crate must be
-/// named by at least one test under the configured tests tree — the
+/// named by at least one test under [`QSIM_TESTS`] — the
 /// repo's corpus-digest/conservation discipline, enforced
 /// mechanically. Adding a `serve_*` entry point without pinning it
 /// fails the build.
-fn serve_coverage(files: &[ScannedFile], cfg: &Config, out: &mut Vec<Finding>) {
+fn serve_coverage(files: &[ScannedFile], out: &mut Vec<Finding>) {
     let mut entry_points: Vec<(String, usize, usize)> = Vec::new(); // name, file idx, line idx
     for (fi, f) in files.iter().enumerate() {
-        if !f.path.starts_with(&cfg.serve_src) {
+        if !f.path.starts_with(QSIM_SRC) {
             continue;
         }
         for (idx, line) in f.lines.iter().enumerate() {
@@ -708,7 +602,7 @@ fn serve_coverage(files: &[ScannedFile], cfg: &Config, out: &mut Vec<Finding>) {
     if entry_points.is_empty() {
         return;
     }
-    let has_tests = files.iter().any(|f| f.path.starts_with(&cfg.serve_tests));
+    let has_tests = files.iter().any(|f| f.path.starts_with(QSIM_TESTS));
     for (name, fi, idx) in entry_points {
         let file = &files[fi];
         if file.allowed(idx, "serve-coverage") {
@@ -716,19 +610,17 @@ fn serve_coverage(files: &[ScannedFile], cfg: &Config, out: &mut Vec<Finding>) {
         }
         let covered = has_tests
             && files.iter().any(|f| {
-                f.path.starts_with(&cfg.serve_tests)
+                f.path.starts_with(QSIM_TESTS)
                     && f.lines.iter().any(|l| find_word(&l.code, &name).is_some())
             });
         if !covered {
             out.push(Finding {
                 rule: "serve-coverage",
-                severity: cfg.severity("serve-coverage"),
                 path: file.path.clone(),
                 line: idx + 1,
                 message: format!(
                     "public entry point `{name}` is not named by any test under \
-                     `{}`; add a corpus digest or conservation property pinning it",
-                    cfg.serve_tests
+                     `{QSIM_TESTS}`; add a corpus digest or conservation property pinning it"
                 ),
             });
         }
@@ -770,7 +662,7 @@ struct PubItem<'a> {
 /// Names match as whole words of code, so an item sharing its name with
 /// a live item elsewhere (a common method name like `len`) stays
 /// unflagged: the rule finds dead names, not every dead item.
-fn dead_pub(files: &[ScannedFile], cfg: &Config, out: &mut Vec<Finding>) {
+fn dead_pub(files: &[ScannedFile], out: &mut Vec<Finding>) {
     let mut items: Vec<PubItem<'_>> = Vec::new();
     for (fi, f) in files.iter().enumerate() {
         if !declares_api(&f.path) {
@@ -832,7 +724,6 @@ fn dead_pub(files: &[ScannedFile], cfg: &Config, out: &mut Vec<Finding>) {
         };
         out.push(Finding {
             rule: "dead-pub",
-            severity: cfg.severity("dead-pub"),
             path: file.path.clone(),
             line: item.line + 1,
             message: format!(

@@ -225,11 +225,8 @@ fn main() {
     // scan grows with the tree, and the budget is the contract.
     let workspace_root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
     let start = Instant::now();
-    let report = recpipe_analysis::analyze_workspace(
-        workspace_root,
-        &recpipe_analysis::rules::Config::default(),
-    )
-    .expect("workspace sources readable");
+    let report =
+        recpipe_analysis::analyze_workspace(workspace_root).expect("workspace sources readable");
     let simlint_seconds = start.elapsed().as_secs_f64();
     let simlint_normalized = simlint_seconds / machine_factor;
     let simlint_verdict = if simlint_normalized >= SIMLINT_BUDGET_SECONDS {

@@ -23,15 +23,6 @@ impl RankingQuery {
     pub fn num_candidates(&self) -> usize {
         self.utilities.len()
     }
-
-    /// Gains (NDCG relevance values) for each candidate under the dataset's
-    /// gain transform.
-    pub fn gains(&self, gain_exponent: f64) -> Vec<f64> {
-        self.utilities
-            .iter()
-            .map(|&u| u.powf(gain_exponent))
-            .collect()
-    }
 }
 
 /// One labeled training example for the learned-model path (Figure 2).
@@ -55,25 +46,6 @@ pub struct ClickSample {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gains_apply_power_transform() {
-        let q = RankingQuery {
-            id: 0,
-            utilities: vec![2.0, 3.0],
-        };
-        let g = q.gains(2.0);
-        assert_eq!(g, vec![4.0, 9.0]);
-    }
-
-    #[test]
-    fn gains_with_unit_exponent_are_utilities() {
-        let q = RankingQuery {
-            id: 1,
-            utilities: vec![0.5, 1.5],
-        };
-        assert_eq!(q.gains(1.0), q.utilities);
-    }
 
     #[test]
     fn num_candidates_counts_pool() {

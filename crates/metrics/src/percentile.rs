@@ -69,8 +69,8 @@ fn bin_lower(idx: usize) -> u64 {
 /// containing the nearest-rank sample, clamped to the observed
 /// `[min, max]` — within one bin width (relative error ≤ 2⁻⁶ ≈ 1.6%) of
 /// the exact answer, still monotone in rank, and never above the true
-/// maximum. The folded state is a pure multiset summary: recording or
-/// merge order cannot change any reported statistic.
+/// maximum. The folded state is a pure multiset summary: recording
+/// order cannot change any reported statistic.
 ///
 /// # Examples
 ///
@@ -299,44 +299,6 @@ impl LatencyStats {
             .unwrap_or(Duration::ZERO)
     }
 
-    /// Merges another collector's samples into this one.
-    ///
-    /// Stays in exact mode when both sides are exact and the combined
-    /// count fits under the fold threshold; otherwise the result is
-    /// folded. Folded merges are commutative and associative, so shard
-    /// merge order cannot change any reported statistic.
-    pub fn merge(&mut self, other: &LatencyStats) {
-        if !self.is_folded()
-            && !other.is_folded()
-            && self.samples_ns.len() + other.samples_ns.len() <= FOLD_THRESHOLD
-        {
-            self.samples_ns.extend_from_slice(&other.samples_ns);
-            self.sorted = false;
-            return;
-        }
-        self.fold();
-        if other.is_folded() {
-            for (b, &c) in self.bins.iter_mut().zip(other.bins.iter()) {
-                *b += c;
-            }
-            if other.count > 0 {
-                if self.count == 0 {
-                    self.min_ns = other.min_ns;
-                    self.max_ns = other.max_ns;
-                } else {
-                    self.min_ns = self.min_ns.min(other.min_ns);
-                    self.max_ns = self.max_ns.max(other.max_ns);
-                }
-                self.count += other.count;
-                self.sum_ns += other.sum_ns;
-            }
-        } else {
-            for &ns in &other.samples_ns {
-                self.fold_one(ns);
-            }
-        }
-    }
-
     /// The exact samples in ascending order, borrowed when already
     /// sorted.
     fn sorted_samples(&self) -> Cow<'_, [u64]> {
@@ -479,15 +441,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines_samples() {
-        let mut a = filled(50);
-        let b = filled(100);
-        a.merge(&b);
-        assert_eq!(a.len(), 150);
-        assert!(a.p99() >= Duration::from_millis(98));
-    }
-
-    #[test]
     fn record_secs_clamps_pathological_input() {
         let mut s = LatencyStats::new();
         s.record_secs(-1.0);
@@ -539,8 +492,8 @@ mod tests {
 
     #[test]
     fn folded_percentiles_track_exact_within_one_bin_width() {
-        // Same stream into an exact collector (merged under threshold
-        // stays exact) and a folded one.
+        // Same stream into a folded collector and an exact sorted
+        // sample.
         let n = FOLD_THRESHOLD as u64 + 4096;
         let mut folded = LatencyStats::new();
         let mut exact_samples: Vec<u64> = Vec::new();
@@ -582,47 +535,6 @@ mod tests {
         assert!(s.is_folded());
         assert_eq!(s.mean(), Duration::from_nanos(n.div_ceil(2)));
         assert_eq!(s.max(), Duration::from_nanos(n));
-    }
-
-    #[test]
-    fn merge_folds_when_combined_count_crosses_threshold() {
-        let mut a = LatencyStats::new();
-        let mut b = LatencyStats::new();
-        for i in 0..(FOLD_THRESHOLD as u64 / 2 + 10) {
-            a.record(Duration::from_nanos(i + 1));
-            b.record(Duration::from_nanos(i + 1));
-        }
-        assert!(!a.is_folded() && !b.is_folded());
-        a.merge(&b);
-        assert!(a.is_folded());
-        assert_eq!(a.len(), 2 * (FOLD_THRESHOLD / 2 + 10));
-    }
-
-    #[test]
-    fn folded_merge_is_order_independent() {
-        let mut mixed: Vec<u64> = (1..=8192u64).map(|i| i * 977 + 13).collect();
-        let build = |chunks: &[&[u64]]| {
-            let mut acc = LatencyStats::new();
-            acc.fold();
-            for chunk in chunks {
-                let mut part = LatencyStats::new();
-                for &v in *chunk {
-                    part.record(Duration::from_nanos(v));
-                }
-                acc.merge(&part);
-            }
-            acc
-        };
-        let (lo, hi) = mixed.split_at(4096);
-        let mut fwd = build(&[lo, hi]);
-        let mut rev = build(&[hi, lo]);
-        assert_eq!(fwd, rev);
-        assert_eq!(fwd.p99(), rev.p99());
-        mixed.reverse();
-        let (lo2, hi2) = mixed.split_at(1000);
-        let mut shuffled = build(&[lo2, hi2]);
-        assert_eq!(fwd.p50(), shuffled.p50());
-        assert_eq!(fwd.mean(), shuffled.mean());
     }
 
     #[test]

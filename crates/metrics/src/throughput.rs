@@ -46,11 +46,6 @@ impl ThroughputMeter {
         }
     }
 
-    /// Number of completions observed.
-    pub fn completions(&self) -> u64 {
-        self.completions
-    }
-
     /// Time span between first and last completion.
     pub fn span(&self) -> Duration {
         match (self.first, self.last) {
@@ -80,7 +75,6 @@ mod tests {
     fn empty_meter_reports_zero() {
         let m = ThroughputMeter::new();
         assert_eq!(m.qps(), 0.0);
-        assert_eq!(m.completions(), 0);
         assert_eq!(m.span(), Duration::ZERO);
     }
 

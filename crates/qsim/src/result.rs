@@ -70,44 +70,6 @@ pub struct SimResult {
 }
 
 impl SimResult {
-    /// Bundles simulation outputs.
-    pub(crate) fn new(
-        latency: LatencyStats,
-        qps: f64,
-        completed: usize,
-        saturated: bool,
-        utilization: Vec<f64>,
-    ) -> Self {
-        Self {
-            latency,
-            qps,
-            completed,
-            saturated,
-            utilization,
-            mean_batch: 1.0,
-            replica_utilization: Vec::new(),
-            shed: 0,
-            dropped: 0,
-            cost_integral: 0.0,
-            windows: Vec::new(),
-            paths: Vec::new(),
-            admission_shed: 0,
-            resilience: None,
-        }
-    }
-
-    /// Attaches the observed mean batch size.
-    pub(crate) fn with_mean_batch(mut self, mean_batch: f64) -> Self {
-        self.mean_batch = mean_batch;
-        self
-    }
-
-    /// Attaches the per-replica utilization breakdown.
-    pub(crate) fn with_replica_utilization(mut self, replica_utilization: Vec<Vec<f64>>) -> Self {
-        self.replica_utilization = replica_utilization;
-        self
-    }
-
     /// Queries resolved as timed-out-final (0 outside
     /// resilient runs) — the fourth
     /// term of the conservation ledger `completed + shed + dropped +
@@ -245,7 +207,22 @@ mod tests {
         for &m in ms {
             stats.record(Duration::from_millis(m));
         }
-        SimResult::new(stats, 100.0, ms.len(), saturated, vec![0.5])
+        SimResult {
+            latency: stats,
+            qps: 100.0,
+            completed: ms.len(),
+            saturated,
+            utilization: vec![0.5],
+            mean_batch: 1.0,
+            replica_utilization: Vec::new(),
+            shed: 0,
+            dropped: 0,
+            cost_integral: 0.0,
+            windows: Vec::new(),
+            paths: Vec::new(),
+            admission_shed: 0,
+            resilience: None,
+        }
     }
 
     #[test]

@@ -51,8 +51,9 @@
 //!
 //! Floating-point accumulation order is also preserved: every per-slot
 //! quantity (busy seconds, estimator columns) is updated by the one
-//! shard owning that slot in its serial order, and the merged latency
-//! sums are integer nanoseconds.
+//! shard owning that slot in its serial order. Only the last stage's
+//! shard completes queries, so it records every latency and completion
+//! time, and the merge takes its collector and counts whole.
 //!
 //! Specs the decomposition cannot handle fall back to the serial loop
 //! (same results, one thread): single-stage pipelines, stages sharing

@@ -526,15 +526,22 @@ impl RunTotals {
         } else {
             1.0
         };
-        SimResult::new(
-            self.latency,
-            self.qps,
-            self.completed,
+        SimResult {
+            latency: self.latency,
+            qps: self.qps,
+            completed: self.completed,
             saturated,
             utilization,
-        )
-        .with_mean_batch(mean_batch)
-        .with_replica_utilization(replica_utilization)
+            mean_batch,
+            replica_utilization,
+            shed: 0,
+            dropped: 0,
+            cost_integral: 0.0,
+            windows: Vec::new(),
+            paths: Vec::new(),
+            admission_shed: 0,
+            resilience: None,
+        }
     }
 }
 

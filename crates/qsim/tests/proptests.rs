@@ -527,10 +527,11 @@ proptest! {
         seed in 0u64..200,
     ) {
         // The per-stage shard decomposition must be invisible: on a
-        // shardable spec the sequential (workers = 1) and threaded
-        // executors both reproduce the serial loop bit-for-bit across
-        // the router x policy x fleet x batching matrix. The worker
-        // count is a wall-clock knob, never a results knob.
+        // shardable spec the shard driver reproduces the serial loop
+        // bit-for-bit on one thread, two threads and every core
+        // (workers = 1, 2, 0) across the router x policy x fleet x
+        // batching matrix. The worker count is a wall-clock knob, never
+        // a results knob.
         let spec = two_backend_pipeline(fast, slow, speed_pct, capacity, replicas2, max_batch);
         let policy = policy_for(policy_idx);
         let router = router_for(router_idx);

@@ -301,28 +301,6 @@ impl Matrix {
         })
     }
 
-    /// Elementwise difference `self - rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if shapes differ.
-    pub fn sub(&self, rhs: &Matrix) -> Result<Matrix, ShapeError> {
-        if self.shape() != rhs.shape() {
-            return Err(ShapeError::new("sub", self.shape(), rhs.shape()));
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(rhs.data.iter())
-            .map(|(a, b)| a - b)
-            .collect();
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
     /// Applies `f` to every element, returning a new matrix.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
         Matrix {
@@ -423,15 +401,6 @@ mod tests {
         let t = a.transpose();
         assert_eq!(t.shape(), (2, 3));
         assert_eq!(t.get(1, 2), a.get(2, 1));
-    }
-
-    #[test]
-    fn add_sub_roundtrip() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0]]);
-        let b = Matrix::from_rows(&[&[0.5, -0.5]]);
-        let sum = a.add(&b).unwrap();
-        let back = sum.sub(&b).unwrap();
-        assert!(back.max_abs_diff(&a) < 1e-6);
     }
 
     #[test]

@@ -3,12 +3,11 @@
 //! fails the root test run, not only CI's separate simlint step.
 
 use recpipe_analysis::analyze_workspace;
-use recpipe_analysis::rules::Config;
 
 #[test]
 fn live_workspace_scans_clean() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let r = analyze_workspace(root, &Config::default()).expect("workspace readable");
+    let r = analyze_workspace(root).expect("workspace readable");
     assert!(r.files > 50, "walker found only {} files", r.files);
     assert!(
         r.findings.is_empty(),
