@@ -175,10 +175,11 @@ pub fn check_workspace(files: &[ScannedFile], out: &mut Vec<Finding>) {
 
 /// Malformed directives and allows naming unknown rules.
 fn bad_allow(ctx: &mut Ctx<'_>) {
-    for (idx, msg) in ctx.file.malformed.clone() {
-        ctx.emit("bad-allow", idx, msg);
+    let file = ctx.file;
+    for (idx, msg) in &file.malformed {
+        ctx.emit("bad-allow", *idx, msg.clone());
     }
-    for (idx, allows) in ctx.file.allows.clone().into_iter().enumerate() {
+    for (idx, allows) in file.allows.iter().enumerate() {
         for allow in allows {
             for rule in &allow.rules {
                 if !RULES.iter().any(|r| r.id == rule) {
@@ -232,8 +233,8 @@ fn hash_iter(ctx: &mut Ctx<'_>) {
         if line.in_test {
             continue;
         }
-        for name in bound.clone() {
-            if let Some(m) = iterates(&line.code, &name) {
+        for name in &bound {
+            if let Some(m) = iterates(&line.code, name) {
                 ctx.emit(
                     "hash-iter",
                     idx,
@@ -370,10 +371,11 @@ fn token_rule(
     tokens: &[&str],
     message: impl Fn(&str) -> String,
 ) {
-    if is_bench_test(&ctx.file.path) {
+    let file = ctx.file;
+    if is_bench_test(&file.path) {
         return;
     }
-    for (idx, line) in ctx.file.lines.clone().iter().enumerate() {
+    for (idx, line) in file.lines.iter().enumerate() {
         if line.in_test {
             continue;
         }
@@ -394,10 +396,11 @@ fn token_rule(
 /// worker count, so any branch on it needs a written invariance
 /// argument (inline allow).
 fn shard_nondet(ctx: &mut Ctx<'_>) {
-    if ctx.file.path != SHARD_FILE {
+    let file = ctx.file;
+    if file.path != SHARD_FILE {
         return;
     }
-    for (idx, line) in ctx.file.lines.clone().iter().enumerate() {
+    for (idx, line) in file.lines.iter().enumerate() {
         if line.in_test {
             continue;
         }
@@ -434,10 +437,11 @@ fn shard_nondet(ctx: &mut Ctx<'_>) {
 /// unless the line carries an allow with a range justification: a
 /// silent truncation in the packing layer corrupts event identity.
 fn packing_cast(ctx: &mut Ctx<'_>) {
-    if ctx.file.path != EVENT_FILE {
+    let file = ctx.file;
+    if file.path != EVENT_FILE {
         return;
     }
-    for (idx, line) in ctx.file.lines.clone().iter().enumerate() {
+    for (idx, line) in file.lines.iter().enumerate() {
         if line.in_test {
             continue;
         }
@@ -481,10 +485,11 @@ fn packing_cast(ctx: &mut Ctx<'_>) {
 /// or rates (`usize`/`f64` parameters) must either assert/panic in its
 /// body or document `# Panics` (delegating constructors).
 fn ctor_validate(ctx: &mut Ctx<'_>) {
-    if !ctx.file.path.starts_with(QSIM_SRC) {
+    let file = ctx.file;
+    if !file.path.starts_with(QSIM_SRC) {
         return;
     }
-    let lines = ctx.file.lines.clone();
+    let lines = &file.lines;
     for (idx, line) in lines.iter().enumerate() {
         if line.in_test {
             continue;

@@ -151,27 +151,38 @@ fn nearest_rank(values: &mut [f64], q: f64) -> f64 {
 }
 
 /// A packed event: 24 bytes instead of the 40 a time, a seq and the
-/// kind with two `usize` payloads would occupy, so every sift in the
-/// event heap moves 40% less memory — the heap is the hottest data
-/// structure in the simulator, and pop/push cost is dominated by these
-/// copies at 4 events per query-stage.
+/// kind with two `usize` payloads would occupy, so every heap sift and
+/// lane move in the event queue copies 40% less memory, at 4 events per
+/// query-stage.
 ///
-/// `key` packs `(seq << 3) | kind`. Seqs are unique, so events pop in
-/// `(time, seq)` order and the kind never breaks a tie: same-time
-/// events pop in the order their seqs were numbered. Schedule arrival
-/// `q` carries seq `q`; the scheduled lifecycle transitions (group-major,
-/// in schedule order) and then the first window tick are numbered next,
-/// when the run is armed; every other event takes the next seq from
-/// `Sim::seq` when it is created. A new kind's tie order is decided by
-/// where its seq comes from, not by its tag. Payloads are two `u32`s:
-/// query/batch/slot indices are bounded well below `u32::MAX`
-/// (validated by `Scenario::run`), and generation counters compare on
-/// their low 32 bits (a stale event would mis-match only after 2^32
-/// same-slot generation bumps while it sat in the queue, which cannot
-/// happen before the queue itself exhausts memory).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Events pop in `(time, seq)` order, compared as one integer, the
+/// [`order`](Self::order) key: the time's order bits above `key`.
+/// - `at` holds the time's IEEE total-order bits
+///   ([`order_bits`](Self::order_bits)), which order as unsigned
+///   integers exactly as the times do, negative times included.
+///   [`time`](Self::time) decodes them. The time is canonicalized
+///   first, `-0.0` to `+0.0`: the two are equal times, so they must tie
+///   and let the seq decide, and raw bits would put every `-0.0` event
+///   first. So an event created at `-0.0` pops at `+0.0`, which equals
+///   it. Lifecycle events accept `-0.0`, and a custom `ArrivalProcess`
+///   may yield it or negative times.
+/// - `key` packs `(seq << 3) | kind`. Seqs are unique, so the kind
+///   never breaks a tie: same-time events pop in the order their seqs
+///   were numbered. Schedule arrival `q` carries seq `q`; the scheduled
+///   lifecycle transitions (group-major, in schedule order) and then
+///   the first window tick are numbered next, when the run is armed;
+///   every other event takes the next seq from `Sim::seq` when it is
+///   created. A new kind's tie order is decided by where its seq comes
+///   from, not by its tag.
+///
+/// Payloads are two `u32`s: query/batch/slot indices are bounded well
+/// below `u32::MAX` (validated by `Scenario::run`), and generation
+/// counters compare on their low 32 bits (a stale event would mis-match
+/// only after 2^32 same-slot generation bumps while it sat in the
+/// queue, which cannot happen before the queue itself exhausts memory).
+#[derive(Clone, Copy, PartialEq, Eq)]
 struct Event {
-    time: f64,
+    at: u64,
     key: u64,
     a: u32,
     b: u32,
@@ -181,8 +192,9 @@ impl Event {
     #[inline]
     fn new(time: f64, seq: u64, kind: EventKind, a: usize, b: u32) -> Self {
         debug_assert!(a <= u32::MAX as usize);
+        debug_assert!(!time.is_nan(), "event times are never NaN");
         Self {
-            time,
+            at: Self::order_bits(time),
             // simlint: allow(packing-cast) -- a discriminant in 0..8
             key: (seq << 3) | kind as u64,
             // simlint: allow(packing-cast) -- a is a query/batch/slot
@@ -191,6 +203,28 @@ impl Event {
             a: a as u32,
             b,
         }
+    }
+
+    /// The total-order bits of `time`, canonicalized: `-0.0 + 0.0` is
+    /// `+0.0`, and adding `0.0` leaves every other time as it is. A set
+    /// sign bit flips every bit and a clear one flips only the sign, so
+    /// the bits order as unsigned integers exactly as the times order.
+    #[inline]
+    fn order_bits(time: f64) -> u64 {
+        let bits = (time + 0.0).to_bits();
+        bits ^ ((bits >> 63).wrapping_neg() | 1 << 63)
+    }
+
+    /// The event's time, decoded from its order bits.
+    #[inline]
+    fn time(&self) -> f64 {
+        f64::from_bits(self.at ^ ((!self.at >> 63).wrapping_neg() | 1 << 63))
+    }
+
+    /// The event's order key: the least key pops first.
+    #[inline]
+    fn order(&self) -> u128 {
+        u128::from(self.at) << 64 | u128::from(self.key)
     }
 
     /// The low 32 bits of a slot's or batch's generation — what a
@@ -227,18 +261,22 @@ impl Event {
     }
 }
 
-impl Eq for Event {}
+impl std::fmt::Debug for Event {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Event")
+            .field("time", &self.time())
+            .field("seq", &self.seq())
+            .field("kind", &self.kind())
+            .field("a", &self.a)
+            .field("b", &self.b)
+            .finish()
+    }
+}
 
 impl Ord for Event {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on (time, seq): BinaryHeap is a max-heap, so
-        // reverse. `key` orders exactly as `seq` (unique seqs; tag bits
-        // below them never break a tie).
-        other
-            .time
-            .partial_cmp(&self.time)
-            .unwrap_or(Ordering::Equal)
-            .then(other.key.cmp(&self.key))
+        // Reversed, so that `BinaryHeap`, a max-heap, pops the least key.
+        other.order().cmp(&self.order())
     }
 }
 
@@ -642,7 +680,7 @@ impl<'a> Sim<'a> {
             arrivals,
             router,
             num_queries,
-            queue: EventQueue::default(),
+            queue: EventQueue::new(num_stages),
             seq: 0,
             window: QueryWindow::new(if track_hist { num_stages } else { 0 }),
             slot_base,
@@ -700,10 +738,11 @@ impl<'a> Sim<'a> {
     /// Stages the arrival schedule lazily from
     /// [`ArrivalProcess::stream`] (a closed loop stages only its client
     /// population and derives the rest from resolved queries): one
-    /// stage-0 event sits in the heap at a time, and each pop pulls its
-    /// successor's timestamp ([`stage_next_arrival`]). The heap stays
-    /// at the in-flight high-water mark instead of the query count, and
-    /// a 10M-query replay never materializes the schedule. Schedule
+    /// stage-0 event is queued at a time, on the queue's schedule lane,
+    /// and each pop pulls its successor's timestamp
+    /// ([`stage_next_arrival`]). The queue stays at the in-flight
+    /// high-water mark instead of the query count, and a 10M-query
+    /// replay never materializes the schedule. Schedule
     /// arrival `q` carries seq `q`, and the counter resumes at `initial`
     /// (see [`Event`] on the tie order this fixes).
     ///
@@ -729,7 +768,7 @@ impl<'a> Sim<'a> {
         self.arrival_span = self.arrival_span.max(t0);
         self.arrival_stream = Some(stream);
         self.queue
-            .push_heap(Event::new(t0, 0, EventKind::Arrive, 0, 0));
+            .push_schedule(Event::new(t0, 0, EventKind::Arrive, 0, 0));
     }
 
     /// Arms the replica lifecycle under `cfg`, with `scale`'s controller
@@ -782,6 +821,7 @@ impl<'a> Sim<'a> {
         debug_assert!(cfg.retry.max_attempts <= MAX_ATTEMPTS);
         debug_assert!(!cfg.is_inert());
         self.resil = Some(Box::new(ResilienceRt::new(cfg, seed)));
+        self.queue.arm_timers();
     }
 
     fn group_slots(&self, group: usize) -> Range<usize> {
@@ -789,9 +829,17 @@ impl<'a> Sim<'a> {
         base..base + self.group_replicas[group]
     }
 
-    /// Queues an event carrying the next seq.
+    /// Queues an event carrying the next seq, on its kind's lane when
+    /// it has one (see [`EventQueue::push`]).
     fn push(&mut self, time: f64, kind: EventKind, a: usize, b: u32) {
         self.queue.push(Event::new(time, self.seq, kind, a, b));
+        self.seq += 1;
+    }
+
+    /// Queues an event carrying the next seq straight onto the heap:
+    /// one created ahead of its lane's back.
+    fn push_heap(&mut self, time: f64, kind: EventKind, a: usize, b: u32) {
+        self.queue.push_heap(Event::new(time, self.seq, kind, a, b));
         self.seq += 1;
     }
 
@@ -815,15 +863,18 @@ impl<'a> Sim<'a> {
     }
 
     /// Arms the timeout and hedge events for an attempt of `q` starting
-    /// at `start` under the query's current generation.
-    fn arm_attempt(&mut self, start: f64, q: usize) {
+    /// at `start` under the query's current generation. A `retry`
+    /// starts after its backoff, ahead of the timeout and hedge lanes'
+    /// backs, so its timers go straight onto the heap.
+    fn arm_attempt(&mut self, start: f64, q: usize, retry: bool) {
         let rt = self.resil.as_mut().expect("resilience runtime attached");
         let (gen, timeout_at, hedge_at) = rt.timers(start, &self.window, q);
+        let push = if retry { Self::push_heap } else { Self::push };
         if let Some(t) = timeout_at {
-            self.push(t, EventKind::Timeout, q, gen);
+            push(self, t, EventKind::Timeout, q, gen);
         }
         if let Some(t) = hedge_at {
-            self.push(t, EventKind::Hedge, q, gen);
+            push(self, t, EventKind::Hedge, q, gen);
         }
     }
 
@@ -834,8 +885,12 @@ impl<'a> Sim<'a> {
         let rt = self.resil.as_mut().expect("resilience runtime attached");
         match rt.on_timeout(now, &mut self.window, q) {
             Some((start, gen)) => {
-                self.push_arrive(start, lane_id(q, gen, false), 0);
-                self.arm_attempt(start, q);
+                // The retry enters after its backoff, ahead of the arrive
+                // lane's back: straight onto the heap, so the in-order
+                // events created meanwhile keep their lanes.
+                let id = lane_id(q, gen, false);
+                self.push_heap(start, EventKind::Arrive, q, lane_payload(id, 0));
+                self.arm_attempt(start, q, true);
             }
             None => {
                 self.window.retire(q);
@@ -1089,6 +1144,7 @@ impl<'a> Sim<'a> {
         debug_assert!(queries.len() >= 1 && queries.len() <= stage.batch.max_batch);
         self.free[slot] -= stage.units;
         self.in_flight[slot] += queries.len();
+        let single = queries.len() == 1;
         let base_service = stage.batch_service_time(queries.len());
         // Full-speed slots (every slot on a homogeneous lifecycle-free
         // fleet) skip the divide: `x / 1.0 == x` exactly, so the branch
@@ -1129,7 +1185,13 @@ impl<'a> Sim<'a> {
             }
         };
         let gen = Event::gen32(self.batch_gen[batch]);
-        self.push(finish, EventKind::Complete, batch, gen);
+        let event = Event::new(finish, self.seq, EventKind::Complete, batch, gen);
+        self.seq += 1;
+        if single && speed == 1.0 {
+            self.queue.push_completion(stage_idx, event);
+        } else {
+            self.queue.push_heap(event);
+        }
     }
 
     /// Inserts an entry into its slot queue at its (priority, seq)
@@ -1477,9 +1539,9 @@ impl<'a> Sim<'a> {
         );
         self.window.create(next, t);
         self.arrival_span = self.arrival_span.max(t);
-        // Straight onto the heap: see `EventQueue::push_heap`.
+        // On its own lane: see `EventQueue::push_schedule`.
         self.queue
-            .push_heap(Event::new(t, next as u64, EventKind::Arrive, next, 0));
+            .push_schedule(Event::new(t, next as u64, EventKind::Arrive, next, 0));
     }
 
     pub(crate) fn run(mut self) -> Result<SimResult, SimError> {
@@ -1498,7 +1560,7 @@ impl<'a> Sim<'a> {
     /// and every stage shard share. Breaks once an arrival leaves the
     /// run failed ([`SimError::NoAvailableReplica`]).
     fn step(&mut self, event: Event) -> ControlFlow<()> {
-        let now = event.time;
+        let now = event.time();
         // Telemetry ends at the last resolution: an event popping after
         // it (a stale warm-up, a window tick armed before the end)
         // advances no integral and closes no window, so `finish` closes
@@ -1541,7 +1603,7 @@ impl<'a> Sim<'a> {
                     if stage == 0 && rt.start(&mut self.window, query) {
                         // First dispatch of the query: attempt 1 starts
                         // now, with its timeout and hedge.
-                        self.arm_attempt(now, query);
+                        self.arm_attempt(now, query, false);
                     } else if !self.lane_live(id) {
                         // A cancelled lane's leftover arrival (requeue or
                         // parked flush of an attempt that has since
@@ -1637,7 +1699,7 @@ impl<'a> Sim<'a> {
                 return false;
             }
             let take_queued = match (self.queue.peek(), inbox.front()) {
-                (Some(ev), Some(&(t, ..))) => ev.time <= t,
+                (Some(ev), Some(&(t, ..))) => ev.time() <= t,
                 (Some(_), None) => closed,
                 (None, Some(_)) => false,
                 (None, None) => return closed,
@@ -2777,7 +2839,7 @@ mod tests {
         });
         sim.enable_lifecycle(&LifecycleConfig::new().with_window(1.0), None);
         let popped: Vec<_> = std::iter::from_fn(|| sim.queue.pop())
-            .map(|e| (e.time, e.kind()))
+            .map(|e| (e.time(), e.kind()))
             .collect();
         let kinds = [
             EventKind::Arrive,
@@ -2785,6 +2847,57 @@ mod tests {
             EventKind::WindowTick,
         ];
         assert_eq!(popped, kinds.map(|kind| (1.0, kind)));
+    }
+
+    /// A schedule replayed as it is. `TraceArrivals`' stream adds its
+    /// tiling offset to every time, and `-0.0 + 0.0` is `+0.0`; this one
+    /// hands a `-0.0` to the simulator, as a custom process may.
+    #[derive(Debug)]
+    struct Verbatim(Vec<f64>);
+
+    impl ArrivalProcess for Verbatim {
+        fn name(&self) -> String {
+            "verbatim".into()
+        }
+
+        fn mean_rate(&self) -> f64 {
+            self.0.len() as f64 / self.0[self.0.len() - 1]
+        }
+
+        fn stream(&self, _seed: u64) -> Box<dyn Iterator<Item = f64> + Send + '_> {
+            let last = self.0[self.0.len() - 1];
+            Box::new(self.0.iter().copied().chain(std::iter::repeat(last)))
+        }
+    }
+
+    #[test]
+    fn a_trace_starting_at_negative_zero_replays_the_one_at_zero() {
+        // `-0.0 == 0.0`, so the order key canonicalizes `-0.0`: events at
+        // the two tie, and their seqs decide. The schedule's zeros
+        // alternate in sign, so arrival 2 (at `-0.0`) is staged after
+        // arrival 1 (at `+0.0`) popped; a key built from the raw bits
+        // would order it first, and the queue's debug check that every
+        // pop is strictly after the last would fail. A degrade sits at
+        // `+0.0` too.
+        use recpipe_data::TraceArrivals;
+        let degrade = LifecycleEvent::degrade(0.0, 0, 0.5);
+        let spec = replicated(2, 0.005)
+            .with_group_lifecycle(0, LifecycleSchedule::empty().with_event(degrade));
+        let run = |arrivals: &dyn ArrivalProcess| {
+            Scenario::new(&spec, arrivals, 303, 3)
+                .lifecycle(&LifecycleConfig::new().with_window(0.1))
+                .run()
+                .unwrap()
+        };
+        let schedule = |zeros: [f64; 4]| {
+            let rest = (1..300).map(|i| f64::from(i) * 0.002);
+            zeros.into_iter().chain(rest).collect::<Vec<_>>()
+        };
+        let (signed, zero) = (schedule([-0.0, 0.0, -0.0, 0.0]), schedule([0.0; 4]));
+        let at_zero = run(&TraceArrivals::new(zero));
+        assert_eq!(at_zero.completed, 303);
+        assert_eq!(run(&TraceArrivals::new(signed.clone())), at_zero);
+        assert_eq!(run(&Verbatim(signed)), at_zero);
     }
 
     /// Test controller: always demands a fixed replica count.
@@ -2860,10 +2973,12 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // The event queue's in-order FIFOs
+    // The event queue's in-order lanes
     // ------------------------------------------------------------------
 
-    use crate::{FaultBurst, FaultKind, FaultPlan, Fifo, HedgePolicy, RetryBudget, RetryPolicy};
+    use crate::{
+        FaultBurst, FaultKind, FaultPlan, Fifo, HedgePolicy, LoadAdaptive, RetryBudget, RetryPolicy,
+    };
 
     /// The `perfbench` `gray` workload's fleet, traffic and resilience,
     /// with its limpware burst of two rank replicas at `limp_at` for
@@ -2908,9 +3023,17 @@ mod tests {
         (spec, arrivals, resilience)
     }
 
+    /// Steps `sim` until its queue drains, keeping it in hand to read
+    /// its state afterwards.
+    fn drain(mut sim: Sim<'_>) -> Sim<'_> {
+        while let Some(event) = sim.queue.pop() {
+            assert!(sim.step(event).is_continue());
+        }
+        sim
+    }
+
     /// Serves `n` queries of a [`gray_workload`] at seed 1 with
-    /// `Scenario::run`'s arming and a window every second, keeping the
-    /// drained loop in hand to read its state afterwards.
+    /// `Scenario::run`'s arming and a window every second.
     fn run_in_hand<'a>(
         spec: &'a PipelineSpec,
         arrivals: &'a MmppArrivals,
@@ -2927,24 +3050,42 @@ mod tests {
         });
         sim.enable_lifecycle(&LifecycleConfig::new().with_window(1.0), None);
         sim.enable_resilience(resilience, 1);
-        while let Some(event) = sim.queue.pop() {
-            assert!(sim.step(event).is_continue());
-        }
-        sim
+        drain(sim)
+    }
+
+    /// The share of pops that were not heap pops, of each kind of event
+    /// a lane can hold: next-stage, requeued and parked-flush arrivals
+    /// (every arrival but a schedule arrival), timers (timeouts and
+    /// hedges), and completions.
+    fn lane_shares(c: &queue::Counts) -> [f64; 3] {
+        let [arrive, complete, timeout, hedge] = [
+            EventKind::Arrive,
+            EventKind::Complete,
+            EventKind::Timeout,
+            EventKind::Hedge,
+        ]
+        .map(|k| k as usize);
+        let share = |off_heap: u64, heap: u64| off_heap as f64 / (off_heap + heap) as f64;
+        [
+            share(c.off_heap[arrive] - c.schedule, c.heap[arrive]),
+            share(
+                c.off_heap[timeout] + c.off_heap[hedge],
+                c.heap[timeout] + c.heap[hedge],
+            ),
+            share(c.off_heap[complete], c.heap[complete]),
+        ]
     }
 
     #[test]
-    fn in_order_events_pop_from_the_fifos() {
+    fn in_order_events_pop_from_the_lanes() {
         // The `perfbench` `gray` workload's fleet, traffic and resilience
         // at 50k queries (about 66 s), with its limpware and fail-stop
         // bursts moved inside the run and a quarter as long: next-stage
         // arrivals, requeues, first-attempt timeouts (mostly stale when
-        // they fire), retries and p95 hedges all flow through the queue.
-        // A retry's arrival and timers are created ahead of the FIFOs'
-        // backs and send the in-order events behind them to the heap
-        // until the clock passes; at `gray`'s full 20 s and 10 s, faults
-        // cover nearly half the run and the FIFO shares fall to about
-        // 91% of timers and 89% of other arrivals.
+        // they fire), retries, p95 hedges, and batched and degraded
+        // completions all flow through the queue. A retry's arrival and
+        // timers fire after its backoff and go straight onto the heap,
+        // so the in-order events created meanwhile keep their lanes.
         let (spec, arrivals, resilience) = gray_workload(10.0, 5.0, 30.0, 2.5);
         let n = 50_000;
         let sim = run_in_hand(&spec, &arrivals, &resilience, n);
@@ -2954,22 +3095,65 @@ mod tests {
 
         let c = sim.queue.counts;
         assert_eq!(c.pops(), c.pushes);
-        // All n schedule arrivals pop from the heap (every other arrival
-        // carries a seq past n).
-        assert_eq!(c.schedule_heap, n as u64);
-        let [arrive, timeout, hedge] =
-            [EventKind::Arrive, EventKind::Timeout, EventKind::Hedge].map(|k| k as usize);
-        let share = |fifo: u64, heap: u64| fifo as f64 / (fifo + heap) as f64;
-        let timers = share(
-            c.fifo[timeout] + c.fifo[hedge],
-            c.heap[timeout] + c.heap[hedge],
-        );
-        let onward = share(c.fifo[arrive], c.heap[arrive] - c.schedule_heap);
-        assert!(timers >= 0.9, "FIFO share of timer pops {timers}: {c:?}");
+        // Every schedule arrival pops from its lane or the `next` slot:
+        // none reaches the heap.
+        assert_eq!(c.schedule, n as u64);
+        let [onward, timers, completions] = lane_shares(&c);
         assert!(
-            onward >= 0.9,
-            "FIFO share of other arrivals {onward}: {c:?}"
+            onward >= 0.99,
+            "off-heap share of other arrivals {onward}: {c:?}"
         );
+        assert!(timers >= 0.99, "off-heap share of timers {timers}: {c:?}");
+        // Batches' and degraded slots' completions take the heap.
+        assert!(
+            (0.5..1.0).contains(&completions),
+            "off-heap share of completions {completions}: {c:?}"
+        );
+    }
+
+    #[test]
+    fn a_shared_group_s_completions_pop_from_the_lanes() {
+        // The `perfbench` `brownout` workload's shape: a three-path
+        // ladder of five single-unit stages at constant service, all on
+        // one 64-unit group, under `LoadAdaptive` through a diurnal ramp
+        // to three times the primary's capacity. Up to 64 completions
+        // of five stages are pending at once; each stage's completions
+        // finish in launch order, so every one pops from its stage's
+        // lane, and no event reaches the heap. A next-stage arrival at
+        // `now` pops first, from the `next` slot.
+        let stage = |name, service_s| StageSpec::new(name, 0, 1, service_s);
+        let paths = PathSet::new(vec![ReplicaGroup::new("cpu", 64)])
+            .with_path("full", 0.92, vec![stage("f0", 0.0103), stage("f1", 0.0151)])
+            .unwrap()
+            .with_path("mid", 0.90, vec![stage("m0", 0.0103), stage("m1", 0.0023)])
+            .unwrap()
+            .with_path("lite", 0.86, vec![stage("l0", 0.0039)])
+            .unwrap();
+        let capacity = 64.0 / (0.0103 + 0.0151);
+        let arrivals = DiurnalArrivals::new(0.5 * capacity, 3.0 * capacity, 20.0);
+        let admission = LoadAdaptive::new(1.5, 0.75);
+        let n = 40_000;
+        let mut sim = Sim::new(Inputs {
+            spec: paths.spec(),
+            arrivals: &arrivals,
+            policy: &Fifo,
+            router: &RoundRobin,
+            num_queries: n,
+            seed: 1,
+        });
+        sim.enable_lifecycle(&LifecycleConfig::new(), None);
+        sim.enable_multipath(&paths, &admission, 1);
+        let sim = drain(sim);
+        assert!(sim.shed > 0, "the ramp sheds some queries");
+
+        let c = sim.queue.counts;
+        assert_eq!(c.pops(), c.pushes);
+        assert_eq!(c.schedule, n as u64);
+        assert_eq!(c.heap_pushes, 0, "{c:?}");
+        let [onward, _, completions] = lane_shares(&c);
+        assert!(onward == 1.0 && completions == 1.0, "{c:?}");
+        let onward_arrivals = c.off_heap[EventKind::Arrive as usize] - c.schedule;
+        assert!(c.next >= onward_arrivals, "{c:?}");
     }
 
     // ------------------------------------------------------------------
