@@ -47,7 +47,7 @@ pub const RULES: &[RuleMeta] = &[
     },
     RuleMeta {
         id: "ctor-validate",
-        summary: "public qsim constructors taking sizes/rates validate-or-panic",
+        summary: "public qsim constructors and setters taking sizes/rates validate-or-panic",
     },
     RuleMeta {
         id: "serve-coverage",
@@ -480,10 +480,11 @@ fn packing_cast(ctx: &mut Ctx<'_>) {
 // ctor-validate
 // ---------------------------------------------------------------------------
 
-/// Enforces the documented validate-or-panic constructor policy
-/// (ARCHITECTURE.md "Validation policy"): a `pub fn new` taking sizes
-/// or rates (`usize`/`f64` parameters) must either assert/panic in its
-/// body or document `# Panics` (delegating constructors).
+/// Enforces the documented validate-or-panic builder policy
+/// (ARCHITECTURE.md "Validation policy"): a `pub fn new` or a builder
+/// setter (the [`is_setter`] shape) taking sizes or rates
+/// (`usize`/`f64` parameters) must either assert/panic in its body or
+/// document `# Panics` (delegating constructors).
 fn ctor_validate(ctx: &mut Ctx<'_>) {
     let file = ctx.file;
     if !file.path.starts_with(QSIM_SRC) {
@@ -495,12 +496,12 @@ fn ctor_validate(ctx: &mut Ctx<'_>) {
             continue;
         }
         let code = line.code.trim();
-        let is_ctor = code.starts_with("pub fn new(")
-            || code.starts_with("pub fn new<")
-            || code == "pub fn new";
-        if !is_ctor {
+        let name = code
+            .strip_prefix("pub fn ")
+            .and_then(|rest| words(rest).next());
+        let Some(name) = name.filter(|&n| n == "new" || is_setter(&lines[idx..])) else {
             continue;
-        }
+        };
         // Gather the signature (to the body `{` or a `;`) and the
         // parameter list within the outermost parens.
         let mut sig = String::new();
@@ -565,9 +566,11 @@ fn ctor_validate(ctx: &mut Ctx<'_>) {
             ctx.emit(
                 "ctor-validate",
                 idx,
-                "`pub fn new` takes usize/f64 arguments but neither validates (assert/panic) \
-                 nor documents `# Panics`; the qsim constructor policy is validate-or-panic"
-                    .into(),
+                format!(
+                    "`pub fn {name}` takes usize/f64 arguments but neither validates \
+                     (assert/panic) nor documents `# Panics`; qsim constructors and builder \
+                     setters validate-or-panic"
+                ),
             );
         }
     }

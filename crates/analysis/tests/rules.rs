@@ -14,6 +14,7 @@ const WALL_CLOCK: &str = include_str!("fixtures/wall_clock.rs");
 const SHARD_NONDET: &str = include_str!("fixtures/shard_nondet.rs");
 const PACKING_CAST: &str = include_str!("fixtures/packing_cast.rs");
 const CTOR_VALIDATE: &str = include_str!("fixtures/ctor_validate.rs");
+const CTOR_VALIDATE_SETTER: &str = include_str!("fixtures/ctor_validate_setter.rs");
 const SERVE_SRC: &str = include_str!("fixtures/serve_src.rs");
 const SERVE_TESTS: &str = include_str!("fixtures/serve_tests.rs");
 const BAD_ALLOW: &str = include_str!("fixtures/bad_allow.rs");
@@ -113,6 +114,17 @@ fn ctor_validate_accepts_asserts_docs_and_allows() {
     assert_eq!(hits.len(), 1, "findings: {:?}", r.findings);
     // The one positive is the undocumented, unvalidated constructor.
     assert_eq!(hits[0].line, 9, "findings: {:?}", r.findings);
+}
+
+#[test]
+fn ctor_validate_checks_scalar_builder_setters() {
+    let r = report(&[("crates/qsim/src/cfg.rs", CTOR_VALIDATE_SETTER)]);
+    let hits = by_rule(&r, "ctor-validate");
+    // Only the unvalidated setter fires: the validating setter and the
+    // `&self` method stay silent.
+    assert_eq!(hits.len(), 1, "findings: {:?}", r.findings);
+    assert_eq!(hits[0].line, 9, "findings: {:?}", r.findings);
+    assert!(hits[0].message.contains("`pub fn with_rate`"), "{hits:?}");
 }
 
 #[test]

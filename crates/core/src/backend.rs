@@ -902,7 +902,7 @@ mod tests {
         let spec = build_spec(&pool, &PcieModel::measured(), &pipeline, &placement).unwrap();
         let cpu_group = &spec.resources()[0];
         assert_eq!(cpu_group.replicas(), 3);
-        let speeds: Vec<f64> = cpu_group.profiles().iter().map(|p| p.speed).collect();
+        let speeds: Vec<f64> = cpu_group.profiles().iter().map(|p| p.speed()).collect();
         assert_eq!(speeds, vec![1.0, 1.0, 0.6]);
         // Speed-weighted capacity: 2.6x the single pool.
         let single = build_spec(

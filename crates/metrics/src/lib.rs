@@ -1,11 +1,12 @@
 //! Quality, accuracy, and performance metrics for RecPipe.
 //!
 //! The RecPipe paper optimizes three application-level targets:
+//! quality, tail latency and throughput. This crate measures the first
+//! two (the simulator reports throughput as its run's `qps`):
 //!
 //! * **Quality** — normalized discounted cumulative gain ([`ndcg_at_k`]) of
 //!   the ordered list of served items, not just pointwise model accuracy.
 //! * **Tail latency** — 99th-percentile query latency ([`LatencyStats`]).
-//! * **Throughput** — queries served per second ([`ThroughputMeter`]).
 //!
 //! The crate also provides binary-classification [`accuracy`](BinaryConfusion)
 //! helpers (the per-item metric the paper contrasts with quality) and the
@@ -28,7 +29,6 @@ mod accuracy;
 mod ndcg;
 mod pareto;
 mod percentile;
-mod throughput;
 
 pub use accuracy::{auc, BinaryConfusion};
 pub use ndcg::{
@@ -36,4 +36,3 @@ pub use ndcg::{
 };
 pub use pareto::{Dominance, ParetoFront};
 pub use percentile::LatencyStats;
-pub use throughput::ThroughputMeter;

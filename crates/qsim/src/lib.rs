@@ -99,8 +99,8 @@ pub use lifecycle::{
 };
 pub use policy::{BatchWindow, EarliestDeadlineFirst, Fifo, QueueEntry, Release, SchedulingPolicy};
 pub use resilience::{
-    FaultBurst, FaultKind, FaultPlan, HedgeDelay, HedgePolicy, ResilienceConfig, ResilienceStats,
-    RetryBudget, RetryPolicy,
+    FaultBurst, FaultKind, FaultPlan, HedgePolicy, ResilienceConfig, ResilienceStats, RetryBudget,
+    RetryPolicy,
 };
 pub use result::{PathStats, SimResult};
 pub use router::{
@@ -111,3 +111,19 @@ pub use scenario::{
     serve_lifecycle, serve_resilient, serve_routed, serve_routed_sharded, Scenario, SimError,
 };
 pub use spec::{BatchModel, PipelineSpec, ReplicaGroup, ReplicaProfile, SpecError, StageSpec};
+
+/// Asserts that `build` panics with a message containing `expected`:
+/// the builders' range tests.
+#[cfg(test)]
+fn assert_panics_with<T>(expected: &str, build: impl FnOnce() -> T + std::panic::UnwindSafe) {
+    let payload = std::panic::catch_unwind(build).err();
+    let payload = payload.unwrap_or_else(|| panic!("no panic; expected {expected:?}"));
+    let message = match payload.downcast_ref::<String>() {
+        Some(message) => message.as_str(),
+        None => payload.downcast_ref::<&str>().copied().unwrap_or_default(),
+    };
+    assert!(
+        message.contains(expected),
+        "panicked with {message:?}; expected {expected:?}"
+    );
+}

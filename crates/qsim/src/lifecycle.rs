@@ -8,7 +8,7 @@
 //!
 //! * [`LifecycleEvent`] — a timed [`LifecycleAction`] against one
 //!   replica of a group (provision with warm-up, drain, fail-stop,
-//!   recover), attached to a [`ReplicaGroup`] as a
+//!   recover, degrade), attached to a [`ReplicaGroup`] as a
 //!   [`LifecycleSchedule`] and injected into the event loop as ordinary
 //!   timed simulator events;
 //! * [`FailurePolicy`] — what happens to a failed replica's queued and
@@ -37,7 +37,7 @@
 pub enum LifecycleAction {
     /// Bring a down replica up through a warm-up phase: for `warmup_s`
     /// seconds the replica serves at a reduced speed (see
-    /// [`LifecycleConfig::warmup_speed`]) before reaching its profile
+    /// [`LifecycleConfig::with_warmup_speed`]) before reaching its profile
     /// speed. A zero warm-up is an instant bring-up.
     Provision {
         /// Warm-up duration in seconds.
@@ -71,15 +71,25 @@ pub enum LifecycleAction {
     },
 }
 
-/// One timed lifecycle action against one replica of a group.
+/// One timed lifecycle action against one replica of a group, built
+/// by the constructors below, which check the time and the action.
+///
+/// ```compile_fail
+/// use recpipe_qsim::{LifecycleAction, LifecycleEvent};
+/// let _ = LifecycleEvent {
+///     time: 0.0,
+///     replica: 0,
+///     action: LifecycleAction::Degrade { speed: f64::NAN },
+/// };
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LifecycleEvent {
     /// Absolute simulation time in seconds.
-    pub time: f64,
+    pub(crate) time: f64,
     /// Replica index within the owning group.
-    pub replica: usize,
+    pub(crate) replica: usize,
     /// The action applied at `time`.
-    pub action: LifecycleAction,
+    pub(crate) action: LifecycleAction,
 }
 
 impl LifecycleEvent {
@@ -172,11 +182,9 @@ impl LifecycleEvent {
 ///
 /// # Validation policy
 ///
-/// [`new`](Self::new) panics on a non-monotone schedule or any
-/// structurally invalid event (negative or non-finite time, negative
-/// warm-up) — the same panic-on-construction policy the rest of the
-/// crate's constructors follow. Replica indices are validated against
-/// the owning group by
+/// [`new`](Self::new) panics on a non-monotone schedule; each event
+/// checked its own time and action when it was built. Replica indices
+/// are validated against the owning group by
 /// [`ReplicaGroup::with_lifecycle`](crate::ReplicaGroup::with_lifecycle).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LifecycleSchedule {
@@ -195,19 +203,13 @@ impl LifecycleSchedule {
     ///
     /// # Panics
     ///
-    /// Panics if event times decrease, or any event carries a negative
-    /// or non-finite time or warm-up.
+    /// Panics if event times decrease.
     pub fn new(events: Vec<LifecycleEvent>) -> Self {
         for w in events.windows(2) {
             assert!(
                 w[1].time >= w[0].time,
                 "lifecycle schedule times must be non-decreasing"
             );
-        }
-        for e in &events {
-            // Re-assert even for struct-literal events so a schedule can
-            // never smuggle in an invalid time or warm-up.
-            LifecycleEvent::validated(e.time, e.replica, e.action);
         }
         Self { events }
     }
@@ -216,7 +218,7 @@ impl LifecycleSchedule {
     ///
     /// # Panics
     ///
-    /// Panics under the same rules as [`new`](Self::new).
+    /// Panics if `event` precedes the last event.
     pub fn with_event(mut self, event: LifecycleEvent) -> Self {
         if let Some(last) = self.events.last() {
             assert!(
@@ -224,11 +226,7 @@ impl LifecycleSchedule {
                 "lifecycle schedule times must be non-decreasing"
             );
         }
-        self.events.push(LifecycleEvent::validated(
-            event.time,
-            event.replica,
-            event.action,
-        ));
+        self.events.push(event);
         self
     }
 
@@ -395,17 +393,27 @@ pub trait FleetController {
 /// Options for a lifecycle-aware run
 /// ([`Scenario::lifecycle`](crate::Scenario::lifecycle)): how failures treat
 /// stranded work, how slowly warming replicas serve, and whether to
-/// record windowed telemetry.
+/// record windowed telemetry. The fields are set only through the
+/// builders, which check their ranges:
+///
+/// ```compile_fail
+/// use recpipe_qsim::{FailurePolicy, LifecycleConfig};
+/// let _ = LifecycleConfig {
+///     failure_policy: FailurePolicy::Requeue,
+///     warmup_speed: 0.0,
+///     window_s: None,
+/// };
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct LifecycleConfig {
     /// What happens to stranded queries (default: requeue).
-    pub failure_policy: FailurePolicy,
+    pub(crate) failure_policy: FailurePolicy,
     /// Speed multiplier applied to a warming replica's profile speed
     /// (default 0.5: a warming box serves at half rate).
-    pub warmup_speed: f64,
+    pub(crate) warmup_speed: f64,
     /// Fixed telemetry window width in seconds; `None` records no
     /// per-window series (the cost integral is still tracked).
-    pub window_s: Option<f64>,
+    pub(crate) window_s: Option<f64>,
 }
 
 impl Default for LifecycleConfig {
@@ -465,21 +473,33 @@ impl LifecycleConfig {
 /// ([`Scenario::autoscale`](crate::Scenario::autoscale)): which resource
 /// group a [`FleetController`] resizes, within what band, and on what
 /// cadence. The spec's group must hold `max_replicas` slots — the
-/// controller provisions and drains within them.
+/// controller provisions and drains within them. The fields are set
+/// only through the builders, which check their ranges:
+///
+/// ```compile_fail
+/// let _ = recpipe_qsim::AutoscaleConfig {
+///     group: 0,
+///     min_replicas: 0,
+///     max_replicas: 2,
+///     initial_replicas: 0,
+///     warmup_s: 0.0,
+///     window_s: 1.0,
+/// };
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct AutoscaleConfig {
     /// Index of the resource group the controller resizes.
-    pub group: usize,
+    pub(crate) group: usize,
     /// Smallest replica count the controller may converge to (≥ 1).
-    pub min_replicas: usize,
+    pub(crate) min_replicas: usize,
     /// Largest replica count (must not exceed the group's slot count).
-    pub max_replicas: usize,
+    pub(crate) max_replicas: usize,
     /// Replicas live at t = 0; the rest start down.
-    pub initial_replicas: usize,
+    pub(crate) initial_replicas: usize,
     /// Warm-up applied to every controller-issued provision, seconds.
-    pub warmup_s: f64,
+    pub(crate) warmup_s: f64,
     /// Decision and telemetry window width in seconds.
-    pub window_s: f64,
+    pub(crate) window_s: f64,
 }
 
 impl AutoscaleConfig {
@@ -545,6 +565,7 @@ impl AutoscaleConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assert_panics_with;
 
     #[test]
     fn schedule_accepts_ordered_events() {
@@ -591,20 +612,6 @@ mod tests {
     #[should_panic(expected = "warm-up duration")]
     fn negative_warmup_is_rejected() {
         LifecycleEvent::provision(0.0, 0, -0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "warm-up duration")]
-    fn schedule_revalidates_struct_literal_events() {
-        // A struct-literal event bypasses the constructors; new() must
-        // still reject it (the heterogeneous-profiles precedent).
-        LifecycleSchedule::new(vec![LifecycleEvent {
-            time: 0.0,
-            replica: 0,
-            action: LifecycleAction::Provision {
-                warmup_s: f64::INFINITY,
-            },
-        }]);
     }
 
     #[test]
@@ -699,16 +706,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "degraded speed")]
-    fn schedule_revalidates_struct_literal_degrades() {
-        LifecycleSchedule::new(vec![LifecycleEvent {
-            time: 0.0,
-            replica: 0,
-            action: LifecycleAction::Degrade { speed: f64::NAN },
-        }]);
-    }
-
-    #[test]
     fn timeout_rate_bounds_the_resilience_loss_channel() {
         let timing_out = WindowStats {
             start: 0.0,
@@ -760,5 +757,27 @@ mod tests {
     #[should_panic(expected = "in (0, 1]")]
     fn warmup_speed_above_profile_is_rejected() {
         let _ = LifecycleConfig::new().with_warmup_speed(1.5);
+    }
+
+    #[test]
+    fn builders_reject_out_of_range_values() {
+        for window_s in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let window = move || LifecycleConfig::new().with_window(window_s);
+            assert_panics_with("telemetry window must be positive", window);
+        }
+        let speed = || LifecycleConfig::new().with_warmup_speed(0.0);
+        assert_panics_with("warm-up speed must be in (0, 1]", speed);
+        let window = || AutoscaleConfig::new(0, 1, 2, 0.0);
+        assert_panics_with("decision window must be positive", window);
+        let floor = || AutoscaleConfig::new(0, 0, 2, 1.0);
+        assert_panics_with("autoscale floor must be at least 1", floor);
+        let band = || AutoscaleConfig::new(0, 1, 2, 1.0);
+        let initial = || band().with_initial_replicas(3);
+        assert_panics_with("initial replicas outside the autoscale band", initial);
+        let warmup = "warm-up duration must be non-negative and finite";
+        assert_panics_with(warmup, || band().with_warmup(-1.0));
+        assert_panics_with(warmup, || LifecycleEvent::provision(0.0, 0, f64::INFINITY));
+        let degrade = || LifecycleEvent::degrade(0.0, 0, f64::NAN);
+        assert_panics_with("degraded speed must be in (0, 1]", degrade);
     }
 }

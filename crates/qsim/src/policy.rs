@@ -101,7 +101,7 @@ impl SchedulingPolicy for Fifo {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchWindow {
     /// Longest time the head entry may wait for its batch to fill.
-    pub window_s: f64,
+    pub(crate) window_s: f64,
 }
 
 impl BatchWindow {
@@ -156,10 +156,10 @@ impl SchedulingPolicy for BatchWindow {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EarliestDeadlineFirst {
     /// Per-query end-to-end deadline in seconds (e.g. the SLA target).
-    pub deadline_s: f64,
+    pub(crate) deadline_s: f64,
     /// Fraction of the deadline budget a query may spend waiting for
     /// batches to fill; the rest is reserved for service. Default 0.25.
-    pub batch_slack: f64,
+    pub(crate) batch_slack: f64,
 }
 
 impl EarliestDeadlineFirst {

@@ -38,30 +38,42 @@ use crate::router::splitmix64;
 /// the first timeout is final. [`RetryPolicy::new`] raises the attempt
 /// cap and configures exponential backoff; [`with_budget`] adds the
 /// global token bucket that keeps retries from amplifying overload
-/// into congestion collapse.
+/// into congestion collapse. The fields are set only through the
+/// builders, which check their ranges:
+///
+/// ```compile_fail
+/// let _ = recpipe_qsim::RetryPolicy {
+///     max_attempts: 0,
+///     backoff_base_s: 0.0,
+///     backoff_factor: 1.0,
+///     backoff_max_s: 0.0,
+///     jitter_frac: 0.0,
+///     budget: None,
+/// };
+/// ```
 ///
 /// [`with_budget`]: Self::with_budget
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts allowed per query, including the first (≥ 1).
-    pub max_attempts: usize,
+    pub(crate) max_attempts: usize,
     /// Backoff before retry `k` (1-based) is
     /// `min(base · factor^(k-1), max)`, stretched by up to
     /// `jitter_frac` with seeded uniform jitter.
-    pub backoff_base_s: f64,
+    pub(crate) backoff_base_s: f64,
     /// Multiplier applied per successive retry (≥ 1).
-    pub backoff_factor: f64,
+    pub(crate) backoff_factor: f64,
     /// Upper bound on the un-jittered backoff delay in seconds.
-    pub backoff_max_s: f64,
+    pub(crate) backoff_max_s: f64,
     /// Jitter fraction in `[0, 1]`: the delay is multiplied by
     /// `1 + jitter_frac · u` with `u` uniform in `[0, 1)` from a
     /// dedicated seeded stream. Zero keeps backoff deterministic
     /// per-attempt.
-    pub jitter_frac: f64,
+    pub(crate) jitter_frac: f64,
     /// Global retry budget; `None` allows unbounded retries (up to the
     /// attempt cap) — the storm-prone configuration the budget exists
     /// to beat.
-    pub budget: Option<RetryBudget>,
+    pub(crate) budget: Option<RetryBudget>,
 }
 
 impl Default for RetryPolicy {
@@ -149,6 +161,11 @@ impl RetryPolicy {
         self
     }
 
+    /// Total attempts allowed per query, including the first.
+    pub fn max_attempts(&self) -> usize {
+        self.max_attempts
+    }
+
     /// The un-jittered backoff before retry `retry_index` (1-based:
     /// the first retry is 1).
     pub fn backoff_s(&self, retry_index: usize) -> f64 {
@@ -166,13 +183,18 @@ impl RetryPolicy {
 /// exceed 10% of successes" guarantee (`r = 0.1`) that prevents a
 /// timeout burst from amplifying into a self-sustaining retry storm:
 /// once the bucket drains, timed-out queries resolve as final instead
-/// of re-entering an already-saturated fleet.
+/// of re-entering an already-saturated fleet. Built only by
+/// [`new`](Self::new), which checks both values:
+///
+/// ```compile_fail
+/// let _ = recpipe_qsim::RetryBudget { capacity: 0.5, refill_per_success: 0.1 };
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryBudget {
     /// Token capacity (also the initial fill, ≥ 1).
-    pub capacity: f64,
+    pub(crate) capacity: f64,
     /// Tokens refunded per successful completion.
-    pub refill_per_success: f64,
+    pub(crate) refill_per_success: f64,
 }
 
 impl RetryBudget {
@@ -199,26 +221,19 @@ impl RetryBudget {
     }
 }
 
-/// When to dispatch a hedge (duplicate attempt).
+/// When to dispatch a hedge (duplicate attempt), measured from the
+/// attempt's start.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum HedgeDelay {
-    /// Hedge a fixed number of seconds after the attempt starts.
+pub(crate) enum HedgeDelay {
+    /// A fixed number of seconds ([`HedgePolicy::after`]).
     Fixed(f64),
-    /// Hedge once the attempt has been outstanding longer than this
-    /// running quantile of observed completion latencies (the classic
-    /// "hedge past p95" discipline). Until
-    /// [`HedgePolicy::MIN_QUANTILE_SAMPLES`] completions have been
-    /// observed no hedges are issued — the estimate would be noise.
-    ///
-    /// The delay for `q` is the `⌈n·q⌉`-th smallest of the last
-    /// `n ≤ 512` completed queries' end-to-end latencies, read when an
-    /// attempt starts. While the window fills, every completion
-    /// refreshes it; once full, it refreshes at most every 64
-    /// completions, so the delay can lag up to 63 completions behind.
+    /// A running latency quantile ([`HedgePolicy::at_quantile`]).
     Quantile(f64),
 }
 
-/// Hedged-request discipline: after [`HedgeDelay`], dispatch one
+/// Hedged-request discipline: after a fixed
+/// ([`after`](Self::after)) or quantile-derived
+/// ([`at_quantile`](Self::at_quantile)) delay, dispatch one
 /// duplicate of the outstanding attempt, routed to a *different*
 /// replica whenever the group has one; first completion wins and the
 /// loser is cancelled lazily. Nothing is purged: the losing lane stays
@@ -227,11 +242,16 @@ pub enum HedgeDelay {
 /// [`wasted_service_s`](ResilienceStats::wasted_service_s).
 ///
 /// At most one hedge is issued per attempt — retries re-arm the hedge
-/// clock.
+/// clock. Built only by those two constructors, which check the delay:
+///
+/// ```compile_fail
+/// use recpipe_qsim::{HedgeDelay, HedgePolicy};
+/// let _ = HedgePolicy { delay: HedgeDelay::Quantile(1.0) };
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HedgePolicy {
     /// When the hedge fires, measured from the attempt's start.
-    pub delay: HedgeDelay,
+    pub(crate) delay: HedgeDelay,
 }
 
 impl HedgePolicy {
@@ -254,7 +274,16 @@ impl HedgePolicy {
     }
 
     /// Hedge once an attempt outlives the running `q`-quantile of
-    /// completion latency.
+    /// completion latency (the classic "hedge past p95" discipline).
+    /// Until [`MIN_QUANTILE_SAMPLES`](Self::MIN_QUANTILE_SAMPLES)
+    /// completions have been observed no hedges are issued — the
+    /// estimate would be noise.
+    ///
+    /// The delay for `q` is the `⌈n·q⌉`-th smallest of the last
+    /// `n ≤ 512` completed queries' end-to-end latencies, read when an
+    /// attempt starts. While the window fills, every completion
+    /// refreshes it; once full, it refreshes at most every 64
+    /// completions, so the delay can lag up to 63 completions behind.
     ///
     /// # Panics
     ///
@@ -275,15 +304,25 @@ impl HedgePolicy {
 /// timeout, the [`RetryPolicy`] consulted when it fires, and an optional
 /// [`HedgePolicy`]. The default ([`ResilienceConfig::new`]) is inert —
 /// no timeout, no hedge — and leaves the event loop bit-identical to
-/// the lifecycle-only run.
+/// the lifecycle-only run. The fields are set only through the
+/// builders, which check their ranges:
+///
+/// ```compile_fail
+/// use recpipe_qsim::{ResilienceConfig, RetryPolicy};
+/// let _ = ResilienceConfig {
+///     timeout_s: Some(0.0),
+///     retry: RetryPolicy::none(),
+///     hedge: None,
+/// };
+/// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ResilienceConfig {
     /// Per-attempt timeout in seconds; `None` never times out.
-    pub timeout_s: Option<f64>,
+    pub(crate) timeout_s: Option<f64>,
     /// What a fired timeout does next.
-    pub retry: RetryPolicy,
+    pub(crate) retry: RetryPolicy,
     /// Hedged-request discipline; `None` never hedges.
-    pub hedge: Option<HedgePolicy>,
+    pub(crate) hedge: Option<HedgePolicy>,
 }
 
 impl ResilienceConfig {
@@ -511,6 +550,7 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assert_panics_with;
     use crate::lifecycle::LifecycleAction;
 
     #[test]
@@ -520,48 +560,6 @@ mod tests {
         assert!((p.backoff_s(2) - 0.020).abs() < 1e-12);
         assert!((p.backoff_s(3) - 0.030).abs() < 1e-12); // capped from 0.040
         assert_eq!(RetryPolicy::none().max_attempts, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one attempt")]
-    fn zero_attempt_policy_is_rejected() {
-        RetryPolicy::new(0, 0.010, 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "backoff factor")]
-    fn shrinking_backoff_is_rejected() {
-        RetryPolicy::new(3, 0.010, 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "jitter fraction")]
-    fn jitter_above_one_is_rejected() {
-        let _ = RetryPolicy::new(3, 0.010, 2.0).with_jitter(1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "budget capacity")]
-    fn sub_unit_budget_capacity_is_rejected() {
-        RetryBudget::new(0.5, 0.1);
-    }
-
-    #[test]
-    #[should_panic(expected = "budget refill")]
-    fn budget_refill_above_one_is_rejected() {
-        RetryBudget::new(10.0, 1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "hedge quantile")]
-    fn hedge_quantile_must_be_interior() {
-        HedgePolicy::at_quantile(1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "hedge delay")]
-    fn negative_hedge_delay_is_rejected() {
-        HedgePolicy::after(-0.001);
     }
 
     #[test]
@@ -579,9 +577,46 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "timeout must be positive")]
-    fn zero_timeout_is_rejected() {
-        let _ = ResilienceConfig::new().with_timeout(0.0);
+    fn builders_reject_out_of_range_values() {
+        for timeout_s in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let timeout = move || ResilienceConfig::new().with_timeout(timeout_s);
+            assert_panics_with("timeout must be positive and finite", timeout);
+        }
+        for delay_s in [-0.01, f64::NAN] {
+            let hedge = move || HedgePolicy::after(delay_s);
+            assert_panics_with("hedge delay must be non-negative and finite", hedge);
+        }
+        for q in [f64::NAN, 0.0, 1.0] {
+            let hedge = move || HedgePolicy::at_quantile(q);
+            assert_panics_with("hedge quantile must be in (0, 1)", hedge);
+        }
+        let zero = || RetryPolicy::new(0, 0.01, 2.0);
+        assert_panics_with("retry policy must allow at least one attempt", zero);
+        for base in [-0.5, f64::NAN] {
+            let retry = move || RetryPolicy::new(3, base, 2.0);
+            assert_panics_with("backoff base must be non-negative and finite", retry);
+        }
+        for factor in [0.5, f64::NAN, f64::INFINITY] {
+            let retry = move || RetryPolicy::new(3, 0.01, factor);
+            assert_panics_with("backoff factor must be at least 1", retry);
+        }
+        let valid = || RetryPolicy::new(3, 0.01, 2.0);
+        for cap in [-1.0, f64::NAN] {
+            let retry = move || valid().with_backoff_cap(cap);
+            assert_panics_with("backoff cap must be non-negative", retry);
+        }
+        for jitter in [-5.0, 1.5, f64::NAN] {
+            let retry = move || valid().with_jitter(jitter);
+            assert_panics_with("jitter fraction must be in [0, 1]", retry);
+        }
+        for capacity in [0.5, f64::NAN, f64::INFINITY] {
+            let budget = move || RetryBudget::new(capacity, 0.1);
+            assert_panics_with("retry budget capacity must be at least 1", budget);
+        }
+        for refill in [-0.1, 1.5, f64::NAN] {
+            let budget = move || RetryBudget::new(10.0, refill);
+            assert_panics_with("retry budget refill must be in [0, 1]", budget);
+        }
     }
 
     #[test]

@@ -13,8 +13,8 @@ use recpipe_data::{ArrivalProcess, PoissonArrivals};
 
 use crate::sim::{Inputs, Sim, MAX_ATTEMPTS, MAX_RESILIENT_STAGES};
 use crate::{
-    shard, AdmissionPolicy, AutoscaleConfig, Fifo, FleetController, HedgeDelay, LifecycleConfig,
-    PathSet, PipelineSpec, ResilienceConfig, ResilienceStats, RoundRobin, Router, SchedulingPolicy,
+    shard, AdmissionPolicy, AutoscaleConfig, Fifo, FleetController, LifecycleConfig, PathSet,
+    PipelineSpec, ResilienceConfig, ResilienceStats, RoundRobin, Router, SchedulingPolicy,
     SimResult,
 };
 
@@ -57,9 +57,6 @@ pub enum SimError {
     /// Two runtimes, named by their [`Scenario`] setters, that the
     /// event loop cannot serve together yet.
     Incompatible(&'static str, &'static str),
-    /// A config field, named by its type and field, set outside the
-    /// range (the second string) its builder would have asserted.
-    OutOfRange(&'static str, &'static str),
 }
 
 impl std::fmt::Display for SimError {
@@ -91,7 +88,6 @@ impl std::fmt::Display for SimError {
                 write!(f, "at most {MAX_ATTEMPTS} attempts per query, got {n}")
             }
             SimError::Incompatible(a, b) => write!(f, "{a} and {b} cannot run together yet"),
-            SimError::OutOfRange(field, range) => write!(f, "{field} must be {range}"),
         }
     }
 }
@@ -199,11 +195,11 @@ impl<'a> Scenario<'a> {
         self
     }
 
-    /// Closes the loop: at every `cfg.window_s` boundary `controller`
-    /// sees the closing window and resizes `cfg.group` within its band
-    /// by provisioning down replicas through warm-up and draining live
-    /// ones (drains finish their work). Replicas
-    /// `cfg.initial_replicas..` start down, and the autoscale window
+    /// Closes the loop: at every boundary of `cfg`'s decision window
+    /// `controller` sees the closing window and resizes `cfg`'s group
+    /// within its band by provisioning down replicas through warm-up and
+    /// draining live ones (drains finish their work). Replicas past
+    /// `cfg`'s initial count start down, and the autoscale window
     /// replaces the lifecycle telemetry window.
     pub fn autoscale(
         mut self,
@@ -233,6 +229,8 @@ impl<'a> Scenario<'a> {
     /// optional runtime, and specs the decomposition cannot handle (one
     /// stage, shared groups, closed loops, zero service times), run
     /// serially.
+    // simlint: allow(ctor-validate) -- every cap is valid: 0 selects the
+    // machine's parallelism, and results are identical for every cap.
     pub fn workers(mut self, cap: usize) -> Self {
         self.workers = Some(cap);
         self
@@ -289,7 +287,8 @@ impl<'a> Scenario<'a> {
         Ok(result)
     }
 
-    /// Every bound the event loop relies on, checked in O(1).
+    /// The bounds that need the spec or more than one input, checked in
+    /// O(1); each config checked its own ranges when it was built.
     fn validate(&self) -> Result<(), SimError> {
         let Inputs {
             spec, num_queries, ..
@@ -319,109 +318,7 @@ impl<'a> Scenario<'a> {
                 return Err(SimError::Incompatible(a, b));
             }
         }
-        // The configs' fields are public, so a struct literal can skip
-        // the builders' asserts; the event loop relies on these ranges.
-        let positive = |x: f64| x.is_finite() && x > 0.0;
-        let non_negative = |x: f64| x.is_finite() && x >= 0.0;
-        let life = self.lifecycle;
-        let scale = self.autoscale.as_ref().map(|(cfg, _)| *cfg);
-        let resilience = self.resilience;
-        let retry = resilience.map(|cfg| &cfg.retry);
-        let budget = retry.and_then(|r| r.budget);
-        let (fixed, quantile) = match resilience.and_then(|cfg| cfg.hedge).map(|h| h.delay) {
-            Some(HedgeDelay::Fixed(d)) => (Some(d), None),
-            Some(HedgeDelay::Quantile(q)) => (None, Some(q)),
-            None => (None, None),
-        };
-        for (ok, field, range) in [
-            (
-                life.is_none_or(|c| c.window_s.is_none_or(positive)),
-                "LifecycleConfig::window_s",
-                "positive and finite",
-            ),
-            (
-                life.is_none_or(|c| c.warmup_speed > 0.0 && c.warmup_speed <= 1.0),
-                "LifecycleConfig::warmup_speed",
-                "in (0, 1]",
-            ),
-            (
-                scale.is_none_or(|c| positive(c.window_s)),
-                "AutoscaleConfig::window_s",
-                "positive and finite",
-            ),
-            (
-                scale.is_none_or(|c| c.min_replicas >= 1),
-                "AutoscaleConfig::min_replicas",
-                "at least 1",
-            ),
-            (
-                scale.is_none_or(|c| {
-                    (c.min_replicas..=c.max_replicas).contains(&c.initial_replicas)
-                }),
-                "AutoscaleConfig::initial_replicas",
-                "within min_replicas..=max_replicas",
-            ),
-            (
-                scale.is_none_or(|c| non_negative(c.warmup_s)),
-                "AutoscaleConfig::warmup_s",
-                "non-negative and finite",
-            ),
-            (
-                resilience.is_none_or(|c| c.timeout_s.is_none_or(positive)),
-                "ResilienceConfig::timeout_s",
-                "positive and finite",
-            ),
-            (
-                retry.is_none_or(|r| r.max_attempts >= 1),
-                "RetryPolicy::max_attempts",
-                "at least 1",
-            ),
-            (
-                retry.is_none_or(|r| non_negative(r.backoff_base_s)),
-                "RetryPolicy::backoff_base_s",
-                "non-negative and finite",
-            ),
-            (
-                retry.is_none_or(|r| r.backoff_factor.is_finite() && r.backoff_factor >= 1.0),
-                "RetryPolicy::backoff_factor",
-                "at least 1 and finite",
-            ),
-            (
-                retry.is_none_or(|r| r.backoff_max_s >= 0.0),
-                "RetryPolicy::backoff_max_s",
-                "non-negative (infinity allowed)",
-            ),
-            (
-                retry.is_none_or(|r| (0.0..=1.0).contains(&r.jitter_frac)),
-                "RetryPolicy::jitter_frac",
-                "in [0, 1]",
-            ),
-            (
-                budget.is_none_or(|b| b.capacity.is_finite() && b.capacity >= 1.0),
-                "RetryBudget::capacity",
-                "at least 1 and finite",
-            ),
-            (
-                budget.is_none_or(|b| (0.0..=1.0).contains(&b.refill_per_success)),
-                "RetryBudget::refill_per_success",
-                "in [0, 1]",
-            ),
-            (
-                fixed.is_none_or(non_negative),
-                "HedgeDelay::Fixed",
-                "non-negative and finite",
-            ),
-            (
-                quantile.is_none_or(|q| q > 0.0 && q < 1.0),
-                "HedgeDelay::Quantile",
-                "in (0, 1)",
-            ),
-        ] {
-            if !ok {
-                return Err(SimError::OutOfRange(field, range));
-            }
-        }
-        if let Some(cfg) = scale {
+        if let Some((cfg, _)) = &self.autoscale {
             let group = spec.resources().get(cfg.group);
             let replicas = group.ok_or(SimError::AutoscaleGroup(cfg.group))?.replicas();
             if cfg.max_replicas > replicas {
@@ -539,8 +436,7 @@ impl PipelineSpec {
 mod tests {
     use super::*;
     use crate::{
-        AlwaysPrimary, HedgePolicy, LifecycleEvent, LifecycleSchedule, ReplicaGroup, RetryBudget,
-        RetryPolicy, StageSpec, WindowStats,
+        AlwaysPrimary, HedgePolicy, ReplicaGroup, RetryBudget, RetryPolicy, StageSpec, WindowStats,
     };
 
     /// `stages` 1 ms stages on one two-replica group.
@@ -665,246 +561,6 @@ mod tests {
         let scenario = Scenario::new(&spec, &arrivals, 10, 1).resilience(&resilience);
         let run = scenario.autoscale(&scale, &mut Hold).run();
         assert_eq!(run, Err(SimError::Incompatible("autoscale", "resilience")));
-    }
-
-    #[test]
-    fn out_of_range_lifecycle_window_is_a_typed_error() {
-        // A zero-width window would re-arm its tick at the same
-        // instant forever.
-        let (spec, arrivals) = (spec(1), PoissonArrivals::new(100.0));
-        for window_s in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let cfg = LifecycleConfig {
-                window_s: Some(window_s),
-                ..LifecycleConfig::default()
-            };
-            let run = Scenario::new(&spec, &arrivals, 200, 1)
-                .lifecycle(&cfg)
-                .run();
-            let err = SimError::OutOfRange("LifecycleConfig::window_s", "positive and finite");
-            assert_eq!(run, Err(err), "window {window_s}");
-        }
-    }
-
-    /// 200 queries at 100 QPS on one 1 ms stage under `cfg`.
-    fn resilient(cfg: &ResilienceConfig) -> Result<SimResult, SimError> {
-        let (spec, arrivals) = (spec(1), PoissonArrivals::new(100.0));
-        Scenario::new(&spec, &arrivals, 200, 1)
-            .resilience(cfg)
-            .run()
-    }
-
-    /// A 50 ms timeout retried under `retry`.
-    fn retrying(retry: RetryPolicy) -> ResilienceConfig {
-        ResilienceConfig::new().with_timeout(0.05).with_retry(retry)
-    }
-
-    #[test]
-    fn non_positive_timeout_is_a_typed_error() {
-        // Every attempt would time out the instant it starts.
-        for timeout_s in [0.0, -1.0] {
-            let cfg = ResilienceConfig {
-                timeout_s: Some(timeout_s),
-                ..ResilienceConfig::new()
-            };
-            let err = SimError::OutOfRange("ResilienceConfig::timeout_s", "positive and finite");
-            assert_eq!(resilient(&cfg), Err(err), "timeout {timeout_s}");
-        }
-    }
-
-    #[test]
-    fn non_finite_timeout_is_a_typed_error() {
-        for timeout_s in [f64::NAN, f64::INFINITY] {
-            let cfg = ResilienceConfig {
-                timeout_s: Some(timeout_s),
-                ..ResilienceConfig::new()
-            };
-            let err = SimError::OutOfRange("ResilienceConfig::timeout_s", "positive and finite");
-            assert_eq!(resilient(&cfg), Err(err), "timeout {timeout_s}");
-        }
-    }
-
-    #[test]
-    fn negative_fixed_hedge_delay_is_a_typed_error() {
-        // A hedge armed before its attempt starts would complete
-        // queries before they arrive.
-        for delay_s in [-0.01, f64::NAN] {
-            let hedge = HedgePolicy {
-                delay: HedgeDelay::Fixed(delay_s),
-            };
-            let cfg = ResilienceConfig::new().with_timeout(0.05).with_hedge(hedge);
-            let err = SimError::OutOfRange("HedgeDelay::Fixed", "non-negative and finite");
-            assert_eq!(resilient(&cfg), Err(err), "delay {delay_s}");
-        }
-    }
-
-    #[test]
-    fn out_of_range_hedge_quantile_is_a_typed_error() {
-        for q in [f64::NAN, 0.0, 1.0] {
-            let hedge = HedgePolicy {
-                delay: HedgeDelay::Quantile(q),
-            };
-            let cfg = ResilienceConfig::new().with_timeout(0.05).with_hedge(hedge);
-            let err = SimError::OutOfRange("HedgeDelay::Quantile", "in (0, 1)");
-            assert_eq!(resilient(&cfg), Err(err), "quantile {q}");
-        }
-    }
-
-    #[test]
-    fn negative_backoff_base_is_a_typed_error() {
-        // A retry would start before the timeout that spawned it.
-        for backoff_base_s in [-0.5, f64::NAN] {
-            let retry = RetryPolicy {
-                backoff_base_s,
-                ..RetryPolicy::new(3, 0.01, 2.0)
-            };
-            let err =
-                SimError::OutOfRange("RetryPolicy::backoff_base_s", "non-negative and finite");
-            assert_eq!(
-                resilient(&retrying(retry)),
-                Err(err),
-                "base {backoff_base_s}"
-            );
-        }
-    }
-
-    #[test]
-    fn out_of_range_jitter_is_a_typed_error() {
-        for jitter_frac in [-5.0, 1.5, f64::NAN] {
-            let retry = RetryPolicy {
-                jitter_frac,
-                ..RetryPolicy::new(3, 0.01, 2.0)
-            };
-            let err = SimError::OutOfRange("RetryPolicy::jitter_frac", "in [0, 1]");
-            assert_eq!(
-                resilient(&retrying(retry)),
-                Err(err),
-                "jitter {jitter_frac}"
-            );
-        }
-    }
-
-    #[test]
-    fn out_of_range_retry_policy_is_a_typed_error() {
-        let valid = RetryPolicy::new(3, 0.01, 2.0);
-        let no_attempt = RetryPolicy {
-            max_attempts: 0,
-            ..valid.clone()
-        };
-        let err = SimError::OutOfRange("RetryPolicy::max_attempts", "at least 1");
-        assert_eq!(resilient(&retrying(no_attempt)), Err(err));
-        for backoff_factor in [0.5, f64::NAN, f64::INFINITY] {
-            let retry = RetryPolicy {
-                backoff_factor,
-                ..valid.clone()
-            };
-            let err = SimError::OutOfRange("RetryPolicy::backoff_factor", "at least 1 and finite");
-            assert_eq!(
-                resilient(&retrying(retry)),
-                Err(err),
-                "factor {backoff_factor}"
-            );
-        }
-        for backoff_max_s in [-1.0, f64::NAN] {
-            let retry = RetryPolicy {
-                backoff_max_s,
-                ..valid.clone()
-            };
-            let err = SimError::OutOfRange(
-                "RetryPolicy::backoff_max_s",
-                "non-negative (infinity allowed)",
-            );
-            assert_eq!(resilient(&retrying(retry)), Err(err), "cap {backoff_max_s}");
-        }
-    }
-
-    #[test]
-    fn out_of_range_retry_budget_is_a_typed_error() {
-        let budgeted = |capacity, refill_per_success| {
-            let budget = RetryBudget {
-                capacity,
-                refill_per_success,
-            };
-            retrying(RetryPolicy::new(3, 0.01, 2.0).with_budget(budget))
-        };
-        for capacity in [0.5, f64::NAN, f64::INFINITY] {
-            let err = SimError::OutOfRange("RetryBudget::capacity", "at least 1 and finite");
-            let run = resilient(&budgeted(capacity, 0.1));
-            assert_eq!(run, Err(err), "capacity {capacity}");
-        }
-        for refill in [-0.1, 1.5, f64::NAN] {
-            let err = SimError::OutOfRange("RetryBudget::refill_per_success", "in [0, 1]");
-            let run = resilient(&budgeted(10.0, refill));
-            assert_eq!(run, Err(err), "refill {refill}");
-        }
-    }
-
-    #[test]
-    fn out_of_range_autoscale_window_is_a_typed_error() {
-        let (spec, arrivals) = (spec(1), PoissonArrivals::new(100.0));
-        let cfg = AutoscaleConfig {
-            window_s: 0.0,
-            ..AutoscaleConfig::new(0, 1, 2, 1.0)
-        };
-        let run = Scenario::new(&spec, &arrivals, 200, 1)
-            .autoscale(&cfg, &mut Hold)
-            .run();
-        let err = SimError::OutOfRange("AutoscaleConfig::window_s", "positive and finite");
-        assert_eq!(run, Err(err));
-    }
-
-    #[test]
-    fn zero_warmup_speed_is_a_typed_error() {
-        // A provisioned replica warming at speed 0 would take forever
-        // to serve its first batch.
-        let schedule = LifecycleSchedule::empty()
-            .with_event(LifecycleEvent::fail_stop(0.5, 0))
-            .with_event(LifecycleEvent::provision(1.0, 0, 0.5));
-        let spec = spec(1).with_group_lifecycle(0, schedule);
-        let cfg = LifecycleConfig {
-            warmup_speed: 0.0,
-            ..LifecycleConfig::default()
-        };
-        let arrivals = PoissonArrivals::new(100.0);
-        let run = Scenario::new(&spec, &arrivals, 200, 1)
-            .lifecycle(&cfg)
-            .run();
-        let err = SimError::OutOfRange("LifecycleConfig::warmup_speed", "in (0, 1]");
-        assert_eq!(run, Err(err));
-    }
-
-    #[test]
-    fn autoscale_band_without_a_replica_is_a_typed_error() {
-        // A zero floor would start the group fully down and shed
-        // every query.
-        let (spec, arrivals) = (spec(1), PoissonArrivals::new(100.0));
-        let band = AutoscaleConfig::new(0, 1, 2, 1.0);
-        let run = |cfg: &AutoscaleConfig| {
-            Scenario::new(&spec, &arrivals, 200, 1)
-                .autoscale(cfg, &mut Hold)
-                .run()
-        };
-        let empty = AutoscaleConfig {
-            min_replicas: 0,
-            initial_replicas: 0,
-            ..band.clone()
-        };
-        let floor = SimError::OutOfRange("AutoscaleConfig::min_replicas", "at least 1");
-        assert_eq!(run(&empty), Err(floor));
-        let above = AutoscaleConfig {
-            initial_replicas: 3,
-            ..band.clone()
-        };
-        let initial = SimError::OutOfRange(
-            "AutoscaleConfig::initial_replicas",
-            "within min_replicas..=max_replicas",
-        );
-        assert_eq!(run(&above), Err(initial));
-        let warmup = AutoscaleConfig {
-            warmup_s: -1.0,
-            ..band
-        };
-        let err = SimError::OutOfRange("AutoscaleConfig::warmup_s", "non-negative and finite");
-        assert_eq!(run(&warmup), Err(err));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::ops::{ControlFlow, Range};
 use std::time::Duration;
 
 use recpipe_data::ArrivalProcess;
-use recpipe_metrics::{LatencyStats, ThroughputMeter};
+use recpipe_metrics::LatencyStats;
 
 use crate::{
     AdmissionPolicy, AutoscaleConfig, FleetController, LifecycleConfig, PathSet, PipelineSpec,
@@ -12,17 +12,17 @@ use crate::{
     SchedulingPolicy, SimError, SimResult, StageSpec,
 };
 
-mod lanes;
 mod lifecycle;
 mod paths;
 mod queue;
+mod resilience;
 mod telemetry;
 mod window;
 
-use lanes::ResilienceRt;
 use lifecycle::LifecycleRt;
 use paths::MultipathRt;
 use queue::EventQueue;
+use resilience::ResilienceRt;
 use telemetry::Telemetry;
 use window::QueryWindow;
 
@@ -148,6 +148,22 @@ fn nearest_rank(values: &mut [f64], q: f64) -> f64 {
     *values
         .select_nth_unstable_by(idx, |a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal))
         .1
+}
+
+/// Completions per second between the first and the last of
+/// `completed` completions: `completed − 1` intervals over the span, 0
+/// with fewer than two completions or a zero span. The span is the
+/// difference of the two times as `Duration`s (whole nanoseconds).
+fn completion_rate(completed: usize, first: f64, last: f64) -> f64 {
+    if completed < 2 {
+        return 0.0;
+    }
+    let span = Duration::from_secs_f64(last).saturating_sub(Duration::from_secs_f64(first));
+    let span = span.as_secs_f64();
+    if span <= 0.0 {
+        return 0.0;
+    }
+    (completed - 1) as f64 / span
 }
 
 /// A packed event: 24 bytes instead of the 40 a time, a seq and the
@@ -488,8 +504,9 @@ pub(crate) struct Sim<'a> {
     /// happens. Folded past 2^17 samples, so a 10M-query run's memory
     /// stays flat.
     latency: LatencyStats,
-    /// Every completion's time, recorded as it happens.
-    throughput: ThroughputMeter,
+    /// The first and the latest completion time: `qps`'s span.
+    first_done: f64,
+    last_done: f64,
     /// The hand-offs a stage shard has emitted to the next stage's
     /// shard and its driver has yet to take (see shard.rs); the serial
     /// loop and the final stage's shard keep `None` and record
@@ -730,7 +747,8 @@ impl<'a> Sim<'a> {
             arrival_span: 0.0,
             warmup_len,
             latency,
-            throughput: ThroughputMeter::new(),
+            first_done: 0.0,
+            last_done: 0.0,
             outbox,
         }
     }
@@ -1512,8 +1530,10 @@ impl<'a> Sim<'a> {
         if warm {
             self.latency.record_secs(latency_s);
         }
-        self.throughput
-            .record_completion(Duration::from_secs_f64(now));
+        if self.completed == 1 {
+            self.first_done = now;
+        }
+        self.last_done = now;
         if let Some(tele) = self.tele.as_mut() {
             tele.on_completion(latency_s);
         }
@@ -1747,7 +1767,7 @@ impl<'a> Sim<'a> {
             served: self.served,
             completed: self.completed,
             latency: std::mem::take(&mut self.latency),
-            qps: self.throughput.qps(),
+            qps: completion_rate(self.completed, self.first_done, self.last_done),
             arrival_span: self.arrival_span,
         }
     }
@@ -1836,6 +1856,16 @@ mod tests {
         let spec = single_stage(4, 0.002);
         let out = spec.simulate(100.0, 2_000, 1);
         assert_eq!(out.completed, 2_000);
+    }
+
+    #[test]
+    fn completion_rate_counts_intervals_over_the_span() {
+        // Fewer than two completions, or a zero span, has no rate.
+        assert_eq!(completion_rate(0, 0.0, 0.0), 0.0);
+        assert_eq!(completion_rate(1, 1.0, 1.0), 0.0);
+        assert_eq!(completion_rate(5, 2.0, 2.0), 0.0);
+        // 11 completions, one every 100 ms: exactly 10 QPS.
+        assert!((completion_rate(11, 0.0, 1.0) - 10.0).abs() < 1e-9);
     }
 
     #[test]

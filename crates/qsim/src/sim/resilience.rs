@@ -11,8 +11,9 @@
 
 use super::nearest_rank;
 use super::window::{QueryRec, QueryWindow, NO_SLOT};
+use crate::resilience::HedgeDelay;
 use crate::router::splitmix64;
-use crate::{HedgeDelay, HedgePolicy, ResilienceConfig, ResilienceStats};
+use crate::{HedgePolicy, ResilienceConfig, ResilienceStats};
 
 /// Completed-latency reservoir capacity for quantile hedge delays.
 const RESERVOIR_CAP: usize = 512;

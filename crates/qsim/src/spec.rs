@@ -13,14 +13,19 @@ use crate::LifecycleSchedule;
 /// generation serving at 60% of the baseline rate; `speed > 1.0` a
 /// faster next-gen part. Capacity and speed together price a
 /// mixed-generation fleet: an old box may hold the same units but
-/// drain them more slowly.
+/// drain them more slowly. Built only by [`new`](Self::new) and
+/// [`baseline`](Self::baseline), which check both values:
+///
+/// ```compile_fail
+/// let _ = recpipe_qsim::ReplicaProfile { capacity: 0, speed: 1.0 };
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ReplicaProfile {
     /// Number of units this replica can hold concurrently.
-    pub capacity: usize,
+    pub(crate) capacity: usize,
     /// Service-rate multiplier relative to the stage's baseline service
     /// time (1.0 = baseline; see the type-level docs).
-    pub speed: f64,
+    pub(crate) speed: f64,
 }
 
 impl ReplicaProfile {
@@ -42,6 +47,11 @@ impl ReplicaProfile {
     /// A current-generation replica: `capacity` units at speed 1.0.
     pub fn baseline(capacity: usize) -> Self {
         Self::new(capacity, 1.0)
+    }
+
+    /// The service-rate multiplier (see the type-level docs).
+    pub fn speed(&self) -> f64 {
+        self.speed
     }
 
     /// Whether this replica serves at the baseline rate.
@@ -122,15 +132,6 @@ impl ReplicaGroup {
     /// [`ReplicaProfile::new`]).
     pub fn heterogeneous(name: impl Into<String>, profiles: Vec<ReplicaProfile>) -> Self {
         assert!(!profiles.is_empty(), "replica group has no replicas");
-        for p in &profiles {
-            // Re-assert even for struct-literal profiles so a group can
-            // never smuggle in a zero-capacity or non-finite-speed pool.
-            assert!(p.capacity > 0, "replica capacity must be positive");
-            assert!(
-                p.speed.is_finite() && p.speed > 0.0,
-                "replica speed must be positive and finite"
-            );
-        }
         Self {
             name: name.into(),
             profiles,
@@ -262,13 +263,20 @@ impl ReplicaGroup {
 ///   times, and `max_batch = 1` never forms a batch;
 /// * `marginal < 1` models hardware that amortizes fixed work (weight
 ///   streaming, kernel launches, PCIe setup) across the batch.
+///
+/// Built only by [`per_query`](Self::per_query) and [`new`](Self::new),
+/// which checks both values:
+///
+/// ```compile_fail
+/// let _ = recpipe_qsim::BatchModel { max_batch: 0, marginal: 1.0 };
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BatchModel {
     /// Largest number of queries one launch may aggregate.
-    pub max_batch: usize,
+    pub(crate) max_batch: usize,
     /// Fraction of the base service time each query after the first
     /// adds (1.0 = no batching benefit, 0.0 = perfect batching).
-    pub marginal: f64,
+    pub(crate) marginal: f64,
 }
 
 impl BatchModel {
@@ -302,6 +310,17 @@ impl BatchModel {
         }
     }
 
+    /// Largest number of queries one launch may aggregate.
+    pub fn max_batch(&self) -> usize {
+        self.max_batch
+    }
+
+    /// Fraction of the base service time each query after the first
+    /// adds.
+    pub fn marginal(&self) -> f64 {
+        self.marginal
+    }
+
     /// Service time of a batch of `b` queries whose per-query base
     /// service time is `base`.
     pub fn service_time(&self, base: f64, b: usize) -> f64 {
@@ -321,7 +340,7 @@ impl Default for BatchModel {
     }
 }
 
-/// One pipeline stage: a batch of up to `batch.max_batch` queries holds
+/// One pipeline stage: a batch of up to `batch.max_batch()` queries holds
 /// `units` of resource `resource` for the batch's service time (for the
 /// default per-query [`BatchModel`], `service_time` seconds per query).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -403,12 +422,6 @@ pub enum SpecError {
         /// The offending stage name.
         stage: String,
     },
-    /// A stage's batching model is malformed (zero batch cap, negative
-    /// or non-finite marginal cost).
-    InvalidBatchModel {
-        /// The offending stage name.
-        stage: String,
-    },
     /// A multi-path set member declares a different resource fleet than
     /// the set's (all paths must contend for one shared fleet — see
     /// [`PathSet::from_pipelines`](crate::PathSet::from_pipelines)).
@@ -437,9 +450,6 @@ impl std::fmt::Display for SpecError {
                 service_time,
             } => write!(f, "stage {stage} has invalid service time {service_time}"),
             SpecError::ZeroUnits { stage } => write!(f, "stage {stage} requests zero units"),
-            SpecError::InvalidBatchModel { stage } => {
-                write!(f, "stage {stage} has an invalid batching model")
-            }
             SpecError::PathFleetMismatch { path } => {
                 write!(f, "path {path} does not share the path set's replica fleet")
             }
@@ -512,12 +522,6 @@ impl PipelineSpec {
             return Err(SpecError::InvalidServiceTime {
                 stage: stage.name.clone(),
                 service_time: stage.service_time,
-            });
-        }
-        let b = &stage.batch;
-        if b.max_batch == 0 || !(b.marginal.is_finite() && b.marginal >= 0.0) {
-            return Err(SpecError::InvalidBatchModel {
-                stage: stage.name.clone(),
             });
         }
         self.stages.push(stage);

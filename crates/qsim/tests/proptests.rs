@@ -916,7 +916,7 @@ proptest! {
             .run()
             .unwrap();
         let stats = resilient.resilience.take().expect("resilient runs report stats");
-        prop_assert_eq!(&stats.retries, &vec![0; inert.retry.max_attempts - 1]);
+        prop_assert_eq!(&stats.retries, &vec![0; retry_for(retry_idx).max_attempts() - 1]);
         prop_assert_eq!(stats.timeouts, 0);
         prop_assert_eq!(stats.timed_out, 0);
         prop_assert_eq!(stats.total_retries(), 0);
@@ -975,7 +975,7 @@ proptest! {
         // respect the policy's attempt cap, and every fired timeout is
         // either retried or resolves its query.
         prop_assert!(stats.hedges_won <= stats.hedges_issued);
-        let max_retries = retry_for(retry_idx).max_attempts - 1;
+        let max_retries = retry_for(retry_idx).max_attempts() - 1;
         prop_assert!(stats.total_retries() <= queries * max_retries);
         prop_assert_eq!(stats.timeouts, stats.total_retries() + stats.timed_out);
         prop_assert!(stats.retries_denied <= stats.timed_out);

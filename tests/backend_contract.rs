@@ -75,15 +75,15 @@ fn accel_spec_lines() -> Vec<String> {
                 let spec =
                     build_serving_spec(pool, &pcie, &pipeline, &placement, batching).unwrap();
                 let stages = spec.stages().iter().map(|s| {
-                    let (base, marginal) = (s.service_time.to_bits(), s.batch.marginal.to_bits());
-                    let (name, batch) = (&s.name, s.batch.max_batch);
+                    let (base, marginal) = (s.service_time.to_bits(), s.batch.marginal().to_bits());
+                    let (name, batch) = (&s.name, s.batch.max_batch());
                     format!(
                         "{name} on {} x{} {base:#x} batch {batch} {marginal:#x}",
                         s.resource, s.units
                     )
                 });
                 let groups = spec.resources().iter().map(|g| {
-                    let speeds: Vec<f64> = g.profiles().iter().map(|p| p.speed).collect();
+                    let speeds: Vec<f64> = g.profiles().iter().map(|p| p.speed()).collect();
                     format!("{} x{} {speeds:?}", g.name, g.capacity())
                 });
                 let parts: Vec<String> = stages.chain(groups).collect();
