@@ -1,7 +1,5 @@
-use serde::{Deserialize, Serialize};
-
 /// One hardware component's area/power contribution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Component {
     /// Component name as in Figure 11.
     pub name: String,
@@ -33,7 +31,7 @@ pub struct Component {
 /// assert!(area_ovh < 0.15);      // ~11%
 /// assert!(power_ovh < 0.45);     // ~36%
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AreaPowerModel {
     components: Vec<Component>,
 }

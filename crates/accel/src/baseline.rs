@@ -1,8 +1,8 @@
 use recpipe_data::{DatasetSpec, Zipf};
 use recpipe_hwsim::{MemoryModel, PcieModel, StageWork, StaticCacheModel};
-use serde::{Deserialize, Serialize};
 
-use crate::{rpaccel::ServiceProfile, SystolicArray};
+use crate::rpaccel::{launch, ServiceProfile};
+use crate::SystolicArray;
 
 /// The state-of-the-art baseline accelerator (Centaur-style, paper
 /// Section 6): a monolithic TPU-like systolic array with a static
@@ -31,10 +31,10 @@ use crate::{rpaccel::ServiceProfile, SystolicArray};
 ///     ModelConfig::for_kind(ModelKind::RmLarge, DatasetKind::CriteoKaggle),
 ///     4096,
 /// );
-/// let t = baseline.query_latency(&work, 64);
+/// let t = baseline.query_latency(&work, 64, 1);
 /// assert!(t > 0.0005 && t < 0.02);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaselineAccel {
     /// The monolithic MLP engine (128x128 at 250 MHz).
     pub array: SystolicArray,
@@ -126,52 +126,26 @@ impl BaselineAccel {
         self.pcie.round_trip_time(items * 4, k * 4) + items as f64 * self.host_sort_s_per_item
     }
 
-    /// End-to-end single-stage query latency, serving the top `k` items.
-    pub fn query_latency(&self, work: &StageWork, k: u64) -> f64 {
-        let mlp = self
-            .array
-            .cycles_to_seconds(self.array.model_cycles(&work.model, work.items));
+    /// End-to-end latency of a launch of `batch` queries through the
+    /// single stage, each served its own top `k` (`batch = 1` is one
+    /// query). The candidate sets concatenate (amortizing model
+    /// streaming, PCIe setup, and the host round trip), and the host
+    /// sorts each query's scores.
+    pub fn query_latency(&self, work: &StageWork, k: u64, batch: usize) -> f64 {
+        let work = &launch(std::slice::from_ref(work), batch)[0];
+        let mlp = self.array.model_cycles(&work.model, work.items);
         self.pcie.transfer_time(work.input_bytes())
-            + mlp
+            + self.array.cycles_to_seconds(mlp)
             + self.dram_time(work)
-            + self.host_filter_time(work.items, k)
+            + self.host_filter_time(work.items, k * batch.max(1) as u64)
     }
 
-    /// At-scale service profile (single lane; DRAM phase serialized).
-    pub fn service_profile(&self, work: &StageWork, k: u64) -> ServiceProfile {
-        let latency = self.query_latency(work, k);
-        let dram = self.dram_time(work).min(latency * 0.95);
-        ServiceProfile {
-            dram_service_s: dram,
-            compute_service_s: (latency - dram).max(1e-9),
-            lanes: 1,
-        }
-    }
-
-    /// Latency of a batch of `batch` queries executed as one launch,
-    /// each still served its own top `k`: the candidate sets concatenate
-    /// (amortizing model streaming, PCIe setup, and the host round
-    /// trip), and the host sorts each query's scores.
-    ///
-    /// `batch = 1` equals [`query_latency`](Self::query_latency)
-    /// exactly.
-    pub fn batched_query_latency(&self, work: &StageWork, k: u64, batch: usize) -> f64 {
-        let batch = batch.max(1) as u64;
-        let scaled = StageWork::new(work.model.clone(), work.items * batch);
-        self.query_latency(&scaled, k * batch)
-    }
-
-    /// [`service_profile`](Self::service_profile) for batches of
-    /// `batch` queries per launch.
-    pub fn batched_service_profile(
-        &self,
-        work: &StageWork,
-        k: u64,
-        batch: usize,
-    ) -> ServiceProfile {
-        let b = batch.max(1) as u64;
-        let scaled = StageWork::new(work.model.clone(), work.items * b);
-        self.service_profile(&scaled, k * b)
+    /// At-scale service profile of a launch of `batch` queries (single
+    /// lane; DRAM phase serialized).
+    pub fn service_profile(&self, work: &StageWork, k: u64, batch: usize) -> ServiceProfile {
+        let latency = self.query_latency(work, k, batch);
+        let dram = self.dram_time(&launch(std::slice::from_ref(work), batch)[0]);
+        ServiceProfile::split(latency, dram, 1)
     }
 }
 
@@ -191,7 +165,7 @@ mod tests {
     #[test]
     fn baseline_is_millisecond_scale() {
         let b = BaselineAccel::paper_default();
-        let t = b.query_latency(&work(ModelKind::RmLarge, 4096), 64);
+        let t = b.query_latency(&work(ModelKind::RmLarge, 4096), 64, 1);
         assert!((5e-4..8e-3).contains(&t), "baseline latency {t}");
     }
 
@@ -213,7 +187,7 @@ mod tests {
     #[test]
     fn single_lane_service() {
         let b = BaselineAccel::paper_default();
-        let p = b.service_profile(&work(ModelKind::RmLarge, 4096), 64);
+        let p = b.service_profile(&work(ModelKind::RmLarge, 4096), 64, 1);
         assert_eq!(p.lanes, 1);
         assert!(p.max_qps() < 2000.0, "baseline cap {}", p.max_qps());
     }

@@ -1,6 +1,5 @@
 use recpipe_data::Zipf;
 use recpipe_hwsim::{amat, MemoryModel, StaticCacheModel};
-use serde::{Deserialize, Serialize};
 
 /// RPAccel's on-chip embedding memory (paper Takeaway 7, Figure 10(c)).
 ///
@@ -14,7 +13,7 @@ use serde::{Deserialize, Serialize};
 ///   vectors, split between frontend and backend tables by
 ///   `frontend_fraction` — the asymmetric-provisioning axis of
 ///   Figure 10(c).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EmbeddingCacheConfig {
     /// Total embedding SRAM in bytes (Table 3: 16 MB).
     pub total_bytes: u64,
@@ -65,7 +64,7 @@ impl EmbeddingCacheConfig {
 /// let amat = cache.weighted_amat(4096, 512);
 /// assert!(amat > 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EmbeddingCache {
     config: EmbeddingCacheConfig,
     popularity: Zipf,

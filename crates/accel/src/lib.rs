@@ -16,9 +16,10 @@
 //! * [`SubBatchSchedule`] pipelining that overlaps frontend and backend
 //!   stages within one query (O.5).
 //!
-//! [`RpAccel`] composes all of the above into per-query latencies and
-//! at-scale executor parameters; [`BaselineAccel`] models the
-//! single-stage, host-filtered design point of Centaur. [`AreaPowerModel`]
+//! [`RpAccel`] composes all of the above into the latency and the
+//! at-scale [`ServiceProfile`] of a launch of `batch` queries (`1` for
+//! one query); [`BaselineAccel`] models the single-stage,
+//! host-filtered design point of Centaur the same way. [`AreaPowerModel`]
 //! reproduces the Figure 11 overhead breakdown, and [`scaling`] the
 //! SSD-backed future-model study of Figure 13.
 //!
@@ -35,7 +36,7 @@
 //!     StageWork::new(ModelConfig::for_kind(ModelKind::RmSmall, DatasetKind::CriteoKaggle), 4096),
 //!     StageWork::new(ModelConfig::for_kind(ModelKind::RmLarge, DatasetKind::CriteoKaggle), 512),
 //! ];
-//! let latency = accel.query_latency(&stages);
+//! let latency = accel.query_latency(&stages, 1); // one query
 //! assert!(latency > 0.0 && latency < 0.01);
 //! ```
 

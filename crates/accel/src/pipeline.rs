@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// Sub-batch pipelining schedule (paper Takeaway 4, O.5, Figure 9 right).
 ///
 /// A query of `N` items is split into `n` sub-batches. The frontend
@@ -28,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(pipelined < 600e-6);
 /// assert!(pipelined >= 400e-6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SubBatchSchedule {
     sub_batches: usize,
     per_chunk_overhead_s: f64,

@@ -1,9 +1,7 @@
-use serde::{Deserialize, Serialize};
-
 use crate::SystolicArray;
 
 /// One fissioned piece of the monolithic systolic array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SubArray {
     /// Rows of the sub-array.
     pub rows: usize,
@@ -45,7 +43,7 @@ impl SubArray {
 /// // Fission conserves the fabric.
 /// assert_eq!(p.total_macs(), 128 * 128);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Partition {
     frontend: Vec<SubArray>,
     backend: Vec<SubArray>,

@@ -1,6 +1,7 @@
+use std::borrow::Cow;
+
 use recpipe_data::{DatasetSpec, Zipf};
 use recpipe_hwsim::{MemoryModel, PcieModel, StageWork};
-use serde::{Deserialize, Serialize};
 
 use crate::{
     EmbeddingCache, EmbeddingCacheConfig, Partition, SubArray, SubBatchSchedule, SystolicArray,
@@ -9,7 +10,7 @@ use crate::{
 
 /// Configuration of an RPAccel instance (Table 3 resources plus the
 /// fission/pipelining design choices of Section 6).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RpAccelConfig {
     /// Systolic-array fission plan (O.3).
     pub partition: Partition,
@@ -61,21 +62,33 @@ impl RpAccelConfig {
     }
 }
 
-/// Service profile the queueing simulator consumes: the per-query time is
-/// split into a memory phase (serialized on the shared DRAM system) and a
-/// compute phase (parallel across `lanes` sub-array groups).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Service profile the queueing simulator consumes: the time of one
+/// launch is split into a memory phase (serialized on the shared DRAM
+/// system) and a compute phase (parallel across `lanes` sub-array groups).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceProfile {
-    /// Seconds of DRAM occupancy per query (gathers + spills + weights).
+    /// Seconds of DRAM occupancy per launch (gathers + spills + weights).
     pub dram_service_s: f64,
-    /// Seconds of sub-array occupancy per query (everything else).
+    /// Seconds of sub-array occupancy per launch (everything else).
     pub compute_service_s: f64,
     /// Concurrent query lanes.
     pub lanes: usize,
 }
 
 impl ServiceProfile {
-    /// Maximum sustainable throughput in QPS.
+    /// Splits one launch's `latency` into its DRAM occupancy `dram`,
+    /// capped at 95% of the latency, and the compute rest, floored at
+    /// 1 ns, served on `lanes` lanes.
+    pub(crate) fn split(latency: f64, dram: f64, lanes: usize) -> Self {
+        let dram = dram.min(latency * 0.95);
+        Self {
+            dram_service_s: dram,
+            compute_service_s: (latency - dram).max(1e-9),
+            lanes,
+        }
+    }
+
+    /// Maximum sustainable launch rate: QPS for a profile of one query.
     pub fn max_qps(&self) -> f64 {
         let dram_cap = if self.dram_service_s > 0.0 {
             1.0 / self.dram_service_s
@@ -103,9 +116,9 @@ impl ServiceProfile {
 ///     StageWork::new(ModelConfig::for_kind(kind, DatasetKind::CriteoKaggle), items)
 /// };
 /// let two_stage = [criteo(ModelKind::RmSmall, 4096), criteo(ModelKind::RmLarge, 512)];
-/// assert!(accel.query_latency(&two_stage) < 0.005);
+/// assert!(accel.query_latency(&two_stage, 1) < 0.005);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RpAccel {
     config: RpAccelConfig,
 }
@@ -204,13 +217,18 @@ impl RpAccel {
         t
     }
 
-    /// End-to-end latency of one query through the stage chain.
+    /// End-to-end latency of a launch of `batch` queries through the
+    /// stage chain (`batch = 1` is one query). The candidate sets
+    /// concatenate, so MLP weight streaming, activation-spill setup, and
+    /// PCIe input setup amortize across the batch while embedding
+    /// gathers scale with the items.
     ///
     /// # Panics
     ///
     /// Panics if `stages` is empty.
-    pub fn query_latency(&self, stages: &[StageWork]) -> f64 {
+    pub fn query_latency(&self, stages: &[StageWork], batch: usize) -> f64 {
         assert!(!stages.is_empty(), "need at least one stage");
+        let stages = &launch(stages, batch);
         let n = stages.len();
         let cache = self.build_cache(stages);
 
@@ -244,49 +262,29 @@ impl RpAccel {
         self.config.pcie.transfer_time(stages[0].input_bytes()) + pipeline_time
     }
 
-    /// At-scale service profile for the queueing simulator.
-    pub fn service_profile(&self, stages: &[StageWork]) -> ServiceProfile {
-        let latency = self.query_latency(stages);
-        let dram = self.dram_time(stages).min(latency * 0.95);
-        ServiceProfile {
-            dram_service_s: dram,
-            compute_service_s: (latency - dram).max(1e-9),
-            lanes: self.config.partition.query_lanes(),
-        }
-    }
-
-    /// Latency of a batch of `batch` queries executed as one launch:
-    /// the candidate sets concatenate, so MLP weight streaming,
-    /// activation-spill setup, and PCIe input setup amortize across the
-    /// batch while embedding gathers scale with the items.
-    ///
-    /// `batch = 1` equals [`query_latency`](Self::query_latency)
-    /// exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stages` is empty.
-    pub fn batched_query_latency(&self, stages: &[StageWork], batch: usize) -> f64 {
-        self.query_latency(&Self::scaled_stages(stages, batch))
-    }
-
-    /// [`service_profile`](Self::service_profile) for batches of
-    /// `batch` queries per launch: the whole-batch service times of the
+    /// At-scale service profile of a launch of `batch` queries for the
+    /// queueing simulator: the whole-launch service times of the
     /// serialized DRAM phase and the lanes-parallel compute phase.
     ///
     /// # Panics
     ///
     /// Panics if `stages` is empty.
-    pub fn batched_service_profile(&self, stages: &[StageWork], batch: usize) -> ServiceProfile {
-        self.service_profile(&Self::scaled_stages(stages, batch))
+    pub fn service_profile(&self, stages: &[StageWork], batch: usize) -> ServiceProfile {
+        let latency = self.query_latency(stages, batch);
+        let dram = self.dram_time(&launch(stages, batch));
+        ServiceProfile::split(latency, dram, self.config.partition.query_lanes())
     }
+}
 
-    fn scaled_stages(stages: &[StageWork], batch: usize) -> Vec<StageWork> {
-        stages
-            .iter()
-            .map(|w| StageWork::new(w.model.clone(), w.items * batch.max(1) as u64))
-            .collect()
+/// `stages` as one launch of `batch` queries: the candidate sets
+/// concatenate, so every stage ranks `batch` times its items. Borrowed
+/// for a single query.
+pub(crate) fn launch(stages: &[StageWork], batch: usize) -> Cow<'_, [StageWork]> {
+    if batch <= 1 {
+        return Cow::Borrowed(stages);
     }
+    let scale = |w: &StageWork| StageWork::new(w.model.clone(), w.items * batch as u64);
+    Cow::Owned(stages.iter().map(scale).collect())
 }
 
 #[cfg(test)]
@@ -316,7 +314,7 @@ mod tests {
     #[test]
     fn two_stage_latency_is_sub_millisecond_scale() {
         let a = accel(Partition::symmetric(8, 8));
-        let t = a.query_latency(&two_stage());
+        let t = a.query_latency(&two_stage(), 1);
         assert!((1e-4..5e-3).contains(&t), "two-stage latency {t} s");
     }
 
@@ -324,8 +322,8 @@ mod tests {
     fn asymmetric_backend_cuts_low_load_latency() {
         // Figure 12 (bottom): RPAccel8,2 (two big backend arrays) beats
         // RPAccel8,16 on single-query latency.
-        let big_backend = accel(Partition::symmetric(8, 2)).query_latency(&two_stage());
-        let small_backend = accel(Partition::symmetric(8, 16)).query_latency(&two_stage());
+        let big_backend = accel(Partition::symmetric(8, 2)).query_latency(&two_stage(), 1);
+        let small_backend = accel(Partition::symmetric(8, 16)).query_latency(&two_stage(), 1);
         assert!(
             big_backend < small_backend,
             "8,2: {big_backend} vs 8,16: {small_backend}"
@@ -334,8 +332,8 @@ mod tests {
 
     #[test]
     fn more_lanes_raise_throughput_cap() {
-        let p8 = accel(Partition::symmetric(8, 8)).service_profile(&two_stage());
-        let p2 = accel(Partition::symmetric(2, 2)).service_profile(&two_stage());
+        let p8 = accel(Partition::symmetric(8, 8)).service_profile(&two_stage(), 1);
+        let p2 = accel(Partition::symmetric(2, 2)).service_profile(&two_stage(), 1);
         assert!(p8.lanes > p2.lanes);
     }
 
@@ -345,7 +343,7 @@ mod tests {
         // system is the binding constraint (the reason the paper's
         // throughput tops out near ~1300 QPS rather than scaling with
         // lanes).
-        let profile = accel(Partition::symmetric(8, 8)).service_profile(&two_stage());
+        let profile = accel(Partition::symmetric(8, 8)).service_profile(&two_stage(), 1);
         let dram_cap = 1.0 / profile.dram_service_s;
         let lane_cap = profile.lanes as f64 / profile.compute_service_s;
         assert!(dram_cap < lane_cap, "dram {dram_cap} vs lanes {lane_cap}");
@@ -357,8 +355,8 @@ mod tests {
         // O.1: decomposing the monolithic model reduces query latency.
         let single = RpAccel::new(RpAccelConfig::paper_default(Partition::monolithic()));
         let multi = accel(Partition::symmetric(8, 2));
-        let t_single = single.query_latency(&[criteo(ModelKind::RmLarge, 4096)]);
-        let t_multi = multi.query_latency(&two_stage());
+        let t_single = single.query_latency(&[criteo(ModelKind::RmLarge, 4096)], 1);
+        let t_multi = multi.query_latency(&two_stage(), 1);
         assert!(
             t_single / t_multi > 1.5,
             "single {t_single} vs multi {t_multi}"
@@ -382,9 +380,9 @@ mod tests {
     fn service_profile_is_consistent() {
         let a = accel(Partition::symmetric(8, 8));
         let stages = two_stage();
-        let p = a.service_profile(&stages);
+        let p = a.service_profile(&stages, 1);
         let latency = p.dram_service_s + p.compute_service_s;
-        assert!((latency - a.query_latency(&stages)).abs() < 1e-9);
+        assert!((latency - a.query_latency(&stages, 1)).abs() < 1e-9);
         assert!(p.max_qps() > 0.0);
     }
 
@@ -396,13 +394,13 @@ mod tests {
             criteo(ModelKind::RmMed, 512),
             criteo(ModelKind::RmLarge, 128),
         ];
-        let t = a.query_latency(&stages);
+        let t = a.query_latency(&stages, 1);
         assert!(t > 0.0 && t < 0.01);
     }
 
     #[test]
     #[should_panic(expected = "at least one stage")]
     fn empty_stage_chain_panics() {
-        accel(Partition::symmetric(8, 8)).query_latency(&[]);
+        accel(Partition::symmetric(8, 8)).query_latency(&[], 1);
     }
 }

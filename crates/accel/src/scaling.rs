@@ -10,12 +10,11 @@
 use recpipe_data::{DatasetSpec, Zipf};
 use recpipe_hwsim::{MemoryModel, StageWork};
 use recpipe_models::{ModelConfig, ModelKind};
-use serde::{Deserialize, Serialize};
 
 use crate::{Partition, RpAccel, RpAccelConfig};
 
 /// Configuration of the scaling study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FutureScaling {
     /// The accelerator under study.
     accel: RpAccel,
@@ -122,7 +121,7 @@ impl FutureScaling {
             ),
             StageWork::new(self.scaled_backend(memory_scale), backend_items),
         ];
-        let base = self.accel.query_latency(&stages);
+        let base = self.accel.query_latency(&stages, 1);
         let ssd = self.ssd_time_per_query(memory_scale, backend_items);
         let hidden = self.overlap_fraction(memory_scale, compute_scale);
         base + ssd * (1.0 - hidden)
@@ -137,7 +136,7 @@ impl FutureScaling {
             RpAccelConfig::paper_default(Partition::monolithic()).with_dataset(&self.spec),
         );
         let stage = StageWork::new(self.scaled_backend(memory_scale), items);
-        let base = single.query_latency(std::slice::from_ref(&stage));
+        let base = single.query_latency(std::slice::from_ref(&stage), 1);
         base + self.ssd_time_per_query(memory_scale, items)
     }
 }

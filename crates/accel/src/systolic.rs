@@ -1,5 +1,4 @@
 use recpipe_models::ModelConfig;
-use serde::{Deserialize, Serialize};
 
 /// A weight-stationary systolic array MLP engine (paper Section 6.2,
 /// following the TPU/Centaur lineage).
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// let run = array.layer_run(13, 64, 4096);
 /// assert!(run.utilization < 0.10); // RMsmall's first layer wastes the fabric
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SystolicArray {
     rows: usize,
     cols: usize,
@@ -36,7 +35,7 @@ pub struct SystolicArray {
 }
 
 /// Cycle-level outcome of running one layer on a [`SystolicArray`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerRun {
     /// Total cycles including weight loads and pipeline fill/drain.
     pub cycles: u64,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// Streaming, approximate top-k filtering unit (paper Figure 10(b),
 /// Takeaway 6).
 ///
@@ -32,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(out.selected.len() >= 512);
 /// assert!(out.drain_cycles < 10_000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TopKFilter {
     num_bins: usize,
     k: usize,
@@ -40,7 +38,7 @@ pub struct TopKFilter {
 }
 
 /// Result of filtering one score stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FilterOutcome {
     /// Ids forwarded to the next stage (at least `k` when enough items
     /// clear the threshold), in bin-major (approximately descending

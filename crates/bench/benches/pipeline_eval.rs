@@ -33,7 +33,7 @@ fn bench_pipeline_eval(c: &mut Criterion) {
     c.bench_function("rpaccel_query_latency", |b| {
         let accel = RpAccel::new(RpAccelConfig::paper_default(Partition::symmetric(8, 8)));
         let stages = pipeline.stage_works();
-        b.iter(|| black_box(accel.query_latency(black_box(&stages))))
+        b.iter(|| black_box(accel.query_latency(black_box(&stages), 1)))
     });
 }
 

@@ -88,7 +88,7 @@ fn measure_ns_per_iter(mut f: impl FnMut()) -> f64 {
 }
 
 /// Extracts `benches.<name>.ns_per_iter` from the baseline JSON with a
-/// dependency-free string scan (the offline serde shim cannot parse).
+/// dependency-free string scan (the workspace has no JSON parser).
 fn baseline_ns_per_iter(json: &str, name: &str) -> Option<f64> {
     let key = format!("\"{name}\"");
     let at = json.find(&key)?;

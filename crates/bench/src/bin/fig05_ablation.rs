@@ -31,8 +31,8 @@ fn main() {
     ];
 
     let baseline = BaselineAccel::paper_default();
-    let base_latency = baseline.query_latency(&single, 64);
-    let base_profile = baseline.service_profile(&single, 64);
+    let base_latency = baseline.query_latency(&single, 64, 1);
+    let base_profile = baseline.service_profile(&single, 64, 1);
 
     // Ablation steps built by progressively enabling features.
     let no_cache = EmbeddingCacheConfig {
@@ -49,16 +49,16 @@ fn main() {
     o1_cfg.gather_efficiency = baseline.gather_efficiency;
     let o1 = RpAccel::new(o1_cfg.clone());
     let host_rt = baseline.host_filter_time(4096, 512);
-    let o1_latency = o1.query_latency(&two_stage) + host_rt;
+    let o1_latency = o1.query_latency(&two_stage, 1) + host_rt;
 
     // O.2: + on-chip top-k (drop the host round trip).
-    let o2_latency = o1.query_latency(&two_stage);
+    let o2_latency = o1.query_latency(&two_stage, 1);
 
     // O.3: + reconfigurable sub-arrays (concurrent stages & queries).
     let mut o3_cfg = o1_cfg.clone();
     o3_cfg.partition = Partition::symmetric(8, 2);
     let o3 = RpAccel::new(o3_cfg.clone());
-    let o3_latency = o3.query_latency(&two_stage);
+    let o3_latency = o3.query_latency(&two_stage, 1);
 
     // O.4: + dual embedding caches (static + look-ahead, better gathers).
     let mut o4_cfg = o3_cfg.clone();
@@ -66,14 +66,14 @@ fn main() {
     o4_cfg.gather_efficiency =
         RpAccelConfig::paper_default(Partition::monolithic()).gather_efficiency;
     let o4 = RpAccel::new(o4_cfg.clone());
-    let o4_latency = o4.query_latency(&two_stage);
+    let o4_latency = o4.query_latency(&two_stage, 1);
 
     // O.5: + sub-batch pipelining.
     let mut o5_cfg = o4_cfg.clone();
     o5_cfg.schedule = SubBatchSchedule::paper_default();
     let o5 = RpAccel::new(o5_cfg);
-    let o5_latency = o5.query_latency(&two_stage);
-    let o5_profile = o5.service_profile(&two_stage);
+    let o5_latency = o5.query_latency(&two_stage, 1);
+    let o5_profile = o5.service_profile(&two_stage, 1);
 
     let mut table = Table::new(vec!["step", "latency (us)", "cumulative speedup"]);
     let mut rows = vec![("baseline (single-stage + host filter)", base_latency)];

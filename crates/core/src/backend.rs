@@ -13,7 +13,6 @@ use std::sync::Arc;
 use recpipe_accel::{BaselineAccel, RpAccel, ServiceProfile};
 use recpipe_hwsim::{CpuModel, GpuModel, PcieModel, StageWork};
 use recpipe_qsim::{BatchModel, PipelineSpec, ReplicaGroup, SpecError, StageSpec};
-use serde::{Deserialize, Serialize};
 
 use crate::engine::EngineError;
 use crate::PipelineConfig;
@@ -123,7 +122,7 @@ impl Backend for CpuModel {
     }
 
     fn batch_latency(&self, work: &StageWork, parallelism: usize, batch: usize) -> f64 {
-        CpuModel::batch_stage_latency(self, work, parallelism.clamp(1, self.cores), batch)
+        self.stage_latency(work, parallelism.clamp(1, self.cores), batch)
     }
 
     fn splits_queries(&self) -> bool {
@@ -147,7 +146,7 @@ impl Backend for GpuModel {
     }
 
     fn batch_latency(&self, work: &StageWork, _parallelism: usize, batch: usize) -> f64 {
-        GpuModel::batch_stage_latency(self, work, batch)
+        self.stage_latency(work, batch)
     }
 }
 
@@ -168,11 +167,11 @@ impl Backend for RpAccel {
     }
 
     fn batch_latency(&self, work: &StageWork, _parallelism: usize, batch: usize) -> f64 {
-        self.batched_query_latency(std::slice::from_ref(work), batch)
+        self.query_latency(std::slice::from_ref(work), batch)
     }
 
     fn chain_profile(&self, pipeline: &PipelineConfig, batch: usize) -> Option<ServiceProfile> {
-        Some(self.batched_service_profile(&pipeline.stage_works(), batch))
+        Some(self.service_profile(&pipeline.stage_works(), batch))
     }
 }
 
@@ -194,7 +193,7 @@ impl Backend for BaselineAccel {
     fn batch_latency(&self, work: &StageWork, _parallelism: usize, batch: usize) -> f64 {
         // The baseline serves a single monolithic stage; the top-64
         // host filter is the paper's serving configuration.
-        self.batched_query_latency(work, 64, batch)
+        self.query_latency(work, 64, batch)
     }
 
     fn chain_profile(&self, pipeline: &PipelineConfig, batch: usize) -> Option<ServiceProfile> {
@@ -205,7 +204,7 @@ impl Backend for BaselineAccel {
             return None;
         }
         let work = pipeline.stage_works().into_iter().next()?;
-        Some(self.batched_service_profile(&work, pipeline.items_served(), batch))
+        Some(self.service_profile(&work, pipeline.items_served(), batch))
     }
 }
 
@@ -259,7 +258,7 @@ fn fit_batch(stage: StageSpec, full: f64, batch: usize) -> StageSpec {
 /// embedding fleets keep their derived `Hash`/`Eq` (the scheduler
 /// dedups placements by hashing); constructors validate speeds finite
 /// and positive, so bit equality is value equality.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FleetSpec {
     speed_bits: Vec<u64>,
 }
@@ -368,7 +367,7 @@ impl Default for FleetSpec {
 
 /// Where one pipeline stage runs: a backend (by index into the engine's
 /// pool) and how many of that backend's resource units serve one query.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StageSite {
     /// Index into the backend pool.
     pub backend: usize,
@@ -378,11 +377,13 @@ pub struct StageSite {
 }
 
 impl StageSite {
-    /// A site on `backend` with the given per-query parallelism.
+    /// A site on `backend` with the given per-query parallelism. A zero
+    /// parallelism is an [`EngineError::Spec`] when an engine is built
+    /// on it.
     pub fn new(backend: usize, parallelism: usize) -> Self {
         Self {
             backend,
-            parallelism: parallelism.max(1),
+            parallelism,
         }
     }
 }
@@ -396,7 +397,7 @@ impl StageSite {
 /// [`gpu_only`](Placement::gpu_only), ...) assume the *commodity pool
 /// convention* used by `Engine::commodity`: backend 0 is the CPU,
 /// backend 1 is the GPU.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Placement {
     sites: Vec<StageSite>,
     /// Each used backend's fleet other than one baseline replica, so
@@ -691,7 +692,7 @@ mod tests {
         let work = &two_stage().stage_works()[0];
         assert_eq!(
             Backend::batch_latency(&cpu, work, 2, 1),
-            CpuModel::stage_latency(&cpu, work, 2)
+            CpuModel::stage_latency(&cpu, work, 2, 1)
         );
         assert_eq!(cpu.resources().capacity(), 64);
     }

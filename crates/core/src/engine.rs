@@ -18,7 +18,6 @@ use recpipe_data::{DatasetKind, DatasetSpec, PoissonArrivals};
 use recpipe_hwsim::{CpuModel, GpuModel, PcieModel};
 use recpipe_metrics::ParetoFront;
 use recpipe_qsim::{PipelineSpec, SimResult, SpecError};
-use serde::{Deserialize, Serialize};
 
 use crate::backend::{build_serving_spec, Backend, FleetSpec, Placement};
 use crate::scheduler::Scheduler;
@@ -98,7 +97,7 @@ impl From<recpipe_qsim::SimError> for EngineError {
 /// with quality, tail latency, throughput, and saturation in a single
 /// struct — what the scheduler emits and what [`Engine::evaluate`]
 /// returns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Outcome {
     /// The pipeline configuration.
     pub pipeline: PipelineConfig,
@@ -720,6 +719,27 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, EngineError::PlacementArity { .. }));
+    }
+
+    #[test]
+    fn zero_parallelism_is_a_build_error_from_the_constructor_too() {
+        let literal = StageSite {
+            backend: 0,
+            parallelism: 0,
+        };
+        for placement in [
+            Placement::uniform(0, 2, 0),
+            Placement::new(vec![literal; 2]),
+        ] {
+            let err = Engine::commodity(two_stage())
+                .placement(placement)
+                .build()
+                .unwrap_err();
+            assert!(matches!(
+                err,
+                EngineError::Spec(SpecError::ZeroUnits { .. })
+            ));
+        }
     }
 
     #[test]

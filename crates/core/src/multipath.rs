@@ -23,7 +23,6 @@ use recpipe_qsim::{
     AdmissionPolicy, AlwaysPrimary, DeadlineAware, LifecycleConfig, LoadAdaptive, PathSet,
     PathStats, Router, Scenario, SchedulingPolicy,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::backend::build_serving_spec;
 use crate::engine::{Engine, EngineError};
@@ -181,7 +180,7 @@ impl<'e> PathSetBuilder<'e> {
 
 /// One admission design point of a brown-out sweep: a policy's knobs
 /// and how the multi-path run fared under them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BrownoutOutcome {
     /// The admission policy's self-reported name (knobs included).
     pub policy: String,

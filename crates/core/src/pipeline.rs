@@ -1,7 +1,6 @@
 use recpipe_data::DatasetKind;
 use recpipe_hwsim::StageWork;
 use recpipe_models::ModelKind;
-use serde::{Deserialize, Serialize};
 
 use crate::StageConfig;
 
@@ -79,7 +78,7 @@ impl std::error::Error for PipelineError {}
 /// assert_eq!(two_stage.describe(), "RMsmall@4096→256 | RMlarge@256→64");
 /// # Ok::<(), recpipe_core::PipelineError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PipelineConfig {
     stages: Vec<StageConfig>,
     dataset: DatasetKind,

@@ -6,12 +6,11 @@ use rand::SeedableRng;
 use recpipe_data::{DatasetKind, DatasetSpec, Normal, QueryGenerator};
 use recpipe_metrics::{ideal_top_k, top_k_positions, top_k_set, BinaryConfusion, NdcgAtK};
 use recpipe_models::{AccuracyModel, ModelKind};
-use serde::{Deserialize, Serialize};
 
 use crate::{parallel_map, PipelineConfig};
 
 /// Quality measurement of a pipeline over many queries.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QualityReport {
     /// Mean NDCG of the served top-k, in `[0, 1]` (the paper reports this
     /// x100, e.g. 92.25).

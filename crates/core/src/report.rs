@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// A fixed-width text table for the experiment binaries that regenerate
 /// the paper's tables and figures.
 ///
@@ -14,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(text.contains("RMlarge"));
 /// assert!(text.lines().count() >= 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,

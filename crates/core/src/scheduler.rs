@@ -6,7 +6,6 @@ use recpipe_hwsim::{CpuModel, PcieModel};
 use recpipe_metrics::{Dominance, ParetoFront};
 use recpipe_models::ModelKind;
 use recpipe_qsim::{Scenario, SimResult};
-use serde::{Deserialize, Serialize};
 
 use crate::backend::{build_spec, Backend, FleetSpec, Placement, StageSite};
 use crate::engine::Outcome;
@@ -15,7 +14,7 @@ use crate::parallel::{parallel_map, worker_threads};
 use crate::{PipelineConfig, QualityEvaluator, StageConfig};
 
 /// Knobs bounding the scheduler's exhaustive search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchedulerSettings {
     /// Dataset being served.
     pub dataset: DatasetKind,
@@ -62,7 +61,7 @@ pub struct SchedulerSettings {
 /// multiplies the placement grid, and most of that grid is nowhere near
 /// the Pareto front; halving prunes it with cheap low-budget
 /// simulations before spending the full budget on contenders.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum SweepBudget {
     /// Simulate every candidate at the full
     /// [`sim_queries`](SchedulerSettings::sim_queries) budget — the
@@ -110,7 +109,7 @@ impl SweepBudget {
 
 /// Cost accounting for one sweep's simulation phase (quality
 /// evaluations are budgeted separately and cached per pipeline).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
     /// Candidates enumerated (pipeline x placement x replica variants
     /// that passed the analytic stability pre-check).

@@ -1,7 +1,6 @@
 use recpipe_data::DatasetKind;
 use recpipe_hwsim::StageWork;
 use recpipe_models::{ModelConfig, ModelKind};
-use serde::{Deserialize, Serialize};
 
 /// One stage of a multi-stage ranking pipeline: a model tier paired with
 /// the number of candidate items it scores (`items_in`) and forwards to
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// let stage = StageConfig::new(ModelKind::RmSmall, 4096, 256);
 /// assert_eq!(stage.items_in / stage.items_out, 16);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StageConfig {
     /// Which Pareto-optimal model tier ranks this stage.
     pub model: ModelKind,

@@ -1,7 +1,5 @@
-use serde::{Deserialize, Serialize};
-
 /// The three open-source workloads evaluated in the paper (Section 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetKind {
     /// Criteo Kaggle display-advertising CTR dataset — served by DLRM,
     /// embedding-capacity dominated.
@@ -51,7 +49,7 @@ impl std::fmt::Display for DatasetKind {
 /// assert_eq!(criteo.num_sparse_features, 26);
 /// assert_eq!(criteo.candidates_per_query, 4096);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetSpec {
     /// Which workload this spec models.
     pub kind: DatasetKind,

@@ -5,7 +5,6 @@
 //! pulling in an extra dependency (see DESIGN.md).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Gaussian distribution sampled with the Marsaglia polar method.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let x = n.sample(&mut rng);
 /// assert!(x.is_finite());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Normal {
     mean: f64,
     std: f64,
@@ -75,7 +74,7 @@ impl Normal {
 /// Exponential distribution with rate `lambda` (mean `1/lambda`).
 ///
 /// Used for true-utility tails and Poisson inter-arrival gaps.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Exponential {
     lambda: f64,
 }
@@ -129,7 +128,7 @@ impl Exponential {
 /// let rank = z.sample(&mut rng);
 /// assert!((1..=1_000_000).contains(&rank));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Zipf {
     n: u64,
     s: f64,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// One ranking request: a user context plus a pool of candidate items with
 /// hidden true utilities.
 ///
@@ -8,7 +6,7 @@ use serde::{Deserialize, Serialize};
 /// Models observe noisy versions of it; quality (NDCG) is computed against
 /// the true values — exactly how the paper separates model accuracy from
 /// application quality.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankingQuery {
     /// Monotone query identifier.
     pub id: u64,
@@ -30,7 +28,7 @@ impl RankingQuery {
 /// Dense features and sparse ids are drawn from a latent-factor process in
 /// which the click probability is a logistic function of the user-item
 /// affinity, so models that learn the latent structure achieve lower error.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClickSample {
     /// Continuous input features (13 for the Criteo-like profile).
     pub dense: Vec<f32>,

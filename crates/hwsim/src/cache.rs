@@ -1,7 +1,6 @@
 use std::collections::BTreeMap;
 
 use recpipe_data::Zipf;
-use serde::{Deserialize, Serialize};
 
 /// Analytic hit-rate model for a *static* hot-embedding cache.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let cache = StaticCacheModel::new(popularity, 100_000);
 /// assert!(cache.hit_rate() > 0.5); // hot heads dominate
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StaticCacheModel {
     popularity: Zipf,
     cached_rows: u64,

@@ -1,5 +1,4 @@
 use recpipe_models::ModelConfig;
-use serde::{Deserialize, Serialize};
 
 use crate::StageWork;
 
@@ -31,7 +30,7 @@ use crate::StageWork;
 /// With these constants the model lands where the paper's Figure 7/8
 /// shapes require: single-stage RMlarge@4096 ≈ 100 ms on a core,
 /// two-stage (RMsmall@4096 → RMlarge@256) ≈ 25 ms, a ~4x gap.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuModel {
     /// Physical cores (Table 2: 64).
     pub cores: usize,
@@ -135,18 +134,8 @@ impl CpuModel {
         total / (self.dram_bw * self.random_access_eff)
     }
 
-    /// Service time of one query's stage using `cores_per_query` cores:
-    /// [`batch_stage_latency`](Self::batch_stage_latency) at batch 1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores_per_query` is zero or exceeds the core count.
-    pub fn stage_latency(&self, work: &StageWork, cores_per_query: usize) -> f64 {
-        self.batch_stage_latency(work, cores_per_query, 1)
-    }
-
-    /// Service time of a batch of `batch` queries' stages sharing
-    /// `cores_per_query` cores.
+    /// Service time of a launch of `batch` queries' stages sharing
+    /// `cores_per_query` cores (`batch = 1` is one query).
     ///
     /// The batch concatenates its GEMMs (raising the batch-efficiency
     /// factor toward 1.0), embedding gathers scale linearly, and the
@@ -156,12 +145,7 @@ impl CpuModel {
     /// # Panics
     ///
     /// Panics if `cores_per_query` is zero or exceeds the core count.
-    pub fn batch_stage_latency(
-        &self,
-        work: &StageWork,
-        cores_per_query: usize,
-        batch: usize,
-    ) -> f64 {
+    pub fn stage_latency(&self, work: &StageWork, cores_per_query: usize, batch: usize) -> f64 {
         assert!(
             cores_per_query >= 1 && cores_per_query <= self.cores,
             "cores_per_query out of range"
@@ -195,7 +179,7 @@ mod tests {
     #[test]
     fn single_stage_rmlarge_is_roughly_100ms() {
         let cpu = CpuModel::cascade_lake();
-        let t = cpu.stage_latency(&work(ModelKind::RmLarge, 4096), 1);
+        let t = cpu.stage_latency(&work(ModelKind::RmLarge, 4096), 1, 1);
         assert!((0.06..0.16).contains(&t), "RMlarge@4096 on one core: {t} s");
     }
 
@@ -204,9 +188,9 @@ mod tests {
         // Figure 7 (right): at iso-quality, two-stage cuts tail latency
         // ~4.4x on CPUs. Service times alone should show ~3-6x.
         let cpu = CpuModel::cascade_lake();
-        let single = cpu.stage_latency(&work(ModelKind::RmLarge, 4096), 1);
-        let multi = cpu.stage_latency(&work(ModelKind::RmSmall, 4096), 1)
-            + cpu.stage_latency(&work(ModelKind::RmLarge, 256), 1);
+        let single = cpu.stage_latency(&work(ModelKind::RmLarge, 4096), 1, 1);
+        let multi = cpu.stage_latency(&work(ModelKind::RmSmall, 4096), 1, 1)
+            + cpu.stage_latency(&work(ModelKind::RmLarge, 256), 1, 1);
         let ratio = single / multi;
         assert!((3.0..6.5).contains(&ratio), "speedup {ratio}");
     }
@@ -233,7 +217,7 @@ mod tests {
         let cpu = CpuModel::cascade_lake();
         let mut prev = 0.0;
         for items in [256u64, 512, 1024, 2048, 4096] {
-            let t = cpu.stage_latency(&work(ModelKind::RmMed, items), 1);
+            let t = cpu.stage_latency(&work(ModelKind::RmMed, items), 1, 1);
             assert!(t > prev, "items {items}: {t} <= {prev}");
             prev = t;
         }
@@ -243,9 +227,9 @@ mod tests {
     fn model_parallelism_cuts_latency_sublinearly() {
         let cpu = CpuModel::cascade_lake();
         let w = work(ModelKind::RmLarge, 256);
-        let t1 = cpu.stage_latency(&w, 1);
-        let t2 = cpu.stage_latency(&w, 2);
-        let t4 = cpu.stage_latency(&w, 4);
+        let t1 = cpu.stage_latency(&w, 1, 1);
+        let t2 = cpu.stage_latency(&w, 2, 1);
+        let t4 = cpu.stage_latency(&w, 4, 1);
         assert!(t2 < t1 && t4 < t2);
         // Sublinear: 4 cores give less than 4x.
         assert!(t1 / t4 < 4.0);
@@ -272,7 +256,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn zero_cores_per_query_panics() {
         let cpu = CpuModel::cascade_lake();
-        cpu.stage_latency(&work(ModelKind::RmSmall, 64), 0);
+        cpu.stage_latency(&work(ModelKind::RmSmall, 64), 0, 1);
     }
 
     #[test]
@@ -281,8 +265,8 @@ mod tests {
         // design crosses the 25 ms SLA. The frontend slope must therefore
         // be meaningful: ~1-4 ms over that span.
         let cpu = CpuModel::cascade_lake();
-        let lo = cpu.stage_latency(&work(ModelKind::RmSmall, 3200), 1);
-        let hi = cpu.stage_latency(&work(ModelKind::RmSmall, 4096), 1);
+        let lo = cpu.stage_latency(&work(ModelKind::RmSmall, 3200), 1, 1);
+        let hi = cpu.stage_latency(&work(ModelKind::RmSmall, 4096), 1, 1);
         let delta = hi - lo;
         assert!(
             (0.0005..0.006).contains(&delta),

@@ -1,5 +1,4 @@
 use recpipe_models::ModelConfig;
-use serde::{Deserialize, Serialize};
 
 use crate::{PcieModel, StageWork};
 
@@ -27,7 +26,7 @@ use crate::{PcieModel, StageWork};
 ///   DeepRecSys citation).
 /// * Query inputs cross PCIe before compute starts (the [`PcieModel`]
 ///   leg is accounted by this device since it is unavoidable per query).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuModel {
     /// Peak multiply-accumulate rate (8.1 TFLOPS fp32 → 4.05e12 MAC/s).
     pub peak_macs: f64,
@@ -107,20 +106,15 @@ impl GpuModel {
             + cost.sparse_lookups_per_item as f64 * self.kernel_launch_s
     }
 
-    /// Service time of one query's stage:
-    /// [`batch_stage_latency`](Self::batch_stage_latency) at batch 1.
-    pub fn stage_latency(&self, work: &StageWork) -> f64 {
-        self.batch_stage_latency(work, 1)
-    }
-
-    /// Service time of a batch of `batch` queries' stages on the GPU.
+    /// Service time of a launch of `batch` queries' stages on the GPU
+    /// (`batch = 1` is one query).
     ///
     /// Batching is where the GPU shines for this workload: the batch's
     /// candidate sets concatenate into one large launch, so the per-layer
     /// kernel-launch overheads, the fixed per-query software overhead,
     /// and PCIe setup are paid once while GEMM efficiency climbs toward
     /// `eff_cap`.
-    pub fn batch_stage_latency(&self, work: &StageWork, batch: usize) -> f64 {
+    pub fn stage_latency(&self, work: &StageWork, batch: usize) -> f64 {
         let batch = batch.max(1) as u64;
         let input = self.pcie.transfer_time(work.input_bytes() * batch);
         input
@@ -146,7 +140,7 @@ mod tests {
     #[test]
     fn gpu_single_stage_is_low_milliseconds() {
         let gpu = GpuModel::t4();
-        let t = gpu.stage_latency(&work(ModelKind::RmLarge, 4096));
+        let t = gpu.stage_latency(&work(ModelKind::RmLarge, 4096), 1);
         assert!((0.0005..0.01).contains(&t), "RMlarge@4096 on GPU: {t} s");
     }
 
@@ -156,8 +150,8 @@ mod tests {
         // RMlarge on the GPU, overshadowing the benefits of decomposing
         // models" — within ~4x, not the ~75x FLOP ratio.
         let gpu = GpuModel::t4();
-        let small = gpu.stage_latency(&work(ModelKind::RmSmall, 4096));
-        let large = gpu.stage_latency(&work(ModelKind::RmLarge, 4096));
+        let small = gpu.stage_latency(&work(ModelKind::RmSmall, 4096), 1);
+        let large = gpu.stage_latency(&work(ModelKind::RmLarge, 4096), 1);
         let ratio = large / small;
         assert!((1.0..4.5).contains(&ratio), "GPU large/small ratio {ratio}");
     }
@@ -169,15 +163,15 @@ mod tests {
         let gpu = GpuModel::t4();
         let cpu = crate::CpuModel::cascade_lake();
         let w = work(ModelKind::RmLarge, 4096);
-        let speedup = cpu.stage_latency(&w, 1) / gpu.stage_latency(&w);
+        let speedup = cpu.stage_latency(&w, 1, 1) / gpu.stage_latency(&w, 1);
         assert!(speedup > 10.0, "GPU speedup {speedup}");
     }
 
     #[test]
     fn latency_grows_with_items() {
         let gpu = GpuModel::t4();
-        let a = gpu.stage_latency(&work(ModelKind::RmMed, 512));
-        let b = gpu.stage_latency(&work(ModelKind::RmMed, 4096));
+        let a = gpu.stage_latency(&work(ModelKind::RmMed, 512), 1);
+        let b = gpu.stage_latency(&work(ModelKind::RmMed, 4096), 1);
         assert!(b > a);
     }
 
@@ -185,9 +179,9 @@ mod tests {
     fn pcie_input_is_part_of_latency() {
         let mut gpu = GpuModel::t4();
         let w = work(ModelKind::RmLarge, 4096);
-        let with_pcie = gpu.stage_latency(&w);
+        let with_pcie = gpu.stage_latency(&w, 1);
         gpu.pcie = PcieModel::new(0.0, f64::INFINITY);
-        let without = gpu.stage_latency(&w);
+        let without = gpu.stage_latency(&w, 1);
         assert!(with_pcie > without);
     }
 

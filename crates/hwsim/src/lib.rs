@@ -17,7 +17,9 @@
 //!
 //! Every constant is a named field with a documented rationale; the
 //! presets [`CpuModel::cascade_lake`] and [`GpuModel::t4`] carry the
-//! Table 2 specifications.
+//! Table 2 specifications. Each device has one price method,
+//! `stage_latency`, which takes the batch: a launch of `batch` queries
+//! concatenates their candidate sets, and `1` prices one query.
 //!
 //! # Examples
 //!
@@ -31,7 +33,7 @@
 //!     ModelConfig::for_kind(ModelKind::RmLarge, DatasetKind::CriteoKaggle),
 //!     4096,
 //! );
-//! let latency = cpu.stage_latency(&work, 1);
+//! let latency = cpu.stage_latency(&work, 1, 1); // one core, one query
 //! assert!(latency > 0.01 && latency < 0.5); // tens of milliseconds
 //! ```
 

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// Latency/bandwidth model of one level of the memory hierarchy.
 ///
 /// Used by the accelerator simulator for its SRAM caches, DRAM (Table 3:
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// let sram = MemoryModel::accel_sram();
 /// assert!(dram.access_time(128) > sram.access_time(128));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryModel {
     latency_s: f64,
     bandwidth_bps: f64,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// PCIe transfer cost: fixed link latency plus bandwidth-bound payload
 /// time.
 ///
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// let t = pcie.transfer_time(1 << 20); // 1 MiB
 /// assert!(t > 80e-6 && t < 200e-6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PcieModel {
     latency_s: f64,
     bandwidth_bps: f64,

@@ -1,5 +1,4 @@
 use recpipe_models::{ModelConfig, ModelCost};
-use serde::{Deserialize, Serialize};
 
 /// The work of one pipeline stage for one query: rank `items` candidates
 /// with `model`.
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(work.items, 4096);
 /// assert!(work.input_bytes() > 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StageWork {
     /// The model executed by this stage.
     pub model: ModelConfig,

@@ -30,8 +30,8 @@ proptest! {
         extra in 1u64..8_192,
     ) {
         let cpu = CpuModel::cascade_lake();
-        let lo = cpu.stage_latency(&work(kind, items), 1);
-        let hi = cpu.stage_latency(&work(kind, items + extra), 1);
+        let lo = cpu.stage_latency(&work(kind, items), 1, 1);
+        let hi = cpu.stage_latency(&work(kind, items + extra), 1, 1);
         prop_assert!(lo > 0.0);
         prop_assert!(hi > lo);
     }
@@ -48,7 +48,7 @@ proptest! {
     #[test]
     fn gpu_latency_positive(kind in model_kind(), items in 1u64..8_192) {
         let gpu = GpuModel::t4();
-        prop_assert!(gpu.stage_latency(&work(kind, items)) > 0.0);
+        prop_assert!(gpu.stage_latency(&work(kind, items), 1) > 0.0);
     }
 
     #[test]

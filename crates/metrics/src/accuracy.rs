@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// Confusion-matrix counts for a binary click-through-rate classifier.
 ///
 /// The paper's "model error" (Table 1: 21.36% / 21.26% / 21.13%) is the
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// cm.observe(0.1, false); // correct negative
 /// assert!((cm.error() - 1.0 / 3.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BinaryConfusion {
     /// Predicted positive, actually positive.
     pub true_positives: u64,

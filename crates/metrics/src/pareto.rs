@@ -1,7 +1,5 @@
-use serde::{Deserialize, Serialize};
-
 /// Direction of optimization for one objective axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dominance {
     /// Smaller values are better (e.g. tail latency).
     Minimize,
@@ -126,7 +124,7 @@ fn pareto_front<T>(points: Vec<ParetoPoint<T>>, axes: &[Dominance]) -> Vec<Paret
 /// );
 /// assert_eq!(front.len(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParetoFront<T> {
     points: Vec<T>,
 }

@@ -1,8 +1,6 @@
 use std::borrow::Cow;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// Sample count above which a collector folds its exact sample vector
 /// into the fixed log-spaced histogram (see [`LatencyStats`]).
 ///
@@ -85,7 +83,7 @@ fn bin_lower(idx: usize) -> u64 {
 /// assert_eq!(stats.p99(), Duration::from_millis(99));
 /// assert_eq!(stats.p50(), Duration::from_millis(50));
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LatencyStats {
     /// Raw samples while in exact mode; empty once folded.
     samples_ns: Vec<u64>,

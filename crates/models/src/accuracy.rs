@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::ModelKind;
 
 /// CTR-prediction error (percent) as a function of pure-MLP FLOPs, fitted
@@ -45,7 +43,7 @@ pub fn error_percent_from_flops(flops: u64) -> f64 {
 /// * RMsmall ranking 4096 items → NDCG ≈ 91.3 (Figure 3),
 /// * RMsmall→RMlarge two-stage at 4096→256 → NDCG ≈ 92.25 (iso-quality,
 ///   Section 5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccuracyModel {
     sigma_small: f64,
     sigma_med: f64,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{ArchKind, ModelConfig};
 
 /// Static cost footprint of one model — the quantities every hardware
@@ -19,7 +17,7 @@ use crate::{ArchKind, ModelConfig};
 /// assert_eq!(cost.sparse_lookups_per_item, 26);
 /// assert!((cost.model_bytes as f64 / 1e9 - 1.08).abs() < 0.1); // ~1 GB
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ModelCost {
     /// Multiply-accumulates per ranked item (MLP towers + interaction).
     pub flops_per_item: u64,

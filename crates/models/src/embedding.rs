@@ -1,6 +1,5 @@
 use rand::Rng;
 use recpipe_tensor::{Initializer, Matrix};
-use serde::{Deserialize, Serialize};
 
 /// A trainable embedding table: `rows x dim` dense storage with per-row
 /// lookup and SGD update.
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// let table = EmbeddingTable::new(100, 8, &mut rng);
 /// assert_eq!(table.lookup(42).len(), 8);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmbeddingTable {
     weights: Matrix,
 }

@@ -1,12 +1,11 @@
 use rand::Rng;
 use recpipe_tensor::{add_bias_inplace, Activation, Initializer, Matrix};
-use serde::{Deserialize, Serialize};
 
 /// One fully-connected layer: `Y = act(X W + b)`.
 ///
 /// Weights are `in_dim x out_dim` so activations stay row-major batches
 /// (`batch x dim`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DenseLayer {
     weights: Matrix,
     bias: Vec<f32>,
@@ -117,7 +116,7 @@ impl DenseLayer {
 /// let x = Matrix::zeros(2, 13);
 /// assert_eq!(mlp.forward(&x).shape(), (2, 4));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     layers: Vec<DenseLayer>,
 }

@@ -1,10 +1,9 @@
 use recpipe_data::{ClickGenerator, ClickSample, DatasetSpec};
-use serde::{Deserialize, Serialize};
 
 use crate::Dlrm;
 
 /// Outcome of a training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainReport {
     /// Mean BCE loss per epoch, in order.
     pub epoch_losses: Vec<f64>,

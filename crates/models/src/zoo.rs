@@ -1,5 +1,4 @@
 use recpipe_data::DatasetKind;
-use serde::{Deserialize, Serialize};
 
 use crate::ModelCost;
 
@@ -8,7 +7,7 @@ use crate::ModelCost;
 /// For Criteo these are DLRM configurations; for the MovieLens datasets
 /// they map onto proportionally-sized neural matrix factorization models
 /// (the paper trains NeuMF for MovieLens, Section 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ModelKind {
     /// Lightweight frontend filter (Table 1: RMsmall — 1.1K FLOPs, 1 GB).
     RmSmall,
@@ -44,7 +43,7 @@ impl std::fmt::Display for ModelKind {
 }
 
 /// Network architecture family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArchKind {
     /// Facebook's Deep Learning Recommendation Model: bottom MLP over
     /// dense features, embedding lookups, feature interaction, top MLP.
@@ -68,7 +67,7 @@ pub enum ArchKind {
 /// assert_eq!(cfg.embedding_dim, 4);
 /// assert_eq!(cfg.mlp_bottom, vec![13, 64, 4]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ModelConfig {
     /// Which tier this config realizes.
     pub kind: ModelKind,

@@ -1,5 +1,4 @@
 use recpipe_metrics::LatencyStats;
-use serde::{Deserialize, Serialize};
 
 use crate::{ResilienceStats, WindowStats};
 
@@ -16,7 +15,7 @@ use crate::{ResilienceStats, WindowStats};
 /// println!("p99 = {:.2} ms", result.p99_seconds() * 1e3);
 /// # Ok::<(), recpipe_qsim::SpecError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// End-to-end per-query latency distribution (post-warmup).
     pub latency: LatencyStats,
@@ -173,7 +172,7 @@ impl SimResult {
 /// Per-path accounting of one multi-path run: how many queries the
 /// admission policy sent down the path, how they fared, and the path's
 /// post-warmup latency summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathStats {
     /// The path's name (from the [`PathSet`](crate::PathSet)).
     pub name: String,

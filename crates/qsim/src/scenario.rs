@@ -37,6 +37,9 @@ pub enum SimError {
     NoPaths,
     /// The scenario asks for zero queries.
     NoQueries,
+    /// The arrival stream's first time (the payload) is negative or not
+    /// finite.
+    FirstArrival(f64),
     /// More queries (the payload) than packed events can index.
     TooManyQueries(usize),
     /// The autoscaled resource group (the payload) does not exist.
@@ -69,6 +72,7 @@ impl std::fmt::Display for SimError {
             SimError::NoStages => write!(f, "pipeline has no stages"),
             SimError::NoPaths => write!(f, "path set has no paths"),
             SimError::NoQueries => write!(f, "need at least one query"),
+            SimError::FirstArrival(t) => write!(f, "first arrival time {t} is negative or not finite"),
             SimError::TooManyQueries(n) => {
                 write!(f, "at most {} queries per run, got {n}", u32::MAX)
             }
@@ -287,8 +291,9 @@ impl<'a> Scenario<'a> {
         Ok(result)
     }
 
-    /// The bounds that need the spec or more than one input, checked in
-    /// O(1); each config checked its own ranges when it was built.
+    /// The bounds that need the spec or more than one input, and the
+    /// first arrival time, checked in O(1); each config checked its own
+    /// ranges when it was built.
     fn validate(&self) -> Result<(), SimError> {
         let Inputs {
             spec, num_queries, ..
@@ -303,6 +308,13 @@ impl<'a> Scenario<'a> {
         }
         if num_queries > u32::MAX as usize {
             return Err(SimError::TooManyQueries(num_queries));
+        }
+        // A stream never decreases, so its first time bounds the rest;
+        // `-0.0` passes, as it equals `0.0`.
+        if let Some(t0) = self.inputs.arrivals.stream(self.inputs.seed).next() {
+            if !(t0 >= 0.0 && t0.is_finite()) {
+                return Err(SimError::FirstArrival(t0));
+            }
         }
         // Pairs no loop has served yet; among other things, a retry
         // re-enters flat stage 0, which would force a multi-path query

@@ -2930,6 +2930,29 @@ mod tests {
         assert_eq!(run(&Verbatim(signed)), at_zero);
     }
 
+    #[test]
+    fn a_negative_or_non_finite_first_arrival_is_a_typed_error() {
+        // Two stages on two groups, so `workers(2)` takes the sharded path.
+        let two_groups =
+            PipelineSpec::new(vec![ReplicaGroup::new("a", 1), ReplicaGroup::new("b", 1)])
+                .with_stage(StageSpec::new("s0", 0, 1, 0.001))
+                .and_then(|spec| spec.with_stage(StageSpec::new("s1", 1, 1, 0.001)))
+                .unwrap();
+        for start in [-10.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let arrivals = Verbatim((0..100).map(|i| start + 0.01 * f64::from(i)).collect());
+            let serial = Scenario::new(&single_stage(1, 0.001), &arrivals, 100, 1).run();
+            let sharded = Scenario::new(&two_groups, &arrivals, 100, 1)
+                .workers(2)
+                .run();
+            for run in [serial, sharded] {
+                let Err(SimError::FirstArrival(t)) = run else {
+                    panic!("start {start}: {run:?}");
+                };
+                assert_eq!(t.to_bits(), start.to_bits());
+            }
+        }
+    }
+
     /// Test controller: always demands a fixed replica count.
     #[derive(Debug)]
     struct FixedTarget(usize);

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::LifecycleSchedule;
 
 /// The hardware generation of one replica: how many units it holds and
@@ -19,7 +17,7 @@ use crate::LifecycleSchedule;
 /// ```compile_fail
 /// let _ = recpipe_qsim::ReplicaProfile { capacity: 0, speed: 1.0 };
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplicaProfile {
     /// Number of units this replica can hold concurrently.
     pub(crate) capacity: usize,
@@ -90,7 +88,7 @@ impl ReplicaProfile {
 /// non-positive speed); cross-references between stages and resources
 /// are validated by [`PipelineSpec::with_stage`], which returns a
 /// [`SpecError`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplicaGroup {
     /// Human-readable name for reports.
     pub name: String,
@@ -270,7 +268,7 @@ impl ReplicaGroup {
 /// ```compile_fail
 /// let _ = recpipe_qsim::BatchModel { max_batch: 0, marginal: 1.0 };
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchModel {
     /// Largest number of queries one launch may aggregate.
     pub(crate) max_batch: usize,
@@ -343,7 +341,7 @@ impl Default for BatchModel {
 /// One pipeline stage: a batch of up to `batch.max_batch()` queries holds
 /// `units` of resource `resource` for the batch's service time (for the
 /// default per-query [`BatchModel`], `service_time` seconds per query).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageSpec {
     /// Stage name for reports.
     pub name: String,
@@ -477,7 +475,7 @@ impl std::error::Error for SpecError {}
 /// assert!(out.qps > 90.0);
 /// # Ok::<(), recpipe_qsim::SpecError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineSpec {
     resources: Vec<ReplicaGroup>,
     stages: Vec<StageSpec>,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::Matrix;
 
 /// Nonlinearity applied after a linear layer.
@@ -16,7 +14,7 @@ use crate::Matrix;
 /// assert!((Activation::Sigmoid.apply(0.0) - 0.5).abs() < 1e-6);
 /// assert_eq!(Activation::Linear.apply(3.5), 3.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Activation {
     /// `max(0, x)` — used by hidden MLP layers.
     Relu,

@@ -1,5 +1,4 @@
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::Matrix;
 
@@ -15,7 +14,7 @@ use crate::Matrix;
 /// let w = Initializer::XavierUniform.init(&mut rng, 16, 8);
 /// assert_eq!(w.shape(), (16, 8));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Initializer {
     /// Glorot/Xavier uniform: `U(-sqrt(6/(fan_in+fan_out)), +...)`.
     XavierUniform,

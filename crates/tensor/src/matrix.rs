@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::ShapeError;
 
 /// Block edge used by the cache-blocked GEMM kernel.
@@ -22,7 +20,7 @@ const GEMM_BLOCK: usize = 64;
 /// assert_eq!(m.cols(), 3);
 /// assert_eq!(m.get(1, 2), 6.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

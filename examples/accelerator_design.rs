@@ -54,10 +54,10 @@ fn main() {
     let mut part = Table::new(vec!["partition", "latency (us)", "lanes", "max QPS"]);
     for (f, b) in [(8usize, 2usize), (8, 8), (8, 16), (4, 4)] {
         let accel = RpAccel::new(RpAccelConfig::paper_default(Partition::symmetric(f, b)));
-        let profile = accel.service_profile(&two_stage);
+        let profile = accel.service_profile(&two_stage, 1);
         part.row(vec![
             format!("RPAccel({f},{b})"),
-            format!("{:.0}", accel.query_latency(&two_stage) * 1e6),
+            format!("{:.0}", accel.query_latency(&two_stage, 1) * 1e6),
             profile.lanes.to_string(),
             format!("{:.0}", profile.max_qps()),
         ]);
@@ -69,14 +69,14 @@ fn main() {
     let single = criteo(ModelKind::RmLarge, 4096);
     println!(
         "Baseline single-stage accelerator: {:.0} us/query (host filtering {:.0} us of it)",
-        baseline.query_latency(&single, 64) * 1e6,
+        baseline.query_latency(&single, 64, 1) * 1e6,
         baseline.host_filter_time(4096, 64) * 1e6,
     );
     let best = RpAccel::new(RpAccelConfig::paper_default(Partition::symmetric(8, 2)));
     println!(
         "RPAccel(8,2) two-stage:           {:.0} us/query ({:.1}x faster)\n",
-        best.query_latency(&two_stage) * 1e6,
-        baseline.query_latency(&single, 64) / best.query_latency(&two_stage),
+        best.query_latency(&two_stage, 1) * 1e6,
+        baseline.query_latency(&single, 64, 1) / best.query_latency(&two_stage, 1),
     );
 
     // 4. What the extra hardware costs (Figure 11).

@@ -1,19 +1,3 @@
-//! No-op derive macros backing the offline `serde` shim.
-//!
-//! The workspace derives `Serialize`/`Deserialize` on its config and
-//! result types for forward compatibility, but never serializes in this
-//! environment, so the derives expand to nothing.
-
-use proc_macro::TokenStream;
-
-/// Expands to nothing; accepts (and ignores) `#[serde(...)]` attributes.
-#[proc_macro_derive(Serialize, attributes(serde))]
-pub fn derive_serialize(_input: TokenStream) -> TokenStream {
-    TokenStream::new()
-}
-
-/// Expands to nothing; accepts (and ignores) `#[serde(...)]` attributes.
-#[proc_macro_derive(Deserialize, attributes(serde))]
-pub fn derive_deserialize(_input: TokenStream) -> TokenStream {
-    TokenStream::new()
-}
+//! Empty on purpose: the `serde` placeholder it once backed defines no
+//! item, so this package defines no macro. It stays only because the
+//! frozen `perfbench/Cargo.lock` names it (see `shims/README.md`).

@@ -1,4 +1,3 @@
-//! Offline shim for `serde`: the derive macros expand to nothing and the
-//! traits are empty markers. See `shims/README.md` for the rationale.
-
-pub use serde_stub_derive::{Deserialize, Serialize};
+//! Empty on purpose: nothing in the workspace serializes, so this
+//! package defines no item. It stays only because the frozen
+//! `perfbench/Cargo.lock` names it (see `shims/README.md`).

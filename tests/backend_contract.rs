@@ -1,5 +1,5 @@
 //! The `Backend` contract every shipped hardware model keeps: each
-//! backend's price for one query stays where it was pinned, the
+//! backend's price for every batch size stays where it was pinned, the
 //! accelerators' whole-pipeline queueing decomposition keeps its bits,
 //! and a placement's fleets change it only where a site runs.
 
@@ -31,24 +31,25 @@ fn backends() -> [Arc<dyn Backend>; 4] {
 fn stage_latency_keeps_its_pinned_bits() {
     let model = ModelConfig::for_kind(ModelKind::RmMed, DatasetKind::CriteoKaggle);
     let w = StageWork::new(model, 1000);
-    let priced: Vec<(String, u64)> = backends()
+    let priced: Vec<String> = backends()
         .iter()
-        .map(|b| (b.name(), b.batch_latency(&w, 2, 1).to_bits()))
+        .map(|b| {
+            let bits = (1..=b.max_batch())
+                .map(|n| format!("{:#x}", b.batch_latency(&w, 2, n).to_bits()))
+                .collect::<Vec<_>>();
+            format!("{}: {}", b.name(), bits.join(" "))
+        })
         .collect();
-    let pinned: Vec<(String, u64)> = PINNED
-        .iter()
-        .map(|&(name, bits)| (name.to_string(), bits))
-        .collect();
-    assert_eq!(priced, pinned);
+    assert_eq!(priced, PINNED);
 }
 
-/// One query's `RMmed@1000` stage on 2 units per backend, as `f64` bit
-/// patterns.
-const PINNED: [(&str, u64); 4] = [
-    ("cpu", 0x3f6c_7cfa_5617_0b92),
-    ("gpu", 0x3f4d_c3ba_2e9f_fc49),
-    ("rpaccel(8,2)", 0x3f2a_6b02_7fa2_d42b),
-    ("baseline-accel", 0x3f31_8405_078f_e90c),
+/// The `RMmed@1000` stage on 2 units per backend at every batch size
+/// from 1 to the backend's `max_batch()`, as `f64` bit patterns.
+const PINNED: [&str; 4] = [
+    "cpu: 0x3f6c7cfa56170b92 0x3f769f84f90ac67e 0x3f7ddfd625aba162 0x3f823e2eabebeea2 0x3f868171c0d7077b 0x3f8ae246a3e7e70e 0x3f8f431b86f8c6a3 0x3f91d1f83504d31d",
+    "gpu: 0x3f4dc3ba2e9ffc49 0x3f5144aa0f60c64c 0x3f546e9649dd24fc 0x3f57a35e844a709e 0x3f5ad826beb7bc3e 0x3f5e0ceef92507dd 0x3f60a0db99c929bf 0x3f623b3fb6ffcf8f 0x3f63d5a3d436755e 0x3f657007f16d1b2f 0x3f670a6c0ea3c0ff 0x3f68a4d02bda66cf 0x3f6a3f3449110c9f 0x3f6bd9986647b26f 0x3f6d73fc837e583f 0x3f6f0e60a0b4fe0f",
+    "rpaccel(8,2): 0x3f2a6b027fa2d42b 0x3f399c9538916181 0x3f4301d498a8ac77 0x3f493555fe02b418",
+    "baseline-accel: 0x3f318405078fe90c 0x3f4060a85884c58f 0x3f47ff45963ba284 0x3f4f9deb6af8738d",
 ];
 
 /// The queueing spec `build_serving_spec` emits for each accelerator's

@@ -178,8 +178,8 @@ fn models_and_hwsim_through_facade() {
     let work = StageWork::new(cfg, 1024);
     let cpu = CpuModel::cascade_lake();
     let gpu = GpuModel::t4();
-    assert!(cpu.stage_latency(&work, 1) > 0.0);
-    assert!(gpu.stage_latency(&work) > 0.0);
+    assert!(cpu.stage_latency(&work, 1, 1) > 0.0);
+    assert!(gpu.stage_latency(&work, 1) > 0.0);
 
     let mut lru = LruCache::new(4);
     lru.access(1);
@@ -195,7 +195,7 @@ fn accel_through_facade() {
         ModelConfig::for_kind(ModelKind::RmLarge, recpipe::data::DatasetKind::CriteoKaggle),
         512,
     )];
-    assert!(accel.query_latency(&stages) > 0.0);
+    assert!(accel.query_latency(&stages, 1) > 0.0);
     assert!(SystolicArray::paper_default().macs() == 128 * 128);
     let filter = TopKFilter::paper_default(64);
     assert_eq!(filter.num_bins(), 16);
