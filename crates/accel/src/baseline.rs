@@ -131,17 +131,25 @@ impl BaselineAccel {
     /// query). The candidate sets concatenate (amortizing model
     /// streaming, PCIe setup, and the host round trip), and the host
     /// sorts each query's scores.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch` is zero.
     pub fn query_latency(&self, work: &StageWork, k: u64, batch: usize) -> f64 {
         let work = &launch(std::slice::from_ref(work), batch)[0];
         let mlp = self.array.model_cycles(&work.model, work.items);
         self.pcie.transfer_time(work.input_bytes())
             + self.array.cycles_to_seconds(mlp)
             + self.dram_time(work)
-            + self.host_filter_time(work.items, k * batch.max(1) as u64)
+            + self.host_filter_time(work.items, k * batch as u64)
     }
 
     /// At-scale service profile of a launch of `batch` queries (single
     /// lane; DRAM phase serialized).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch` is zero.
     pub fn service_profile(&self, work: &StageWork, k: u64, batch: usize) -> ServiceProfile {
         let latency = self.query_latency(work, k, batch);
         let dram = self.dram_time(&launch(std::slice::from_ref(work), batch)[0]);
@@ -190,6 +198,12 @@ mod tests {
         let p = b.service_profile(&work(ModelKind::RmLarge, 4096), 64, 1);
         assert_eq!(p.lanes, 1);
         assert!(p.max_qps() < 2000.0, "baseline cap {}", p.max_qps());
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one query")]
+    fn an_empty_launch_panics() {
+        BaselineAccel::paper_default().query_latency(&work(ModelKind::RmLarge, 4096), 64, 0);
     }
 
     #[test]

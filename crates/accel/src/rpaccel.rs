@@ -225,7 +225,7 @@ impl RpAccel {
     ///
     /// # Panics
     ///
-    /// Panics if `stages` is empty.
+    /// Panics if `stages` is empty or `batch` is zero.
     pub fn query_latency(&self, stages: &[StageWork], batch: usize) -> f64 {
         assert!(!stages.is_empty(), "need at least one stage");
         let stages = &launch(stages, batch);
@@ -268,7 +268,7 @@ impl RpAccel {
     ///
     /// # Panics
     ///
-    /// Panics if `stages` is empty.
+    /// Panics if `stages` is empty or `batch` is zero.
     pub fn service_profile(&self, stages: &[StageWork], batch: usize) -> ServiceProfile {
         let latency = self.query_latency(stages, batch);
         let dram = self.dram_time(&launch(stages, batch));
@@ -279,8 +279,13 @@ impl RpAccel {
 /// `stages` as one launch of `batch` queries: the candidate sets
 /// concatenate, so every stage ranks `batch` times its items. Borrowed
 /// for a single query.
+///
+/// # Panics
+///
+/// Panics if `batch` is zero.
 pub(crate) fn launch(stages: &[StageWork], batch: usize) -> Cow<'_, [StageWork]> {
-    if batch <= 1 {
+    assert!(batch >= 1, "a launch holds at least one query");
+    if batch == 1 {
         return Cow::Borrowed(stages);
     }
     let scale = |w: &StageWork| StageWork::new(w.model.clone(), w.items * batch as u64);
@@ -396,6 +401,12 @@ mod tests {
         ];
         let t = a.query_latency(&stages, 1);
         assert!(t > 0.0 && t < 0.01);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one query")]
+    fn an_empty_launch_panics() {
+        accel(Partition::symmetric(8, 8)).query_latency(&[criteo(ModelKind::RmSmall, 64)], 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! benches (the scenarios the `recpipe_bench` library builds for them)
 //! and the quality evaluator's quick-grid batch, and fails
 //! (non-zero exit) if any regressed more than 2x against its checked-in
-//! baseline (`BENCH_pr9.json` for the simulator, `BENCH_pr24.json` for
+//! baseline (`BENCH_pr9.json` for the simulator, `BENCH_pr35.json` for
 //! the evaluator), and holds the 10M-query sharded trace replay to its
 //! single-digit-second (machine-normalized) budget.
 //!
@@ -107,7 +107,7 @@ fn main() {
     let json = std::fs::read_to_string(baseline_path)
         .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
 
-    let quality_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr24.json");
+    let quality_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr35.json");
     let quality_json = std::fs::read_to_string(quality_path)
         .unwrap_or_else(|e| panic!("cannot read baseline {quality_path}: {e}"));
 

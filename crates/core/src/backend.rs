@@ -122,7 +122,7 @@ impl Backend for CpuModel {
     }
 
     fn batch_latency(&self, work: &StageWork, parallelism: usize, batch: usize) -> f64 {
-        self.stage_latency(work, parallelism.clamp(1, self.cores), batch)
+        self.stage_latency(work, parallelism.min(self.cores), batch)
     }
 
     fn splits_queries(&self) -> bool {
@@ -656,10 +656,14 @@ pub fn build_serving_spec(
             0.0
         };
         let backend = pool[site.backend].as_ref();
+        let name = format!("s{i}:{}", backend.name());
+        // The spec's own check, made before a backend prices zero units.
+        if site.parallelism == 0 {
+            return Err(SpecError::ZeroUnits { stage: name }.into());
+        }
         let batch = batch_of(backend);
         let base = backend.batch_latency(work, site.parallelism, 1) + transfer;
         let full = backend.batch_latency(work, site.parallelism, batch) + transfer * batch as f64;
-        let name = format!("s{i}:{}", backend.name());
         let stage = StageSpec::new(name, site.backend, site.parallelism, base);
         spec = spec.with_stage(fit_batch(stage, full, batch))?;
         prev = Some(site.backend);
@@ -695,6 +699,13 @@ mod tests {
             CpuModel::stage_latency(&cpu, work, 2, 1)
         );
         assert_eq!(cpu.resources().capacity(), 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn cpu_backend_passes_a_zero_parallelism_to_the_model() {
+        let work = &two_stage().stage_works()[0];
+        Backend::batch_latency(&CpuModel::cascade_lake(), work, 0, 1);
     }
 
     #[test]

@@ -69,6 +69,7 @@ mod parallel;
 mod pipeline;
 mod quality;
 mod report;
+mod sampler;
 mod scheduler;
 mod stage;
 

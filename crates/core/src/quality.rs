@@ -7,6 +7,7 @@ use recpipe_data::{DatasetKind, DatasetSpec, Normal, QueryGenerator};
 use recpipe_metrics::{ideal_top_k, top_k_positions, top_k_set, BinaryConfusion, NdcgAtK};
 use recpipe_models::{AccuracyModel, ModelKind};
 
+use crate::sampler::{splitmix64, SplitMix64, Ziggurats};
 use crate::{parallel_map, PipelineConfig};
 
 /// Quality measurement of a pipeline over many queries.
@@ -71,7 +72,10 @@ impl QualityReport {
 /// Nothing is read from a running stream. Query `q`'s pool is drawn from
 /// a key made of `(seed, q)`, and every scoring normal from a key made of
 /// `(seed, q, stream, item)`, so an item's error at a stage is the same
-/// whichever pipeline scores it, and in whatever order.
+/// whichever pipeline scores it, and in whatever order. Each key seeds a
+/// SplitMix64 sequence, and Marsaglia–Tsang ziggurats turn its outputs
+/// into `Exp(1)` utilities and standard normal errors, with a logarithm
+/// or an exponential only on their rare slow paths.
 ///
 /// # Examples
 ///
@@ -223,6 +227,19 @@ impl QualityEvaluator {
         (served, work)
     }
 
+    /// Every pipeline's per-query NDCGs in query order, pipelines in
+    /// input order: what its report reduces, and what a paired comparison
+    /// of two pipelines reads.
+    #[cfg(test)]
+    pub(crate) fn query_ndcgs(&self, pipelines: &[PipelineConfig]) -> Vec<Vec<f64>> {
+        let trie = Trie::new(self, pipelines);
+        let (ndcgs, _) = trie.run(self, 0..self.num_queries);
+        trie.served
+            .iter()
+            .map(|&leaf| ndcgs[leaf].clone())
+            .collect()
+    }
+
     /// Sub-batches a stage's survivor selection stitches. Inter-stage
     /// filtering may stitch per-sub-batch top-k/n sets (unordered is
     /// fine; the next stage rescores), but the FINAL stage's output is
@@ -267,7 +284,7 @@ impl QualityEvaluator {
 pub(crate) struct Work {
     /// Candidate pools drawn, each with its one ideal top-k.
     pub(crate) pools: u64,
-    /// Standard normals drawn, two per Box–Muller pair.
+    /// Standard normals drawn, two per keyed pair.
     pub(crate) normals: u64,
     /// Item scores computed, over every stage.
     pub(crate) scored: u64,
@@ -446,11 +463,14 @@ impl Trie {
         let mut gains: Vec<f64> = vec![f64::NAN; self.clip];
         let mut ndcgs: Vec<Vec<f64>> = vec![Vec::with_capacity(queries.len()); self.leaves];
         let mut work = Work::default();
+        let mut utilities = Vec::with_capacity(eval.spec.candidates_per_query);
         for query in queries {
-            let pool_key = stream_key(eval.seed, query, POOL_STREAM);
-            let utilities = QueryGenerator::new(&eval.spec, pool_key)
-                .next_query()
-                .utilities;
+            draw_pool(
+                &mut utilities,
+                eval.spec.candidates_per_query,
+                eval.seed,
+                query,
+            );
             // Ideal ordering over the FULL pool: unseen candidates count
             // against the pipeline. Its DCG normalizes every ranking.
             let ideal = ideal_gains(&utilities, eval.top_k, exponent);
@@ -532,7 +552,8 @@ impl Trie {
     }
 }
 
-/// Key stream of a query's pool.
+/// Key stream of a query's pool: one SplitMix64 sequence of `Exp(1)`
+/// utilities.
 const POOL_STREAM: u64 = 0;
 /// Key stream of a query's first-stage errors, one pair per two
 /// neighbouring items.
@@ -541,45 +562,36 @@ const FIRST_STREAM: u64 = 1;
 /// `LATER_STREAM + m` holds rows `2m` and `2m + 1` of [`Noise::later`].
 const LATER_STREAM: u64 = 2;
 
-/// SplitMix64's increment.
-const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// SplitMix64's output once its state has stepped from `state`.
-fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(GAMMA);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// The key of `stream` in query `query`.
 fn stream_key(seed: u64, query: usize, stream: u64) -> u64 {
     splitmix64(splitmix64(splitmix64(seed) ^ query as u64) ^ stream)
 }
 
-/// Pair `index` of a stream's standard normals, both outputs of the
-/// polar form of Box–Muller. The pair's uniforms come from its own
-/// SplitMix64 sequence, seeded by output `index` of the one seeded with
-/// `key`, so any pair is drawn without the ones before it.
-fn normal_pair(key: u64, index: usize) -> (f64, f64) {
-    let mut state = splitmix64(key.wrapping_add((index as u64).wrapping_mul(GAMMA)));
-    let mut uniform = || {
-        let bits = splitmix64(state);
-        state = state.wrapping_add(GAMMA);
-        // 53 random bits over [-1, 1).
-        (bits >> 11) as f64 / (1u64 << 52) as f64 - 1.0
-    };
-    loop {
-        let (u, v) = (uniform(), uniform());
-        let s = u * u + v * v;
-        if s > 0.0 && s < 1.0 {
-            let factor = (-2.0 * s.ln() / s).sqrt();
-            return (u * factor, v * factor);
-        }
-    }
+/// Fills `utilities` with query `query`'s pool of `len` `Exp(1)`
+/// utilities, drawn in order from the sequence seeded with the query's
+/// pool key.
+fn draw_pool(utilities: &mut Vec<f64>, len: usize, seed: u64, query: usize) {
+    let (zigs, mut rng) = (
+        Ziggurats::get(),
+        SplitMix64::new(stream_key(seed, query, POOL_STREAM)),
+    );
+    utilities.clear();
+    utilities.extend((0..len).map(|_| zigs.exponential(&mut rng)));
 }
 
-/// One query's scoring errors.
+/// Pair `index` of a stream's standard normals, drawn one after the other
+/// from the pair's own SplitMix64 sequence, seeded by output `index` of
+/// the one seeded with `key`: any pair is drawn without the ones before
+/// it.
+fn normal_pair(key: u64, index: usize) -> (f64, f64) {
+    let (zigs, mut rng) = (Ziggurats::get(), SplitMix64::at(key, index as u64));
+    (zigs.normal(&mut rng), zigs.normal(&mut rng))
+}
+
+/// One query's scoring errors, drawn in keyed pairs ([`normal_pair`]):
+/// stream [`FIRST_STREAM`]'s pair `j` holds `ε₀` of items `2j` and
+/// `2j + 1`, and stream `LATER_STREAM + m`'s pair `i` holds item `i`'s
+/// rows `2m` and `2m + 1` of [`Noise::later`].
 ///
 /// Stage 0 scores item `i` with error `ε₀`, one standard normal. A later
 /// stage `t` rescores it with `ρ·s + √(1−ρ²)·z_t`, where
@@ -954,20 +966,20 @@ mod tests {
 
     #[test]
     fn reports_keep_their_pinned_bit_patterns() {
-        // Bit patterns measured when pools and scoring noise became keyed
-        // by query and item.
+        // Bit patterns measured when the keyed pools and scoring noise
+        // came to be drawn by the ziggurats.
         use DatasetKind::{CriteoKaggle as Criteo, MovieLens20M};
         let large = single(ModelKind::RmLarge, 4096);
         let funnel = two_stage(ModelKind::RmSmall, 4096, 512);
         let cases = [
-            (Criteo, &large, 1, 0x3fed7dcee86a7c94, 0x3f99d0b2a76ad9f3),
-            (Criteo, &funnel, 4, 0x3fed7c2bcd8e78bc, 0x3f9bdb958c236ab1),
+            (Criteo, &large, 1, 0x3fed97212162556d, 0x3f99495e33ab1ca8),
+            (Criteo, &funnel, 4, 0x3fed97bc361fd6ca, 0x3f98f8c210594f6e),
             (
                 MovieLens20M,
                 &funnel,
                 1,
-                0x3fee507e99541e59,
-                0x3f8df11c030ec7f2,
+                0x3fee4b065d5e0422,
+                0x3f9002520d7fbd75,
             ),
         ];
         for (dataset, pipeline, sub_batches, ndcg, std) in cases {
@@ -1000,7 +1012,10 @@ mod tests {
         let selections = 6 + 6 + 2;
         // Only the 14 served top-64s and the ideal top-64 are sorted.
         let sorted = 14 * 64 + 64;
-        for (queries, normals) in [(10, 53_652), (40, 214_438)] {
+        // Normals: 4,096 first-stage errors per query, and a pair per item
+        // and row pair that a later stage rescores. The shortlists decide
+        // which items those are, so this count follows the draws.
+        for (queries, normals) in [(10, 53_520), (40, 214_380)] {
             let e = QualityEvaluator::criteo_like(64).queries(queries);
             let (_, work) = e.evaluate_split(&grid, 1);
             let per_query = |n: u64| n * queries as u64;
@@ -1225,6 +1240,94 @@ mod tests {
         }
     }
 
+    /// `erf` to within 1.5e-7 (Abramowitz and Stegun 7.1.26): far inside
+    /// the Kolmogorov–Smirnov bound at 10^6 draws.
+    fn erf(x: f64) -> f64 {
+        let t = 1.0 / (1.0 + 0.327_591_1 * x.abs());
+        let poly = [
+            1.061_405_429,
+            -1.453_152_027,
+            1.421_413_741,
+            -0.284_496_736,
+            0.254_829_592,
+        ]
+        .iter()
+        .fold(0.0, |acc, c| acc * t + c)
+            * t;
+        (1.0 - poly * (-x * x).exp()).copysign(x)
+    }
+
+    /// The Kolmogorov–Smirnov distance between `draws` and `cdf`.
+    fn ks_distance(mut draws: Vec<f64>, cdf: impl Fn(f64) -> f64) -> f64 {
+        draws.sort_unstable_by(f64::total_cmp);
+        let n = draws.len() as f64;
+        draws
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| {
+                let p = cdf(x);
+                (p - i as f64 / n).max((i + 1) as f64 / n - p)
+            })
+            .fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn keyed_draws_follow_their_exact_cdfs() {
+        // 10^6 draws of each ziggurat through the evaluator's keys: the
+        // normals of 500,000 first-stage pairs, and 250 pools of 4,000
+        // utilities. The bound is the one-sample Kolmogorov–Smirnov
+        // distance's 99% critical value.
+        const DRAWS: usize = 1_000_000;
+        let critical = 1.63 / (DRAWS as f64).sqrt();
+        let key = stream_key(3, 0, FIRST_STREAM);
+        let normals = (0..DRAWS / 2)
+            .flat_map(|index| {
+                let (a, b) = normal_pair(key, index);
+                [a, b]
+            })
+            .collect();
+        let mut pool = Vec::new();
+        let mut utilities = Vec::with_capacity(DRAWS);
+        for query in 0..DRAWS / 4_000 {
+            draw_pool(&mut pool, 4_000, 3, query);
+            utilities.extend_from_slice(&pool);
+        }
+        let normal_cdf = |x: f64| 0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2));
+        let exp_cdf = |x: f64| 1.0 - (-x).exp();
+        for (name, distance) in [
+            ("normal", ks_distance(normals, normal_cdf)),
+            ("exponential", ks_distance(utilities, exp_cdf)),
+        ] {
+            assert!(distance < critical, "{name}: KS distance {distance}");
+        }
+    }
+
+    #[test]
+    fn a_pair_is_drawn_without_the_pairs_before_it() {
+        // Later-stage normals are drawn on first read, item by item: an
+        // item's errors must not depend on which items were read first.
+        let (items, seed, query) = (64, 4, 9);
+        let mut work = Work::default();
+        let errors = |noise: &mut Noise, item, work: &mut Work| {
+            [1, 2].map(|depth| noise.rescore(item, depth, work).to_bits())
+        };
+        let mut every = Noise::new(items, 2, 0.9);
+        every.start(seed, query, &mut work);
+        let all: Vec<_> = (0..items)
+            .map(|item| errors(&mut every, item, &mut work))
+            .collect();
+        for item in [items - 1, 17, 0] {
+            let mut lone = Noise::new(items, 2, 0.9);
+            lone.start(seed, query, &mut work);
+            assert_eq!(errors(&mut lone, item, &mut work), all[item], "item {item}");
+        }
+        let key = stream_key(seed, query, FIRST_STREAM);
+        let pairs: Vec<_> = (0..items).map(|index| normal_pair(key, index)).collect();
+        for index in (0..items).rev() {
+            assert_eq!(normal_pair(key, index), pairs[index], "pair {index}");
+        }
+    }
+
     #[test]
     fn lazy_ideal_matches_the_ideal_of_all_gains() {
         // Exp(1) pools rounded to quarters: many ties, and zeros.
@@ -1256,6 +1359,46 @@ mod tests {
                         ideal_top_k(&gains, k),
                         "round {round}, exponent {exponent}, k {k}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn per_query_ndcgs_reduce_to_the_reports() {
+        let grid = quick_grid();
+        let e = QualityEvaluator::criteo_like(64).queries(12).seed(5);
+        let reports: Vec<_> = e
+            .query_ndcgs(&grid)
+            .iter()
+            .map(|scores| bits(&QualityReport::of(scores)))
+            .collect();
+        let expected: Vec<_> = e.evaluate_all(&grid).iter().map(bits).collect();
+        assert_eq!(reports, expected);
+    }
+
+    /// Prints every per-query NDCG of the quick grid (400 queries) and of
+    /// the paper-default grid (200 queries) at seeds 1–10, one line per
+    /// pipeline: `grid seed pipeline ndcg...`. Two builds' outputs pair
+    /// query by query, which is how a change to the draws is checked:
+    /// per-pipeline means against their standard errors, and the sign of
+    /// every pair a 99% paired test decides.
+    #[test]
+    #[ignore = "prints the per-query NDCGs that pair two builds' draws"]
+    fn print_per_query_ndcgs() {
+        use crate::{Scheduler, SchedulerSettings};
+        for (name, settings) in [
+            ("quick", SchedulerSettings::quick()),
+            ("paper", SchedulerSettings::paper_default()),
+        ] {
+            let grid = Scheduler::new(settings.clone()).enumerate_pipelines(settings.max_stages);
+            for seed in 1..=10 {
+                let e = QualityEvaluator::for_dataset(settings.dataset, 64)
+                    .queries(settings.quality_queries)
+                    .seed(seed);
+                for (pipeline, scores) in e.query_ndcgs(&grid).iter().enumerate() {
+                    let scores: Vec<String> = scores.iter().map(f64::to_string).collect();
+                    println!("{name} {seed} {pipeline} {}", scores.join(" "));
                 }
             }
         }

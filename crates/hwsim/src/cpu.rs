@@ -144,13 +144,15 @@ impl CpuModel {
     ///
     /// # Panics
     ///
-    /// Panics if `cores_per_query` is zero or exceeds the core count.
+    /// Panics if `cores_per_query` is zero or exceeds the core count, or
+    /// if `batch` is zero.
     pub fn stage_latency(&self, work: &StageWork, cores_per_query: usize, batch: usize) -> f64 {
         assert!(
             cores_per_query >= 1 && cores_per_query <= self.cores,
             "cores_per_query out of range"
         );
-        let items = work.items * batch.max(1) as u64;
+        assert!(batch >= 1, "a launch holds at least one query");
+        let items = work.items * batch as u64;
         let single =
             self.compute_time(&work.model, items) + self.embedding_time(&work.model, items);
         single / self.parallel_speedup(cores_per_query) + self.dispatch_overhead_s
@@ -257,6 +259,12 @@ mod tests {
     fn zero_cores_per_query_panics() {
         let cpu = CpuModel::cascade_lake();
         cpu.stage_latency(&work(ModelKind::RmSmall, 64), 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one query")]
+    fn an_empty_launch_panics() {
+        CpuModel::cascade_lake().stage_latency(&work(ModelKind::RmSmall, 64), 1, 0);
     }
 
     #[test]

@@ -114,8 +114,13 @@ impl GpuModel {
     /// kernel-launch overheads, the fixed per-query software overhead,
     /// and PCIe setup are paid once while GEMM efficiency climbs toward
     /// `eff_cap`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch` is zero.
     pub fn stage_latency(&self, work: &StageWork, batch: usize) -> f64 {
-        let batch = batch.max(1) as u64;
+        assert!(batch >= 1, "a launch holds at least one query");
+        let batch = batch as u64;
         let input = self.pcie.transfer_time(work.input_bytes() * batch);
         input
             + self.compute_time(&work.model, work.items * batch)
@@ -183,6 +188,12 @@ mod tests {
         gpu.pcie = PcieModel::new(0.0, f64::INFINITY);
         let without = gpu.stage_latency(&w, 1);
         assert!(with_pcie > without);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one query")]
+    fn an_empty_launch_panics() {
+        GpuModel::t4().stage_latency(&work(ModelKind::RmMed, 512), 0);
     }
 
     #[test]

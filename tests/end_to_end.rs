@@ -128,13 +128,63 @@ fn engine_sweep_end_to_end_finds_multi_stage_winner() {
         .load(400.0)
         .build()
         .unwrap();
-    let frontier = engine.sweep(&SchedulerSettings::quick());
+    let settings = SchedulerSettings::quick();
+    let frontier = engine.sweep(&settings);
     assert!(!frontier.is_empty());
 
-    let max_q = frontier.iter().map(|p| p.ndcg).fold(0.0, f64::max);
-    let best = Scheduler::best_latency_at_quality(frontier.points(), max_q - 0.005)
-        .expect("stable design exists");
-    assert!(best.pipeline.num_stages() >= 2, "picked {}", best.pipeline);
+    // A design is at iso-quality when a one-sided 99% paired test puts
+    // its NDCG within 0.005 of the best design's. RMmed@4096 single-stage
+    // scores about 0.0053 below the best, so at the sweep's 400 queries
+    // its point estimate alone falls inside the window at some seeds (the
+    // quick settings' 77 among them), while the paired test does not
+    // decide it is inside. The evaluator reports means, and query `q`'s
+    // draws do not depend on how many queries follow it, so the sweep's
+    // own queries pair in 20 blocks of 20, read off the means of longer
+    // and longer prefixes.
+    use recpipe::core::{Outcome, QualityEvaluator};
+    let live = frontier.points().iter().filter(|p| !p.saturated);
+    let max_q = live.clone().map(|p| p.ndcg).fold(0.0, f64::max);
+    // The designs the point estimates put in the window; the best first.
+    let mut window: Vec<&Outcome> = live.filter(|p| p.ndcg >= max_q - 0.005).collect();
+    window.sort_by(|a, b| b.ndcg.total_cmp(&a.ndcg));
+    let pipelines: Vec<PipelineConfig> = window.iter().map(|p| p.pipeline.clone()).collect();
+    let (blocks, size) = (20, settings.quality_queries / 20);
+    let prefix_means: Vec<Vec<f64>> = (1..=blocks)
+        .map(|k| {
+            let reports = QualityEvaluator::for_dataset(settings.dataset, 64)
+                .queries(k * size)
+                .seed(settings.seed)
+                .evaluate_all(&pipelines);
+            reports.iter().map(|r| r.ndcg).collect()
+        })
+        .collect();
+    // The longest prefix is the sweep's own sample.
+    let swept: Vec<f64> = window.iter().map(|p| p.ndcg).collect();
+    assert_eq!(prefix_means[blocks - 1], swept);
+    // Block k's mean: (k + 1)·m[k] − k·m[k − 1], prefix means m.
+    let block_mean = |design: usize, k: usize| {
+        let before = k.checked_sub(1).map_or(0.0, |j| prefix_means[j][design]);
+        (k + 1) as f64 * prefix_means[k][design] - k as f64 * before
+    };
+    let gap_bound = |design: usize| {
+        let gaps: Vec<f64> = (0..blocks)
+            .map(|k| block_mean(0, k) - block_mean(design, k))
+            .collect();
+        let mean = gaps.iter().sum::<f64>() / blocks as f64;
+        let var = gaps.iter().map(|g| (g - mean).powi(2)).sum::<f64>() / (blocks - 1) as f64;
+        // Student's t at 99%, one-sided, with 19 degrees of freedom.
+        mean + 2.539 * (var / blocks as f64).sqrt()
+    };
+    let picked = (0..window.len())
+        .filter(|&design| gap_bound(design) <= 0.005)
+        .map(|design| window[design])
+        .min_by(|a, b| a.p99_s.total_cmp(&b.p99_s))
+        .expect("the best design is inside its own window");
+    assert!(
+        picked.pipeline.num_stages() >= 2,
+        "picked {}",
+        picked.pipeline
+    );
 }
 
 #[test]
@@ -810,21 +860,20 @@ fn live_runtimes_replay_their_pinned_outcomes_bit_for_bit() {
 #[test]
 fn quick_grid_qualities_keep_their_pinned_bits() {
     // One digest of every quick-grid report's NDCG and std bits per
-    // dataset and sub-batch count, recorded when pools and scoring noise
-    // became keyed by query and item (the MovieLens-1M ones later, from
-    // the same evaluator). Batching, sharing funnel prefixes, the order
-    // of shortlists and splitting queries across workers must not move a
-    // bit.
+    // dataset and sub-batch count, recorded when the keyed pools and
+    // scoring noise came to be drawn by the ziggurats. Batching, sharing
+    // funnel prefixes, the order of shortlists and splitting queries
+    // across workers must not move a bit.
     // MovieLens-1M's pool has 1,024 items, so every 4,096-item funnel of
     // the grid is clipped to it, and its gains are `utility^2`.
     use recpipe::core::QualityEvaluator;
     let grid = Scheduler::new(SchedulerSettings::quick()).enumerate_pipelines(3);
     assert_eq!(grid.len(), 14);
     for (dataset, sub_batches, pinned) in [
-        (DatasetKind::CriteoKaggle, 1, 0xe3e6_ab86_19eb_bf83),
-        (DatasetKind::CriteoKaggle, 4, 0x9ea4_57e5_b89d_67b0),
-        (DatasetKind::MovieLens1M, 1, 0x13a4_c59a_e13d_edfd),
-        (DatasetKind::MovieLens1M, 3, 0x354e_b80b_2284_63ab),
+        (DatasetKind::CriteoKaggle, 1, 0xc0f8_1247_45d7_0f3f),
+        (DatasetKind::CriteoKaggle, 4, 0xc477_5fd7_b452_eadc),
+        (DatasetKind::MovieLens1M, 1, 0xf8a4_cfc2_09ed_2367),
+        (DatasetKind::MovieLens1M, 3, 0xc561_03ee_dfeb_5bcd),
     ] {
         let reports = QualityEvaluator::for_dataset(dataset, 64)
             .queries(24)
