@@ -10,7 +10,7 @@ use std::sync::Arc;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use recpipe_core::{Backend, FleetSpec, Scheduler, SchedulerSettings, SweepBudget};
 use recpipe_data::MmppArrivals;
-use recpipe_hwsim::{CpuModel, PcieModel};
+use recpipe_hwsim::CpuModel;
 use recpipe_qsim::{
     BatchModel, BatchWindow, ExpectedWait, JoinShortestQueue, LeastWorkLeft, PipelineSpec,
     PowerOfTwoChoices, ReplicaGroup, RoundRobin, Router, Scenario, SimResult, StageSpec,
@@ -121,21 +121,16 @@ fn bench_cluster_sweep(c: &mut Criterion) {
     settings.fleet_options = [1, 2, 4].map(FleetSpec::uniform).to_vec();
     settings.workers = Some(1);
     let pool: Vec<Arc<dyn Backend>> = vec![Arc::new(CpuModel::cascade_lake())];
-    let interconnect = PcieModel::measured();
 
     let mut group = c.benchmark_group("sweep");
     let full = Scheduler::new(settings.clone());
     group.bench_function("replica_grid/full", |b| {
-        b.iter(|| {
-            black_box(full.explore_pool(black_box(2_000.0), 2, &pool, 1, None, &interconnect))
-        })
+        b.iter(|| black_box(full.explore_pool(black_box(2_000.0), 2, &pool, 1, None)))
     });
     settings.sweep_budget = SweepBudget::halving(settings.sim_queries);
     let halving = Scheduler::new(settings);
     group.bench_function("replica_grid/halving", |b| {
-        b.iter(|| {
-            black_box(halving.explore_pool(black_box(2_000.0), 2, &pool, 1, None, &interconnect))
-        })
+        b.iter(|| black_box(halving.explore_pool(black_box(2_000.0), 2, &pool, 1, None)))
     });
     group.finish();
 }

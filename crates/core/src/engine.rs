@@ -668,7 +668,6 @@ impl Engine {
             &self.backends,
             self.sub_batches,
             self.sla_s,
-            &PcieModel::measured(),
         );
         if scheduler.sweeps_cluster_cost() {
             Scheduler::pareto_with_cost(points)

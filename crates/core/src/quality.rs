@@ -1,9 +1,7 @@
 use std::cmp::Reverse;
 use std::ops::{AddAssign, Range};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use recpipe_data::{DatasetKind, DatasetSpec, Normal, QueryGenerator};
+use recpipe_data::{DatasetKind, DatasetSpec};
 use recpipe_metrics::{ideal_top_k, top_k_positions, top_k_set, BinaryConfusion, NdcgAtK};
 use recpipe_models::{AccuracyModel, ModelKind};
 
@@ -253,25 +251,34 @@ impl QualityEvaluator {
     }
 
     /// Measures a single model tier's pointwise CTR accuracy (the metric
-    /// of Figure 3 left): classify "click" (utility above the ~25th
-    /// percentile threshold of `Exp(1)`) from the noisy score.
+    /// of Figure 3 left) over every Monte-Carlo query's pool: classify
+    /// "click" (utility above the ~25th percentile threshold of
+    /// `Exp(1)`) from the noisy score. The pools are the ones
+    /// [`evaluate`](Self::evaluate) ranks; the score errors are keyed
+    /// normals of their own stream.
     pub fn evaluate_accuracy(&self, model: ModelKind) -> f64 {
         // P(Exp(1) > ln 4) = 0.25: a Criteo-like positive rate.
         let threshold = 4.0f64.ln();
         let sigma = self.accuracy.sigma(model);
-        let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(7));
-        let mut gen = QueryGenerator::new(&self.spec, self.seed.wrapping_add(8));
-        let noise = Normal::standard();
-
         let mut cm = BinaryConfusion::new();
-        for _ in 0..self.num_queries.min(50) {
-            let query = gen.next_query();
-            for &u in &query.utilities {
-                let score = u + sigma * noise.sample(&mut rng);
-                // Map the unbounded score to a pseudo-CTR via the same
-                // threshold the labels use.
-                let predicted = if score > threshold { 0.9 } else { 0.1 };
-                cm.observe(predicted, u > threshold);
+        let mut utilities = Vec::with_capacity(self.spec.candidates_per_query);
+        for query in 0..self.num_queries {
+            draw_pool(
+                &mut utilities,
+                self.spec.candidates_per_query,
+                self.seed,
+                query,
+            );
+            let key = stream_key(self.seed, query, ACCURACY_STREAM);
+            for (index, items) in utilities.chunks(2).enumerate() {
+                let (a, b) = normal_pair(key, index);
+                for (&u, error) in items.iter().zip([a, b]) {
+                    let score = u + sigma * error;
+                    // Map the unbounded score to a pseudo-CTR via the same
+                    // threshold the labels use.
+                    let predicted = if score > threshold { 0.9 } else { 0.1 };
+                    cm.observe(predicted, u > threshold);
+                }
             }
         }
         cm.error()
@@ -561,6 +568,10 @@ const FIRST_STREAM: u64 = 1;
 /// First key stream of a query's later-stage normals: stream
 /// `LATER_STREAM + m` holds rows `2m` and `2m + 1` of [`Noise::later`].
 const LATER_STREAM: u64 = 2;
+/// Key stream of a query's CTR-accuracy errors, one pair per two
+/// neighbouring items: far above every later stream a pipeline's depth
+/// can reach.
+const ACCURACY_STREAM: u64 = u64::MAX;
 
 /// The key of `stream` in query `query`.
 fn stream_key(seed: u64, query: usize, stream: u64) -> u64 {
@@ -1331,14 +1342,11 @@ mod tests {
     #[test]
     fn lazy_ideal_matches_the_ideal_of_all_gains() {
         // Exp(1) pools rounded to quarters: many ties, and zeros.
-        let mut gen = QueryGenerator::new(&DatasetSpec::movielens_1m(), 3);
+        let items = DatasetSpec::movielens_1m().candidates_per_query;
+        let mut pool = Vec::new();
         for round in 0..4 {
-            let mut utilities: Vec<f64> = gen
-                .next_query()
-                .utilities
-                .iter()
-                .map(|u| (u * 4.0).floor() / 4.0)
-                .collect();
+            draw_pool(&mut pool, items, 3, round);
+            let mut utilities: Vec<f64> = pool.iter().map(|u| (u * 4.0).floor() / 4.0).collect();
             // A negative zero, and a utility whose gain underflows to a
             // zero that ties with it.
             utilities[round] = -0.0;

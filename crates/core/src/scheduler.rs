@@ -455,8 +455,9 @@ impl Scheduler {
     /// Explores the joint design space over an arbitrary backend pool —
     /// the generic engine behind [`explore_cpu`](Self::explore_cpu) and
     /// `Engine::sweep`. Quality uses `sub_batches`-way stitched top-k
-    /// selection (1 = whole-batch); `interconnect` is charged when
-    /// consecutive stages cross backends. Also returns the sweep's
+    /// selection (1 = whole-batch); the measured PCIe link
+    /// ([`PcieModel::measured`]) is charged when consecutive stages
+    /// cross backends. Also returns the sweep's
     /// simulation-cost accounting — how budget pruning
     /// ([`SweepBudget::Halving`]) compares against the exhaustive
     /// sweep.
@@ -475,8 +476,8 @@ impl Scheduler {
         pool: &[Arc<dyn Backend>],
         sub_batches: usize,
         sla_s: Option<f64>,
-        interconnect: &PcieModel,
     ) -> (Vec<Outcome>, SweepStats) {
+        let interconnect = &PcieModel::measured();
         let workers = worker_threads(self.settings.workers);
         let quality_eval = self.quality_evaluator().sub_batches(sub_batches);
         let pipelines = self.enumerate_pipelines(max_stages);
@@ -673,8 +674,7 @@ impl Scheduler {
     /// Explores CPU-only execution (paper Section 5.1).
     pub fn explore_cpu(&self, qps: f64, max_stages: usize) -> Vec<Outcome> {
         let pool: Vec<Arc<dyn Backend>> = vec![Arc::new(CpuModel::cascade_lake())];
-        self.explore_pool(qps, max_stages, &pool, 1, None, &PcieModel::measured())
-            .0
+        self.explore_pool(qps, max_stages, &pool, 1, None).0
     }
 
     /// Quality-vs-latency Pareto frontier (maximize NDCG, minimize
@@ -965,7 +965,7 @@ mod tests {
         // A load high enough that single replicas queue hard on the
         // best pipelines: the mixed fleet's 1.6x drain rate buys real
         // p99, while the uniform two-replica fleet costs 2.0.
-        let (points, _) = s.explore_pool(8_000.0, 2, &pool, 1, None, &PcieModel::measured());
+        let (points, _) = s.explore_pool(8_000.0, 2, &pool, 1, None);
         let front = Scheduler::pareto_with_cost(points);
         assert!(!front.is_empty());
         assert!(
@@ -989,15 +989,14 @@ mod tests {
         let mut settings = SchedulerSettings::quick();
         settings.fleet_options = [1, 2, 4].map(FleetSpec::uniform).to_vec();
         let pool: Vec<Arc<dyn Backend>> = vec![Arc::new(CpuModel::cascade_lake())];
-        let interconnect = PcieModel::measured();
         let qps = 2_000.0;
 
         let (full_points, full_stats) =
-            Scheduler::new(settings.clone()).explore_pool(qps, 2, &pool, 1, None, &interconnect);
+            Scheduler::new(settings.clone()).explore_pool(qps, 2, &pool, 1, None);
 
         settings.sweep_budget = SweepBudget::halving(settings.sim_queries);
         let (half_points, half_stats) =
-            Scheduler::new(settings).explore_pool(qps, 2, &pool, 1, None, &interconnect);
+            Scheduler::new(settings).explore_pool(qps, 2, &pool, 1, None);
 
         assert_eq!(half_stats.candidates, full_stats.candidates);
         assert!(
@@ -1029,7 +1028,7 @@ mod tests {
     fn full_budget_stats_account_every_candidate() {
         let s = scheduler();
         let pool: Vec<Arc<dyn Backend>> = vec![Arc::new(CpuModel::cascade_lake())];
-        let (points, stats) = s.explore_pool(150.0, 2, &pool, 1, None, &PcieModel::measured());
+        let (points, stats) = s.explore_pool(150.0, 2, &pool, 1, None);
         assert_eq!(stats.candidates as usize, points.len());
         assert_eq!(stats.simulations, stats.candidates);
         assert_eq!(
@@ -1045,15 +1044,14 @@ mod tests {
         let mut settings = SchedulerSettings::quick();
         settings.fleet_options = [1, 2].map(FleetSpec::uniform).to_vec();
         let pool: Vec<Arc<dyn Backend>> = vec![Arc::new(CpuModel::cascade_lake())];
-        let interconnect = PcieModel::measured();
         let (full_points, full_stats) =
-            Scheduler::new(settings.clone()).explore_pool(400.0, 1, &pool, 1, None, &interconnect);
+            Scheduler::new(settings.clone()).explore_pool(400.0, 1, &pool, 1, None);
         settings.sweep_budget = SweepBudget::Halving {
             min_queries: settings.sim_queries,
             survivor_fraction: 0.5,
         };
         let (degen_points, degen_stats) =
-            Scheduler::new(settings).explore_pool(400.0, 1, &pool, 1, None, &interconnect);
+            Scheduler::new(settings).explore_pool(400.0, 1, &pool, 1, None);
         assert_eq!(full_points, degen_points);
         assert_eq!(full_stats, degen_stats);
     }

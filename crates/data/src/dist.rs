@@ -37,11 +37,6 @@ impl Normal {
         Self { mean, std }
     }
 
-    /// The standard normal `N(0, 1)`.
-    pub fn standard() -> Self {
-        Self::new(0.0, 1.0)
-    }
-
     /// Mean of the distribution.
     pub fn mean(&self) -> f64 {
         self.mean

@@ -5,8 +5,10 @@
 //! synthetic equivalents* that preserve the properties the evaluation
 //! actually depends on:
 //!
-//! * a per-query candidate pool with graded **true utilities** (drives the
-//!   quality metric and the items-ranked axis of Figure 3),
+//! * the **candidate-pool shape** of each dataset — items per query and
+//!   the NDCG gain on graded true utilities (drives the quality metric and
+//!   the items-ranked axis of Figure 3; `recpipe-core`'s quality evaluator
+//!   draws the pools),
 //! * **Zipfian categorical feature ids** (drives embedding-cache hit rates,
 //!   Figure 10c and 13),
 //! * latent-factor **click samples** for actually training models (Figure 2),
@@ -21,12 +23,12 @@
 //! # Examples
 //!
 //! ```
-//! use recpipe_data::{DatasetSpec, QueryGenerator};
+//! use recpipe_data::{ClickGenerator, DatasetSpec};
 //!
 //! let spec = DatasetSpec::criteo_kaggle();
-//! let mut gen = QueryGenerator::new(&spec, 42);
-//! let query = gen.next_query();
-//! assert_eq!(query.utilities.len(), spec.candidates_per_query);
+//! assert_eq!(spec.candidates_per_query, 4096);
+//! let mut clicks = ClickGenerator::new(&spec, 1000, 42);
+//! assert_eq!(clicks.take_samples(8).len(), 8);
 //! ```
 
 mod arrival;
@@ -42,6 +44,6 @@ pub use arrival::{
 };
 pub use dataset::{DatasetKind, DatasetSpec};
 pub use dist::{Exponential, Normal, Zipf};
-pub use query::{ClickSample, RankingQuery};
-pub use synthetic::{ClickGenerator, EmbeddingTrace, QueryGenerator};
+pub use query::ClickSample;
+pub use synthetic::{ClickGenerator, EmbeddingTrace};
 pub use trace::TraceArrivals;

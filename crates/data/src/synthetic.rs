@@ -1,56 +1,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{ClickSample, DatasetSpec, Exponential, Normal, RankingQuery, Zipf};
-
-/// Generates [`RankingQuery`]s whose candidate pools follow the dataset's
-/// utility distribution.
-///
-/// Utilities are `Exp(1)` draws: most candidates are mediocre, a thin tail
-/// is excellent. Combined with the dataset's gain transform this yields the
-/// paper's central empirical fact — quality rises with the number of items
-/// ranked because ranking a larger pool is more likely to surface the rare
-/// excellent items (Figure 3).
-///
-/// # Examples
-///
-/// ```
-/// use recpipe_data::{DatasetSpec, QueryGenerator};
-///
-/// let spec = DatasetSpec::movielens_1m();
-/// let mut gen = QueryGenerator::new(&spec, 1);
-/// let q = gen.next_query();
-/// assert_eq!(q.num_candidates(), spec.candidates_per_query);
-/// ```
-#[derive(Debug, Clone)]
-pub struct QueryGenerator {
-    candidates_per_query: usize,
-    utility: Exponential,
-    rng: StdRng,
-    next_id: u64,
-}
-
-impl QueryGenerator {
-    /// Creates a generator for the given dataset spec and RNG seed.
-    pub fn new(spec: &DatasetSpec, seed: u64) -> Self {
-        Self {
-            candidates_per_query: spec.candidates_per_query,
-            utility: Exponential::new(1.0),
-            rng: StdRng::seed_from_u64(seed),
-            next_id: 0,
-        }
-    }
-
-    /// Produces the next query with a fresh candidate pool.
-    pub fn next_query(&mut self) -> RankingQuery {
-        let utilities = (0..self.candidates_per_query)
-            .map(|_| self.utility.sample(&mut self.rng))
-            .collect();
-        let id = self.next_id;
-        self.next_id += 1;
-        RankingQuery { id, utilities }
-    }
-}
+use crate::{ClickSample, DatasetSpec, Normal, Zipf};
 
 /// Latent-factor click generator for the learned-model path.
 ///
@@ -193,34 +144,6 @@ impl EmbeddingTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn query_generator_is_deterministic() {
-        let spec = DatasetSpec::criteo_kaggle();
-        let mut a = QueryGenerator::new(&spec, 5);
-        let mut b = QueryGenerator::new(&spec, 5);
-        assert_eq!(a.next_query(), b.next_query());
-    }
-
-    #[test]
-    fn query_ids_are_monotone() {
-        let spec = DatasetSpec::movielens_1m();
-        let mut gen = QueryGenerator::new(&spec, 0);
-        for i in 0..5 {
-            assert_eq!(gen.next_query().id, i);
-        }
-    }
-
-    #[test]
-    fn utilities_are_nonnegative_with_tail() {
-        let spec = DatasetSpec::criteo_kaggle();
-        let mut gen = QueryGenerator::new(&spec, 1);
-        let q = gen.next_query();
-        assert!(q.utilities.iter().all(|&u| u >= 0.0));
-        let max = q.utilities.iter().cloned().fold(0.0, f64::max);
-        // Exp(1) over 4096 samples: max ≈ ln(4096) ≈ 8.3.
-        assert!(max > 4.0, "tail too light: max {max}");
-    }
 
     #[test]
     fn click_generator_labels_follow_ctr() {

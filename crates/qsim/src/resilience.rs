@@ -368,7 +368,8 @@ impl ResilienceConfig {
 /// [`SimResult::resilience`](crate::SimResult::resilience).
 ///
 /// `timeouts` counts fired per-attempt timeouts (a query retried twice
-/// contributes up to three); `timed_out` counts queries resolved as
+/// contributes up to three), each retried or final, so `timeouts ==
+/// total_retries() + timed_out`; `timed_out` counts queries resolved as
 /// timed-out-final — the conservation ledger reads
 /// `completed + shed + dropped + timed_out == admitted`.
 #[derive(Debug, Clone, PartialEq, Default)]

@@ -35,10 +35,10 @@ pub struct SimResult {
     /// empty on single-replica runs, whose results stay bit-identical
     /// to the pre-cluster simulator.
     pub replica_utilization: Vec<Vec<f64>>,
-    /// Queries dropped without service (routed to a dead group or
-    /// stranded in a dead replica's queue under
-    /// [`FailurePolicy::Shed`](crate::FailurePolicy::Shed)). Zero on
-    /// lifecycle-free runs.
+    /// Queries lost without service: shed at admission, routed to a
+    /// dead group or stranded in a dead replica's queue under
+    /// [`FailurePolicy::Shed`](crate::FailurePolicy::Shed), or still
+    /// unresolved when the run's events ran out.
     pub shed: usize,
     /// Queries killed mid-service by a fail-stop under
     /// [`FailurePolicy::Shed`](crate::FailurePolicy::Shed). Zero on
@@ -184,10 +184,14 @@ pub struct PathStats {
     pub completed: usize,
     /// Admitted queries shed after admission (dead-group arrivals and
     /// stranded queue entries under [`FailurePolicy::Shed`](crate::FailurePolicy::Shed),
-    /// plus end-of-run parked leftovers).
+    /// plus end-of-run leftovers).
     pub shed: usize,
     /// Admitted queries killed mid-service by fail-stops.
     pub dropped: usize,
+    /// Admitted queries whose last attempt timed out (see
+    /// [`Scenario::resilience`](crate::Scenario::resilience)); `admitted
+    /// == completed + shed + dropped + timed_out`.
+    pub timed_out: usize,
     /// Mean post-warmup latency of the path's completions in seconds
     /// (0.0 when none recorded).
     pub mean_latency_s: f64,
@@ -249,6 +253,7 @@ mod tests {
             completed,
             shed: 0,
             dropped: 0,
+            timed_out: 0,
             mean_latency_s: 0.01,
             p99_s: 0.02,
         }

@@ -6,8 +6,9 @@
 //! validates the whole scenario first and returns a typed [`SimError`]
 //! for anything the event loop cannot serve, so it never panics on user
 //! input. The optional runtimes arm in a fixed order — lifecycle,
-//! autoscale, multipath, resilience — and each is inert unless set, so
-//! a scenario replays the narrower run it extends bit for bit.
+//! autoscale, multipath, resilience — and serve together in any
+//! combination. Each is inert unless set, so a scenario replays the
+//! narrower run it extends bit for bit.
 
 use recpipe_data::{ArrivalProcess, PoissonArrivals};
 
@@ -57,9 +58,6 @@ pub enum SimError {
     /// A resilient retry policy allows more attempts per query (the
     /// payload) than the packed attempt counter holds.
     TooManyAttempts(usize),
-    /// Two runtimes, named by their [`Scenario`] setters, that the
-    /// event loop cannot serve together yet.
-    Incompatible(&'static str, &'static str),
 }
 
 impl std::fmt::Display for SimError {
@@ -91,7 +89,6 @@ impl std::fmt::Display for SimError {
             SimError::TooManyAttempts(n) => {
                 write!(f, "at most {MAX_ATTEMPTS} attempts per query, got {n}")
             }
-            SimError::Incompatible(a, b) => write!(f, "{a} and {b} cannot run together yet"),
         }
     }
 }
@@ -316,20 +313,6 @@ impl<'a> Scenario<'a> {
                 return Err(SimError::FirstArrival(t0));
             }
         }
-        // Pairs no loop has served yet; among other things, a retry
-        // re-enters flat stage 0, which would force a multi-path query
-        // back onto path 0.
-        let multipath = self.multipath.is_some();
-        let (scaled, resilient) = (self.autoscale.is_some(), self.resilience.is_some());
-        for (both, a, b) in [
-            (multipath && resilient, "multipath", "resilience"),
-            (multipath && scaled, "multipath", "autoscale"),
-            (scaled && resilient, "autoscale", "resilience"),
-        ] {
-            if both {
-                return Err(SimError::Incompatible(a, b));
-            }
-        }
         if let Some((cfg, _)) = &self.autoscale {
             let group = spec.resources().get(cfg.group);
             let replicas = group.ok_or(SimError::AutoscaleGroup(cfg.group))?.replicas();
@@ -546,33 +529,6 @@ mod tests {
             .resilience(&cfg)
             .run();
         assert_eq!(run, Err(SimError::TooManyAttempts(MAX_ATTEMPTS + 1)));
-    }
-
-    #[test]
-    fn multipath_with_resilience_is_rejected() {
-        let (paths, arrivals) = (PathSet::single(spec(1), 1.0), PoissonArrivals::new(100.0));
-        let cfg = ResilienceConfig::new();
-        let scenario = Scenario::multipath(&paths, &AlwaysPrimary, &arrivals, 10, 1);
-        let run = scenario.resilience(&cfg).run();
-        assert_eq!(run, Err(SimError::Incompatible("multipath", "resilience")));
-    }
-
-    #[test]
-    fn multipath_with_autoscale_is_rejected() {
-        let (paths, arrivals) = (PathSet::single(spec(1), 1.0), PoissonArrivals::new(100.0));
-        let cfg = AutoscaleConfig::new(0, 1, 2, 1.0);
-        let scenario = Scenario::multipath(&paths, &AlwaysPrimary, &arrivals, 10, 1);
-        let run = scenario.autoscale(&cfg, &mut Hold).run();
-        assert_eq!(run, Err(SimError::Incompatible("multipath", "autoscale")));
-    }
-
-    #[test]
-    fn autoscale_with_resilience_is_rejected() {
-        let (spec, arrivals) = (spec(1), PoissonArrivals::new(100.0));
-        let (scale, resilience) = (AutoscaleConfig::new(0, 1, 2, 1.0), ResilienceConfig::new());
-        let scenario = Scenario::new(&spec, &arrivals, 10, 1).resilience(&resilience);
-        let run = scenario.autoscale(&scale, &mut Hold).run();
-        assert_eq!(run, Err(SimError::Incompatible("autoscale", "resilience")));
     }
 
     #[test]

@@ -8,8 +8,8 @@ use recpipe_metrics::LatencyStats;
 
 use crate::{
     AdmissionPolicy, AutoscaleConfig, FleetController, LifecycleConfig, PathSet, PipelineSpec,
-    QueueEntry, Release, ReplicaLoads, ResilienceConfig, Router, RouterState, RoutingCtx,
-    SchedulingPolicy, SimError, SimResult, StageSpec,
+    QueueEntry, Release, ReplicaLoads, ResilienceConfig, ResilienceStats, Router, RouterState,
+    RoutingCtx, SchedulingPolicy, SimError, SimResult, StageSpec,
 };
 
 mod lifecycle;
@@ -347,6 +347,58 @@ struct Gauges {
     cost: f64,
 }
 
+/// How a query resolved. A completion carries its end-to-end latency.
+#[derive(Clone, Copy)]
+enum Fate {
+    Completed(f64),
+    /// Lost without service: shed at admission, at a dead group, from
+    /// a dead queue, or by the end-of-run sweep.
+    Shed,
+    /// Killed mid-service by a fail-stop.
+    Dropped,
+    /// Its last attempt timed out.
+    TimedOut,
+}
+
+/// Queries that arrived and how each resolved, counted once per query:
+/// the run's on `Sim`, and one per path on multi-path runs (where
+/// `arrivals` counts the path's admissions). A window's counts are the
+/// difference of two snapshots.
+#[derive(Clone, Copy, Default)]
+struct Ledger {
+    arrivals: usize,
+    completed: usize,
+    shed: usize,
+    dropped: usize,
+    timed_out: usize,
+}
+
+impl Ledger {
+    fn count(&mut self, fate: Fate) {
+        *match fate {
+            Fate::Completed(_) => &mut self.completed,
+            Fate::Shed => &mut self.shed,
+            Fate::Dropped => &mut self.dropped,
+            Fate::TimedOut => &mut self.timed_out,
+        } += 1;
+    }
+
+    fn resolved(&self) -> usize {
+        self.completed + self.shed + self.dropped + self.timed_out
+    }
+
+    /// What was counted since `base`, an earlier snapshot.
+    fn since(&self, base: &Ledger) -> Ledger {
+        Ledger {
+            arrivals: self.arrivals - base.arrivals,
+            completed: self.completed - base.completed,
+            shed: self.shed - base.shed,
+            dropped: self.dropped - base.dropped,
+            timed_out: self.timed_out - base.timed_out,
+        }
+    }
+}
+
 /// Scratch columns for availability-masked routing: the original
 /// replica index per compacted position, the compacted counter and
 /// estimator columns, and the remapped routing history.
@@ -374,7 +426,6 @@ pub(crate) struct Sim<'a> {
     // --- Hot per-event scalars (first cache lines) ---
     seq: u64,
     last_time: f64,
-    completed: usize,
     launches: u64,
     served: u64,
     /// Closed-loop state: next query index to inject.
@@ -512,12 +563,8 @@ pub(crate) struct Sim<'a> {
     /// loop and the final stage's shard keep `None` and record
     /// completions locally.
     outbox: Option<VecDeque<Handoff>>,
-    /// Queries lost without service: shed at admission, or at a dead
-    /// group or from a dead queue under `FailurePolicy::Shed`.
-    shed: usize,
-    /// In-flight queries killed by fail-stops under
-    /// `FailurePolicy::Shed`.
-    dropped: usize,
+    /// The run's arrivals and resolutions (see [`resolve`](Self::resolve)).
+    ledger: Ledger,
     /// Scratch columns for masked routing.
     mask: MaskScratch,
 
@@ -725,7 +772,6 @@ impl<'a> Sim<'a> {
             batches: Vec::new(),
             free_batches: Vec::new(),
             query_pool: Vec::new(),
-            completed: 0,
             last_time: 0.0,
             launches: 0,
             served: 0,
@@ -734,10 +780,9 @@ impl<'a> Sim<'a> {
             work_conserving: policy.admit_on_arrival(),
             schedule_len: 0,
             batch_gen: Vec::new(),
-            shed: 0,
-            dropped: 0,
             mask: MaskScratch::default(),
             gauges,
+            ledger: Ledger::default(),
             tele: None,
             life: None,
             mp: None,
@@ -896,8 +941,9 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// A live attempt's timeout fired: a retry re-enters stage 0 once
-    /// its backoff elapses, or the query resolves timed-out-final.
+    /// A live attempt's timeout fired: a retry re-enters stage 0 (its
+    /// path's first stage, on multi-path runs) once its backoff elapses,
+    /// or the query resolves timed-out-final.
     fn on_timeout(&mut self, now: f64, q: usize) {
         self.last_time = now;
         let rt = self.resil.as_mut().expect("resilience runtime attached");
@@ -910,13 +956,7 @@ impl<'a> Sim<'a> {
                 self.push_heap(start, EventKind::Arrive, q, lane_payload(id, 0));
                 self.arm_attempt(start, q, true);
             }
-            None => {
-                self.window.retire(q);
-                if let Some(tele) = self.tele.as_mut() {
-                    tele.on_timed_out();
-                }
-                self.release_client(now);
-            }
+            None => self.resolve(now, q, Fate::TimedOut),
         }
     }
 
@@ -933,47 +973,49 @@ impl<'a> Sim<'a> {
         self.avoid_slot = None;
     }
 
-    /// Runs the admission decision for a stage-0 arrival: returns the
-    /// admitted path's entry stage, or `None` when the query was shed
-    /// (freeing its closed-loop client).
+    /// Runs the admission decision for a stage-0 arrival of `query`:
+    /// returns its path's first stage, or `None` when the query was
+    /// shed.
     fn admit(&mut self, now: f64, query: usize) -> Option<usize> {
         let closed = self.tele.as_ref().and_then(|t| t.windows.last());
         let mp = self.mp.as_mut().expect("multipath runtime attached");
         let entry = mp.admit(now, &mut self.window, query, self.gauges, closed);
         if entry.is_none() {
-            self.window.retire(query);
-            self.shed += 1;
-            if let Some(tele) = self.tele.as_mut() {
-                tele.on_lost(false, 1);
-            }
-            self.release_client(now);
+            self.resolve(now, query, Fate::Shed);
         }
         entry
     }
 
-    /// Counts a post-admission loss of `query` — shed without service,
-    /// or dropped mid-service when `was_in_flight` — in the run, window,
-    /// and (on multi-path runs) per-path counters, and retires its
-    /// record.
-    fn account_lost(&mut self, query: usize, was_in_flight: bool) {
-        if was_in_flight {
-            self.dropped += 1;
-        } else {
-            self.shed += 1;
-        }
-        if let Some(tele) = self.tele.as_mut() {
-            tele.on_lost(was_in_flight, 1);
+    /// Resolves `query` as `fate`, the one place a resolution is
+    /// counted: in the run's ledger and, on multi-path runs, in its
+    /// path's (a query shed at admission has none). A completion also
+    /// records its latency. Retires the query's record, which cancels
+    /// any lane of it still out, and frees its closed-loop client.
+    fn resolve(&mut self, now: f64, query: usize, fate: Fate) {
+        self.ledger.count(fate);
+        let warm = query >= self.warmup_len;
+        if let Fate::Completed(latency_s) = fate {
+            if warm {
+                self.latency.record_secs(latency_s);
+            }
+            if self.ledger.completed == 1 {
+                self.first_done = now;
+            }
+            self.last_done = now;
+            if let Some(tele) = self.tele.as_mut() {
+                tele.latencies.push(latency_s);
+            }
         }
         if let Some(mp) = self.mp.as_mut() {
-            mp.on_lost(&self.window, query, was_in_flight);
+            mp.count(self.window.rec(query).path, fate, warm);
         }
         self.window.retire(query);
+        self.release_client(now);
     }
 
-    /// Closed loop: a resolved query (completed, shed, dropped, or
-    /// timed out) frees its client, which thinks and then issues the
-    /// next query. No-op on open-loop runs and once every query has
-    /// been issued.
+    /// Closed loop: a resolved query frees its client, which thinks and
+    /// then issues the next query. No-op on open-loop runs and once
+    /// every query has been issued.
     fn release_client(&mut self, now: f64) {
         if let Some(think) = self.think_time_s {
             if self.next_inject < self.num_queries {
@@ -987,12 +1029,9 @@ impl<'a> Sim<'a> {
     fn inject(&mut self, query: usize, t: f64) {
         self.window.create(query, t);
         self.arrival_span = self.arrival_span.max(t);
-        // Closed-loop arrivals are attributed to the window in which the
-        // client issues them (skew vs first service at most the think
-        // time).
-        if let Some(tele) = self.tele.as_mut() {
-            tele.on_arrival();
-        }
+        // Closed-loop arrivals are counted when the client issues them
+        // (skew vs first service at most the think time).
+        self.ledger.arrivals += 1;
         self.push(t, EventKind::Arrive, query, 0);
     }
 
@@ -1352,27 +1391,28 @@ impl<'a> Sim<'a> {
     }
 
     fn on_arrive(&mut self, now: f64, query: usize, stage_idx: usize) {
-        // Multi-path: a stage-0 arrival is an admission decision — the
-        // query enters at its admitted path's entry stage, or not at
-        // all. (Paths other than 0 never re-enter at flat stage 0, so
-        // the remap fires exactly once per fresh query.)
+        // Under resilience `query` is a lane id; admission, routing,
+        // history, and the arrival clock key off the bare index while
+        // queue entries and batch members carry the lane id.
+        let q = lane_query(query);
+        // Multi-path: a stage-0 arrival is an admission decision. A
+        // fresh query enters its admitted path's first stage or is
+        // shed; an admitted one (a retry or hedge lane, or a requeue)
+        // re-enters its own path's.
         let stage_idx = if stage_idx == 0 && self.mp.is_some() {
-            match self.admit(now, query) {
+            match self.admit(now, q) {
                 Some(entry_stage) => entry_stage,
                 None => return,
             }
         } else {
             stage_idx
         };
-        // Under resilience `query` is a lane id; routing, history, and
-        // the arrival clock key off the bare index while queue entries
-        // and batch members carry the lane id.
-        let q = lane_query(query);
         let Some(slot) = self.route(now, q, stage_idx) else {
             self.handle_unroutable(now, query, stage_idx);
             return;
         };
-        if let Some(rt) = self.resil.as_mut().filter(|_| stage_idx == 0) {
+        let entered = self.resil.is_some() && self.enters_path(stage_idx);
+        if let Some(rt) = self.resil.as_mut().filter(|_| entered) {
             // What a later hedge dispatch of this query routes away from.
             rt.placed(&mut self.window, q, slot);
         }
@@ -1420,15 +1460,23 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Closes the telemetry window ending at `now`, adding the closing
-    /// window's per-path counts on multi-path runs. An empty span closes
-    /// nothing.
+    /// Whether flat stage `stage` is its path's first stage (stage 0 on
+    /// single-path runs).
+    fn enters_path(&self, stage: usize) -> bool {
+        stage == 0
+            || self
+                .mp
+                .as_ref()
+                .is_some_and(|mp| mp.last_of_path[stage - 1])
+    }
+
+    /// Closes the telemetry window ending at `now`. An empty span
+    /// closes nothing.
     fn close_window(&mut self, now: f64) {
         let live_replicas = self.live_replicas();
+        let paths = self.mp.as_ref().map_or(&[][..], |mp| &mp.ledgers);
         let tele = self.tele.as_mut().expect("telemetry attached");
-        if let (Some(window), Some(mp)) = (tele.close(now, live_replicas), self.mp.as_mut()) {
-            (window.path_admitted, window.path_completed) = mp.take_window();
-        }
+        tele.close(now, live_replicas, &self.ledger, paths);
     }
 
     /// Takes batch `idx` out of the table, recycling its table slot.
@@ -1520,28 +1568,12 @@ impl<'a> Sim<'a> {
         }
         let (hedge, query) = (is_hedge_lane(query), lane_query(query));
         let latency_s = now - self.window.rec(query).arrival;
-        let warm = query >= self.warmup_len;
         if let Some(rt) = self.resil.as_mut() {
             // A live lane finishing resolves the query; retiring its
-            // record below cancels the twin lane wherever it is.
+            // record cancels the twin lane wherever it is.
             rt.resolve(hedge, latency_s);
         }
-        self.completed += 1;
-        if warm {
-            self.latency.record_secs(latency_s);
-        }
-        if self.completed == 1 {
-            self.first_done = now;
-        }
-        self.last_done = now;
-        if let Some(tele) = self.tele.as_mut() {
-            tele.on_completion(latency_s);
-        }
-        if let Some(mp) = self.mp.as_mut() {
-            mp.on_completion(&self.window, query, latency_s, warm);
-        }
-        self.window.retire(query);
-        self.release_client(now);
+        self.resolve(now, query, Fate::Completed(latency_s));
     }
 
     /// Stages schedule arrival `query + 1` after arrival `query` popped:
@@ -1585,7 +1617,7 @@ impl<'a> Sim<'a> {
         // it (a stale warm-up, a window tick armed before the end)
         // advances no integral and closes no window, so `finish` closes
         // the trailing window at the last resolution.
-        let telemetry_live = self.tele.is_some() && self.resolved() < self.num_queries;
+        let telemetry_live = self.tele.is_some() && self.ledger.resolved() < self.num_queries;
         if let Some(tele) = self.tele.as_mut().filter(|_| telemetry_live) {
             tele.advance(now, self.gauges);
         }
@@ -1609,15 +1641,13 @@ impl<'a> Sim<'a> {
                 if scheduled && query + 1 < self.schedule_len {
                     self.stage_next_arrival(query);
                 }
-                // Window arrival counting: schedule-driven stage-0
-                // arrivals only (their seq is their query index);
-                // requeues and parked flushes re-use query indices but
-                // carry later seqs, so they never double-count.
-                // Closed-loop injections count at `inject`.
+                // Arrival counting: schedule-driven stage-0 arrivals only
+                // (their seq is their query index); requeues and parked
+                // flushes re-use query indices but carry later seqs, so
+                // they never double-count. Closed-loop injections count
+                // at `inject`.
                 if scheduled && query < self.schedule_len {
-                    if let Some(tele) = self.tele.as_mut() {
-                        tele.on_arrival();
-                    }
+                    self.ledger.arrivals += 1;
                 }
                 if let Some(rt) = self.resil.as_mut() {
                     if stage == 0 && rt.start(&mut self.window, query) {
@@ -1750,13 +1780,6 @@ impl<'a> Sim<'a> {
         self.outbox.as_mut()
     }
 
-    /// Queries resolved so far: completed, shed, dropped, or timed out
-    /// for good.
-    fn resolved(&self) -> usize {
-        let timed_out = self.resil.as_ref().map_or(0, |r| r.stats.timed_out);
-        self.completed + self.shed + self.dropped + timed_out
-    }
-
     /// Takes the run's raw totals (a stage shard's contribution to the
     /// merged result).
     pub(crate) fn totals(&mut self) -> RunTotals {
@@ -1765,38 +1788,14 @@ impl<'a> Sim<'a> {
             last_time: self.last_time,
             launches: self.launches,
             served: self.served,
-            completed: self.completed,
+            completed: self.ledger.completed,
             latency: std::mem::take(&mut self.latency),
-            qps: completion_rate(self.completed, self.first_done, self.last_done),
+            qps: completion_rate(self.ledger.completed, self.first_done, self.last_done),
             arrival_span: self.arrival_span,
         }
     }
 
     fn finish(mut self) -> SimResult {
-        // Conservation safety net: parked queries count as shed, and on
-        // resilient runs every unresolved query does (a query with a
-        // parked lane *and* a live twin, or a silently-lost lane under
-        // Shed, resolves exactly once).
-        if self.life.is_some() {
-            self.shed_parked();
-        }
-        if let Some(rt) = self.resil.as_ref() {
-            let unresolved = rt.unresolved(&self.window);
-            self.shed += unresolved;
-            if let Some(tele) = self.tele.as_mut() {
-                tele.on_lost(false, unresolved);
-            }
-        }
-        // The resolution ledger: every query resolved exactly once.
-        assert_eq!(
-            self.resolved(),
-            self.num_queries,
-            "completed + shed + dropped + timed out must equal the queries offered"
-        );
-        // Close the trailing partial window at the integral clock.
-        if let Some(end) = self.tele.as_ref().and_then(Telemetry::end) {
-            self.close_window(end);
-        }
         // Saturation: open-loop offered load beyond the fully-batched
         // analytic capacity (identical to `max_qps()` for per-query
         // stages). Closed loops self-regulate, so only the backlog test
@@ -1811,9 +1810,27 @@ impl<'a> Sim<'a> {
             None => self.spec.max_qps_at_full_batch(),
         };
         let rate_overload = self.think_time_s.is_none() && offered > full_batch_qps;
+        // The event stream ran dry, so no client issues another query.
+        // A query still unresolved — parked while a promised revival
+        // never came, or on resilient runs left with no live lane — is
+        // shed, once, on its path.
+        self.think_time_s = None;
+        let unresolved: Vec<usize> = self.window.live().collect();
+        for query in unresolved {
+            self.resolve(self.last_time, query, Fate::Shed);
+        }
+        assert_eq!(
+            self.ledger.resolved(),
+            self.num_queries,
+            "completed + shed + dropped + timed out must equal the queries offered"
+        );
+        // Close the trailing partial window at the integral clock.
+        if let Some(end) = self.tele.as_ref().and_then(Telemetry::end) {
+            self.close_window(end);
+        }
         let mut result = self.totals().into_result(self.spec, rate_overload);
-        result.shed = self.shed;
-        result.dropped = self.dropped;
+        result.shed = self.ledger.shed;
+        result.dropped = self.ledger.dropped;
         if let Some(tele) = self.tele.take() {
             result.cost_integral = tele.cost_integral();
             result.windows = tele.windows;
@@ -1821,7 +1838,12 @@ impl<'a> Sim<'a> {
         if let Some(mp) = self.mp.take() {
             (result.paths, result.admission_shed) = mp.into_stats();
         }
-        result.resilience = self.resil.take().map(|rt| rt.stats);
+        let timed_out = self.ledger.timed_out;
+        result.resilience = self.resil.take().map(|rt| ResilienceStats {
+            timeouts: rt.stats.total_retries() + timed_out,
+            timed_out,
+            ..rt.stats
+        });
         result
     }
 }
@@ -3143,8 +3165,8 @@ mod tests {
         let n = 50_000;
         let sim = run_in_hand(&spec, &arrivals, &resilience, n);
         let stats = &sim.resil.as_ref().expect("resilience attached").stats;
-        assert!(stats.timeouts > 0 && stats.total_retries() > 0 && stats.hedges_issued > 0);
-        assert!(sim.completed < n, "the faults cost some queries");
+        assert!(stats.total_retries() > 0 && stats.hedges_issued > 0);
+        assert!(sim.ledger.completed < n, "the faults cost some queries");
 
         let c = sim.queue.counts;
         assert_eq!(c.pops(), c.pushes);
@@ -3197,7 +3219,7 @@ mod tests {
         sim.enable_lifecycle(&LifecycleConfig::new(), None);
         sim.enable_multipath(&paths, &admission, 1);
         let sim = drain(sim);
-        assert!(sim.shed > 0, "the ramp sheds some queries");
+        assert!(sim.ledger.shed > 0, "the ramp sheds some queries");
 
         let c = sim.queue.counts;
         assert_eq!(c.pops(), c.pushes);
@@ -3207,6 +3229,103 @@ mod tests {
         assert!(onward == 1.0 && completions == 1.0, "{c:?}");
         let onward_arrivals = c.off_heap[EventKind::Arrive as usize] - c.schedule;
         assert!(c.next >= onward_arrivals, "{c:?}");
+    }
+
+    // ------------------------------------------------------------------
+    // Composed runtimes
+    // ------------------------------------------------------------------
+
+    use crate::{Admission, AdmissionCtx, AdmissionState};
+
+    /// Admits every query onto path 1.
+    struct PathOne;
+
+    impl AdmissionPolicy for PathOne {
+        fn name(&self) -> String {
+            "path-one".into()
+        }
+
+        fn admit(&self, _: &AdmissionCtx<'_>, _: &mut AdmissionState) -> Admission {
+            Admission::Admit(1)
+        }
+    }
+
+    /// Path 0 serves stage `z` on group 0; path 1 serves `stages` on
+    /// group 1, whose replica 0 limps at a twentieth of its speed from
+    /// the start.
+    fn limping_path_one(stages: Vec<StageSpec>) -> PathSet {
+        let limp = LifecycleSchedule::empty().with_event(LifecycleEvent::degrade(0.0, 0, 0.05));
+        let fleet = vec![
+            ReplicaGroup::new("idle", 1),
+            ReplicaGroup::replicated("serve", 1, 2).with_lifecycle(limp),
+        ];
+        PathSet::new(fleet)
+            .with_path("zero", 1.0, vec![StageSpec::new("z", 0, 1, 0.001)])
+            .unwrap()
+            .with_path("one", 0.9, stages)
+            .unwrap()
+    }
+
+    #[test]
+    fn a_path_1_query_s_retry_and_hedge_re_enter_path_1() {
+        // Every query takes path 1. One routed to the limping replica is
+        // hedged after 4 ms and times out after 6 ms, before its hedge
+        // can finish, so both lanes and the retry enter the pipeline
+        // again: at path 1's first stage, which leaves group 0 idle.
+        let stages = vec![
+            StageSpec::new("o0", 1, 1, 0.002),
+            StageSpec::new("o1", 1, 1, 0.001),
+        ];
+        let paths = limping_path_one(stages);
+        let resilience = ResilienceConfig::new()
+            .with_timeout(0.006)
+            .with_retry(RetryPolicy::new(3, 0.001, 2.0))
+            .with_hedge(HedgePolicy::after(0.004));
+        let n = 2_000;
+        let out = Scenario::multipath(&paths, &PathOne, &PoissonArrivals::new(100.0), n, 1)
+            .resilience(&resilience)
+            .run()
+            .unwrap();
+        let stats = out
+            .resilience
+            .as_ref()
+            .expect("resilient runs report stats");
+        assert!(
+            stats.total_retries() > 0 && stats.hedges_issued > 0,
+            "{stats:?}"
+        );
+        assert_eq!(out.utilization[0], 0.0, "a lane entered path 0");
+        let (zero, one) = (&out.paths[0], &out.paths[1]);
+        assert_eq!((zero.admitted, one.admitted), (0, n));
+        assert_eq!(one.completed + one.shed + one.dropped + one.timed_out, n);
+        assert_eq!(one.timed_out, stats.timed_out);
+    }
+
+    #[test]
+    fn a_path_1_hedge_routes_away_from_its_primary_s_replica() {
+        // Path 1's one stage takes 2 ms, or 40 ms on the limping
+        // replica, and a hedge follows after 4 ms. Placed where path 1
+        // begins, a primary tells its hedge which replica to avoid: the
+        // hedge of one stuck behind the limping replica's backlog runs on
+        // the healthy one and wins. Routed blindly, about half the
+        // hedges would join that backlog and lose.
+        let paths = limping_path_one(vec![StageSpec::new("o", 1, 1, 0.002)]);
+        let resilience = ResilienceConfig::new()
+            .with_timeout(1.0)
+            .with_hedge(HedgePolicy::after(0.004));
+        let out = Scenario::multipath(&paths, &PathOne, &PoissonArrivals::new(100.0), 2_000, 1)
+            .resilience(&resilience)
+            .run()
+            .unwrap();
+        let stats = out
+            .resilience
+            .as_ref()
+            .expect("resilient runs report stats");
+        assert!(stats.hedges_issued > 500, "{stats:?}");
+        assert!(
+            stats.hedges_won * 10 >= stats.hedges_issued * 9,
+            "{stats:?}"
+        );
     }
 
     // ------------------------------------------------------------------

@@ -4,7 +4,7 @@
 //! some group's schedule has an event or an autoscaler is attached; a
 //! run without it keeps every slot up at its profile speed.
 
-use super::{Event, EventKind, Sim};
+use super::{Event, EventKind, Fate, Sim};
 use crate::{
     AutoscaleConfig, FailurePolicy, FleetController, LifecycleAction, LifecycleConfig,
     LifecycleEvent, SimError,
@@ -146,7 +146,7 @@ impl<'a> Sim<'a> {
         let group = self.stages[stage_idx].resource;
         let life = self.life.as_mut().expect("lifecycle runtime attached");
         if life.failure_policy == FailurePolicy::Shed {
-            self.strand(now, query, stage_idx, false);
+            self.strand(now, query, stage_idx, Fate::Shed);
         } else if life.revivals_left[group] > 0
             || life.scale.as_ref().is_some_and(|s| s.group == group)
         {
@@ -159,9 +159,9 @@ impl<'a> Sim<'a> {
 
     /// Disposes of a query stranded by a fail-stop: re-enters it as a
     /// fresh arrival at the same stage (Requeue — its original arrival
-    /// time is kept, so the lost work shows up as latency) or counts it
-    /// shed/dropped and frees its closed-loop client (Shed).
-    fn strand(&mut self, now: f64, query: usize, stage_idx: usize, was_in_flight: bool) {
+    /// time is kept, so the lost work shows up as latency) or resolves
+    /// it as `lost`, shed or dropped (Shed).
+    fn strand(&mut self, now: f64, query: usize, stage_idx: usize, lost: Fate) {
         let requeue = self.life_mut().failure_policy == FailurePolicy::Requeue;
         if self.resil.is_some() {
             // A stranded carcass simply evaporates (its query already
@@ -175,8 +175,7 @@ impl<'a> Sim<'a> {
         } else if requeue {
             self.push_arrive(now, query, stage_idx);
         } else {
-            self.account_lost(query, was_in_flight);
-            self.release_client(now);
+            self.resolve(now, query, lost);
         }
     }
 
@@ -189,19 +188,6 @@ impl<'a> Sim<'a> {
             self.push_arrive(now, query, stage_idx);
         }
         self.life_mut().parked[group] = parked; // give the buffer back
-    }
-
-    /// Counts every query still parked when the event stream ran dry (a
-    /// promised revival never came) as shed. On resilient runs parked
-    /// entries are lanes, not queries: they are dropped, and the sweep
-    /// of the window's live records resolves each query once.
-    pub(super) fn shed_parked(&mut self) {
-        let parked = std::mem::take(&mut self.life_mut().parked);
-        if self.resil.is_none() {
-            for (query, _) in parked.into_iter().flatten() {
-                self.account_lost(query, false);
-            }
-        }
     }
 
     /// Takes `slot` down: it holds no work and no units, and stops
@@ -353,13 +339,13 @@ impl<'a> Sim<'a> {
             self.busy_unit_seconds[slot] -= units as f64 * (batch.finish - now).max(0.0);
             self.gauges.busy -= units;
             self.for_each_query(batch.queries, |sim, query| {
-                sim.strand(now, query, stage, true)
+                sim.strand(now, query, stage, Fate::Dropped)
             });
         }
         let mut stranded = std::mem::take(&mut self.waiting[slot]);
         self.gauges.queued -= stranded.len();
         for entry in stranded.drain(..) {
-            self.strand(now, entry.query, entry.stage, false);
+            self.strand(now, entry.query, entry.stage, Fate::Shed);
         }
         self.waiting[slot] = stranded; // give the buffer back
         self.armed[slot] = None;

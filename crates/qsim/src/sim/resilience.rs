@@ -50,6 +50,8 @@ pub(super) struct ResilienceRt {
     selected: Vec<f64>,
     sample_writes: usize,
     sample_dirty: usize,
+    /// The run's stats but `timeouts` and `timed_out`, which `Sim`
+    /// fills in from its ledger at the end.
     pub(super) stats: ResilienceStats,
 }
 
@@ -123,7 +125,6 @@ impl ResilienceRt {
         w: &mut QueryWindow,
         q: usize,
     ) -> Option<(f64, u32)> {
-        self.stats.timeouts += 1;
         let rec = w.rec_mut(q);
         let retry = &self.cfg.retry;
         let attempts = rec.attempts as usize;
@@ -132,7 +133,6 @@ impl ResilienceRt {
             if can_retry {
                 self.stats.retries_denied += 1;
             }
-            self.stats.timed_out += 1;
             return None;
         }
         if retry.budget.is_some() {
@@ -177,12 +177,6 @@ impl ResilienceRt {
             self.tokens = (self.tokens + budget.refill_per_success).min(budget.capacity);
         }
         self.push_sample(latency_s);
-    }
-
-    /// Queries still live when the event stream ran dry — the
-    /// end-of-run sweep counts them shed.
-    pub(super) fn unresolved(&self, w: &QueryWindow) -> usize {
-        w.live().filter(|rec| rec.attempts > 0).count()
     }
 
     /// Records a completed query's latency into the hedge reservoir

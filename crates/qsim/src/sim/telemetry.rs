@@ -1,9 +1,10 @@
-//! Windowed telemetry: the time integrals of the fleet's [`Gauges`] and
-//! the per-window counters behind [`WindowStats`]. Attached when a
-//! telemetry window is set, a lifecycle schedule is non-empty, or an
-//! autoscaler is attached.
+//! Windowed telemetry: the time integrals of the fleet's [`Gauges`],
+//! and the window series [`WindowStats`], whose counts are differences
+//! of the run's and the paths' [`Ledger`]s between a window's open and
+//! close. Attached when a telemetry window is set, a lifecycle schedule
+//! is non-empty, or an autoscaler is attached.
 
-use super::{nearest_rank, Gauges};
+use super::{nearest_rank, Gauges, Ledger};
 use crate::WindowStats;
 
 /// `∫ gauge dt` since t = 0 for the queue depth, busy units, live
@@ -16,22 +17,18 @@ struct Integrals {
     cost: f64,
 }
 
-/// The open window: its start, the integrals at its start, and what it
-/// has counted so far.
+/// The open window: its start, and the integrals and ledgers at its
+/// start.
 #[derive(Default)]
 struct Window {
     start: f64,
     base: Integrals,
-    arrivals: usize,
-    completed: usize,
-    shed: usize,
-    dropped: usize,
-    timed_out: usize,
-    latencies: Vec<f64>,
+    ledger: Ledger,
+    paths: Vec<Ledger>,
 }
 
-/// The telemetry runtime: the integrals, the open window, and the
-/// closed windows in order.
+/// The telemetry runtime: the integrals, the open window and its
+/// completions' latencies, and the closed windows in order.
 #[derive(Default)]
 pub(super) struct Telemetry {
     /// Window width in seconds (0.0 = no windowed series).
@@ -40,6 +37,8 @@ pub(super) struct Telemetry {
     clock: f64,
     integrals: Integrals,
     open: Window,
+    /// Latencies of the open window's completions.
+    pub(super) latencies: Vec<f64>,
     pub(super) windows: Vec<WindowStats>,
 }
 
@@ -64,29 +63,6 @@ impl Telemetry {
         }
     }
 
-    pub(super) fn on_arrival(&mut self) {
-        self.open.arrivals += 1;
-    }
-
-    pub(super) fn on_completion(&mut self, latency_s: f64) {
-        self.open.completed += 1;
-        self.open.latencies.push(latency_s);
-    }
-
-    /// Counts `queries` lost: dropped mid-service when `in_flight`,
-    /// shed otherwise.
-    pub(super) fn on_lost(&mut self, in_flight: bool, queries: usize) {
-        if in_flight {
-            self.open.dropped += queries;
-        } else {
-            self.open.shed += queries;
-        }
-    }
-
-    pub(super) fn on_timed_out(&mut self) {
-        self.open.timed_out += 1;
-    }
-
     pub(super) fn cost_integral(&self) -> f64 {
         self.integrals.cost
     }
@@ -97,15 +73,21 @@ impl Telemetry {
         (self.window_s > 0.0).then_some(self.clock)
     }
 
-    /// Closes the window ending at `now` with `live_replicas` live, and
+    /// Closes the window ending at `now` with `live_replicas` live and
+    /// the run's and the paths' ledgers at `ledger` and `paths`, and
     /// opens the next. An empty span closes nothing and keeps the window
-    /// open; otherwise the closed window is returned for the caller to
-    /// add its per-path counts.
-    pub(super) fn close(&mut self, now: f64, live_replicas: usize) -> Option<&mut WindowStats> {
+    /// open.
+    pub(super) fn close(
+        &mut self,
+        now: f64,
+        live_replicas: usize,
+        ledger: &Ledger,
+        paths: &[Ledger],
+    ) {
         let (w, now_i) = (&mut self.open, self.integrals);
         let duration = now - w.start;
         if duration <= 0.0 {
-            return None;
+            return;
         }
         let cap_delta = now_i.cap - w.base.cap;
         let utilization = if cap_delta > 0.0 {
@@ -113,35 +95,37 @@ impl Telemetry {
         } else {
             0.0
         };
-        let p99_s = if w.latencies.is_empty() {
+        let p99_s = if self.latencies.is_empty() {
             0.0
         } else {
-            nearest_rank(&mut w.latencies, 0.99)
+            nearest_rank(&mut self.latencies, 0.99)
         };
+        let counts = ledger.since(&w.ledger);
+        // The paths' ledgers are all zero before the first window opens.
+        w.paths.resize(paths.len(), Ledger::default());
+        let per_path = paths
+            .iter()
+            .zip(&w.paths)
+            .map(|(path, base)| path.since(base));
+        let (path_admitted, path_completed) = per_path.map(|c| (c.arrivals, c.completed)).unzip();
         self.windows.push(WindowStats {
             start: w.start,
             end: now,
-            arrivals: w.arrivals,
-            completed: w.completed,
-            shed: w.shed,
-            dropped: w.dropped,
-            timed_out: w.timed_out,
+            arrivals: counts.arrivals,
+            completed: counts.completed,
+            shed: counts.shed,
+            dropped: counts.dropped,
+            timed_out: counts.timed_out,
             p99_s,
             mean_queue_depth: (now_i.queue - w.base.queue) / duration,
             utilization,
             live_replicas,
             cost: (now_i.cost - w.base.cost) / duration,
-            path_admitted: Vec::new(),
-            path_completed: Vec::new(),
+            path_admitted,
+            path_completed,
         });
-        let mut latencies = std::mem::take(&mut w.latencies);
-        latencies.clear();
-        self.open = Window {
-            start: now,
-            base: now_i,
-            latencies,
-            ..Window::default()
-        };
-        self.windows.last_mut()
+        (w.start, w.base, w.ledger) = (now, now_i, *ledger);
+        w.paths.copy_from_slice(paths);
+        self.latencies.clear();
     }
 }

@@ -230,9 +230,9 @@ impl QueryWindow {
         &mut self.hist[s * self.stride..][..self.stride]
     }
 
-    /// Every in-flight query's record.
-    pub(super) fn live(&self) -> impl Iterator<Item = &QueryRec> {
-        (self.base..self.end).filter_map(|q| self.get(q))
+    /// Every in-flight query, in index order.
+    pub(super) fn live(&self) -> impl Iterator<Item = usize> + '_ {
+        (self.base..self.end).filter(|&q| self.get(q).is_some())
     }
 
     /// Records the ring can hold: the smallest power of two at least

@@ -16,6 +16,10 @@
 //!   run the optional runtimes live: lifecycle schedules and fault
 //!   plans, closed-loop resizing, multi-path admission, and timeouts,
 //!   budgeted retries and hedges.
+//! * [`MULTIPATH_RESILIENCE`], [`MULTIPATH_AUTOSCALE`] and
+//!   [`AUTOSCALE_RESILIENCE`] run those runtimes in pairs. They follow
+//!   the first 2,100 entries, whose lines a new family must leave
+//!   byte-identical.
 //!
 //! Each entry stores an *outcome* digest (the latency multiset and
 //! every count, rate and utilization of the result) and a *telemetry*
@@ -58,8 +62,14 @@ pub const AUTOSCALE: Range<usize> = 1_500..1_650;
 pub const MULTIPATH: Range<usize> = 1_650..1_850;
 /// Timeouts, retries and hedges over faulted fleets.
 pub const RESILIENCE: Range<usize> = 1_850..2_100;
+/// Path ladders under timeouts, retries and hedges over faulted fleets.
+pub const MULTIPATH_RESILIENCE: Range<usize> = 2_100..2_200;
+/// Path ladders on a closed-loop resized fleet.
+pub const MULTIPATH_AUTOSCALE: Range<usize> = 2_200..2_300;
+/// Timeouts, retries and hedges over a faulted, resized fleet.
+pub const AUTOSCALE_RESILIENCE: Range<usize> = 2_300..2_400;
 /// Number of entries.
-pub const LEN: usize = RESILIENCE.end;
+pub const LEN: usize = AUTOSCALE_RESILIENCE.end;
 
 /// The checked-in digests, one `index outcome telemetry` line each.
 const CORPUS: &str = include_str!("corpus.txt");
@@ -297,6 +307,81 @@ fn failure_policy(d: &mut Draw) -> FailurePolicy {
     }
 }
 
+/// A drawn failure policy, with a telemetry window half the time.
+fn windowed_lifecycle(d: &mut Draw) -> LifecycleConfig {
+    let cfg = LifecycleConfig::new().with_failure_policy(failure_policy(d));
+    if d.coin() {
+        cfg.with_window(d.real(0.05, 0.3))
+    } else {
+        cfg
+    }
+}
+
+/// The batched full/lite ladder over `group`, with a tiny third path
+/// half the time.
+fn ladder(d: &mut Draw, group: ReplicaGroup, batch: BatchModel) -> PathSet {
+    let batched = |name, service| StageSpec::new(name, 0, 1, service).with_batch(batch);
+    let paths = PathSet::new(vec![group])
+        .with_path(
+            "full",
+            1.0,
+            vec![batched("filter", 0.004), batched("rank", 0.002)],
+        )
+        .unwrap()
+        .with_path("lite", d.real(0.1, 1.0), vec![batched("lite", 0.001)])
+        .unwrap();
+    if d.coin() {
+        let quality = d.real(0.05, 0.5);
+        paths
+            .with_path("tiny", quality, vec![batched("tiny", 0.0005)])
+            .unwrap()
+    } else {
+        paths
+    }
+}
+
+/// A timeout of 10–59 ms, one of four retry policies and one of three
+/// hedging choices.
+fn resilience_cfg(d: &mut Draw) -> ResilienceConfig {
+    let retry = match d.int(0..4) {
+        0 => RetryPolicy::none(),
+        1 => RetryPolicy::new(3, 0.002, 2.0).with_backoff_cap(0.010),
+        2 => RetryPolicy::new(4, 0.001, 2.0).with_jitter(0.5),
+        _ => RetryPolicy::new(3, 0.002, 2.0).with_budget(RetryBudget::new(5.0, 0.1)),
+    };
+    let cfg = ResilienceConfig::new()
+        .with_timeout(d.int(10..60) as f64 / 1e3)
+        .with_retry(retry);
+    match d.int(0..3) {
+        0 => cfg,
+        1 => cfg.with_hedge(HedgePolicy::after(d.real(0.001, 0.01))),
+        _ => cfg.with_hedge(HedgePolicy::at_quantile(d.real(0.8, 0.99))),
+    }
+}
+
+/// A queue-pressure controller resizing group 0 of `replicas` within
+/// `1..=replicas`, from a drawn initial size.
+fn autoscaler(d: &mut Draw, replicas: usize) -> (AutoscaleConfig, Pressure) {
+    let cfg = AutoscaleConfig::new(0, 1, replicas, d.real(0.05, 0.3))
+        .with_initial_replicas(d.int(1..replicas + 1))
+        .with_warmup(d.real(0.0, 0.2));
+    let lo = d.int(1..replicas);
+    (cfg, Pressure { lo, hi: replicas })
+}
+
+/// Traffic that swings: a diurnal ramp or the frozen domains' bursts.
+fn swings(d: &mut Draw) -> Box<dyn ArrivalProcess> {
+    if d.coin() {
+        Box::new(DiurnalArrivals::new(
+            50.0,
+            d.real(300.0, 900.0),
+            d.real(0.5, 2.0),
+        ))
+    } else {
+        Box::new(MmppArrivals::new(100.0, 800.0, 0.2, 0.1))
+    }
+}
+
 /// Entry `index`'s scenario.
 ///
 /// # Panics
@@ -404,20 +489,8 @@ pub fn entry(index: usize) -> Entry {
             &two_stages(d),
             batching(d, 5),
         );
-        let arrivals: Box<dyn ArrivalProcess> = if d.coin() {
-            Box::new(DiurnalArrivals::new(
-                50.0,
-                d.real(300.0, 900.0),
-                d.real(0.5, 2.0),
-            ))
-        } else {
-            Box::new(MmppArrivals::new(100.0, 800.0, 0.2, 0.1))
-        };
-        let cfg = AutoscaleConfig::new(0, 1, replicas, d.real(0.05, 0.3))
-            .with_initial_replicas(d.int(1..replicas + 1))
-            .with_warmup(d.real(0.0, 0.2));
-        let lo = d.int(1..replicas);
-        autoscale = Some((cfg, Pressure { lo, hi: replicas }));
+        let arrivals = swings(d);
+        autoscale = Some(autoscaler(d, replicas));
         (
             Fleet::Spec(spec),
             arrivals,
@@ -433,27 +506,8 @@ pub fn entry(index: usize) -> Entry {
         if d.int(0..3) == 0 {
             group = group.with_lifecycle(fault_plan(d, replicas, queries as f64 / 400.0));
         }
-        let batched = |name, service| StageSpec::new(name, 0, 1, service).with_batch(batch);
-        let mut paths = PathSet::new(vec![group])
-            .with_path(
-                "full",
-                1.0,
-                vec![batched("filter", 0.004), batched("rank", 0.002)],
-            )
-            .unwrap()
-            .with_path("lite", d.real(0.1, 1.0), vec![batched("lite", 0.001)])
-            .unwrap();
-        if d.coin() {
-            let quality = d.real(0.05, 0.5);
-            paths = paths
-                .with_path("tiny", quality, vec![batched("tiny", 0.0005)])
-                .unwrap();
-        }
-        let mut cfg = LifecycleConfig::new().with_failure_policy(failure_policy(d));
-        if d.coin() {
-            cfg = cfg.with_window(d.real(0.05, 0.3));
-        }
-        lifecycle = Some(cfg);
+        let paths = ladder(d, group, batch);
+        lifecycle = Some(windowed_lifecycle(d));
         let fleet = Fleet::Paths(paths, admission(d.int(0..4)));
         let arrivals = open_loop(d);
         (
@@ -464,37 +518,70 @@ pub fn entry(index: usize) -> Entry {
             queries,
             d.seed(300),
         )
-    } else {
-        assert!(
-            RESILIENCE.contains(&index),
-            "corpus index {index} out of range"
-        );
+    } else if RESILIENCE.contains(&index) {
         let (replicas, capacity) = (d.int(1..4), d.int(1..3));
         let queries = d.int(100..400);
         let faults = fault_plan(d, replicas, queries as f64 / 400.0);
         let group = ReplicaGroup::replicated("fleet", capacity, replicas).with_lifecycle(faults);
         let spec = pipeline(vec![group], &[(0.004, 0), (0.002, 0)], batching(d, 6));
-        let retry = match d.int(0..4) {
-            0 => RetryPolicy::none(),
-            1 => RetryPolicy::new(3, 0.002, 2.0).with_backoff_cap(0.010),
-            2 => RetryPolicy::new(4, 0.001, 2.0).with_jitter(0.5),
-            _ => RetryPolicy::new(3, 0.002, 2.0).with_budget(RetryBudget::new(5.0, 0.1)),
-        };
-        let mut cfg = ResilienceConfig::new()
-            .with_timeout(d.int(10..60) as f64 / 1e3)
-            .with_retry(retry);
-        match d.int(0..3) {
-            0 => {}
-            1 => cfg = cfg.with_hedge(HedgePolicy::after(d.real(0.001, 0.01))),
-            _ => cfg = cfg.with_hedge(HedgePolicy::at_quantile(d.real(0.8, 0.99))),
-        }
-        resilience = Some(cfg);
-        let mut life = LifecycleConfig::new().with_failure_policy(failure_policy(d));
-        if d.coin() {
-            life = life.with_window(d.real(0.05, 0.3));
-        }
-        lifecycle = Some(life);
+        resilience = Some(resilience_cfg(d));
+        lifecycle = Some(windowed_lifecycle(d));
         let arrivals = open_loop(d);
+        (
+            Fleet::Spec(spec),
+            arrivals,
+            d.int(0..3),
+            d.int(0..6),
+            queries,
+            d.seed(300),
+        )
+    } else if MULTIPATH_RESILIENCE.contains(&index) {
+        let (replicas, capacity, batch) = (d.int(1..4), d.int(1..3), batching(d, 6));
+        let queries = d.int(100..400);
+        let faults = fault_plan(d, replicas, queries as f64 / 400.0);
+        let group = ReplicaGroup::replicated("fleet", capacity, replicas).with_lifecycle(faults);
+        let paths = ladder(d, group, batch);
+        resilience = Some(resilience_cfg(d));
+        lifecycle = Some(windowed_lifecycle(d));
+        let fleet = Fleet::Paths(paths, admission(d.int(0..4)));
+        let arrivals = open_loop(d);
+        (
+            fleet,
+            arrivals,
+            d.int(0..3),
+            d.int(0..6),
+            queries,
+            d.seed(300),
+        )
+    } else if MULTIPATH_AUTOSCALE.contains(&index) {
+        let (replicas, capacity, batch) = (d.int(2..6), d.int(1..3), batching(d, 5));
+        let group = ReplicaGroup::replicated("fleet", capacity, replicas);
+        let paths = ladder(d, group, batch);
+        let fleet = Fleet::Paths(paths, admission(d.int(0..4)));
+        let arrivals = swings(d);
+        autoscale = Some(autoscaler(d, replicas));
+        (
+            fleet,
+            arrivals,
+            d.int(0..3),
+            d.int(0..6),
+            d.int(100..500),
+            d.seed(300),
+        )
+    } else {
+        assert!(
+            AUTOSCALE_RESILIENCE.contains(&index),
+            "corpus index {index} out of range"
+        );
+        let (replicas, capacity) = (d.int(2..6), d.int(1..3));
+        let queries = d.int(100..400);
+        let faults = fault_plan(d, replicas, queries as f64 / 400.0);
+        let group = ReplicaGroup::replicated("fleet", capacity, replicas).with_lifecycle(faults);
+        let spec = pipeline(vec![group], &[(0.004, 0), (0.002, 0)], batching(d, 6));
+        resilience = Some(resilience_cfg(d));
+        lifecycle = Some(LifecycleConfig::new().with_failure_policy(failure_policy(d)));
+        autoscale = Some(autoscaler(d, replicas));
+        let arrivals = swings(d);
         (
             Fleet::Spec(spec),
             arrivals,

@@ -25,6 +25,12 @@
 //! completions for quality-per-completion, degradation keeps the
 //! completions and pays a small quality discount — and wins.
 //!
+//! A last run composes the degrading policy with query-level
+//! resilience — a timeout, a retry and a hedge — on a fleet of two
+//! replicas, one of which limps through the middle of the day. Retries
+//! and hedges re-enter their own query's path, and every query is still
+//! counted once, on its path.
+//!
 //! Run with:
 //!
 //! ```text
@@ -33,7 +39,10 @@
 
 use recpipe::core::{AdmissionSweep, Scheduler, Table};
 use recpipe::data::DiurnalArrivals;
-use recpipe::qsim::{Fifo, JoinShortestQueue, LifecycleConfig, PathSet, ReplicaGroup, StageSpec};
+use recpipe::qsim::{
+    Fifo, HedgePolicy, JoinShortestQueue, LifecycleConfig, LifecycleEvent, LifecycleSchedule,
+    LoadAdaptive, PathSet, ReplicaGroup, ResilienceConfig, RetryPolicy, Scenario, StageSpec,
+};
 
 /// Queries in the compressed day.
 const QUERIES: usize = 40_000;
@@ -51,8 +60,8 @@ fn ramp() -> DiurnalArrivals {
 /// decreasing quality order. Per-path sustainable throughput at 8
 /// units: full 800 QPS, mid 2000 QPS, lite ~5300 QPS — only the
 /// lightest path can absorb the peak.
-fn ladder() -> PathSet {
-    PathSet::new(vec![ReplicaGroup::replicated("worker", CAPACITY, 1)])
+fn ladder(fleet: ReplicaGroup) -> PathSet {
+    PathSet::new(vec![fleet])
         .with_path("full", 1.00, vec![StageSpec::new("rm-large", 0, 1, 0.010)])
         .expect("full path fits the fleet")
         .with_path("mid", 0.92, vec![StageSpec::new("rm-med", 0, 1, 0.004)])
@@ -62,7 +71,7 @@ fn ladder() -> PathSet {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let paths = ladder();
+    let paths = ladder(ReplicaGroup::replicated("worker", CAPACITY, 1));
     let sweep = AdmissionSweep {
         include_always_primary: true,
         knees: vec![(1.5, 0.75)],
@@ -206,5 +215,51 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         best.policy
     );
     println!("\ngoodput champion on the front: {}", best.policy);
+
+    // (f) The degrading policy again, with a 30 ms timeout, one retry
+    // and a hedge after 15 ms, on two 4-unit replicas; replica 1 limps
+    // at 30% speed from t = 10 to t = 30, through the peak.
+    let limp = LifecycleSchedule::empty()
+        .with_event(LifecycleEvent::degrade(10.0, 1, 0.3))
+        .with_event(LifecycleEvent::recover(30.0, 1));
+    let limping = ladder(ReplicaGroup::replicated("worker", CAPACITY / 2, 2).with_lifecycle(limp));
+    let resilience = ResilienceConfig::new()
+        .with_timeout(0.030)
+        .with_retry(RetryPolicy::new(2, 0.005, 2.0))
+        .with_hedge(HedgePolicy::after(0.015));
+    let degrading = LoadAdaptive::new(1.5, 0.75);
+    let out = Scenario::multipath(&limping, &degrading, &ramp(), QUERIES, 17)
+        .router(&JoinShortestQueue)
+        .resilience(&resilience)
+        .run()?;
+    let stats = out
+        .resilience
+        .as_ref()
+        .expect("resilient runs report stats");
+    println!(
+        "\nload-adaptive (degrade) + timeout, retry and hedge, replica 1 limping: \
+         {} completed, {} shed at admission, {} timed out; {} retries, {} of {} hedges won",
+        out.completed,
+        out.admission_shed,
+        stats.timed_out,
+        stats.total_retries(),
+        stats.hedges_won,
+        stats.hedges_issued
+    );
+    let admitted: usize = out.paths.iter().map(|p| p.admitted).sum();
+    assert_eq!(
+        admitted + out.admission_shed,
+        QUERIES,
+        "admitted + shed at admission must cover every arrival"
+    );
+    for p in &out.paths {
+        assert_eq!(
+            p.admitted,
+            p.completed + p.shed + p.dropped + p.timed_out,
+            "path {}: every admitted query resolves once, on its path",
+            p.name
+        );
+    }
+    println!("conservation: every path's admissions resolve on that path");
     Ok(())
 }

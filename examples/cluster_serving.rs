@@ -213,7 +213,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // previous-generation at 60% speed (cost 1.6). Priced exhaustively
     // and with the successive-halving budget.
     use recpipe::core::{FleetSpec, Scheduler, SchedulerSettings, SweepBudget};
-    use recpipe::hwsim::{CpuModel, PcieModel};
+    use recpipe::hwsim::CpuModel;
     use std::sync::Arc;
 
     let mut settings = SchedulerSettings::quick();
@@ -224,13 +224,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     settings.max_stages = 2;
     let pool: Vec<Arc<dyn recpipe::core::Backend>> = vec![Arc::new(CpuModel::cascade_lake())];
-    let interconnect = PcieModel::measured();
     let load = 8_000.0;
     let (full_points, full_stats) =
-        Scheduler::new(settings.clone()).explore_pool(load, 2, &pool, 1, None, &interconnect);
+        Scheduler::new(settings.clone()).explore_pool(load, 2, &pool, 1, None);
     settings.sweep_budget = SweepBudget::halving(settings.sim_queries);
     let (halved_points, halved_stats) =
-        Scheduler::new(settings).explore_pool(load, 2, &pool, 1, None, &interconnect);
+        Scheduler::new(settings).explore_pool(load, 2, &pool, 1, None);
 
     let front = Scheduler::pareto_with_cost(full_points);
     let halved_front = Scheduler::pareto_with_cost(halved_points);

@@ -2,7 +2,7 @@
 //! through the re-exports and composes.
 
 use recpipe::accel::{Partition, RpAccel, RpAccelConfig, SystolicArray, TopKFilter};
-use recpipe::data::{DatasetSpec, QueryGenerator, Zipf};
+use recpipe::data::{DatasetSpec, Zipf};
 use recpipe::hwsim::{CpuModel, GpuModel, LruCache, StageWork, StaticCacheModel};
 use recpipe::metrics::{ndcg_at_k, LatencyStats};
 use recpipe::models::{ModelConfig, ModelKind};
@@ -26,9 +26,7 @@ fn metrics_through_facade() {
 #[test]
 fn data_through_facade() {
     use recpipe::data::{ArrivalProcess, PoissonArrivals};
-    let spec = DatasetSpec::criteo_kaggle();
-    let mut queries = QueryGenerator::new(&spec, 1);
-    assert_eq!(queries.next_query().num_candidates(), 4096);
+    assert_eq!(DatasetSpec::criteo_kaggle().candidates_per_query, 4096);
     assert!(PoissonArrivals::new(100.0).stream(2).take(10).count() == 10);
     assert!(Zipf::new(1000, 0.9).cdf(1000) == 1.0);
 }
